@@ -100,6 +100,9 @@ class RunConfig:
                 raise UsageError("conductor/root-number: required for mode pair-signs")
             if self.box is None or self.box < 1:
                 raise UsageError("box: positive sweep box required")
+        for name in ("region", "root_number", "pair_symbol"):
+            if getattr(self, name) not in (None, -1, 1):
+                raise UsageError(f"{name}: must be -1 or 1")
         if self.output_format not in ("json", "csv"):
             raise UsageError(f"format: unknown output format {self.output_format!r}")
         for name in ("prime_budget", "trial_bound", "kernel_bound", "samples",
@@ -125,16 +128,8 @@ def _jsonable(value):
     return value
 
 
-def _int_str(n: int):
-    return str(n) if abs(n) > 2**53 else n
-
-
 def _poly_str(p: Poly) -> str:
     return ",".join(str(c) for c in p.coeffs)
-
-
-def _fraction_str(q: Fraction) -> str:
-    return str(q)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +144,11 @@ def _candidate_record(cand: counting.FieldCandidate, model, budgets) -> dict:
         "v": cand.v,
         "degree": cand.poly.degree,
         "poly": _poly_str(cand.poly),
-        "disc": _int_str(cand.disc),
+        "disc": _jsonable(cand.disc),
         "disc_sign": cand.disc_sign,
-        "kernel": _int_str(cand.kernel),
+        "kernel": _jsonable(cand.kernel),
         "kernel_flag": cand.kernel_flag,
-        "kernel_cofactor": _int_str(cand.kernel_cofactor),
+        "kernel_cofactor": _jsonable(cand.kernel_cofactor),
         "certified": cand.certificate.certified,
         "cert_route": cand.certificate.route,
         "irreducibility": ev.irreducibility,
@@ -175,15 +170,15 @@ def _candidate_record(cand: counting.FieldCandidate, model, budgets) -> dict:
 def _model_record(model: family.WeierstrassModel) -> dict:
     check = family.verify_model(model)
     return {
-        "B": _fraction_str(model.B),
-        "C": _fraction_str(model.C),
-        "D": _fraction_str(model.D),
+        "B": str(model.B),
+        "C": str(model.C),
+        "D": str(model.D),
         "p1": model.p1,
         "p2": model.p2,
         "p3": model.p3,
         "shift_target": model.shift_target,
-        "alpha": _fraction_str(model.alpha),
-        "epsilon": _fraction_str(model.epsilon),
+        "alpha": str(model.alpha),
+        "epsilon": str(model.epsilon),
         "forced_modulus": model.forced_modulus,
         "denominators_at_p1": check.denominators_at_p1,
         "unit_divisibility": check.unit_divisibility,
@@ -196,12 +191,12 @@ def _model_record(model: family.WeierstrassModel) -> dict:
 def _count_report_dict(rep: counting.CountReport) -> dict:
     return {
         "degree": rep.degree,
-        "x_grid": [_int_str(x) for x in rep.x_grid],
+        "x_grid": _jsonable(rep.x_grid),
         "counts": list(rep.counts),
         "class_count": rep.class_count,
         "quarantined": rep.quarantined,
         "fit_slope": rep.fit_slope,
-        "target_exponent": _fraction_str(rep.target_exponent),
+        "target_exponent": str(rep.target_exponent),
         "sign_histogram": {str(k): v for k, v in sorted(rep.sign_histogram.items())},
         "multiplicity_histogram": {str(k): v for k, v in sorted(rep.multiplicity_histogram.items())},
     }
@@ -216,16 +211,16 @@ def _run_exponents(cfg: RunConfig) -> dict:
     records = []
     for d in range(cfg.d_min, cfg.d_max + 1):
         row: dict[str, Any] = {"degree": d}
-        row["c_general"] = _fraction_str(counting.c_exponent(d, "theorem_general")) if d >= 2 else None
-        row["c_small_degree"] = _fraction_str(counting.c_exponent(d, "small_degree")) if d >= 3 else None
-        row["c_large_degree"] = _fraction_str(counting.c_exponent(d, "large_degree")) if d >= 5 else None
+        row["c_general"] = str(counting.c_exponent(d, "theorem_general")) if d >= 2 else None
+        row["c_small_degree"] = str(counting.c_exponent(d, "small_degree")) if d >= 3 else None
+        row["c_large_degree"] = str(counting.c_exponent(d, "large_degree")) if d >= 5 else None
         row["c_field_improvement"] = (
-            _fraction_str(counting.c_exponent(d, "field_improvement")) if d >= 7 else None
+            str(counting.c_exponent(d, "field_improvement")) if d >= 7 else None
         )
-        row["c_conditional"] = _fraction_str(counting.c_exponent(d, "conditional")) if d >= 2 else None
-        row["ev_box_exponent"] = _fraction_str(counting.ev_exponent(d)) if d >= 4 else None
+        row["c_conditional"] = str(counting.c_exponent(d, "conditional")) if d >= 2 else None
+        row["ev_box_exponent"] = str(counting.ev_exponent(d)) if d >= 4 else None
         bound = counting.schmidt_ev_alpha(d)
-        row["alpha_bound"] = _fraction_str(bound.alpha)
+        row["alpha_bound"] = str(bound.alpha)
         row["alpha_witness"] = list(bound.witness) if bound.witness else None
         records.append(row)
     return {"records": records}
@@ -249,7 +244,7 @@ def _run_family(cfg: RunConfig) -> dict:
             "t_power": form.t_power,
             "degree_h": form.degree_h,
             "h": _poly_str(form.h),
-            "unit": _fraction_str(form.unit),
+            "unit": str(form.unit),
             "simple_factor": _poly_str(form.simple_factor) if form.simple_factor else None,
             "grid_positive": form.grid_positive,
             "grid_negative": form.grid_negative,
@@ -384,8 +379,8 @@ def _run_pair_signs(cfg: RunConfig) -> dict:
                 "pos_v": pair.positive.v,
                 "neg_u": pair.negative.u,
                 "neg_v": pair.negative.v,
-                "pos_disc": _int_str(pair.positive.disc),
-                "neg_disc": _int_str(pair.negative.disc),
+                "pos_disc": _jsonable(pair.positive.disc),
+                "neg_disc": _jsonable(pair.negative.disc),
                 "pos_w_rel": pair.positive_report.w_rel,
                 "neg_w_rel": pair.negative_report.w_rel,
             }
@@ -394,7 +389,7 @@ def _run_pair_signs(cfg: RunConfig) -> dict:
             root_reports.append(
                 {
                     "degree": rep.d,
-                    "disc": _int_str(rep.disc),
+                    "disc": _jsonable(rep.disc),
                     "gcd_ok": rep.gcd_ok,
                     "kronecker": rep.kronecker_value,
                     "w_rel": rep.w_rel,
@@ -405,7 +400,7 @@ def _run_pair_signs(cfg: RunConfig) -> dict:
         "pairs": pair_records,
         "root_reports": root_reports,
         "preset_residue": t0,
-        "pair_modulus": _int_str(modulus),
+        "pair_modulus": _jsonable(modulus),
     }
 
 

@@ -107,6 +107,8 @@ def _candidate(
     budgets: SweepBudgets,
     modulus: Optional[int],
 ) -> FieldCandidate:
+    # specialize returns a primitive integral polynomial with positive lead,
+    # the normalized form the galois helpers expect with its discriminant.
     p_spec = specialize(family, u, v)
     d = family.d
     disc_frac = discriminant(p_spec) if p_spec.degree >= 1 else Fraction(0)
@@ -124,9 +126,9 @@ def _candidate(
         )
         cert = SdCertificate(galois.INCONCLUSIVE, evidence)
     else:
-        evidence = galois.collect_evidence(
+        evidence = galois._evidence(
             p_spec,
-            d,
+            disc_frac,
             budgets.prime_budget,
             polygon_primes=budgets.polygon_primes,
             trial_bound=budgets.trial_bound,
@@ -169,10 +171,14 @@ def _box_pairs(
 
 
 def _worker_count() -> int:
+    raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _chunk_worker(args):
@@ -194,7 +200,8 @@ def sweep(
     only candidates whose discriminant has the given sign.  ``pairs``
     overrides the box walk with an explicit pair list (used for sampled
     runs).  Worker count comes from the SDTWISTS_WORKERS environment
-    variable; the output order is independent of it.
+    variable, which must be a positive integer (ValueError otherwise); the
+    output order is independent of it.
     """
     if box < 1:
         raise ValueError("box must be at least 1")

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .padic import valuation
+from .padic import reduce_poly_mod, valuation
 from .polyarith import BivarPoly, Poly, discriminant_in_t, reduce_mod, squarefree_decompose
-from .primes import is_prime, multiplicative_order, primes, valuation_int
+from .primes import multiplicative_order, primes, valuation_int
 
 PARITY_CUBIC = "d=3"
 PARITY_EVEN = "even"
@@ -62,17 +62,6 @@ class WeierstrassModel:
     @property
     def f(self) -> Poly:
         return Poly([self.D, self.C, self.B, 1])
-
-    def denominator_support(self) -> set[int]:
-        out = set()
-        for c in (self.B, self.C, self.D):
-            den = c.denominator
-            while den % self.p1 == 0:
-                den //= self.p1
-                out.add(self.p1)
-            if den != 1:
-                raise AssertionError("denominator outside p1 support")
-        return out
 
 
 @dataclass(frozen=True)
@@ -262,12 +251,6 @@ def build_model(
     )
 
 
-def _reduce_fraction_mod(c: Fraction, p: int) -> int:
-    if c.denominator % p == 0:
-        raise ValueError(f"denominator not invertible mod {p}")
-    return c.numerator * pow(c.denominator, -1, p) % p
-
-
 def verify_model(model: WeierstrassModel) -> ModelCheck:
     """Check properties (i)-(iv) exactly."""
     p1, p2, p3 = model.p1, model.p2, model.p3
@@ -284,10 +267,7 @@ def verify_model(model: WeierstrassModel) -> ModelCheck:
     a0 = model.shift_target
     target = Poly([a0, 1]) ** 3
     diff = model.f - target
-    try:
-        cubic_ok = all(_reduce_fraction_mod(c, p3) == 0 for c in diff.coeffs)
-    except ValueError:
-        cubic_ok = False
+    cubic_ok = _zero_mod(diff, p3)
 
     al, eps = model.alpha, model.epsilon
     box_ok = (
@@ -298,18 +278,17 @@ def verify_model(model: WeierstrassModel) -> ModelCheck:
 
     forced_ok = None
     if model.forced_modulus:
-        n = model.forced_modulus
-        forced_ok = all(
-            _congruent_zero_mod(c, n) for c in (model.B, model.C, model.D)
-        )
+        forced_ok = _zero_mod(Poly([model.D, model.C, model.B]), model.forced_modulus)
 
     return ModelCheck(denoms_ok, div_ok, cubic_ok, box_ok, forced_ok)
 
 
-def _congruent_zero_mod(c: Fraction, n: int) -> bool:
-    if math.gcd(c.denominator, n) != 1:
+def _zero_mod(f: Poly, n: int) -> bool:
+    """Whether every coefficient of f is 0 mod n (False if one is not n-integral)."""
+    try:
+        return not reduce_poly_mod(f, n)
+    except ValueError:
         return False
-    return c.numerator * pow(c.denominator, -1, n) % n == 0
 
 
 def twist_polynomial(model: WeierstrassModel, d: int) -> TwistFamily:

@@ -22,18 +22,24 @@ Newton polygon.
 Transpositions come from a prime p, not dividing the leading coefficient,
 with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of
 which is a single transposition (one even part, equal to 2).
+
+Each polynomial's discriminant is computed once.  The public entry points
+compute it themselves from the polynomial they are given; a sweep, which has
+already computed it for the report, hands it to the private helpers, so the
+value a certificate rests on is always the discriminant of that polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import padic
 from .padic import CycleType
-from .polyarith import Poly, discriminant
-from .primes import is_square, primes, valuation_int
+from .polyarith import Poly, _normalize_factor, discriminant
+from .primes import is_square, primes, primes_up_to, valuation_int
 
 # Stop scanning for good primes after this many total candidates; only
 # degenerate inputs (e.g. squarefull polynomials, where every prime is bad)
@@ -89,20 +95,13 @@ def contains_n_cycle(types: Sequence[CycleType], n: int) -> bool:
     return False
 
 
-def _normalize_integral(f: Poly) -> Poly:
-    g = f.primitive()
-    return -g if g.lead < 0 else g
-
-
-def _good_prime_scan(f: Poly, budget: int):
+def _good_prime_scan(f: Poly, budget: int) -> list[tuple[int, CycleType]]:
     """Cycle types at the first `budget` good primes, in increasing order.
 
-    Returns (list of (prime, CycleType), first prime with irreducible
-    reduction or None).  Bad primes (leading coefficient or squarefreeness
-    lost mod p) are skipped without consuming budget, up to a hard cap.
+    Bad primes (leading coefficient or squarefreeness lost mod p) are
+    skipped without consuming budget, up to a hard cap.
     """
     found: list[tuple[int, CycleType]] = []
-    first_irreducible = None
     cap = max(_SCAN_CAP_MIN, _SCAN_CAP_FACTOR * budget)
     examined = 0
     for p in primes():
@@ -110,12 +109,9 @@ def _good_prime_scan(f: Poly, budget: int):
             break
         examined += 1
         ct = padic.frobenius_cycle_type(f, p)
-        if ct is None:
-            continue
-        found.append((p, ct))
-        if first_irreducible is None and ct.parts == (f.degree,):
-            first_irreducible = p
-    return found, first_irreducible
+        if ct is not None:
+            found.append((p, ct))
+    return found
 
 
 def _degree_lattice(patterns: Sequence[CycleType], d: int) -> set[int]:
@@ -129,26 +125,29 @@ def _degree_lattice(patterns: Sequence[CycleType], d: int) -> set[int]:
     return possible
 
 
+def _irreducibility(g: Poly, prime_budget: int):
+    """Good-prime scan of g and the irreducibility it proves.
+
+    Returns (scan, status, route): an irreducible reduction proves it
+    ("mod-p"), and so do factor-degree patterns whose subset sums meet only
+    in {0, d} ("degree-lattice").
+    """
+    d = g.degree
+    scan = _good_prime_scan(g, prime_budget)
+    patterns = [ct for _, ct in scan]
+    if any(ct.parts == (d,) for ct in patterns):
+        return scan, CERTIFIED, "mod-p"
+    if scan and _degree_lattice(patterns, d) == {0, d}:
+        return scan, CERTIFIED, "degree-lattice"
+    return scan, INCONCLUSIVE, None
+
+
 def irreducibility_certificate(f: Poly, prime_budget: int) -> str:
     """CERTIFIED when irreducibility over Q is proved within the budget."""
-    status, _route = _irreducibility(f, prime_budget, polygon_primes=())
-    return status
-
-
-def _irreducibility(f: Poly, prime_budget: int, polygon_primes: Sequence[int]):
-    d = f.degree
-    if d < 2:
+    if f.degree < 2:
         raise ValueError("degree >= 2 required")
-    g = _normalize_integral(f)
-    scan, first_irr = _good_prime_scan(g, prime_budget)
-    if first_irr is not None:
-        return CERTIFIED, "mod-p"
-    if scan and _degree_lattice([ct for _, ct in scan], d) == {0, d}:
-        return CERTIFIED, "degree-lattice"
-    for p in polygon_primes:
-        if _polygon_totally_ramified(g, p):
-            return CERTIFIED, "newton-polygon"
-    return INCONCLUSIVE, None
+    _scan, status, _route = _irreducibility(_normalize_factor(f), prime_budget)
+    return status
 
 
 def _polygon_totally_ramified(g: Poly, p: int) -> bool:
@@ -169,14 +168,18 @@ def transposition_witness(
     Searches primes up to trial_bound and then the supplied extras; absence
     is reported as None, never guessed.
     """
-    g = _normalize_integral(f)
-    disc = discriminant(g)
+    g = _normalize_factor(f)
+    return _witness(g, discriminant(g), trial_bound, extra_primes)
+
+
+def _witness(
+    g: Poly, disc: Fraction, trial_bound: int, extra_primes: Sequence[int]
+) -> Optional[int]:
+    """``transposition_witness`` for normalized g with disc = discriminant(g)."""
     if disc == 0:
         raise ValueError("discriminant vanishes; no transposition witness exists")
     n = abs(disc.numerator)
     lead = g.lead.numerator
-    from .primes import primes_up_to
-
     candidates = list(primes_up_to(trial_bound))
     candidates += sorted(set(int(p) for p in extra_primes) - set(candidates))
     for p in candidates:
@@ -207,21 +210,30 @@ def collect_evidence(
     """
     if f.degree != d:
         raise ValueError(f"degree mismatch: got {f.degree}, expected {d}")
-    g = _normalize_integral(f)
-    provenance: list[tuple[str, int, str]] = []
+    g = _normalize_factor(f)
+    return _evidence(
+        g, discriminant(g), prime_budget, polygon_primes, trial_bound, extra_primes,
+        skip_witness_for_cubic,
+    )
 
-    scan, first_irr = _good_prime_scan(g, prime_budget)
+
+def _evidence(
+    g: Poly,
+    disc: Fraction,
+    prime_budget: int,
+    polygon_primes: Sequence[int],
+    trial_bound: int,
+    extra_primes: Sequence[int] = (),
+    skip_witness_for_cubic: bool = True,
+) -> GaloisEvidence:
+    """``collect_evidence`` for normalized g with disc = discriminant(g)."""
+    d = g.degree
+    provenance: list[tuple[str, int, str]] = []
+    scan, irred, route = _irreducibility(g, prime_budget)
     types: set[CycleType] = set()
     for p, ct in scan:
         types.add(ct)
         provenance.append(("frobenius_cycle_type", p, str(ct)))
-
-    if first_irr is not None:
-        irred, route = CERTIFIED, "mod-p"
-    elif scan and _degree_lattice([ct for _, ct in scan], d) == {0, d}:
-        irred, route = CERTIFIED, "degree-lattice"
-    else:
-        irred, route = INCONCLUSIVE, None
 
     for p in polygon_primes:
         if not g.coeff(0):
@@ -234,13 +246,12 @@ def collect_evidence(
             irred, route = CERTIFIED, "newton-polygon"
             provenance.append(("irreducibility", p, "totally ramified"))
 
-    disc = discriminant(g)
     disc_square = is_square(disc.numerator) if disc.denominator == 1 else False
 
     witness = None
     cubic_shortcut = d == 3 and irred == CERTIFIED and not disc_square
     if disc != 0 and irred == CERTIFIED and not (cubic_shortcut and skip_witness_for_cubic):
-        witness = transposition_witness(g, trial_bound, extra_primes)
+        witness = _witness(g, disc, trial_bound, extra_primes)
         if witness is not None:
             provenance.append(("transposition_witness", witness, "v_p(disc)=1"))
 

@@ -1,14 +1,17 @@
-"""Exact polynomial arithmetic over Q.
+"""Exact polynomial arithmetic over Q and over Q[t].
 
-Univariate polynomials (``Poly``) carry ``fractions.Fraction`` coefficients,
-stored dense from the constant term up, so equality tests and every ring
-operation are exact.  Bivariate polynomials in x and t (``BivarPoly``) store
-their x-coefficients as polynomials in t.
+One dense polynomial class carries every ring operation.  ``Poly`` stores
+``fractions.Fraction`` coefficients from the constant term up, so equality
+tests and every ring operation are exact.  ``BivarPoly`` is the same class
+over the coefficient ring Q[t]: its x-coefficients are ``Poly`` values in t,
+and it adds only what is particular to that ring (specializing t and the
+x-derivative).
 
-Resultants run by fraction-free subresultant elimination; the same
-elimination is reused verbatim over the coefficient ring Q[t], which is how
-discriminants of the twist families are obtained as exact polynomials in t.
-Naive Sylvester determinants exist only in the test suite as an oracle.
+Resultants run by fraction-free subresultant elimination, written once with
+ordinary ring operators plus one exact coefficient division, so it runs
+unchanged over Q and over Q[t]; the latter is how discriminants of the twist
+families are obtained as exact polynomials in t.  Naive Sylvester
+determinants exist only in the test suite as an oracle.
 
 Zero and constant polynomials are rejected with ``ValueError`` wherever the
 operation is undefined; nothing silently returns 0.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Coefficient = Union[Fraction, int]
 
@@ -32,12 +35,22 @@ def _frac(c) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial; ``coeffs[i]`` multiplies x**i."""
+    """Dense univariate polynomial; ``coeffs[i]`` multiplies x**i.
+
+    The ring operations below are written for any coefficient ring: a
+    subclass names its ring by ``_coerce`` (which turns an int or a
+    coefficient into a ring element) and ``_zero``.  Everything after them
+    (division, evaluation, normal forms) needs the field Q.
+    """
 
     __slots__ = ("coeffs",)
 
+    _coerce = staticmethod(_frac)
+    _zero = Fraction(0)
+
     def __init__(self, coeffs: Iterable[Coefficient] = ()):
-        cs = [_frac(c) for c in coeffs]
+        coerce = self._coerce
+        cs = [coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -50,7 +63,7 @@ class Poly:
         return len(self.coeffs) - 1
 
     @property
-    def lead(self) -> Fraction:
+    def lead(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -59,13 +72,13 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash((type(self).__name__, self.coeffs))
 
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def coeff(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._zero
 
     # -- ring operations ---------------------------------------------------
 
@@ -76,30 +89,30 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return type(self)(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return type(self)([-c for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return type(self)()
+        out = [self._zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     if cb:
                         out[i + j] += ca * cb
-        return Poly(out)
+        return type(self)(out)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly([1])
+        result = type(self)([1])
         base = self
         while n:
             if n & 1:
@@ -108,15 +121,16 @@ class Poly:
             n >>= 1
         return result
 
-    def scale(self, c: Coefficient) -> "Poly":
-        c = _frac(c)
-        return Poly([c * a for a in self.coeffs])
+    def scale(self, c) -> "Poly":
+        """Multiply every coefficient by the ring element c."""
+        c = self._coerce(c)
+        return type(self)([c * a for a in self.coeffs])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x**k."""
         if not self.coeffs:
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return type(self)((self._zero,) * k + self.coeffs)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not other:
@@ -190,15 +204,10 @@ class Poly:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def int_coeffs(self) -> tuple[int, ...]:
-        if not self.is_integral():
-            raise ValueError("polynomial is not integral")
-        return tuple(c.numerator for c in self.coeffs)
-
     # -- display -------------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"Poly({self})"
+        return f"{type(self).__name__}({self})"
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -222,19 +231,6 @@ class Poly:
             text += f" {sign} {body}"
         return text
 
-    # -- ring adapter for the shared elimination core ------------------------
-
-    @staticmethod
-    def _ring_one():
-        return Fraction(1)
-
-    @staticmethod
-    def _ring_exact_div(a: Fraction, b: Fraction) -> Fraction:
-        return a / b
-
-    def coeff_exact_div(self, c: Fraction) -> "Poly":
-        return Poly([a / c for a in self.coeffs])
-
 
 X = Poly([0, 1])
 
@@ -246,116 +242,50 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if a else a
 
 
-class BivarPoly:
+class BivarPoly(Poly):
     """Polynomial in x whose coefficients are ``Poly`` values in t."""
 
-    __slots__ = ("xcoeffs",)
+    __slots__ = ()
 
-    def __init__(self, xcoeffs: Iterable[Union[Poly, Coefficient]] = ()):
-        cs = [c if isinstance(c, Poly) else Poly([c]) for c in xcoeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.xcoeffs = tuple(cs)
+    _zero = Poly()
 
-    @property
-    def degree(self) -> int:
-        return len(self.xcoeffs) - 1
+    @staticmethod
+    def _coerce(c) -> Poly:
+        return c if isinstance(c, Poly) else Poly([c])
 
     @property
-    def lead(self) -> Poly:
-        if not self.xcoeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.xcoeffs[-1]
-
-    def __bool__(self) -> bool:
-        return bool(self.xcoeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BivarPoly) and self.xcoeffs == other.xcoeffs
-
-    def __hash__(self) -> int:
-        return hash(("BivarPoly", self.xcoeffs))
-
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        a, b = self.xcoeffs, other.xcoeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return BivarPoly(out)
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "BivarPoly":
-        return BivarPoly([-c for c in self.xcoeffs])
-
-    def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        a, b = self.xcoeffs, other.xcoeffs
-        if not a or not b:
-            return BivarPoly()
-        out = [Poly() for _ in range(len(a) + len(b) - 1)]
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = out[i + j] + ca * cb
-        return BivarPoly(out)
-
-    def __pow__(self, n: int) -> "BivarPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = BivarPoly([Poly([1])])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scale(self, c: Poly) -> "BivarPoly":
-        return BivarPoly([a * c for a in self.xcoeffs])
-
-    def shift(self, k: int) -> "BivarPoly":
-        if not self.xcoeffs:
-            return self
-        return BivarPoly((Poly(),) * k + self.xcoeffs)
+    def xcoeffs(self) -> tuple[Poly, ...]:
+        return self.coeffs
 
     def derivative_x(self) -> "BivarPoly":
-        return BivarPoly([c.scale(i) for i, c in enumerate(self.xcoeffs)][1:])
+        return BivarPoly([c.scale(i) for i, c in enumerate(self.coeffs)][1:])
 
     def eval_t(self, t0: Coefficient) -> Poly:
         """Specialize t, leaving a univariate polynomial in x."""
         t0 = _frac(t0)
-        return Poly([c(t0) for c in self.xcoeffs])
+        return Poly([c(t0) for c in self.coeffs])
 
-    def t_degree(self) -> int:
-        return max((c.degree for c in self.xcoeffs), default=-1)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"({c})" for c in self.xcoeffs)
-        return f"BivarPoly[{inner}]"
-
-    @staticmethod
-    def _ring_one():
-        return Poly([1])
-
-    @staticmethod
-    def _ring_exact_div(a: Poly, b: Poly) -> Poly:
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact coefficient division in elimination")
-        return q
-
-    def coeff_exact_div(self, c: Poly) -> "BivarPoly":
-        return BivarPoly([BivarPoly._ring_exact_div(a, c) for a in self.xcoeffs])
+    def __str__(self) -> str:
+        return "[" + ", ".join(f"({c})" for c in self.coeffs) + "]"
 
 
 # ---------------------------------------------------------------------------
 # Fraction-free subresultant elimination, shared by both coefficient rings.
 # ---------------------------------------------------------------------------
+
+
+def _exact_div(a, b):
+    """a / b for coefficients where b is known to divide a.
+
+    Division in Q; in Q[t] a nonzero remainder raises ``ArithmeticError``,
+    since it would mean the elimination lost exactness.
+    """
+    if not isinstance(b, Poly):
+        return a / b
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact coefficient division in elimination")
+    return q
 
 
 def _pseudo_rem(a, b):
@@ -372,53 +302,48 @@ def _pseudo_rem(a, b):
     return r
 
 
-def _ring_pow(c, n: int, one):
-    result = one
-    while n:
-        if n & 1:
-            result = result * c
-        c = c * c
-        n >>= 1
-    return result
-
-
 def _resultant_core(a, b):
     """Resultant of two nonzero polynomials via the subresultant sequence.
 
-    Works over any coefficient ring supplying ``_ring_one`` and exact
-    division; intermediate divisions are exact by the subresultant theory.
+    Works over either coefficient ring; intermediate divisions are exact by
+    the subresultant theory.
     """
-    one = a._ring_one()
-    exact_div = a._ring_exact_div
     sign = 1
     if a.degree < b.degree:
         if (a.degree & 1) and (b.degree & 1):
             sign = -sign
         a, b = b, a
     if b.degree == 0:
-        res = _ring_pow(b.lead, a.degree, one)
+        res = b.lead**a.degree
         return -res if sign < 0 else res
-    g = one
-    h = one
+    g = h = a._coerce(1)
     while True:
         delta = a.degree - b.degree
         if (a.degree & 1) and (b.degree & 1):
             sign = -sign
         rem = _pseudo_rem(a, b)
         a = b
-        b = rem.coeff_exact_div(g * _ring_pow(h, delta, one))
+        divisor = g * h**delta
+        b = type(rem)([_exact_div(c, divisor) for c in rem.coeffs])
         g = a.lead
         if delta == 1:
             h = g
         elif delta > 1:
-            h = exact_div(_ring_pow(g, delta, one), _ring_pow(h, delta - 1, one))
+            h = _exact_div(g**delta, h ** (delta - 1))
         if not b:
-            return one - one  # shared factor: resultant vanishes
+            return a._zero  # shared factor: resultant vanishes
         if b.degree == 0:
             break
     da = a.degree
-    res = exact_div(_ring_pow(b.lead, da, one), _ring_pow(h, da - 1, one))
+    res = _exact_div(b.lead**da, h ** (da - 1))
     return -res if sign < 0 else res
+
+
+def _discriminant(f, df):
+    """(-1)**(n(n-1)/2) / lc(f) * Res(f, f') over either coefficient ring."""
+    n = f.degree
+    disc = _exact_div(_resultant_core(f, df), f.lead)
+    return -disc if (n * (n - 1) // 2) % 2 else disc
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +360,16 @@ def resultant(f: Poly, g: Poly) -> Fraction:
 
 def discriminant(f: Poly) -> Fraction:
     """(-1)**(n(n-1)/2) / lc(f) * Res(f, f'); zero iff f has a repeated root."""
-    n = f.degree if f else -1
-    if n < 1:
+    if f.degree < 1:
         raise ValueError("discriminant requires degree >= 1")
-    res = _resultant_core(f, f.derivative())
-    disc = res / f.lead
-    return -disc if (n * (n - 1) // 2) % 2 else disc
+    return _discriminant(f, f.derivative())
 
 
 def discriminant_in_t(p: BivarPoly) -> Poly:
     """Discriminant of p taken in x, returned as an exact polynomial in t."""
-    n = p.degree if p else -1
-    if n < 1:
+    if p.degree < 1:
         raise ValueError("discriminant requires x-degree >= 1")
-    if not p.lead:
-        raise ValueError("degenerate leading x-coefficient")
-    res = _resultant_core(p, p.derivative_x())
-    disc = BivarPoly._ring_exact_div(res, p.lead)
-    return -disc if (n * (n - 1) // 2) % 2 else disc
+    return _discriminant(p, p.derivative_x())
 
 
 def squarefree_decompose(h: Poly) -> list[tuple[Poly, int]]:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sdtwists.cli import RunConfig, UsageError, emit, parse, run
+from sdtwists.cli import RunConfig, UsageError, emit, main, parse, run
 
 
 def test_exponents_table():
@@ -52,13 +52,34 @@ def test_ev_mode():
     assert all(r["identity_ok"] for r in report["records"])
 
 
-def test_validation_errors():
+def test_validation_errors(tmp_path):
     with pytest.raises(UsageError):
         run(RunConfig(mode="sweep", curve=(1, 1), degree=3))  # no box
     with pytest.raises(UsageError):
         run(RunConfig(mode="certify"))  # no poly
     with pytest.raises(UsageError):
         run(RunConfig(mode="nonsense"))
+    # sign fields: the flags' choices, enforced for config-file values too
+    with pytest.raises(UsageError, match="region"):
+        run(RunConfig(mode="sweep", curve=(1, 1), degree=3, box=2, region=2))
+    pair = dict(mode="pair-signs", box=4, conductor=37, root_number=-1)
+    with pytest.raises(UsageError, match="root_number"):
+        run(RunConfig(**{**pair, "root_number": 2}))
+    with pytest.raises(UsageError, match="pair_symbol"):
+        run(RunConfig(**pair, pair_symbol=0))
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[curve]\na = 1\nb = 1\n[run]\ndegree = 3\n[sweep]\nbox = 2\nregion = 2\n",
+        encoding="utf-8",
+    )
+    assert main(["sweep", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_worker_count_is_an_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("SDTWISTS_WORKERS", value)
+    assert main(["sweep", "--curve", "0,-2", "--degree", "3", "--box", "1"]) == 1
+    assert "error: SDTWISTS_WORKERS" in capsys.readouterr().err
 
 
 def test_emit_roundtrip_stability():

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdtwists import polyarith
 from sdtwists.counting import (
+    WORKERS_ENV,
     EvConfig,
     SweepBudgets,
     build_count_report,
@@ -22,6 +24,7 @@ from sdtwists.counting import (
     sweep,
 )
 from sdtwists.family import build_family
+from sdtwists.galois import certify_sd, collect_evidence
 from sdtwists.polyarith import Poly
 
 BUDGETS = SweepBudgets(prime_budget=12, kernel_bound=10_000)
@@ -109,6 +112,43 @@ def test_built_model_sweep_certifies_many():
     eligible = [c for c in cands if c.eligible]
     assert len(eligible) >= 100
     assert all(c.point_verified for c in cands if c.poly.degree >= 1)
+
+
+def test_sweep_one_subresultant_per_candidate(monkeypatch):
+    # Each candidate's discriminant is computed once and shared by the report,
+    # the evidence and the witness search; the certificates still equal the
+    # ones the public path computes from the polynomial alone.
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    core = polyarith._resultant_core
+    calls = []
+
+    def counted_core(a, b):
+        calls.append(a.degree)
+        return core(a, b)
+
+    built = build_family((1, 1), 5)[1]
+    cases = (
+        (small_cubic_family(), 3, SweepBudgets(prime_budget=10, kernel_bound=30_000)),
+        (built, 2, SweepBudgets()),
+    )
+    for fam, box, budgets in cases:
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(polyarith, "_resultant_core", counted_core)
+            cands = sweep(fam, box, budgets=budgets)
+        assert len(calls) == sum(c.poly.degree >= 1 for c in cands)
+        checked = 0
+        for c in cands:
+            if c.disc == 0 or c.poly.degree != fam.d:
+                continue
+            direct = collect_evidence(
+                c.poly, fam.d, budgets.prime_budget,
+                polygon_primes=budgets.polygon_primes, trial_bound=budgets.trial_bound,
+            )
+            assert c.certificate == certify_sd(direct)
+            checked += 1
+        assert checked
+    assert any(c.certificate.evidence.transposition_prime for c in cands)
 
 
 def test_dedup_grouping_and_quarantine():

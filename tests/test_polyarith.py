@@ -2,9 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sdtwists.polyarith import (
+    _exact_div,
     BivarPoly,
     Poly,
     descartes_sign_changes,
@@ -168,6 +169,59 @@ def test_disc_in_t_matches_interpolation_oracle():
 def test_disc_in_t_degenerate_lead_rejected():
     with pytest.raises(ValueError):
         discriminant_in_t(BivarPoly([Poly([1]), Poly()]))
+
+
+# -- one ring core over Q and Q[t] ---------------------------------------------
+
+t_polys = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
+bivars = st.lists(t_polys, max_size=4).map(BivarPoly)
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def test_bivar_defines_no_ring_operation():
+    shared = ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "scale",
+              "shift", "degree", "lead", "__eq__", "__hash__")
+    assert not [name for name in shared if name in vars(BivarPoly)]
+    assert BivarPoly([Poly([1])]) != Poly([1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(bivars, bivars, rationals, st.integers(0, 3))
+def test_eval_t_commutes_with_ring_operations(p, q, t0, n):
+    pt, qt = p.eval_t(t0), q.eval_t(t0)
+    assert (p + q).eval_t(t0) == pt + qt
+    assert (p - q).eval_t(t0) == pt - qt
+    assert (-p).eval_t(t0) == -pt
+    assert (p * q).eval_t(t0) == pt * qt
+    assert (p**n).eval_t(t0) == pt**n
+    assert p.shift(n).eval_t(t0) == pt.shift(n)
+    assert p.derivative_x().eval_t(t0) == pt.derivative()
+
+
+@settings(max_examples=120, deadline=None)
+@given(bivars, t_polys, rationals)
+def test_eval_t_commutes_with_exact_division(p, c, t0):
+    assume(c and c(t0))
+    multiple = p.scale(c)
+    quotient = BivarPoly([_exact_div(a, c) for a in multiple.coeffs])
+    assert quotient == p
+    assert quotient.eval_t(t0) == multiple.eval_t(t0).scale(1 / c(t0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(t_polys, st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+       st.integers(1, 3), st.integers(1, 3))
+def test_inexact_coefficient_division_raises(a, low, lead, r):
+    c = Poly(low + [lead])  # degree >= 1, so the constant r is a nonzero remainder
+    with pytest.raises(ArithmeticError):
+        _exact_div(a * c + Poly([r]), c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bivars, rationals)
+def test_disc_in_t_commutes_with_specialization(p, t0):
+    assume(p.degree >= 1 and p.lead(t0))
+    assert discriminant_in_t(p)(t0) == discriminant(p.eval_t(t0))
 
 
 # -- squarefree decomposition -------------------------------------------------
