@@ -27,6 +27,7 @@ from typing import Any, Optional
 
 from . import counting, family, galois, rootnum
 from .polyarith import Poly
+from .primes import is_prime
 
 SCHEMA_VERSION = 1
 
@@ -82,11 +83,16 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in _MODES:
             raise UsageError(f"mode: unknown mode {self.mode!r}")
-        need_curve = self.mode in ("model", "family", "sweep", "ev")
-        if need_curve and self.curve is None:
-            raise UsageError(f"curve: required for mode {self.mode}")
-        if self.mode in ("model", "family", "sweep", "ev") and self.degree is None:
-            raise UsageError(f"degree: required for mode {self.mode}")
+        if self.mode in ("model", "family", "sweep", "ev"):
+            if self.curve is None:
+                raise UsageError(f"curve: required for mode {self.mode}")
+            if self.degree is None:
+                raise UsageError(f"degree: required for mode {self.mode}")
+            min_degree = 4 if self.mode == "ev" else 3  # the coefficient box needs d >= 4
+            if self.degree < min_degree:
+                raise UsageError(f"degree: must be at least {min_degree} for mode {self.mode}")
+        if self.mode == "exponents" and not 3 <= self.d_min <= self.d_max:
+            raise UsageError("d_min/d_max: need 3 <= d_min <= d_max")
         if self.mode == "sweep" and (self.box is None or self.box < 1):
             raise UsageError("box: positive sweep box required")
         if self.mode == "ev" and (self.scale is None or self.scale < 1):
@@ -100,6 +106,11 @@ class RunConfig:
                 raise UsageError("conductor/root-number: required for mode pair-signs")
             if self.box is None or self.box < 1:
                 raise UsageError("box: positive sweep box required")
+        if self.congruence is not None and (len(self.congruence) != 3 or self.congruence[2] < 1):
+            raise UsageError("congruence: expected u0,v0,M with M >= 1")
+        for p in self.polygon_primes:
+            if not is_prime(p):
+                raise UsageError(f"polygon_primes: {p} is not prime")
         for name in ("region", "root_number", "pair_symbol"):
             if getattr(self, name) not in (None, -1, 1):
                 raise UsageError(f"{name}: must be -1 or 1")

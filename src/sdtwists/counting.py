@@ -140,7 +140,6 @@ def _candidate(
     else:
         kernel, flag, cofactor = squarefree_kernel(disc, budgets.kernel_bound)
 
-    residue = (u % modulus, v % modulus) if modulus else None
     return FieldCandidate(
         u=u,
         v=v,
@@ -152,8 +151,29 @@ def _candidate(
         kernel_cofactor=cofactor,
         certificate=cert,
         point_verified=point_ok,
-        residue_class=residue,
+        residue_class=_residue(u, v, modulus),
     )
+
+
+def _residue(u: int, v: int, modulus: Optional[int]) -> Optional[tuple[int, int]]:
+    return (u % modulus, v % modulus) if modulus else None
+
+
+def _even_in_t(family: TwistFamily) -> bool:
+    """Whether P(x, -t) = P(x, t): no x-coefficient has an odd power of t."""
+    return not any(c for xc in family.P.xcoeffs for c in xc.coeffs[1::2])
+
+
+def _t_key(u: int, v: int, even: bool) -> tuple[int, int]:
+    """The pair up to the signs that leave the specialization unchanged.
+
+    (u, v) and (-u, -v) give the same t; when P is even in t, t and -t give
+    the same polynomial as well.  A pair that ``specialize`` rejects keeps a
+    key of its own, so it is still evaluated and still raises.
+    """
+    if even:
+        return abs(u), abs(v)
+    return (u, v) if v > 0 else (-u, -v)
 
 
 def _box_pairs(
@@ -202,6 +222,12 @@ def sweep(
     runs).  Worker count comes from the SDTWISTS_WORKERS environment
     variable, which must be a positive integer (ValueError otherwise); the
     output order is independent of it.
+
+    Every pair gets its own record, but each distinct specialization is
+    evaluated once: pairs are grouped by t = u/v, or by |t| when P is even
+    in t, the first pair of each group is evaluated (in the worker pool when
+    there is one), and the other pairs get a copy of its record with their
+    own u, v and residue class.
     """
     if box < 1:
         raise ValueError("box must be at least 1")
@@ -214,19 +240,37 @@ def sweep(
     modulus = congruence[2] if congruence else None
     pair_list = list(pairs) if pairs is not None else list(_box_pairs(box, congruence))
 
+    even = _even_in_t(family)
+    slots: dict[tuple[int, int], int] = {}
+    reps: list[tuple[int, int]] = []
+    slot_of: list[int] = []
+    for u, v in pair_list:
+        key = _t_key(u, v, even)
+        if key not in slots:
+            slots[key] = len(reps)
+            reps.append((u, v))
+        slot_of.append(slots[key])
+
     workers = _worker_count()
-    if workers > 1 and len(pair_list) > 4 * workers:
+    if workers > 1 and len(reps) > 4 * workers:
         from concurrent.futures import ProcessPoolExecutor
 
-        size = (len(pair_list) + workers - 1) // workers
-        chunks = [pair_list[i : i + size] for i in range(0, len(pair_list), size)]
+        size = (len(reps) + workers - 1) // workers
+        chunks = [reps[i : i + size] for i in range(0, len(reps), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(_chunk_worker, [(family, budgets, modulus, c) for c in chunks])
             )
-        out = [cand for part in parts for cand in part]
+        evaluated = [cand for part in parts for cand in part]
     else:
-        out = [_candidate(family, u, v, budgets, modulus) for u, v in pair_list]
+        evaluated = [_candidate(family, u, v, budgets, modulus) for u, v in reps]
+
+    out = []
+    for (u, v), slot in zip(pair_list, slot_of):
+        cand = evaluated[slot]
+        if (cand.u, cand.v) != (u, v):
+            cand = replace(cand, u=u, v=v, residue_class=_residue(u, v, modulus))
+        out.append(cand)
 
     if region is not None:
         out = [c for c in out if c.disc_sign == region]

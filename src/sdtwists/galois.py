@@ -19,11 +19,20 @@ good primes (an irreducible reduction, or factor-degree subset sums whose
 intersection over the sampled primes is {0, d}) or from a totally ramified
 Newton polygon.
 
+The good-prime scan follows the Frobenius sieve behind Hilbert
+irreducibility (S. D. Cohen, Proc. LMS 1981; J.-P. Serre, *Topics in Galois
+Theory*, ch. 3).  For the primitive integral polynomials it works on, p is
+good exactly when p divides neither the leading coefficient nor the exact
+discriminant, since disc(g mod p) = disc(g) mod p; a bad prime therefore
+costs one integer remainder, and only good primes are reduced and factored
+by distinct-degree factorization.
+
 Transpositions come from a prime p, not dividing the leading coefficient,
 with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of
 which is a single transposition (one even part, equal to 2).
 
-Each polynomial's discriminant is computed once.  The public entry points
+Each polynomial's discriminant is computed once and serves the good-prime
+scan, the square test and the witness search.  The public entry points
 compute it themselves from the polynomial they are given; a sweep, which has
 already computed it for the report, hands it to the private helpers, so the
 value a certificate rests on is always the discriminant of that polynomial.
@@ -95,22 +104,25 @@ def contains_n_cycle(types: Sequence[CycleType], n: int) -> bool:
     return False
 
 
-def _good_prime_scan(f: Poly, budget: int) -> list[tuple[int, CycleType]]:
-    """Cycle types at the first `budget` good primes, in increasing order.
+def _good_prime_scan(g: Poly, disc: Fraction, budget: int) -> list[tuple[int, CycleType]]:
+    """Cycle types of primitive integral g at its first `budget` good primes.
 
-    Bad primes (leading coefficient or squarefreeness lost mod p) are
-    skipped without consuming budget, up to a hard cap.
+    disc = disc(g).  A prime is good exactly when it divides neither lc(g)
+    nor disc(g): the reduction then keeps its degree and has discriminant
+    disc(g) mod p != 0, so it is squarefree.  Bad primes are skipped without
+    consuming budget, up to a hard cap; when disc(g) = 0 every prime is bad.
     """
+    if disc == 0:
+        return []
+    coeffs = [c.numerator for c in g.coeffs]
+    bad = coeffs[-1] * disc.numerator  # p | bad  <=>  p | lc(g) or p | disc(g)
     found: list[tuple[int, CycleType]] = []
     cap = max(_SCAN_CAP_MIN, _SCAN_CAP_FACTOR * budget)
-    examined = 0
-    for p in primes():
+    for examined, p in enumerate(primes()):
         if len(found) >= budget or examined >= cap:
             break
-        examined += 1
-        ct = padic.frobenius_cycle_type(f, p)
-        if ct is not None:
-            found.append((p, ct))
+        if bad % p:
+            found.append((p, padic.good_prime_cycle_type(coeffs, p)))
     return found
 
 
@@ -125,15 +137,16 @@ def _degree_lattice(patterns: Sequence[CycleType], d: int) -> set[int]:
     return possible
 
 
-def _irreducibility(g: Poly, prime_budget: int):
-    """Good-prime scan of g and the irreducibility it proves.
+def _irreducibility(g: Poly, disc: Fraction, prime_budget: int):
+    """Good-prime scan of normalized g, disc = disc(g), and the
+    irreducibility it proves.
 
     Returns (scan, status, route): an irreducible reduction proves it
     ("mod-p"), and so do factor-degree patterns whose subset sums meet only
     in {0, d} ("degree-lattice").
     """
     d = g.degree
-    scan = _good_prime_scan(g, prime_budget)
+    scan = _good_prime_scan(g, disc, prime_budget)
     patterns = [ct for _, ct in scan]
     if any(ct.parts == (d,) for ct in patterns):
         return scan, CERTIFIED, "mod-p"
@@ -146,7 +159,8 @@ def irreducibility_certificate(f: Poly, prime_budget: int) -> str:
     """CERTIFIED when irreducibility over Q is proved within the budget."""
     if f.degree < 2:
         raise ValueError("degree >= 2 required")
-    _scan, status, _route = _irreducibility(_normalize_factor(f), prime_budget)
+    g = _normalize_factor(f)
+    _scan, status, _route = _irreducibility(g, discriminant(g), prime_budget)
     return status
 
 
@@ -180,8 +194,9 @@ def _witness(
         raise ValueError("discriminant vanishes; no transposition witness exists")
     n = abs(disc.numerator)
     lead = g.lead.numerator
-    candidates = list(primes_up_to(trial_bound))
-    candidates += sorted(set(int(p) for p in extra_primes) - set(candidates))
+    candidates = primes_up_to(trial_bound)
+    if extra_primes:
+        candidates = candidates + sorted({int(p) for p in extra_primes} - set(candidates))
     for p in candidates:
         if p > n:
             break
@@ -229,7 +244,7 @@ def _evidence(
     """``collect_evidence`` for normalized g with disc = discriminant(g)."""
     d = g.degree
     provenance: list[tuple[str, int, str]] = []
-    scan, irred, route = _irreducibility(g, prime_budget)
+    scan, irred, route = _irreducibility(g, disc, prime_budget)
     types: set[CycleType] = set()
     for p, ct in scan:
         types.add(ct)

@@ -131,7 +131,15 @@ def cycle_certificate(polygon: NewtonPolygon) -> list[CycleType]:
 
 
 # ---------------------------------------------------------------------------
-# Dense F_p[x] helpers (coefficients are ints reduced mod p, constant first).
+# Dense F_p[x] kernels (coefficients are ints, constant first).
+#
+# Distinct-degree factorization needs x^(p^k) modulo the polynomial f for
+# k = 1, 2, ...  x^p comes from one square-and-shift powering; each later
+# power is the previous one pushed through the Frobenius matrix, whose rows
+# are x^(i p) mod f, since (sum h_i x^i)^p = sum h_i x^(i p) over F_p (von zur
+# Gathen and Shoup, "Computing Frobenius maps and factoring polynomials",
+# 1992).  Products are accumulated in plain ints and reduced mod p once per
+# coefficient.
 # ---------------------------------------------------------------------------
 
 
@@ -145,58 +153,23 @@ def _pdeg(a: list[int]) -> int:
     return len(a) - 1
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _ptrim(out)
-
-
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _ptrim(out)
-
-
-def _prem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    db = _pdeg(b)
-    inv = pow(b[-1], -1, p)
-    while a and _pdeg(a) >= db:
-        c = a[-1] * inv % p
-        k = _pdeg(a) - db
-        for j, cb in enumerate(b):
-            a[j + k] = (a[j + k] - c * cb) % p
-        _ptrim(a)
-    return a
-
-
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
+    """Monic gcd of a and b over F_p (the empty list when both are zero)."""
+    a, b = _ptrim([c % p for c in a]), _ptrim([c % p for c in b])
     while b:
-        a, b = b, _prem(a, b, p)
+        db = _pdeg(b)
+        inv = pow(b[-1], -1, p)
+        while len(a) > db:  # a <- a mod b
+            c = a.pop() * inv % p
+            k = len(a) - db
+            for j in range(db):
+                a[k + j] = (a[k + j] - c * b[j]) % p
+            _ptrim(a)
+        a, b = b, a
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
-
-
-def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _prem(list(base), mod, p)
-    while e:
-        if e & 1:
-            result = _prem(_pmul(result, base, p), mod, p)
-        base = _prem(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
 
 
 def _pdiv_exact(a: list[int], b: list[int], p: int) -> list[int]:
@@ -216,6 +189,70 @@ def _pdiv_exact(a: list[int], b: list[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
+def _mulmod(a: list[int], b: list[int], red: list[int], p: int) -> list[int]:
+    """a * b modulo (f, p), where f is monic of degree n = len(red) with
+    x^n == sum(red[j] x^j); a, b and the result have length n."""
+    n = len(red)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                prod[k] += ai * bj
+    for top in range(2 * n - 2, n - 1, -1):
+        c = prod[top] % p
+        if c:
+            for k, rj in enumerate(red, top - n):
+                prod[k] += c * rj
+    return [c % p for c in prod[:n]]
+
+
+def _x_power(e: int, red: list[int], p: int) -> list[int]:
+    """x^e modulo (f, p) for e >= 1 and deg f = len(red) >= 2."""
+    r = [0, 1] + [0] * (len(red) - 2)
+    for bit in bin(e)[3:]:
+        r = _mulmod(r, r, red, p)
+        if bit == "1":  # multiply by x: shift up and fold the top term back
+            top = r[-1]
+            r = [(c + top * rj) % p for c, rj in zip([0] + r[:-1], red)]
+    return r
+
+
+def distinct_degree_pattern(f: list[int], p: int) -> list[int]:
+    """Degrees (with multiplicity, ascending) of the irreducible factors of a
+    monic squarefree f over F_p, by distinct-degree factorization (f reduced
+    mod p, constant first)."""
+    n = _pdeg(f)
+    if n == 1:
+        return [1]
+    red = [-c % p for c in f[:-1]]
+    xp = _x_power(p, red, p)
+    rows: list[list[int]] = []  # Frobenius matrix, built on first use
+    h = xp  # x^(p^k) mod f
+    g = f  # the part of f not yet split off
+    out: list[int] = []
+    k = 1
+    while 2 * k <= _pdeg(g):
+        if k > 1:
+            if not rows:
+                rows = [[1] + [0] * (n - 1), xp]
+                while len(rows) < n:
+                    rows.append(_mulmod(rows[-1], xp, red, p))
+            acc = [0] * n
+            for hi, row in zip(h, rows):
+                if hi:
+                    for j, rj in enumerate(row):
+                        acc[j] += hi * rj
+            h = [c % p for c in acc]
+        gk = _pgcd(g, [h[0], h[1] - 1] + h[2:], p)  # gcd(g, x^(p^k) - x)
+        if _pdeg(gk) > 0:
+            out.extend([k] * (_pdeg(gk) // k))
+            g = _pdiv_exact(g, gk, p)
+        k += 1
+    if _pdeg(g) > 0:
+        out.append(_pdeg(g))
+    return sorted(out)
+
+
 def reduce_poly_mod(f: Poly, p: int) -> list[int]:
     """Coefficients of f mod p; raises if a denominator is divisible by p."""
     out = []
@@ -226,25 +263,16 @@ def reduce_poly_mod(f: Poly, p: int) -> list[int]:
     return _ptrim(out)
 
 
-def distinct_degree_pattern(fbar: list[int], p: int) -> list[int]:
-    """Degrees (with multiplicity) of the irreducible factors of a monic
-    squarefree polynomial mod p, by distinct-degree factorization."""
-    g = list(fbar)
-    out: list[int] = []
-    h = [0, 1]  # x
-    k = 0
-    while _pdeg(g) > 0:
-        k += 1
-        if 2 * k > _pdeg(g):
-            out.append(_pdeg(g))
-            break
-        h = _ppowmod(h, p, g, p)
-        gk = _pgcd(_psub(h, [0, 1], p), g, p)
-        if _pdeg(gk) > 0:
-            out.extend([k] * (_pdeg(gk) // k))
-            g = _pdiv_exact(g, gk, p)
-            h = _prem(h, g, p)
-    return sorted(out)
+def good_prime_cycle_type(coeffs: list[int], p: int) -> CycleType:
+    """Cycle type of Frobenius at p for the integer polynomial ``coeffs``
+    (constant first) when p is a good prime for it.
+
+    The caller vouches that p is prime, does not divide the leading
+    coefficient and leaves the reduction squarefree; none of that is
+    rechecked here.
+    """
+    inv = pow(coeffs[-1], -1, p)
+    return CycleType(tuple(distinct_degree_pattern([c * inv % p for c in coeffs], p)))
 
 
 def frobenius_cycle_type(f: Poly, p: int) -> Optional[CycleType]:
@@ -260,9 +288,7 @@ def frobenius_cycle_type(f: Poly, p: int) -> Optional[CycleType]:
     fbar = reduce_poly_mod(f, p)
     if _pdeg(fbar) != f.degree:
         return None  # leading coefficient vanished
-    inv = pow(fbar[-1], -1, p)
-    fbar = [c * inv % p for c in fbar]
-    deriv = _ptrim([i * c % p for i, c in enumerate(fbar)][1:])
+    deriv = [i * c for i, c in enumerate(fbar)][1:]
     if _pdeg(_pgcd(fbar, deriv, p)) != 0:
         return None  # not squarefree mod p
-    return CycleType(tuple(distinct_degree_pattern(fbar, p)))
+    return good_prime_cycle_type(fbar, p)

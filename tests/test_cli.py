@@ -52,7 +52,7 @@ def test_ev_mode():
     assert all(r["identity_ok"] for r in report["records"])
 
 
-def test_validation_errors(tmp_path):
+def test_validation_errors(tmp_path, capsys):
     with pytest.raises(UsageError):
         run(RunConfig(mode="sweep", curve=(1, 1), degree=3))  # no box
     with pytest.raises(UsageError):
@@ -70,6 +70,28 @@ def test_validation_errors(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(
         "[curve]\na = 1\nb = 1\n[run]\ndegree = 3\n[sweep]\nbox = 2\nregion = 2\n",
+        encoding="utf-8",
+    )
+    assert main(["sweep", "--config", str(config)]) == 2
+    # out-of-range degrees, degree tables and polygon primes
+    curve = ["--curve", "1,1"]
+    for argv, name in (
+        (["exponents", "--d-min", "6", "--d-max", "4"], "d_min"),
+        (["exponents", "--d-min", "1"], "d_min"),
+        (["sweep", *curve, "--degree", "2", "--box", "2"], "degree"),
+        (["model", *curve, "--degree", "2"], "degree"),
+        (["family", *curve, "--degree", "2"], "degree"),
+        (["ev", *curve, "--degree", "3", "--scale", "2"], "degree"),
+        (["sweep", *curve, "--degree", "3", "--box", "2", "--polygon-primes", "4"],
+         "polygon_primes"),
+        (["density", "--form", "1,0", "--box", "10", "--congruence", "1,1,0"], "congruence"),
+    ):
+        assert main(argv) == 2, argv
+        assert f"usage error: {name}" in capsys.readouterr().err
+    config.write_text("[run]\nd_min = 6\nd_max = 4\n", encoding="utf-8")
+    assert main(["exponents", "--config", str(config)]) == 2
+    config.write_text(
+        "[curve]\na = 1\nb = 1\n[run]\ndegree = 3\n[sweep]\nbox = 2\npolygon_primes = 5,9\n",
         encoding="utf-8",
     )
     assert main(["sweep", "--config", str(config)]) == 2

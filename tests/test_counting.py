@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdtwists import polyarith
+from sdtwists import counting, polyarith
 from sdtwists.counting import (
     WORKERS_ENV,
     EvConfig,
@@ -114,10 +115,18 @@ def test_built_model_sweep_certifies_many():
     assert all(c.point_verified for c in cands if c.poly.degree >= 1)
 
 
+def t_key(d, u, v):
+    """The specialization a pair stands for: t, or |t| when d >= 4."""
+    t = F(u, v)
+    return abs(t) if d >= 4 else t
+
+
 def test_sweep_one_subresultant_per_candidate(monkeypatch):
-    # Each candidate's discriminant is computed once and shared by the report,
-    # the evidence and the witness search; the certificates still equal the
-    # ones the public path computes from the polynomial alone.
+    # Each distinct specialization's discriminant is computed once and shared
+    # by the report, the evidence and the witness search: one subresultant
+    # per t = u/v, or per |t| for d >= 4, where P depends on t^2 only.  The
+    # certificates still equal the ones the public path computes from the
+    # polynomial alone.
     monkeypatch.setenv(WORKERS_ENV, "1")
     core = polyarith._resultant_core
     calls = []
@@ -136,7 +145,8 @@ def test_sweep_one_subresultant_per_candidate(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(polyarith, "_resultant_core", counted_core)
             cands = sweep(fam, box, budgets=budgets)
-        assert len(calls) == sum(c.poly.degree >= 1 for c in cands)
+        keys = {t_key(fam.d, c.u, c.v) for c in cands if c.poly.degree >= 1}
+        assert len(calls) == len(keys) < len(cands)
         checked = 0
         for c in cands:
             if c.disc == 0 or c.poly.degree != fam.d:
@@ -149,6 +159,101 @@ def test_sweep_one_subresultant_per_candidate(monkeypatch):
             checked += 1
         assert checked
     assert any(c.certificate.evidence.transposition_prime for c in cands)
+
+
+FIELDS = [f.name for f in dataclasses.fields(counting.FieldCandidate)]
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert {f: getattr(a, f) for f in FIELDS} == {f: getattr(b, f) for f in FIELDS}
+
+
+def counted_sweep(monkeypatch, fam, box, **kwargs):
+    """sweep(fam, box, **kwargs) and the (u, v) of every evaluation it made."""
+    evaluated = []
+    real = counting._candidate
+
+    def counted(family, u, v, *rest):
+        evaluated.append((u, v))
+        return real(family, u, v, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_candidate", counted)
+        return sweep(fam, box, **kwargs), evaluated
+
+
+def direct_sweep(fam, pairs, budgets, modulus=None, region=None):
+    """The per-pair path: one ``_candidate`` call per (u, v)."""
+    out = [counting._candidate(fam, u, v, budgets, modulus) for u, v in pairs]
+    return [c for c in out if region is None or c.disc_sign == region]
+
+
+@pytest.fixture(scope="module")
+def built_families():
+    return {d: build_family((1, 1), d)[1] for d in range(3, 9)}
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_sweep_evaluates_each_specialization_once(monkeypatch, built_families, d):
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    fam = built_families[d]
+    budgets = SweepBudgets(prime_budget=12, trial_bound=10_000)
+    cands, evaluated = counted_sweep(monkeypatch, fam, 2, budgets=budgets)
+    pairs = list(counting._box_pairs(2, None))
+    assert_same_records(cands, direct_sweep(fam, pairs, budgets))
+    keys = [t_key(d, u, v) for u, v in evaluated]
+    assert len(keys) == len(set(keys)) == len({t_key(d, u, v) for u, v in pairs})
+    assert len(evaluated) < len(pairs)
+
+
+def test_sweep_shared_evaluation_options(monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    fam = small_cubic_family()
+    pairs = [(1, 2), (-1, -2), (3, 1), (1, 2), (-3, -1), (0, 1), (0, -1), (2, -3)]
+    cands, evaluated = counted_sweep(monkeypatch, fam, 1, pairs=pairs, budgets=BUDGETS)
+    assert_same_records(cands, direct_sweep(fam, pairs, BUDGETS))
+    assert evaluated == [(1, 2), (3, 1), (0, 1), (2, -3)]
+
+    # explicit pairs with a congruence: duplicates keep their own residues
+    cands, evaluated = counted_sweep(
+        monkeypatch, fam, 1, congruence=(1, 2, 5), pairs=pairs, budgets=BUDGETS
+    )
+    assert_same_records(cands, direct_sweep(fam, pairs, BUDGETS, modulus=5))
+    assert cands[0].residue_class == (1, 2) and cands[1].residue_class == (4, 3)
+    assert len(evaluated) == 4
+
+    # (u, v) and (-u, -v) share the class (1, 1) mod 2
+    cands, evaluated = counted_sweep(
+        monkeypatch, fam, 6, congruence=(1, 1, 2), budgets=BUDGETS
+    )
+    pairs = list(counting._box_pairs(6, (1, 1, 2)))
+    assert all(u % 2 == 1 and v % 2 == 1 for u, v in pairs)
+    assert_same_records(cands, direct_sweep(fam, pairs, BUDGETS, modulus=2))
+    assert len(evaluated) == len({t_key(3, u, v) for u, v in pairs}) < len(pairs)
+
+    box_pairs = list(counting._box_pairs(5, None))
+    for region in (1, -1):
+        cands, evaluated = counted_sweep(monkeypatch, fam, 5, region=region, budgets=BUDGETS)
+        assert cands
+        assert_same_records(cands, direct_sweep(fam, box_pairs, BUDGETS, region=region))
+        assert len(evaluated) == len({t_key(3, u, v) for u, v in box_pairs})
+
+
+def test_sweep_shared_evaluation_in_worker_pool(monkeypatch, built_families):
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    cubic = small_cubic_family()
+    cases = (
+        (cubic, 6, BUDGETS, (1, 1, 2)),
+        (built_families[4], 4, SweepBudgets(prime_budget=12, trial_bound=10_000), None),
+    )
+    for fam, box, budgets, congruence in cases:
+        cands = sweep(fam, box, congruence=congruence, budgets=budgets)
+        pairs = list(counting._box_pairs(box, congruence))
+        assert len({t_key(fam.d, u, v) for u, v in pairs}) > 8  # the pool runs
+        modulus = congruence[2] if congruence else None
+        assert_same_records(cands, direct_sweep(fam, pairs, budgets, modulus=modulus))
 
 
 def test_dedup_grouping_and_quarantine():

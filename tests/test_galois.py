@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sdtwists import galois
 from sdtwists.galois import (
     CERTIFIED,
     CERTIFIED_SD,
@@ -13,8 +16,9 @@ from sdtwists.galois import (
     irreducibility_certificate,
     transposition_witness,
 )
-from sdtwists.padic import CycleType
-from sdtwists.polyarith import Poly
+from sdtwists.padic import CycleType, frobenius_cycle_type
+from sdtwists.polyarith import Poly, _normalize_factor, discriminant
+from sdtwists.primes import primes, primes_up_to
 
 
 def cubic():
@@ -169,3 +173,30 @@ def test_hilbert_success_rate_small_sample():
         if certify_sd(evidence).status == CERTIFIED_SD:
             certified += 1
     assert certified >= 0.9 * total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    degree=st.one_of(st.sampled_from([4, 6]), st.integers(1, 8)),
+    p=st.one_of(st.sampled_from([2, 3]), st.sampled_from(primes_up_to(200))),
+    lead_divisible=st.booleans(),
+    data=st.data(),
+)
+def test_discriminant_gate_matches_reduction(degree, p, lead_divisible, data):
+    # For primitive integral g, p is good (degree kept, reduction squarefree,
+    # decided by reduction plus a gcd mod p) exactly when p divides neither
+    # lc(g) nor disc(g); the scan built on that gate finds the same primes
+    # and cycle types as the reduction path.  Degrees 4 and 6 at p = 2, 3
+    # make the derivative lose its leading term mod p.
+    coeffs = data.draw(st.lists(st.integers(-12, 12), min_size=degree, max_size=degree))
+    lead = data.draw(st.integers(1, 12)) * (p if lead_divisible else 1)
+    g = _normalize_factor(Poly(coeffs + [lead]))
+    disc = discriminant(g)
+    good = g.lead.numerator % p != 0 and disc.numerator % p != 0
+    assert (frobenius_cycle_type(g, p) is not None) == good
+
+    budget = 6
+    cap = max(galois._SCAN_CAP_MIN, galois._SCAN_CAP_FACTOR * budget)
+    reduced = ((q, frobenius_cycle_type(g, q)) for q in itertools.islice(primes(), cap))
+    reference = list(itertools.islice(((q, ct) for q, ct in reduced if ct is not None), budget))
+    assert galois._good_prime_scan(g, disc, budget) == reference

@@ -14,6 +14,8 @@ from sdtwists.padic import (
     valuation,
 )
 
+from sdtwists.primes import primes_up_to
+
 import oracles
 
 
@@ -157,6 +159,53 @@ def test_distinct_degree_matches_exhaustive_oracle():
             assert list(ct.parts) == sorted(
                 oracles.modp_factor_degrees(fbar, p), reverse=True
             )
+
+
+def random_integer_poly(rng, degree, p, bound=30):
+    """Random integer coefficients of the degree, the lead prime to p."""
+    lead = rng.choice([c for c in range(1, bound + 1) if c % p])
+    return [rng.randint(-bound, bound) for _ in range(degree)] + [lead]
+
+
+def exhaustive_oracle_feasible(p, degree):
+    # modp_factor_degrees enumerates every irreducible of degree <= deg/2
+    return p ** (degree // 2) <= 200
+
+
+def test_distinct_degree_matches_exhaustive_oracle_to_200():
+    rng = random.Random(31)
+    checked = set()
+    for p in primes_up_to(200):
+        for degree in range(1, 9):
+            if not exhaustive_oracle_feasible(p, degree):
+                continue
+            for _ in range(3):
+                coeffs = random_integer_poly(rng, degree, p)
+                ct = frobenius_cycle_type(Poly(coeffs), p)
+                if ct is None:
+                    continue
+                want = oracles.modp_factor_degrees([c % p for c in coeffs], p)
+                assert list(ct.parts) == sorted(want, reverse=True), (coeffs, p)
+                checked.add((p, degree))
+    assert {(2, 8), (3, 8), (5, 6), (13, 4), (199, 3)} <= checked
+
+
+def test_distinct_degree_matches_sympy_to_200():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(37)
+    checked = 0
+    for p in primes_up_to(200):
+        for degree in range(1, 9):
+            coeffs = random_integer_poly(rng, degree, p)
+            ct = frobenius_cycle_type(Poly(coeffs), p)
+            if ct is None:
+                continue
+            _, factors = sympy.Poly(list(reversed(coeffs)), x, modulus=p).factor_list()
+            want = [q.degree() for q, mult in factors for _ in range(mult)]
+            assert list(ct.parts) == sorted(want, reverse=True), (coeffs, p)
+            checked += 1
+    assert checked > 300
 
 
 def test_cycle_type_validation():
