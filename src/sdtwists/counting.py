@@ -2,11 +2,14 @@
 
 A sweep walks coprime pairs (u, v) in a box, specializes the twist family at
 t = u/v, certifies the Galois group, verifies the induced point and reduces
-the polynomial discriminant to its signed squarefree kernel.  Distinct
-fields are distinguished by that kernel (the square class of the
-discriminant), so deduplication groups by it; kernels whose factorization
-is incomplete at the trial bound are quarantined and never counted as
-distinct, which keeps every reported count a true lower bound.
+the polynomial discriminant to its signed squarefree kernel.  Each sweep
+builds one ``IntegerFamily``, the integer view of the family, and every
+candidate reads its specialization, discriminant, point check and Frobenius
+cycle types off it.  Distinct fields are distinguished by the kernel (the
+square class of the discriminant), so deduplication groups by it; kernels
+whose factorization is incomplete at the trial bound are quarantined and
+never counted as distinct, which keeps every reported count a true lower
+bound.
 
 The coefficient-box construction generates pairs (F, G) with H = F^2 - f G^2
 so that each root x0 of H carries the point (x0, F(x0)/G(x0)) of the curve;
@@ -25,10 +28,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import galois
-from .family import TwistFamily, WeierstrassModel, specialize, verify_new_point
+from .family import IntegerFamily, TwistFamily, WeierstrassModel
 from .galois import SdCertificate
-from .polyarith import Poly, discriminant, squarefree_decompose
-from .primes import factor_trial, is_square, primes_up_to
+from .polyarith import Poly, binary_form_value, squarefree_decompose
+from .primes import factor_trial, is_square, iter_primes_up_to, primes_up_to
 
 KERNEL_COMPLETE = "complete"
 KERNEL_PARTIAL = "partial"
@@ -101,19 +104,18 @@ class FieldCandidate:
 
 
 def _candidate(
-    family: TwistFamily,
+    family: IntegerFamily,
     u: int,
     v: int,
     budgets: SweepBudgets,
     modulus: Optional[int],
 ) -> FieldCandidate:
-    # specialize returns a primitive integral polynomial with positive lead,
-    # the normalized form the galois helpers expect with its discriminant.
-    p_spec = specialize(family, u, v)
+    # The specialization is primitive integral with positive lead, the
+    # normalized form the galois helpers expect with its discriminant.
+    p_spec, lam = family.specialize(u, v)
     d = family.d
-    disc_frac = discriminant(p_spec) if p_spec.degree >= 1 else Fraction(0)
-    disc = int(disc_frac)
-    point_ok = p_spec.degree >= 1 and verify_new_point(p_spec, family, u, v)
+    disc = family.discriminant(p_spec, lam, u, v) if p_spec.degree >= 1 else 0
+    point_ok = p_spec.degree >= 1 and family.point_holds(p_spec, u, v)
 
     if disc == 0 or p_spec.degree != d:
         evidence = galois.GaloisEvidence(
@@ -128,10 +130,11 @@ def _candidate(
     else:
         evidence = galois._evidence(
             p_spec,
-            disc_frac,
+            Fraction(disc),
             budgets.prime_budget,
             polygon_primes=budgets.polygon_primes,
             trial_bound=budgets.trial_bound,
+            lookup=lambda coeffs, p: family.cycle_type(coeffs, p, u, v),
         )
         cert = galois.certify_sd(evidence)
 
@@ -203,7 +206,8 @@ def _worker_count() -> int:
 
 def _chunk_worker(args):
     family, budgets, modulus, pairs = args
-    return [_candidate(family, u, v, budgets, modulus) for u, v in pairs]
+    view = IntegerFamily(family)
+    return [_candidate(view, u, v, budgets, modulus) for u, v in pairs]
 
 
 def sweep(
@@ -227,7 +231,9 @@ def sweep(
     evaluated once: pairs are grouped by t = u/v, or by |t| when P is even
     in t, the first pair of each group is evaluated (in the worker pool when
     there is one), and the other pairs get a copy of its record with their
-    own u, v and residue class.
+    own u, v and residue class.  The evaluations share one ``IntegerFamily``
+    per call (one per worker chunk with a pool): discriminant_in_t(P) is
+    computed on first use, and the Frobenius tables fill as the sweep goes.
     """
     if box < 1:
         raise ValueError("box must be at least 1")
@@ -263,7 +269,7 @@ def sweep(
             )
         evaluated = [cand for part in parts for cand in part]
     else:
-        evaluated = [_candidate(family, u, v, budgets, modulus) for u, v in reps]
+        evaluated = _chunk_worker((family, budgets, modulus, reps))
 
     out = []
     for (u, v), slot in zip(pair_list, slot_of):
@@ -394,20 +400,12 @@ class DensityReport:
     exhaustive: bool
 
 
-def _form_value(form: Sequence[int], u: int, v: int) -> int:
-    m = len(form) - 1
-    acc = 0
-    for i, c in enumerate(form):
-        acc += c * u ** (m - i) * v**i
-    return acc
-
-
 def _squarefree_status(n: int, bound: int) -> Optional[bool]:
     """True/False when decided by trial division to the bound, None otherwise."""
     if n == 0:
         return False
     m = abs(n)
-    for p in primes_up_to(bound):
+    for p in iter_primes_up_to(bound):
         if p * p > m:
             return True  # remaining cofactor is prime
         if m % p == 0:
@@ -464,6 +462,7 @@ def greaves_density(
         raise ValueError("form must be nonconstant")
 
     square_form = _is_square_form(form)
+    as_t = tuple(reversed(form))  # F(t, 1), constant first
 
     if congruence:
         u0, v0, mod = congruence
@@ -489,7 +488,7 @@ def greaves_density(
         vstart = -box + ((v0 + box) % mod)
         for u in range(ustart, box + 1, mod):
             for v in range(vstart, box + 1, mod):
-                account(_form_value(form, u, v))
+                account(binary_form_value(as_t, m, u, v))
     else:
         rng = random.Random(seed)
         lo_u = math.ceil((-box - u0) / mod)
@@ -499,7 +498,7 @@ def greaves_density(
         for _ in range(samples):
             u = u0 + mod * rng.randint(lo_u, hi_u)
             v = v0 + mod * rng.randint(lo_v, hi_v)
-            account(_form_value(form, u, v))
+            account(binary_form_value(as_t, m, u, v))
 
     empirical = sq / total if total else 0.0
 

@@ -26,6 +26,12 @@ The twist family attached to the model is
 with the induced y-coordinate t*x^(d/2), t*x^((3-d)/2), x + t respectively:
 for each specialization t = u/v the pair (x, y) is a point on the curve over
 Q[x]/(P(x, u/v)).
+
+A sweep works on ``IntegerFamily``, the family with its denominators cleared
+once into integer binary forms in (u, v): specializations, their
+discriminants, the point check and Frobenius cycle types are read off those
+forms in integer arithmetic.  ``specialize`` and ``verify_new_point`` run on
+the same code for a single pair.
 """
 
 from __future__ import annotations
@@ -33,10 +39,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
-from .padic import reduce_poly_mod, valuation
-from .polyarith import BivarPoly, Poly, discriminant_in_t, reduce_mod, squarefree_decompose
+from .padic import CycleType, good_prime_cycle_type, reduce_poly_mod, valuation
+from .polyarith import (
+    BivarPoly,
+    Poly,
+    binary_form_value,
+    discriminant,
+    discriminant_in_t,
+    squarefree_decompose,
+)
 from .primes import multiplicative_order, primes, valuation_int
 
 PARITY_CUBIC = "d=3"
@@ -423,25 +437,195 @@ def build_family(
     raise ValueError(f"no epsilon produced a sign-changing non-squarefull form: {last_error}")
 
 
-def specialize(family: TwistFamily, u: int, v: int) -> Poly:
-    """P(x, u/v) cleared to a primitive integral polynomial, positive lead."""
+# ---------------------------------------------------------------------------
+# Integer forms: specialization, discriminant, point check and Frobenius
+# cycle types read off P in integer arithmetic.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Forms:
+    """x-coefficients of den * B(x, t) for a ``BivarPoly`` B, each an integer
+    polynomial in t (constant first) read as a binary form of degree e, the
+    largest t-degree in B, so that values(u, v)[i] = den * v^e * B_i(u/v)."""
+
+    coeffs: tuple[tuple[int, ...], ...]
+    den: int
+    e: int
+
+    @classmethod
+    def of(cls, b: BivarPoly) -> "_Forms":
+        den = math.lcm(*(c.denominator for xc in b.xcoeffs for c in xc.coeffs))
+        return cls(
+            coeffs=tuple(
+                tuple(c.numerator * (den // c.denominator) for c in xc.coeffs)
+                for xc in b.xcoeffs
+            ),
+            den=den,
+            e=max(0, *(xc.degree for xc in b.xcoeffs)),
+        )
+
+    def values(self, u: int, v: int) -> list[int]:
+        return [binary_form_value(c, self.e, u, v) for c in self.coeffs]
+
+
+def _specialize(forms: _Forms, u: int, v: int) -> tuple[Poly, Fraction]:
+    """(spec, lam): spec primitive integral with positive lead and
+    B(x, u/v) = lam * spec, for the forms of B."""
     if v == 0:
         raise ValueError("v must be nonzero")
     if math.gcd(u, v) != 1:
         raise ValueError(f"({u}, {v}) is not a coprime pair")
-    spec = family.P.eval_t(Fraction(u, v))
-    if not spec:
+    values = forms.values(u, v)  # den * v^e * B(x, u/v)
+    while values and not values[-1]:
+        values.pop()
+    if not values:
         raise ValueError("specialization vanished identically")
-    cleared = spec.scale(Fraction(v) ** family.d).primitive()
-    return -cleared if cleared.lead < 0 else cleared
+    content = math.gcd(*values)
+    if values[-1] < 0:
+        content = -content
+    spec = Poly([c // content for c in values])
+    return spec, Fraction(content, forms.den * v**forms.e)
+
+
+def _divides(b: list[int], a: list[int]) -> bool:
+    """Whether the integer polynomial b (degree >= 1, constant first) divides
+    a over Q: the pseudo-remainder of a by b vanishes."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while r and not r[-1]:
+        r.pop()
+    while len(r) > db:
+        c = r.pop()  # r <- lb * r - c * x^k * b, whose top term cancels
+        k = len(r) - db
+        r = [lb * x for x in r]
+        for j, bj in enumerate(b[:-1]):
+            r[k + j] -= c * bj
+        while r and not r[-1]:
+            r.pop()
+    return not r
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+class IntegerFamily:
+    """A twist family in integer arithmetic, built once per sweep.
+
+    Denominators are cleared once: L*P(x, t) = sum_i A_i(t) x^i with A_i in
+    Z[t], read as binary forms A_i(u, v) of degree e = max deg A_i, and the
+    point's numerator F, denominator G and the curve's f likewise.  Then
+    ``specialize`` evaluates the forms at (u, v) and divides by the content;
+    ``discriminant`` reads disc(spec) off Disc_t = discriminant_in_t(P),
+    computed on first use, as Disc_t(u/v) / lam^(2d-2) when spec keeps
+    degree d (the subresultant otherwise); ``point_holds`` decides F^2 -
+    f*G^2 == 0 mod spec by an integer pseudo-remainder; and ``cycle_type``
+    reads the Frobenius cycle type at a good prime p with p not dividing
+    v*L off a table keyed by (p, u/v mod p), filled by the first pair with
+    that key.  All of this state lives in the object, so nothing carries
+    over from one sweep to the next.
+    """
+
+    def __init__(self, family: TwistFamily):
+        self.family = family
+        self.d = family.d
+        self._P = _Forms.of(family.P)
+        self._F = _Forms.of(family.point_num)
+        self._G = _Forms.of(family.point_den)
+        f = family.model.f.coeffs
+        self._f_den = math.lcm(*(c.denominator for c in f))
+        self._f = [c.numerator * (self._f_den // c.denominator) for c in f]
+        self._disc: Optional[tuple[tuple[int, ...], int]] = None
+        self._cycle_types: dict[tuple[int, int], CycleType] = {}
+
+    def specialize(self, u: int, v: int) -> tuple[Poly, Fraction]:
+        """(spec, lam) with spec = ``specialize(family, u, v)`` and
+        P(x, u/v) = lam * spec."""
+        return _specialize(self._P, u, v)
+
+    def discriminant(self, spec: Poly, lam: Fraction, u: int, v: int) -> int:
+        """disc(spec) for (spec, lam) = ``self.specialize(u, v)``.
+
+        disc(lam * spec) = lam^(2d-2) disc(spec) when spec has degree d, and
+        disc(P(x, u/v)) = Disc_t(u/v).  With Disc_t(u/v) = D(u, v) / (M v^K)
+        for the integer binary form D of degree K = e(2d-2) and the
+        denominator M of Disc_t, disc(spec) is an exact quotient of integers;
+        a remainder raises ``ArithmeticError``.
+        """
+        d = self.d
+        if spec.degree != d:
+            return int(discriminant(spec))
+        if self._disc is None:
+            disc_t = discriminant_in_t(self.family.P)
+            m = math.lcm(*(c.denominator for c in disc_t.coeffs))
+            self._disc = tuple(c.numerator * (m // c.denominator) for c in disc_t.coeffs), m
+        coeffs, m = self._disc
+        k = self._P.e * (2 * d - 2)
+        num = binary_form_value(coeffs, k, u, v) * lam.denominator ** (2 * d - 2)
+        den = m * v**k * lam.numerator ** (2 * d - 2)
+        q, r = divmod(num, den)
+        if r:
+            raise ArithmeticError("family discriminant is not divisible at this specialization")
+        return q
+
+    def point_holds(self, spec: Poly, u: int, v: int) -> bool:
+        """Whether y = F(x, u/v)/G(x, u/v) satisfies y^2 = f(x) modulo spec."""
+        if spec.degree < 1:
+            raise ValueError("specialized polynomial must have degree >= 1")
+        if v == 0:
+            raise ValueError("v must be nonzero")
+        den = math.lcm(*(c.denominator for c in spec.coeffs))
+        modulus = [c.numerator * (den // c.denominator) for c in spec.coeffs]
+        # F = Fi/a, G = Gi/b and f = fi/f_den with integral Fi, Gi, fi, so
+        # F^2 - f*G^2 is Fi^2 * b^2 * f_den - fi * Gi^2 * a^2 up to a unit.
+        Fi, Gi = self._F.values(u, v), self._G.values(u, v)
+        a = self._F.den * v**self._F.e
+        b = self._G.den * v**self._G.e
+        lhs = [c * b * b * self._f_den for c in _mul(Fi, Fi)]
+        rhs = [c * a * a for c in _mul(self._f, _mul(Gi, Gi))]
+        return _divides(modulus, [x - y for x, y in zip_longest(lhs, rhs, fillvalue=0)])
+
+    def cycle_type(self, spec: list[int], p: int, u: int, v: int) -> CycleType:
+        """Cycle type of Frobenius at p for spec = ``self.specialize(u, v)``
+        (integer coefficients, constant first); the caller has decided that p
+        is good for spec, i.e. divides neither lc(spec) nor disc(spec).
+
+        For p not dividing v*L, spec mod p is a nonzero multiple of P(x, t)
+        mod p at t = u/v mod p whenever the latter keeps degree d, so the two
+        share their factor degrees, and P(x, t) mod p is then squarefree
+        because spec is.  Such patterns are kept in a table keyed by (p, t)
+        and read from there by every later pair with the same t mod p.  Every
+        other case factors spec mod p directly.
+        """
+        if v % p == 0 or self._P.den % p == 0:
+            return good_prime_cycle_type(spec, p)
+        t = u * pow(v, -1, p) % p
+        key = (p, t)
+        ct = self._cycle_types.get(key)
+        if ct is None:
+            ct = good_prime_cycle_type(spec, p)
+            if binary_form_value(self._P.coeffs[-1], self._P.e, t, 1) % p:
+                self._cycle_types[key] = ct  # P(x, t) mod p has degree d
+        return ct
+
+
+def specialize(family: TwistFamily, u: int, v: int) -> Poly:
+    """P(x, u/v) cleared to a primitive integral polynomial, positive lead.
+
+    Evaluated from the integer forms of P, as in a sweep (``IntegerFamily``);
+    ValueError when v = 0, gcd(u, v) != 1 or the specialization vanishes.
+    """
+    return _specialize(_Forms.of(family.P), u, v)[0]
 
 
 def verify_new_point(p_spec: Poly, family: TwistFamily, u: int, v: int) -> bool:
-    """Whether y = F(x,t0)/G(x,t0) satisfies y^2 = f(x) modulo p_spec."""
-    if p_spec.degree < 1:
-        raise ValueError("specialized polynomial must have degree >= 1")
-    t0 = Fraction(u, v)
-    fnum = family.point_num.eval_t(t0)
-    fden = family.point_den.eval_t(t0)
-    expr = fnum * fnum - family.model.f * fden * fden
-    return not reduce_mod(expr, p_spec)
+    """Whether y = F(x,t0)/G(x,t0) satisfies y^2 = f(x) modulo p_spec, at
+    t0 = u/v; decided in integers as in a sweep (``IntegerFamily``)."""
+    return IntegerFamily(family).point_holds(p_spec, u, v)

@@ -25,7 +25,11 @@ Theory*, ch. 3).  For the primitive integral polynomials it works on, p is
 good exactly when p divides neither the leading coefficient nor the exact
 discriminant, since disc(g mod p) = disc(g) mod p; a bad prime therefore
 costs one integer remainder, and only good primes are reduced and factored
-by distinct-degree factorization.
+by distinct-degree factorization.  A sweep hands the scan a lookup instead
+(``IntegerFamily.cycle_type``): at a good prime p not dividing v (nor the
+cleared denominator of P) the cycle type of a specialization P(x, u/v)
+depends on t = u/v mod p alone, so it is read off a table keyed by t mod p
+and factored only for the first pair with that key.
 
 Transpositions come from a prime p, not dividing the leading coefficient,
 with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of
@@ -43,12 +47,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Callable, Optional, Sequence
 
 from . import padic
 from .padic import CycleType
 from .polyarith import Poly, _normalize_factor, discriminant
-from .primes import is_square, primes, primes_up_to, valuation_int
+from .primes import PROOF_BOUND, is_prime, is_square, iter_primes_up_to, primes, valuation_int
+
+# cycle_type(coeffs, p) of Frobenius at a good prime p for the integer
+# polynomial coeffs, as ``padic.good_prime_cycle_type`` computes it.
+CycleLookup = Callable[[list[int], int], CycleType]
 
 # Stop scanning for good primes after this many total candidates; only
 # degenerate inputs (e.g. squarefull polynomials, where every prime is bad)
@@ -104,16 +113,21 @@ def contains_n_cycle(types: Sequence[CycleType], n: int) -> bool:
     return False
 
 
-def _good_prime_scan(g: Poly, disc: Fraction, budget: int) -> list[tuple[int, CycleType]]:
+def _good_prime_scan(
+    g: Poly, disc: Fraction, budget: int, lookup: Optional[CycleLookup] = None
+) -> list[tuple[int, CycleType]]:
     """Cycle types of primitive integral g at its first `budget` good primes.
 
     disc = disc(g).  A prime is good exactly when it divides neither lc(g)
     nor disc(g): the reduction then keeps its degree and has discriminant
     disc(g) mod p != 0, so it is squarefree.  Bad primes are skipped without
     consuming budget, up to a hard cap; when disc(g) = 0 every prime is bad.
+    Good primes get their cycle type from ``lookup`` when one is given, and
+    from distinct-degree factorization of g mod p otherwise.
     """
     if disc == 0:
         return []
+    cycle_type = lookup or padic.good_prime_cycle_type
     coeffs = [c.numerator for c in g.coeffs]
     bad = coeffs[-1] * disc.numerator  # p | bad  <=>  p | lc(g) or p | disc(g)
     found: list[tuple[int, CycleType]] = []
@@ -122,7 +136,7 @@ def _good_prime_scan(g: Poly, disc: Fraction, budget: int) -> list[tuple[int, Cy
         if len(found) >= budget or examined >= cap:
             break
         if bad % p:
-            found.append((p, padic.good_prime_cycle_type(coeffs, p)))
+            found.append((p, cycle_type(coeffs, p)))
     return found
 
 
@@ -137,7 +151,9 @@ def _degree_lattice(patterns: Sequence[CycleType], d: int) -> set[int]:
     return possible
 
 
-def _irreducibility(g: Poly, disc: Fraction, prime_budget: int):
+def _irreducibility(
+    g: Poly, disc: Fraction, prime_budget: int, lookup: Optional[CycleLookup] = None
+):
     """Good-prime scan of normalized g, disc = disc(g), and the
     irreducibility it proves.
 
@@ -146,7 +162,7 @@ def _irreducibility(g: Poly, disc: Fraction, prime_budget: int):
     in {0, d} ("degree-lattice").
     """
     d = g.degree
-    scan = _good_prime_scan(g, disc, prime_budget)
+    scan = _good_prime_scan(g, disc, prime_budget, lookup)
     patterns = [ct for _, ct in scan]
     if any(ct.parts == (d,) for ct in patterns):
         return scan, CERTIFIED, "mod-p"
@@ -180,24 +196,33 @@ def transposition_witness(
     """Smallest prime p, p not dividing lc(f), with v_p(Disc f) = 1.
 
     Searches primes up to trial_bound and then the supplied extras; absence
-    is reported as None, never guessed.
+    is reported as None, never guessed.  Every extra must be proved prime
+    (below ``primes.PROOF_BOUND``), otherwise ValueError.
     """
     g = _normalize_factor(f)
-    return _witness(g, discriminant(g), trial_bound, extra_primes)
+    return _witness(g, discriminant(g), trial_bound, _proved_primes(extra_primes))
+
+
+def _proved_primes(extra_primes: Sequence[int]) -> tuple[int, ...]:
+    """The extras as ints, after proving each one prime; ValueError otherwise."""
+    out = tuple(int(p) for p in extra_primes)
+    for p in out:
+        if p >= PROOF_BOUND or not is_prime(p):
+            raise ValueError(f"extra prime {p} is not proved prime")
+    return out
 
 
 def _witness(
     g: Poly, disc: Fraction, trial_bound: int, extra_primes: Sequence[int]
 ) -> Optional[int]:
-    """``transposition_witness`` for normalized g with disc = discriminant(g)."""
+    """``transposition_witness`` for normalized g with disc = discriminant(g)
+    and extras already proved prime."""
     if disc == 0:
         raise ValueError("discriminant vanishes; no transposition witness exists")
     n = abs(disc.numerator)
     lead = g.lead.numerator
-    candidates = primes_up_to(trial_bound)
-    if extra_primes:
-        candidates = candidates + sorted({int(p) for p in extra_primes} - set(candidates))
-    for p in candidates:
+    extras = sorted({p for p in extra_primes if p > trial_bound})
+    for p in chain(iter_primes_up_to(trial_bound), extras):
         if p > n:
             break
         if lead % p == 0 or n % p:
@@ -225,9 +250,10 @@ def collect_evidence(
     """
     if f.degree != d:
         raise ValueError(f"degree mismatch: got {f.degree}, expected {d}")
+    extras = _proved_primes(extra_primes)
     g = _normalize_factor(f)
     return _evidence(
-        g, discriminant(g), prime_budget, polygon_primes, trial_bound, extra_primes,
+        g, discriminant(g), prime_budget, polygon_primes, trial_bound, extras,
         skip_witness_for_cubic,
     )
 
@@ -240,11 +266,14 @@ def _evidence(
     trial_bound: int,
     extra_primes: Sequence[int] = (),
     skip_witness_for_cubic: bool = True,
+    lookup: Optional[CycleLookup] = None,
 ) -> GaloisEvidence:
-    """``collect_evidence`` for normalized g with disc = discriminant(g)."""
+    """``collect_evidence`` for normalized g with disc = discriminant(g),
+    extras already proved prime, and an optional cycle-type lookup for the
+    good-prime scan."""
     d = g.degree
     provenance: list[tuple[str, int, str]] = []
-    scan, irred, route = _irreducibility(g, disc, prime_budget)
+    scan, irred, route = _irreducibility(g, disc, prime_budget, lookup)
     types: set[CycleType] = set()
     for p, ct in scan:
         types.add(ct)

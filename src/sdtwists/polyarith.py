@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Coefficient = Union[Fraction, int]
 
@@ -233,6 +233,18 @@ class Poly:
 
 
 X = Poly([0, 1])
+
+
+def binary_form_value(coeffs: Sequence[int], e: int, u: int, v: int) -> int:
+    """sum(coeffs[j] * u^j * v^(e - j)): the integer polynomial in t with
+    these coefficients (constant first, degree <= e) read as a binary form
+    of degree e, at (u, v)."""
+    acc = 0
+    vp = v ** (e + 1 - len(coeffs))
+    for c in reversed(coeffs):
+        acc = acc * u + c * vp
+        vp *= v
+    return acc
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import islice
 from typing import Iterator
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the first 13 primes prove
+# primality for every n below PROOF_BOUND (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).  The first 12
+# alone do not: 318665857834031151167461 is a strong pseudoprime to 2..37.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PROOF_BOUND = 3_317_044_064_679_887_385_961_981
 
 _sieve_limit = 0
 _sieve_primes: list[int] = []
@@ -27,13 +33,19 @@ def _extend_sieve(limit: int) -> None:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, ascending."""
+    """All primes <= n, ascending, as a new list."""
     if n < 2:
         return []
     _extend_sieve(n)
-    import bisect
+    return _sieve_primes[: bisect_right(_sieve_primes, n)]
 
-    return _sieve_primes[: bisect.bisect_right(_sieve_primes, n)]
+
+def iter_primes_up_to(n: int) -> Iterator[int]:
+    """All primes <= n, ascending, read off the shared sieve without copying it."""
+    if n < 2:
+        return iter(())
+    _extend_sieve(n)
+    return islice(_sieve_primes, bisect_right(_sieve_primes, n))
 
 
 def primes() -> Iterator[int]:
@@ -47,6 +59,7 @@ def primes() -> Iterator[int]:
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin on the witness set above: a proof for n < PROOF_BOUND."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -95,7 +108,7 @@ def factor_trial(n: int, bound: int) -> tuple[dict[int, int], int]:
         raise ValueError("cannot factor zero")
     m = abs(n)
     out: dict[int, int] = {}
-    for p in primes_up_to(bound):
+    for p in iter_primes_up_to(bound):
         if p * p > m:
             break
         if m % p == 0:

@@ -3,15 +3,82 @@
 These deliberately avoid the code paths they check: the Sylvester
 determinant is expanded by exact Gaussian elimination instead of the
 subresultant sequence, bivariate discriminants come from specialization
-plus Lagrange interpolation, and mod-p factorizations are found by
-exhaustive trial division over all monic polynomials.
+plus Lagrange interpolation, mod-p factorizations are found by exhaustive
+trial division over all monic polynomials, and specializations, point
+checks and whole sweep candidates are computed in ``Fraction`` arithmetic
+from P itself, with the public galois entry points, instead of from the
+integer forms a sweep uses.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from sdtwists.polyarith import BivarPoly, Poly, discriminant
+from sdtwists import galois
+from sdtwists.counting import KERNEL_ZERO, FieldCandidate, squarefree_kernel
+from sdtwists.polyarith import BivarPoly, Poly, discriminant, reduce_mod
+
+
+def specialize_fraction(family, u: int, v: int) -> tuple[Poly, Fraction]:
+    """(spec, lam): P(x, u/v) = lam * spec with spec primitive integral and
+    positive lead, evaluated in Fraction arithmetic."""
+    if v == 0:
+        raise ValueError("v must be nonzero")
+    if math.gcd(u, v) != 1:
+        raise ValueError(f"({u}, {v}) is not a coprime pair")
+    value = family.P.eval_t(Fraction(u, v))
+    if not value:
+        raise ValueError("specialization vanished identically")
+    spec = value.primitive()
+    if spec.lead < 0:
+        spec = -spec
+    return spec, value.lead / spec.lead
+
+
+def verify_new_point_fraction(p_spec: Poly, family, u: int, v: int) -> bool:
+    """F^2 - f*G^2 == 0 modulo p_spec, evaluated in Fraction arithmetic."""
+    if p_spec.degree < 1:
+        raise ValueError("specialized polynomial must have degree >= 1")
+    t0 = Fraction(u, v)
+    fnum = family.point_num.eval_t(t0)
+    fden = family.point_den.eval_t(t0)
+    expr = fnum * fnum - family.model.f * fden * fden
+    return not reduce_mod(expr, p_spec)
+
+
+def reference_candidate(family, u, v, budgets, modulus=None) -> FieldCandidate:
+    """One sweep record from the Fraction references, the subresultant
+    discriminant and the public ``collect_evidence`` (no cycle-type table)."""
+    poly, _ = specialize_fraction(family, u, v)
+    disc = int(discriminant(poly)) if poly.degree >= 1 else 0
+    point_ok = poly.degree >= 1 and verify_new_point_fraction(poly, family, u, v)
+    if disc == 0 or poly.degree != family.d:
+        evidence = galois.GaloisEvidence(
+            degree=max(poly.degree, 2),
+            observed_cycle_types=frozenset(),
+            transposition_prime=None,
+            irreducibility=galois.INCONCLUSIVE,
+            irreducibility_route=None,
+            disc_is_square=True,
+        )
+        cert = galois.SdCertificate(galois.INCONCLUSIVE, evidence)
+    else:
+        evidence = galois.collect_evidence(
+            poly, family.d, budgets.prime_budget,
+            polygon_primes=budgets.polygon_primes, trial_bound=budgets.trial_bound,
+        )
+        cert = galois.certify_sd(evidence)
+    if disc == 0:
+        kernel, flag, cofactor = 0, KERNEL_ZERO, 0
+    else:
+        kernel, flag, cofactor = squarefree_kernel(disc, budgets.kernel_bound)
+    return FieldCandidate(
+        u=u, v=v, poly=poly, disc=disc, disc_sign=(disc > 0) - (disc < 0),
+        kernel=kernel, kernel_flag=flag, kernel_cofactor=cofactor,
+        certificate=cert, point_verified=point_ok,
+        residue_class=(u % modulus, v % modulus) if modulus else None,
+    )
 
 
 def det_exact(matrix: list[list[Fraction]]) -> Fraction:

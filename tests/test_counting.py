@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdtwists import counting, polyarith
+from sdtwists import counting, family, padic, polyarith
 from sdtwists.counting import (
     WORKERS_ENV,
     EvConfig,
@@ -27,6 +27,8 @@ from sdtwists.counting import (
 from sdtwists.family import build_family
 from sdtwists.galois import certify_sd, collect_evidence
 from sdtwists.polyarith import Poly
+
+from oracles import reference_candidate
 
 BUDGETS = SweepBudgets(prime_budget=12, kernel_bound=10_000)
 
@@ -122,11 +124,12 @@ def t_key(d, u, v):
 
 
 def test_sweep_one_subresultant_per_candidate(monkeypatch):
-    # Each distinct specialization's discriminant is computed once and shared
-    # by the report, the evidence and the witness search: one subresultant
-    # per t = u/v, or per |t| for d >= 4, where P depends on t^2 only.  The
-    # certificates still equal the ones the public path computes from the
-    # polynomial alone.
+    # A sweep runs the subresultant once, for discriminant_in_t(P), and reads
+    # every full-degree candidate's discriminant off it; only a distinct
+    # specialization that drops degree (u = 0 on an even d) runs one more.
+    # The discriminant is shared by the report, the evidence and the witness
+    # search, and the certificates still equal the ones the public path
+    # computes from the polynomial alone.
     monkeypatch.setenv(WORKERS_ENV, "1")
     core = polyarith._resultant_core
     calls = []
@@ -135,18 +138,20 @@ def test_sweep_one_subresultant_per_candidate(monkeypatch):
         calls.append(a.degree)
         return core(a, b)
 
-    built = build_family((1, 1), 5)[1]
     cases = (
         (small_cubic_family(), 3, SweepBudgets(prime_budget=10, kernel_bound=30_000)),
-        (built, 2, SweepBudgets()),
+        (build_family((1, 1), 5)[1], 2, SweepBudgets()),
+        (build_family((1, 1), 4)[1], 2, SweepBudgets()),
     )
+    dropped_total = 0
     for fam, box, budgets in cases:
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(polyarith, "_resultant_core", counted_core)
             cands = sweep(fam, box, budgets=budgets)
-        keys = {t_key(fam.d, c.u, c.v) for c in cands if c.poly.degree >= 1}
-        assert len(calls) == len(keys) < len(cands)
+        dropped = {t_key(fam.d, c.u, c.v) for c in cands if 1 <= c.poly.degree < fam.d}
+        assert len(calls) == 1 + len(dropped)
+        dropped_total += len(dropped)
         checked = 0
         for c in cands:
             if c.disc == 0 or c.poly.degree != fam.d:
@@ -158,7 +163,32 @@ def test_sweep_one_subresultant_per_candidate(monkeypatch):
             assert c.certificate == certify_sd(direct)
             checked += 1
         assert checked
-    assert any(c.certificate.evidence.transposition_prime for c in cands)
+        if fam.d == 5:
+            assert any(c.certificate.evidence.transposition_prime for c in cands)
+    assert dropped_total == 1  # u = 0 on the quartic
+
+
+def test_sweep_reads_cycle_types_off_the_table(monkeypatch):
+    # For p not dividing v, the cycle type at p depends on u/v mod p only, so
+    # a sweep factors each (p, t mod p) once instead of every candidate at
+    # every good prime.
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    real = padic.good_prime_cycle_type
+    factored = []
+
+    def counted(coeffs, p):
+        factored.append(p)
+        return real(coeffs, p)
+
+    monkeypatch.setattr(padic, "good_prime_cycle_type", counted)
+    monkeypatch.setattr(family, "good_prime_cycle_type", counted)
+    cands = sweep(small_cubic_family(), 12, budgets=SweepBudgets(prime_budget=10))
+    distinct = {c.poly: c.certificate.evidence for c in cands}
+    scanned = sum(
+        kind == "frobenius_cycle_type" for ev in distinct.values() for kind, _, _ in ev.provenance
+    )
+    assert scanned > 1500
+    assert 4 * len(factored) < scanned
 
 
 FIELDS = [f.name for f in dataclasses.fields(counting.FieldCandidate)]
@@ -185,8 +215,8 @@ def counted_sweep(monkeypatch, fam, box, **kwargs):
 
 
 def direct_sweep(fam, pairs, budgets, modulus=None, region=None):
-    """The per-pair path: one ``_candidate`` call per (u, v)."""
-    out = [counting._candidate(fam, u, v, budgets, modulus) for u, v in pairs]
+    """The per-pair reference path: one Fraction-arithmetic record per (u, v)."""
+    out = [reference_candidate(fam, u, v, budgets, modulus) for u, v in pairs]
     return [c for c in out if region is None or c.disc_sign == region]
 
 

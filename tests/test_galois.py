@@ -18,7 +18,7 @@ from sdtwists.galois import (
 )
 from sdtwists.padic import CycleType, frobenius_cycle_type
 from sdtwists.polyarith import Poly, _normalize_factor, discriminant
-from sdtwists.primes import primes, primes_up_to
+from sdtwists.primes import PROOF_BOUND, is_prime, iter_primes_up_to, primes, primes_up_to
 
 
 def cubic():
@@ -65,6 +65,39 @@ def test_transposition_witness_extra_primes():
     # disc(x^3 - x^2 - 2x - 1) = -31; hide it past the bound, then supply it
     assert transposition_witness(cubic(), 20) is None
     assert transposition_witness(cubic(), 20, extra_primes=[31]) == 31
+
+
+# 318665857834031151167461 = 399165290221 * 798330580441 is a strong
+# pseudoprime to every base 2..37.
+PSEUDOPRIME_2_TO_37 = 318_665_857_834_031_151_167_461
+
+
+@pytest.mark.parametrize("extra", [15, 1, 0, -7, PSEUDOPRIME_2_TO_37, PROOF_BOUND])
+def test_extra_primes_must_be_proved_prime(extra):
+    x2_minus_15 = Poly([-15, 0, 1])  # disc 60 = 2^2 * 3 * 5
+    with pytest.raises(ValueError):
+        transposition_witness(x2_minus_15, 2, extra_primes=[extra])
+    with pytest.raises(ValueError):
+        collect_evidence(x2_minus_15, 2, 5, extra_primes=[3, extra])
+
+
+def test_true_prime_extras_still_found():
+    x2_minus_15 = Poly([-15, 0, 1])
+    assert transposition_witness(x2_minus_15, 2) is None  # v_2(60) = 2
+    assert transposition_witness(x2_minus_15, 2, extra_primes=[5, 3, 5]) == 3
+    evidence = collect_evidence(x2_minus_15, 2, 5, trial_bound=2, extra_primes=[5])
+    assert evidence.transposition_prime == 5
+
+
+def test_miller_rabin_proof_bound():
+    assert not is_prime(PSEUDOPRIME_2_TO_37)
+    small = set(primes_up_to(5000))
+    assert all(is_prime(n) == (n in small) for n in range(5000))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 1000, 1024, 1031, 30_000])
+def test_iter_primes_up_to_matches_list(bound):
+    assert list(iter_primes_up_to(bound)) == primes_up_to(bound)
 
 
 def test_collect_evidence_cubic_certifies():
