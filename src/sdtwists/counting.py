@@ -134,7 +134,7 @@ def _candidate(
             budgets.prime_budget,
             polygon_primes=budgets.polygon_primes,
             trial_bound=budgets.trial_bound,
-            lookup=lambda coeffs, p: family.cycle_type(coeffs, p, u, v),
+            lookup=lambda coeffs, p, parity: family.cycle_type(coeffs, p, u, v, parity),
         )
         cert = galois.certify_sd(evidence)
 
@@ -232,8 +232,9 @@ def sweep(
     in t, the first pair of each group is evaluated (in the worker pool when
     there is one), and the other pairs get a copy of its record with their
     own u, v and residue class.  The evaluations share one ``IntegerFamily``
-    per call (one per worker chunk with a pool): discriminant_in_t(P) is
-    computed on first use, and the Frobenius tables fill as the sweep goes.
+    per call (one per worker chunk with a pool): they read
+    discriminant_in_t(P) off the family, which computes it once and keeps
+    it, and the Frobenius tables fill as the sweep goes.
     """
     if box < 1:
         raise ValueError("box must be at least 1")

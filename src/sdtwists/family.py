@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from typing import Optional
 
@@ -47,6 +48,7 @@ from .polyarith import (
     BivarPoly,
     Poly,
     binary_form_value,
+    clear_denominators,
     discriminant,
     discriminant_in_t,
     squarefree_decompose,
@@ -106,6 +108,13 @@ class TwistFamily:
     point_num: BivarPoly  # y numerator, in x and t
     point_den: BivarPoly  # y denominator
     identity_sign: int  # point_num^2 - f*point_den^2 == identity_sign * P
+
+    @cached_property
+    def disc_t(self) -> Poly:
+        """discriminant_in_t(P): the discriminant in x as a polynomial in t,
+        computed on first use and kept with the family, so ``disc_form`` and
+        every sweep over the family share one subresultant."""
+        return discriminant_in_t(self.P)
 
 
 @dataclass(frozen=True)
@@ -347,7 +356,7 @@ def disc_form(family: TwistFamily) -> DiscriminantForm:
     discriminant on the grid {k/64 : |k| <= 64} to exhibit both signs.
     """
     d = family.d
-    disc = discriminant_in_t(family.P)
+    disc = family.disc_t
     expected_power = 0 if d == 3 else 2 * d - 8
     expected_deg_h = 4 if d == 3 else 6
 
@@ -523,14 +532,14 @@ class IntegerFamily:
     Z[t], read as binary forms A_i(u, v) of degree e = max deg A_i, and the
     point's numerator F, denominator G and the curve's f likewise.  Then
     ``specialize`` evaluates the forms at (u, v) and divides by the content;
-    ``discriminant`` reads disc(spec) off Disc_t = discriminant_in_t(P),
-    computed on first use, as Disc_t(u/v) / lam^(2d-2) when spec keeps
-    degree d (the subresultant otherwise); ``point_holds`` decides F^2 -
-    f*G^2 == 0 mod spec by an integer pseudo-remainder; and ``cycle_type``
-    reads the Frobenius cycle type at a good prime p with p not dividing
-    v*L off a table keyed by (p, u/v mod p), filled by the first pair with
-    that key.  All of this state lives in the object, so nothing carries
-    over from one sweep to the next.
+    ``discriminant`` reads disc(spec) off Disc_t = ``TwistFamily.disc_t``
+    as Disc_t(u/v) / lam^(2d-2) when spec keeps degree d (the subresultant
+    otherwise); ``point_holds`` decides F^2 - f*G^2 == 0 mod spec by an
+    integer pseudo-remainder; and ``cycle_type`` reads the Frobenius cycle
+    type at a good prime p with p not dividing v*L off a table keyed by
+    (p, u/v mod p), filled by the first pair with that key.  Disc_t belongs
+    to the family and is computed once for it; all other state lives in the
+    object, so nothing else carries over from one sweep to the next.
     """
 
     def __init__(self, family: TwistFamily):
@@ -539,9 +548,8 @@ class IntegerFamily:
         self._P = _Forms.of(family.P)
         self._F = _Forms.of(family.point_num)
         self._G = _Forms.of(family.point_den)
-        f = family.model.f.coeffs
-        self._f_den = math.lcm(*(c.denominator for c in f))
-        self._f = [c.numerator * (self._f_den // c.denominator) for c in f]
+        f, self._f_den = clear_denominators(family.model.f)
+        self._f = list(f.coeffs)
         self._disc: Optional[tuple[tuple[int, ...], int]] = None
         self._cycle_types: dict[tuple[int, int], CycleType] = {}
 
@@ -563,9 +571,8 @@ class IntegerFamily:
         if spec.degree != d:
             return int(discriminant(spec))
         if self._disc is None:
-            disc_t = discriminant_in_t(self.family.P)
-            m = math.lcm(*(c.denominator for c in disc_t.coeffs))
-            self._disc = tuple(c.numerator * (m // c.denominator) for c in disc_t.coeffs), m
+            disc_t, m = clear_denominators(self.family.disc_t)
+            self._disc = disc_t.coeffs, m
         coeffs, m = self._disc
         k = self._P.e * (2 * d - 2)
         num = binary_form_value(coeffs, k, u, v) * lam.denominator ** (2 * d - 2)
@@ -581,8 +588,7 @@ class IntegerFamily:
             raise ValueError("specialized polynomial must have degree >= 1")
         if v == 0:
             raise ValueError("v must be nonzero")
-        den = math.lcm(*(c.denominator for c in spec.coeffs))
-        modulus = [c.numerator * (den // c.denominator) for c in spec.coeffs]
+        modulus = list(clear_denominators(spec)[0].coeffs)
         # F = Fi/a, G = Gi/b and f = fi/f_den with integral Fi, Gi, fi, so
         # F^2 - f*G^2 is Fi^2 * b^2 * f_den - fi * Gi^2 * a^2 up to a unit.
         Fi, Gi = self._F.values(u, v), self._G.values(u, v)
@@ -592,10 +598,14 @@ class IntegerFamily:
         rhs = [c * a * a for c in _mul(self._f, _mul(Gi, Gi))]
         return _divides(modulus, [x - y for x, y in zip_longest(lhs, rhs, fillvalue=0)])
 
-    def cycle_type(self, spec: list[int], p: int, u: int, v: int) -> CycleType:
+    def cycle_type(
+        self, spec: list[int], p: int, u: int, v: int, parity: Optional[int] = None
+    ) -> CycleType:
         """Cycle type of Frobenius at p for spec = ``self.specialize(u, v)``
         (integer coefficients, constant first); the caller has decided that p
-        is good for spec, i.e. divides neither lc(spec) nor disc(spec).
+        is good for spec, i.e. divides neither lc(spec) nor disc(spec), and
+        that Frobenius there has the given parity, if one is given
+        (``padic.frobenius_parity``).
 
         For p not dividing v*L, spec mod p is a nonzero multiple of P(x, t)
         mod p at t = u/v mod p whenever the latter keeps degree d, so the two
@@ -605,12 +615,12 @@ class IntegerFamily:
         other case factors spec mod p directly.
         """
         if v % p == 0 or self._P.den % p == 0:
-            return good_prime_cycle_type(spec, p)
+            return good_prime_cycle_type(spec, p, parity)
         t = u * pow(v, -1, p) % p
         key = (p, t)
         ct = self._cycle_types.get(key)
         if ct is None:
-            ct = good_prime_cycle_type(spec, p)
+            ct = good_prime_cycle_type(spec, p, parity)
             if binary_form_value(self._P.coeffs[-1], self._P.e, t, 1) % p:
                 self._cycle_types[key] = ct  # P(x, t) mod p has degree d
         return ct

@@ -25,11 +25,15 @@ Theory*, ch. 3).  For the primitive integral polynomials it works on, p is
 good exactly when p divides neither the leading coefficient nor the exact
 discriminant, since disc(g mod p) = disc(g) mod p; a bad prime therefore
 costs one integer remainder, and only good primes are reduced and factored
-by distinct-degree factorization.  A sweep hands the scan a lookup instead
-(``IntegerFamily.cycle_type``): at a good prime p not dividing v (nor the
-cleared denominator of P) the cycle type of a specialization P(x, u/v)
-depends on t = u/v mod p alone, so it is read off a table keyed by t mod p
-and factored only for the first pair with that key.
+by distinct-degree factorization.  The same discriminant gives the parity of
+Frobenius at each good prime (Stickelberger's theorem: odd exactly when disc
+is a non-square mod p, or disc == 5 mod 8 at p = 2), one modular power per
+prime, and the factorization stops as soon as that parity and the factor
+degrees found so far leave one pattern.  A sweep hands the scan a lookup
+instead (``IntegerFamily.cycle_type``): at a good prime p not dividing v
+(nor the cleared denominator of P) the cycle type of a specialization
+P(x, u/v) depends on t = u/v mod p alone, so it is read off a table keyed
+by t mod p and factored only for the first pair with that key.
 
 Transpositions come from a prime p, not dividing the leading coefficient,
 with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of
@@ -55,9 +59,10 @@ from .padic import CycleType
 from .polyarith import Poly, _normalize_factor, discriminant
 from .primes import PROOF_BOUND, is_prime, is_square, iter_primes_up_to, primes, valuation_int
 
-# cycle_type(coeffs, p) of Frobenius at a good prime p for the integer
-# polynomial coeffs, as ``padic.good_prime_cycle_type`` computes it.
-CycleLookup = Callable[[list[int], int], CycleType]
+# cycle_type(coeffs, p, parity) of Frobenius at a good prime p for the
+# integer polynomial coeffs, whose Frobenius there has the given parity, as
+# ``padic.good_prime_cycle_type`` computes it.
+CycleLookup = Callable[[list[int], int, int], CycleType]
 
 # Stop scanning for good primes after this many total candidates; only
 # degenerate inputs (e.g. squarefull polynomials, where every prime is bad)
@@ -122,21 +127,23 @@ def _good_prime_scan(
     nor disc(g): the reduction then keeps its degree and has discriminant
     disc(g) mod p != 0, so it is squarefree.  Bad primes are skipped without
     consuming budget, up to a hard cap; when disc(g) = 0 every prime is bad.
-    Good primes get their cycle type from ``lookup`` when one is given, and
-    from distinct-degree factorization of g mod p otherwise.
+    Each good prime gets the parity of Frobenius from disc(g) and its cycle
+    type from ``lookup`` when one is given, and from distinct-degree
+    factorization of g mod p otherwise.
     """
     if disc == 0:
         return []
     cycle_type = lookup or padic.good_prime_cycle_type
     coeffs = [c.numerator for c in g.coeffs]
-    bad = coeffs[-1] * disc.numerator  # p | bad  <=>  p | lc(g) or p | disc(g)
+    n = disc.numerator
+    bad = coeffs[-1] * n  # p | bad  <=>  p | lc(g) or p | disc(g)
     found: list[tuple[int, CycleType]] = []
     cap = max(_SCAN_CAP_MIN, _SCAN_CAP_FACTOR * budget)
     for examined, p in enumerate(primes()):
         if len(found) >= budget or examined >= cap:
             break
         if bad % p:
-            found.append((p, cycle_type(coeffs, p)))
+            found.append((p, cycle_type(coeffs, p, padic.frobenius_parity(n, p))))
     return found
 
 

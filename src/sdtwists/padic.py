@@ -10,6 +10,12 @@ coprime to n, certifies an n-cycle in the Galois group of the polynomial.
 Cycle types of Frobenius elements come from distinct-degree factorization
 of the reduction mod p; primes where the reduction degenerates (leading
 coefficient or squarefreeness lost) are reported as bad rather than raised.
+A caller that holds the exact discriminant may pass the parity of Frobenius
+(``frobenius_parity``, by Stickelberger's theorem); the factorization then
+stops as soon as the factor degrees found so far and that parity leave one
+possible pattern, so an odd cubic or a quadratic needs no F_p arithmetic
+and a quintic never needs more than its linear factors.
+``frobenius_cycle_type`` has no discriminant and runs the full loop.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from functools import lru_cache
+from itertools import islice
+from typing import Iterator, Optional, Union
 
 from .polyarith import Poly
 from .primes import is_prime, valuation_int
@@ -217,22 +225,58 @@ def _x_power(e: int, red: list[int], p: int) -> list[int]:
     return r
 
 
-def distinct_degree_pattern(f: list[int], p: int) -> list[int]:
+def _partitions(m: int, least: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of m into parts >= least, each as an ascending tuple."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(least, m // 2 + 1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+    if m >= least:
+        yield (m,)
+
+
+@lru_cache(maxsize=None)
+def _sole_partition(m: int, least: int, parity: Optional[int]) -> Optional[tuple[int, ...]]:
+    """The only partition of m into parts >= least with (m - number of
+    parts) = parity mod 2 (any parity when None); None when there are none
+    or several."""
+    fits = (q for q in _partitions(m, least) if parity is None or (m - len(q)) % 2 == parity)
+    found = list(islice(fits, 2))
+    return found[0] if len(found) == 1 else None
+
+
+def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) -> list[int]:
     """Degrees (with multiplicity, ascending) of the irreducible factors of a
     monic squarefree f over F_p, by distinct-degree factorization (f reduced
-    mod p, constant first)."""
+    mod p, constant first).
+
+    Step k splits off the factors of degree k, so the rest of f has factors
+    of degree > k only.  The loop stops once the rest has a single possible
+    pattern: without ``parity`` when it is irreducible (2k > its degree);
+    with ``parity`` = (deg f - number of factors) mod 2, the parity of
+    Frobenius as a permutation of the roots, when one partition of the
+    rest's degree into parts > k has the parity still owed.
+    """
     n = _pdeg(f)
-    if n == 1:
-        return [1]
     red = [-c % p for c in f[:-1]]
-    xp = _x_power(p, red, p)
+    xp: list[int] = []  # x^p mod f
     rows: list[list[int]] = []  # Frobenius matrix, built on first use
-    h = xp  # x^(p^k) mod f
+    h: list[int] = []  # x^(p^k) mod f
     g = f  # the part of f not yet split off
     out: list[int] = []
     k = 1
-    while 2 * k <= _pdeg(g):
-        if k > 1:
+    while True:
+        owed = None if parity is None else (parity - sum(out) + len(out)) % 2
+        sole = _sole_partition(_pdeg(g), k, owed)
+        if sole is not None:
+            return sorted(out + list(sole))
+        if 2 * k > _pdeg(g):
+            raise ArithmeticError(f"parity {parity} contradicts the factorization mod {p}")
+        if k == 1:
+            h = xp = _x_power(p, red, p)
+        else:
             if not rows:
                 rows = [[1] + [0] * (n - 1), xp]
                 while len(rows) < n:
@@ -248,9 +292,6 @@ def distinct_degree_pattern(f: list[int], p: int) -> list[int]:
             out.extend([k] * (_pdeg(gk) // k))
             g = _pdiv_exact(g, gk, p)
         k += 1
-    if _pdeg(g) > 0:
-        out.append(_pdeg(g))
-    return sorted(out)
 
 
 def reduce_poly_mod(f: Poly, p: int) -> list[int]:
@@ -263,16 +304,35 @@ def reduce_poly_mod(f: Poly, p: int) -> list[int]:
     return _ptrim(out)
 
 
-def good_prime_cycle_type(coeffs: list[int], p: int) -> CycleType:
+def frobenius_parity(disc: int, p: int) -> int:
+    """Parity of Frobenius at a good prime p as a permutation of the roots,
+    (degree - number of factors mod p) mod 2, from the integer discriminant.
+
+    Stickelberger's theorem (R. G. Swan, "Factorization of polynomials over
+    finite fields", Pacific J. Math. 12, 1962): for an integral polynomial
+    with p dividing neither its leading coefficient nor disc, the parity is
+    odd exactly when disc is not a square mod p for odd p, and exactly when
+    disc == 5 mod 8 for p = 2.
+    """
+    if p == 2:
+        return int(disc % 8 == 5)
+    return int(pow(disc % p, (p - 1) // 2, p) != 1)
+
+
+def good_prime_cycle_type(
+    coeffs: list[int], p: int, parity: Optional[int] = None
+) -> CycleType:
     """Cycle type of Frobenius at p for the integer polynomial ``coeffs``
     (constant first) when p is a good prime for it.
 
     The caller vouches that p is prime, does not divide the leading
-    coefficient and leaves the reduction squarefree; none of that is
-    rechecked here.
+    coefficient and leaves the reduction squarefree, and that ``parity``,
+    when given, is the parity of Frobenius (see ``frobenius_parity``); none
+    of that is rechecked here.
     """
     inv = pow(coeffs[-1], -1, p)
-    return CycleType(tuple(distinct_degree_pattern([c * inv % p for c in coeffs], p)))
+    monic = [c * inv % p for c in coeffs]
+    return CycleType(tuple(distinct_degree_pattern(monic, p, parity)))
 
 
 def frobenius_cycle_type(f: Poly, p: int) -> Optional[CycleType]:

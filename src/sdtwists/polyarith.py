@@ -1,17 +1,20 @@
-"""Exact polynomial arithmetic over Q and over Q[t].
+"""Exact polynomial arithmetic over Q, over Z and over Q[t].
 
 One dense polynomial class carries every ring operation.  ``Poly`` stores
 ``fractions.Fraction`` coefficients from the constant term up, so equality
-tests and every ring operation are exact.  ``BivarPoly`` is the same class
-over the coefficient ring Q[t]: its x-coefficients are ``Poly`` values in t,
-and it adds only what is particular to that ring (specializing t and the
-x-derivative).
+tests and every ring operation are exact.  ``IntPoly`` is the same class over
+Z and ``BivarPoly`` the same class over the coefficient ring Q[t]: its
+x-coefficients are ``Poly`` values in t, and it adds only what is particular
+to that ring (specializing t and the x-derivative).
 
 Resultants run by fraction-free subresultant elimination, written once with
-ordinary ring operators plus one exact coefficient division, so it runs
-unchanged over Q and over Q[t]; the latter is how discriminants of the twist
-families are obtained as exact polynomials in t.  Naive Sylvester
-determinants exist only in the test suite as an oracle.
+ordinary ring operators plus one exact coefficient division (``divmod`` and
+a check that the remainder vanishes), so it runs unchanged over Z and over
+Q[t].  ``resultant`` and ``discriminant`` of rational polynomials clear the
+denominators once and eliminate over Z; ``discriminant_in_t`` eliminates
+over Q[t], which is how discriminants of the twist families are obtained as
+exact polynomials in t.  Naive Sylvester determinants exist only in the
+test suite as an oracle.
 
 Zero and constant polynomials are rejected with ``ValueError`` wherever the
 operation is undefined; nothing silently returns 0.
@@ -20,6 +23,7 @@ operation is undefined; nothing silently returns 0.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -254,6 +258,23 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if a else a
 
 
+class IntPoly(Poly):
+    """Polynomial with ``int`` coefficients: ``Poly`` over the ring Z.
+
+    It inherits the ring operations only, which is all the subresultant
+    elimination needs; ``resultant`` and ``discriminant`` clear the
+    denominators of their arguments once and eliminate in it.
+    """
+
+    __slots__ = ()
+
+    _coerce = staticmethod(operator.index)  # TypeError on a Fraction
+    _zero = 0
+
+    def derivative(self) -> "IntPoly":
+        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+
 class BivarPoly(Poly):
     """Polynomial in x whose coefficients are ``Poly`` values in t."""
 
@@ -287,13 +308,9 @@ class BivarPoly(Poly):
 
 
 def _exact_div(a, b):
-    """a / b for coefficients where b is known to divide a.
-
-    Division in Q; in Q[t] a nonzero remainder raises ``ArithmeticError``,
-    since it would mean the elimination lost exactness.
-    """
-    if not isinstance(b, Poly):
-        return a / b
+    """a / b for ring elements (ints, or ``Poly`` values in t) where b is
+    known to divide a; a nonzero remainder raises ``ArithmeticError``, since
+    it would mean the elimination lost exactness."""
     q, r = divmod(a, b)
     if r:
         raise ArithmeticError("inexact coefficient division in elimination")
@@ -317,8 +334,9 @@ def _pseudo_rem(a, b):
 def _resultant_core(a, b):
     """Resultant of two nonzero polynomials via the subresultant sequence.
 
-    Works over either coefficient ring; intermediate divisions are exact by
-    the subresultant theory.
+    Works over either coefficient ring, Z (``IntPoly``) or Q[t]
+    (``BivarPoly``); intermediate divisions are exact by the subresultant
+    theory.
     """
     sign = 1
     if a.degree < b.degree:
@@ -363,18 +381,33 @@ def _discriminant(f, df):
 # ---------------------------------------------------------------------------
 
 
+def clear_denominators(f: Poly) -> tuple[IntPoly, int]:
+    """(F, m): F = m * f with integer coefficients, m the lcm of the
+    denominators of f."""
+    m = math.lcm(*(c.denominator for c in f.coeffs))
+    return IntPoly([c.numerator * (m // c.denominator) for c in f.coeffs]), m
+
+
 def resultant(f: Poly, g: Poly) -> Fraction:
-    """Res(f, g); equals the Sylvester determinant of f and g."""
+    """Res(f, g); equals the Sylvester determinant of f and g.
+
+    Runs over Z: Res(F/a, G/b) = Res(F, G) / (a^deg g * b^deg f).
+    """
     if not f or not g:
         raise ValueError("resultant requires nonzero polynomials")
-    return _resultant_core(f, g)
+    (fi, a), (gi, b) = clear_denominators(f), clear_denominators(g)
+    return Fraction(_resultant_core(fi, gi), a**g.degree * b**f.degree)
 
 
 def discriminant(f: Poly) -> Fraction:
-    """(-1)**(n(n-1)/2) / lc(f) * Res(f, f'); zero iff f has a repeated root."""
+    """(-1)**(n(n-1)/2) / lc(f) * Res(f, f'); zero iff f has a repeated root.
+
+    Runs over Z: disc(F/m) = disc(F) / m^(2n-2).
+    """
     if f.degree < 1:
         raise ValueError("discriminant requires degree >= 1")
-    return _discriminant(f, f.derivative())
+    fi, m = clear_denominators(f)
+    return Fraction(_discriminant(fi, fi.derivative()), m ** (2 * f.degree - 2))
 
 
 def discriminant_in_t(p: BivarPoly) -> Poly:

@@ -91,7 +91,9 @@ def is_square(n: int) -> bool:
 
 
 def valuation_int(n: int, p: int) -> int:
-    """Exponent of p in n != 0."""
+    """Exponent of p >= 2 in n != 0."""
+    if p < 2:
+        raise ValueError(f"valuation at {p} is undefined")
     if n == 0:
         raise ValueError("valuation of zero")
     n = abs(n)
@@ -124,7 +126,12 @@ def factor_trial(n: int, bound: int) -> tuple[dict[int, int], int]:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Order of a modulo n; requires gcd(a, n) = 1."""
+    """Order of a modulo n >= 1; requires gcd(a, n) = 1.  Every a has order
+    1 modulo 1."""
+    if n < 1:
+        raise ValueError(f"modulus {n} must be positive")
+    if n == 1:
+        return 1
     a %= n
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} not invertible mod {n}")

@@ -124,10 +124,13 @@ def t_key(d, u, v):
 
 
 def test_sweep_one_subresultant_per_candidate(monkeypatch):
-    # A sweep runs the subresultant once, for discriminant_in_t(P), and reads
-    # every full-degree candidate's discriminant off it; only a distinct
+    # A family runs the subresultant once, for discriminant_in_t(P), which
+    # disc_form and every sweep over the family share; each full-degree
+    # candidate's discriminant is read off it, and only a distinct
     # specialization that drops degree (u = 0 on an even d) runs one more.
-    # The discriminant is shared by the report, the evidence and the witness
+    # The calls are counted from the construction of the family on, so the
+    # count is the same whether disc_form ran (build_family) or not.  The
+    # discriminant is shared by the report, the evidence and the witness
     # search, and the certificates still equal the ones the public path
     # computes from the polynomial alone.
     monkeypatch.setenv(WORKERS_ENV, "1")
@@ -139,18 +142,22 @@ def test_sweep_one_subresultant_per_candidate(monkeypatch):
         return core(a, b)
 
     cases = (
-        (small_cubic_family(), 3, SweepBudgets(prime_budget=10, kernel_bound=30_000)),
-        (build_family((1, 1), 5)[1], 2, SweepBudgets()),
-        (build_family((1, 1), 4)[1], 2, SweepBudgets()),
+        (small_cubic_family, 3, SweepBudgets(prime_budget=10, kernel_bound=30_000)),
+        (lambda: build_family((1, 1), 5)[1], 2, SweepBudgets()),
+        (lambda: build_family((1, 1), 4)[1], 2, SweepBudgets()),
     )
     dropped_total = 0
-    for fam, box, budgets in cases:
+    for build, box, budgets in cases:
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(polyarith, "_resultant_core", counted_core)
+            fam = build()
             cands = sweep(fam, box, budgets=budgets)
-        dropped = {t_key(fam.d, c.u, c.v) for c in cands if 1 <= c.poly.degree < fam.d}
-        assert len(calls) == 1 + len(dropped)
+            dropped = {t_key(fam.d, c.u, c.v) for c in cands if 1 <= c.poly.degree < fam.d}
+            assert len(calls) == 1 + len(dropped)
+            calls.clear()
+            assert sweep(fam, box, budgets=budgets) == cands
+            assert len(calls) == len(dropped)  # discriminant_in_t(P) is kept
         dropped_total += len(dropped)
         checked = 0
         for c in cands:
@@ -176,9 +183,9 @@ def test_sweep_reads_cycle_types_off_the_table(monkeypatch):
     real = padic.good_prime_cycle_type
     factored = []
 
-    def counted(coeffs, p):
+    def counted(coeffs, p, parity=None):
         factored.append(p)
-        return real(coeffs, p)
+        return real(coeffs, p, parity)
 
     monkeypatch.setattr(padic, "good_prime_cycle_type", counted)
     monkeypatch.setattr(family, "good_prime_cycle_type", counted)
@@ -189,6 +196,25 @@ def test_sweep_reads_cycle_types_off_the_table(monkeypatch):
     )
     assert scanned > 1500
     assert 4 * len(factored) < scanned
+
+
+def test_sweep_parity_spares_powerings(monkeypatch):
+    # The parity of Frobenius, read off each candidate's discriminant, ends
+    # the factorization of an odd cubic before any F_p arithmetic, so a
+    # compact cubic sweep computes x^p mod (spec, p) only for the even
+    # table misses: 242 times without the parity, at most 130 with it.
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    real = padic._x_power
+    powerings = []
+
+    def counted(e, red, p):
+        powerings.append(p)
+        return real(e, red, p)
+
+    monkeypatch.setattr(padic, "_x_power", counted)
+    cands = sweep(small_cubic_family(), 12, budgets=SweepBudgets(prime_budget=10))
+    assert sum(c.certificate.certified for c in cands) > 300
+    assert len(powerings) <= 130
 
 
 FIELDS = [f.name for f in dataclasses.fields(counting.FieldCandidate)]

@@ -18,7 +18,15 @@ from sdtwists.galois import (
 )
 from sdtwists.padic import CycleType, frobenius_cycle_type
 from sdtwists.polyarith import Poly, _normalize_factor, discriminant
-from sdtwists.primes import PROOF_BOUND, is_prime, iter_primes_up_to, primes, primes_up_to
+from sdtwists.primes import (
+    PROOF_BOUND,
+    is_prime,
+    iter_primes_up_to,
+    multiplicative_order,
+    primes,
+    primes_up_to,
+    valuation_int,
+)
 
 
 def cubic():
@@ -98,6 +106,26 @@ def test_miller_rabin_proof_bound():
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 1000, 1024, 1031, 30_000])
 def test_iter_primes_up_to_matches_list(bound):
     assert list(iter_primes_up_to(bound)) == primes_up_to(bound)
+
+
+def test_multiplicative_order_small_and_invalid_moduli():
+    # Every a has order 1 modulo 1; a modulus below 1 is an error, not an
+    # endless loop.
+    assert multiplicative_order(5, 1) == 1
+    assert multiplicative_order(0, 1) == 1
+    assert multiplicative_order(3, 7) == 6
+    assert multiplicative_order(-1, 7) == 2
+    for n in (0, -1, -7):
+        with pytest.raises(ValueError):
+            multiplicative_order(3, n)
+
+
+def test_valuation_needs_a_base_of_at_least_two():
+    assert valuation_int(12, 2) == 2
+    assert valuation_int(-12, 3) == 1
+    for p in (1, 0, -1, -2):
+        with pytest.raises(ValueError):
+            valuation_int(12, p)
 
 
 def test_collect_evidence_cubic_certifies():

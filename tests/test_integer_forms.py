@@ -26,7 +26,7 @@ from sdtwists.family import (
     twist_polynomial,
     verify_new_point,
 )
-from sdtwists.padic import frobenius_cycle_type, good_prime_cycle_type
+from sdtwists.padic import frobenius_cycle_type, frobenius_parity, good_prime_cycle_type
 from sdtwists.polyarith import BivarPoly, Poly, discriminant
 from sdtwists.primes import primes_up_to
 
@@ -183,11 +183,13 @@ def test_cycle_type_table_matches_direct_factorization(views, name, pair):
     spec, lam = specialize_fraction(view.family, u, v)
     assume(spec.degree == view.d)
     ints, good = good_primes(spec, table_primes(view))
+    disc = int(discriminant(spec))
     content = content_of(view, lam, v)
     for p in good:
-        # served from the table or factored directly, the answer is the
-        # direct factorization of spec mod p
-        got = view.cycle_type(ints, p, u, v)
+        # served from the table or factored directly, and with the parity
+        # of Frobenius as a sweep passes it, the answer is the direct
+        # factorization of spec mod p
+        got = view.cycle_type(ints, p, u, v, frobenius_parity(disc, p))
         assert got == good_prime_cycle_type(ints, p) == frobenius_cycle_type(spec, p)
         key = (p, u * pow(v, -1, p) % p) if v % p else None
         keyed = (v * view._P.den * content) % p != 0

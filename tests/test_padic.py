@@ -3,12 +3,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from sdtwists.polyarith import Poly
+from sdtwists import padic
+from sdtwists.polyarith import Poly, _normalize_factor, discriminant
 from sdtwists.padic import (
     CycleType,
     cycle_certificate,
     frobenius_cycle_type,
+    frobenius_parity,
+    good_prime_cycle_type,
     n_cycle_type,
     newton_polygon,
     valuation,
@@ -212,3 +216,137 @@ def test_cycle_type_validation():
     with pytest.raises(ValueError):
         CycleType((0, 3))
     assert CycleType((1, 3, 2)).parts == (3, 2, 1)
+
+
+# -- the parity of Frobenius ------------------------------------------------------
+
+
+def brute_partitions(m, least):
+    """Partitions of m into parts >= least, from all 2^(m-1) compositions."""
+    if m == 0:
+        return {()}
+    out = set()
+    for cuts in range(1 << (m - 1)):
+        parts, run = [], 1
+        for i in range(m - 1):
+            if cuts >> i & 1:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        parts.append(run)
+        if min(parts) >= least:
+            out.add(tuple(sorted(parts)))
+    return out
+
+
+def test_partitions_match_brute_force():
+    for m in range(13):
+        for least in range(1, m + 2):
+            got = list(padic._partitions(m, least))
+            want = brute_partitions(m, least)
+            assert len(got) == len(set(got)) and set(got) == want, (m, least)
+            for parity in (None, 0, 1):
+                fits = [q for q in want if parity is None or (m - len(q)) % 2 == parity]
+                sole = fits[0] if len(fits) == 1 else None
+                assert padic._sole_partition(m, least, parity) == sole, (m, least, parity)
+
+
+def primitive_with_good_prime(data, degree, p):
+    """A primitive integral polynomial of the degree with p dividing neither
+    its lead nor its discriminant, as (coefficients, discriminant)."""
+    coeffs = data.draw(st.lists(st.integers(-60, 60), min_size=degree, max_size=degree))
+    lead = data.draw(st.integers(1, 60).filter(lambda c: c % p))
+    g = _normalize_factor(Poly(coeffs + [lead]))
+    disc = discriminant(g).numerator
+    assume(disc % p)
+    return [c.numerator for c in g.coeffs], disc
+
+
+PRIMES_TO_200 = st.one_of(st.sampled_from([2, 3]), st.sampled_from(primes_up_to(200)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(degree=st.integers(2, 8), p=PRIMES_TO_200, data=st.data())
+def test_parity_from_discriminant_matches_factorization(degree, p, data):
+    # Stickelberger: (n - number of factors) mod 2 is read off disc, by a
+    # Legendre symbol for odd p and disc mod 8 for p = 2; the pruned kernel
+    # then agrees with the full loop.
+    coeffs, disc = primitive_with_good_prime(data, degree, p)
+    full = good_prime_cycle_type(coeffs, p)
+    parity = frobenius_parity(disc, p)
+    assert parity == (degree - len(full.parts)) % 2
+    assert good_prime_cycle_type(coeffs, p, parity) == full
+
+
+def test_parity_from_discriminant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    @settings(max_examples=200, deadline=None)
+    @given(degree=st.integers(2, 8), p=PRIMES_TO_200, data=st.data())
+    def check(degree, p, data):
+        coeffs, disc = primitive_with_good_prime(data, degree, p)
+        _, factors = sympy.Poly(list(reversed(coeffs)), x, modulus=p).factor_list()
+        count = sum(mult for _, mult in factors)
+        assert frobenius_parity(disc, p) == (degree - count) % 2
+        want = sorted((q.degree() for q, mult in factors for _ in range(mult)), reverse=True)
+        assert list(good_prime_cycle_type(coeffs, p, frobenius_parity(disc, p)).parts) == want
+
+    check()
+
+
+def test_odd_cubic_and_quadratics_need_no_powering(monkeypatch):
+    cubic = [1, -1, 0, 1]  # x^3 - x + 1: disc -23, a non-square mod 5
+    assert frobenius_cycle_type(Poly(cubic), 5) == CycleType((2, 1))
+
+    def refuse(*args):
+        raise AssertionError("x^p mod f was computed")
+
+    monkeypatch.setattr(padic, "_x_power", refuse)
+    assert frobenius_parity(-23, 5) == 1
+    assert padic.distinct_degree_pattern([c % 5 for c in cubic], 5, 1) == [1, 2]
+    assert good_prime_cycle_type(cubic, 5, 1) == CycleType((2, 1))
+    # x^2 + 1, disc -4: a square mod 5 (splits), a non-square mod 3
+    assert good_prime_cycle_type([1, 0, 1], 5, frobenius_parity(-4, 5)) == CycleType((1, 1))
+    assert good_prime_cycle_type([1, 0, 1], 3, frobenius_parity(-4, 3)) == CycleType((2,))
+
+
+def test_parity_stops_after_the_linear_factors(monkeypatch):
+    # With the parity, a quintic is settled once its linear factors are
+    # split off (the rest is [5], [2, 3], [4], [2, 2], [3] or [2], each the
+    # only pattern of its parity), so one gcd is taken and the Frobenius
+    # matrix is never built; so is a sextic with a linear factor.
+    rng = random.Random(43)
+    real = padic._pgcd
+    gcds = []
+
+    def counted(a, b, p):
+        gcds.append(p)
+        return real(a, b, p)
+
+    checked = {5: 0, 6: 0}
+    for p in primes_up_to(60):
+        for degree in (5, 6):
+            for _ in range(12):
+                coeffs = random_integer_poly(rng, degree, p)
+                disc = discriminant(Poly(coeffs)).numerator
+                if disc % p == 0:
+                    continue
+                full = frobenius_cycle_type(Poly(coeffs), p)
+                with monkeypatch.context() as patch:
+                    patch.setattr(padic, "_pgcd", counted)
+                    gcds.clear()
+                    assert good_prime_cycle_type(coeffs, p, frobenius_parity(disc, p)) == full
+                if degree == 5 or 1 in full.parts:
+                    assert len(gcds) == 1, (coeffs, p, full)
+                    checked[degree] += 1
+    assert checked[5] > 100 and checked[6] > 50
+
+
+def test_parity_contradiction_is_an_error():
+    # x^3 - x + 1 is [2, 1] mod 5, an odd permutation.  Claimed even, the
+    # loop splits off both factors and finds the parity owed unmet; that
+    # raises instead of looping on.
+    with pytest.raises(ArithmeticError):
+        good_prime_cycle_type([1, -1, 0, 1], 5, 0)

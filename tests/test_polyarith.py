@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sdtwists.polyarith import (
     _exact_div,
     BivarPoly,
+    IntPoly,
     Poly,
     descartes_sign_changes,
     discriminant,
@@ -222,6 +223,49 @@ def test_inexact_coefficient_division_raises(a, low, lead, r):
 def test_disc_in_t_commutes_with_specialization(p, t0):
     assume(p.degree >= 1 and p.lead(t0))
     assert discriminant_in_t(p)(t0) == discriminant(p.eval_t(t0))
+
+
+# -- eliminations over Z -------------------------------------------------------
+
+big_rationals = st.fractions(max_denominator=10**12).filter(lambda c: abs(c) < 10**15)
+
+
+def rational_polys(min_degree):
+    return st.lists(big_rationals, min_size=min_degree, max_size=8).flatmap(
+        lambda low: big_rationals.filter(bool).map(lambda lead: Poly(low + [lead]))
+    )
+
+
+def oracle_discriminant(f):
+    n = f.degree
+    disc = oracles.sylvester_resultant(f, f.derivative()) / f.lead
+    return -disc if (n * (n - 1) // 2) % 2 else disc
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_polys(1), rational_polys(0))
+def test_z_eliminations_match_sylvester_oracle(f, g):
+    # resultant and discriminant clear denominators once and eliminate over
+    # Z; the Fraction-exact Sylvester determinant is the reference.
+    assert resultant(f, g) == oracles.sylvester_resultant(f, g)
+    assert resultant(g, f) == oracles.sylvester_resultant(g, f)
+    assert discriminant(f) == oracle_discriminant(f)
+
+
+def test_int_poly_is_the_integer_ring():
+    a = IntPoly([3, -2, 1])
+    assert all(type(c) is int for c in (a * a - a.shift(1)).coeffs)
+    assert a.derivative() == IntPoly([-2, 2])
+    with pytest.raises(TypeError):
+        IntPoly([F(1, 2)])
+
+
+def test_inexact_integer_division_raises():
+    assert _exact_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        _exact_div(7, 2)
+    with pytest.raises(ArithmeticError):
+        _exact_div(-7, 2)
 
 
 # -- squarefree decomposition -------------------------------------------------
