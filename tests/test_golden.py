@@ -1,9 +1,10 @@
 """Stored golden reports: every refactor must keep these bytes unchanged.
 
-The scenarios are the five of acceptance criterion 14 plus three that reach
-the certify pipeline, the family construction and a built-family sweep (the
-standard route, the transposition-witness search and the bivariate
-discriminant).  Each report is stored as JSON and as CSV under
+The scenarios are the five of acceptance criterion 14 plus four that reach
+the certify pipeline, the family construction and two built-family sweeps
+(the standard route, the transposition-witness search and the bivariate
+discriminant).  ``sweep_d6`` factors its discriminants to a small kernel
+bound and finds transposition witnesses above it, up to its trial bound.  Each report is stored as JSON and as CSV under
 ``tests/golden``.
 
 Regenerate the files, after a change that is meant to alter reports, with
@@ -31,6 +32,8 @@ SCENARIOS = {
     "certify": dict(mode="certify", poly=(-1, -1, 0, 1)),
     "family_d5": dict(mode="family", curve=(1, 1), degree=5),
     "sweep_d5": dict(mode="sweep", curve=(1, 1), degree=5, box=3),
+    "sweep_d6": dict(mode="sweep", curve=(1, 1), degree=6, box=3,
+                     kernel_bound=300, trial_bound=3000),
 }
 
 
