@@ -120,6 +120,8 @@ class RunConfig:
                      "local_bound", "ev_count", "d_min", "d_max", "pair_power"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name}: must be positive")
+        if self.kernel_bound < 2:
+            raise UsageError("kernel_bound: must be at least 2")
 
     def echo(self) -> dict:
         out: dict[str, Any] = {}

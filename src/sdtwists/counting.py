@@ -30,8 +30,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import galois
 from .family import IntegerFamily, TwistFamily, WeierstrassModel
 from .galois import SdCertificate
-from .polyarith import Poly, binary_form_value, squarefree_decompose
-from .primes import factor_trial, is_square, iter_primes_up_to, primes_up_to
+from .polyarith import IntPoly, Poly, binary_form_value, squarefree_decompose
+from .primes import factor_trial, is_square, primes_up_to
 
 KERNEL_COMPLETE = "complete"
 KERNEL_PARTIAL = "partial"
@@ -56,13 +56,18 @@ def squarefree_kernel(n: int, trial_bound: int) -> tuple[int, str, int]:
     """
     if n == 0:
         raise ValueError("kernel of zero is undefined")
+    return _kernel_of(n, *factor_trial(n, _checked_bound(trial_bound)))
+
+
+def _checked_bound(trial_bound: int) -> int:
     if trial_bound < 2:
         raise ValueError("trial bound must be at least 2")
-    exponents, cofactor = factor_trial(n, trial_bound)
-    kernel = 1
-    for p, e in exponents.items():
-        if e % 2:
-            kernel *= p
+    return trial_bound
+
+
+def _kernel_of(n: int, exponents: dict[int, int], cofactor: int) -> tuple[int, str, int]:
+    """``squarefree_kernel`` of n from (exponents, cofactor) = factor_trial(n, B)."""
+    kernel = math.prod(p for p, e in exponents.items() if e % 2)
     if n < 0:
         kernel = -kernel
     if cofactor == 1 or is_square(cofactor):
@@ -117,6 +122,17 @@ def _candidate(
     disc = family.discriminant(p_spec, lam, u, v) if p_spec.degree >= 1 else 0
     point_ok = p_spec.degree >= 1 and family.point_holds(p_spec, u, v)
 
+    # One small-prime pass per discriminant: the kernel and the witness
+    # search share this factorization.
+    if disc == 0:
+        kernel, flag, cofactor = 0, KERNEL_ZERO, 0
+        factored = None
+    else:
+        bound = _checked_bound(budgets.kernel_bound)
+        exponents, rest = factor_trial(disc, bound)
+        factored = (exponents, rest, bound)
+        kernel, flag, cofactor = _kernel_of(disc, exponents, rest)
+
     if disc == 0 or p_spec.degree != d:
         evidence = galois.GaloisEvidence(
             degree=max(p_spec.degree, 2),
@@ -135,13 +151,9 @@ def _candidate(
             polygon_primes=budgets.polygon_primes,
             trial_bound=budgets.trial_bound,
             lookup=lambda coeffs, p, parity: family.cycle_type(coeffs, p, u, v, parity),
+            factored=factored,
         )
         cert = galois.certify_sd(evidence)
-
-    if disc == 0:
-        kernel, flag, cofactor = 0, KERNEL_ZERO, 0
-    else:
-        kernel, flag, cofactor = squarefree_kernel(disc, budgets.kernel_bound)
 
     return FieldCandidate(
         u=u,
@@ -405,15 +417,9 @@ def _squarefree_status(n: int, bound: int) -> Optional[bool]:
     """True/False when decided by trial division to the bound, None otherwise."""
     if n == 0:
         return False
-    m = abs(n)
-    for p in iter_primes_up_to(bound):
-        if p * p > m:
-            return True  # remaining cofactor is prime
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return False
-            # p removed exactly once
+    exponents, m = factor_trial(n, bound)
+    if any(e >= 2 for e in exponents.values()):
+        return False
     if m == 1:
         return True
     if is_square(m):
@@ -594,24 +600,46 @@ def ev_instance(
     model: WeierstrassModel, d: int, y: Fraction, a: Sequence[int], b: Sequence[int]
 ) -> EVInstance:
     """Assemble H = F^2 - f G^2 from box coordinates and check the bounds."""
-    f = model.f
+    return _ev_instance(model, d, y, a, b, _ev_limits(model, d, y))
+
+
+def _ev_limits(model: WeierstrassModel, d: int, y: Fraction) -> tuple[Fraction, list[int]]:
+    """(C, limits): C = ``ev_bound_constant`` and limits[k] = floor(m*C*Y^k),
+    the bound on the integer coefficient of x^(d-k) in m*H, for m the
+    denominator of f."""
+    c_bound = ev_bound_constant(model, d)
+    m = model.f_cleared[1]
+    return c_bound, [math.floor(m * c_bound * y**k) for k in range(d + 1)]
+
+
+def _ev_instance(
+    model: WeierstrassModel,
+    d: int,
+    y: Fraction,
+    a: Sequence[int],
+    b: Sequence[int],
+    limits: tuple[Fraction, list[int]],
+) -> EVInstance:
+    """``ev_instance`` with the bounds of ``_ev_limits``.
+
+    H is built as m*H = m*F^2 - (m*f)*G^2 over Z, with m the denominator of
+    f cleared once per model, bounded in integers and divided by m once.
+    """
+    f_int, m = model.f_cleared
     if d % 2 == 0:
         # F monic of degree d/2; a[k-1] multiplies x^(d/2 - k)
-        fc = [Fraction(1)] + [Fraction(c) for c in a]
-        F = Poly(list(reversed(fc)))
-        gc = [Fraction(c) for c in b]  # degrees d/2-2 .. 0
-        G = Poly(list(reversed(gc))) if gc else Poly()
+        F = IntPoly([*reversed(a), 1])
+        G = IntPoly(list(reversed(b)))  # degrees d/2-2 .. 0
     else:
-        fc = [Fraction(c) for c in a]  # a0 x^((d-1)/2) + ...
-        F = Poly(list(reversed(fc)))
-        gc = [Fraction(1)] + [Fraction(c) for c in b]
-        G = Poly(list(reversed(gc)))
-    H = F * F - f * G * G
-    c_bound = ev_bound_constant(model, d)
-    ok = H.degree == d and all(
-        abs(H.coeff(d - k)) <= c_bound * y**k for k in range(0, d + 1)
+        F = IntPoly(list(reversed(a)))  # a0 x^((d-1)/2) + ...
+        G = IntPoly([*reversed(b), 1])
+    mH = (F * F).scale(m) - f_int * G * G
+    c_bound, bounds = limits
+    ok = mH.degree == d and all(abs(mH.coeff(d - k)) <= bounds[k] for k in range(d + 1))
+    return EVInstance(
+        d=d, Y=y, F=Poly(F.coeffs), G=Poly(G.coeffs),
+        H=Poly([Fraction(c, m) for c in mH.coeffs]), bound_constant=c_bound, bounds_ok=ok,
     )
-    return EVInstance(d=d, Y=y, F=F, G=G, H=H, bound_constant=c_bound, bounds_ok=ok)
 
 
 def ev_generate(
@@ -620,6 +648,7 @@ def ev_generate(
     """Stream box instances: exhaustive for small boxes, else seeded sampling."""
     y = Fraction(y)
     a_bounds, b_bounds = ev_boxes(d, y)
+    limits = _ev_limits(model, d, y)
     volume = 1
     for bound in a_bounds + b_bounds:
         volume *= 2 * bound + 1
@@ -641,13 +670,13 @@ def ev_generate(
             count += 1
             a = coords[: len(a_bounds)]
             b = coords[len(a_bounds) :]
-            yield finish(ev_instance(model, d, y, a, b))
+            yield finish(_ev_instance(model, d, y, a, b, limits))
     else:
         rng = random.Random(config.seed)
         for _ in range(config.max_instances):
             a = [rng.randint(-bound, bound) for bound in a_bounds]
             b = [rng.randint(-bound, bound) for bound in b_bounds]
-            yield finish(ev_instance(model, d, y, a, b))
+            yield finish(_ev_instance(model, d, y, a, b, limits))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from typing import Optional
 from .padic import CycleType, good_prime_cycle_type, reduce_poly_mod, valuation
 from .polyarith import (
     BivarPoly,
+    IntPoly,
     Poly,
     binary_form_value,
     clear_denominators,
@@ -78,6 +79,11 @@ class WeierstrassModel:
     @property
     def f(self) -> Poly:
         return Poly([self.D, self.C, self.B, 1])
+
+    @cached_property
+    def f_cleared(self) -> tuple[IntPoly, int]:
+        """(F, m) = clear_denominators(f), computed once per model."""
+        return clear_denominators(self.f)
 
 
 @dataclass(frozen=True)
@@ -548,7 +554,7 @@ class IntegerFamily:
         self._P = _Forms.of(family.P)
         self._F = _Forms.of(family.point_num)
         self._G = _Forms.of(family.point_den)
-        f, self._f_den = clear_denominators(family.model.f)
+        f, self._f_den = family.model.f_cleared
         self._f = list(f.coeffs)
         self._disc: Optional[tuple[tuple[int, ...], int]] = None
         self._cycle_types: dict[tuple[int, int], CycleType] = {}

@@ -40,10 +40,15 @@ with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of
 which is a single transposition (one even part, equal to 2).
 
 Each polynomial's discriminant is computed once and serves the good-prime
-scan, the square test and the witness search.  The public entry points
-compute it themselves from the polynomial they are given; a sweep, which has
-already computed it for the report, hands it to the private helpers, so the
-value a certificate rests on is always the discriminant of that polynomial.
+scan, the square test and one shared small-prime pass: a single
+``primes.factor_trial`` of it gives a sweep candidate both its squarefree
+kernel and the exponents the witness search reads, and the search extends
+that factorization, on its cofactor only, to the trial bound when no
+witness lies below the kernel's bound.  The public entry points compute the
+discriminant and its factorization themselves from the polynomial they are
+given; a sweep, which has already computed both for the report, hands them
+to the private helpers, so the value a certificate rests on is always the
+discriminant of that polynomial.
 """
 
 from __future__ import annotations
@@ -51,18 +56,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from . import padic
 from .padic import CycleType
 from .polyarith import Poly, _normalize_factor, discriminant
-from .primes import PROOF_BOUND, is_prime, is_square, iter_primes_up_to, primes, valuation_int
+from .primes import (
+    PROOF_BOUND,
+    SMALL_PRIME_BOUND,
+    extend_factorization,
+    factor_trial,
+    is_prime,
+    is_square,
+    primes,
+    valuation_int,
+)
 
 # cycle_type(coeffs, p, parity) of Frobenius at a good prime p for the
 # integer polynomial coeffs, whose Frobenius there has the given parity, as
 # ``padic.good_prime_cycle_type`` computes it.
 CycleLookup = Callable[[list[int], int, int], CycleType]
+
+# (exponents, cofactor, bound): ``primes.factor_trial(disc, bound)`` and the
+# bound it ran to.
+Factored = tuple[dict[int, int], int, int]
 
 # Stop scanning for good primes after this many total candidates; only
 # degenerate inputs (e.g. squarefull polynomials, where every prime is bad)
@@ -220,21 +237,45 @@ def _proved_primes(extra_primes: Sequence[int]) -> tuple[int, ...]:
 
 
 def _witness(
-    g: Poly, disc: Fraction, trial_bound: int, extra_primes: Sequence[int]
+    g: Poly,
+    disc: Fraction,
+    trial_bound: int,
+    extra_primes: Sequence[int],
+    factored: Optional[Factored] = None,
 ) -> Optional[int]:
     """``transposition_witness`` for normalized g with disc = discriminant(g)
-    and extras already proved prime."""
+    and extras already proved prime.
+
+    ``factored`` = (exponents, cofactor, bound) is ``factor_trial(disc,
+    bound)`` with its bound, when the caller has it; the primes up to
+    ``primes.SMALL_PRIME_BOUND`` are factored here otherwise.  The search
+    extends that factorization to ``trial_bound``, on the cofactor only,
+    when no witness lies below its bound.
+    """
     if disc == 0:
         raise ValueError("discriminant vanishes; no transposition witness exists")
     n = abs(disc.numerator)
     lead = g.lead.numerator
-    extras = sorted({p for p in extra_primes if p > trial_bound})
-    for p in chain(iter_primes_up_to(trial_bound), extras):
+    if factored is None:
+        bound = min(trial_bound, SMALL_PRIME_BOUND)
+        factored = (*factor_trial(n, bound), bound)
+    exponents, cofactor, bound = factored
+
+    def least(exponents: dict[int, int]) -> Optional[int]:
+        return min(
+            (p for p, e in exponents.items() if e == 1 and p <= trial_bound and lead % p),
+            default=None,
+        )
+
+    found = least(exponents)
+    if found is None and trial_bound > bound:
+        found = least(extend_factorization(exponents, cofactor, bound, trial_bound)[0])
+    if found is not None:
+        return found
+    for p in sorted({p for p in extra_primes if p > trial_bound}):
         if p > n:
             break
-        if lead % p == 0 or n % p:
-            continue
-        if valuation_int(n, p) == 1:
+        if lead % p and n % p == 0 and valuation_int(n, p) == 1:
             return p
     return None
 
@@ -274,10 +315,12 @@ def _evidence(
     extra_primes: Sequence[int] = (),
     skip_witness_for_cubic: bool = True,
     lookup: Optional[CycleLookup] = None,
+    factored: Optional[Factored] = None,
 ) -> GaloisEvidence:
     """``collect_evidence`` for normalized g with disc = discriminant(g),
-    extras already proved prime, and an optional cycle-type lookup for the
-    good-prime scan."""
+    extras already proved prime, an optional cycle-type lookup for the
+    good-prime scan and an optional factorization of disc for the witness
+    search (see ``_witness``)."""
     d = g.degree
     provenance: list[tuple[str, int, str]] = []
     scan, irred, route = _irreducibility(g, disc, prime_budget, lookup)
@@ -302,7 +345,7 @@ def _evidence(
     witness = None
     cubic_shortcut = d == 3 and irred == CERTIFIED and not disc_square
     if disc != 0 and irred == CERTIFIED and not (cubic_shortcut and skip_witness_for_cubic):
-        witness = _witness(g, disc, trial_bound, extra_primes)
+        witness = _witness(g, disc, trial_bound, extra_primes, factored)
         if witness is not None:
             provenance.append(("transposition_witness", witness, "v_p(disc)=1"))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
@@ -13,6 +14,10 @@ from typing import Iterator
 # alone do not: 318665857834031151167461 is a strong pseudoprime to 2..37.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PROOF_BOUND = 3_317_044_064_679_887_385_961_981
+
+# ``factor_trial`` tries the primes up to this bound one by one; the primes
+# above it, up to the trial bound, are found by one gcd with their product.
+SMALL_PRIME_BOUND = 500
 
 _sieve_limit = 0
 _sieve_primes: list[int] = []
@@ -40,12 +45,27 @@ def primes_up_to(n: int) -> list[int]:
     return _sieve_primes[: bisect_right(_sieve_primes, n)]
 
 
-def iter_primes_up_to(n: int) -> Iterator[int]:
-    """All primes <= n, ascending, read off the shared sieve without copying it."""
+def iter_primes_up_to(n: int, above: int = 1) -> Iterator[int]:
+    """All primes p with above < p <= n, ascending, read off the shared sieve
+    without copying it."""
     if n < 2:
         return iter(())
     _extend_sieve(n)
-    return islice(_sieve_primes, bisect_right(_sieve_primes, n))
+    start = bisect_right(_sieve_primes, above)
+    return islice(_sieve_primes, start, bisect_right(_sieve_primes, n))
+
+
+@lru_cache(maxsize=16)
+def _prime_product(above: int, bound: int) -> int:
+    """Product of the primes p with above < p <= bound, by a product tree.
+
+    Keyed by the prime range alone and built on first use, like the sieve.
+    """
+    level = list(iter_primes_up_to(bound, above))
+    while len(level) > 1:
+        pairs = [a * b for a, b in zip(level[::2], level[1::2])]
+        level = pairs + level[len(pairs) * 2 :]
+    return level[0] if level else 1
 
 
 def primes() -> Iterator[int]:
@@ -105,24 +125,70 @@ def valuation_int(n: int, p: int) -> int:
 
 
 def factor_trial(n: int, bound: int) -> tuple[dict[int, int], int]:
-    """Factor |n| by primes <= bound; return (exponents, unfactored cofactor)."""
+    """Factor |n| by the primes <= bound; return (exponents, cofactor).
+
+    The exponents hold v_p(n) for every prime p <= bound dividing n, in
+    ascending order of p, and the cofactor is what is left of |n|: 1, or a
+    number whose prime factors all exceed the bound.  A prime cofactor above
+    the bound is returned as it is, unfactored.
+
+    Two stages.  The first divides by the primes up to ``SMALL_PRIME_BOUND``
+    one by one and stops once p^2 exceeds what is left, which is then 1 or a
+    prime.  Only if it did not stop, the second takes
+    g = gcd(m, prod(primes in (SMALL_PRIME_BOUND, bound]) mod m) for the
+    remainder m (D. J. Bernstein, "How to find smooth parts of integers",
+    2004) and finds the primes of g by a walk that stops at p^2 > g; the
+    product is built once per process and prime range.
+    """
     if n == 0:
         raise ValueError("cannot factor zero")
-    m = abs(n)
-    out: dict[int, int] = {}
-    for p in iter_primes_up_to(bound):
-        if p * p > m:
+    # No prime lies at or below 1: nothing is factored yet.
+    return extend_factorization({}, abs(n), min(bound, 1), bound)
+
+
+def extend_factorization(
+    exponents: dict[int, int], cofactor: int, done: int, bound: int
+) -> tuple[dict[int, int], int]:
+    """``factor_trial(n, bound)`` from (exponents, cofactor) =
+    ``factor_trial(n, done)``, done <= bound: only the cofactor is divided,
+    and only by the primes in (done, bound]."""
+    if bound < done:
+        raise ValueError(f"cannot extend a factorization to {done} down to {bound}")
+    out = dict(exponents)
+    m = cofactor
+    root = math.isqrt(m)
+    for p in iter_primes_up_to(min(bound, SMALL_PRIME_BOUND), done):
+        if p > root:  # p^2 > m
             break
         if m % p == 0:
-            v = 0
-            while m % p == 0:
-                m //= p
-                v += 1
-            out[p] = v
-    if 1 < m and m <= bound:
-        out[m] = out.get(m, 0) + 1
+            m, out[p] = _divide_out(m, p)
+            root = math.isqrt(m)
+    # m > above^2 only if the walk did not stop; then m has no prime factor
+    # <= above, and m <= above^2 would make it 1 or a prime.
+    above = max(done, SMALL_PRIME_BOUND)
+    if bound > above and m > above * above:
+        g = math.gcd(m, _prime_product(above, bound) % m)
+        for p in iter_primes_up_to(bound, above):
+            if p * p > g:
+                break
+            if g % p == 0:
+                g //= p
+                m, out[p] = _divide_out(m, p)
+        if g > 1:  # the last prime of g
+            m, out[g] = _divide_out(m, g)
+    if 1 < m <= bound:
+        out[m] = 1
         m = 1
     return out, m
+
+
+def _divide_out(m: int, p: int) -> tuple[int, int]:
+    """(m / p^v, v) for v = v_p(m) >= 1."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return m, v
 
 
 def multiplicative_order(a: int, n: int) -> int:

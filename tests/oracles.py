@@ -7,17 +7,102 @@ plus Lagrange interpolation, mod-p factorizations are found by exhaustive
 trial division over all monic polynomials, and specializations, point
 checks and whole sweep candidates are computed in ``Fraction`` arithmetic
 from P itself, with the public galois entry points, instead of from the
-integer forms a sweep uses.
+integer forms a sweep uses.  Trial factorizations and transposition
+witnesses walk the prime sieve one remainder per prime, instead of the
+staged product gcd of ``primes.factor_trial``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
+from typing import Optional, Sequence
 
 from sdtwists import galois
-from sdtwists.counting import KERNEL_ZERO, FieldCandidate, squarefree_kernel
-from sdtwists.polyarith import BivarPoly, Poly, discriminant, reduce_mod
+from sdtwists.counting import KERNEL_COMPLETE, KERNEL_PARTIAL, KERNEL_ZERO, FieldCandidate
+from sdtwists.polyarith import BivarPoly, Poly, _normalize_factor, discriminant, reduce_mod
+from sdtwists.primes import is_square, iter_primes_up_to, valuation_int
+
+
+def factor_trial_walk(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """Factor |n| by primes <= bound; return (exponents, unfactored cofactor)."""
+    if n == 0:
+        raise ValueError("cannot factor zero")
+    m = abs(n)
+    out: dict[int, int] = {}
+    for p in iter_primes_up_to(bound):
+        if p * p > m:
+            break
+        if m % p == 0:
+            v = 0
+            while m % p == 0:
+                m //= p
+                v += 1
+            out[p] = v
+    if 1 < m and m <= bound:
+        out[m] = out.get(m, 0) + 1
+        m = 1
+    return out, m
+
+
+def witness_walk(
+    f: Poly, trial_bound: int, extra_primes: Sequence[int] = ()
+) -> Optional[int]:
+    """Smallest prime p, p not dividing lc(f), with v_p(Disc f) = 1, by a
+    walk over the primes up to trial_bound and then the extras (taken as
+    proved prime)."""
+    g = _normalize_factor(f)
+    disc = discriminant(g)
+    if disc == 0:
+        raise ValueError("discriminant vanishes; no transposition witness exists")
+    n = abs(disc.numerator)
+    lead = g.lead.numerator
+    extras = sorted({p for p in extra_primes if p > trial_bound})
+    for p in chain(iter_primes_up_to(trial_bound), extras):
+        if p > n:
+            break
+        if lead % p == 0 or n % p:
+            continue
+        if valuation_int(n, p) == 1:
+            return p
+    return None
+
+
+def squarefree_status_walk(n: int, bound: int) -> Optional[bool]:
+    """``counting._squarefree_status`` by a walk that stops at the first
+    square factor: True/False when decided by trial division to the bound,
+    None otherwise."""
+    if n == 0:
+        return False
+    m = abs(n)
+    for p in iter_primes_up_to(bound):
+        if p * p > m:
+            return True  # remaining cofactor is prime
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return False
+            # p removed exactly once
+    if m == 1:
+        return True
+    if is_square(m):
+        return False
+    if m < bound**3:
+        return True  # at most two prime factors, not a square
+    return None
+
+
+def squarefree_kernel_walk(n: int, trial_bound: int) -> tuple[int, str, int]:
+    """``counting.squarefree_kernel`` on ``factor_trial_walk``."""
+    exponents, cofactor = factor_trial_walk(n, trial_bound)
+    kernel = math.prod(p for p, e in exponents.items() if e % 2)
+    if n < 0:
+        kernel = -kernel
+    if cofactor == 1 or is_square(cofactor):
+        return kernel, KERNEL_COMPLETE, 1
+    return kernel, KERNEL_PARTIAL, cofactor
 
 
 def specialize_fraction(family, u: int, v: int) -> tuple[Poly, Fraction]:
@@ -49,7 +134,8 @@ def verify_new_point_fraction(p_spec: Poly, family, u: int, v: int) -> bool:
 
 def reference_candidate(family, u, v, budgets, modulus=None) -> FieldCandidate:
     """One sweep record from the Fraction references, the subresultant
-    discriminant and the public ``collect_evidence`` (no cycle-type table)."""
+    discriminant, the public ``collect_evidence`` (no cycle-type table) and
+    the prime walks above for the witness and the kernel."""
     poly, _ = specialize_fraction(family, u, v)
     disc = int(discriminant(poly)) if poly.degree >= 1 else 0
     point_ok = poly.degree >= 1 and verify_new_point_fraction(poly, family, u, v)
@@ -64,15 +150,28 @@ def reference_candidate(family, u, v, budgets, modulus=None) -> FieldCandidate:
         )
         cert = galois.SdCertificate(galois.INCONCLUSIVE, evidence)
     else:
+        # No prime lies at or below 1: the witness comes from the walk.
         evidence = galois.collect_evidence(
             poly, family.d, budgets.prime_budget,
-            polygon_primes=budgets.polygon_primes, trial_bound=budgets.trial_bound,
+            polygon_primes=budgets.polygon_primes, trial_bound=1,
         )
+        certified = evidence.irreducibility == galois.CERTIFIED
+        cubic_shortcut = family.d == 3 and certified and evidence.disc_is_square is False
+        witness = None
+        if certified and not cubic_shortcut:
+            witness = witness_walk(poly, budgets.trial_bound)
+        if witness is not None:
+            evidence = replace(
+                evidence,
+                transposition_prime=witness,
+                provenance=evidence.provenance
+                + (("transposition_witness", witness, "v_p(disc)=1"),),
+            )
         cert = galois.certify_sd(evidence)
     if disc == 0:
         kernel, flag, cofactor = 0, KERNEL_ZERO, 0
     else:
-        kernel, flag, cofactor = squarefree_kernel(disc, budgets.kernel_bound)
+        kernel, flag, cofactor = squarefree_kernel_walk(disc, budgets.kernel_bound)
     return FieldCandidate(
         u=u, v=v, poly=poly, disc=disc, disc_sign=(disc > 0) - (disc < 0),
         kernel=kernel, kernel_flag=flag, kernel_cofactor=cofactor,

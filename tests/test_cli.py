@@ -85,6 +85,8 @@ def test_validation_errors(tmp_path, capsys):
         (["sweep", *curve, "--degree", "3", "--box", "2", "--polygon-primes", "4"],
          "polygon_primes"),
         (["density", "--form", "1,0", "--box", "10", "--congruence", "1,1,0"], "congruence"),
+        (["sweep", *curve, "--degree", "3", "--box", "2", "--kernel-bound", "1"],
+         "kernel_bound"),
     ):
         assert main(argv) == 2, argv
         assert f"usage error: {name}" in capsys.readouterr().err

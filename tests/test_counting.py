@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdtwists import counting, family, padic, polyarith
+from sdtwists import counting, family, galois, padic, polyarith
 from sdtwists.counting import (
     WORKERS_ENV,
     EvConfig,
@@ -262,6 +262,59 @@ def test_sweep_evaluates_each_specialization_once(monkeypatch, built_families, d
     keys = [t_key(d, u, v) for u, v in evaluated]
     assert len(keys) == len(set(keys)) == len({t_key(d, u, v) for u, v in pairs})
     assert len(evaluated) < len(pairs)
+
+
+def test_sweep_factors_each_discriminant_once(monkeypatch, built_families):
+    # One small-prime pass per discriminant: each distinct specialization's
+    # discriminant is factored once, to the kernel bound, and serves both the
+    # kernel and the witness search; a search that finds no witness below the
+    # kernel bound extends that factorization to the trial bound, on its
+    # cofactor only, at most once.  The records equal the reference path,
+    # whose kernel and witness walk the prime sieve.
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    fam = built_families[5]
+    budgets = SweepBudgets()  # kernel bound 10^4 below the trial bound 10^5
+    real_factor, real_extend, real_witness = (
+        counting.factor_trial, galois.extend_factorization, galois._witness,
+    )
+    factored, extended, per_search = {}, [], []
+
+    def counted_factor(n, bound):
+        out = real_factor(n, bound)
+        factored.setdefault(abs(n), []).append((bound, out))
+        return out
+
+    def counted_extend(exponents, cofactor, done, bound):
+        extended.append((cofactor, done, bound))
+        return real_extend(exponents, cofactor, done, bound)
+
+    def counted_witness(*args):
+        before = len(extended)
+        found = real_witness(*args)
+        per_search.append(len(extended) - before)
+        return found
+
+    def no_second_factorization(n, bound):
+        raise AssertionError("the witness search factored the discriminant again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "factor_trial", counted_factor)
+        patch.setattr(galois, "factor_trial", no_second_factorization)
+        patch.setattr(galois, "extend_factorization", counted_extend)
+        patch.setattr(galois, "_witness", counted_witness)
+        cands = sweep(fam, 3, budgets=budgets)
+
+    keys = {t_key(fam.d, c.u, c.v): abs(c.disc) for c in cands if c.disc}
+    assert sum(len(calls) for calls in factored.values()) == len(keys)
+    assert set(factored) == set(keys.values())
+    assert all(bound == budgets.kernel_bound for calls in factored.values() for bound, _ in calls)
+    assert per_search and max(per_search) <= 1 and len(extended) == sum(per_search)
+    assert extended  # some search looks past the kernel bound
+    cofactors = {out[1] for calls in factored.values() for _, out in calls}
+    for cofactor, done, bound in extended:
+        assert cofactor in cofactors
+        assert (done, bound) == (budgets.kernel_bound, budgets.trial_bound)
+    assert_same_records(cands, direct_sweep(fam, list(counting._box_pairs(3, None)), budgets))
 
 
 def test_sweep_shared_evaluation_options(monkeypatch):

@@ -4,8 +4,8 @@ The scenarios are the five of acceptance criterion 14 plus four that reach
 the certify pipeline, the family construction and two built-family sweeps
 (the standard route, the transposition-witness search and the bivariate
 discriminant).  ``sweep_d6`` factors its discriminants to a small kernel
-bound and finds transposition witnesses above it, up to its trial bound.  Each report is stored as JSON and as CSV under
-``tests/golden``.
+bound and finds transposition witnesses above it, up to its trial bound.
+Each report is stored as JSON and as CSV under ``tests/golden``.
 
 Regenerate the files, after a change that is meant to alter reports, with
 

@@ -1,0 +1,164 @@
+"""The staged trial factorization against the plain prime walk and sympy."""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import factor_trial_walk, squarefree_status_walk, witness_walk
+from sdtwists import galois
+from sdtwists.counting import _squarefree_status
+from sdtwists.galois import transposition_witness
+from sdtwists.polyarith import Poly, _normalize_factor, discriminant
+from sdtwists.primes import (
+    SMALL_PRIME_BOUND as S,
+    extend_factorization,
+    factor_trial,
+    is_prime,
+    iter_primes_up_to,
+    primes_up_to,
+)
+
+
+def _primes_near(x: int, k: int = 3) -> list[int]:
+    """The k primes at or below x and the k primes above it."""
+    below = primes_up_to(x)[-k:]
+    above = [p for p in primes_up_to(2 * x + 100) if p > x][:k]
+    return below + above
+
+
+# Bounds below, at and around the small-prime stage, a prime bound, and the
+# kernel and witness bounds a sweep uses.
+BOUNDS = sorted(
+    {0, 1, 2, 3, 97, S - 1, S, S + 1, 2 * S, 1009, 10_000, 30_011, 100_000}
+    | set(_primes_near(S, 2))
+)
+
+
+@st.composite
+def planted(draw, bound=None):
+    """(n, bound): n carries prime powers at and around S and the bound,
+    primes just above the bound and squares of primes above it."""
+    if bound is None:
+        bound = draw(st.sampled_from(BOUNDS) | st.integers(0, 20_000))
+    near_bound = _primes_near(max(bound, 2))
+    pool = [2, 3, 5, 7] + _primes_near(S) + near_bound
+    n = draw(st.integers(1, 10**6))
+    for p in draw(st.lists(st.sampled_from(pool), max_size=6)):
+        n *= p ** draw(st.integers(1, 3))
+    above = [p for p in near_bound if p > bound] + [1_000_000_007]
+    for q in draw(st.lists(st.sampled_from(above), max_size=3)):
+        n *= q
+    return draw(st.sampled_from([1, -1])) * n, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted())
+def test_factor_trial_matches_walk(case):
+    n, bound = case
+    assert factor_trial(n, bound) == factor_trial_walk(n, bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted())
+def test_squarefree_status_matches_walk(case):
+    # The density walk's decisions, now read off factor_trial: a square
+    # factor, a square cofactor above the bound, at most two primes above
+    # it, or undecided.
+    n, bound = case
+    assert _squarefree_status(n, bound) == squarefree_status_walk(n, bound)
+
+
+def test_squarefree_status_rules():
+    q, r = 10_007, 10_009  # primes above the bound 100
+    assert _squarefree_status(0, 100) is False
+    assert _squarefree_status(-1, 100) is True
+    assert _squarefree_status(12, 100) is False
+    assert _squarefree_status(6 * q * q, 100) is False  # square cofactor
+    assert _squarefree_status(6 * q * r, 100) is None  # q*r >= 100^3
+    assert _squarefree_status(6 * q * r, 1000) is True  # q*r < 1000^3
+    assert _squarefree_status(-6 * q, 100) is True
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_factor_trial_units_and_signs(bound):
+    assert factor_trial(1, bound) == factor_trial(-1, bound) == ({}, 1)
+    for n in (-360, -97, -(S + 1) ** 2, -(10**12 + 39)):
+        assert factor_trial(n, bound) == factor_trial(-n, bound) == factor_trial_walk(n, bound)
+    with pytest.raises(ValueError):
+        factor_trial(0, bound)
+
+
+def test_factor_trial_keeps_a_prime_cofactor_above_the_bound():
+    q = 10**12 + 39
+    assert is_prime(q)
+    assert factor_trial(4 * q, 50) == ({2: 2}, q)
+    assert factor_trial(2 * 7919, 7919) == ({2: 1, 7919: 1}, 1)  # absorbed at the bound
+    assert factor_trial(2 * 7919, 7918) == ({2: 1}, 7919)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted(bound=100_000))
+def test_factor_trial_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    n, bound = case
+    full = sympy.factorint(abs(n))
+    exponents = {int(p): int(e) for p, e in sorted(full.items()) if p <= bound}
+    cofactor = abs(n) // math.prod(p**e for p, e in exponents.items())
+    assert factor_trial(n, bound) == (exponents, cofactor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted(), st.sampled_from(BOUNDS))
+def test_extension_equals_a_direct_factorization(case, other):
+    n, bound = case
+    lo, hi = sorted((bound, other))
+    exponents, cofactor = factor_trial(n, lo)
+    assert extend_factorization(exponents, cofactor, lo, hi) == factor_trial(n, hi)
+    if lo < hi:
+        with pytest.raises(ValueError):
+            extend_factorization(exponents, cofactor, hi, lo)
+
+
+def test_larger_then_smaller_bound_reuses_no_stale_product():
+    # 997^2 is found by the product gcd beyond S; 10,007 and 99,991 lie
+    # above 10^4 and 3*10^4, so each bound below sees a different part.
+    n = 6 * 997**2 * 10_007 * 99_991 * (10**12 + 39)
+    for bound in (100_000, 10_000, 30_011, 100_000, 1009, 10_000):
+        assert factor_trial(n, bound) == factor_trial_walk(n, bound), bound
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 1000, 1024, 1031, 30_000])
+@pytest.mark.parametrize("above", [-5, 0, 1, 2, 3, 500, 1024])
+def test_iter_primes_above(bound, above):
+    assert list(iter_primes_up_to(bound, above)) == [p for p in primes_up_to(bound) if p > above]
+
+
+integer_polys = st.lists(st.integers(-60, 60), min_size=3, max_size=7).filter(
+    lambda cs: cs[-1] != 0
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_polys, st.sampled_from(BOUNDS), st.sampled_from(BOUNDS))
+def test_witness_matches_walk(coeffs, trial_bound, kernel_bound):
+    f = Poly(coeffs)
+    g = _normalize_factor(f)
+    disc = discriminant(g)
+    if disc == 0:
+        return
+    expected = witness_walk(f, trial_bound)
+    assert transposition_witness(f, trial_bound) == expected
+    # The sweep's route: a factorization to the kernel bound, extended to
+    # the trial bound only when it holds no witness.
+    exponents, cofactor = factor_trial(disc.numerator, kernel_bound)
+    factored = (exponents, cofactor, kernel_bound)
+    assert galois._witness(g, disc, trial_bound, (), factored) == expected
+
+
+def test_witness_with_extras_matches_walk():
+    f = Poly([-1, -2, -1, 1])  # disc -31
+    for trial_bound in (2, 20, 31, S, 1000):
+        for extras in ((), (31,), (5, 31, 37)):
+            expected = witness_walk(f, trial_bound, extras)
+            assert transposition_witness(f, trial_bound, extra_primes=extras) == expected
