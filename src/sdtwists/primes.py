@@ -161,7 +161,7 @@ def extend_factorization(
         if p > root:  # p^2 > m
             break
         if m % p == 0:
-            m, out[p] = _divide_out(m, p)
+            m = _divide_out(m, p, out)
             root = math.isqrt(m)
     # m > above^2 only if the walk did not stop; then m has no prime factor
     # <= above, and m <= above^2 would make it 1 or a prime.
@@ -173,22 +173,23 @@ def extend_factorization(
                 break
             if g % p == 0:
                 g //= p
-                m, out[p] = _divide_out(m, p)
+                m = _divide_out(m, p, out)
         if g > 1:  # the last prime of g
-            m, out[g] = _divide_out(m, g)
+            m = _divide_out(m, g, out)
     if 1 < m <= bound:
         out[m] = 1
         m = 1
     return out, m
 
 
-def _divide_out(m: int, p: int) -> tuple[int, int]:
-    """(m / p^v, v) for v = v_p(m) >= 1."""
+def _divide_out(m: int, p: int, out: dict[int, int]) -> int:
+    """m / p^v for v = v_p(m) >= 1, recording out[p] = v."""
     v = 0
     while m % p == 0:
         m //= p
         v += 1
-    return m, v
+    out[p] = v
+    return m
 
 
 def multiplicative_order(a: int, n: int) -> int:
