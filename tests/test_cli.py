@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+import sdtwists.cli as cli
 from sdtwists.cli import RunConfig, UsageError, emit, main, parse, run
 
 
@@ -201,3 +204,128 @@ def test_pair_signs_mode():
     for pair in report["pairs"]:
         assert pair["pos_w_rel"] == -pair["neg_w_rel"]
     assert report["preset_residue"] == 1
+
+
+# ---------------------------------------------------------------------------
+# The option surface: flags, config-file keys and how they combine.
+# ---------------------------------------------------------------------------
+
+MODES = ("exponents", "model", "family", "certify", "sweep", "ev", "density", "pair-signs")
+
+FLAGS = {
+    "--config", "--curve", "--degree", "--box", "--congruence", "--region",
+    "--prime-budget", "--trial-bound", "--kernel-bound", "--polygon-primes",
+    "--seed", "--poly", "--form", "--samples", "--local-bound", "--scale",
+    "--count", "--no-certify", "--conductor", "--root-number", "--power",
+    "--symbol", "--d-min", "--d-max", "--epsilon", "--format", "--output",
+}
+
+# Every config-file key with a value that differs from the one in FLAG_SAMPLES.
+FILE_KEYS = {
+    "run.mode": "exponents", "run.degree": "4", "run.seed": "1", "run.d_min": "3",
+    "run.d_max": "5", "run.epsilon": "1/4", "curve.a": "1", "curve.b": "1",
+    "sweep.box": "2", "sweep.congruence": "0,1,3", "sweep.region": "1",
+    "sweep.prime_budget": "7", "sweep.trial_bound": "500", "sweep.kernel_bound": "50",
+    "sweep.polygon_primes": "3", "ev.scale": "2", "ev.count": "3", "ev.certify": "true",
+    "certify.poly": "1,1,1", "density.form": "1,1", "density.samples": "100",
+    "density.local_bound": "7", "pair.conductor": "11", "pair.root_number": "1",
+    "pair.power": "3", "pair.symbol": "-1", "output.format": "json",
+    "output.path": "{tmp}/from_file.json",
+}
+
+# Each flag with the config-file keys that set the same value.
+FLAG_SAMPLES = [
+    (["--curve", "3,-4"], {"curve.a": "3", "curve.b": "-4"}),
+    (["--degree", "5"], {"run.degree": "5"}),
+    (["--seed", "9"], {"run.seed": "9"}),
+    (["--d-min", "4"], {"run.d_min": "4"}),
+    (["--d-max", "7"], {"run.d_max": "7"}),
+    (["--epsilon", "1/3"], {"run.epsilon": "1/3"}),
+    (["--box", "6"], {"sweep.box": "6"}),
+    (["--congruence", "1,2,5"], {"sweep.congruence": "1,2,5"}),
+    (["--region", "-1"], {"sweep.region": "-1"}),
+    (["--prime-budget", "9"], {"sweep.prime_budget": "9"}),
+    (["--trial-bound", "999"], {"sweep.trial_bound": "999"}),
+    (["--kernel-bound", "77"], {"sweep.kernel_bound": "77"}),
+    (["--polygon-primes", "5,7"], {"sweep.polygon_primes": "5,7"}),
+    (["--scale", "3/2"], {"ev.scale": "3/2"}),
+    (["--count", "4"], {"ev.count": "4"}),
+    (["--no-certify"], {"ev.certify": "false"}),
+    (["--poly", "1,2,3"], {"certify.poly": "1,2,3"}),
+    (["--form", "1,0,1"], {"density.form": "1,0,1"}),
+    (["--samples", "500"], {"density.samples": "500"}),
+    (["--local-bound", "13"], {"density.local_bound": "13"}),
+    (["--conductor", "37"], {"pair.conductor": "37"}),
+    (["--root-number", "-1"], {"pair.root_number": "-1"}),
+    (["--power", "2"], {"pair.power": "2"}),
+    (["--symbol", "1"], {"pair.symbol": "1"}),
+    (["--format", "csv"], {"output.format": "csv"}),
+    (["--output", "{tmp}/from_flag.json"], {"output.path": "{tmp}/from_flag.json"}),
+]
+
+
+def _write_config(path, keys, tmp):
+    sections: dict[str, list[str]] = {}
+    for key, value in keys.items():
+        section, name = key.split(".")
+        sections.setdefault(section, []).append(f"{name} = {value.format(tmp=tmp)}")
+    path.write_text(
+        "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items()),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.fixture
+def captured(monkeypatch, tmp_path):
+    """Run main() with the pipeline replaced; return the RunConfig it built."""
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(cfg)
+        return {}
+
+    monkeypatch.setattr(cli, "run", fake_run)
+
+    def config_of(argv, keys=None, name="run.ini"):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if keys is not None:
+            argv += ["--config", _write_config(tmp_path / name, keys, tmp_path)]
+        assert main(argv) == 0, argv
+        return seen.pop()
+
+    return config_of
+
+
+def test_cli_option_surface_is_pinned(captured, capsys, tmp_path):
+    for mode in MODES:
+        with pytest.raises(SystemExit):
+            main([mode, "--help"])
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags - {"--help"} == FLAGS, mode
+
+    # Every file key is read; any other section.name is rejected.
+    base = captured(["exponents"], FILE_KEYS, "all.ini")
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    names |= {k.split(".")[1] for k in FILE_KEYS} | {f[2:].replace("-", "_") for f in FLAGS}
+    for section in {k.split(".")[0] for k in FILE_KEYS}:
+        for name in sorted(names):
+            key = f"{section}.{name}"
+            if key not in FILE_KEYS:
+                path = _write_config(tmp_path / "probe.ini", {key: "1"}, tmp_path)
+                assert main(["exponents", "--config", path]) == 2, key
+                assert f"usage error: config: unknown key {key}" in capsys.readouterr().err
+
+    # A flag and its file key give the same config; a flag overrides the file.
+    default = RunConfig(mode="exponents")
+    for flag_argv, keys in FLAG_SAMPLES:
+        by_flag = captured(["exponents", *flag_argv])
+        assert by_flag == captured(["exponents"], keys), flag_argv
+        changed = [f.name for f in dataclasses.fields(RunConfig)
+                   if getattr(by_flag, f.name) != getattr(default, f.name)]
+        assert len(changed) == 1, flag_argv
+        merged = captured(["exponents", *flag_argv], FILE_KEYS, "all.ini")
+        value = getattr(by_flag, changed[0])
+        assert getattr(base, changed[0]) != value, flag_argv
+        assert merged == dataclasses.replace(base, **{changed[0]: value}), flag_argv
+    assert {k for _argv, keys in FLAG_SAMPLES for k in keys} == set(FILE_KEYS) - {"run.mode"}
