@@ -7,9 +7,10 @@ decimal strings, and a null timing field (wall time goes to stderr), so two
 runs with the same configuration produce byte-identical output.
 
 A config file is flat key=value with sections ([run], [curve], [sweep],
-[ev], [density], [pair], [output]); command-line flags override file
-values.  Exit codes: 0 success, 2 usage error, 1 internal error.  The only
-environment variable consulted is SDTWISTS_WORKERS (sweep worker count).
+[ev], [certify], [density], [pair], [output]); command-line flags override
+file values.  Each option is declared once, on its RunConfig field.  Exit
+codes: 0 success, 2 usage error, 1 internal error.  The only environment
+variable consulted is SDTWISTS_WORKERS (sweep worker count).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -32,6 +33,8 @@ from .primes import is_prime
 SCHEMA_VERSION = 1
 
 _MODES = ("exponents", "model", "family", "certify", "sweep", "ev", "density", "pair-signs")
+
+_EV_TRIAL_BOUND_CAP = 10_000
 
 _CSV_COLUMNS = (
     "u", "v", "degree", "poly", "disc", "disc_sign",
@@ -50,39 +53,84 @@ class UsageError(Exception):
     pass
 
 
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip() != "")
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not a boolean: {text!r}")
+    return states[text.lower()]
+
+
+def _option(default, key, convert=int, *, flag=None, const=None, choices=(), minimum=None, help=None):
+    """A RunConfig field with the one declaration of its option.
+
+    ``key`` is the config-file key ``section.name``, and ``flag`` defaults to
+    ``--name`` with dashes; an empty flag means none.  ``convert`` reads the
+    text of either.  A flag with ``const`` takes no argument and stands for
+    that text.  ``choices`` and ``minimum`` are checked by ``validate``.
+    """
+    if flag is None:
+        flag = "--" + key.split(".")[1].replace("_", "-")
+    return field(default=default, metadata={
+        "key": key, "flag": flag, "convert": convert, "const": const,
+        "choices": choices, "minimum": minimum, "help": help,
+    })
+
+
 @dataclass
 class RunConfig:
-    mode: str
-    curve: Optional[tuple[int, int]] = None
-    degree: Optional[int] = None
-    d_min: int = 3
-    d_max: int = 12
-    box: Optional[int] = None
-    scale: Optional[Fraction] = None
-    congruence: Optional[tuple[int, int, int]] = None
-    region: Optional[int] = None
-    prime_budget: int = 25
-    trial_bound: int = 100_000
-    polygon_primes: tuple[int, ...] = ()
-    kernel_bound: int = 10_000
-    seed: int = 0
-    poly: Optional[tuple[int, ...]] = None
-    form: Optional[tuple[int, ...]] = None
-    samples: int = 80_000
-    local_bound: int = 31
-    ev_count: int = 100
-    ev_certify: bool = True
-    conductor: Optional[int] = None
-    root_number: Optional[int] = None
-    pair_power: int = 1
-    pair_symbol: int = -1
-    epsilon: Fraction = Fraction(1, 2)
-    output_format: str = "json"
-    output: Optional[str] = None
+    mode: str = _option(MISSING, "run.mode", str, flag="", choices=_MODES)
+    curve: Optional[tuple[int, int]] = _option(
+        None, None, _int_tuple, flag="--curve",
+        help="curve coefficients a,b of y^2 = x^3 + a x + b (file keys [curve] a, b)")
+    degree: Optional[int] = _option(None, "run.degree", help="field degree d")
+    d_min: int = _option(3, "run.d_min", minimum=1, help="first degree of the exponents table")
+    d_max: int = _option(12, "run.d_max", minimum=1, help="last degree of the exponents table")
+    box: Optional[int] = _option(None, "sweep.box", minimum=1, help="box bound U of the sweep or density")
+    scale: Optional[Fraction] = _option(None, "ev.scale", Fraction, help="coefficient scale Y (rational)")
+    congruence: Optional[tuple[int, int, int]] = _option(
+        None, "sweep.congruence", _int_tuple, help="u0,v0,M residue filter")
+    region: Optional[int] = _option(None, "sweep.region", choices=(-1, 1), help="discriminant sign filter")
+    prime_budget: int = _option(
+        25, "sweep.prime_budget", minimum=1, help="good primes scanned per polynomial")
+    trial_bound: int = _option(
+        100_000, "sweep.trial_bound", minimum=1,
+        help=f"search bound of the transposition prime; ev mode caps it at {_EV_TRIAL_BOUND_CAP:,}")
+    polygon_primes: tuple[int, ...] = _option(
+        (), "sweep.polygon_primes", _int_tuple, help="primes p,q,... for Newton-polygon irreducibility")
+    kernel_bound: int = _option(
+        10_000, "sweep.kernel_bound", minimum=2, help="trial-division bound of squarefree kernels")
+    seed: int = _option(0, "run.seed", help="random seed of ev and density sampling")
+    poly: Optional[tuple[int, ...]] = _option(
+        None, "certify.poly", _int_tuple, help="ascending coefficients c0,c1,...,cd")
+    form: Optional[tuple[int, ...]] = _option(
+        None, "density.form", _int_tuple, help="binary form coefficients of sum f_i u^(m-i) v^i")
+    samples: int = _option(80_000, "density.samples", minimum=1, help="sampled points of a large box")
+    local_bound: int = _option(31, "density.local_bound", minimum=1, help="prime bound of the local product")
+    ev_count: int = _option(100, "ev.count", minimum=1, help="instances to generate")
+    ev_certify: bool = _option(
+        True, "ev.certify", _boolean, flag="--no-certify", const="false", help="do not certify ev instances")
+    conductor: Optional[int] = _option(None, "pair.conductor", help="conductor N of the curve")
+    root_number: Optional[int] = _option(
+        None, "pair.root_number", choices=(-1, 1), help="global root number of the curve")
+    pair_power: int = _option(1, "pair.power", minimum=1, help="pairing modulus exponent")
+    pair_symbol: int = _option(-1, "pair.symbol", choices=(-1, 1), help="target Kronecker value")
+    epsilon: Fraction = _option(
+        Fraction(1, 2), "run.epsilon", Fraction, help="model closeness epsilon (rational)")
+    output_format: str = _option("json", "output.format", str, choices=("json", "csv"), help="report format")
+    output: Optional[str] = _option(
+        None, "output.path", str, flag="--output", help="output path (default stdout)")
 
     def validate(self) -> None:
-        if self.mode not in _MODES:
-            raise UsageError(f"mode: unknown mode {self.mode!r}")
+        for f in fields(self):
+            value, choices, minimum = getattr(self, f.name), f.metadata["choices"], f.metadata["minimum"]
+            if value is not None and choices and value not in choices:
+                raise UsageError(f"{f.name}: must be one of {', '.join(map(str, choices))}")
+            if value is not None and minimum is not None and value < minimum:
+                raise UsageError(f"{f.name}: must be at least {minimum}")
         if self.mode in ("model", "family", "sweep", "ev"):
             if self.curve is None:
                 raise UsageError(f"curve: required for mode {self.mode}")
@@ -93,8 +141,8 @@ class RunConfig:
                 raise UsageError(f"degree: must be at least {min_degree} for mode {self.mode}")
         if self.mode == "exponents" and not 3 <= self.d_min <= self.d_max:
             raise UsageError("d_min/d_max: need 3 <= d_min <= d_max")
-        if self.mode == "sweep" and (self.box is None or self.box < 1):
-            raise UsageError("box: positive sweep box required")
+        if self.mode == "sweep" and self.box is None:
+            raise UsageError("box: sweep box required")
         if self.mode == "ev" and (self.scale is None or self.scale < 1):
             raise UsageError("scale: coefficient scale >= 1 required")
         if self.mode == "certify" and not self.poly:
@@ -104,24 +152,15 @@ class RunConfig:
         if self.mode == "pair-signs":
             if self.conductor is None or self.root_number is None:
                 raise UsageError("conductor/root-number: required for mode pair-signs")
-            if self.box is None or self.box < 1:
-                raise UsageError("box: positive sweep box required")
+            if self.box is None:
+                raise UsageError("box: sweep box required")
+        if self.curve is not None and len(self.curve) != 2:
+            raise UsageError("curve: expected a,b")
         if self.congruence is not None and (len(self.congruence) != 3 or self.congruence[2] < 1):
             raise UsageError("congruence: expected u0,v0,M with M >= 1")
         for p in self.polygon_primes:
             if not is_prime(p):
                 raise UsageError(f"polygon_primes: {p} is not prime")
-        for name in ("region", "root_number", "pair_symbol"):
-            if getattr(self, name) not in (None, -1, 1):
-                raise UsageError(f"{name}: must be -1 or 1")
-        if self.output_format not in ("json", "csv"):
-            raise UsageError(f"format: unknown output format {self.output_format!r}")
-        for name in ("prime_budget", "trial_bound", "kernel_bound", "samples",
-                     "local_bound", "ev_count", "d_min", "d_max", "pair_power"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name}: must be positive")
-        if self.kernel_bound < 2:
-            raise UsageError("kernel_bound: must be at least 2")
 
     def echo(self) -> dict:
         out: dict[str, Any] = {}
@@ -322,7 +361,7 @@ def _run_ev(cfg: RunConfig) -> dict:
         max_instances=cfg.ev_count,
         certify=cfg.ev_certify,
         prime_budget=cfg.prime_budget,
-        trial_bound=min(cfg.trial_bound, 10_000),
+        trial_bound=min(cfg.trial_bound, _EV_TRIAL_BOUND_CAP),
     )
     records = []
     for inst in counting.ev_generate(model, cfg.degree, cfg.scale, ev_cfg):
@@ -482,119 +521,46 @@ def parse(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+_KEY_FIELDS = {f.metadata["key"]: f.name for f in fields(RunConfig) if f.metadata["key"]}
+
+
+def _convert(name: str, text: str) -> Any:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        return _FIELDS[name].metadata["convert"](text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{name}: cannot read {text!r}") from exc
 
 
-def _load_config_file(path: str) -> dict:
+def _read_config_file(path: str) -> dict[str, Any]:
+    """Field values from a config file; curve.a and curve.b make the curve."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config: cannot read {path}")
-    flat: dict[str, str] = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            flat[f"{section}.{key}"] = value
-    return flat
-
-
-_FILE_KEYS = {
-    "run.mode": ("mode", str),
-    "run.degree": ("degree", int),
-    "run.seed": ("seed", int),
-    "run.d_min": ("d_min", int),
-    "run.d_max": ("d_max", int),
-    "run.epsilon": ("epsilon", Fraction),
-    "curve.a": ("_curve_a", int),
-    "curve.b": ("_curve_b", int),
-    "sweep.box": ("box", int),
-    "sweep.congruence": ("congruence", _parse_int_tuple),
-    "sweep.region": ("region", int),
-    "sweep.prime_budget": ("prime_budget", int),
-    "sweep.trial_bound": ("trial_bound", int),
-    "sweep.kernel_bound": ("kernel_bound", int),
-    "sweep.polygon_primes": ("polygon_primes", _parse_int_tuple),
-    "ev.scale": ("scale", Fraction),
-    "ev.count": ("ev_count", int),
-    "ev.certify": ("ev_certify", lambda s: s.lower() in ("1", "true", "yes")),
-    "certify.poly": ("poly", _parse_int_tuple),
-    "density.form": ("form", _parse_int_tuple),
-    "density.samples": ("samples", int),
-    "density.local_bound": ("local_bound", int),
-    "pair.conductor": ("conductor", int),
-    "pair.root_number": ("root_number", int),
-    "pair.power": ("pair_power", int),
-    "pair.symbol": ("pair_symbol", int),
-    "output.format": ("output_format", str),
-    "output.path": ("output", str),
-}
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise UsageError(f"config: cannot read {path}")
+        flat = {f"{section}.{key}": text for section in parser.sections()
+                for key, text in parser.items(section)}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"config: {exc}") from exc
+    a, b = flat.pop("curve.a", None), flat.pop("curve.b", None)
+    if (a is None) != (b is None):
+        raise UsageError("curve: both a and b are required")
+    values = {} if a is None else {"curve": _convert("curve", f"{a},{b}")}
+    for key, text in flat.items():
+        if key not in _KEY_FIELDS:
+            raise UsageError(f"config: unknown key {key}")
+        values[_KEY_FIELDS[key]] = _convert(_KEY_FIELDS[key], text)
+    return values
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values: dict[str, Any] = {}
-    if args.config:
-        flat = _load_config_file(args.config)
-        for key, raw in flat.items():
-            if key not in _FILE_KEYS:
-                raise UsageError(f"config: unknown key {key}")
-            name, conv = _FILE_KEYS[key]
-            values[name] = conv(raw)
-    curve_a = values.pop("_curve_a", None)
-    curve_b = values.pop("_curve_b", None)
-    if curve_a is not None and curve_b is not None:
-        values["curve"] = (curve_a, curve_b)
-    elif (curve_a is None) != (curve_b is None):
-        raise UsageError("curve: both a and b are required")
-
-    overrides = {
-        "degree": args.degree,
-        "box": args.box,
-        "seed": args.seed,
-        "region": args.region,
-        "prime_budget": args.prime_budget,
-        "trial_bound": args.trial_bound,
-        "kernel_bound": args.kernel_bound,
-        "samples": args.samples,
-        "local_bound": args.local_bound,
-        "ev_count": args.count,
-        "conductor": args.conductor,
-        "root_number": args.root_number,
-        "pair_power": args.power,
-        "pair_symbol": args.symbol,
-        "d_min": args.d_min,
-        "d_max": args.d_max,
-        "output_format": args.format,
-        "output": args.output,
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            values[name] = value
-    if args.curve is not None:
-        parts = _parse_int_tuple(args.curve)
-        if len(parts) != 2:
-            raise UsageError("curve: expected a,b")
-        values["curve"] = (parts[0], parts[1])
-    if args.congruence is not None:
-        parts = _parse_int_tuple(args.congruence)
-        if len(parts) != 3:
-            raise UsageError("congruence: expected u0,v0,M")
-        values["congruence"] = (parts[0], parts[1], parts[2])
-    if args.polygon_primes is not None:
-        values["polygon_primes"] = _parse_int_tuple(args.polygon_primes)
-    if args.poly is not None:
-        values["poly"] = _parse_int_tuple(args.poly)
-    if args.form is not None:
-        values["form"] = _parse_int_tuple(args.form)
-    if args.scale is not None:
-        values["scale"] = Fraction(args.scale)
-    if args.epsilon is not None:
-        values["epsilon"] = Fraction(args.epsilon)
-    if args.no_ev_certify:
-        values["ev_certify"] = False
-    values["mode"] = args.mode
+    values = _read_config_file(args.config) if args.config else {}
+    if values.setdefault("mode", args.mode) != args.mode:
+        raise UsageError(f"mode: the config file says {values['mode']}, not {args.mode}")
+    for name in _FIELDS:
+        text = getattr(args, name, None)
+        if text is not None:
+            values[name] = _convert(name, text)
     return RunConfig(**values)
 
 
@@ -607,32 +573,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for mode in _MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", help="key=value config file with sections")
-        p.add_argument("--curve", help="curve coefficients a,b of y^2 = x^3 + a x + b")
-        p.add_argument("--degree", type=int)
-        p.add_argument("--box", type=int, help="sweep box bound U")
-        p.add_argument("--congruence", help="u0,v0,M residue filter")
-        p.add_argument("--region", type=int, choices=(-1, 1), help="discriminant sign filter")
-        p.add_argument("--prime-budget", dest="prime_budget", type=int)
-        p.add_argument("--trial-bound", dest="trial_bound", type=int)
-        p.add_argument("--kernel-bound", dest="kernel_bound", type=int)
-        p.add_argument("--polygon-primes", dest="polygon_primes")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--poly", help="ascending coefficients c0,c1,...,cd")
-        p.add_argument("--form", help="binary form coefficients of sum f_i u^(m-i) v^i")
-        p.add_argument("--samples", type=int)
-        p.add_argument("--local-bound", dest="local_bound", type=int)
-        p.add_argument("--scale", help="coefficient scale Y (rational)")
-        p.add_argument("--count", type=int, help="instances to generate")
-        p.add_argument("--no-certify", dest="no_ev_certify", action="store_true")
-        p.add_argument("--conductor", type=int)
-        p.add_argument("--root-number", dest="root_number", type=int, choices=(-1, 1))
-        p.add_argument("--power", type=int, help="pairing modulus exponent")
-        p.add_argument("--symbol", type=int, choices=(-1, 1), help="target Kronecker value")
-        p.add_argument("--d-min", dest="d_min", type=int)
-        p.add_argument("--d-max", dest="d_max", type=int)
-        p.add_argument("--epsilon", help="model closeness epsilon (rational)")
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--output", help="output path (default stdout)")
+        for f in fields(RunConfig):
+            meta = f.metadata
+            if meta["const"] is not None:
+                p.add_argument(meta["flag"], dest=f.name, action="store_const", const=meta["const"],
+                               help=meta["help"])
+            elif meta["flag"]:
+                choices = ",".join(map(str, meta["choices"]))
+                metavar = f"{{{choices}}}" if choices else meta["flag"][2:].replace("-", "_").upper()
+                p.add_argument(meta["flag"], dest=f.name, metavar=metavar, help=meta["help"])
     return parser
 
 

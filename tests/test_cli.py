@@ -329,3 +329,81 @@ def test_cli_option_surface_is_pinned(captured, capsys, tmp_path):
         assert getattr(base, changed[0]) != value, flag_argv
         assert merged == dataclasses.replace(base, **{changed[0]: value}), flag_argv
     assert {k for _argv, keys in FLAG_SAMPLES for k in keys} == set(FILE_KEYS) - {"run.mode"}
+
+
+@pytest.mark.parametrize("flags, config, name", [
+    pytest.param(["--box", "abc"], None, "box", id="flag-box"),
+    pytest.param([], "[sweep]\nbox = abc\n", "box", id="file-box"),
+    pytest.param(["--scale", "abc"], None, "scale", id="flag-scale"),
+    pytest.param(["--scale", "1/0"], None, "scale", id="flag-scale-zero-denominator"),
+    pytest.param(["--epsilon", "1/0"], None, "epsilon", id="flag-epsilon-zero-denominator"),
+    pytest.param([], "[run]\nepsilon = 1/0\n", "epsilon", id="file-epsilon-zero-denominator"),
+    pytest.param([], "[ev]\nscale = 2/0\n", "scale", id="file-scale-zero-denominator"),
+    pytest.param(["--d-min", "three"], None, "d_min", id="flag-d-min"),
+    pytest.param(["--curve", "1,x"], None, "curve", id="flag-curve"),
+    pytest.param(["--curve", "1,2,3"], None, "curve", id="flag-curve-length"),
+    pytest.param([], "[curve]\na = 1\nb = x\n", "curve", id="file-curve"),
+    pytest.param([], "[curve]\na = 1\n", "curve", id="file-curve-without-b"),
+    pytest.param(["--poly", "1,2.5"], None, "poly", id="flag-poly"),
+    pytest.param(["--congruence", "a,b,c"], None, "congruence", id="flag-congruence"),
+    pytest.param([], "[pair]\nroot_number = minus\n", "root_number", id="file-root-number"),
+])
+def test_malformed_values_are_usage_errors(tmp_path, capsys, flags, config, name):
+    argv = ["exponents", *flags]
+    if config is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(config, encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {name}: "), err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("degree = 3\n", id="no-section-header"),
+    pytest.param("[run]\ndegree = 3\ndegree = 4\n", id="duplicate-key"),
+    pytest.param("[run]\ndegree = 3\n[run]\nseed = 1\n", id="duplicate-section"),
+    pytest.param("[output]\npath = 50%.json\n", id="bad-interpolation"),
+    pytest.param(b"[run]\nseed = \xff\n", id="not-utf-8"),
+    pytest.param(None, id="missing-file"),
+])
+def test_bad_config_files_are_usage_errors(tmp_path, capsys, text):
+    path = tmp_path / "run.ini"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main(["exponents", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: config: ")
+
+
+@pytest.mark.parametrize("mode", ["sweep", "nonsense"])
+def test_config_mode_must_match_subcommand(tmp_path, capsys, mode):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[run]\nmode = {mode}\n", encoding="utf-8")
+    assert main(["exponents", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: mode: ")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("yes", True), ("TRUE", True), ("on", True),
+    ("0", False), ("no", False), ("False", False), ("off", False),
+])
+def test_config_certify_reads_boolean_words(captured, text, value):
+    assert captured(["ev"], {"ev.certify": text}).ev_certify is value
+
+
+@pytest.mark.parametrize("text", ["ture", "y", "2", "none"])
+def test_config_certify_rejects_other_words(tmp_path, capsys, text):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[ev]\ncertify = {text}\n", encoding="utf-8")
+    assert main(["exponents", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ev_certify: ")
+
+
+@pytest.mark.parametrize("box", ["0", "-5"])
+def test_box_below_one_is_a_usage_error(capsys, box):
+    assert main(["density", "--form", "1,0", "--box", box]) == 2
+    assert capsys.readouterr().err.startswith("usage error: box: ")
+    assert main(["sweep", "--curve", "1,1", "--degree", "3", "--box", box]) == 2
+    assert capsys.readouterr().err.startswith("usage error: box: ")
