@@ -542,6 +542,8 @@ def _read_config_file(path: str) -> dict[str, Any]:
                 for key, text in parser.items(section)}
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"config: {exc}") from exc
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise UsageError(f"config: unknown section [{parser.default_section}]")
     a, b = flat.pop("curve.a", None), flat.pop("curve.b", None)
     if (a is None) != (b is None):
         raise UsageError("curve: both a and b are required")
@@ -585,9 +587,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TAKES_VALUE = {"--help": False, "--config": True} | {
+    f.metadata["flag"]: f.metadata["const"] is None for f in fields(RunConfig) if f.metadata["flag"]
+}
+
+
+def _takes_value(arg: str) -> bool:
+    """Whether argparse reads arg as a flag that takes a value: the flag
+    itself or its unique abbreviation."""
+    if arg not in _TAKES_VALUE and arg.startswith("--"):
+        named = [flag for flag in _TAKES_VALUE if flag.startswith(arg)]
+        arg = named[0] if len(named) == 1 else arg
+    return _TAKES_VALUE.get(arg, False)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with ``--flag -1,2`` written as ``--flag=-1,2`` for every flag
+    that takes a value, since argparse reads a separate argument that starts
+    with a minus and is not a plain number as an option of its own."""
+    out: list[str] = []
+    for arg in argv:
+        if out and _takes_value(out[-1]) and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     started = time.monotonic()
     try:
         cfg = _config_from_args(args)

@@ -29,11 +29,20 @@ by distinct-degree factorization.  The same discriminant gives the parity of
 Frobenius at each good prime (Stickelberger's theorem: odd exactly when disc
 is a non-square mod p, or disc == 5 mod 8 at p = 2), one modular power per
 prime, and the factorization stops as soon as that parity and the factor
-degrees found so far leave one pattern.  A sweep hands the scan a lookup
-instead (``IntegerFamily.cycle_type``): at a good prime p not dividing v
-(nor the cleared denominator of P) the cycle type of a specialization
-P(x, u/v) depends on t = u/v mod p alone, so it is read off a table keyed
-by t mod p and factored only for the first pair with that key.
+degrees found so far leave one pattern.  Below ``padic.ROOT_PRIME_BOUND``
+(256, past which a 25-prime scan runs only when many small primes are bad)
+the linear factors are counted as roots, read off one evaluation at all of
+F_p packed into the 32-bit slots of one integer (exact while
+(d + 1)(p - 1)^2 < 2^32).  Its table of columns a^i mod p is keyed by the
+prime alone, since the columns serve every polynomial and degree.  So a
+polynomial of degree at most 5, or a sextic with a root mod p, is settled
+without computing x^p mod p, and any other polynomial powers x^p only
+modulo what is left once its roots are divided out.  A sweep hands the scan
+a lookup instead (``IntegerFamily.cycle_type``): at a good prime p not
+dividing v (nor the cleared denominator of P) the cycle type of a
+specialization P(x, u/v) depends on t = u/v mod p alone, so it is read off
+a table keyed by t mod p and factored only for the first pair with that
+key.
 
 Transpositions come from a prime p, not dividing the leading coefficient,
 with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of

@@ -13,14 +13,28 @@ coefficient or squarefreeness lost) are reported as bad rather than raised.
 A caller that holds the exact discriminant may pass the parity of Frobenius
 (``frobenius_parity``, by Stickelberger's theorem); the factorization then
 stops as soon as the factor degrees found so far and that parity leave one
-possible pattern, so an odd cubic or a quadratic needs no F_p arithmetic
-and a quintic never needs more than its linear factors.
+possible pattern, so an odd cubic or a quadratic needs no F_p arithmetic.
 ``frobenius_cycle_type`` has no discriminant and runs the full loop.
+
+Below ``ROOT_PRIME_BOUND`` (256) the first step of the loop, splitting off
+the linear factors, is a root count: f is evaluated at every a in F_p at
+once, as one sum of n + 1 packed integers whose 32-bit slots hold a^i mod p
+(no slot carries while (n + 1)(p - 1)^2 < 2^32, which p < 256 keeps for
+every degree below 68,718).  With the parity, a polynomial of degree at
+most 5, or a sextic with a root mod p, is then settled, and any other
+polynomial computes x^p only modulo what is left once its roots are
+divided out.  The columns a^i mod p do not depend on the polynomial, so
+their table is keyed by the prime alone and grown to the largest degree
+asked: one entry per prime serves every degree, and for degrees up to 8 the
+whole table stays near 0.25 MB.  Larger primes keep the x^p powering for
+the first step.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +45,10 @@ from .polyarith import Poly
 from .primes import is_prime, valuation_int
 
 INFINITY = math.inf
+
+# Primes below this bound count roots by the packed evaluation of
+# ``_roots_mod``; see the module docstring.
+ROOT_PRIME_BOUND = 256
 
 
 def valuation(r: Union[Fraction, int], p: int) -> Union[int, float]:
@@ -147,7 +165,8 @@ def cycle_certificate(polygon: NewtonPolygon) -> list[CycleType]:
 # are x^(i p) mod f, since (sum h_i x^i)^p = sum h_i x^(i p) over F_p (von zur
 # Gathen and Shoup, "Computing Frobenius maps and factoring polynomials",
 # 1992).  Products are accumulated in plain ints and reduced mod p once per
-# coefficient.
+# coefficient.  Below ROOT_PRIME_BOUND the linear factors come from the
+# roots instead, read off one packed evaluation at every point of F_p.
 # ---------------------------------------------------------------------------
 
 
@@ -225,6 +244,36 @@ def _x_power(e: int, red: list[int], p: int) -> list[int]:
     return r
 
 
+# Slot a of the packed column i holds a^i mod p as a 32-bit unsigned integer
+# in native byte order, so sum(c_i * column_i) holds f(a) in slot a as long
+# as no slot exceeds (n + 1)(p - 1)^2 < 2^32 for coefficients c_i in [0, p).
+_SLOT, _SLOT_BYTES = "I", 4
+if array(_SLOT).itemsize != _SLOT_BYTES:
+    raise ImportError("packed root counting needs 4-byte array slots")
+_SLOT_LIMIT = 1 << (8 * _SLOT_BYTES)
+_COLUMNS: dict[int, tuple[int, ...]] = {}  # p -> packed columns for i = 0, 1, ...
+
+
+def _power_columns(p: int, count: int) -> tuple[int, ...]:
+    """The first ``count`` packed columns of p, kept for the process."""
+    cols = _COLUMNS.get(p, ())
+    if len(cols) < count:
+        cols += tuple(
+            int.from_bytes(array(_SLOT, [pow(a, i, p) for a in range(p)]).tobytes(), sys.byteorder)
+            for i in range(len(cols), count)
+        )
+        _COLUMNS[p] = cols
+    return cols
+
+
+def _roots_mod(f: list[int], p: int) -> list[int]:
+    """The roots in F_p of f (constant first), ascending, from one packed
+    evaluation; the caller keeps (deg f + 1)(p - 1)^2 below _SLOT_LIMIT."""
+    packed = sum(c % p * col for c, col in zip(f, _power_columns(p, len(f))))
+    slots = memoryview(packed.to_bytes(_SLOT_BYTES * p, sys.byteorder)).cast(_SLOT)
+    return [a for a, value in enumerate(slots) if not value % p]
+
+
 def _partitions(m: int, least: int) -> Iterator[tuple[int, ...]]:
     """Partitions of m into parts >= least, each as an ascending tuple."""
     if m == 0:
@@ -257,31 +306,43 @@ def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) 
     pattern: without ``parity`` when it is irreducible (2k > its degree);
     with ``parity`` = (deg f - number of factors) mod 2, the parity of
     Frobenius as a permutation of the roots, when one partition of the
-    rest's degree into parts > k has the parity still owed.
+    rest's degree into parts > k has the parity still owed.  Below
+    ROOT_PRIME_BOUND step 1 counts the roots of f in F_p, and they are
+    divided out only when a later step needs the rest.
     """
     n = _pdeg(f)
-    red = [-c % p for c in f[:-1]]
-    xp: list[int] = []  # x^p mod f
+    red: list[int] = []  # x^m == sum(red[j] x^j) mod g0, m = deg g0
+    xp: list[int] = []  # x^p mod g0, for g0 what is left of f when first needed
     rows: list[list[int]] = []  # Frobenius matrix, built on first use
-    h: list[int] = []  # x^(p^k) mod f
-    g = f  # the part of f not yet split off
+    h: list[int] = []  # x^(p^k) mod g0
+    g = f  # f without the factors split off, but for counted roots not yet divided out
+    roots: list[int] = []
     out: list[int] = []
     k = 1
     while True:
+        rest = n - sum(out)
         owed = None if parity is None else (parity - sum(out) + len(out)) % 2
-        sole = _sole_partition(_pdeg(g), k, owed)
+        sole = _sole_partition(rest, k, owed)
         if sole is not None:
             return sorted(out + list(sole))
-        if 2 * k > _pdeg(g):
+        if 2 * k > rest:
             raise ArithmeticError(f"parity {parity} contradicts the factorization mod {p}")
-        if k == 1:
+        if k == 1 and p < ROOT_PRIME_BOUND and (n + 1) * (p - 1) ** 2 < _SLOT_LIMIT:
+            roots = _roots_mod(f, p)
+            out.extend([1] * len(roots))
+            k = 2
+            continue
+        if not xp:
+            for r in roots:
+                g = _pdiv_exact(g, [-r % p, 1], p)
+            red = [-c % p for c in g[:-1]]
             h = xp = _x_power(p, red, p)
-        else:
+        if k > 1:
             if not rows:
-                rows = [[1] + [0] * (n - 1), xp]
-                while len(rows) < n:
+                rows = [[1] + [0] * (len(red) - 1), xp]
+                while len(rows) < len(red):
                     rows.append(_mulmod(rows[-1], xp, red, p))
-            acc = [0] * n
+            acc = [0] * len(red)
             for hi, row in zip(h, rows):
                 if hi:
                     for j, rj in enumerate(row):

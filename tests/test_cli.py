@@ -407,3 +407,36 @@ def test_box_below_one_is_a_usage_error(capsys, box):
     assert capsys.readouterr().err.startswith("usage error: box: ")
     assert main(["sweep", "--curve", "1,1", "--degree", "3", "--box", box]) == 2
     assert capsys.readouterr().err.startswith("usage error: box: ")
+
+
+@pytest.mark.parametrize("flag, text, name, value", [
+    ("--curve", "-16,16", "curve", (-16, 16)),
+    ("--poly", "-1,-2,-1,1", "poly", (-1, -2, -1, 1)),
+    ("--congruence", "-1,0,3", "congruence", (-1, 0, 3)),
+    ("--form", "-1,0,2", "form", (-1, 0, 2)),
+    ("--seed", "-7", "seed", -7),
+    ("--curv", "-16,16", "curve", (-16, 16)),
+])
+def test_negative_values_follow_their_flag(captured, flag, text, name, value):
+    # A separate argument starting with a minus is the flag's value, as it
+    # is after "=", also after an abbreviated flag.
+    assert getattr(captured(["exponents", flag, text]), name) == value
+    assert captured(["exponents", f"{flag}={text}"]) == captured(["exponents", flag, text])
+
+
+def test_negative_curve_runs_from_the_command_line(capsys):
+    assert main(["model", "--curve", "-16,16", "--degree", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["curve"] == [-16, 16]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[DEFAULT]\nseed = 3\n[run]\ndegree = 3\n[sweep]\nbox = 2\n", id="beside-sections"),
+    pytest.param("[DEFAULT]\nseed = 3\n", id="alone"),
+])
+def test_default_section_is_a_usage_error(tmp_path, capsys, text):
+    # configparser would copy [DEFAULT] keys into every section; the file
+    # format has no such section.
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["exponents", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "usage error: config: unknown section [DEFAULT]\n"

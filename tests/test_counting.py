@@ -546,3 +546,17 @@ def test_alpha_large_degree_improvement():
     bound = schmidt_ev_alpha(17000)
     assert bound.r2_achieves_improved_bound
     assert bound.alpha < F(17002, 4)
+
+
+def test_compact_cubic_sweep_computes_no_x_power(monkeypatch):
+    # Every good prime of a compact cubic sweep lies below the cutoff of the
+    # root count, so an even cubic is settled by its roots mod p: a [1, 1, 1]
+    # or a [3] has three roots or none, and x^p mod (spec, p) is never taken.
+    monkeypatch.setenv(WORKERS_ENV, "1")
+
+    def refuse(*args):
+        raise AssertionError("x^p mod f was computed")
+
+    monkeypatch.setattr(padic, "_x_power", refuse)
+    cands = sweep(small_cubic_family(), 12, budgets=SweepBudgets(prime_budget=10))
+    assert sum(c.certificate.certified for c in cands) > 300

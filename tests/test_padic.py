@@ -315,15 +315,20 @@ def test_odd_cubic_and_quadratics_need_no_powering(monkeypatch):
 def test_parity_stops_after_the_linear_factors(monkeypatch):
     # With the parity, a quintic is settled once its linear factors are
     # split off (the rest is [5], [2, 3], [4], [2, 2], [3] or [2], each the
-    # only pattern of its parity), so one gcd is taken and the Frobenius
-    # matrix is never built; so is a sextic with a linear factor.
+    # only pattern of its parity); so is a sextic with a linear factor.
+    # Below ROOT_PRIME_BOUND the linear factors come from the root count, so
+    # neither a gcd nor x^p mod f is computed.
     rng = random.Random(43)
-    real = padic._pgcd
-    gcds = []
+    calls = []
 
-    def counted(a, b, p):
-        gcds.append(p)
-        return real(a, b, p)
+    def counted(name):
+        real = getattr(padic, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
 
     checked = {5: 0, 6: 0}
     for p in primes_up_to(60):
@@ -335,11 +340,12 @@ def test_parity_stops_after_the_linear_factors(monkeypatch):
                     continue
                 full = frobenius_cycle_type(Poly(coeffs), p)
                 with monkeypatch.context() as patch:
-                    patch.setattr(padic, "_pgcd", counted)
-                    gcds.clear()
+                    patch.setattr(padic, "_pgcd", counted("_pgcd"))
+                    patch.setattr(padic, "_x_power", counted("_x_power"))
+                    calls.clear()
                     assert good_prime_cycle_type(coeffs, p, frobenius_parity(disc, p)) == full
                 if degree == 5 or 1 in full.parts:
-                    assert len(gcds) == 1, (coeffs, p, full)
+                    assert calls == [], (coeffs, p, full)
                     checked[degree] += 1
     assert checked[5] > 100 and checked[6] > 50
 
@@ -350,3 +356,64 @@ def test_parity_contradiction_is_an_error():
     # raises instead of looping on.
     with pytest.raises(ArithmeticError):
         good_prime_cycle_type([1, -1, 0, 1], 5, 0)
+
+
+# -- the root count below ROOT_PRIME_BOUND ----------------------------------------
+
+
+def powering_pattern(coeffs, p, monkeypatch):
+    """The parity-free loop with every prime on the x^p powering path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(padic, "ROOT_PRIME_BOUND", 2)
+        return padic.distinct_degree_pattern(coeffs, p)
+
+
+def test_root_count_at_the_cutoff(monkeypatch):
+    # At the largest prime below the cutoff and the smallest above it, with
+    # every coefficient p - 1 (the largest slot sums, (n + 1)(p - 1)^2) and
+    # with seeded random ones, the pattern equals the powering loop's and
+    # sympy's for degrees 2 to 8, with and without the parity.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    below = max(primes_up_to(padic.ROOT_PRIME_BOUND - 1))
+    above = min(p for p in primes_up_to(2 * padic.ROOT_PRIME_BOUND) if p >= padic.ROOT_PRIME_BOUND)
+    assert (below, above) == (251, 257)
+    rng = random.Random(47)
+    checked = set()
+    for p in (below, above):
+        for degree in range(2, 9):
+            full = [p - 1] * (degree + 1)
+            assert padic._roots_mod(full, p) == [
+                a for a in range(p) if sum(c * a**i for i, c in enumerate(full)) % p == 0
+            ]
+            for coeffs in [[p - 1] * degree + [1]] + [
+                [rng.randrange(p) for _ in range(degree)] + [1] for _ in range(6)
+            ]:
+                disc = discriminant(Poly(coeffs)).numerator
+                if disc % p == 0:
+                    continue
+                _, factors = sympy.Poly(list(reversed(coeffs)), x, modulus=p).factor_list()
+                want = sorted(q.degree() for q, mult in factors for _ in range(mult))
+                assert powering_pattern(coeffs, p, monkeypatch) == want, (coeffs, p)
+                assert padic.distinct_degree_pattern(coeffs, p) == want, (coeffs, p)
+                parity = frobenius_parity(disc, p)
+                assert padic.distinct_degree_pattern(coeffs, p, parity) == want, (coeffs, p)
+                checked.add((p, degree))
+    assert len(checked) == 14
+
+
+def test_column_table_holds_only_primes_below_the_cutoff(monkeypatch):
+    # x^3 + c with c the product of the primes below 200 is bad at each of
+    # them, so its 25 good primes run from 211 to well past the cutoff.  The
+    # even ones (p = 1 mod 3) count roots below the cutoff and power x^p
+    # above it; only the former leave packed columns behind.
+    from sdtwists.galois import collect_evidence
+
+    monkeypatch.setattr(padic, "_COLUMNS", {})
+    c = math.prod(primes_up_to(199))
+    evidence = collect_evidence(Poly([c, 0, 0, 1]), 3, 25)
+    scanned = [p for kind, p, _ in evidence.provenance if kind == "frobenius_cycle_type"]
+    assert len(scanned) == 25 and min(scanned) == 211 and max(scanned) > padic.ROOT_PRIME_BOUND
+    assert set(padic._COLUMNS) == {
+        p for p in scanned if p < padic.ROOT_PRIME_BOUND and p % 3 == 1
+    }
