@@ -25,6 +25,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import galois
@@ -603,13 +604,15 @@ def ev_instance(
     return _ev_instance(model, d, y, a, b, _ev_limits(model, d, y))
 
 
-def _ev_limits(model: WeierstrassModel, d: int, y: Fraction) -> tuple[Fraction, list[int]]:
+@lru_cache(maxsize=64)
+def _ev_limits(model: WeierstrassModel, d: int, y: Fraction) -> tuple[Fraction, tuple[int, ...]]:
     """(C, limits): C = ``ev_bound_constant`` and limits[k] = floor(m*C*Y^k),
     the bound on the integer coefficient of x^(d-k) in m*H, for m the
-    denominator of f."""
+    denominator of f.  Kept per (model, d, Y), so that ``ev_instance`` does
+    not redo this exact arithmetic on every call."""
     c_bound = ev_bound_constant(model, d)
     m = model.f_cleared[1]
-    return c_bound, [math.floor(m * c_bound * y**k) for k in range(d + 1)]
+    return c_bound, tuple(math.floor(m * c_bound * y**k) for k in range(d + 1))
 
 
 def _ev_instance(
@@ -618,7 +621,7 @@ def _ev_instance(
     y: Fraction,
     a: Sequence[int],
     b: Sequence[int],
-    limits: tuple[Fraction, list[int]],
+    limits: tuple[Fraction, tuple[int, ...]],
 ) -> EVInstance:
     """``ev_instance`` with the bounds of ``_ev_limits``.
 

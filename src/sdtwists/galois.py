@@ -36,7 +36,7 @@ F_p packed into the 32-bit slots of one integer (exact while
 (d + 1)(p - 1)^2 < 2^32).  Its table of columns a^i mod p is keyed by the
 prime alone, since the columns serve every polynomial and degree.  So a
 polynomial of degree at most 5, or a sextic with a root mod p, is settled
-without computing x^p mod p, and any other polynomial powers x^p only
+without computing x^p mod (f, p), and any other polynomial powers x^p only
 modulo what is left once its roots are divided out.  A sweep hands the scan
 a lookup instead (``IntegerFamily.cycle_type``): at a good prime p not
 dividing v (nor the cleared denominator of P) the cycle type of a

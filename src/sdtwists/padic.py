@@ -28,6 +28,16 @@ their table is keyed by the prime alone and grown to the largest degree
 asked: one entry per prime serves every degree, and for degrees up to 8 the
 whole table stays near 0.25 MB.  Larger primes keep the x^p powering for
 the first step.
+
+The later steps work in F_p[x]/(g), g what is left of f, with elements
+packed into integers too, one coefficient per slot of a multiple of 64
+bits: a product is one integer multiplication, a fold of the slots above
+deg g back from the top, and one Barrett step (P. Barrett, CRYPTO '86) that
+reduces every slot mod p at once.  The slot width and the Barrett shift
+follow, per ring, from a bound on every slot value that reaches that step
+(``_Ring``), so the ring is exact at every prime and degree.  x^p is one
+square-and-shift powering; x^(p^k) for k >= 2 is h(x^p) for h = x^(p^(k-1)),
+by Horner in the ring, since h(x)^p = h(x^p) over F_p.
 """
 
 from __future__ import annotations
@@ -159,14 +169,19 @@ def cycle_certificate(polygon: NewtonPolygon) -> list[CycleType]:
 # ---------------------------------------------------------------------------
 # Dense F_p[x] kernels (coefficients are ints, constant first).
 #
-# Distinct-degree factorization needs x^(p^k) modulo the polynomial f for
-# k = 1, 2, ...  x^p comes from one square-and-shift powering; each later
-# power is the previous one pushed through the Frobenius matrix, whose rows
-# are x^(i p) mod f, since (sum h_i x^i)^p = sum h_i x^(i p) over F_p (von zur
-# Gathen and Shoup, "Computing Frobenius maps and factoring polynomials",
-# 1992).  Products are accumulated in plain ints and reduced mod p once per
-# coefficient.  Below ROOT_PRIME_BOUND the linear factors come from the
-# roots instead, read off one packed evaluation at every point of F_p.
+# Distinct-degree factorization needs x^(p^k) modulo the polynomial g for
+# k = 1, 2, ...  They are computed in ``_Ring``, F_p[x]/(g) on packed
+# integers: slot j holds the coefficient of x^j, a product is one integer
+# multiplication whose top slots are folded back one at a time through the
+# packed row of x^n mod g, and one Barrett step then reduces all slots mod
+# p.  No slot value reaching that step exceeds 2n(p - 1)^2 (the derivation
+# is on ``_Ring``), and the slot width and shift are chosen from that bound.
+# x^p comes from one square-and-shift powering (``_x_power``, the only place
+# that computes x^e); each later power is the previous one composed with
+# x^p, since (sum h_i x^i)^p = sum h_i x^(i p) over F_p (von zur Gathen and
+# Shoup, "Computing Frobenius maps and factoring polynomials", 1992).  Below
+# ROOT_PRIME_BOUND the linear factors come from the roots instead, read off
+# one packed evaluation at every point of F_p.
 # ---------------------------------------------------------------------------
 
 
@@ -216,31 +231,86 @@ def _pdiv_exact(a: list[int], b: list[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
-def _mulmod(a: list[int], b: list[int], red: list[int], p: int) -> list[int]:
-    """a * b modulo (f, p), where f is monic of degree n = len(red) with
-    x^n == sum(red[j] x^j); a, b and the result have length n."""
-    n = len(red)
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bj in enumerate(b, i):
-                prod[k] += ai * bj
-    for top in range(2 * n - 2, n - 1, -1):
-        c = prod[top] % p
-        if c:
-            for k, rj in enumerate(red, top - n):
-                prod[k] += c * rj
-    return [c % p for c in prod[:n]]
+class _Ring:
+    """F_p[x]/(g) for a monic g of degree n >= 2 over F_p (constant first).
+
+    An element is a packed integer whose slot j, ``width`` bits wide, holds
+    the coefficient of x^j.  A product is one integer multiplication; the
+    slots above n - 1 are then folded back one per step, from the highest in
+    use, as (its value mod p) times the packed row of x^n == sum(red[j] x^j),
+    shifted into place; and one Barrett step reduces every slot mod p at once.
+
+    Bound: with both operands reduced, but for an unreduced constant slot
+    below 2p - 1 in one of them (Horner in ``compose`` adds a coefficient
+    after each product), slot n - 1 of the product is at most
+    (2p - 2)(p - 1) + (n - 1)(p - 1)^2 = (n + 1)(p - 1)^2, and the n - 1
+    folds add at most (p - 1)^2 each, so no slot exceeds
+    ``bound`` = 2n(p - 1)^2.  A square times x (``_x_power``) has reduced
+    operands, slots at most n(p - 1)^2 and n folds, within the same bound.
+    Barrett with 2^shift >= bound * p and magic = ceil(2^shift / p) gives
+    floor(s * magic / 2^shift) = floor(s / p) for every s <= bound (the
+    error s * (magic * p - 2^shift) / (p * 2^shift) stays below 1/p), and
+    the width, a multiple of 64 bits, holds bound * magic, so no slot
+    carries into the next at any step.
+    """
+
+    __slots__ = ("p", "n", "width", "bound", "_shift", "_magic", "_quotient_mask", "_folds")
+
+    def __init__(self, g: list[int], p: int):
+        n = _pdeg(g)
+        self.p, self.n = p, n
+        self.bound = 2 * n * (p - 1) ** 2
+        self._shift = (self.bound * p - 1).bit_length()
+        self._magic = -(-(1 << self._shift) // p)
+        self.width = w = -(-(self.bound * self._magic).bit_length() // 64) * 64
+        slot_mask = (1 << (w - self._shift)) - 1
+        self._quotient_mask = int.from_bytes(slot_mask.to_bytes(w // 8, "little") * n, "little")
+        red = self.pack([-c % p for c in g[:-1]])
+        # (position of slot t, the slots below it, x^t == red * x^(t - n)) from t = 2n - 1 down to n
+        self._folds = [
+            (t * w, (1 << t * w) - 1, red << (t - n) * w) for t in range(2 * n - 1, n - 1, -1)
+        ]
+
+    def pack(self, coeffs: list[int]) -> int:
+        """The packed integer with these slot values, each below 2^width."""
+        packed = 0
+        for c in reversed(coeffs):
+            packed = packed << self.width | c
+        return packed
+
+    def coeffs(self, packed: int) -> list[int]:
+        """The n coefficients of an element, reduced mod p."""
+        w, p = self.width, self.p
+        slot = (1 << w) - 1
+        return [(packed >> (j * w) & slot) % p for j in range(self.n)]
+
+    def reduce(self, packed: int) -> int:
+        """Every slot mod p by one Barrett step, for slots at most ``bound``."""
+        quotients = (packed * self._magic >> self._shift) & self._quotient_mask
+        return packed - quotients * self.p
+
+    def mul(self, a: int, b: int, by_x: bool = False) -> int:
+        """a * b, times x as well when ``by_x``, reduced."""
+        p, w = self.p, self.width
+        prod = a * b << w if by_x else a * b
+        top = (prod.bit_length() - 1) // w  # the highest slot in use
+        for position, below, row in self._folds[2 * self.n - 1 - top :]:
+            prod = (prod & below) + (prod >> position) % p * row
+        return self.reduce(prod)
+
+    def compose(self, h: list[int], y: int) -> list[int]:
+        """The coefficients of h(y), by Horner, for h reduced mod p."""
+        acc = h[-1]
+        for c in reversed(h[:-1]):
+            acc = self.mul(acc, y) + c
+        return self.coeffs(acc)
 
 
-def _x_power(e: int, red: list[int], p: int) -> list[int]:
-    """x^e modulo (f, p) for e >= 1 and deg f = len(red) >= 2."""
-    r = [0, 1] + [0] * (len(red) - 2)
+def _x_power(e: int, ring: _Ring) -> int:
+    """x^e in ``ring`` for e >= 1, by squaring and shifting."""
+    r = 1 << ring.width
     for bit in bin(e)[3:]:
-        r = _mulmod(r, r, red, p)
-        if bit == "1":  # multiply by x: shift up and fold the top term back
-            top = r[-1]
-            r = [(c + top * rj) % p for c, rj in zip([0] + r[:-1], red)]
+        r = ring.mul(r, r, bit == "1")
     return r
 
 
@@ -308,12 +378,14 @@ def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) 
     Frobenius as a permutation of the roots, when one partition of the
     rest's degree into parts > k has the parity still owed.  Below
     ROOT_PRIME_BOUND step 1 counts the roots of f in F_p, and they are
-    divided out only when a later step needs the rest.
+    divided out only when a later step needs the rest.  The first step that
+    needs x^(p^k) builds the ring F_p[x]/(g0), g0 what is left of f then,
+    and powers x^p in it once; each later step composes the previous power
+    with x^p instead of powering again.
     """
     n = _pdeg(f)
-    red: list[int] = []  # x^m == sum(red[j] x^j) mod g0, m = deg g0
-    xp: list[int] = []  # x^p mod g0, for g0 what is left of f when first needed
-    rows: list[list[int]] = []  # Frobenius matrix, built on first use
+    ring: Optional[_Ring] = None  # F_p[x]/(g0), g0 what is left of f when x^p is first needed
+    xp = 0  # x^p in ring
     h: list[int] = []  # x^(p^k) mod g0
     g = f  # f without the factors split off, but for counted roots not yet divided out
     roots: list[int] = []
@@ -332,22 +404,14 @@ def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) 
             out.extend([1] * len(roots))
             k = 2
             continue
-        if not xp:
+        if ring is None:
             for r in roots:
                 g = _pdiv_exact(g, [-r % p, 1], p)
-            red = [-c % p for c in g[:-1]]
-            h = xp = _x_power(p, red, p)
+            ring = _Ring(g, p)
+            xp = _x_power(p, ring)
+            h = ring.coeffs(xp)
         if k > 1:
-            if not rows:
-                rows = [[1] + [0] * (len(red) - 1), xp]
-                while len(rows) < len(red):
-                    rows.append(_mulmod(rows[-1], xp, red, p))
-            acc = [0] * len(red)
-            for hi, row in zip(h, rows):
-                if hi:
-                    for j, rj in enumerate(row):
-                        acc[j] += hi * rj
-            h = [c % p for c in acc]
+            h = ring.compose(h, xp)  # h(x)^p = h(x^p) over F_p
         gk = _pgcd(g, [h[0], h[1] - 1] + h[2:], p)  # gcd(g, x^(p^k) - x)
         if _pdeg(gk) > 0:
             out.extend([k] * (_pdeg(gk) // k))

@@ -333,6 +333,37 @@ def _modp_quotient(b, a, p):
     return out
 
 
+def modp_rem(a: list[int], g: list[int], p: int) -> list[int]:
+    """a mod (g, p) for monic g, as deg g coefficients in [0, p)."""
+    a = [c % p for c in a]
+    n = len(g) - 1
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top]
+        for j, gj in enumerate(g):
+            a[top - n + j] = (a[top - n + j] - c * gj) % p
+    return (a + [0] * n)[:n]
+
+
+def modp_mulmod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
+    """a * b mod (g, p): the schoolbook product, then the remainder."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return modp_rem(prod, g, p)
+
+
+def modp_powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
+    """a^e mod (g, p) by right-to-left binary powering."""
+    out, base = modp_rem([1], g, p), modp_rem(a, g, p)
+    while e:
+        if e & 1:
+            out = modp_mulmod(out, base, g, p)
+        base = modp_mulmod(base, base, g, p)
+        e >>= 1
+    return out
+
+
 def legendre_euler(a: int, p: int) -> int:
     """Legendre symbol by Euler's criterion (odd prime p)."""
     r = pow(a % p, (p - 1) // 2, p)

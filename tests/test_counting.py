@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -207,9 +208,9 @@ def test_sweep_parity_spares_powerings(monkeypatch):
     real = padic._x_power
     powerings = []
 
-    def counted(e, red, p):
-        powerings.append(p)
-        return real(e, red, p)
+    def counted(*args):
+        powerings.append(args)
+        return real(*args)
 
     monkeypatch.setattr(padic, "_x_power", counted)
     cands = sweep(small_cubic_family(), 12, budgets=SweepBudgets(prime_budget=10))
@@ -483,6 +484,27 @@ def test_ev_generate_sampled_is_seeded():
     a = [i.H for i in ev_generate(model, 8, F(3), cfg)]
     b = [i.H for i in ev_generate(model, 8, F(3), cfg)]
     assert a == b
+
+
+def test_ev_instance_rebuilds_generated_instances():
+    # The public ev_instance at the coordinates ev_generate drew, in its
+    # exhaustive and its sampling mode, gives the same instance; its limits
+    # are kept per (model, d, Y) and handed out as a tuple nobody can grow.
+    model, _, _ = build_family((1, 1), 6)
+    d, y = 6, F(3)
+    a_bounds, b_bounds = ev_boxes(d, y)
+    cfg = EvConfig(seed=9, max_instances=12, exhaustive_limit=10, certify=False)
+    rng = random.Random(cfg.seed)
+    for inst in ev_generate(model, d, y, cfg):
+        a = [rng.randint(-bound, bound) for bound in a_bounds]
+        b = [rng.randint(-bound, bound) for bound in b_bounds]
+        assert ev_instance(model, d, y, a, b) == inst
+    small = EvConfig(max_instances=20, certify=False)
+    coords = itertools.product(*[range(-1, 2)] * 5)  # every bound is 1 at Y = 1
+    for inst, c in zip(ev_generate(model, d, 1, small), coords):
+        assert ev_instance(model, d, F(1), c[:3], c[3:]) == inst
+    assert counting._ev_limits(model, d, y) is counting._ev_limits(model, d, y)
+    assert isinstance(counting._ev_limits(model, d, y)[1], tuple)
 
 
 def test_ev_generate_rejects_cubic():

@@ -417,3 +417,133 @@ def test_column_table_holds_only_primes_below_the_cutoff(monkeypatch):
     assert set(padic._COLUMNS) == {
         p for p in scanned if p < padic.ROOT_PRIME_BOUND and p % 3 == 1
     }
+
+
+# -- the packed ring F_p[x]/(g) ---------------------------------------------------
+
+# The two smallest primes, the two around ROOT_PRIME_BOUND, one where 64-bit
+# slots still hold every degree up to 12, and two that need 128-bit slots.
+RING_PRIMES = (2, 3, 251, 257, 4409, 65537, 1_000_003)
+
+
+def ring_moduli(rng, n, p):
+    """A monic g of degree n with every lower coefficient p - 1, and a random one."""
+    return [[p - 1] * n + [1], [rng.randrange(p) for _ in range(n)] + [1]]
+
+
+def test_ring_matches_list_oracle():
+    # Products, products times x, x^e and compositions equal the schoolbook
+    # list arithmetic over F_p for degrees 2 to 12, with all-(p - 1)
+    # operands and the unreduced Horner constant 2p - 2 that ``compose``
+    # feeds back into a product.  Products and powers are compared packed,
+    # so every slot must come out reduced below p.
+    rng = random.Random(53)
+    for p in RING_PRIMES:
+        for n in range(2, 13):
+            for g in ring_moduli(rng, n, p):
+                ring = padic._Ring(g, p)
+                top = [p - 1] * n
+                horner = [2 * p - 2] + top[1:]
+                rand = [rng.randrange(p) for _ in range(n)]
+                for a, b in ((top, top), (horner, top), (rand, horner), (rand, top)):
+                    want = oracles.modp_mulmod(a, b, g, p)
+                    assert ring.mul(ring.pack(a), ring.pack(b)) == ring.pack(want), (g, p, a, b)
+                    want = oracles.modp_mulmod(a, [0] + b, g, p)
+                    assert ring.mul(ring.pack(a), ring.pack(b), True) == ring.pack(want), (g, p, a, b)
+                for e in (1, 2, 3, n, n + 1, p, rng.randrange(2, p * p + 2)):
+                    want = oracles.modp_powmod([0, 1], e, g, p)
+                    assert padic._x_power(e, ring) == ring.pack(want), (g, p, e)
+                xp = oracles.modp_powmod([0, 1], p, g, p)
+                for h in (top, rand):
+                    want = [0] * n
+                    for c in reversed(h):  # h(x^p) mod g
+                        want = oracles.modp_mulmod(want, xp, g, p)
+                        want[0] = (want[0] + c) % p
+                    assert ring.compose(h, ring.pack(xp)) == want, (g, p, h)
+                    assert want == oracles.modp_powmod(h, p, g, p)  # h(x)^p = h(x^p)
+
+
+def test_barrett_step_is_exact_at_the_slot_bound():
+    # The largest primes whose rings keep 64-bit slots at degrees 2, 6 and
+    # 12: there bound * magic fills all 64 bits and the shift is the least
+    # with 2^shift >= bound * p, so nothing is to spare.  Every slot at or
+    # near the bound, the largest values at most the bound that are p - 1
+    # mod p (where a quotient rounded up errs first) and 0 mod p (where one
+    # rounded down errs first) reduce to their residues; the next prime
+    # needs 128-bit slots.
+    for n, p, above in ((2, 32749, 32771), (6, 18013, 18041), (12, 11353, 11369)):
+        ring = padic._Ring([1] * (n + 1), p)
+        assert ring.bound == 2 * n * (p - 1) ** 2
+        assert ring.width == 64 and (ring.bound * ring._magic).bit_length() == 64
+        assert 2 ** (ring._shift - 1) < ring.bound * p <= 2**ring._shift
+        assert padic._Ring([1] * (n + 1), above).width == 128
+        worst = (ring.bound + 1) // p * p - 1
+        for slots in (
+            [ring.bound] * n,
+            [ring.bound - j for j in range(n)],
+            [worst] * n,
+            [worst - p * j for j in range(n)],
+            [worst + 1 - p * j for j in range(n)],
+        ):
+            assert ring.reduce(ring.pack(slots)) == ring.pack([s % p for s in slots]), (n, p)
+
+
+def test_distinct_degree_matches_sympy_above_the_root_bound():
+    # At and above ROOT_PRIME_BOUND step 1 also runs through the ring: the
+    # patterns of degrees 2 to 12, with and without the parity, equal
+    # sympy's.  Products of two random factors give split patterns beside
+    # the random polynomials.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(59)
+    checked = set()
+    for p in (padic.ROOT_PRIME_BOUND + 1, 4409, 65537, 1_000_003):
+        for degree in range(2, 13):
+            half = degree // 2
+            first = [rng.randrange(p) for _ in range(half)] + [1]
+            second = [rng.randrange(p) for _ in range(degree - half)] + [1]
+            product = oracles.modp_mulmod(first, second, [0] * (degree + 1) + [1], p)  # mod x^(d + 1)
+            for coeffs in ([rng.randrange(p) for _ in range(degree)] + [1], product):
+                _, factors = sympy.Poly(list(reversed(coeffs)), x, modulus=p).factor_list()
+                if any(mult > 1 for _, mult in factors):
+                    continue
+                want = sorted(q.degree() for q, _ in factors)
+                assert padic.distinct_degree_pattern(coeffs, p) == want, (coeffs, p)
+                parity = (degree - len(want)) % 2
+                assert padic.distinct_degree_pattern(coeffs, p, parity) == want, (coeffs, p)
+                checked.add((p, degree))
+    assert len(checked) >= 40
+
+
+def test_rootless_sextics_compose_instead_of_powering_again(monkeypatch):
+    # With the parity, a sextic without a root mod p is [2, 4] or [3, 3]
+    # (even) or [6] or [2, 2, 2] (odd), told apart by x^(p^2) mod f.  That
+    # power is x^p composed with x^p, so x^e is computed exactly once and
+    # composed exactly once per pattern, and the pattern equals the
+    # parity-free loop's.
+    rng = random.Random(61)
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    seen = set()
+    for p in primes_up_to(padic.ROOT_PRIME_BOUND - 1):
+        for _ in range(8):
+            coeffs = [rng.randrange(p) for _ in range(6)] + [1]
+            deriv = [i * c for i, c in enumerate(coeffs)][1:]
+            if padic._roots_mod(coeffs, p) or len(padic._pgcd(coeffs, deriv, p)) != 1:
+                continue
+            full = padic.distinct_degree_pattern(coeffs, p)
+            with monkeypatch.context() as patch:
+                patch.setattr(padic, "_x_power", counted("_x_power", padic._x_power))
+                patch.setattr(padic._Ring, "compose", counted("compose", padic._Ring.compose))
+                calls.clear()
+                assert padic.distinct_degree_pattern(coeffs, p, (6 - len(full)) % 2) == full
+            assert sorted(calls) == ["_x_power", "compose"], (coeffs, p, full)
+            seen.add(tuple(full))
+    assert seen == {(2, 4), (3, 3), (6,), (2, 2, 2)}
