@@ -4,12 +4,13 @@ A sweep walks coprime pairs (u, v) in a box, specializes the twist family at
 t = u/v, certifies the Galois group, verifies the induced point and reduces
 the polynomial discriminant to its signed squarefree kernel.  Each sweep
 builds one ``IntegerFamily``, the integer view of the family, and every
-candidate reads its specialization, discriminant, point check and Frobenius
-cycle types off it.  Distinct fields are distinguished by the kernel (the
-square class of the discriminant), so deduplication groups by it; kernels
-whose factorization is incomplete at the trial bound are quarantined and
-never counted as distinct, which keeps every reported count a true lower
-bound.
+candidate reads its specialization, discriminant and Frobenius cycle types
+off it; the point holds at every specialization of degree >= 1 by the family
+identity, which ``sweep`` checks once per family.  Distinct fields are
+distinguished by the kernel (the square class of the discriminant), so
+deduplication groups by it; kernels whose factorization is incomplete at the
+trial bound are quarantined and never counted as distinct, which keeps every
+reported count a true lower bound.
 
 The coefficient-box construction generates pairs (F, G) with H = F^2 - f G^2
 so that each root x0 of H carries the point (x0, F(x0)/G(x0)) of the curve;
@@ -121,7 +122,9 @@ def _candidate(
     p_spec, lam = family.specialize(u, v)
     d = family.d
     disc = family.discriminant(p_spec, lam, u, v) if p_spec.degree >= 1 else 0
-    point_ok = p_spec.degree >= 1 and family.point_holds(p_spec, u, v)
+    # The family identity F^2 - f*G^2 = +-P, which ``sweep`` has checked,
+    # puts the point on the curve modulo every specialization of degree >= 1.
+    point_ok = p_spec.degree >= 1
 
     # One small-prime pass per discriminant: the kernel and the witness
     # search share this factorization.
@@ -248,9 +251,15 @@ def sweep(
     per call (one per worker chunk with a pool): they read
     discriminant_in_t(P) off the family, which computes it once and keeps
     it, and the Frobenius tables fill as the sweep goes.
+
+    Every record's ``point_verified`` rests on the family identity
+    F^2 - f*G^2 = +-P (``TwistFamily.identity_holds``, computed once per
+    family); a family for which it fails raises ValueError.
     """
     if box < 1:
         raise ValueError("box must be at least 1")
+    if not family.identity_holds:
+        raise ValueError("point_num^2 - f*point_den^2 is not identity_sign * P for this family")
     if congruence:
         u0, v0, m = congruence
         if m < 1:

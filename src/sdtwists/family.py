@@ -29,13 +29,16 @@ Q[x]/(P(x, u/v)).
 
 A sweep works on ``IntegerFamily``, the family with its denominators cleared
 once into integer binary forms in (u, v): specializations, their
-discriminants, the point check and Frobenius cycle types are read off those
-forms in integer arithmetic.  ``specialize`` and ``verify_new_point`` run on
-the same code for a single pair.
+discriminants and Frobenius cycle types are read off those forms in integer
+arithmetic, and the point needs no check per pair once the family identity
+is checked.  ``specialize`` and ``verify_new_point`` run on the same code
+for a single pair; ``verify_new_point`` accepts any polynomial, so it keeps
+the integer pseudo-remainder test.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,6 +79,18 @@ class WeierstrassModel:
     epsilon: Fraction
     forced_modulus: Optional[int] = None  # extra congruence f == x^3 mod this
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, computed once per model: with their
+        Fractions of up to 21-digit denominators it costs about 10 us.  The
+        value travels with a pickled model, so it must not depend on the
+        process, as hash(None) did before Python 3.12."""
+        fields = (getattr(self, field.name) for field in dataclasses.fields(self))
+        return hash(tuple(-1 if value is None else value for value in fields))
+
     @property
     def f(self) -> Poly:
         return Poly([self.D, self.C, self.B, 1])
@@ -114,6 +129,15 @@ class TwistFamily:
     point_num: BivarPoly  # y numerator, in x and t
     point_den: BivarPoly  # y denominator
     identity_sign: int  # point_num^2 - f*point_den^2 == identity_sign * P
+
+    @cached_property
+    def identity_holds(self) -> bool:
+        """Whether point_num^2 - f*point_den^2 == identity_sign * P in Q[t][x],
+        computed once per family: where it holds, the point lies on the
+        curve over Q[x]/(P(x, u/v)) at every specialization."""
+        f_biv = BivarPoly([Poly([c]) for c in self.model.f.coeffs])
+        identity = self.point_num * self.point_num - f_biv * self.point_den * self.point_den
+        return identity == (self.P if self.identity_sign == 1 else -self.P)
 
     @cached_property
     def disc_t(self) -> Poly:
@@ -347,11 +371,10 @@ def twist_polynomial(model: WeierstrassModel, d: int) -> TwistFamily:
         point_num = BivarPoly([t])
         point_den = BivarPoly([Poly()] * ((d - 3) // 2) + [Poly([1])])  # x^((d-3)/2)
         sign = -1
-    identity = point_num * point_num - f_biv * point_den * point_den
-    expected = P if sign == 1 else -P
-    if identity != expected:
+    family = TwistFamily(d, parity, model, P, point_num, point_den, sign)
+    if not family.identity_holds:
         raise AssertionError("point identity failed for the constructed family")
-    return TwistFamily(d, parity, model, P, point_num, point_den, sign)
+    return family
 
 
 def disc_form(family: TwistFamily) -> DiscriminantForm:
@@ -540,8 +563,10 @@ class IntegerFamily:
     ``specialize`` evaluates the forms at (u, v) and divides by the content;
     ``discriminant`` reads disc(spec) off Disc_t = ``TwistFamily.disc_t``
     as Disc_t(u/v) / lam^(2d-2) when spec keeps degree d (the subresultant
-    otherwise); ``point_holds`` decides F^2 - f*G^2 == 0 mod spec by an
-    integer pseudo-remainder; and ``cycle_type`` reads the Frobenius cycle
+    otherwise); ``point_holds`` decides F^2 - f*G^2 == 0 mod any polynomial
+    by an integer pseudo-remainder, which a sweep does not need, since the
+    family identity (``TwistFamily.identity_holds``) makes it hold at every
+    specialization of degree >= 1; and ``cycle_type`` reads the Frobenius cycle
     type at a good prime p with p not dividing v*L off a table keyed by
     (p, u/v mod p), filled by the first pair with that key.  Disc_t belongs
     to the family and is computed once for it; all other state lives in the

@@ -17,17 +17,26 @@ possible pattern, so an odd cubic or a quadratic needs no F_p arithmetic.
 ``frobenius_cycle_type`` has no discriminant and runs the full loop.
 
 Below ``ROOT_PRIME_BOUND`` (256) the first step of the loop, splitting off
-the linear factors, is a root count: f is evaluated at every a in F_p at
-once, as one sum of n + 1 packed integers whose 32-bit slots hold a^i mod p
-(no slot carries while (n + 1)(p - 1)^2 < 2^32, which p < 256 keeps for
-every degree below 68,718).  With the parity, a polynomial of degree at
-most 5, or a sextic with a root mod p, is then settled, and any other
-polynomial computes x^p only modulo what is left once its roots are
-divided out.  The columns a^i mod p do not depend on the polynomial, so
-their table is keyed by the prime alone and grown to the largest degree
-asked: one entry per prime serves every degree, and for degrees up to 8 the
-whole table stays near 0.25 MB.  Larger primes keep the x^p powering for
-the first step.
+the linear factors, is a root count on packed integers alone: f is
+evaluated at every a in F_p at once, as one sum of n + 1 packed integers
+whose 64-bit slots hold a^i mod p; one Barrett step (P. Barrett, CRYPTO
+'86) reduces every slot mod p; adding 2^63 - 1 to every slot then sets a
+slot's top bit exactly when its value is nonzero, and the popcount of the
+top bits is p minus the number of roots.  The step is exact while
+bound * magic < 2^64, for bound = (n + 1)(p - 1)^2, 2^shift >= bound * p
+and magic = ceil(2^shift / p), which p < 256 keeps for every degree up to
+67,376 (``_barrett``).  A cached table keyed by (degree, roots, parity)
+then names the one cycle type the count leaves, if any, as a ``CycleType``
+shared by every caller: with the parity, a polynomial of degree at most 5,
+or a sextic with a root mod p, is settled there without a monic reduction
+or the loop.  The roots themselves are listed only when a later step must
+divide them out, and any other polynomial computes x^p only modulo what is
+left then.  The columns a^i mod p do not depend on the polynomial, so their
+table is keyed by the prime alone and grown to the largest degree asked;
+column i >= p is column i - (p - 1) again, and shares its object, so one
+entry per prime serves every degree, and for degrees up to 8 the whole
+table stays near 0.5 MB.  Larger primes keep the x^p powering for the first
+step.
 
 The later steps work in F_p[x]/(g), g what is left of f, with elements
 packed into integers too, one coefficient per slot of a multiple of 64
@@ -43,12 +52,11 @@ by Horner in the ring, since h(x)^p = h(x^p) over F_p.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from operator import mul
 from typing import Iterator, Optional, Union
 
 from .polyarith import Poly
@@ -57,7 +65,9 @@ from .primes import is_prime, valuation_int
 INFINITY = math.inf
 
 # Primes below this bound count roots by the packed evaluation of
-# ``_roots_mod``; see the module docstring.
+# ``_values_mod``: one sum of 64-bit slots, one Barrett step and a popcount;
+# see the module docstring.  Every degree up to 67,376 passes the exact
+# Barrett condition below this bound.
 ROOT_PRIME_BOUND = 256
 
 
@@ -108,11 +118,18 @@ class CycleType:
         return "[" + ",".join(map(str, self.parts)) + "]"
 
 
+@lru_cache(maxsize=None)
+def _cycle_type(pattern: tuple[int, ...]) -> CycleType:
+    """The one ``CycleType`` this module returns for an ascending pattern, so
+    that equal patterns share an object and skip the sort and checks."""
+    return CycleType(pattern)
+
+
 def n_cycle_type(n: int, degree: int) -> CycleType:
     """Cycle type of a single n-cycle inside S_degree."""
     if not 1 <= n <= degree:
         raise ValueError("cycle length out of range")
-    return CycleType((n,) + (1,) * (degree - n))
+    return _cycle_type((1,) * (degree - n) + (n,))
 
 
 def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
@@ -180,8 +197,9 @@ def cycle_certificate(polygon: NewtonPolygon) -> list[CycleType]:
 # that computes x^e); each later power is the previous one composed with
 # x^p, since (sum h_i x^i)^p = sum h_i x^(i p) over F_p (von zur Gathen and
 # Shoup, "Computing Frobenius maps and factoring polynomials", 1992).  Below
-# ROOT_PRIME_BOUND the linear factors come from the roots instead, read off
-# one packed evaluation at every point of F_p.
+# ROOT_PRIME_BOUND the linear factors are counted instead, from one packed
+# evaluation at every point of F_p, and the roots are read off that
+# evaluation only when they must be divided out.
 # ---------------------------------------------------------------------------
 
 
@@ -314,34 +332,93 @@ def _x_power(e: int, ring: _Ring) -> int:
     return r
 
 
-# Slot a of the packed column i holds a^i mod p as a 32-bit unsigned integer
-# in native byte order, so sum(c_i * column_i) holds f(a) in slot a as long
-# as no slot exceeds (n + 1)(p - 1)^2 < 2^32 for coefficients c_i in [0, p).
-_SLOT, _SLOT_BYTES = "I", 4
-if array(_SLOT).itemsize != _SLOT_BYTES:
-    raise ImportError("packed root counting needs 4-byte array slots")
-_SLOT_LIMIT = 1 << (8 * _SLOT_BYTES)
-_COLUMNS: dict[int, tuple[int, ...]] = {}  # p -> packed columns for i = 0, 1, ...
+# Slot a (bits 64a to 64a + 63) of the packed column i holds a^i mod p, so
+# for coefficients c_i in [0, p) the sum of c_i * column_i holds f(a) in
+# slot a, at most bound = (n + 1)(p - 1)^2.  One Barrett step reduces every
+# slot mod p exactly when 2^shift >= bound * p, magic = ceil(2^shift / p) and
+# bound * magic < 2^64: then floor(s * magic / 2^shift) = floor(s / p) for
+# every s <= bound (the error s * (magic * p - 2^shift) / (p * 2^shift) stays
+# below 1/p), and no slot of the product with magic carries into the next.
+# Each reduced slot is below p, so adding 2^63 - 1 to it carries into its
+# top bit exactly when it is nonzero, and the popcount of the top bits is
+# p minus the number of roots.
+_SLOT_BITS = 64
+_COLUMNS: dict[int, list[int]] = {}  # p -> packed columns for i = 0, 1, ...
 
 
-def _power_columns(p: int, count: int) -> tuple[int, ...]:
-    """The first ``count`` packed columns of p, kept for the process."""
-    cols = _COLUMNS.get(p, ())
-    if len(cols) < count:
-        cols += tuple(
-            int.from_bytes(array(_SLOT, [pow(a, i, p) for a in range(p)]).tobytes(), sys.byteorder)
-            for i in range(len(cols), count)
+def _spread(value: int, p: int) -> int:
+    """The packed integer with ``value`` in each of its p slots."""
+    return value * (((1 << _SLOT_BITS * p) - 1) // ((1 << _SLOT_BITS) - 1))
+
+
+def _power_columns(p: int, count: int) -> list[int]:
+    """The first ``count`` packed columns of p, kept for the process; column
+    i >= p is column i - (p - 1), since a^(p - 1) = 1 for a != 0."""
+    cols = _COLUMNS.setdefault(p, [])
+    for i in range(len(cols), count):
+        cols.append(
+            cols[i - (p - 1)]
+            if i >= p
+            else int.from_bytes(
+                b"".join(pow(a, i, p).to_bytes(_SLOT_BITS // 8, "little") for a in range(p)),
+                "little",
+            )
         )
-        _COLUMNS[p] = cols
     return cols
 
 
-def _roots_mod(f: list[int], p: int) -> list[int]:
-    """The roots in F_p of f (constant first), ascending, from one packed
-    evaluation; the caller keeps (deg f + 1)(p - 1)^2 below _SLOT_LIMIT."""
-    packed = sum(c % p * col for c, col in zip(f, _power_columns(p, len(f))))
-    slots = memoryview(packed.to_bytes(_SLOT_BYTES * p, sys.byteorder)).cast(_SLOT)
-    return [a for a, value in enumerate(slots) if not value % p]
+@lru_cache(maxsize=None)
+def _barrett(p: int, count: int) -> Optional[tuple[int, int, int]]:
+    """(shift, magic, quotient mask) of the Barrett step for the values of a
+    polynomial with ``count`` coefficients in [0, p), or None when the exact
+    condition above fails; the mask keeps the 64 - shift quotient bits at
+    the bottom of every slot."""
+    bound = count * (p - 1) ** 2
+    shift = (bound * p - 1).bit_length()
+    magic = -(-(1 << shift) // p)
+    if (bound * magic).bit_length() > _SLOT_BITS:
+        return None
+    return shift, magic, _spread((1 << (_SLOT_BITS - shift)) - 1, p)
+
+
+@lru_cache(maxsize=None)
+def _top_bits(p: int) -> tuple[int, int]:
+    """(2^63 - 1, 2^63) spread over the p slots."""
+    return _spread((1 << _SLOT_BITS - 1) - 1, p), _spread(1 << _SLOT_BITS - 1, p)
+
+
+def _values_mod(f: list[int], p: int) -> Optional[int]:
+    """f(a) mod p in slot a for every a in F_p, packed, for f reduced mod p
+    (constant first); None when the Barrett step would not be exact."""
+    barrett = _barrett(p, len(f))
+    if barrett is None:
+        return None
+    shift, magic, quotient_mask = barrett
+    packed = sum(map(mul, f, _power_columns(p, len(f))))
+    return packed - (packed * magic >> shift & quotient_mask) * p
+
+
+def _root_count(values: int, p: int) -> int:
+    """The number of zero slots of ``values`` = ``_values_mod(f, p)``: adding
+    2^63 - 1 sets the top bit of exactly the nonzero slots below p."""
+    offset, tops = _top_bits(p)
+    return p - (values + offset & tops).bit_count()
+
+
+def _roots_mod(f: list[int], p: int, values: Optional[int] = None) -> list[int]:
+    """The roots in F_p of f (reduced mod p, constant first), ascending, read
+    off ``values`` = ``_values_mod(f, p)``, evaluated here when not given;
+    the caller keeps f within the Barrett condition."""
+    if values is None:
+        values = _values_mod(f, p)
+    offset, tops = _top_bits(p)
+    zeros = (values + offset & tops) ^ tops
+    roots = []
+    while zeros:
+        low = zeros & -zeros
+        roots.append(low.bit_length() // _SLOT_BITS - 1)
+        zeros ^= low
+    return roots
 
 
 def _partitions(m: int, least: int) -> Iterator[tuple[int, ...]]:
@@ -366,7 +443,9 @@ def _sole_partition(m: int, least: int, parity: Optional[int]) -> Optional[tuple
     return found[0] if len(found) == 1 else None
 
 
-def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) -> list[int]:
+def distinct_degree_pattern(
+    f: list[int], p: int, parity: Optional[int] = None, values: Optional[int] = None
+) -> list[int]:
     """Degrees (with multiplicity, ascending) of the irreducible factors of a
     monic squarefree f over F_p, by distinct-degree factorization (f reduced
     mod p, constant first).
@@ -377,18 +456,19 @@ def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) 
     with ``parity`` = (deg f - number of factors) mod 2, the parity of
     Frobenius as a permutation of the roots, when one partition of the
     rest's degree into parts > k has the parity still owed.  Below
-    ROOT_PRIME_BOUND step 1 counts the roots of f in F_p, and they are
-    divided out only when a later step needs the rest.  The first step that
-    needs x^(p^k) builds the ring F_p[x]/(g0), g0 what is left of f then,
-    and powers x^p in it once; each later step composes the previous power
-    with x^p instead of powering again.
+    ROOT_PRIME_BOUND step 1 counts the roots of f in F_p from its packed
+    values, ``values`` when the caller has evaluated f (or a nonzero
+    multiple of it) already, and lists them to divide them out only when a
+    later step needs the rest.  The first step that needs x^(p^k) builds the
+    ring F_p[x]/(g0), g0 what is left of f then, and powers x^p in it once;
+    each later step composes the previous power with x^p instead of powering
+    again.
     """
     n = _pdeg(f)
     ring: Optional[_Ring] = None  # F_p[x]/(g0), g0 what is left of f when x^p is first needed
     xp = 0  # x^p in ring
     h: list[int] = []  # x^(p^k) mod g0
     g = f  # f without the factors split off, but for counted roots not yet divided out
-    roots: list[int] = []
     out: list[int] = []
     k = 1
     while True:
@@ -399,14 +479,17 @@ def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) 
             return sorted(out + list(sole))
         if 2 * k > rest:
             raise ArithmeticError(f"parity {parity} contradicts the factorization mod {p}")
-        if k == 1 and p < ROOT_PRIME_BOUND and (n + 1) * (p - 1) ** 2 < _SLOT_LIMIT:
-            roots = _roots_mod(f, p)
-            out.extend([1] * len(roots))
-            k = 2
-            continue
+        if k == 1 and p < ROOT_PRIME_BOUND:
+            if values is None:
+                values = _values_mod(f, p)
+            if values is not None:
+                out.extend([1] * _root_count(values, p))
+                k = 2
+                continue
         if ring is None:
-            for r in roots:
-                g = _pdiv_exact(g, [-r % p, 1], p)
+            if out:  # the counted roots
+                for r in _roots_mod(f, p, values):
+                    g = _pdiv_exact(g, [-r % p, 1], p)
             ring = _Ring(g, p)
             xp = _x_power(p, ring)
             h = ring.coeffs(xp)
@@ -417,6 +500,22 @@ def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) 
             out.extend([k] * (_pdeg(gk) // k))
             g = _pdiv_exact(g, gk, p)
         k += 1
+
+
+@lru_cache(maxsize=None)
+def _settled(n: int, roots: Optional[int], parity: Optional[int]) -> Optional[CycleType]:
+    """The cycle type of a squarefree polynomial of degree n over F_p with
+    ``roots`` roots there (None when they are not counted yet) whose
+    Frobenius has the given parity (either when None), if one pattern fits:
+    the loop's own stop at step 1, or at step 2 after the root count.  None
+    when several fit, and also when none does, so that the loop is left to
+    report the contradiction."""
+    if roots is None:
+        sole = _sole_partition(n, 1, parity)
+    else:
+        rest = _sole_partition(n - roots, 2, parity)
+        sole = None if rest is None else (1,) * roots + rest
+    return None if sole is None else _cycle_type(sole)
 
 
 def reduce_poly_mod(f: Poly, p: int) -> list[int]:
@@ -454,10 +553,25 @@ def good_prime_cycle_type(
     coefficient and leaves the reduction squarefree, and that ``parity``,
     when given, is the parity of Frobenius (see ``frobenius_parity``); none
     of that is rechecked here.
+
+    The pattern comes from ``_settled`` when it is the only one of its
+    parity, before any F_p arithmetic or after the root count, and from
+    the loop otherwise, on the monic reduction and the values already
+    computed.  Equal patterns return one shared ``CycleType``.
     """
-    inv = pow(coeffs[-1], -1, p)
-    monic = [c * inv % p for c in coeffs]
-    return CycleType(tuple(distinct_degree_pattern(monic, p, parity)))
+    n = len(coeffs) - 1
+    ct = _settled(n, None, parity)
+    if ct is not None:
+        return ct
+    f = [c % p for c in coeffs]
+    values = _values_mod(f, p) if p < ROOT_PRIME_BOUND else None
+    if values is not None:
+        ct = _settled(n, _root_count(values, p), parity)
+        if ct is not None:
+            return ct
+    inv = pow(f[-1], -1, p)
+    monic = [c * inv % p for c in f]
+    return _cycle_type(tuple(distinct_degree_pattern(monic, p, parity, values)))
 
 
 def frobenius_cycle_type(f: Poly, p: int) -> Optional[CycleType]:

@@ -29,7 +29,7 @@ from sdtwists.family import build_family
 from sdtwists.galois import certify_sd, collect_evidence
 from sdtwists.polyarith import Poly
 
-from oracles import reference_candidate
+from oracles import reference_candidate, verify_new_point_fraction
 
 BUDGETS = SweepBudgets(prime_budget=12, kernel_bound=10_000)
 
@@ -263,6 +263,31 @@ def test_sweep_evaluates_each_specialization_once(monkeypatch, built_families, d
     keys = [t_key(d, u, v) for u, v in evaluated]
     assert len(keys) == len(set(keys)) == len({t_key(d, u, v) for u, v in pairs})
     assert len(evaluated) < len(pairs)
+
+
+def test_sweep_point_check_matches_the_fraction_oracle(monkeypatch, built_families):
+    # The sweep takes the point from the family identity, checked once per
+    # family; on every candidate of the built families of degrees
+    # 3 to 8 at box 4 that agrees with the Fraction remainder oracle.
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    budgets = SweepBudgets(prime_budget=4, trial_bound=1_000)
+    for d, fam in built_families.items():
+        cands = sweep(fam, 4, budgets=budgets)
+        assert len(cands) == len(list(counting._box_pairs(4, None)))
+        for c in cands:
+            want = c.poly.degree >= 1 and verify_new_point_fraction(c.poly, fam, c.u, c.v)
+            assert c.point_verified == want, (d, c.u, c.v)
+
+
+def test_sweep_rejects_a_family_whose_identity_fails(built_families):
+    # A hand-built family whose point numerator no longer satisfies
+    # F^2 - f*G^2 = +-P cannot pass the sweep's point check unchecked.
+    fam = built_families[5]
+    one = polyarith.BivarPoly([Poly([1])])
+    tampered = dataclasses.replace(fam, point_num=fam.point_num + one)
+    assert fam.identity_holds and not tampered.identity_holds
+    with pytest.raises(ValueError):
+        sweep(tampered, 2)
 
 
 def test_sweep_factors_each_discriminant_once(monkeypatch, built_families):
@@ -505,6 +530,30 @@ def test_ev_instance_rebuilds_generated_instances():
         assert ev_instance(model, d, F(1), c[:3], c[3:]) == inst
     assert counting._ev_limits(model, d, y) is counting._ev_limits(model, d, y)
     assert isinstance(counting._ev_limits(model, d, y)[1], tuple)
+
+
+def test_model_hash_is_kept_and_matches_equality():
+    # The model's hash is computed once and kept; equal models, a field-wise
+    # copy and a pickled one among them, hash equally, so the cached limits
+    # serve them all and ev_instance builds the same instance from each.
+    import pickle
+
+    model, _, _ = build_family((1, 1), 6)
+    d, y = 6, F(3)
+    copies = [dataclasses.replace(model), pickle.loads(pickle.dumps(model))]
+    h = hash(model)
+    assert model.__dict__["_hash"] == h
+    limits = counting._ev_limits(model, d, y)
+    inst = ev_instance(model, d, y, [1, -2, 0], [3, 1])
+    for other in copies:
+        assert other == model and hash(other) == hash(model)
+        assert counting._ev_limits(other, d, y) is limits
+        assert ev_instance(other, d, y, [1, -2, 0], [3, 1]) == inst
+    assert inst == counting._ev_instance(
+        model, d, y, [1, -2, 0], [3, 1], counting._ev_limits.__wrapped__(model, d, y)
+    )
+    shifted = dataclasses.replace(model, shift_target=model.shift_target + 1)
+    assert shifted != model and hash(shifted) != hash(model)
 
 
 def test_ev_generate_rejects_cubic():

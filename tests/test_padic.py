@@ -419,6 +419,138 @@ def test_column_table_holds_only_primes_below_the_cutoff(monkeypatch):
     }
 
 
+def packed_slots(values):
+    """The packed integer with these 64-bit slot values, slot 0 first."""
+    return sum(v << 64 * a for a, v in enumerate(values))
+
+
+# The degree of f past which the Barrett step of the root count stops being
+# exact at p = 251: the largest n with bound * magic < 2^64 for
+# bound = (n + 1) * 250^2.  Every prime below ROOT_PRIME_BOUND admits it.
+LARGEST_COUNTED_DEGREE = 67_376
+
+
+def test_root_count_matches_direct_evaluation(monkeypatch):
+    # With every coefficient p - 1 the slot sums are largest.  The packed
+    # values after the Barrett step, the popcount root count and the root
+    # listing agree with f evaluated at every point of F_p, for degrees 2 to
+    # 12 at p = 2, 3 and 251.  At p = 251 the same holds at the largest
+    # degree the exact condition admits, and one degree more is refused.
+    monkeypatch.setattr(padic, "_COLUMNS", {})
+    for p in (2, 3, 251):
+        for n in range(2, 13):
+            f = [p - 1] * (n + 1)
+            direct = [sum(c * a**i for i, c in enumerate(f)) % p for a in range(p)]
+            values = padic._values_mod(f, p)
+            assert values == packed_slots(direct), (p, n)
+            assert padic._root_count(values, p) == direct.count(0), (p, n)
+            assert padic._roots_mod(f, p) == [a for a in range(p) if not direct[a]], (p, n)
+    p, n = 251, LARGEST_COUNTED_DEGREE
+    assert padic._barrett(p, n + 1) is not None and padic._barrett(p, n + 2) is None
+    assert all(padic._barrett(q, n + 1) for q in primes_up_to(padic.ROOT_PRIME_BOUND - 1))
+    # f = (p - 1)(1 + a + ... + a^n), summed as a geometric series
+    geometric = [1, (n + 1) % p] + [
+        (pow(a, n + 1, p) - 1) * pow(a - 1, -1, p) % p for a in range(2, p)
+    ]
+    direct = [(p - 1) * s % p for s in geometric]
+    values = padic._values_mod([p - 1] * (n + 1), p)
+    assert values == packed_slots(direct)
+    assert padic._root_count(values, p) == direct.count(0)
+    assert padic._values_mod([p - 1] * (n + 2), p) is None
+    # columns past p - 1 repeat, and share their objects
+    columns = padic._COLUMNS[p]
+    assert len(columns) == n + 1 and len({id(c) for c in columns}) == p
+
+
+def test_settled_table_matches_the_parity_free_loop():
+    # For every degree n <= 12, root count r (or none yet) and parity (or
+    # none), the table holds the cycle type exactly when one partition of n
+    # with r parts equal to 1 has that parity, and None otherwise.  On random
+    # polynomials at small primes, whatever it holds is the pattern of the
+    # parity-free loop.
+    for n in range(1, 13):
+        patterns = brute_partitions(n, 1)
+        for roots in [None, *range(n + 1)]:
+            for parity in (None, 0, 1):
+                fits = [
+                    q
+                    for q in patterns
+                    if (roots is None or q.count(1) == roots)
+                    and (parity is None or (n - len(q)) % 2 == parity)
+                ]
+                want = CycleType(fits[0]) if len(fits) == 1 else None
+                assert padic._settled(n, roots, parity) == want, (n, roots, parity)
+    rng = random.Random(67)
+    settled = 0
+    for p in primes_up_to(60):
+        for n in range(2, 13):
+            for _ in range(8):
+                f = [rng.randrange(p) for _ in range(n)] + [1]
+                deriv = [i * c for i, c in enumerate(f)][1:]
+                if len(padic._pgcd(f, deriv, p)) != 1:
+                    continue
+                loop = tuple(padic.distinct_degree_pattern(f, p))
+                parity = (n - len(loop)) % 2
+                for roots in (None, loop.count(1)):
+                    for par in (None, parity):
+                        got = padic._settled(n, roots, par)
+                        assert got is None or got.parts == loop[::-1], (f, p, roots, par)
+                        settled += got is not None
+    assert settled > 800
+
+
+def test_settled_quintics_and_sextics_list_no_roots(monkeypatch):
+    # With the parity, a quintic, or a sextic with a root mod p, is settled
+    # by the root count: neither the root listing nor the loop runs.
+    rng = random.Random(71)
+
+    def refuse(*args):
+        raise AssertionError("roots listed or the loop run for a settled pattern")
+
+    checked = {5: 0, 6: 0}
+    for p in primes_up_to(60):
+        for degree in (5, 6):
+            for _ in range(12):
+                coeffs = random_integer_poly(rng, degree, p)
+                disc = discriminant(Poly(coeffs)).numerator
+                if disc % p == 0:
+                    continue
+                full = frobenius_cycle_type(Poly(coeffs), p)
+                if degree == 6 and 1 not in full.parts:
+                    continue
+                with monkeypatch.context() as patch:
+                    patch.setattr(padic, "_roots_mod", refuse)
+                    patch.setattr(padic, "distinct_degree_pattern", refuse)
+                    assert good_prime_cycle_type(coeffs, p, frobenius_parity(disc, p)) == full
+                checked[degree] += 1
+    assert checked[5] > 100 and checked[6] > 50
+
+
+def test_equal_patterns_share_one_cycle_type():
+    # Every cycle type padic returns for the same parts is one object, on
+    # the settled path, through the loop, above the root count's cutoff and
+    # without the parity alike.
+    rng = random.Random(73)
+    seen: dict[tuple[int, ...], set[int]] = {}
+    for p in (2, 3, 5, 7, 251, 257, 4409):
+        for degree in (2, 3, 5, 6, 7):
+            for _ in range(10):
+                coeffs = random_integer_poly(rng, degree, p)
+                disc = discriminant(Poly(coeffs)).numerator
+                if disc % p == 0:
+                    continue
+                for ct in (
+                    good_prime_cycle_type(coeffs, p, frobenius_parity(disc, p)),
+                    good_prime_cycle_type(coeffs, p),
+                    frobenius_cycle_type(Poly(coeffs), p),
+                ):
+                    seen.setdefault(ct.parts, set()).add(id(ct))
+    assert len(seen) > 20
+    assert all(len(ids) == 1 for ids in seen.values()), seen
+    assert n_cycle_type(2, 3) is frobenius_cycle_type(Poly([1, -1, 0, 1]), 5)  # [2, 1]
+    assert good_prime_cycle_type([1, 0, 1], 5, 0) is good_prime_cycle_type([4, 0, 1], 5, 0)
+
+
 # -- the packed ring F_p[x]/(g) ---------------------------------------------------
 
 # The two smallest primes, the two around ROOT_PRIME_BOUND, one where 64-bit
