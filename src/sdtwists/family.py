@@ -38,7 +38,6 @@ the integer pseudo-remainder test.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,18 +77,6 @@ class WeierstrassModel:
     alpha: Fraction
     epsilon: Fraction
     forced_modulus: Optional[int] = None  # extra congruence f == x^3 mod this
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The hash of the fields, computed once per model: with their
-        Fractions of up to 21-digit denominators it costs about 10 us.  The
-        value travels with a pickled model, so it must not depend on the
-        process, as hash(None) did before Python 3.12."""
-        fields = (getattr(self, field.name) for field in dataclasses.fields(self))
-        return hash(tuple(-1 if value is None else value for value in fields))
 
     @property
     def f(self) -> Poly:

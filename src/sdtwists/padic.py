@@ -408,9 +408,11 @@ def _root_count(values: int, p: int) -> int:
 def _roots_mod(f: list[int], p: int, values: Optional[int] = None) -> list[int]:
     """The roots in F_p of f (reduced mod p, constant first), ascending, read
     off ``values`` = ``_values_mod(f, p)``, evaluated here when not given;
-    the caller keeps f within the Barrett condition."""
+    raises ValueError when f is past the exact Barrett condition at p."""
     if values is None:
         values = _values_mod(f, p)
+        if values is None:
+            raise ValueError(f"degree {_pdeg(f)} is past the exact root count at {p}")
     offset, tops = _top_bits(p)
     zeros = (values + offset & tops) ^ tops
     roots = []
@@ -443,79 +445,27 @@ def _sole_partition(m: int, least: int, parity: Optional[int]) -> Optional[tuple
     return found[0] if len(found) == 1 else None
 
 
-def distinct_degree_pattern(
-    f: list[int], p: int, parity: Optional[int] = None, values: Optional[int] = None
-) -> list[int]:
-    """Degrees (with multiplicity, ascending) of the irreducible factors of a
-    monic squarefree f over F_p, by distinct-degree factorization (f reduced
-    mod p, constant first).
-
-    Step k splits off the factors of degree k, so the rest of f has factors
-    of degree > k only.  The loop stops once the rest has a single possible
-    pattern: without ``parity`` when it is irreducible (2k > its degree);
-    with ``parity`` = (deg f - number of factors) mod 2, the parity of
-    Frobenius as a permutation of the roots, when one partition of the
-    rest's degree into parts > k has the parity still owed.  Below
-    ROOT_PRIME_BOUND step 1 counts the roots of f in F_p from its packed
-    values, ``values`` when the caller has evaluated f (or a nonzero
-    multiple of it) already, and lists them to divide them out only when a
-    later step needs the rest.  The first step that needs x^(p^k) builds the
-    ring F_p[x]/(g0), g0 what is left of f then, and powers x^p in it once;
-    each later step composes the previous power with x^p instead of powering
-    again.
-    """
-    n = _pdeg(f)
-    ring: Optional[_Ring] = None  # F_p[x]/(g0), g0 what is left of f when x^p is first needed
-    xp = 0  # x^p in ring
-    h: list[int] = []  # x^(p^k) mod g0
-    g = f  # f without the factors split off, but for counted roots not yet divided out
-    out: list[int] = []
-    k = 1
-    while True:
-        rest = n - sum(out)
-        owed = None if parity is None else (parity - sum(out) + len(out)) % 2
-        sole = _sole_partition(rest, k, owed)
-        if sole is not None:
-            return sorted(out + list(sole))
-        if 2 * k > rest:
-            raise ArithmeticError(f"parity {parity} contradicts the factorization mod {p}")
-        if k == 1 and p < ROOT_PRIME_BOUND:
-            if values is None:
-                values = _values_mod(f, p)
-            if values is not None:
-                out.extend([1] * _root_count(values, p))
-                k = 2
-                continue
-        if ring is None:
-            if out:  # the counted roots
-                for r in _roots_mod(f, p, values):
-                    g = _pdiv_exact(g, [-r % p, 1], p)
-            ring = _Ring(g, p)
-            xp = _x_power(p, ring)
-            h = ring.coeffs(xp)
-        if k > 1:
-            h = ring.compose(h, xp)  # h(x)^p = h(x^p) over F_p
-        gk = _pgcd(g, [h[0], h[1] - 1] + h[2:], p)  # gcd(g, x^(p^k) - x)
-        if _pdeg(gk) > 0:
-            out.extend([k] * (_pdeg(gk) // k))
-            g = _pdiv_exact(g, gk, p)
-        k += 1
-
-
 @lru_cache(maxsize=None)
 def _settled(n: int, roots: Optional[int], parity: Optional[int]) -> Optional[CycleType]:
     """The cycle type of a squarefree polynomial of degree n over F_p with
     ``roots`` roots there (None when they are not counted yet) whose
     Frobenius has the given parity (either when None), if one pattern fits:
-    the loop's own stop at step 1, or at step 2 after the root count.  None
-    when several fit, and also when none does, so that the loop is left to
-    report the contradiction."""
+    the stop rule of ``good_prime_cycle_type`` at step 1, or at step 2 after
+    the root count.  None when several fit, and also when none does, so that
+    the loop is left to report the contradiction."""
     if roots is None:
         sole = _sole_partition(n, 1, parity)
     else:
         rest = _sole_partition(n - roots, 2, parity)
         sole = None if rest is None else (1,) * roots + rest
     return None if sole is None else _cycle_type(sole)
+
+
+def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) -> list[int]:
+    """Degrees (with multiplicity, ascending) of the irreducible factors of a
+    squarefree f of full degree over F_p (f reduced mod p, constant first),
+    by the distinct-degree factorization of ``good_prime_cycle_type``."""
+    return sorted(good_prime_cycle_type(f, p, parity).parts)
 
 
 def reduce_poly_mod(f: Poly, p: int) -> list[int]:
@@ -547,31 +497,68 @@ def good_prime_cycle_type(
     coeffs: list[int], p: int, parity: Optional[int] = None
 ) -> CycleType:
     """Cycle type of Frobenius at p for the integer polynomial ``coeffs``
-    (constant first) when p is a good prime for it.
+    (constant first) when p is a good prime for it, by distinct-degree
+    factorization of its reduction mod p.
 
     The caller vouches that p is prime, does not divide the leading
     coefficient and leaves the reduction squarefree, and that ``parity``,
     when given, is the parity of Frobenius (see ``frobenius_parity``); none
     of that is rechecked here.
 
-    The pattern comes from ``_settled`` when it is the only one of its
-    parity, before any F_p arithmetic or after the root count, and from
-    the loop otherwise, on the monic reduction and the values already
-    computed.  Equal patterns return one shared ``CycleType``.
+    Step k splits off the factors of degree k, so the rest of f has factors
+    of degree > k only.  The loop stops once the rest has a single possible
+    pattern: without ``parity`` when it is irreducible (2k > its degree);
+    with ``parity`` = (deg f - number of factors) mod 2 when one partition
+    of the rest's degree into parts > k has the parity still owed.  At step
+    1, and at step 2 after the root count, that rule is read off
+    ``_settled``, before the monic reduction.  Below ROOT_PRIME_BOUND step 1
+    counts the roots from the packed values of f, and lists them to divide
+    them out only when a later step needs the rest.  The first step that
+    needs x^(p^k) builds the ring F_p[x]/(g0), g0 the monic rest of f then,
+    and powers x^p in it once; each later step composes the previous power
+    with x^p instead of powering again.  Equal patterns return one shared
+    ``CycleType``.
     """
     n = len(coeffs) - 1
-    ct = _settled(n, None, parity)
-    if ct is not None:
-        return ct
+    settled = _settled(n, None, parity)
+    if settled is not None:
+        return settled
     f = [c % p for c in coeffs]
     values = _values_mod(f, p) if p < ROOT_PRIME_BOUND else None
+    out: list[int] = []  # the factor degrees split off
+    k = 1
     if values is not None:
-        ct = _settled(n, _root_count(values, p), parity)
-        if ct is not None:
-            return ct
+        out = [1] * _root_count(values, p)
+        settled = _settled(n, len(out), parity)
+        if settled is not None:
+            return settled
+        k = 2
     inv = pow(f[-1], -1, p)
-    monic = [c * inv % p for c in f]
-    return _cycle_type(tuple(distinct_degree_pattern(monic, p, parity, values)))
+    g = [c * inv % p for c in f]  # monic f without the factors split off
+    ring: Optional[_Ring] = None  # F_p[x]/(g0), g0 = g when x^p is first needed
+    xp = 0  # x^p in ring
+    h: list[int] = []  # x^(p^k) mod g0
+    while True:
+        if 2 * k > n - sum(out):
+            raise ArithmeticError(f"parity {parity} contradicts the factorization mod {p}")
+        if ring is None:
+            if out:  # the counted roots
+                for r in _roots_mod(f, p, values):
+                    g = _pdiv_exact(g, [-r % p, 1], p)
+            ring = _Ring(g, p)
+            xp = _x_power(p, ring)
+            h = ring.coeffs(xp)
+        if k > 1:
+            h = ring.compose(h, xp)  # h(x)^p = h(x^p) over F_p
+        gk = _pgcd(g, [h[0], h[1] - 1] + h[2:], p)  # gcd(g, x^(p^k) - x)
+        if _pdeg(gk) > 0:
+            out.extend([k] * (_pdeg(gk) // k))
+            g = _pdiv_exact(g, gk, p)
+        k += 1
+        owed = None if parity is None else (parity - sum(out) + len(out)) % 2
+        sole = _sole_partition(n - sum(out), k, owed)
+        if sole is not None:
+            return _cycle_type(tuple(sorted(out + list(sole))))
 
 
 def frobenius_cycle_type(f: Poly, p: int) -> Optional[CycleType]:

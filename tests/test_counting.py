@@ -532,30 +532,6 @@ def test_ev_instance_rebuilds_generated_instances():
     assert isinstance(counting._ev_limits(model, d, y)[1], tuple)
 
 
-def test_model_hash_is_kept_and_matches_equality():
-    # The model's hash is computed once and kept; equal models, a field-wise
-    # copy and a pickled one among them, hash equally, so the cached limits
-    # serve them all and ev_instance builds the same instance from each.
-    import pickle
-
-    model, _, _ = build_family((1, 1), 6)
-    d, y = 6, F(3)
-    copies = [dataclasses.replace(model), pickle.loads(pickle.dumps(model))]
-    h = hash(model)
-    assert model.__dict__["_hash"] == h
-    limits = counting._ev_limits(model, d, y)
-    inst = ev_instance(model, d, y, [1, -2, 0], [3, 1])
-    for other in copies:
-        assert other == model and hash(other) == hash(model)
-        assert counting._ev_limits(other, d, y) is limits
-        assert ev_instance(other, d, y, [1, -2, 0], [3, 1]) == inst
-    assert inst == counting._ev_instance(
-        model, d, y, [1, -2, 0], [3, 1], counting._ev_limits.__wrapped__(model, d, y)
-    )
-    shifted = dataclasses.replace(model, shift_target=model.shift_target + 1)
-    assert shifted != model and hash(shifted) != hash(model)
-
-
 def test_ev_generate_rejects_cubic():
     model, _, _ = build_family((1, 1), 4)
     with pytest.raises(ValueError):

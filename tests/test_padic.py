@@ -457,6 +457,8 @@ def test_root_count_matches_direct_evaluation(monkeypatch):
     assert values == packed_slots(direct)
     assert padic._root_count(values, p) == direct.count(0)
     assert padic._values_mod([p - 1] * (n + 2), p) is None
+    with pytest.raises(ValueError):
+        padic._roots_mod([p - 1] * (n + 2), p)
     # columns past p - 1 repeat, and share their objects
     columns = padic._COLUMNS[p]
     assert len(columns) == n + 1 and len({id(c) for c in columns}) == p
@@ -501,11 +503,11 @@ def test_settled_table_matches_the_parity_free_loop():
 
 def test_settled_quintics_and_sextics_list_no_roots(monkeypatch):
     # With the parity, a quintic, or a sextic with a root mod p, is settled
-    # by the root count: neither the root listing nor the loop runs.
+    # by the root count: neither the root listing nor the ring runs.
     rng = random.Random(71)
 
     def refuse(*args):
-        raise AssertionError("roots listed or the loop run for a settled pattern")
+        raise AssertionError("roots listed or the ring built for a settled pattern")
 
     checked = {5: 0, 6: 0}
     for p in primes_up_to(60):
@@ -520,7 +522,7 @@ def test_settled_quintics_and_sextics_list_no_roots(monkeypatch):
                     continue
                 with monkeypatch.context() as patch:
                     patch.setattr(padic, "_roots_mod", refuse)
-                    patch.setattr(padic, "distinct_degree_pattern", refuse)
+                    patch.setattr(padic, "_Ring", refuse)
                     assert good_prime_cycle_type(coeffs, p, frobenius_parity(disc, p)) == full
                 checked[degree] += 1
     assert checked[5] > 100 and checked[6] > 50
