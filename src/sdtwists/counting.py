@@ -315,7 +315,6 @@ def sweep(
 class Dedup:
     groups: dict[int, tuple[FieldCandidate, ...]]
     quarantine: tuple[FieldCandidate, ...]
-    ineligible: int
     multiplicity_histogram: dict[int, int]
 
 
@@ -340,10 +339,8 @@ def dedup_classes(candidates: Iterable[FieldCandidate]) -> Dedup:
     """
     groups: dict[int, list[FieldCandidate]] = {}
     quarantine: list[FieldCandidate] = []
-    ineligible = 0
     for cand in candidates:
         if not cand.eligible:
-            ineligible += 1
             continue
         if cand.kernel_flag == KERNEL_COMPLETE:
             groups.setdefault(cand.kernel, []).append(cand)
@@ -355,7 +352,6 @@ def dedup_classes(candidates: Iterable[FieldCandidate]) -> Dedup:
     return Dedup(
         groups={k: tuple(v) for k, v in sorted(groups.items())},
         quarantine=tuple(quarantine),
-        ineligible=ineligible,
         multiplicity_histogram=dict(sorted(hist.items())),
     )
 

@@ -31,9 +31,10 @@ A sweep works on ``IntegerFamily``, the family with its denominators cleared
 once into integer binary forms in (u, v): specializations, their
 discriminants and Frobenius cycle types are read off those forms in integer
 arithmetic, and the point needs no check per pair once the family identity
-is checked.  ``specialize`` and ``verify_new_point`` run on the same code
-for a single pair; ``verify_new_point`` accepts any polynomial, so it keeps
-the integer pseudo-remainder test.
+is checked.  ``specialize`` runs on the same forms for a single pair.
+``verify_new_point`` accepts any polynomial as the modulus, so it evaluates
+the forms of the point at (u, v) and tests F^2 - f*G^2 by the integer
+pseudo-remainder of ``polyarith``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
 from typing import Optional
 
 from .padic import CycleType, good_prime_cycle_type, reduce_poly_mod, valuation
@@ -50,6 +50,7 @@ from .polyarith import (
     BivarPoly,
     IntPoly,
     Poly,
+    _pseudo_rem,
     binary_form_value,
     clear_denominators,
     discriminant,
@@ -513,61 +514,27 @@ def _specialize(forms: _Forms, u: int, v: int) -> tuple[Poly, Fraction]:
     return spec, Fraction(content, forms.den * v**forms.e)
 
 
-def _divides(b: list[int], a: list[int]) -> bool:
-    """Whether the integer polynomial b (degree >= 1, constant first) divides
-    a over Q: the pseudo-remainder of a by b vanishes."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while r and not r[-1]:
-        r.pop()
-    while len(r) > db:
-        c = r.pop()  # r <- lb * r - c * x^k * b, whose top term cancels
-        k = len(r) - db
-        r = [lb * x for x in r]
-        for j, bj in enumerate(b[:-1]):
-            r[k + j] -= c * bj
-        while r and not r[-1]:
-            r.pop()
-    return not r
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 class IntegerFamily:
     """A twist family in integer arithmetic, built once per sweep.
 
     Denominators are cleared once: L*P(x, t) = sum_i A_i(t) x^i with A_i in
-    Z[t], read as binary forms A_i(u, v) of degree e = max deg A_i, and the
-    point's numerator F, denominator G and the curve's f likewise.  Then
+    Z[t], read as binary forms A_i(u, v) of degree e = max deg A_i.  Then
     ``specialize`` evaluates the forms at (u, v) and divides by the content;
     ``discriminant`` reads disc(spec) off Disc_t = ``TwistFamily.disc_t``
     as Disc_t(u/v) / lam^(2d-2) when spec keeps degree d (the subresultant
-    otherwise); ``point_holds`` decides F^2 - f*G^2 == 0 mod any polynomial
-    by an integer pseudo-remainder, which a sweep does not need, since the
-    family identity (``TwistFamily.identity_holds``) makes it hold at every
-    specialization of degree >= 1; and ``cycle_type`` reads the Frobenius cycle
-    type at a good prime p with p not dividing v*L off a table keyed by
-    (p, u/v mod p), filled by the first pair with that key.  Disc_t belongs
-    to the family and is computed once for it; all other state lives in the
-    object, so nothing else carries over from one sweep to the next.
+    otherwise); and ``cycle_type`` reads the Frobenius cycle type at a good
+    prime p with p not dividing v*L off a table keyed by (p, u/v mod p),
+    filled by the first pair with that key.  The point needs no check here:
+    the family identity (``TwistFamily.identity_holds``) makes it hold at
+    every specialization of degree >= 1.  Disc_t belongs to the family and is
+    computed once for it; all other state lives in the object, so nothing
+    else carries over from one sweep to the next.
     """
 
     def __init__(self, family: TwistFamily):
         self.family = family
         self.d = family.d
         self._P = _Forms.of(family.P)
-        self._F = _Forms.of(family.point_num)
-        self._G = _Forms.of(family.point_den)
-        f, self._f_den = family.model.f_cleared
-        self._f = list(f.coeffs)
         self._disc: Optional[tuple[tuple[int, ...], int]] = None
         self._cycle_types: dict[tuple[int, int], CycleType] = {}
 
@@ -599,22 +566,6 @@ class IntegerFamily:
         if r:
             raise ArithmeticError("family discriminant is not divisible at this specialization")
         return q
-
-    def point_holds(self, spec: Poly, u: int, v: int) -> bool:
-        """Whether y = F(x, u/v)/G(x, u/v) satisfies y^2 = f(x) modulo spec."""
-        if spec.degree < 1:
-            raise ValueError("specialized polynomial must have degree >= 1")
-        if v == 0:
-            raise ValueError("v must be nonzero")
-        modulus = list(clear_denominators(spec)[0].coeffs)
-        # F = Fi/a, G = Gi/b and f = fi/f_den with integral Fi, Gi, fi, so
-        # F^2 - f*G^2 is Fi^2 * b^2 * f_den - fi * Gi^2 * a^2 up to a unit.
-        Fi, Gi = self._F.values(u, v), self._G.values(u, v)
-        a = self._F.den * v**self._F.e
-        b = self._G.den * v**self._G.e
-        lhs = [c * b * b * self._f_den for c in _mul(Fi, Fi)]
-        rhs = [c * a * a for c in _mul(self._f, _mul(Gi, Gi))]
-        return _divides(modulus, [x - y for x, y in zip_longest(lhs, rhs, fillvalue=0)])
 
     def cycle_type(
         self, spec: list[int], p: int, u: int, v: int, parity: Optional[int] = None
@@ -655,5 +606,17 @@ def specialize(family: TwistFamily, u: int, v: int) -> Poly:
 
 def verify_new_point(p_spec: Poly, family: TwistFamily, u: int, v: int) -> bool:
     """Whether y = F(x,t0)/G(x,t0) satisfies y^2 = f(x) modulo p_spec, at
-    t0 = u/v; decided in integers as in a sweep (``IntegerFamily``)."""
-    return IntegerFamily(family).point_holds(p_spec, u, v)
+    t0 = u/v, decided in integers: with F = Fi/a, G = Gi/b and f = fi/m
+    for integral Fi, Gi and fi, F^2 - f*G^2 is m*b^2*Fi^2 - fi*a^2*Gi^2 up
+    to a unit, and p_spec divides it over Q exactly when the
+    pseudo-remainder by the cleared p_spec vanishes."""
+    if p_spec.degree < 1:
+        raise ValueError("specialized polynomial must have degree >= 1")
+    if v == 0:
+        raise ValueError("v must be nonzero")
+    num, den = _Forms.of(family.point_num), _Forms.of(family.point_den)
+    a, b = num.den * v**num.e, den.den * v**den.e
+    Fi, Gi = IntPoly(num.values(u, v)), IntPoly(den.values(u, v))
+    fi, m = family.model.f_cleared
+    diff = (Fi * Fi).scale(m * b * b) - fi * (Gi * Gi).scale(a * a)
+    return not _pseudo_rem(diff, clear_denominators(p_spec)[0])

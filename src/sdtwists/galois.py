@@ -33,16 +33,14 @@ degrees found so far leave one pattern.  Below ``padic.ROOT_PRIME_BOUND``
 (256, past which a 25-prime scan runs only when many small primes are bad)
 the linear factors are counted as roots, from one evaluation at all of F_p
 packed into the 64-bit slots of one integer, one Barrett step that reduces
-every slot mod p and a popcount of the nonzero slots (exact while
-bound * magic < 2^64 for bound = (d + 1)(p - 1)^2, 2^shift >= bound * p and
-magic = ceil(2^shift / p), every degree up to 67,376 below 256).  Its table
-of columns a^i mod p is keyed by the prime alone, since the columns serve
-every polynomial and degree.  So a polynomial of degree at most 5, or a
-sextic with a root mod p, is settled from a table keyed by (degree, roots,
-parity), without a monic reduction or computing x^p mod (f, p), and any
-other polynomial powers x^p only modulo what is left once its roots are
-divided out.  A sweep hands the scan
-a lookup instead (``IntegerFamily.cycle_type``): at a good prime p not
+every slot mod p and a popcount of the nonzero slots (``padic`` states when
+that step is exact).  Its table of columns a^i mod p is keyed by the prime
+alone, since the columns serve every polynomial and degree.  So a
+polynomial of degree at most 5, or a sextic with a root mod p, is settled
+from a table keyed by (degree, roots, parity), without a monic reduction or
+computing x^p mod (f, p), and any other polynomial powers x^p only modulo
+what is left once its roots are divided out.  A sweep hands the scan a
+lookup instead (``IntegerFamily.cycle_type``): at a good prime p not
 dividing v (nor the cleared denominator of P) the cycle type of a
 specialization P(x, u/v) depends on t = u/v mod p alone, so it is read off
 a table keyed by t mod p and factored only for the first pair with that

@@ -22,14 +22,13 @@ evaluated at every a in F_p at once, as one sum of n + 1 packed integers
 whose 64-bit slots hold a^i mod p; one Barrett step (P. Barrett, CRYPTO
 '86) reduces every slot mod p; adding 2^63 - 1 to every slot then sets a
 slot's top bit exactly when its value is nonzero, and the popcount of the
-top bits is p minus the number of roots.  The step is exact while
-bound * magic < 2^64, for bound = (n + 1)(p - 1)^2, 2^shift >= bound * p
-and magic = ceil(2^shift / p), which p < 256 keeps for every degree up to
-67,376 (``_barrett``).  A cached table keyed by (degree, roots, parity)
-then names the one cycle type the count leaves, if any, as a ``CycleType``
-shared by every caller: with the parity, a polynomial of degree at most 5,
-or a sextic with a root mod p, is settled there without a monic reduction
-or the loop.  The roots themselves are listed only when a later step must
+top bits is p minus the number of roots.  The step is exact while every
+slot value times magic fits in 64 bits (``_barrett_constants``), which
+p < 256 keeps for every degree up to 67,376 (``_barrett``).  A cached
+table keyed by (degree, roots, parity) then names the one cycle type the
+count leaves, if any, as a ``CycleType`` shared by every caller: with the
+parity, a polynomial of degree at most 5, or a sextic with a root mod p, is
+settled there without a monic reduction or the loop.  The roots themselves are listed only when a later step must
 divide them out, and any other polynomial computes x^p only modulo what is
 left then.  The columns a^i mod p do not depend on the polynomial, so their
 table is keyed by the prime alone and grown to the largest degree asked;
@@ -41,12 +40,12 @@ step.
 The later steps work in F_p[x]/(g), g what is left of f, with elements
 packed into integers too, one coefficient per slot of a multiple of 64
 bits: a product is one integer multiplication, a fold of the slots above
-deg g back from the top, and one Barrett step (P. Barrett, CRYPTO '86) that
-reduces every slot mod p at once.  The slot width and the Barrett shift
-follow, per ring, from a bound on every slot value that reaches that step
-(``_Ring``), so the ring is exact at every prime and degree.  x^p is one
-square-and-shift powering; x^(p^k) for k >= 2 is h(x^p) for h = x^(p^(k-1)),
-by Horner in the ring, since h(x)^p = h(x^p) over F_p.
+deg g back from the top, and one Barrett step that reduces every slot mod p
+at once.  The slot width and the Barrett constants follow, per ring, from a
+bound on every slot value that reaches that step (``_Ring``), so the ring is
+exact at every prime and degree.  x^p is one square-and-shift powering;
+x^(p^k) for k >= 2 is h(x^p) for h = x^(p^(k-1)), by Horner in the ring,
+since h(x)^p = h(x^p) over F_p.
 """
 
 from __future__ import annotations
@@ -249,6 +248,27 @@ def _pdiv_exact(a: list[int], b: list[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
+def _barrett_constants(bound: int, p: int) -> tuple[int, int]:
+    """(shift, magic) of the Barrett step (P. Barrett, CRYPTO '86) that
+    reduces every s in [0, bound] mod p as s - floor(s * magic / 2^shift) * p.
+
+    With 2^shift >= bound * p and magic = ceil(2^shift / p),
+    floor(s * magic / 2^shift) = floor(s / p) for every s <= bound: the
+    error s * (magic * p - 2^shift) / (p * 2^shift) is below 1/p, too little
+    to cross the next multiple of 1/p.  A packed caller reduces all slots
+    at once, which is exact when each slot also holds bound * magic, so that
+    no slot of the product with magic carries into the next.
+    """
+    shift = (bound * p - 1).bit_length()
+    return shift, -(-(1 << shift) // p)
+
+
+def _repeat(value: int, width: int, count: int) -> int:
+    """The packed integer with ``value`` in each of ``count`` slots of
+    ``width`` bits (a multiple of 8)."""
+    return int.from_bytes(value.to_bytes(width // 8, "little") * count, "little")
+
+
 class _Ring:
     """F_p[x]/(g) for a monic g of degree n >= 2 over F_p (constant first).
 
@@ -265,10 +285,8 @@ class _Ring:
     folds add at most (p - 1)^2 each, so no slot exceeds
     ``bound`` = 2n(p - 1)^2.  A square times x (``_x_power``) has reduced
     operands, slots at most n(p - 1)^2 and n folds, within the same bound.
-    Barrett with 2^shift >= bound * p and magic = ceil(2^shift / p) gives
-    floor(s * magic / 2^shift) = floor(s / p) for every s <= bound (the
-    error s * (magic * p - 2^shift) / (p * 2^shift) stays below 1/p), and
-    the width, a multiple of 64 bits, holds bound * magic, so no slot
+    The Barrett constants come from ``_barrett_constants`` for that bound,
+    and the width, a multiple of 64 bits, holds bound * magic, so no slot
     carries into the next at any step.
     """
 
@@ -278,11 +296,9 @@ class _Ring:
         n = _pdeg(g)
         self.p, self.n = p, n
         self.bound = 2 * n * (p - 1) ** 2
-        self._shift = (self.bound * p - 1).bit_length()
-        self._magic = -(-(1 << self._shift) // p)
+        self._shift, self._magic = _barrett_constants(self.bound, p)
         self.width = w = -(-(self.bound * self._magic).bit_length() // 64) * 64
-        slot_mask = (1 << (w - self._shift)) - 1
-        self._quotient_mask = int.from_bytes(slot_mask.to_bytes(w // 8, "little") * n, "little")
+        self._quotient_mask = _repeat((1 << (w - self._shift)) - 1, w, n)
         red = self.pack([-c % p for c in g[:-1]])
         # (position of slot t, the slots below it, x^t == red * x^(t - n)) from t = 2n - 1 down to n
         self._folds = [
@@ -334,21 +350,14 @@ def _x_power(e: int, ring: _Ring) -> int:
 
 # Slot a (bits 64a to 64a + 63) of the packed column i holds a^i mod p, so
 # for coefficients c_i in [0, p) the sum of c_i * column_i holds f(a) in
-# slot a, at most bound = (n + 1)(p - 1)^2.  One Barrett step reduces every
-# slot mod p exactly when 2^shift >= bound * p, magic = ceil(2^shift / p) and
-# bound * magic < 2^64: then floor(s * magic / 2^shift) = floor(s / p) for
-# every s <= bound (the error s * (magic * p - 2^shift) / (p * 2^shift) stays
-# below 1/p), and no slot of the product with magic carries into the next.
-# Each reduced slot is below p, so adding 2^63 - 1 to it carries into its
-# top bit exactly when it is nonzero, and the popcount of the top bits is
-# p minus the number of roots.
+# slot a, at most bound = (n + 1)(p - 1)^2.  One Barrett step
+# (``_barrett_constants``) reduces every slot mod p exactly when
+# bound * magic < 2^64, since then no slot of the product with magic
+# carries into the next.  Each reduced slot is below p, so adding 2^63 - 1
+# to it carries into its top bit exactly when it is nonzero, and the
+# popcount of the top bits is p minus the number of roots.
 _SLOT_BITS = 64
 _COLUMNS: dict[int, list[int]] = {}  # p -> packed columns for i = 0, 1, ...
-
-
-def _spread(value: int, p: int) -> int:
-    """The packed integer with ``value`` in each of its p slots."""
-    return value * (((1 << _SLOT_BITS * p) - 1) // ((1 << _SLOT_BITS) - 1))
 
 
 def _power_columns(p: int, count: int) -> list[int]:
@@ -374,17 +383,17 @@ def _barrett(p: int, count: int) -> Optional[tuple[int, int, int]]:
     condition above fails; the mask keeps the 64 - shift quotient bits at
     the bottom of every slot."""
     bound = count * (p - 1) ** 2
-    shift = (bound * p - 1).bit_length()
-    magic = -(-(1 << shift) // p)
+    shift, magic = _barrett_constants(bound, p)
     if (bound * magic).bit_length() > _SLOT_BITS:
         return None
-    return shift, magic, _spread((1 << (_SLOT_BITS - shift)) - 1, p)
+    return shift, magic, _repeat((1 << (_SLOT_BITS - shift)) - 1, _SLOT_BITS, p)
 
 
 @lru_cache(maxsize=None)
 def _top_bits(p: int) -> tuple[int, int]:
-    """(2^63 - 1, 2^63) spread over the p slots."""
-    return _spread((1 << _SLOT_BITS - 1) - 1, p), _spread(1 << _SLOT_BITS - 1, p)
+    """(2^63 - 1, 2^63) repeated over the p slots."""
+    top = 1 << _SLOT_BITS - 1
+    return _repeat(top - 1, _SLOT_BITS, p), _repeat(top, _SLOT_BITS, p)
 
 
 def _values_mod(f: list[int], p: int) -> Optional[int]:

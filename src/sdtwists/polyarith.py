@@ -318,7 +318,7 @@ def _exact_div(a, b):
 
 
 def _pseudo_rem(a, b):
-    """Pseudo-remainder: lead(b)**(deg a - deg b + 1) * a reduced mod b."""
+    """Pseudo-remainder: lead(b)**max(deg a - deg b + 1, 0) * a reduced mod b."""
     db = b.degree
     lb = b.lead
     r = a
@@ -326,7 +326,7 @@ def _pseudo_rem(a, b):
     while r and r.degree >= db:
         e -= 1
         r = r.scale(lb) - b.shift(r.degree - db).scale(r.lead)
-    if e:
+    if e > 0:
         r = r.scale(lb**e)
     return r
 

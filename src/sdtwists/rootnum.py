@@ -113,16 +113,16 @@ def sign_pairing(
 ) -> list[SignPair]:
     """Opposite-discriminant-sign pairs within (u, v) residue classes mod M.
 
-    M must be a positive power of the conductor.  A pair is emitted only
-    when both relative root numbers are defined and verified opposite.
+    M must be a positive power of the conductor.  Only eligible candidates
+    (certified S_d fields with the point) are paired, and a pair is emitted
+    only when both relative root numbers are defined and verified opposite.
     """
     if not _is_conductor_power(modulus, data.conductor):
         raise ValueError(f"{modulus} is not a positive power of the conductor {data.conductor}")
     groups: dict[tuple[int, int], list[FieldCandidate]] = {}
     for cand in candidates:
-        if cand.disc == 0:
-            continue
-        groups.setdefault((cand.u % modulus, cand.v % modulus), []).append(cand)
+        if cand.eligible:
+            groups.setdefault((cand.u % modulus, cand.v % modulus), []).append(cand)
 
     pairs: list[SignPair] = []
     for key in sorted(groups):

@@ -294,6 +294,7 @@ def test_criterion_13_sign_pairing():
                 (pair.positive, pair.positive_report),
                 (pair.negative, pair.negative_report),
             ):
+                assert cand.eligible
                 assert math.gcd(cand.disc, conductor) == 1
                 sign = 1 if cand.disc > 0 else -1
                 expected = w_curve ** 2 * sign * kronecker(cand.disc, conductor)

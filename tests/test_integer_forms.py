@@ -1,8 +1,9 @@
 """The integer view of a twist family against the Fraction references.
 
-``IntegerFamily`` is what a sweep runs on: specialization, discriminant and
-point check read off integer forms of P, and Frobenius cycle types looked up
-by t = u/v mod p.  Each fast path is checked here against an independent
+``IntegerFamily`` is what a sweep runs on: specialization and discriminant
+read off integer forms of P, and Frobenius cycle types looked up by
+t = u/v mod p; ``verify_new_point`` reads the point off the integer forms of
+its numerator and denominator.  Each fast path is checked here against an independent
 reference in ``oracles.py`` (Fraction arithmetic from P itself, the
 subresultant discriminant of the specialization, the Fraction point check)
 and against direct factorization mod p, including sympy's.  The pairs cover
@@ -136,24 +137,25 @@ def test_point_check_matches_fraction_reference(views, name, pair, shift):
     view, (u, v) = views[name], pair
     fam = view.family
     spec, _ = specialize_fraction(fam, u, v)
-    assert view.point_holds(spec, u, v) is True
     assert verify_new_point(spec, fam, u, v) is True
     assert verify_new_point_fraction(spec, fam, u, v) is True
     # a perturbed or rational modulus: both paths must still agree
     other = (spec + Poly([shift])).scale(F(1, 3))
     if other.degree >= 1:
         want = verify_new_point_fraction(other, fam, u, v)
-        assert view.point_holds(other, u, v) == want
+        assert verify_new_point(other, fam, u, v) == want
         if shift:
             assert want is False
+    # a modulus two degrees above F^2 - f*G^2 divides it only if it vanishes
+    assert verify_new_point(spec.shift(2), fam, u, v) is False
 
 
 def test_point_check_rejects_degree_zero_and_v_zero(views):
-    view = views["compact"]
+    fam = views["compact"].family
     with pytest.raises(ValueError):
-        view.point_holds(Poly([3]), 1, 1)
+        verify_new_point(Poly([3]), fam, 1, 1)
     with pytest.raises(ValueError):
-        view.point_holds(Poly([1, 1]), 1, 0)
+        verify_new_point(Poly([1, 1]), fam, 1, 0)
 
 
 def table_primes(view):

@@ -622,6 +622,20 @@ def test_barrett_step_is_exact_at_the_slot_bound():
             assert ring.reduce(ring.pack(slots)) == ring.pack([s % p for s in slots]), (n, p)
 
 
+def test_barrett_constants_divide_every_value_up_to_the_bound():
+    # Both packed reductions take (shift, magic) from one function: the
+    # least shift with 2^shift >= bound * p, and for every s <= bound the
+    # Barrett quotient equals s // p.  The slot masks repeat one value.
+    for p in primes_up_to(60):
+        for bound in (p - 1, p, 3 * (p - 1) ** 2, 8 * (p - 1) ** 2 + 5):
+            shift, magic = padic._barrett_constants(bound, p)
+            assert 2 ** (shift - 1) < bound * p <= 2**shift, (p, bound)
+            assert magic == -(-(2**shift) // p)
+            assert all(s * magic >> shift == s // p for s in range(bound + 1)), (p, bound)
+    assert padic._repeat(5, 16, 3) == 5 + (5 << 16) + (5 << 32)
+    assert padic._repeat(2**63, 64, 2) == 2**63 + 2**127
+
+
 def test_distinct_degree_matches_sympy_above_the_root_bound():
     # At and above ROOT_PRIME_BOUND step 1 also runs through the ring: the
     # patterns of degrees 2 to 12, with and without the parity, equal

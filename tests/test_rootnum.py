@@ -143,3 +143,19 @@ def test_sign_pairing_never_pairs_same_sign_or_across_classes():
             pair.negative.u % n,
             pair.negative.v % n,
         )
+
+
+def test_sign_pairing_pairs_only_eligible_candidates():
+    n = 37
+    data = CurveArithData(n, -1)
+    t0 = cubic_twist_residues(n, -1)[0]
+    model = build_model((-16, 16), 0, 0, 1, 3, force_cubic_mod=n)
+    fam = twist_polynomial(model, 3)
+    budgets = SweepBudgets(prime_budget=8, kernel_bound=1000)
+    # at this budget some candidates in the box stay inconclusive
+    cands = sweep(fam, 400, congruence=(t0, 1, n), budgets=budgets)
+    assert any(not c.eligible and c.disc for c in cands)
+    pairs = sign_pairing(cands, n, data)
+    assert pairs
+    for pair in pairs:
+        assert pair.positive.eligible and pair.negative.eligible
