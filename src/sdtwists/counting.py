@@ -13,9 +13,11 @@ trial bound are quarantined and never counted as distinct, which keeps every
 reported count a true lower bound.
 
 The coefficient-box construction generates pairs (F, G) with H = F^2 - f G^2
-so that each root x0 of H carries the point (x0, F(x0)/G(x0)) of the curve;
-its box volume exponent, the counting exponents c_d and the field-count
-bound alpha(d) live here too, all as exact rationals.
+so that each root x0 of H carries the point (x0, F(x0)/G(x0)) of the curve.
+Each instance is built over Z as m*H, m the denominator of f, and certified
+on the primitive part of m*H in integer arithmetic, as a sweep certifies its
+specializations.  Its box volume exponent, the counting exponents c_d and
+the field-count bound alpha(d) live here too, all as exact rationals.
 """
 
 from __future__ import annotations
@@ -32,7 +34,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import galois
 from .family import IntegerFamily, TwistFamily, WeierstrassModel
 from .galois import SdCertificate
-from .polyarith import IntPoly, Poly, binary_form_value, squarefree_decompose
+from .polyarith import (
+    IntPoly,
+    Poly,
+    _discriminant,
+    _primitive_int,
+    binary_form_value,
+    squarefree_decompose,
+)
 from .primes import factor_trial, is_square, primes_up_to
 
 KERNEL_COMPLETE = "complete"
@@ -150,7 +159,7 @@ def _candidate(
     else:
         evidence = galois._evidence(
             p_spec,
-            Fraction(disc),
+            disc,
             budgets.prime_budget,
             polygon_primes=budgets.polygon_primes,
             trial_bound=budgets.trial_bound,
@@ -448,6 +457,28 @@ def _is_square_form(form: Sequence[int]) -> bool:
     return all(mult % 2 == 0 for _, mult in squarefree_decompose(poly))
 
 
+def _rho_p2(form: Sequence[int], p: int) -> int:
+    """rho(p^2) = #{(a, b) mod p^2 : F(a, b) == 0 mod p^2} for the binary
+    form F(u, v) = sum(form[i] u^(m-i) v^i), by 2p^2 + p evaluations of F.
+
+    The pairs with p | a and p | b are the (pa', pb') for (a', b') mod p.
+    Every other pair is w * (a, b) for a unit w mod p^2 and exactly one of
+    the p^2 + p points (a : 1) and (1 : pj) of P^1(Z/p^2), with p(p - 1)
+    such pairs per point; F(wa, wb) = w^m F(a, b), so they are all roots
+    or none.
+    """
+    m = len(form) - 1
+    as_t = tuple(reversed(form))  # F(t, 1), constant first
+    p2 = p * p
+
+    def root(u: int, v: int) -> bool:
+        return binary_form_value(as_t, m, u, v) % p2 == 0
+
+    inner = sum(root(p * a, p * b) for a in range(p) for b in range(p))
+    points = sum(root(a, 1) for a in range(p2)) + sum(root(1, p * j) for j in range(p))
+    return inner + p * (p - 1) * points
+
+
 def greaves_density(
     form: Sequence[int],
     box: int,
@@ -463,9 +494,10 @@ def greaves_density(
     ``form`` lists the coefficients of F(u,v) = sum(form[i] u^(m-i) v^i).
     The box is walked exhaustively when it has at most ``exhaustive_limit``
     points, otherwise sampled uniformly with the given seed.  The reference
-    value is prod_{p <= local_bound} (1 - rho(p^2)/p^4) with rho counted by
-    exhaustive residue enumeration mod p^2.  Undecided values (trial bound
-    exhausted) stay in the denominator and out of the numerator.
+    value is prod_{p <= local_bound} (1 - rho(p^2)/p^4), with rho(p^2) the
+    number of roots of F among the pairs mod p^2, counted on the points of
+    P^1(Z/p^2) (``_rho_p2``).  Undecided values (trial bound exhausted) stay
+    in the denominator and out of the numerator.
     """
     form = [int(c) for c in form]
     m = len(form) - 1
@@ -517,20 +549,7 @@ def greaves_density(
 
     product = 1.0
     for p in primes_up_to(local_bound):
-        p2 = p * p
-        reduced = [c % p2 for c in form]
-        rho = 0
-        for a in range(p2):
-            apow = [pow(a, m - i, p2) for i in range(m + 1)]
-            row = [reduced[i] * apow[i] % p2 for i in range(m + 1)]
-            # F(a, b) = sum(row[i] * b^i); Horner over b
-            for bb in range(p2):
-                acc = 0
-                for c in reversed(row):
-                    acc = (acc * bb + c) % p2
-                if acc == 0:
-                    rho += 1
-        product *= 1.0 - rho / p2**2
+        product *= 1.0 - _rho_p2(form, p) / (p * p) ** 2
 
     return DensityReport(
         empirical=empirical,
@@ -606,7 +625,7 @@ def ev_instance(
     model: WeierstrassModel, d: int, y: Fraction, a: Sequence[int], b: Sequence[int]
 ) -> EVInstance:
     """Assemble H = F^2 - f G^2 from box coordinates and check the bounds."""
-    return _ev_instance(model, d, y, a, b, _ev_limits(model, d, y))
+    return _ev_instance(model, d, y, a, b, _ev_limits(model, d, y))[0]
 
 
 @lru_cache(maxsize=64)
@@ -627,11 +646,12 @@ def _ev_instance(
     a: Sequence[int],
     b: Sequence[int],
     limits: tuple[Fraction, tuple[int, ...]],
-) -> EVInstance:
-    """``ev_instance`` with the bounds of ``_ev_limits``.
+) -> tuple[EVInstance, IntPoly]:
+    """(``ev_instance``, m*H) with the bounds of ``_ev_limits``.
 
     H is built as m*H = m*F^2 - (m*f)*G^2 over Z, with m the denominator of
-    f cleared once per model, bounded in integers and divided by m once.
+    f cleared once per model, bounded in integers and divided by m once for
+    the instance; m*H itself is returned beside it.
     """
     f_int, m = model.f_cleared
     if d % 2 == 0:
@@ -644,16 +664,25 @@ def _ev_instance(
     mH = (F * F).scale(m) - f_int * G * G
     c_bound, bounds = limits
     ok = mH.degree == d and all(abs(mH.coeff(d - k)) <= bounds[k] for k in range(d + 1))
-    return EVInstance(
+    instance = EVInstance(
         d=d, Y=y, F=Poly(F.coeffs), G=Poly(G.coeffs),
         H=Poly([Fraction(c, m) for c in mH.coeffs]), bound_constant=c_bound, bounds_ok=ok,
     )
+    return instance, mH
 
 
 def ev_generate(
     model: WeierstrassModel, d: int, y: Fraction | int, config: EvConfig = EvConfig()
 ) -> Iterator[EVInstance]:
-    """Stream box instances: exhaustive for small boxes, else seeded sampling."""
+    """Stream box instances: exhaustive for small boxes, else seeded sampling.
+
+    With ``config.certify``, an instance of full degree d is certified on
+    the primitive part of m*H with positive lead, taken from m*H as the
+    instance was built over Z, and its discriminant from the integer
+    subresultant: the polynomial and the discriminant that
+    ``galois.collect_evidence(H, d, ...)`` derives from H, without the
+    rational arithmetic.
+    """
     y = Fraction(y)
     a_bounds, b_bounds = ev_boxes(d, y)
     limits = _ev_limits(model, d, y)
@@ -661,10 +690,13 @@ def ev_generate(
     for bound in a_bounds + b_bounds:
         volume *= 2 * bound + 1
 
-    def finish(instance: EVInstance) -> EVInstance:
-        if config.certify and instance.H.degree == d:
-            ev = galois.collect_evidence(
-                instance.H, d, config.prime_budget, trial_bound=config.trial_bound
+    def finish(built: tuple[EVInstance, IntPoly]) -> EVInstance:
+        instance, mH = built
+        if config.certify and mH.degree == d:
+            g = IntPoly(_primitive_int(mH.coeffs)[0])
+            ev = galois._evidence(
+                g, _discriminant(g, g.derivative()), config.prime_budget,
+                polygon_primes=(), trial_bound=config.trial_bound,
             )
             return replace(instance, certificate=galois.certify_sd(ev))
         return instance

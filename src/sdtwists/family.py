@@ -50,6 +50,7 @@ from .polyarith import (
     BivarPoly,
     IntPoly,
     Poly,
+    _primitive_int,
     _pseudo_rem,
     binary_form_value,
     clear_denominators,
@@ -507,11 +508,8 @@ def _specialize(forms: _Forms, u: int, v: int) -> tuple[Poly, Fraction]:
         values.pop()
     if not values:
         raise ValueError("specialization vanished identically")
-    content = math.gcd(*values)
-    if values[-1] < 0:
-        content = -content
-    spec = Poly([c // content for c in values])
-    return spec, Fraction(content, forms.den * v**forms.e)
+    spec, content = _primitive_int(values)
+    return Poly(spec), Fraction(content, forms.den * v**forms.e)
 
 
 class IntegerFamily:

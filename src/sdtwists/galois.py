@@ -55,18 +55,20 @@ scan, the square test and one shared small-prime pass: a single
 ``primes.factor_trial`` of it gives a sweep candidate both its squarefree
 kernel and the exponents the witness search reads, and the search extends
 that factorization, on its cofactor only, to the trial bound when no
-witness lies below the kernel's bound.  The public entry points compute the
-discriminant and its factorization themselves from the polynomial they are
-given; a sweep, which has already computed both for the report, hands them
-to the private helpers, so the value a certificate rests on is always the
-discriminant of that polynomial.
+witness lies below the kernel's bound.  The private helpers take that
+discriminant as an int.  The public entry points make the polynomial they
+are given primitive and integral, and compute its discriminant once, as an
+integer, and its factorization themselves.  A sweep, which has already
+computed both for the report, hands them to the private helpers, and so does
+``counting.ev_generate`` with the integer discriminant of each
+coefficient-box instance, so the value a certificate rests on is always the
+discriminant of exactly the polynomial the scan reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import padic
@@ -147,7 +149,7 @@ def contains_n_cycle(types: Sequence[CycleType], n: int) -> bool:
 
 
 def _good_prime_scan(
-    g: Poly, disc: Fraction, budget: int, lookup: Optional[CycleLookup] = None
+    g: Poly, disc: int, budget: int, lookup: Optional[CycleLookup] = None
 ) -> list[tuple[int, CycleType]]:
     """Cycle types of primitive integral g at its first `budget` good primes.
 
@@ -163,15 +165,14 @@ def _good_prime_scan(
         return []
     cycle_type = lookup or padic.good_prime_cycle_type
     coeffs = [c.numerator for c in g.coeffs]
-    n = disc.numerator
-    bad = coeffs[-1] * n  # p | bad  <=>  p | lc(g) or p | disc(g)
+    bad = coeffs[-1] * disc  # p | bad  <=>  p | lc(g) or p | disc(g)
     found: list[tuple[int, CycleType]] = []
     cap = max(_SCAN_CAP_MIN, _SCAN_CAP_FACTOR * budget)
     for examined, p in enumerate(primes()):
         if len(found) >= budget or examined >= cap:
             break
         if bad % p:
-            found.append((p, cycle_type(coeffs, p, padic.frobenius_parity(n, p))))
+            found.append((p, cycle_type(coeffs, p, padic.frobenius_parity(disc, p))))
     return found
 
 
@@ -187,7 +188,7 @@ def _degree_lattice(patterns: Sequence[CycleType], d: int) -> set[int]:
 
 
 def _irreducibility(
-    g: Poly, disc: Fraction, prime_budget: int, lookup: Optional[CycleLookup] = None
+    g: Poly, disc: int, prime_budget: int, lookup: Optional[CycleLookup] = None
 ):
     """Good-prime scan of normalized g, disc = disc(g), and the
     irreducibility it proves.
@@ -210,9 +211,16 @@ def irreducibility_certificate(f: Poly, prime_budget: int) -> str:
     """CERTIFIED when irreducibility over Q is proved within the budget."""
     if f.degree < 2:
         raise ValueError("degree >= 2 required")
-    g = _normalize_factor(f)
-    _scan, status, _route = _irreducibility(g, discriminant(g), prime_budget)
+    g, disc = _normalized(f)
+    _scan, status, _route = _irreducibility(g, disc, prime_budget)
     return status
+
+
+def _normalized(f: Poly) -> tuple[Poly, int]:
+    """(g, disc(g)) for g the primitive integral multiple of f with positive
+    lead; disc(g) is an integer because g is integral."""
+    g = _normalize_factor(f)
+    return g, discriminant(g).numerator
 
 
 def _polygon_totally_ramified(g: Poly, p: int) -> bool:
@@ -234,8 +242,7 @@ def transposition_witness(
     is reported as None, never guessed.  Every extra must be proved prime
     (below ``primes.PROOF_BOUND``), otherwise ValueError.
     """
-    g = _normalize_factor(f)
-    return _witness(g, discriminant(g), trial_bound, _proved_primes(extra_primes))
+    return _witness(*_normalized(f), trial_bound, _proved_primes(extra_primes))
 
 
 def _proved_primes(extra_primes: Sequence[int]) -> tuple[int, ...]:
@@ -249,7 +256,7 @@ def _proved_primes(extra_primes: Sequence[int]) -> tuple[int, ...]:
 
 def _witness(
     g: Poly,
-    disc: Fraction,
+    disc: int,
     trial_bound: int,
     extra_primes: Sequence[int],
     factored: Optional[Factored] = None,
@@ -265,7 +272,7 @@ def _witness(
     """
     if disc == 0:
         raise ValueError("discriminant vanishes; no transposition witness exists")
-    n = abs(disc.numerator)
+    n = abs(disc)
     lead = g.lead.numerator
     if factored is None:
         bound = min(trial_bound, SMALL_PRIME_BOUND)
@@ -310,16 +317,15 @@ def collect_evidence(
     if f.degree != d:
         raise ValueError(f"degree mismatch: got {f.degree}, expected {d}")
     extras = _proved_primes(extra_primes)
-    g = _normalize_factor(f)
+    g, disc = _normalized(f)
     return _evidence(
-        g, discriminant(g), prime_budget, polygon_primes, trial_bound, extras,
-        skip_witness_for_cubic,
+        g, disc, prime_budget, polygon_primes, trial_bound, extras, skip_witness_for_cubic
     )
 
 
 def _evidence(
     g: Poly,
-    disc: Fraction,
+    disc: int,
     prime_budget: int,
     polygon_primes: Sequence[int],
     trial_bound: int,
@@ -351,7 +357,7 @@ def _evidence(
             irred, route = CERTIFIED, "newton-polygon"
             provenance.append(("irreducibility", p, "totally ramified"))
 
-    disc_square = is_square(disc.numerator) if disc.denominator == 1 else False
+    disc_square = is_square(disc)
 
     witness = None
     cubic_shortcut = d == 3 and irred == CERTIFIED and not disc_square

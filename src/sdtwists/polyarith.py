@@ -7,14 +7,16 @@ Z and ``BivarPoly`` the same class over the coefficient ring Q[t]: its
 x-coefficients are ``Poly`` values in t, and it adds only what is particular
 to that ring (specializing t and the x-derivative).
 
-Resultants run by fraction-free subresultant elimination, written once with
-ordinary ring operators plus one exact coefficient division (``divmod`` and
-a check that the remainder vanishes), so it runs unchanged over Z and over
-Q[t].  ``resultant`` and ``discriminant`` of rational polynomials clear the
-denominators once and eliminate over Z; ``discriminant_in_t`` eliminates
-over Q[t], which is how discriminants of the twist families are obtained as
-exact polynomials in t.  Naive Sylvester determinants exist only in the
-test suite as an oracle.
+Resultants run by fraction-free subresultant elimination (W. S. Brown, ACM
+TOMS 4, 1978), written once with ordinary ring operators plus one exact
+coefficient division (``divmod`` and a check that the remainder vanishes),
+so it runs unchanged over Z and over Q[t].  Its pseudo-remainder makes one
+pass over a plain coefficient list per reduction step, in either ring, and
+builds one polynomial per call.  ``resultant`` and ``discriminant`` of
+rational polynomials clear the denominators once and eliminate over Z;
+``discriminant_in_t`` eliminates over Q[t], which is how discriminants of
+the twist families are obtained as exact polynomials in t.  Naive Sylvester
+determinants exist only in the test suite as an oracle.
 
 Zero and constant polynomials are rejected with ``ValueError`` wherever the
 operation is undefined; nothing silently returns 0.
@@ -318,17 +320,34 @@ def _exact_div(a, b):
 
 
 def _pseudo_rem(a, b):
-    """Pseudo-remainder: lead(b)**max(deg a - deg b + 1, 0) * a reduced mod b."""
+    """Pseudo-remainder: lead(b)**max(deg a - deg b + 1, 0) * a reduced mod b.
+
+    The running remainder is a plain list of coefficients, constant first.
+    Each step pops its leading coefficient c, multiplies the rest by lead(b)
+    and subtracts c * b shifted into place, then trims; the polynomial is
+    built once, at the end.  A dividend of lower degree than b comes back
+    unchanged.
+    """
     db = b.degree
+    if a.degree < db:
+        return a
     lb = b.lead
-    r = a
+    low = [(j, c) for j, c in enumerate(b.coeffs[:-1]) if c]  # b below its lead
+    r = list(a.coeffs)
     e = a.degree - db + 1
-    while r and r.degree >= db:
+    while len(r) > db:
         e -= 1
-        r = r.scale(lb) - b.shift(r.degree - db).scale(r.lead)
+        c = r.pop()
+        r = [lb * x for x in r]
+        k = len(r) - db  # c * b is shifted by x^k
+        for j, bj in low:
+            r[k + j] -= c * bj
+        while r and not r[-1]:
+            r.pop()
     if e > 0:
-        r = r.scale(lb**e)
-    return r
+        f = lb**e
+        r = [f * x for x in r]
+    return type(a)(r)
 
 
 def _resultant_core(a, b):
@@ -386,6 +405,16 @@ def clear_denominators(f: Poly) -> tuple[IntPoly, int]:
     denominators of f."""
     m = math.lcm(*(c.denominator for c in f.coeffs))
     return IntPoly([c.numerator * (m // c.denominator) for c in f.coeffs]), m
+
+
+def _primitive_int(coeffs: Sequence[int]) -> tuple[list[int], int]:
+    """(prim, c) with coeffs = c * prim for integers coeffs (constant first,
+    last one nonzero): c is their gcd with the sign of the last, so prim has
+    coprime coefficients and a positive lead."""
+    c = math.gcd(*coeffs)
+    if coeffs[-1] < 0:
+        c = -c
+    return [x // c for x in coeffs], c
 
 
 def resultant(f: Poly, g: Poly) -> Fraction:

@@ -94,6 +94,24 @@ def squarefree_status_walk(n: int, bound: int) -> Optional[bool]:
     return None
 
 
+def rho_p2_walk(form: Sequence[int], p: int) -> int:
+    """#{(a, b) mod p^2 : F(a, b) == 0 mod p^2} for F(u, v) =
+    sum(form[i] u^(m-i) v^i), by trying all p^4 residue pairs."""
+    m = len(form) - 1
+    p2 = p * p
+    reduced = [c % p2 for c in form]
+    rho = 0
+    for a in range(p2):
+        row = [reduced[i] * pow(a, m - i, p2) % p2 for i in range(m + 1)]
+        for b in range(p2):
+            acc = 0
+            for c in reversed(row):  # F(a, b) = sum(row[i] * b^i), by Horner
+                acc = (acc * b + c) % p2
+            if acc == 0:
+                rho += 1
+    return rho
+
+
 def squarefree_kernel_walk(n: int, trial_bound: int) -> tuple[int, str, int]:
     """``counting.squarefree_kernel`` on ``factor_trial_walk``."""
     exponents, cofactor = factor_trial_walk(n, trial_bound)

@@ -28,8 +28,9 @@ from sdtwists.counting import (
 from sdtwists.family import build_family
 from sdtwists.galois import certify_sd, collect_evidence
 from sdtwists.polyarith import Poly
+from sdtwists.primes import primes_up_to
 
-from oracles import reference_candidate, verify_new_point_fraction
+from oracles import reference_candidate, rho_p2_walk, verify_new_point_fraction
 
 BUDGETS = SweepBudgets(prime_budget=12, kernel_bound=10_000)
 
@@ -443,6 +444,35 @@ def test_density_square_form_warns():
     assert rep.empirical < 0.02
 
 
+def _rho_forms() -> list[list[int]]:
+    """40 binary forms of degree 1-6 with coefficients in [-20, 20]; every
+    fourth has its content multiplied by a prime up to 13 or the square of
+    one, and one more by 30030, the product of the primes up to 13."""
+    rng = random.Random(12)
+    multipliers = [2, 3, 5, 7, 11, 13, 4, 9, 25, 169]
+    forms = []
+    for i in range(40):
+        m = 1 + i % 6
+        form = [rng.randint(-20, 20) for _ in range(m + 1)]
+        if not any(form):
+            form[0] = 1
+        if i % 4 == 3:
+            form = [c * multipliers[(i // 4) % len(multipliers)] for c in form]
+        forms.append(form)
+    forms[-2] = [30030 * c for c in forms[-2]]
+    return forms
+
+
+def test_rho_p2_matches_residue_walk():
+    # rho(p^2) from the points of P^1(Z/p^2) equals the count over all p^4
+    # residue pairs, also when p divides the content of the form.
+    forms = _rho_forms()
+    assert any(all(c % 13 == 0 for c in form) for form in forms)
+    for form in forms:
+        for p in primes_up_to(13):
+            assert counting._rho_p2(form, p) == rho_p2_walk(form, p), (form, p)
+
+
 def test_density_degree_cap():
     with pytest.raises(ValueError):
         greaves_density([1, 0, 0, 0, 0, 0, 0, 1], 10)
@@ -530,6 +560,37 @@ def test_ev_instance_rebuilds_generated_instances():
         assert ev_instance(model, d, F(1), c[:3], c[3:]) == inst
     assert counting._ev_limits(model, d, y) is counting._ev_limits(model, d, y)
     assert isinstance(counting._ev_limits(model, d, y)[1], tuple)
+
+
+def test_ev_certificates_match_public_path():
+    # ev_generate certifies the primitive part of m*H on integers, with
+    # disc over Z; every certificate equals certify_sd of the public
+    # collect_evidence(H), all evidence fields and provenance included.  The
+    # draws, exhaustive at Y = 1 and sampled at Y = 8 with two seeds, include
+    # certified instances whose m*H has content > 1 (49 at d = 6, where G is
+    # divisible by p1 = 7; the other content > 1 draws are H = F^2) and a
+    # negative lead (odd d).  F is monic for even d and G for odd d, so
+    # lead(m*H) = +-m and every instance keeps degree d and gets a
+    # certificate.
+    budget, trial_bound = 25, 10_000
+    content_above_one = negative_lead = 0
+    for d in range(4, 9):
+        model, _, _ = build_family((1, 1), d)
+        m = model.f_cleared[1]
+        for y, seed, count in ((1, 0, 150), (8, 1, 30), (8, 2, 30)):
+            cfg = EvConfig(
+                seed=seed, max_instances=count, certify=True,
+                prime_budget=budget, trial_bound=trial_bound,
+            )
+            for inst in ev_generate(model, d, y, cfg):
+                assert inst.H.degree == d and inst.certificate is not None
+                public = collect_evidence(inst.H, d, budget, trial_bound=trial_bound)
+                assert inst.certificate == certify_sd(public)
+                mH = [int(c * m) for c in inst.H.coeffs]
+                if inst.certificate.certified:
+                    content_above_one += math.gcd(*mH) > 1
+                    negative_lead += mH[-1] < 0
+    assert content_above_one > 0 and negative_lead > 0
 
 
 def test_ev_generate_rejects_cubic():

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sdtwists.family import build_family
 from sdtwists.polyarith import (
     _exact_div,
+    _pseudo_rem,
     BivarPoly,
     IntPoly,
     Poly,
@@ -250,6 +252,46 @@ def test_z_eliminations_match_sylvester_oracle(f, g):
     assert resultant(f, g) == oracles.sylvester_resultant(f, g)
     assert resultant(g, f) == oracles.sylvester_resultant(g, f)
     assert discriminant(f) == oracle_discriminant(f)
+
+
+def test_pseudo_rem_over_z_matches_scaled_division():
+    # lead(b)^e * a mod b with e = max(deg a - deg b + 1, 0), by division
+    # over Q; lead(b) is never a unit.  Degree gaps 0-3 take one to four
+    # steps, exact multiples cancel to 0, and a dividend two degrees below
+    # the modulus comes back unchanged.
+    rng = random.Random(7)
+
+    def int_poly(degree, lo=-30, hi=30):
+        lead = rng.choice([-1, 1]) * rng.randint(2, 9)
+        return IntPoly([rng.randint(lo, hi) for _ in range(degree)] + [lead])
+
+    for case in range(400):
+        b = int_poly(rng.randint(1, 6))
+        gap = (-2, 0, 1, 2, 3)[case % 5]
+        if case % 25 == 24:
+            a = b * int_poly(gap, -3, 3) if gap >= 0 else int_poly(b.degree + gap)
+        else:
+            a = int_poly(b.degree + gap)
+        r = _pseudo_rem(a, b)
+        e = max(a.degree - b.degree + 1, 0)
+        assert type(r) is IntPoly
+        assert Poly(r.coeffs) == Poly(a.coeffs).scale(b.lead**e) % Poly(b.coeffs)
+        if gap < 0:
+            assert r == a
+        elif case % 25 == 24:
+            assert not r
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_pseudo_rem_over_q_t_gives_specialized_discriminants(d):
+    # discriminant_in_t runs the pseudo-remainder over Q[t]; its value at
+    # rational t0 is the Sylvester discriminant of the specialization.
+    P = build_family((1, 1), d)[1].P
+    disc_t = discriminant_in_t(P)
+    for t0 in (F(1, 2), F(-3), F(5, 7), F(-2, 3), F(11, 4)):
+        f = P.eval_t(t0)
+        assert f.degree == d
+        assert disc_t(t0) == oracle_discriminant(f)
 
 
 def test_int_poly_is_the_integer_ring():

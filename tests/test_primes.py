@@ -153,7 +153,7 @@ def test_witness_matches_walk(coeffs, trial_bound, kernel_bound):
     # the trial bound only when it holds no witness.
     exponents, cofactor = factor_trial(disc.numerator, kernel_bound)
     factored = (exponents, cofactor, kernel_bound)
-    assert galois._witness(g, disc, trial_bound, (), factored) == expected
+    assert galois._witness(g, disc.numerator, trial_bound, (), factored) == expected
 
 
 def test_witness_with_extras_matches_walk():
