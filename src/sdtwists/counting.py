@@ -37,8 +37,6 @@ from .galois import SdCertificate
 from .polyarith import (
     IntPoly,
     Poly,
-    _discriminant,
-    _primitive_int,
     binary_form_value,
     squarefree_decompose,
 )
@@ -49,6 +47,13 @@ KERNEL_PARTIAL = "partial"
 KERNEL_ZERO = "zero-disc"
 
 WORKERS_ENV = "SDTWISTS_WORKERS"
+
+# A box of at most this many points is walked exhaustively, a larger one
+# sampled: the density box of ``greaves_density`` and, by default, the
+# coefficient box of ``ev_generate``.
+EXHAUSTIVE_LIMIT = 1_000_000
+
+ALPHA_R_MAX = 6
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +492,12 @@ def greaves_density(
     samples: int = 80_000,
     seed: int = 0,
     trial_bound: int = 10_000,
-    exhaustive_limit: int = 1_000_000,
 ) -> DensityReport:
     """Empirical squarefree density of F(u,v) on the box, plus the local product.
 
     ``form`` lists the coefficients of F(u,v) = sum(form[i] u^(m-i) v^i).
-    The box is walked exhaustively when it has at most ``exhaustive_limit``
-    points, otherwise sampled uniformly with the given seed.  The reference
+    The box is walked exhaustively when it has at most ``EXHAUSTIVE_LIMIT``
+    (10^6) points, otherwise sampled uniformly with the given seed.  The reference
     value is prod_{p <= local_bound} (1 - rho(p^2)/p^4), with rho(p^2) the
     number of roots of F among the pairs mod p^2, counted on the points of
     P^1(Z/p^2) (``_rho_p2``).  Undecided values (trial bound exhausted) stay
@@ -516,7 +520,7 @@ def greaves_density(
 
     total = sq = und = 0
     n_side = 2 * box + 1
-    exhaustive = (n_side * n_side) // (mod * mod) <= exhaustive_limit
+    exhaustive = (n_side * n_side) // (mod * mod) <= EXHAUSTIVE_LIMIT
 
     def account(value: int):
         nonlocal total, sq, und
@@ -571,7 +575,7 @@ def greaves_density(
 class EvConfig:
     seed: int = 0
     max_instances: int = 200
-    exhaustive_limit: int = 1_000_000
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT
     certify: bool = False
     prime_budget: int = 25
     trial_bound: int = 10_000
@@ -677,11 +681,10 @@ def ev_generate(
     """Stream box instances: exhaustive for small boxes, else seeded sampling.
 
     With ``config.certify``, an instance of full degree d is certified on
-    the primitive part of m*H with positive lead, taken from m*H as the
-    instance was built over Z, and its discriminant from the integer
-    subresultant: the polynomial and the discriminant that
-    ``galois.collect_evidence(H, d, ...)`` derives from H, without the
-    rational arithmetic.
+    m*H, as the instance was built over Z, through ``galois._normalized``:
+    the primitive part with positive lead and its integer discriminant are
+    the ones ``galois.collect_evidence(H, d, ...)`` derives from H, without
+    the rational arithmetic.
     """
     y = Fraction(y)
     a_bounds, b_bounds = ev_boxes(d, y)
@@ -693,9 +696,8 @@ def ev_generate(
     def finish(built: tuple[EVInstance, IntPoly]) -> EVInstance:
         instance, mH = built
         if config.certify and mH.degree == d:
-            g = IntPoly(_primitive_int(mH.coeffs)[0])
             ev = galois._evidence(
-                g, _discriminant(g, g.derivative()), config.prime_budget,
+                *galois._normalized(mH), config.prime_budget,
                 polygon_primes=(), trial_bound=config.trial_bound,
             )
             return replace(instance, certificate=galois.certify_sd(ev))
@@ -810,9 +812,10 @@ def _min_feasible_k(d: int, r: int) -> int:
     return lo
 
 
-def schmidt_ev_alpha(d: int, r_max: int = 6) -> AlphaBound:
+def schmidt_ev_alpha(d: int) -> AlphaBound:
     """Field-count exponent bound alpha(d): min of (d+2)/4 and the grid value
-    4k/(d-2) * C(r+4k, r) over pairs with C(r+k, r) > d/2.
+    4k/(d-2) * C(r+4k, r) over pairs with C(r+k, r) > d/2 and
+    r <= ``ALPHA_R_MAX`` (6).
 
     For fixed r the objective increases in k, so only the smallest feasible
     k per r matters.  The r = 2 entry is reported separately together with
@@ -825,7 +828,7 @@ def schmidt_ev_alpha(d: int, r_max: int = 6) -> AlphaBound:
     best_witness = None
     r2_k = None
     r2_alpha = None
-    for r in range(1, r_max + 1):
+    for r in range(1, ALPHA_R_MAX + 1):
         k = 1 if _alpha_constraint(d, r, 1) else _min_feasible_k(d, r)
         value = _alpha_formula(d, r, k)
         if best is None or value < best:

@@ -66,6 +66,10 @@ PARITY_ODD = "odd>=5"
 
 SIGN_GRID_DENOMINATOR = 64
 
+# Search limits of ``build_model``.
+MAX_PRIME = 1000
+MAX_K = 400
+
 
 @dataclass(frozen=True)
 class WeierstrassModel:
@@ -182,10 +186,12 @@ def build_model(
     epsilon: Fraction | int,
     d: int,
     force_cubic_mod: Optional[int] = None,
-    max_prime: int = 1000,
-    max_k: int = 400,
 ) -> WeierstrassModel:
     """Construct a model satisfying properties (i)-(iv); deterministic.
+
+    p2 is searched among the admissible primes up to ``MAX_PRIME`` (1000)
+    and the rescale exponent k up to ``MAX_K`` (400); ValueError when either
+    search comes up empty.
 
     ``force_cubic_mod`` additionally demands f == x^3 modulo that integer
     (used to pin the discriminant class against a conductor); it requires
@@ -210,9 +216,9 @@ def build_model(
     # p2 and a simple root of g mod p2, lifted so v_p2(g(r)) = 1.
     p2 = r = None
     for p in _admissible_primes(excluded):
-        if p > max_prime:
+        if p > MAX_PRIME:
             raise ValueError(
-                f"no admissible p2 with a simple root below {max_prime} "
+                f"no admissible p2 with a simple root below {MAX_PRIME} "
                 f"(curve {curve}, d={d})"
             )
         for r0 in range(p):
@@ -270,7 +276,7 @@ def build_model(
             raise ValueError("could not approximate alpha inside Z[1/p1]")
 
     k_step = multiplicative_order(p1 * p1 % p3, p3) if shift_target else 1
-    for k in range(k_step, max_k + 1, k_step):
+    for k in range(k_step, MAX_K + 1, k_step):
         q = Fraction(1, p1 ** (2 * k))
         f_try = f_cur.compose_linear(p1 ** (2 * k), p1 ** (2 * k) * u).scale(q**3)
         model = WeierstrassModel(
@@ -288,7 +294,7 @@ def build_model(
         if verify_model(model).all_ok():
             return model
     raise ValueError(
-        f"no admissible rescale exponent k <= {max_k} met the epsilon box "
+        f"no admissible rescale exponent k <= {MAX_K} met the epsilon box "
         f"(curve {curve}, d={d}, epsilon={epsilon})"
     )
 
@@ -429,8 +435,6 @@ def build_family(
     curve: tuple[int, int],
     d: int,
     epsilon: Fraction | int = Fraction(1, 2),
-    force_cubic_mod: Optional[int] = None,
-    max_prime: int = 1000,
 ) -> tuple[WeierstrassModel, TwistFamily, DiscriminantForm]:
     """Model + family + verified discriminant form, shrinking epsilon on failure.
 
@@ -438,7 +442,7 @@ def build_family(
     d >= 5 and -1 for even d, which is what makes h keep a unit factor and
     change sign on |t| <= 1.
     """
-    if d == 3 or force_cubic_mod is not None:
+    if d == 3:
         shift, alpha = 0, Fraction(0)
     elif d % 2 == 1:
         shift, alpha = 1, Fraction(1)
@@ -447,10 +451,7 @@ def build_family(
     eps = Fraction(epsilon)
     last_error = None
     for _ in range(12):
-        model = build_model(
-            curve, shift, alpha, eps, d,
-            force_cubic_mod=force_cubic_mod, max_prime=max_prime,
-        )
+        model = build_model(curve, shift, alpha, eps, d)
         family = twist_polynomial(model, d)
         try:
             form = disc_form(family)

@@ -56,13 +56,14 @@ scan, the square test and one shared small-prime pass: a single
 kernel and the exponents the witness search reads, and the search extends
 that factorization, on its cofactor only, to the trial bound when no
 witness lies below the kernel's bound.  The private helpers take that
-discriminant as an int.  The public entry points make the polynomial they
-are given primitive and integral, and compute its discriminant once, as an
-integer, and its factorization themselves.  A sweep, which has already
-computed both for the report, hands them to the private helpers, and so does
-``counting.ev_generate`` with the integer discriminant of each
-coefficient-box instance, so the value a certificate rests on is always the
-discriminant of exactly the polynomial the scan reads.
+discriminant as an int.  The public entry points and
+``counting.ev_generate`` normalize in integers through one ``_normalized``:
+it clears the denominators of the polynomial once, takes the primitive part
+with positive lead and computes its discriminant by the integer
+subresultant.  A sweep, which has already computed the discriminant and its
+factorization for the report, hands both to the private helpers, so the
+value a certificate rests on is always the discriminant of exactly the
+polynomial the scan reads.
 """
 
 from __future__ import annotations
@@ -73,17 +74,8 @@ from typing import Callable, Optional, Sequence
 
 from . import padic
 from .padic import CycleType
-from .polyarith import Poly, _normalize_factor, discriminant
-from .primes import (
-    PROOF_BOUND,
-    SMALL_PRIME_BOUND,
-    extend_factorization,
-    factor_trial,
-    is_prime,
-    is_square,
-    primes,
-    valuation_int,
-)
+from .polyarith import IntPoly, Poly, _discriminant, _primitive_int, clear_denominators
+from .primes import SMALL_PRIME_BOUND, extend_factorization, factor_trial, is_square, primes
 
 # cycle_type(coeffs, p, parity) of Frobenius at a good prime p for the
 # integer polynomial coeffs, whose Frobenius there has the given parity, as
@@ -216,11 +208,13 @@ def irreducibility_certificate(f: Poly, prime_budget: int) -> str:
     return status
 
 
-def _normalized(f: Poly) -> tuple[Poly, int]:
+def _normalized(f: Poly) -> tuple[IntPoly, int]:
     """(g, disc(g)) for g the primitive integral multiple of f with positive
-    lead; disc(g) is an integer because g is integral."""
-    g = _normalize_factor(f)
-    return g, discriminant(g).numerator
+    lead, both computed in integer arithmetic."""
+    if f.degree < 1:
+        raise ValueError("discriminant requires degree >= 1")
+    g = IntPoly(_primitive_int(clear_denominators(f)[0].coeffs)[0])
+    return g, _discriminant(g, g.derivative())
 
 
 def _polygon_totally_ramified(g: Poly, p: int) -> bool:
@@ -233,36 +227,16 @@ def _polygon_totally_ramified(g: Poly, p: int) -> bool:
     return length == g.degree and slope.denominator == g.degree
 
 
-def transposition_witness(
-    f: Poly, trial_bound: int, extra_primes: Sequence[int] = ()
-) -> Optional[int]:
-    """Smallest prime p, p not dividing lc(f), with v_p(Disc f) = 1.
-
-    Searches primes up to trial_bound and then the supplied extras; absence
-    is reported as None, never guessed.  Every extra must be proved prime
-    (below ``primes.PROOF_BOUND``), otherwise ValueError.
-    """
-    return _witness(*_normalized(f), trial_bound, _proved_primes(extra_primes))
-
-
-def _proved_primes(extra_primes: Sequence[int]) -> tuple[int, ...]:
-    """The extras as ints, after proving each one prime; ValueError otherwise."""
-    out = tuple(int(p) for p in extra_primes)
-    for p in out:
-        if p >= PROOF_BOUND or not is_prime(p):
-            raise ValueError(f"extra prime {p} is not proved prime")
-    return out
+def transposition_witness(f: Poly, trial_bound: int) -> Optional[int]:
+    """Smallest prime p <= trial_bound, p not dividing lc(f), with
+    v_p(Disc f) = 1; absence is reported as None, never guessed."""
+    return _witness(*_normalized(f), trial_bound)
 
 
 def _witness(
-    g: Poly,
-    disc: int,
-    trial_bound: int,
-    extra_primes: Sequence[int],
-    factored: Optional[Factored] = None,
+    g: Poly, disc: int, trial_bound: int, factored: Optional[Factored] = None
 ) -> Optional[int]:
-    """``transposition_witness`` for normalized g with disc = discriminant(g)
-    and extras already proved prime.
+    """``transposition_witness`` for normalized g with disc = discriminant(g).
 
     ``factored`` = (exponents, cofactor, bound) is ``factor_trial(disc,
     bound)`` with its bound, when the caller has it; the primes up to
@@ -272,11 +246,10 @@ def _witness(
     """
     if disc == 0:
         raise ValueError("discriminant vanishes; no transposition witness exists")
-    n = abs(disc)
     lead = g.lead.numerator
     if factored is None:
         bound = min(trial_bound, SMALL_PRIME_BOUND)
-        factored = (*factor_trial(n, bound), bound)
+        factored = (*factor_trial(abs(disc), bound), bound)
     exponents, cofactor, bound = factored
 
     def least(exponents: dict[int, int]) -> Optional[int]:
@@ -288,14 +261,7 @@ def _witness(
     found = least(exponents)
     if found is None and trial_bound > bound:
         found = least(extend_factorization(exponents, cofactor, bound, trial_bound)[0])
-    if found is not None:
-        return found
-    for p in sorted({p for p in extra_primes if p > trial_bound}):
-        if p > n:
-            break
-        if lead % p and n % p == 0 and valuation_int(n, p) == 1:
-            return p
-    return None
+    return found
 
 
 def collect_evidence(
@@ -304,7 +270,6 @@ def collect_evidence(
     prime_budget: int,
     polygon_primes: Sequence[int] = (),
     trial_bound: int = 100_000,
-    extra_primes: Sequence[int] = (),
     skip_witness_for_cubic: bool = True,
 ) -> GaloisEvidence:
     """Gather cycle types, irreducibility status and a transposition witness.
@@ -316,11 +281,8 @@ def collect_evidence(
     """
     if f.degree != d:
         raise ValueError(f"degree mismatch: got {f.degree}, expected {d}")
-    extras = _proved_primes(extra_primes)
     g, disc = _normalized(f)
-    return _evidence(
-        g, disc, prime_budget, polygon_primes, trial_bound, extras, skip_witness_for_cubic
-    )
+    return _evidence(g, disc, prime_budget, polygon_primes, trial_bound, skip_witness_for_cubic)
 
 
 def _evidence(
@@ -329,15 +291,13 @@ def _evidence(
     prime_budget: int,
     polygon_primes: Sequence[int],
     trial_bound: int,
-    extra_primes: Sequence[int] = (),
     skip_witness_for_cubic: bool = True,
     lookup: Optional[CycleLookup] = None,
     factored: Optional[Factored] = None,
 ) -> GaloisEvidence:
-    """``collect_evidence`` for normalized g with disc = discriminant(g),
-    extras already proved prime, an optional cycle-type lookup for the
-    good-prime scan and an optional factorization of disc for the witness
-    search (see ``_witness``)."""
+    """``collect_evidence`` for normalized g with disc = discriminant(g), an
+    optional cycle-type lookup for the good-prime scan and an optional
+    factorization of disc for the witness search (see ``_witness``)."""
     d = g.degree
     provenance: list[tuple[str, int, str]] = []
     scan, irred, route = _irreducibility(g, disc, prime_budget, lookup)
@@ -362,7 +322,7 @@ def _evidence(
     witness = None
     cubic_shortcut = d == 3 and irred == CERTIFIED and not disc_square
     if disc != 0 and irred == CERTIFIED and not (cubic_shortcut and skip_witness_for_cubic):
-        witness = _witness(g, disc, trial_bound, extra_primes, factored)
+        witness = _witness(g, disc, trial_bound, factored)
         if witness is not None:
             provenance.append(("transposition_witness", witness, "v_p(disc)=1"))
 

@@ -146,7 +146,7 @@ class Poly:
             return Poly(), self
         rem = list(self.coeffs)
         quo = [Fraction(0)] * (da - db + 1)
-        inv = 1 / other.lead
+        inv = 1 / _frac(other.lead)
         for k in range(da - db, -1, -1):
             c = rem[db + k] * inv
             if c:

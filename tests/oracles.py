@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
 from typing import Optional, Sequence
 
 from sdtwists import galois
@@ -47,20 +46,16 @@ def factor_trial_walk(n: int, bound: int) -> tuple[dict[int, int], int]:
     return out, m
 
 
-def witness_walk(
-    f: Poly, trial_bound: int, extra_primes: Sequence[int] = ()
-) -> Optional[int]:
-    """Smallest prime p, p not dividing lc(f), with v_p(Disc f) = 1, by a
-    walk over the primes up to trial_bound and then the extras (taken as
-    proved prime)."""
+def witness_walk(f: Poly, trial_bound: int) -> Optional[int]:
+    """Smallest prime p <= trial_bound, p not dividing lc(f), with
+    v_p(Disc f) = 1, by a walk over the primes up to trial_bound."""
     g = _normalize_factor(f)
     disc = discriminant(g)
     if disc == 0:
         raise ValueError("discriminant vanishes; no transposition witness exists")
     n = abs(disc.numerator)
     lead = g.lead.numerator
-    extras = sorted({p for p in extra_primes if p > trial_bound})
-    for p in chain(iter_primes_up_to(trial_bound), extras):
+    for p in iter_primes_up_to(trial_bound):
         if p > n:
             break
         if lead % p == 0 or n % p:

@@ -17,9 +17,8 @@ from sdtwists.galois import (
     transposition_witness,
 )
 from sdtwists.padic import CycleType, frobenius_cycle_type
-from sdtwists.polyarith import Poly, _normalize_factor, discriminant
+from sdtwists.polyarith import IntPoly, Poly, _normalize_factor, discriminant
 from sdtwists.primes import (
-    PROOF_BOUND,
     is_prime,
     iter_primes_up_to,
     multiplicative_order,
@@ -67,34 +66,14 @@ def test_transposition_witness_none_for_squarefull_disc():
 def test_transposition_witness_disc_zero_raises():
     with pytest.raises(ValueError):
         transposition_witness(Poly([4, -4, 1]), 100)
-
-
-def test_transposition_witness_extra_primes():
-    # disc(x^3 - x^2 - 2x - 1) = -31; hide it past the bound, then supply it
-    assert transposition_witness(cubic(), 20) is None
-    assert transposition_witness(cubic(), 20, extra_primes=[31]) == 31
+    for constant in (Poly(), Poly([3])):
+        with pytest.raises(ValueError):
+            transposition_witness(constant, 100)
 
 
 # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
 # pseudoprime to every base 2..37.
 PSEUDOPRIME_2_TO_37 = 318_665_857_834_031_151_167_461
-
-
-@pytest.mark.parametrize("extra", [15, 1, 0, -7, PSEUDOPRIME_2_TO_37, PROOF_BOUND])
-def test_extra_primes_must_be_proved_prime(extra):
-    x2_minus_15 = Poly([-15, 0, 1])  # disc 60 = 2^2 * 3 * 5
-    with pytest.raises(ValueError):
-        transposition_witness(x2_minus_15, 2, extra_primes=[extra])
-    with pytest.raises(ValueError):
-        collect_evidence(x2_minus_15, 2, 5, extra_primes=[3, extra])
-
-
-def test_true_prime_extras_still_found():
-    x2_minus_15 = Poly([-15, 0, 1])
-    assert transposition_witness(x2_minus_15, 2) is None  # v_2(60) = 2
-    assert transposition_witness(x2_minus_15, 2, extra_primes=[5, 3, 5]) == 3
-    evidence = collect_evidence(x2_minus_15, 2, 5, trial_bound=2, extra_primes=[5])
-    assert evidence.transposition_prime == 5
 
 
 def test_miller_rabin_proof_bound():
@@ -261,3 +240,22 @@ def test_discriminant_gate_matches_reduction(degree, p, lead_divisible, data):
     reduced = ((q, frobenius_cycle_type(g, q)) for q in itertools.islice(primes(), cap))
     reference = list(itertools.islice(((q, ct) for q, ct in reduced if ct is not None), budget))
     assert galois._good_prime_scan(g, disc, budget) == reference
+
+
+small_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(small_rationals, min_size=1, max_size=7),
+    small_rationals.filter(bool),
+    st.integers(1, 30),
+)
+def test_integer_normalizer_matches_fraction_path(low, lead, content):
+    # Degrees 1-7, a lead of either sign, denominators, and content above 1
+    # from the scale factor and from numerators with a common factor.
+    f = Poly(low + [lead]).scale(content)
+    g, disc = galois._normalized(f)
+    expected = _normalize_factor(f)
+    assert type(g) is IntPoly and g.coeffs == expected.coeffs
+    assert type(disc) is int and disc == discriminant(expected)

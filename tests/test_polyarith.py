@@ -422,6 +422,20 @@ def test_reduce_mod_roundtrip():
         assert reduce_mod(a * p + r, p) == r
 
 
+def test_division_by_integer_polynomial_matches_rational_division():
+    # An IntPoly divisor has an int lead, whose inverse must stay exact.
+    rng = random.Random(71)
+    for _ in range(200):
+        f = rand_poly(rng, 7).scale(F(1, rng.randint(1, 9)))
+        c = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.choice([-7, -2, 1, 3])]
+        assert divmod(f, IntPoly(c)) == divmod(f, Poly(c))
+    model = build_family((1, 1), 5)[0]
+    f_int, m = model.f_cleared
+    assert m > 1
+    g = Poly([1, 2, 3, 4, 5])
+    assert reduce_mod(g, f_int) == reduce_mod(g, model.f)
+
+
 def test_reduce_mod_constant_modulus_rejected():
     with pytest.raises(ValueError):
         reduce_mod(Poly([1, 1]), Poly([2]))

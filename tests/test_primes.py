@@ -153,12 +153,10 @@ def test_witness_matches_walk(coeffs, trial_bound, kernel_bound):
     # the trial bound only when it holds no witness.
     exponents, cofactor = factor_trial(disc.numerator, kernel_bound)
     factored = (exponents, cofactor, kernel_bound)
-    assert galois._witness(g, disc.numerator, trial_bound, (), factored) == expected
+    assert galois._witness(g, disc.numerator, trial_bound, factored) == expected
 
 
 def test_witness_with_extras_matches_walk():
     f = Poly([-1, -2, -1, 1])  # disc -31
     for trial_bound in (2, 20, 31, S, 1000):
-        for extras in ((), (31,), (5, 31, 37)):
-            expected = witness_walk(f, trial_bound, extras)
-            assert transposition_witness(f, trial_bound, extra_primes=extras) == expected
+        assert transposition_witness(f, trial_bound) == witness_walk(f, trial_bound)
