@@ -3,7 +3,7 @@
 A sweep walks coprime pairs (u, v) in a box, specializes the twist family at
 t = u/v, certifies the Galois group, verifies the induced point and reduces
 the polynomial discriminant to its signed squarefree kernel.  Each sweep
-builds one ``IntegerFamily``, the integer view of the family, and every
+builds one ``IntegerFamily`` on the family's integer view, and every
 candidate reads its specialization, discriminant and Frobenius cycle types
 off it; the point holds at every specialization of degree >= 1 by the family
 identity, which ``sweep`` checks once per family.  Distinct fields are
@@ -262,9 +262,9 @@ def sweep(
     in t, the first pair of each group is evaluated (in the worker pool when
     there is one), and the other pairs get a copy of its record with their
     own u, v and residue class.  The evaluations share one ``IntegerFamily``
-    per call (one per worker chunk with a pool): they read
-    discriminant_in_t(P) off the family, which computes it once and keeps
-    it, and the Frobenius tables fill as the sweep goes.
+    per call (one per worker chunk with a pool): they read the integer forms
+    of P and Disc_t off the family, which builds them once and keeps them,
+    and the Frobenius tables fill as the sweep goes.
 
     Every record's ``point_verified`` rests on the family identity
     F^2 - f*G^2 = +-P (``TwistFamily.identity_holds``, computed once per

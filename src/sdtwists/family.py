@@ -27,11 +27,12 @@ with the induced y-coordinate t*x^(d/2), t*x^((3-d)/2), x + t respectively:
 for each specialization t = u/v the pair (x, y) is a point on the curve over
 Q[x]/(P(x, u/v)).
 
-A sweep works on ``IntegerFamily``, the family with its denominators cleared
-once into integer binary forms in (u, v): specializations, their
-discriminants and Frobenius cycle types are read off those forms in integer
-arithmetic, and the point needs no check per pair once the family identity
-is checked.  ``specialize`` runs on the same forms for a single pair.
+A family keeps its integer view, cleared once: P as integer binary forms in
+(u, v) (``TwistFamily.forms``) and its discriminant in x as an integer
+polynomial in t (``TwistFamily.disc_t``).  ``disc_form``, ``specialize`` and
+a sweep (through ``IntegerFamily``, which adds a table of cycle types) read
+only those, in integer arithmetic; the point needs no check per pair once
+the family identity is checked.
 ``verify_new_point`` accepts any polynomial as the modulus, so it evaluates
 the forms of the point at (u, v) and tests F^2 - f*G^2 by the integer
 pseudo-remainder of ``polyarith``.
@@ -133,11 +134,16 @@ class TwistFamily:
         return identity == (self.P if self.identity_sign == 1 else -self.P)
 
     @cached_property
-    def disc_t(self) -> Poly:
-        """discriminant_in_t(P): the discriminant in x as a polynomial in t,
-        computed on first use and kept with the family, so ``disc_form`` and
-        every sweep over the family share one subresultant."""
-        return discriminant_in_t(self.P)
+    def disc_t(self) -> tuple[IntPoly, int]:
+        """(D, m) = clear_denominators(discriminant_in_t(P)), D in Z[t] and
+        m > 0: computed once per family, so ``disc_form`` and every sweep
+        share one subresultant and one clearing."""
+        return clear_denominators(discriminant_in_t(self.P))
+
+    @cached_property
+    def forms(self) -> "_Forms":
+        """``_Forms.of(P)``: P's integer binary forms, built once per family."""
+        return _Forms.of(self.P)
 
 
 @dataclass(frozen=True)
@@ -375,12 +381,13 @@ def twist_polynomial(model: WeierstrassModel, d: int) -> TwistFamily:
 def disc_form(family: TwistFamily) -> DiscriminantForm:
     """Discriminant of the family in x as unit * t^t_power * h(t), h monic.
 
-    Checks the exact t-power and the degree of h (6, or 4 when d = 3),
-    locates a multiplicity-one factor of h other than t, and evaluates the
-    discriminant on the grid {k/64 : |k| <= 64} to exhibit both signs.
+    Reads disc = D / m off ``TwistFamily.disc_t``: checks the exact t-power
+    and the degree of h (6, or 4 when d = 3), locates a multiplicity-one
+    factor of h other than t, and exhibits both signs on the grid
+    {k/64 : |k| <= 64} by the sign of D(k, 64) = 64^deg D * m * disc(k/64).
     """
     d = family.d
-    disc = family.disc_t
+    disc, m = family.disc_t
     expected_power = 0 if d == 3 else 2 * d - 8
     expected_deg_h = 4 if d == 3 else 6
 
@@ -396,7 +403,7 @@ def disc_form(family: TwistFamily) -> DiscriminantForm:
         raise ValueError(
             f"deg h = {h_raw.degree}, expected {expected_deg_h}; model construction bug"
         )
-    unit = h_raw.lead
+    unit = Fraction(h_raw.lead, m)
     h = h_raw.monic()
 
     simple = None
@@ -412,7 +419,7 @@ def disc_form(family: TwistFamily) -> DiscriminantForm:
 
     pos = neg = False
     for k in range(-SIGN_GRID_DENOMINATOR, SIGN_GRID_DENOMINATOR + 1):
-        value = disc(Fraction(k, SIGN_GRID_DENOMINATOR))
+        value = binary_form_value(disc.coeffs, disc.degree, k, SIGN_GRID_DENOMINATOR)
         if value > 0:
             pos = True
         elif value < 0:
@@ -514,27 +521,26 @@ def _specialize(forms: _Forms, u: int, v: int) -> tuple[Poly, Fraction]:
 
 
 class IntegerFamily:
-    """A twist family in integer arithmetic, built once per sweep.
+    """A sweep's view of a twist family in integer arithmetic.
 
-    Denominators are cleared once: L*P(x, t) = sum_i A_i(t) x^i with A_i in
-    Z[t], read as binary forms A_i(u, v) of degree e = max deg A_i.  Then
+    The family owns its integer forms: L*P(x, t) = sum_i A_i(t) x^i with A_i
+    in Z[t], read as binary forms A_i(u, v) of degree e = max deg A_i
+    (``TwistFamily.forms``), and Disc_t = D / m (``TwistFamily.disc_t``).
     ``specialize`` evaluates the forms at (u, v) and divides by the content;
-    ``discriminant`` reads disc(spec) off Disc_t = ``TwistFamily.disc_t``
-    as Disc_t(u/v) / lam^(2d-2) when spec keeps degree d (the subresultant
-    otherwise); and ``cycle_type`` reads the Frobenius cycle type at a good
-    prime p with p not dividing v*L off a table keyed by (p, u/v mod p),
-    filled by the first pair with that key.  The point needs no check here:
-    the family identity (``TwistFamily.identity_holds``) makes it hold at
-    every specialization of degree >= 1.  Disc_t belongs to the family and is
-    computed once for it; all other state lives in the object, so nothing
-    else carries over from one sweep to the next.
+    ``discriminant`` reads disc(spec) off D as Disc_t(u/v) / lam^(2d-2) when
+    spec keeps degree d (the subresultant otherwise); and ``cycle_type``
+    reads the Frobenius cycle type at a good prime p with p not dividing v*L
+    off a table keyed by (p, u/v mod p), filled by the first pair with that
+    key.  The point needs no check here: the family identity
+    (``TwistFamily.identity_holds``) makes it hold at every specialization
+    of degree >= 1.  The object holds only that table, built once per sweep,
+    so nothing else carries over from one sweep to the next.
     """
 
     def __init__(self, family: TwistFamily):
         self.family = family
         self.d = family.d
-        self._P = _Forms.of(family.P)
-        self._disc: Optional[tuple[tuple[int, ...], int]] = None
+        self._P = family.forms
         self._cycle_types: dict[tuple[int, int], CycleType] = {}
 
     def specialize(self, u: int, v: int) -> tuple[Poly, Fraction]:
@@ -546,20 +552,17 @@ class IntegerFamily:
         """disc(spec) for (spec, lam) = ``self.specialize(u, v)``.
 
         disc(lam * spec) = lam^(2d-2) disc(spec) when spec has degree d, and
-        disc(P(x, u/v)) = Disc_t(u/v).  With Disc_t(u/v) = D(u, v) / (M v^K)
-        for the integer binary form D of degree K = e(2d-2) and the
-        denominator M of Disc_t, disc(spec) is an exact quotient of integers;
-        a remainder raises ``ArithmeticError``.
+        disc(P(x, u/v)) = Disc_t(u/v).  With Disc_t(u/v) = D(u, v) / (m v^K)
+        for D of ``TwistFamily.disc_t`` read as a binary form of degree
+        K = e(2d-2), disc(spec) is an exact quotient of integers; a remainder
+        raises ``ArithmeticError``.
         """
         d = self.d
         if spec.degree != d:
             return int(discriminant(spec))
-        if self._disc is None:
-            disc_t, m = clear_denominators(self.family.disc_t)
-            self._disc = disc_t.coeffs, m
-        coeffs, m = self._disc
+        disc_t, m = self.family.disc_t
         k = self._P.e * (2 * d - 2)
-        num = binary_form_value(coeffs, k, u, v) * lam.denominator ** (2 * d - 2)
+        num = binary_form_value(disc_t.coeffs, k, u, v) * lam.denominator ** (2 * d - 2)
         den = m * v**k * lam.numerator ** (2 * d - 2)
         q, r = divmod(num, den)
         if r:
@@ -597,10 +600,10 @@ class IntegerFamily:
 def specialize(family: TwistFamily, u: int, v: int) -> Poly:
     """P(x, u/v) cleared to a primitive integral polynomial, positive lead.
 
-    Evaluated from the integer forms of P, as in a sweep (``IntegerFamily``);
-    ValueError when v = 0, gcd(u, v) != 1 or the specialization vanishes.
+    Evaluated from ``TwistFamily.forms``, as in a sweep; ValueError when
+    v = 0, gcd(u, v) != 1 or the specialization vanishes.
     """
-    return _specialize(_Forms.of(family.P), u, v)[0]
+    return _specialize(family.forms, u, v)[0]
 
 
 def verify_new_point(p_spec: Poly, family: TwistFamily, u: int, v: int) -> bool:

@@ -214,7 +214,7 @@ def _normalized(f: Poly) -> tuple[IntPoly, int]:
     if f.degree < 1:
         raise ValueError("discriminant requires degree >= 1")
     g = IntPoly(_primitive_int(clear_denominators(f)[0].coeffs)[0])
-    return g, _discriminant(g, g.derivative())
+    return g, _discriminant(g)
 
 
 def _polygon_totally_ramified(g: Poly, p: int) -> bool:

@@ -5,7 +5,8 @@ One dense polynomial class carries every ring operation.  ``Poly`` stores
 tests and every ring operation are exact.  ``IntPoly`` is the same class over
 Z and ``BivarPoly`` the same class over the coefficient ring Q[t]: its
 x-coefficients are ``Poly`` values in t, and it adds only what is particular
-to that ring (specializing t and the x-derivative).
+to that ring (specializing t).  The ring operations, the derivative among
+them, keep the class they are called on.
 
 Resultants run by fraction-free subresultant elimination (W. S. Brown, ACM
 TOMS 4, 1978), written once with ordinary ring operators plus one exact
@@ -43,10 +44,11 @@ def _frac(c) -> Fraction:
 class Poly:
     """Dense univariate polynomial; ``coeffs[i]`` multiplies x**i.
 
-    The ring operations below are written for any coefficient ring: a
-    subclass names its ring by ``_coerce`` (which turns an int or a
-    coefficient into a ring element) and ``_zero``.  Everything after them
-    (division, evaluation, normal forms) needs the field Q.
+    The ring operations below, the derivative among them, are written for
+    any coefficient ring: a subclass names its ring by ``_coerce`` (which
+    turns an int or a coefficient into a ring element) and ``_zero``.
+    Everything after them (division, evaluation, normal forms) needs the
+    field Q.
     """
 
     __slots__ = ("coeffs",)
@@ -138,6 +140,9 @@ class Poly:
             return self
         return type(self)((self._zero,) * k + self.coeffs)
 
+    def derivative(self) -> "Poly":
+        return type(self)([self._coerce(i) * c for i, c in enumerate(self.coeffs)][1:])
+
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
@@ -161,10 +166,7 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    # -- calculus and evaluation --------------------------------------------
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+    # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x0: Coefficient) -> Fraction:
         x0 = _frac(x0)
@@ -238,9 +240,6 @@ class Poly:
         return text
 
 
-X = Poly([0, 1])
-
-
 def binary_form_value(coeffs: Sequence[int], e: int, u: int, v: int) -> int:
     """sum(coeffs[j] * u^j * v^(e - j)): the integer polynomial in t with
     these coefficients (constant first, degree <= e) read as a binary form
@@ -273,9 +272,6 @@ class IntPoly(Poly):
     _coerce = staticmethod(operator.index)  # TypeError on a Fraction
     _zero = 0
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
 
 class BivarPoly(Poly):
     """Polynomial in x whose coefficients are ``Poly`` values in t."""
@@ -291,9 +287,6 @@ class BivarPoly(Poly):
     @property
     def xcoeffs(self) -> tuple[Poly, ...]:
         return self.coeffs
-
-    def derivative_x(self) -> "BivarPoly":
-        return BivarPoly([c.scale(i) for i, c in enumerate(self.coeffs)][1:])
 
     def eval_t(self, t0: Coefficient) -> Poly:
         """Specialize t, leaving a univariate polynomial in x."""
@@ -388,10 +381,10 @@ def _resultant_core(a, b):
     return -res if sign < 0 else res
 
 
-def _discriminant(f, df):
+def _discriminant(f):
     """(-1)**(n(n-1)/2) / lc(f) * Res(f, f') over either coefficient ring."""
     n = f.degree
-    disc = _exact_div(_resultant_core(f, df), f.lead)
+    disc = _exact_div(_resultant_core(f, f.derivative()), f.lead)
     return -disc if (n * (n - 1) // 2) % 2 else disc
 
 
@@ -436,14 +429,14 @@ def discriminant(f: Poly) -> Fraction:
     if f.degree < 1:
         raise ValueError("discriminant requires degree >= 1")
     fi, m = clear_denominators(f)
-    return Fraction(_discriminant(fi, fi.derivative()), m ** (2 * f.degree - 2))
+    return Fraction(_discriminant(fi), m ** (2 * f.degree - 2))
 
 
 def discriminant_in_t(p: BivarPoly) -> Poly:
     """Discriminant of p taken in x, returned as an exact polynomial in t."""
     if p.degree < 1:
         raise ValueError("discriminant requires x-degree >= 1")
-    return _discriminant(p, p.derivative_x())
+    return _discriminant(p)
 
 
 def squarefree_decompose(h: Poly) -> list[tuple[Poly, int]]:

@@ -5,11 +5,12 @@ determinant is expanded by exact Gaussian elimination instead of the
 subresultant sequence, bivariate discriminants come from specialization
 plus Lagrange interpolation, mod-p factorizations are found by exhaustive
 trial division over all monic polynomials, and specializations, point
-checks and whole sweep candidates are computed in ``Fraction`` arithmetic
-from P itself, with the public galois entry points, instead of from the
-integer forms a sweep uses.  Trial factorizations and transposition
-witnesses walk the prime sieve one remainder per prime, instead of the
-staged product gcd of ``primes.factor_trial``.
+checks, the discriminant form of a family and whole sweep candidates are
+computed in ``Fraction`` arithmetic from P itself, with the public galois
+entry points, instead of from the integer forms a sweep uses.  Trial
+factorizations and transposition witnesses walk the prime sieve one
+remainder per prime, instead of the staged product gcd of
+``primes.factor_trial``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,16 @@ from typing import Optional, Sequence
 
 from sdtwists import galois
 from sdtwists.counting import KERNEL_COMPLETE, KERNEL_PARTIAL, KERNEL_ZERO, FieldCandidate
-from sdtwists.polyarith import BivarPoly, Poly, _normalize_factor, discriminant, reduce_mod
+from sdtwists.family import SIGN_GRID_DENOMINATOR, DiscriminantForm
+from sdtwists.polyarith import (
+    BivarPoly,
+    Poly,
+    _normalize_factor,
+    discriminant,
+    discriminant_in_t,
+    reduce_mod,
+    squarefree_decompose,
+)
 from sdtwists.primes import is_square, iter_primes_up_to, valuation_int
 
 
@@ -143,6 +153,33 @@ def verify_new_point_fraction(p_spec: Poly, family, u: int, v: int) -> bool:
     fden = family.point_den.eval_t(t0)
     expr = fnum * fnum - family.model.f * fden * fden
     return not reduce_mod(expr, p_spec)
+
+
+def disc_form_fraction(family) -> DiscriminantForm:
+    """``disc_form`` in Fraction arithmetic: Disc_t = discriminant_in_t(P)
+    taken apart as a rational polynomial and evaluated by rational Horner
+    on the grid {k/64 : |k| <= 64}, stopping once both signs are seen."""
+    d = family.d
+    disc = discriminant_in_t(family.P)
+    power = 0 if d == 3 else 2 * d - 8
+    h_raw = Poly(disc.coeffs[power:])
+    h = h_raw.monic()
+    simple = None
+    for factor, mult in squarefree_decompose(h):
+        if mult != 1:
+            continue
+        if factor.coeff(0) == 0:
+            factor = factor // Poly([0, 1])
+        if factor.degree >= 1:
+            simple = factor
+            break
+    pos = neg = False
+    for k in range(-SIGN_GRID_DENOMINATOR, SIGN_GRID_DENOMINATOR + 1):
+        value = disc(Fraction(k, SIGN_GRID_DENOMINATOR))
+        pos, neg = pos or value > 0, neg or value < 0
+        if pos and neg:
+            break
+    return DiscriminantForm(power, h, h_raw.lead, h.degree, simple, pos, neg)
 
 
 def reference_candidate(family, u, v, budgets, modulus=None) -> FieldCandidate:

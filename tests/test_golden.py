@@ -1,10 +1,12 @@
 """Stored golden reports: every refactor must keep these bytes unchanged.
 
-The scenarios are the five of acceptance criterion 14 plus four that reach
-the certify pipeline, the family construction and two built-family sweeps
-(the standard route, the transposition-witness search and the bivariate
-discriminant).  ``sweep_d6`` factors its discriminants to a small kernel
-bound and finds transposition witnesses above it, up to its trial bound.
+The scenarios are the five of acceptance criterion 14 plus six that reach
+the certify pipeline, the family construction at d = 3, 5 and 8 (the
+discriminant form h, its unit and the sign-grid flags) and two built-family
+sweeps (the standard route, the transposition-witness search and the
+bivariate discriminant).  ``sweep_d6`` factors its discriminants to a small
+kernel bound and finds transposition witnesses above it, up to its trial
+bound.
 Each report is stored as JSON and as CSV under ``tests/golden``.
 
 Regenerate the files, after a change that is meant to alter reports, with
@@ -30,7 +32,9 @@ SCENARIOS = {
                        root_number=-1, prime_budget=8, kernel_bound=1000),
     "ev": dict(mode="ev", curve=(1, 1), degree=6, scale=2, ev_count=25),
     "certify": dict(mode="certify", poly=(-1, -1, 0, 1)),
+    "family_d3": dict(mode="family", curve=(1, 1), degree=3),
     "family_d5": dict(mode="family", curve=(1, 1), degree=5),
+    "family_d8": dict(mode="family", curve=(1, 1), degree=8),
     "sweep_d5": dict(mode="sweep", curve=(1, 1), degree=5, box=3),
     "sweep_d6": dict(mode="sweep", curve=(1, 1), degree=6, box=3,
                      kernel_bound=300, trial_bound=3000),

@@ -1,37 +1,43 @@
 """The integer view of a twist family against the Fraction references.
 
 ``IntegerFamily`` is what a sweep runs on: specialization and discriminant
-read off integer forms of P, and Frobenius cycle types looked up by
-t = u/v mod p; ``verify_new_point`` reads the point off the integer forms of
-its numerator and denominator.  Each fast path is checked here against an independent
-reference in ``oracles.py`` (Fraction arithmetic from P itself, the
-subresultant discriminant of the specialization, the Fraction point check)
-and against direct factorization mod p, including sympy's.  The pairs cover
+read off the family's integer forms of P and its cleared Disc_t, and
+Frobenius cycle types looked up by t = u/v mod p; ``disc_form`` reads the
+same Disc_t, and ``verify_new_point`` reads the point off the integer forms
+of its numerator and denominator.  Each fast path is checked here against an
+independent reference in ``oracles.py`` (Fraction arithmetic from P itself,
+the subresultant discriminant of the specialization, the Fraction point
+check, the Fraction discriminant form) and against direct factorization mod p, including sympy's.  The pairs cover
 |u|, |v| <= 10^6, u = 0, v = +-1, v divisible by small primes and by the
 model prime p1, which divides the cleared denominator L and then the content
 of the specialization too.
 """
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from sdtwists import family as family_module
+from sdtwists.counting import WORKERS_ENV, sweep
 from sdtwists.family import (
+    SIGN_GRID_DENOMINATOR,
     IntegerFamily,
     TwistFamily,
     WeierstrassModel,
     build_family,
+    disc_form,
     specialize,
     twist_polynomial,
     verify_new_point,
 )
 from sdtwists.padic import frobenius_cycle_type, frobenius_parity, good_prime_cycle_type
-from sdtwists.polyarith import BivarPoly, Poly, discriminant
+from sdtwists.polyarith import BivarPoly, Poly, binary_form_value, discriminant, discriminant_in_t
 from sdtwists.primes import primes_up_to
 
-from oracles import specialize_fraction, verify_new_point_fraction
+from oracles import disc_form_fraction, specialize_fraction, verify_new_point_fraction
 
 HEIGHT = 10**6
 FAMILIES = ["compact", 3, 4, 5, 6, 7, 8]
@@ -122,11 +128,54 @@ def test_family_discriminant_degree_drop_and_inexact_division(views):
     assert view.discriminant(spec, lam, 0, 1) == discriminant(spec)
     spec, lam = view.specialize(3, 5)
     assert view.discriminant(spec, lam, 3, 5) == discriminant(spec)
-    coeffs, m = view._disc
-    broken = IntegerFamily(view.family)
-    broken._disc = coeffs, m * 1_000_003  # a denominator the value does not carry
+    D, m = view.family.disc_t
+    fam = dataclasses.replace(view.family)
+    fam.__dict__["disc_t"] = (D, m * 1_000_003)  # a denominator the value does not carry
     with pytest.raises(ArithmeticError):
-        broken.discriminant(spec, lam, 3, 5)
+        IntegerFamily(fam).discriminant(spec, lam, 3, 5)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_disc_form_matches_fraction_reference(views, name):
+    # Every field equals the Fraction reference, and the sign of the integer
+    # form D(k, 64) equals that of Disc_t(k/64) at every grid point, not only
+    # up to the early stop that settles the two flags.
+    fam = views[name].family
+    assert disc_form(fam) == disc_form_fraction(fam)
+    D, m = fam.disc_t
+    assert m > 0
+    disc = discriminant_in_t(fam.P)
+    for k in range(-SIGN_GRID_DENOMINATOR, SIGN_GRID_DENOMINATOR + 1):
+        value = binary_form_value(D.coeffs, D.degree, k, SIGN_GRID_DENOMINATOR)
+        ref = disc(F(k, SIGN_GRID_DENOMINATOR))
+        assert (value > 0) == (ref > 0) and (value < 0) == (ref < 0)
+
+
+def test_integer_view_built_once_per_family(monkeypatch):
+    # P's forms and the cleared Disc_t are built once per family, however
+    # many sweeps and single specializations read them.
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    of, clear = family_module._Forms.of, family_module.clear_denominators
+    forms_calls, clear_calls = [], []
+
+    def counted_of(b):
+        forms_calls.append(b)
+        return of(b)
+
+    def counted_clear(f):
+        clear_calls.append(f)
+        return clear(f)
+
+    monkeypatch.setattr(family_module._Forms, "of", staticmethod(counted_of))
+    monkeypatch.setattr(family_module, "clear_denominators", counted_clear)
+    fam = build_family((1, 1), 3)[1]
+    for _ in range(2):
+        sweep(fam, 1)
+    for u in range(10):
+        specialize(fam, u, 1)
+    assert len(forms_calls) == 1 and forms_calls[0] is fam.P
+    assert len(clear_calls) == 1
+    assert IntegerFamily(fam)._P is fam.forms
 
 
 @pytest.mark.parametrize("name", FAMILIES)
