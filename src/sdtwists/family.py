@@ -29,10 +29,11 @@ Q[x]/(P(x, u/v)).
 
 A family keeps its integer view, cleared once: P as integer binary forms in
 (u, v) (``TwistFamily.forms``) and its discriminant in x as an integer
-polynomial in t (``TwistFamily.disc_t``).  ``disc_form``, ``specialize`` and
-a sweep (through ``IntegerFamily``, which adds a table of cycle types) read
-only those, in integer arithmetic; the point needs no check per pair once
-the family identity is checked.
+polynomial in t, eliminated over Z[t] from those forms
+(``TwistFamily.disc_t``).  ``disc_form``, ``specialize`` and a sweep
+(through ``IntegerFamily``, which adds a table of cycle types) read only
+those, in integer arithmetic; the point needs no check per pair once the
+family identity is checked.
 ``verify_new_point`` accepts any polynomial as the modulus, so it evaluates
 the forms of the point at (u, v) and tests F^2 - f*G^2 by the integer
 pseudo-remainder of ``polyarith``.
@@ -49,14 +50,16 @@ from typing import Optional
 from .padic import CycleType, good_prime_cycle_type, reduce_poly_mod, valuation
 from .polyarith import (
     BivarPoly,
+    IntBivarPoly,
     IntPoly,
     Poly,
+    _discriminant,
     _primitive_int,
     _pseudo_rem,
     binary_form_value,
+    clear_bivar,
     clear_denominators,
     discriminant,
-    discriminant_in_t,
     squarefree_decompose,
 )
 from .primes import multiplicative_order, primes, valuation_int
@@ -135,10 +138,13 @@ class TwistFamily:
 
     @cached_property
     def disc_t(self) -> tuple[IntPoly, int]:
-        """(D, m) = clear_denominators(discriminant_in_t(P)), D in Z[t] and
-        m > 0: computed once per family, so ``disc_form`` and every sweep
-        share one subresultant and one clearing."""
-        return clear_denominators(discriminant_in_t(self.P))
+        """(D, m) = clear_denominators(discriminant_in_t(P)), computed once per
+        family from D' = disc_x(L*P) over Z[t] on ``forms``: with M = L^(2d-2)
+        and g = gcd(M, content of D'), (D, m) = (D'/g, M/g) and m > 0."""
+        forms = self.forms
+        disc, big_m = _discriminant(forms.poly), forms.den ** (2 * forms.poly.degree - 2)
+        g = math.gcd(big_m, *disc.coeffs)
+        return IntPoly([c // g for c in disc.coeffs]), big_m // g
 
     @cached_property
     def forms(self) -> "_Forms":
@@ -480,28 +486,21 @@ def build_family(
 
 @dataclass(frozen=True)
 class _Forms:
-    """x-coefficients of den * B(x, t) for a ``BivarPoly`` B, each an integer
-    polynomial in t (constant first) read as a binary form of degree e, the
-    largest t-degree in B, so that values(u, v)[i] = den * v^e * B_i(u/v)."""
+    """poly = den * B(x, t) over Z[t] for a ``BivarPoly`` B, each x-coefficient
+    read as a binary form of degree e, the largest t-degree in B, so that
+    values(u, v)[i] = den * v^e * B_i(u/v)."""
 
-    coeffs: tuple[tuple[int, ...], ...]
+    poly: IntBivarPoly
     den: int
     e: int
 
     @classmethod
     def of(cls, b: BivarPoly) -> "_Forms":
-        den = math.lcm(*(c.denominator for xc in b.xcoeffs for c in xc.coeffs))
-        return cls(
-            coeffs=tuple(
-                tuple(c.numerator * (den // c.denominator) for c in xc.coeffs)
-                for xc in b.xcoeffs
-            ),
-            den=den,
-            e=max(0, *(xc.degree for xc in b.xcoeffs)),
-        )
+        poly, den = clear_bivar(b)
+        return cls(poly, den, max(0, *(xc.degree for xc in poly.coeffs)))
 
     def values(self, u: int, v: int) -> list[int]:
-        return [binary_form_value(c, self.e, u, v) for c in self.coeffs]
+        return [binary_form_value(c.coeffs, self.e, u, v) for c in self.poly.coeffs]
 
 
 def _specialize(forms: _Forms, u: int, v: int) -> tuple[Poly, Fraction]:
@@ -525,7 +524,8 @@ class IntegerFamily:
 
     The family owns its integer forms: L*P(x, t) = sum_i A_i(t) x^i with A_i
     in Z[t], read as binary forms A_i(u, v) of degree e = max deg A_i
-    (``TwistFamily.forms``), and Disc_t = D / m (``TwistFamily.disc_t``).
+    (``TwistFamily.forms``), and Disc_t = D / m, eliminated over Z[t] from
+    those forms (``TwistFamily.disc_t``).
     ``specialize`` evaluates the forms at (u, v) and divides by the content;
     ``discriminant`` reads disc(spec) off D as Disc_t(u/v) / lam^(2d-2) when
     spec keeps degree d (the subresultant otherwise); and ``cycle_type``
@@ -592,7 +592,7 @@ class IntegerFamily:
         ct = self._cycle_types.get(key)
         if ct is None:
             ct = good_prime_cycle_type(spec, p, parity)
-            if binary_form_value(self._P.coeffs[-1], self._P.e, t, 1) % p:
+            if binary_form_value(self._P.poly.lead.coeffs, self._P.e, t, 1) % p:
                 self._cycle_types[key] = ct  # P(x, t) mod p has degree d
         return ct
 

@@ -1,23 +1,24 @@
-"""Exact polynomial arithmetic over Q, over Z and over Q[t].
+"""Exact polynomial arithmetic over Q, over Z, over Q[t] and over Z[t].
 
 One dense polynomial class carries every ring operation.  ``Poly`` stores
 ``fractions.Fraction`` coefficients from the constant term up, so equality
 tests and every ring operation are exact.  ``IntPoly`` is the same class over
-Z and ``BivarPoly`` the same class over the coefficient ring Q[t]: its
-x-coefficients are ``Poly`` values in t, and it adds only what is particular
-to that ring (specializing t).  The ring operations, the derivative among
-them, keep the class they are called on.
+Z, and ``BivarPoly`` and ``IntBivarPoly`` the same class over the coefficient
+rings Q[t] and Z[t]: their x-coefficients are ``Poly`` or ``IntPoly`` values
+in t.  The ring operations, the derivative among them, keep the class they
+are called on.
 
 Resultants run by fraction-free subresultant elimination (W. S. Brown, ACM
-TOMS 4, 1978), written once with ordinary ring operators plus one exact
-coefficient division (``divmod`` and a check that the remainder vanishes),
-so it runs unchanged over Z and over Q[t].  Its pseudo-remainder makes one
-pass over a plain coefficient list per reduction step, in either ring, and
-builds one polynomial per call.  ``resultant`` and ``discriminant`` of
-rational polynomials clear the denominators once and eliminate over Z;
-``discriminant_in_t`` eliminates over Q[t], which is how discriminants of
-the twist families are obtained as exact polynomials in t.  Naive Sylvester
-determinants exist only in the test suite as an oracle.
+TOMS 4, 1978), written once with ordinary ring operators plus the exact
+coefficient division the ring names (``_exact_div``), so it runs unchanged
+over Z and over Z[t].  Its pseudo-remainder makes one pass over a plain
+coefficient list per reduction step, in either ring, and builds one
+polynomial per call.  ``resultant`` and ``discriminant`` of rational
+polynomials clear the denominators once and eliminate over Z;
+``discriminant_in_t`` clears once (``clear_bivar``) and eliminates over Z[t],
+which is how discriminants of the twist families are obtained as exact
+polynomials in t.  Naive Sylvester determinants exist only in the test suite
+as an oracle.
 
 Zero and constant polynomials are rejected with ``ValueError`` wherever the
 operation is undefined; nothing silently returns 0.
@@ -41,20 +42,31 @@ def _frac(c) -> Fraction:
     raise TypeError(f"rational coefficient expected, got {type(c).__name__}")
 
 
+def _exact_div(a, b):
+    """a / b in Z or Q[t] where b is known to divide a; a nonzero remainder
+    raises ``ArithmeticError``, since it would mean the elimination lost
+    exactness."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact coefficient division in elimination")
+    return q
+
+
 class Poly:
     """Dense univariate polynomial; ``coeffs[i]`` multiplies x**i.
 
     The ring operations below, the derivative among them, are written for
     any coefficient ring: a subclass names its ring by ``_coerce`` (which
-    turns an int or a coefficient into a ring element) and ``_zero``.
-    Everything after them (division, evaluation, normal forms) needs the
-    field Q.
+    turns an int or a coefficient into a ring element), ``_zero`` and
+    ``_exact_div``.  Everything after them (division, evaluation, normal
+    forms) needs the field Q.
     """
 
     __slots__ = ("coeffs",)
 
     _coerce = staticmethod(_frac)
     _zero = Fraction(0)
+    _exact_div = staticmethod(_exact_div)
 
     def __init__(self, coeffs: Iterable[Coefficient] = ()):
         coerce = self._coerce
@@ -260,12 +272,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 class IntPoly(Poly):
-    """Polynomial with ``int`` coefficients: ``Poly`` over the ring Z.
-
-    It inherits the ring operations only, which is all the subresultant
-    elimination needs; ``resultant`` and ``discriminant`` clear the
-    denominators of their arguments once and eliminate in it.
-    """
+    """Polynomial with ``int`` coefficients: ``Poly`` over the ring Z, in
+    which ``resultant`` and ``discriminant`` eliminate."""
 
     __slots__ = ()
 
@@ -297,19 +305,35 @@ class BivarPoly(Poly):
         return "[" + ", ".join(f"({c})" for c in self.coeffs) + "]"
 
 
+class IntBivarPoly(Poly):
+    """Polynomial in x whose coefficients are ``IntPoly`` values in t."""
+
+    __slots__ = ()
+
+    _zero = IntPoly()
+
+    @staticmethod
+    def _coerce(c) -> IntPoly:
+        return c if isinstance(c, IntPoly) else IntPoly([c])
+
+    @staticmethod
+    def _exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
+        """a / b in Z[t] where b is known to divide a: long division with
+        integer ``divmod``; any remainder raises ``ArithmeticError``."""
+        rem, db, lb = list(a.coeffs), b.degree, b.lead
+        quo = [0] * max(len(rem) - db, 0)
+        for k in reversed(range(len(quo))):
+            quo[k], rem[k + db] = divmod(rem[k + db], lb)  # the remainder stays
+            for j, c in enumerate(b.coeffs[:-1]):
+                rem[k + j] -= quo[k] * c
+        if any(rem):
+            raise ArithmeticError("inexact coefficient division in elimination")
+        return IntPoly(quo)
+
+
 # ---------------------------------------------------------------------------
 # Fraction-free subresultant elimination, shared by both coefficient rings.
 # ---------------------------------------------------------------------------
-
-
-def _exact_div(a, b):
-    """a / b for ring elements (ints, or ``Poly`` values in t) where b is
-    known to divide a; a nonzero remainder raises ``ArithmeticError``, since
-    it would mean the elimination lost exactness."""
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact coefficient division in elimination")
-    return q
 
 
 def _pseudo_rem(a, b):
@@ -346,10 +370,11 @@ def _pseudo_rem(a, b):
 def _resultant_core(a, b):
     """Resultant of two nonzero polynomials via the subresultant sequence.
 
-    Works over either coefficient ring, Z (``IntPoly``) or Q[t]
-    (``BivarPoly``); intermediate divisions are exact by the subresultant
-    theory.
+    Works over either coefficient ring, Z (``IntPoly``) or Z[t]
+    (``IntBivarPoly``); intermediate divisions (the ring's ``_exact_div``)
+    are exact by the subresultant theory.
     """
+    div = a._exact_div
     sign = 1
     if a.degree < b.degree:
         if (a.degree & 1) and (b.degree & 1):
@@ -366,25 +391,25 @@ def _resultant_core(a, b):
         rem = _pseudo_rem(a, b)
         a = b
         divisor = g * h**delta
-        b = type(rem)([_exact_div(c, divisor) for c in rem.coeffs])
+        b = type(rem)([div(c, divisor) for c in rem.coeffs])
         g = a.lead
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _exact_div(g**delta, h ** (delta - 1))
+            h = div(g**delta, h ** (delta - 1))
         if not b:
             return a._zero  # shared factor: resultant vanishes
         if b.degree == 0:
             break
     da = a.degree
-    res = _exact_div(b.lead**da, h ** (da - 1))
+    res = div(b.lead**da, h ** (da - 1))
     return -res if sign < 0 else res
 
 
 def _discriminant(f):
     """(-1)**(n(n-1)/2) / lc(f) * Res(f, f') over either coefficient ring."""
     n = f.degree
-    disc = _exact_div(_resultant_core(f, f.derivative()), f.lead)
+    disc = f._exact_div(_resultant_core(f, f.derivative()), f.lead)
     return -disc if (n * (n - 1) // 2) % 2 else disc
 
 
@@ -395,9 +420,18 @@ def _discriminant(f):
 
 def clear_denominators(f: Poly) -> tuple[IntPoly, int]:
     """(F, m): F = m * f with integer coefficients, m the lcm of the
-    denominators of f."""
+    denominators of f; an ``IntPoly`` comes back as it is, with m = 1."""
+    if isinstance(f, IntPoly):
+        return f, 1
     m = math.lcm(*(c.denominator for c in f.coeffs))
     return IntPoly([c.numerator * (m // c.denominator) for c in f.coeffs]), m
+
+
+def clear_bivar(p: BivarPoly) -> tuple[IntBivarPoly, int]:
+    """(F, L): F = L * p over Z[t], L the lcm of the denominators in p."""
+    den = math.lcm(*(c.denominator for xc in p.coeffs for c in xc.coeffs))
+    cleared = [[c.numerator * (den // c.denominator) for c in xc.coeffs] for xc in p.coeffs]
+    return IntBivarPoly(map(IntPoly, cleared)), den
 
 
 def _primitive_int(coeffs: Sequence[int]) -> tuple[list[int], int]:
@@ -433,10 +467,15 @@ def discriminant(f: Poly) -> Fraction:
 
 
 def discriminant_in_t(p: BivarPoly) -> Poly:
-    """Discriminant of p taken in x, returned as an exact polynomial in t."""
+    """Discriminant of p taken in x, returned as an exact polynomial in t.
+
+    Runs over Z[t]: disc_x(F/L) = disc_x(F) / L^(2d-2) for (F, L) = clear_bivar(p).
+    """
     if p.degree < 1:
         raise ValueError("discriminant requires x-degree >= 1")
-    return _discriminant(p)
+    f, den = clear_bivar(p)
+    m = den ** (2 * f.degree - 2)
+    return Poly([Fraction(c, m) for c in _discriminant(f).coeffs])
 
 
 def squarefree_decompose(h: Poly) -> list[tuple[Poly, int]]:

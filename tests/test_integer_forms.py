@@ -20,7 +20,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from sdtwists import family as family_module
+from sdtwists import family as family_module, polyarith
 from sdtwists.counting import WORKERS_ENV, sweep
 from sdtwists.family import (
     SIGN_GRID_DENOMINATOR,
@@ -34,10 +34,24 @@ from sdtwists.family import (
     verify_new_point,
 )
 from sdtwists.padic import frobenius_cycle_type, frobenius_parity, good_prime_cycle_type
-from sdtwists.polyarith import BivarPoly, Poly, binary_form_value, discriminant, discriminant_in_t
+from sdtwists.polyarith import (
+    BivarPoly,
+    IntBivarPoly,
+    IntPoly,
+    Poly,
+    binary_form_value,
+    clear_denominators,
+    discriminant,
+    discriminant_in_t,
+)
 from sdtwists.primes import primes_up_to
 
-from oracles import disc_form_fraction, specialize_fraction, verify_new_point_fraction
+from oracles import (
+    disc_form_fraction,
+    interpolated_disc_in_t,
+    specialize_fraction,
+    verify_new_point_fraction,
+)
 
 HEIGHT = 10**6
 FAMILIES = ["compact", 3, 4, 5, 6, 7, 8]
@@ -151,30 +165,70 @@ def test_disc_form_matches_fraction_reference(views, name):
         assert (value > 0) == (ref > 0) and (value < 0) == (ref < 0)
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+def test_disc_t_matches_interpolation_oracle(views, name):
+    # The Z[t] elimination on P's integer forms, cleared, equals Disc_t
+    # interpolated from Fraction discriminants of specializations.
+    fam = views[name].family
+    assert fam.disc_t == clear_denominators(interpolated_disc_in_t(fam.P))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_disc_t_eliminates_in_integers(monkeypatch, views, name):
+    # On a fresh copy of the family, Disc_t is one subresultant over Z[t]
+    # (IntPoly x-coefficients) and no polynomial division over Q runs.
+    fam = dataclasses.replace(views[name].family)
+    core, divmod_q = polyarith._resultant_core, Poly.__divmod__
+    core_calls, divmod_calls = [], []
+
+    def counted_core(a, b):
+        core_calls.append((type(a), {type(c) for c in a.coeffs + b.coeffs}))
+        return core(a, b)
+
+    def counted_divmod(a, b):
+        divmod_calls.append((a, b))
+        return divmod_q(a, b)
+
+    monkeypatch.setattr(polyarith, "_resultant_core", counted_core)
+    monkeypatch.setattr(Poly, "__divmod__", counted_divmod)
+    D, m = fam.disc_t
+    assert core_calls == [(IntBivarPoly, {IntPoly})]
+    assert not divmod_calls
+    assert type(D) is IntPoly and all(type(c) is int for c in D.coeffs)
+    assert type(m) is int and m > 0
+
+
 def test_integer_view_built_once_per_family(monkeypatch):
-    # P's forms and the cleared Disc_t are built once per family, however
-    # many sweeps and single specializations read them.
+    # P is cleared once and Disc_t eliminated once per family, however many
+    # sweeps and single specializations read its forms and Disc_t.
     monkeypatch.setenv(WORKERS_ENV, "1")
-    of, clear = family_module._Forms.of, family_module.clear_denominators
-    forms_calls, clear_calls = [], []
+    of, clear, core = family_module._Forms.of, polyarith.clear_bivar, polyarith._resultant_core
+    forms_calls, clear_calls, core_calls = [], [], []
 
     def counted_of(b):
         forms_calls.append(b)
         return of(b)
 
-    def counted_clear(f):
-        clear_calls.append(f)
-        return clear(f)
+    def counted_clear(b):
+        clear_calls.append(b)
+        return clear(b)
+
+    def counted_core(a, b):
+        core_calls.append(a)
+        return core(a, b)
 
     monkeypatch.setattr(family_module._Forms, "of", staticmethod(counted_of))
-    monkeypatch.setattr(family_module, "clear_denominators", counted_clear)
+    monkeypatch.setattr(family_module, "clear_bivar", counted_clear)
+    monkeypatch.setattr(polyarith, "clear_bivar", counted_clear)
+    monkeypatch.setattr(polyarith, "_resultant_core", counted_core)
     fam = build_family((1, 1), 3)[1]
     for _ in range(2):
         sweep(fam, 1)
     for u in range(10):
         specialize(fam, u, 1)
     assert len(forms_calls) == 1 and forms_calls[0] is fam.P
-    assert len(clear_calls) == 1
+    assert len(clear_calls) == 1 and clear_calls[0] is fam.P
+    assert len(core_calls) == 1
     assert IntegerFamily(fam)._P is fam.forms
 
 

@@ -9,6 +9,7 @@ from sdtwists.polyarith import (
     _exact_div,
     _pseudo_rem,
     BivarPoly,
+    IntBivarPoly,
     IntPoly,
     Poly,
     descartes_sign_changes,
@@ -176,15 +177,17 @@ def test_disc_in_t_degenerate_lead_rejected():
 
 # -- one ring core over Q and Q[t] ---------------------------------------------
 
-t_polys = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
+t_polys = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=3).map(Poly)
 bivars = st.lists(t_polys, max_size=4).map(BivarPoly)
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+int_t_polys = st.lists(st.integers(-3, 3), max_size=3).map(IntPoly)
+int_bivars = st.lists(int_t_polys, max_size=4).map(IntBivarPoly)
 
 
 def test_bivar_defines_no_ring_operation():
     shared = ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "scale",
               "shift", "derivative", "degree", "lead", "__eq__", "__hash__")
-    for ring in (IntPoly, BivarPoly):
+    for ring in (IntPoly, BivarPoly, IntBivarPoly):
         assert not [name for name in shared if name in vars(ring)]
     assert BivarPoly([Poly([1])]) != Poly([1])
 
@@ -219,6 +222,44 @@ def test_inexact_coefficient_division_raises(a, low, lead, r):
     c = Poly(low + [lead])  # degree >= 1, so the constant r is a nonzero remainder
     with pytest.raises(ArithmeticError):
         _exact_div(a * c + Poly([r]), c)
+
+
+def eval_int_t(p, t0):
+    """An ``IntBivarPoly`` at t = t0, a polynomial in x over Q."""
+    return Poly([c(t0) for c in p.coeffs])
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_bivars, int_t_polys, rationals)
+def test_eval_t_commutes_with_exact_division_over_z_t(p, c, t0):
+    assume(c and c(t0))
+    multiple = p.scale(c)
+    quotient = IntBivarPoly([IntBivarPoly._exact_div(a, c) for a in multiple.coeffs])
+    assert quotient == p
+    assert eval_int_t(quotient, t0) == eval_int_t(multiple, t0).scale(1 / c(t0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_t_polys, st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+       st.integers(1, 3), st.integers(1, 3))
+def test_inexact_coefficient_division_raises_over_z_t(a, low, lead, r):
+    c = IntPoly(low + [lead])  # degree >= 1, so the constant r is a nonzero remainder
+    with pytest.raises(ArithmeticError):
+        IntBivarPoly._exact_div(a * c + IntPoly([r]), c)
+
+
+def test_exact_division_over_z_t_needs_integer_quotient():
+    div = IntBivarPoly._exact_div
+    assert div(IntPoly([2, 4]), IntPoly([2])) == IntPoly([1, 2])
+    assert div(IntPoly([0, 3, 3]), IntPoly([1, 1])) == IntPoly([0, 3])
+    assert div(IntPoly(), IntPoly([1, 1])) == IntPoly()
+    # Each quotient below lies in Q[t] but not in Z[t].
+    with pytest.raises(ArithmeticError):
+        div(IntPoly([1, 2]), IntPoly([2]))  # (2t + 1) / 2
+    with pytest.raises(ArithmeticError):
+        div(IntPoly([0, 1, 1]), IntPoly([2, 2]))  # (t^2 + t) / (2t + 2)
+    with pytest.raises(ArithmeticError):
+        div(IntPoly([1]), IntPoly([0, 1]))  # lower degree than the divisor
 
 
 @settings(max_examples=80, deadline=None)
@@ -285,8 +326,9 @@ def test_pseudo_rem_over_z_matches_scaled_division():
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_pseudo_rem_over_q_t_gives_specialized_discriminants(d):
-    # discriminant_in_t runs the pseudo-remainder over Q[t]; its value at
-    # rational t0 is the Sylvester discriminant of the specialization.
+    # discriminant_in_t runs the pseudo-remainder over Z[t] on P cleared of
+    # its denominators; its value at rational t0 is the Sylvester
+    # discriminant of the specialization.
     P = build_family((1, 1), d)[1].P
     disc_t = discriminant_in_t(P)
     for t0 in (F(1, 2), F(-3), F(5, 7), F(-2, 3), F(11, 4)):
