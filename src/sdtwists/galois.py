@@ -38,8 +38,11 @@ that step is exact).  Its table of columns a^i mod p is keyed by the prime
 alone, since the columns serve every polynomial and degree.  So a
 polynomial of degree at most 5, or a sextic with a root mod p, is settled
 from a table keyed by (degree, roots, parity), without a monic reduction or
-computing x^p mod (f, p), and any other polynomial powers x^p only modulo
-what is left once its roots are divided out.  A sweep hands the scan a
+computing x^p mod (f, p).  Any other polynomial powers x^p once modulo f,
+roots and all, and forms the Frobenius matrix of f mod p.  When p > deg f
+the factor counts are read off traces of that matrix's powers, so a sextic
+without a root is settled by one trace and no gcd; when p <= deg f the
+matrix gives x^(p^k) to the gcd split.  A sweep hands the scan a
 lookup instead (``IntegerFamily.cycle_type``): at a good prime p not
 dividing v (nor the cleared denominator of P) the cycle type of a
 specialization P(x, u/v) depends on t = u/v mod p alone, so it is read off
@@ -304,7 +307,7 @@ def _evidence(
     types: set[CycleType] = set()
     for p, ct in scan:
         types.add(ct)
-        provenance.append(("frobenius_cycle_type", p, str(ct)))
+        provenance.append(("frobenius_cycle_type", p, ct.label))
 
     for p in polygon_primes:
         if not g.coeff(0):
@@ -312,7 +315,7 @@ def _evidence(
         polygon = padic.newton_polygon(g, p)
         for ct in padic.cycle_certificate(polygon):
             types.add(ct)
-            provenance.append(("cycle_certificate", p, str(ct)))
+            provenance.append(("cycle_certificate", p, ct.label))
         if irred == INCONCLUSIVE and _polygon_totally_ramified(g, p):
             irred, route = CERTIFIED, "newton-polygon"
             provenance.append(("irreducibility", p, "totally ramified"))

@@ -16,46 +16,57 @@ stops as soon as the factor degrees found so far and that parity leave one
 possible pattern, so an odd cubic or a quadratic needs no F_p arithmetic.
 ``frobenius_cycle_type`` has no discriminant and runs the full loop.
 
-Below ``ROOT_PRIME_BOUND`` (256) the first step of the loop, splitting off
-the linear factors, is a root count on packed integers alone: f is
-evaluated at every a in F_p at once, as one sum of n + 1 packed integers
-whose 64-bit slots hold a^i mod p; one Barrett step (P. Barrett, CRYPTO
-'86) reduces every slot mod p; adding 2^63 - 1 to every slot then sets a
-slot's top bit exactly when its value is nonzero, and the popcount of the
-top bits is p minus the number of roots.  The step is exact while every
+Below ``ROOT_PRIME_BOUND`` (256) the first step of the loop, counting the
+linear factors, is a root count on packed integers alone: f is evaluated at
+every a in F_p at once, as one sum of n + 1 packed integers whose 64-bit
+slots hold a^i mod p; one Barrett step (P. Barrett, CRYPTO '86) reduces
+every slot mod p; adding 2^63 - 1 to every slot then sets a slot's top bit
+exactly when its value is nonzero, and the popcount of the top bits is p
+minus the number of roots.  The step is exact while every
 slot value times magic fits in 64 bits (``_barrett_constants``), which
 p < 256 keeps for every degree up to 67,376 (``_barrett``).  A cached
 table keyed by (degree, roots, parity) then names the one cycle type the
 count leaves, if any, as a ``CycleType`` shared by every caller: with the
 parity, a polynomial of degree at most 5, or a sextic with a root mod p, is
-settled there without a monic reduction or the loop.  The roots themselves are listed only when a later step must
-divide them out, and any other polynomial computes x^p only modulo what is
-left then.  The columns a^i mod p do not depend on the polynomial, so their
-table is keyed by the prime alone and grown to the largest degree asked;
-column i >= p is column i - (p - 1) again, and shares its object, so one
-entry per prime serves every degree, and for degrees up to 8 the whole
-table stays near 0.5 MB.  Larger primes keep the x^p powering for the first
-step.
+settled there without a monic reduction or the ring below.  The columns
+a^i mod p do not depend on the polynomial, so their table is keyed by the
+prime alone and grown to the largest degree asked; column i >= p is column
+i - (p - 1) again, and shares its object, so one entry per prime serves
+every degree, and for degrees up to 8 the whole table stays near 0.5 MB.
+Larger primes count the roots from the Frobenius matrix below.
 
-The later steps work in F_p[x]/(g), g what is left of f, with elements
-packed into integers too, one coefficient per slot of a multiple of 64
-bits: a product is one integer multiplication, a fold of the slots above
-deg g back from the top, and one Barrett step that reduces every slot mod p
-at once.  The slot width and the Barrett constants follow, per ring, from a
-bound on every slot value that reaches that step (``_Ring``), so the ring is
-exact at every prime and degree.  x^p is one square-and-shift powering;
-x^(p^k) for k >= 2 is h(x^p) for h = x^(p^(k-1)), by Horner in the ring,
-since h(x)^p = h(x^p) over F_p.
+The later steps work in F_p[x]/(f), f made monic with its roots still in
+it, with elements packed into integers too, one coefficient per slot of a
+multiple of 64 bits: a product is one integer multiplication, a fold of the
+slots above n - 1 back from the top, and one Barrett step that reduces
+every slot mod p at once.  The slot width and the Barrett constants follow
+from a bound on every slot value that reaches that step (``_Ring``), so the
+ring is exact at every prime and degree; they depend on p and n alone and
+are computed once per pair.  x^p is one square-and-shift powering, and the
+Frobenius matrix Q, whose column j is x^(jp) mod f for j < n, takes n - 2
+more products (E. R. Berlekamp, "Factoring polynomials over large finite
+fields", Math. Comp. 24, 1970).  When p > n, trace(Q^k) mod p is the
+number of roots of f in F_(p^k): F_p[x]/(f) is the product of the fields
+F_(p^d) over f's irreducible factors of degree d, Frobenius^k permutes a
+normal basis of each, fixing all d of its elements when d divides k and
+none otherwise, and the sum of those d is at most n < p.  So step k counts
+its factors from one trace and the counts of the steps before, with no gcd:
+trace(Q^2) is the sum of Q_ij Q_ji, and Q^(k - 1) is formed, one packed
+matrix-vector product per column, only when a step k >= 3 is reached.
+When p <= n that sum is known only mod p, so step k splits
+gcd(g, x^(p^k) - x) off the rest g of f instead, with x^(p^k) read off Q
+as Q times x^(p^(k - 1)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from operator import mul
+from itertools import count, islice
+from operator import itemgetter, mul
 from typing import Iterator, Optional, Union
 
 from .polyarith import Poly
@@ -100,21 +111,25 @@ class NewtonPolygon:
 
 @dataclass(frozen=True)
 class CycleType:
-    """Multiset of cycle lengths, stored descending; parts sum to the degree."""
+    """Multiset of cycle lengths, stored descending; parts sum to the degree.
+    ``label`` is its ``str``, formatted once."""
 
     parts: tuple[int, ...]
+    label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
-        if any(p < 1 for p in self.parts):
+        parts = tuple(sorted(self.parts, reverse=True))
+        if any(p < 1 for p in parts):
             raise ValueError("cycle type parts must be positive")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "label", "[" + ",".join(map(str, parts)) + "]")
 
     @property
     def degree(self) -> int:
         return sum(self.parts)
 
     def __str__(self) -> str:
-        return "[" + ",".join(map(str, self.parts)) + "]"
+        return self.label
 
 
 @lru_cache(maxsize=None)
@@ -185,20 +200,21 @@ def cycle_certificate(polygon: NewtonPolygon) -> list[CycleType]:
 # ---------------------------------------------------------------------------
 # Dense F_p[x] kernels (coefficients are ints, constant first).
 #
-# Distinct-degree factorization needs x^(p^k) modulo the polynomial g for
-# k = 1, 2, ...  They are computed in ``_Ring``, F_p[x]/(g) on packed
-# integers: slot j holds the coefficient of x^j, a product is one integer
-# multiplication whose top slots are folded back one at a time through the
-# packed row of x^n mod g, and one Barrett step then reduces all slots mod
-# p.  No slot value reaching that step exceeds 2n(p - 1)^2 (the derivation
-# is on ``_Ring``), and the slot width and shift are chosen from that bound.
-# x^p comes from one square-and-shift powering (``_x_power``, the only place
-# that computes x^e); each later power is the previous one composed with
-# x^p, since (sum h_i x^i)^p = sum h_i x^(i p) over F_p (von zur Gathen and
-# Shoup, "Computing Frobenius maps and factoring polynomials", 1992).  Below
-# ROOT_PRIME_BOUND the linear factors are counted instead, from one packed
-# evaluation at every point of F_p, and the roots are read off that
-# evaluation only when they must be divided out.
+# Distinct-degree factorization reads the Frobenius matrix Q of f mod p,
+# whose column j is x^(jp) mod f.  Its columns are computed in ``_Ring``,
+# F_p[x]/(f) on packed integers: slot j holds the coefficient of x^j, a
+# product is one integer multiplication whose top slots are folded back one
+# at a time through the packed row of x^n mod f, and one Barrett step then
+# reduces all slots mod p.  No slot value reaching that step exceeds
+# 2n(p - 1)^2 (the derivation is on ``_Ring``), and the slot width and
+# shift are chosen from that bound.  x^p comes from one square-and-shift
+# powering (``_x_power``, the only place that computes x^e), and each later
+# column is the one before times x^p.  Q times a vector is one packed sum
+# of its columns and one Barrett step (``_Ring.apply``).  For p > deg f the
+# factor counts are read off traces of powers of Q (``_trace_counts``); for
+# p <= deg f the list kernels below split gcd(g, x^(p^k) - x) off g
+# (``_gcd_counts``).  Below ROOT_PRIME_BOUND the linear factors are counted
+# first, from one packed evaluation at every point of F_p.
 # ---------------------------------------------------------------------------
 
 
@@ -269,6 +285,21 @@ def _repeat(value: int, width: int, count: int) -> int:
     return int.from_bytes(value.to_bytes(width // 8, "little") * count, "little")
 
 
+@lru_cache(maxsize=None)
+def _ring_layout(
+    p: int, n: int
+) -> tuple[int, int, int, int, int, tuple[tuple[int, int, int], ...]]:
+    """(bound, shift, magic, width, quotient mask, folds) of every ``_Ring``
+    of degree n at p: all of it but the packed row of its modulus.  folds
+    holds (position of slot t, mask of the slots below it, position of slot
+    t - n) for t from 2n - 1 down to n."""
+    bound = 2 * n * (p - 1) ** 2
+    shift, magic = _barrett_constants(bound, p)
+    w = -(-(bound * magic).bit_length() // 64) * 64
+    folds = tuple((t * w, (1 << t * w) - 1, (t - n) * w) for t in range(2 * n - 1, n - 1, -1))
+    return bound, shift, magic, w, _repeat((1 << (w - shift)) - 1, w, n), folds
+
+
 class _Ring:
     """F_p[x]/(g) for a monic g of degree n >= 2 over F_p (constant first).
 
@@ -278,16 +309,16 @@ class _Ring:
     use, as (its value mod p) times the packed row of x^n == sum(red[j] x^j),
     shifted into place; and one Barrett step reduces every slot mod p at once.
 
-    Bound: with both operands reduced, but for an unreduced constant slot
-    below 2p - 1 in one of them (Horner in ``compose`` adds a coefficient
-    after each product), slot n - 1 of the product is at most
-    (2p - 2)(p - 1) + (n - 1)(p - 1)^2 = (n + 1)(p - 1)^2, and the n - 1
-    folds add at most (p - 1)^2 each, so no slot exceeds
-    ``bound`` = 2n(p - 1)^2.  A square times x (``_x_power``) has reduced
-    operands, slots at most n(p - 1)^2 and n folds, within the same bound.
-    The Barrett constants come from ``_barrett_constants`` for that bound,
-    and the width, a multiple of 64 bits, holds bound * magic, so no slot
-    carries into the next at any step.
+    Bound: a product of reduced operands, times x or not, holds at most
+    n(p - 1)^2 in any slot, since no slot sums more than n products of two
+    coefficients.  Slot j receives the fold of each slot t in use with
+    n <= t <= j + n, at most n of them, and each adds at most (p - 1)^2.
+    So no slot exceeds ``bound`` = 2n(p - 1)^2, and a matrix-vector product
+    (``apply``), at most n(p - 1)^2 in any slot, stays within it too.  The
+    Barrett constants come from ``_barrett_constants`` for that bound, and
+    the width, a multiple of 64 bits, holds bound * magic, so no slot
+    carries into the next at any step.  All of that depends on p and n
+    alone and comes from ``_ring_layout``.
     """
 
     __slots__ = ("p", "n", "width", "bound", "_shift", "_magic", "_quotient_mask", "_folds")
@@ -295,15 +326,12 @@ class _Ring:
     def __init__(self, g: list[int], p: int):
         n = _pdeg(g)
         self.p, self.n = p, n
-        self.bound = 2 * n * (p - 1) ** 2
-        self._shift, self._magic = _barrett_constants(self.bound, p)
-        self.width = w = -(-(self.bound * self._magic).bit_length() // 64) * 64
-        self._quotient_mask = _repeat((1 << (w - self._shift)) - 1, w, n)
+        self.bound, self._shift, self._magic, self.width, self._quotient_mask, folds = _ring_layout(
+            p, n
+        )
         red = self.pack([-c % p for c in g[:-1]])
         # (position of slot t, the slots below it, x^t == red * x^(t - n)) from t = 2n - 1 down to n
-        self._folds = [
-            (t * w, (1 << t * w) - 1, red << (t - n) * w) for t in range(2 * n - 1, n - 1, -1)
-        ]
+        self._folds = [(position, below, red << offset) for position, below, offset in folds]
 
     def pack(self, coeffs: list[int]) -> int:
         """The packed integer with these slot values, each below 2^width."""
@@ -312,11 +340,14 @@ class _Ring:
             packed = packed << self.width | c
         return packed
 
-    def coeffs(self, packed: int) -> list[int]:
-        """The n coefficients of an element, reduced mod p."""
-        w, p = self.width, self.p
-        slot = (1 << w) - 1
-        return [(packed >> (j * w) & slot) % p for j in range(self.n)]
+    def coeffs(self, *elements: int) -> list[int]:
+        """The n coefficients of each of these reduced elements, one element
+        after another."""
+        size = self.width // 8
+        data = b"".join([e.to_bytes(self.n * size, "little") for e in elements])
+        if size == 8 and sys.byteorder == "little":
+            return memoryview(data).cast("Q").tolist()
+        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
     def reduce(self, packed: int) -> int:
         """Every slot mod p by one Barrett step, for slots at most ``bound``."""
@@ -332,12 +363,10 @@ class _Ring:
             prod = (prod & below) + (prod >> position) % p * row
         return self.reduce(prod)
 
-    def compose(self, h: list[int], y: int) -> list[int]:
-        """The coefficients of h(y), by Horner, for h reduced mod p."""
-        acc = h[-1]
-        for c in reversed(h[:-1]):
-            acc = self.mul(acc, y) + c
-        return self.coeffs(acc)
+    def apply(self, columns: list[int], v: list[int]) -> int:
+        """The matrix with these packed columns, reduced, times the vector v
+        of coefficients below p: sum(v[j] * columns[j]), reduced."""
+        return self.reduce(sum(map(mul, v, columns)))
 
 
 def _x_power(e: int, ring: _Ring) -> int:
@@ -414,24 +443,6 @@ def _root_count(values: int, p: int) -> int:
     return p - (values + offset & tops).bit_count()
 
 
-def _roots_mod(f: list[int], p: int, values: Optional[int] = None) -> list[int]:
-    """The roots in F_p of f (reduced mod p, constant first), ascending, read
-    off ``values`` = ``_values_mod(f, p)``, evaluated here when not given;
-    raises ValueError when f is past the exact Barrett condition at p."""
-    if values is None:
-        values = _values_mod(f, p)
-        if values is None:
-            raise ValueError(f"degree {_pdeg(f)} is past the exact root count at {p}")
-    offset, tops = _top_bits(p)
-    zeros = (values + offset & tops) ^ tops
-    roots = []
-    while zeros:
-        low = zeros & -zeros
-        roots.append(low.bit_length() // _SLOT_BITS - 1)
-        zeros ^= low
-    return roots
-
-
 def _partitions(m: int, least: int) -> Iterator[tuple[int, ...]]:
     """Partitions of m into parts >= least, each as an ascending tuple."""
     if m == 0:
@@ -468,6 +479,81 @@ def _settled(n: int, roots: Optional[int], parity: Optional[int]) -> Optional[Cy
         rest = _sole_partition(n - roots, 2, parity)
         sole = None if rest is None else (1,) * roots + rest
     return None if sole is None else _cycle_type(sole)
+
+
+def _frobenius_columns(ring: _Ring) -> list[int]:
+    """The packed columns x^(jp), j < n, of the Frobenius matrix of ``ring``:
+    one powering and n - 2 products."""
+    xp = _x_power(ring.p, ring)
+    columns = [1, xp]
+    for _ in range(ring.n - 2):
+        columns.append(ring.mul(columns[-1], xp))
+    return columns
+
+
+@lru_cache(maxsize=None)
+def _transpose(n: int) -> itemgetter:
+    """Reads an n x n matrix, flat column by column, as its transpose."""
+    return itemgetter(*[i * n + j for j in range(n) for i in range(n)])
+
+
+def _trace_counts(ring: _Ring, columns: list[int], roots: Optional[int]) -> Iterator[int]:
+    """For k = 1, 2, ..., the number of irreducible factors of degree k of
+    the modulus of ``ring``, for p > n, read off the Frobenius matrix Q with
+    these packed columns: trace(Q^k) mod p is the sum of d times the count
+    of degree d over the d dividing k (module docstring).  Starts at k = 2
+    when ``roots`` already counts the factors of degree 1."""
+    p, n = ring.p, ring.n
+    matrix = ring.coeffs(*columns)  # Q, column by column: matrix[j * n + i] = Q_ij
+    transpose = _transpose(n)
+    if roots is None:
+        roots = sum(matrix[:: n + 1]) % p
+        yield roots
+    counts = [0, roots]  # counts[d]: the factors of degree d
+    power = matrix  # Q^(k - 1), column by column
+    for k in count(2):
+        if k > 2:
+            power = ring.coeffs(
+                *[ring.apply(columns, power[j : j + n]) for j in range(0, n * n, n)]
+            )
+        trace = sum(map(mul, matrix, transpose(power))) % p  # sum of Q_ij (Q^(k - 1))_ji
+        found = sum(d * counts[d] for d in range(1, k // 2 + 1) if k % d == 0)
+        counts.append((trace - found) // k)
+        yield counts[k]
+
+
+def _gcd_counts(
+    g: list[int], ring: _Ring, columns: list[int], roots: Optional[int]
+) -> Iterator[int]:
+    """The counts of ``_trace_counts`` for any p, by splitting
+    gcd(g, x^(p^k) - x) off g, the monic modulus of ``ring``, at each step;
+    x^(p^k) is Q times x^(p^(k - 1)).  Counted ``roots`` stay in g until
+    step 2 splits them off with the factors of degree 2."""
+    p = ring.p
+    h = ring.coeffs(columns[1])  # x^p
+    k, kept = 1, 0
+    if roots is not None:
+        h, k, kept = ring.coeffs(ring.apply(columns, h)), 2, roots
+    while True:
+        gk = _pgcd(g, [h[0], h[1] - 1] + h[2:], p)  # gcd(g, x^(p^k) - x)
+        if _pdeg(gk) > 0:
+            g = _pdiv_exact(g, gk, p)
+        yield (_pdeg(gk) - kept) // k
+        h, k, kept = ring.coeffs(ring.apply(columns, h)), k + 1, 0
+
+
+def _factor_counts(f: list[int], p: int, roots: Optional[int]) -> Iterator[int]:
+    """The counts of ``_trace_counts`` for f reduced mod p, from the ring on
+    monic f, which this builds on the first count asked: by traces when
+    p > deg f, by gcds otherwise."""
+    inv = pow(f[-1], -1, p)
+    g = [c * inv % p for c in f]
+    ring = _Ring(g, p)
+    columns = _frobenius_columns(ring)
+    if p > ring.n:
+        yield from _trace_counts(ring, columns, roots)
+    else:
+        yield from _gcd_counts(g, ring, columns, roots)
 
 
 def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) -> list[int]:
@@ -514,19 +600,19 @@ def good_prime_cycle_type(
     when given, is the parity of Frobenius (see ``frobenius_parity``); none
     of that is rechecked here.
 
-    Step k splits off the factors of degree k, so the rest of f has factors
-    of degree > k only.  The loop stops once the rest has a single possible
-    pattern: without ``parity`` when it is irreducible (2k > its degree);
-    with ``parity`` = (deg f - number of factors) mod 2 when one partition
-    of the rest's degree into parts > k has the parity still owed.  At step
-    1, and at step 2 after the root count, that rule is read off
-    ``_settled``, before the monic reduction.  Below ROOT_PRIME_BOUND step 1
-    counts the roots from the packed values of f, and lists them to divide
-    them out only when a later step needs the rest.  The first step that
-    needs x^(p^k) builds the ring F_p[x]/(g0), g0 the monic rest of f then,
-    and powers x^p in it once; each later step composes the previous power
-    with x^p instead of powering again.  Equal patterns return one shared
-    ``CycleType``.
+    Step k counts the factors of degree k.  The loop stops once the rest of
+    f has a single possible pattern: without ``parity`` when it is
+    irreducible (2k > its degree); with ``parity`` = (deg f - number of
+    factors) mod 2 when one partition of the rest's degree into parts > k
+    has the parity still owed.  At step 1, and at step 2 after the root
+    count, that rule is read off ``_settled``, before the monic reduction.
+    Below ROOT_PRIME_BOUND step 1 counts the roots from the packed values of
+    f.  The first step that needs more builds the ring on monic f, roots
+    and all, and its Frobenius matrix Q once.  When p > deg f each step
+    reads its count off trace(Q^k); a sextic without a root and with the
+    parity is settled by trace(Q^2).  When p <= deg f each step splits
+    gcd(g, x^(p^k) - x) off the rest g instead (``_factor_counts``).
+    Equal patterns return one shared ``CycleType``.
     """
     n = len(coeffs) - 1
     settled = _settled(n, None, parity)
@@ -534,35 +620,19 @@ def good_prime_cycle_type(
         return settled
     f = [c % p for c in coeffs]
     values = _values_mod(f, p) if p < ROOT_PRIME_BOUND else None
-    out: list[int] = []  # the factor degrees split off
+    roots = None if values is None else _root_count(values, p)
+    out: list[int] = []  # the factor degrees counted
     k = 1
-    if values is not None:
-        out = [1] * _root_count(values, p)
-        settled = _settled(n, len(out), parity)
+    if roots is not None:
+        settled = _settled(n, roots, parity)
         if settled is not None:
             return settled
-        k = 2
-    inv = pow(f[-1], -1, p)
-    g = [c * inv % p for c in f]  # monic f without the factors split off
-    ring: Optional[_Ring] = None  # F_p[x]/(g0), g0 = g when x^p is first needed
-    xp = 0  # x^p in ring
-    h: list[int] = []  # x^(p^k) mod g0
+        out, k = [1] * roots, 2
+    counts = _factor_counts(f, p, roots)  # runs nothing until the first count
     while True:
         if 2 * k > n - sum(out):
             raise ArithmeticError(f"parity {parity} contradicts the factorization mod {p}")
-        if ring is None:
-            if out:  # the counted roots
-                for r in _roots_mod(f, p, values):
-                    g = _pdiv_exact(g, [-r % p, 1], p)
-            ring = _Ring(g, p)
-            xp = _x_power(p, ring)
-            h = ring.coeffs(xp)
-        if k > 1:
-            h = ring.compose(h, xp)  # h(x)^p = h(x^p) over F_p
-        gk = _pgcd(g, [h[0], h[1] - 1] + h[2:], p)  # gcd(g, x^(p^k) - x)
-        if _pdeg(gk) > 0:
-            out.extend([k] * (_pdeg(gk) // k))
-            g = _pdiv_exact(g, gk, p)
+        out.extend([k] * next(counts))
         k += 1
         owed = None if parity is None else (parity - sum(out) + len(out)) % 2
         sole = _sole_partition(n - sum(out), k, owed)

@@ -194,22 +194,53 @@ def test_distinct_degree_matches_exhaustive_oracle_to_200():
     assert {(2, 8), (3, 8), (5, 6), (13, 4), (199, 3)} <= checked
 
 
-def test_distinct_degree_matches_sympy_to_200():
+def test_distinct_degree_matches_sympy_to_200(monkeypatch):
+    # Random polynomials, and products of two random monic factors mod p for
+    # split patterns, of degrees 1 to 8 at every prime below 200, with and
+    # without the parity.  The inputs reach the gcd split (p <= deg) and the
+    # traces (p > deg) at degrees 6 and over, and a trace step k >= 3, the
+    # first that forms a power of the Frobenius matrix ([3, 3] without the
+    # parity, or [4, 4] against [5, 3] with it).
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = random.Random(37)
+    applied = []
+    apply = padic._Ring.apply
+
+    def counted_apply(ring, *args):
+        applied.append(ring.p)
+        return apply(ring, *args)
+
+    monkeypatch.setattr(padic._Ring, "apply", counted_apply)
     checked = 0
+    reached = set()
     for p in primes_up_to(200):
         for degree in range(1, 9):
-            coeffs = random_integer_poly(rng, degree, p)
-            ct = frobenius_cycle_type(Poly(coeffs), p)
-            if ct is None:
-                continue
-            _, factors = sympy.Poly(list(reversed(coeffs)), x, modulus=p).factor_list()
-            want = [q.degree() for q, mult in factors for _ in range(mult)]
-            assert list(ct.parts) == sorted(want, reverse=True), (coeffs, p)
-            checked += 1
-    assert checked > 300
+            half = degree // 2
+            first = [rng.randrange(p) for _ in range(half)] + [1]
+            second = [rng.randrange(p) for _ in range(degree - half)] + [1]
+            product = oracles.modp_mulmod(first, second, [0] * (degree + 1) + [1], p)  # mod x^(d + 1)
+            for coeffs in (random_integer_poly(rng, degree, p), product):
+                ct = frobenius_cycle_type(Poly(coeffs), p)
+                if ct is None:
+                    continue
+                _, factors = sympy.Poly(list(reversed(coeffs)), x, modulus=p).factor_list()
+                want = [q.degree() for q, mult in factors for _ in range(mult)]
+                assert list(ct.parts) == sorted(want, reverse=True), (coeffs, p)
+                parity = (degree - len(want)) % 2
+                applied.clear()
+                assert good_prime_cycle_type(coeffs, p, parity) == ct, (coeffs, p)
+                if degree >= 6:
+                    reached.add("p <= deg" if p <= degree else "p > deg")
+                if p > degree and applied:
+                    reached.add("k >= 3 with parity")
+                applied.clear()
+                assert good_prime_cycle_type(coeffs, p) == ct
+                if p > degree and applied:
+                    reached.add("k >= 3")
+                checked += 1
+    assert checked > 600
+    assert reached == {"p <= deg", "p > deg", "k >= 3", "k >= 3 with parity"}
 
 
 def test_cycle_type_validation():
@@ -362,7 +393,8 @@ def test_parity_contradiction_is_an_error():
 
 
 def powering_pattern(coeffs, p, monkeypatch):
-    """The parity-free loop with every prime on the x^p powering path."""
+    """The parity-free loop with every prime counting its roots from the
+    Frobenius matrix."""
     with monkeypatch.context() as patch:
         patch.setattr(padic, "ROOT_PRIME_BOUND", 2)
         return padic.distinct_degree_pattern(coeffs, p)
@@ -370,9 +402,11 @@ def powering_pattern(coeffs, p, monkeypatch):
 
 def test_root_count_at_the_cutoff(monkeypatch):
     # At the largest prime below the cutoff and the smallest above it, with
-    # every coefficient p - 1 (the largest slot sums, (n + 1)(p - 1)^2) and
-    # with seeded random ones, the pattern equals the powering loop's and
-    # sympy's for degrees 2 to 8, with and without the parity.
+    # every coefficient p - 1 (the largest slot sums, (n + 1)(p - 1)^2) the
+    # packed values are f at every point of F_p; with those coefficients and
+    # seeded random ones, the pattern equals the one read off the Frobenius
+    # matrix alone and sympy's for degrees 2 to 8, with and without the
+    # parity.
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     below = max(primes_up_to(padic.ROOT_PRIME_BOUND - 1))
@@ -383,9 +417,10 @@ def test_root_count_at_the_cutoff(monkeypatch):
     for p in (below, above):
         for degree in range(2, 9):
             full = [p - 1] * (degree + 1)
-            assert padic._roots_mod(full, p) == [
-                a for a in range(p) if sum(c * a**i for i, c in enumerate(full)) % p == 0
-            ]
+            direct = [sum(c * a**i for i, c in enumerate(full)) % p for a in range(p)]
+            values = padic._values_mod(full, p)
+            assert values == packed_slots(direct)
+            assert padic._root_count(values, p) == direct.count(0)
             for coeffs in [[p - 1] * degree + [1]] + [
                 [rng.randrange(p) for _ in range(degree)] + [1] for _ in range(6)
             ]:
@@ -432,10 +467,10 @@ LARGEST_COUNTED_DEGREE = 67_376
 
 def test_root_count_matches_direct_evaluation(monkeypatch):
     # With every coefficient p - 1 the slot sums are largest.  The packed
-    # values after the Barrett step, the popcount root count and the root
-    # listing agree with f evaluated at every point of F_p, for degrees 2 to
-    # 12 at p = 2, 3 and 251.  At p = 251 the same holds at the largest
-    # degree the exact condition admits, and one degree more is refused.
+    # values after the Barrett step and the popcount root count agree with f
+    # evaluated at every point of F_p, for degrees 2 to 12 at p = 2, 3 and
+    # 251.  At p = 251 the same holds at the largest degree the exact
+    # condition admits, and one degree more is refused.
     monkeypatch.setattr(padic, "_COLUMNS", {})
     for p in (2, 3, 251):
         for n in range(2, 13):
@@ -444,7 +479,6 @@ def test_root_count_matches_direct_evaluation(monkeypatch):
             values = padic._values_mod(f, p)
             assert values == packed_slots(direct), (p, n)
             assert padic._root_count(values, p) == direct.count(0), (p, n)
-            assert padic._roots_mod(f, p) == [a for a in range(p) if not direct[a]], (p, n)
     p, n = 251, LARGEST_COUNTED_DEGREE
     assert padic._barrett(p, n + 1) is not None and padic._barrett(p, n + 2) is None
     assert all(padic._barrett(q, n + 1) for q in primes_up_to(padic.ROOT_PRIME_BOUND - 1))
@@ -457,8 +491,6 @@ def test_root_count_matches_direct_evaluation(monkeypatch):
     assert values == packed_slots(direct)
     assert padic._root_count(values, p) == direct.count(0)
     assert padic._values_mod([p - 1] * (n + 2), p) is None
-    with pytest.raises(ValueError):
-        padic._roots_mod([p - 1] * (n + 2), p)
     # columns past p - 1 repeat, and share their objects
     columns = padic._COLUMNS[p]
     assert len(columns) == n + 1 and len({id(c) for c in columns}) == p
@@ -503,11 +535,11 @@ def test_settled_table_matches_the_parity_free_loop():
 
 def test_settled_quintics_and_sextics_list_no_roots(monkeypatch):
     # With the parity, a quintic, or a sextic with a root mod p, is settled
-    # by the root count: neither the root listing nor the ring runs.
+    # by the root count: neither the ring nor any later count runs.
     rng = random.Random(71)
 
     def refuse(*args):
-        raise AssertionError("roots listed or the ring built for a settled pattern")
+        raise AssertionError("the ring built or a count asked for a settled pattern")
 
     checked = {5: 0, 6: 0}
     for p in primes_up_to(60):
@@ -521,7 +553,7 @@ def test_settled_quintics_and_sextics_list_no_roots(monkeypatch):
                 if degree == 6 and 1 not in full.parts:
                     continue
                 with monkeypatch.context() as patch:
-                    patch.setattr(padic, "_roots_mod", refuse)
+                    patch.setattr(padic, "_factor_counts", refuse)
                     patch.setattr(padic, "_Ring", refuse)
                     assert good_prime_cycle_type(coeffs, p, frobenius_parity(disc, p)) == full
                 checked[degree] += 1
@@ -566,11 +598,11 @@ def ring_moduli(rng, n, p):
 
 
 def test_ring_matches_list_oracle():
-    # Products, products times x, x^e and compositions equal the schoolbook
-    # list arithmetic over F_p for degrees 2 to 12, with all-(p - 1)
-    # operands and the unreduced Horner constant 2p - 2 that ``compose``
-    # feeds back into a product.  Products and powers are compared packed,
-    # so every slot must come out reduced below p.
+    # Products, products times x, x^e and the Frobenius matrix times a
+    # vector equal the schoolbook list arithmetic over F_p for degrees 2 to
+    # 12, with all-(p - 1) operands and one whose constant slot is the
+    # unreduced 2p - 2, which the slot bound covers too.  Results are
+    # compared packed, so every slot must come out reduced below p.
     rng = random.Random(53)
     for p in RING_PRIMES:
         for n in range(2, 13):
@@ -588,12 +620,14 @@ def test_ring_matches_list_oracle():
                     want = oracles.modp_powmod([0, 1], e, g, p)
                     assert padic._x_power(e, ring) == ring.pack(want), (g, p, e)
                 xp = oracles.modp_powmod([0, 1], p, g, p)
+                columns = padic._frobenius_columns(ring)
+                assert columns == [ring.pack(oracles.modp_powmod(xp, j, g, p)) for j in range(n)]
                 for h in (top, rand):
                     want = [0] * n
                     for c in reversed(h):  # h(x^p) mod g
                         want = oracles.modp_mulmod(want, xp, g, p)
                         want[0] = (want[0] + c) % p
-                    assert ring.compose(h, ring.pack(xp)) == want, (g, p, h)
+                    assert ring.apply(columns, h) == ring.pack(want), (g, p, h)
                     assert want == oracles.modp_powmod(h, p, g, p)  # h(x)^p = h(x^p)
 
 
@@ -663,12 +697,13 @@ def test_distinct_degree_matches_sympy_above_the_root_bound():
     assert len(checked) >= 40
 
 
-def test_rootless_sextics_compose_instead_of_powering_again(monkeypatch):
+def test_rootless_sextics_read_one_trace(monkeypatch):
     # With the parity, a sextic without a root mod p is [2, 4] or [3, 3]
-    # (even) or [6] or [2, 2, 2] (odd), told apart by x^(p^2) mod f.  That
-    # power is x^p composed with x^p, so x^e is computed exactly once and
-    # composed exactly once per pattern, and the pattern equals the
-    # parity-free loop's.
+    # (even) or [6] or [2, 2, 2] (odd), told apart by the number of
+    # quadratic factors.  For p > 6 that is trace(Q^2) of the Frobenius
+    # matrix Q, so x^e is computed exactly once and no gcd is taken, and the
+    # pattern equals the parity-free loop's.  For p <= 6 the trace is known
+    # only mod p, and gcd(f, x^(p^2) - x) splits off the quadratic factors.
     rng = random.Random(61)
     calls = []
 
@@ -684,14 +719,19 @@ def test_rootless_sextics_compose_instead_of_powering_again(monkeypatch):
         for _ in range(8):
             coeffs = [rng.randrange(p) for _ in range(6)] + [1]
             deriv = [i * c for i, c in enumerate(coeffs)][1:]
-            if padic._roots_mod(coeffs, p) or len(padic._pgcd(coeffs, deriv, p)) != 1:
+            if padic._root_count(padic._values_mod(coeffs, p), p):
+                continue
+            if len(padic._pgcd(coeffs, deriv, p)) != 1:
                 continue
             full = padic.distinct_degree_pattern(coeffs, p)
             with monkeypatch.context() as patch:
                 patch.setattr(padic, "_x_power", counted("_x_power", padic._x_power))
-                patch.setattr(padic._Ring, "compose", counted("compose", padic._Ring.compose))
+                patch.setattr(padic, "_pgcd", counted("_pgcd", padic._pgcd))
                 calls.clear()
                 assert padic.distinct_degree_pattern(coeffs, p, (6 - len(full)) % 2) == full
-            assert sorted(calls) == ["_x_power", "compose"], (coeffs, p, full)
-            seen.add(tuple(full))
+            if p > 6:
+                assert calls == ["_x_power"], (coeffs, p, full)
+                seen.add(tuple(full))
+            else:
+                assert calls == ["_x_power", "_pgcd"], (coeffs, p, full)
     assert seen == {(2, 4), (3, 3), (6,), (2, 2, 2)}
