@@ -28,7 +28,6 @@ import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import galois
@@ -434,10 +433,11 @@ class DensityReport:
 
 
 def _squarefree_status(n: int, bound: int) -> Optional[bool]:
-    """True/False when decided by trial division to the bound, None otherwise."""
+    """True/False when decided by trial division to the bound, None otherwise;
+    a square factor below ``primes.SMALL_PRIME_BOUND`` stops the division."""
     if n == 0:
         return False
-    exponents, m = factor_trial(n, bound)
+    exponents, m = factor_trial(n, bound, until_square=True)
     if any(e >= 2 for e in exponents.values()):
         return False
     if m == 1:
@@ -632,15 +632,16 @@ def ev_instance(
     return _ev_instance(model, d, y, a, b, _ev_limits(model, d, y))[0]
 
 
-@lru_cache(maxsize=64)
 def _ev_limits(model: WeierstrassModel, d: int, y: Fraction) -> tuple[Fraction, tuple[int, ...]]:
     """(C, limits): C = ``ev_bound_constant`` and limits[k] = floor(m*C*Y^k),
     the bound on the integer coefficient of x^(d-k) in m*H, for m the
-    denominator of f.  Kept per (model, d, Y), so that ``ev_instance`` does
-    not redo this exact arithmetic on every call."""
-    c_bound = ev_bound_constant(model, d)
-    m = model.f_cleared[1]
-    return c_bound, tuple(math.floor(m * c_bound * y**k) for k in range(d + 1))
+    denominator of f.  Kept per (d, Y) on the model (``ev_limits``), so that
+    ``ev_instance`` neither redoes this exact arithmetic nor hashes the model."""
+    kept = model.ev_limits
+    if (d, y) not in kept:
+        c_bound, m = ev_bound_constant(model, d), model.f_cleared[1]
+        kept[d, y] = c_bound, tuple(math.floor(m * c_bound * y**k) for k in range(d + 1))
+    return kept[d, y]
 
 
 def _ev_instance(

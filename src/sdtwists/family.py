@@ -15,7 +15,10 @@ find a simple root r of the curve polynomial mod p2 and lift it so the
 shifted constant term is exactly divisible by p2; substitute
 x -> (x + s)/p3^2 with the matching p3^6 rescale to force the cubic
 congruence; finally x -> p1^(2k) (x + u) with p1^(-6k), choosing the
-smallest admissible k that meets the epsilon box.
+smallest admissible k that meets the epsilon box.  All of it runs on
+integers: f is kept as an integer numerator over a power of p1, and
+(i)-(iv) are decided on that numerator; only the model returned holds
+``Fraction`` values.
 
 The twist family attached to the model is
 
@@ -32,8 +35,8 @@ A family keeps its integer view, cleared once: P as integer binary forms in
 polynomial in t, eliminated over Z[t] from those forms
 (``TwistFamily.disc_t``).  ``disc_form``, ``specialize`` and a sweep
 (through ``IntegerFamily``, which adds a table of cycle types) read only
-those, in integer arithmetic; the point needs no check per pair once the
-family identity is checked.
+those, in integer arithmetic; the point needs no check per pair, since the
+family identity is checked once, over Z[t].
 ``verify_new_point`` accepts any polynomial as the modulus, so it evaluates
 the forms of the point at (u, v) and tests F^2 - f*G^2 by the integer
 pseudo-remainder of ``polyarith``.
@@ -42,12 +45,13 @@ pseudo-remainder of ``polyarith``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from itertools import islice
+from typing import Optional, Sequence
 
-from .padic import CycleType, good_prime_cycle_type, reduce_poly_mod, valuation
+from .padic import CycleType, _pdeg, _pgcd, good_prime_cycle_type
 from .polyarith import (
     BivarPoly,
     IntBivarPoly,
@@ -69,10 +73,19 @@ PARITY_EVEN = "even"
 PARITY_ODD = "odd>=5"
 
 SIGN_GRID_DENOMINATOR = 64
+# Its numerators k, the ends first and then outward from 0: a built family
+# has one sign at t = +-1 and the other near t = 0.
+_SIGN_GRID = sorted(
+    range(-SIGN_GRID_DENOMINATOR, SIGN_GRID_DENOMINATOR + 1),
+    key=lambda k: (abs(k) < SIGN_GRID_DENOMINATOR, abs(k)),
+)
 
 # Search limits of ``build_model``.
 MAX_PRIME = 1000
 MAX_K = 400
+
+# Primes ``disc_form`` tries for a squarefree reduction of h before Yun over Q.
+SQUAREFREE_PRIMES = 16
 
 
 @dataclass(frozen=True)
@@ -97,6 +110,12 @@ class WeierstrassModel:
         """(F, m) = clear_denominators(f), computed once per model."""
         return clear_denominators(self.f)
 
+    @cached_property
+    def ev_limits(self) -> dict:
+        """The coefficient-box limits of ``counting._ev_limits`` by (d, Y),
+        kept on the model so that a lookup hashes no ``Fraction`` of it."""
+        return {}
+
 
 @dataclass(frozen=True)
 class ModelCheck:
@@ -107,14 +126,8 @@ class ModelCheck:
     forced_congruence: Optional[bool] = None
 
     def all_ok(self) -> bool:
-        forced = self.forced_congruence in (None, True)
-        return (
-            self.denominators_at_p1
-            and self.unit_divisibility
-            and self.cubic_congruence
-            and self.epsilon_box
-            and forced
-        )
+        flags = (self.denominators_at_p1, self.unit_divisibility, self.cubic_congruence)
+        return all(flags) and self.epsilon_box and self.forced_congruence in (None, True)
 
 
 @dataclass(frozen=True)
@@ -131,10 +144,13 @@ class TwistFamily:
     def identity_holds(self) -> bool:
         """Whether point_num^2 - f*point_den^2 == identity_sign * P in Q[t][x],
         computed once per family: where it holds, the point lies on the
-        curve over Q[x]/(P(x, u/v)) at every specialization."""
-        f_biv = BivarPoly([Poly([c]) for c in self.model.f.coeffs])
-        identity = self.point_num * self.point_num - f_biv * self.point_den * self.point_den
-        return identity == (self.P if self.identity_sign == 1 else -self.P)
+        curve over Q[x]/(P(x, u/v)) at every specialization.  Decided over
+        Z[t] for point_num = N/a, point_den = G/b, f = F/m and P = Q/L, as
+        L*(m*b^2*N^2 - a^2*F*G^2) == identity_sign*a^2*b^2*m*Q."""
+        q, f, m = self.forms, *self.model.f_cleared
+        (n, a), (g, b) = clear_bivar(self.point_num), clear_bivar(self.point_den)
+        lhs = (n * n).scale(m * b * b) - IntBivarPoly(f.coeffs) * (g * g).scale(a * a)
+        return lhs.scale(q.den) == q.poly.scale(self.identity_sign * a * a * b * b * m)
 
     @cached_property
     def disc_t(self) -> tuple[IntPoly, int]:
@@ -177,18 +193,24 @@ def _exclusion_base(a: int, b: int, d: int, forced: Optional[int]) -> int:
     disc_g = -4 * a**3 - 27 * b**2
     if disc_g == 0:
         raise ValueError("curve is singular")
-    n = 6 * d * abs(disc_g)
-    if d != 3:
-        n *= d - 3
-    if forced:
-        n *= forced
-    return n
+    return 6 * d * abs(disc_g) * (d - 3 or 1) * (forced or 1)
 
 
 def _admissible_primes(excluded: int):
     for p in primes():
         if excluded % p:
             yield p
+
+
+def _compose(coeffs: Sequence[int], a: int, b: int, den: int) -> list[int]:
+    """Integer coefficients (constant first) of den^n * f((a*x + b)/den) for
+    the integer polynomial f = ``coeffs`` of degree n, by Horner's rule."""
+    acc, scale = [coeffs[-1]], 1
+    for c in reversed(coeffs[:-1]):
+        scale *= den
+        tail = [a * hi + b * lo for hi, lo in zip(acc, acc[1:])]
+        acc = [b * acc[0] + c * scale, *tail, a * acc[-1]]
+    return acc
 
 
 def build_model(
@@ -204,6 +226,12 @@ def build_model(
     p2 is searched among the admissible primes up to ``MAX_PRIME`` (1000)
     and the rescale exponent k up to ``MAX_K`` (400); ValueError when either
     search comes up empty.
+
+    The root search is Horner's rule mod p2, and each substitution
+    x -> (a*x + b)/den maps integer coefficients to integer coefficients
+    (``_compose``): f stays integral through the p3 rescale, and the k-th
+    p1-power rescale is its numerator over p1^(6k + 3j), u = U/p1^j, which
+    ``_check`` decides.  Only the model returned is built in ``Fraction``.
 
     ``force_cubic_mod`` additionally demands f == x^3 modulo that integer
     (used to pin the discriminant class against a conductor); it requires
@@ -222,89 +250,55 @@ def build_model(
         if shift_target != 0 or alpha != 0:
             raise ValueError("forced cubic congruence needs shift_target = 0 and alpha = 0")
     excluded = _exclusion_base(a, b, d, force_cubic_mod)
-    g = Poly([b, a, 0, 1])
-    gp = g.derivative()
 
     # p2 and a simple root of g mod p2, lifted so v_p2(g(r)) = 1.
-    p2 = r = None
-    for p in _admissible_primes(excluded):
-        if p > MAX_PRIME:
+    for p2 in _admissible_primes(excluded):
+        if p2 > MAX_PRIME:
             raise ValueError(
                 f"no admissible p2 with a simple root below {MAX_PRIME} "
                 f"(curve {curve}, d={d})"
             )
-        for r0 in range(p):
-            if g(r0) % p == 0 and gp(r0) % p != 0:
-                p2, r = p, r0
-                break
-        if p2:
+        roots = [x for x in range(p2) if (x * (x * x + a) + b) % p2 == 0 and (3 * x * x + a) % p2]
+        if roots:
             break
-    assert p2 is not None and r is not None
-    for j in range(4):
-        cand = r + j * p2
-        val = g(cand)
-        if val != 0 and valuation_int(int(val), p2) == 1:
-            r = cand
+    for r in range(roots[0], roots[0] + 4 * p2, p2):
+        value = r * (r * r + a) + b
+        if value and valuation_int(value, p2) == 1:
             break
     else:
-        raise ValueError(f"could not lift the root {r} mod {p2} to exact divisibility")
+        raise ValueError(f"could not lift the root {roots[0]} mod {p2} to exact divisibility")
 
-    f_cur = g.compose_linear(1, r)  # (x + r)^3 + a(x + r) + b
-
+    f = _compose([b, a, 0, 1], 1, r, 1)  # g(x + r)
     if force_cubic_mod:
-        n = force_cubic_mod
-        f_cur = f_cur.compose_linear(Fraction(1, n**2), 0).scale(n**6)
+        f = _compose(f, 1, 0, force_cubic_mod**2)
 
     # p3 congruence step: x -> (x + s)/p3^2, rescaled by p3^6.
-    gen = _admissible_primes(excluded * p2)
-    p3 = next(gen)
-    if shift_target:
-        p2bar = pow(p2, -1, p3**2)
-        s = shift_target * p2**2 * p2bar**2
-    else:
-        s = 0
-    f_cur = f_cur.compose_linear(Fraction(1, p3**2), Fraction(s, p3**2)).scale(p3**6)
-    if not f_cur.is_integral():
-        raise AssertionError("p3 rescale left non-integral coefficients")
+    p3 = next(_admissible_primes(excluded * p2))
+    f = _compose(f, 1, shift_target * (p2 * pow(p2, -1, p3**2)) ** 2, p3**2)
+    p1 = next(_admissible_primes(excluded * p2 * p3))
 
-    gen = _admissible_primes(excluded * p2 * p3)
-    p1 = next(gen)
-
-    # u in Z[1/p1], divisible by p2^2 p3, with u^i within epsilon/4 of alpha^i.
-    quarter = epsilon / 4
-    if alpha == 0:
-        u = Fraction(0)
-    else:
+    # u = U/w, w = p1^j, with p2^2 p3 | U and u^i within epsilon/4 of alpha^i.
+    an, ad, en, ed = alpha.numerator, alpha.denominator, epsilon.numerator, epsilon.denominator
+    U, w = 0, 1
+    if alpha:
         base = p2**2 * p3
-        u = None
         for j in range(1, 500):
-            scale = Fraction(p1) ** j
-            m = math.floor(alpha * scale / base + Fraction(1, 2))
-            cand = Fraction(m * base, p1**j)
-            if all(abs(cand**i - alpha**i) < quarter for i in (1, 2, 3)):
-                u = cand
+            w = p1**j
+            U = (2 * an * w + ad * base) // (2 * ad * base) * base
+            x, y = U * ad, an * w  # u = x/(w ad) and alpha = y/(w ad)
+            if all(4 * ed * abs(x**i - y**i) < en * (w * ad) ** i for i in (1, 2, 3)):
                 break
-        if u is None:
+        else:
             raise ValueError("could not approximate alpha inside Z[1/p1]")
 
+    spec = WeierstrassModel(0, 0, 0, p1, p2, p3, shift_target, alpha, epsilon, force_cubic_mod)
     k_step = multiplicative_order(p1 * p1 % p3, p3) if shift_target else 1
     for k in range(k_step, MAX_K + 1, k_step):
-        q = Fraction(1, p1 ** (2 * k))
-        f_try = f_cur.compose_linear(p1 ** (2 * k), p1 ** (2 * k) * u).scale(q**3)
-        model = WeierstrassModel(
-            B=f_try.coeff(2),
-            C=f_try.coeff(1),
-            D=f_try.coeff(0),
-            p1=p1,
-            p2=p2,
-            p3=p3,
-            shift_target=shift_target,
-            alpha=alpha,
-            epsilon=epsilon,
-            forced_modulus=force_cubic_mod,
-        )
-        if verify_model(model).all_ok():
-            return model
+        q = p1 ** (2 * k)
+        num, den = _compose(f, q * w, q * U, w), (q * w) ** 3  # f(q(x + u)) / q^3
+        if _check(num, den, spec).all_ok():
+            B, C, D = (Fraction(c, den) for c in num[2::-1])
+            return replace(spec, B=B, C=C, D=D)
     raise ValueError(
         f"no admissible rescale exponent k <= {MAX_K} met the epsilon box "
         f"(curve {curve}, d={d}, epsilon={epsilon})"
@@ -312,71 +306,62 @@ def build_model(
 
 
 def verify_model(model: WeierstrassModel) -> ModelCheck:
-    """Check properties (i)-(iv) exactly."""
-    p1, p2, p3 = model.p1, model.p2, model.p3
-    denoms_ok = True
-    for c in (model.B, model.C, model.D):
-        den = c.denominator
-        while den % p1 == 0:
-            den //= p1
-        if den != 1:
-            denoms_ok = False
+    """Check properties (i)-(iv) exactly, in integers: ``_check`` on
+    f = F/m for (F, m) = ``model.f_cleared``."""
+    F, m = model.f_cleared
+    return _check(F.coeffs, m, model)
 
-    div_ok = valuation(model.D, p2) == 1 and valuation(model.C, p2) == 0
 
-    a0 = model.shift_target
-    target = Poly([a0, 1]) ** 3
-    diff = model.f - target
-    cubic_ok = _zero_mod(diff, p3)
-
-    al, eps = model.alpha, model.epsilon
-    box_ok = (
-        abs(model.B - 3 * al) < eps
-        and abs(model.C - 3 * al**2) < eps
-        and abs(model.D - al**3) < eps
+def _check(F: Sequence[int], m: int, model: WeierstrassModel) -> ModelCheck:
+    """``ModelCheck`` of the monic cubic f = F/m (F integral, constant first,
+    m > 0 a multiple of every denominator) against model's primes and
+    targets (its B, C, D are not read), with a0 the shift, alpha = an/ad and
+    epsilon = en/ed: (i) m is a power of p1; (ii) v_p2(F_0) - v_p2(m) = 1
+    and v_p2(F_1) = v_p2(m); (iii) gcd(m, p3) = 1 and F == m(x + a0)^3 mod
+    p3; (iv) ed * |F_(3-i) ad^i - c an^i m| < en ad^i m for (i, c) = (1, 3),
+    (2, 3), (3, 1); forced: gcd(m, n) = 1 and n | F_0, F_1, F_2."""
+    rest, a0, n = m, model.shift_target, model.forced_modulus
+    while rest % model.p1 == 0:
+        rest //= model.p1
+    p2, v = model.p2, valuation_int(m, model.p2)
+    div_ok = 0 not in F[:2] and valuation_int(F[0], p2) == v + 1 and valuation_int(F[1], p2) == v
+    cubic_ok = _zero_mod([c - m * t for c, t in zip(F, (a0**3, 3 * a0**2, 3 * a0))], m, model.p3)
+    an, ad = model.alpha.numerator, model.alpha.denominator
+    en, ed = model.epsilon.numerator, model.epsilon.denominator
+    box_ok = all(
+        ed * abs(F[3 - i] * ad**i - c * an**i * m) < en * ad**i * m
+        for i, c in ((1, 3), (2, 3), (3, 1))
     )
-
-    forced_ok = None
-    if model.forced_modulus:
-        forced_ok = _zero_mod(Poly([model.D, model.C, model.B]), model.forced_modulus)
-
-    return ModelCheck(denoms_ok, div_ok, cubic_ok, box_ok, forced_ok)
+    return ModelCheck(rest == 1, div_ok, cubic_ok, box_ok, _zero_mod(F[:3], m, n) if n else None)
 
 
-def _zero_mod(f: Poly, n: int) -> bool:
-    """Whether every coefficient of f is 0 mod n (False if one is not n-integral)."""
-    try:
-        return not reduce_poly_mod(f, n)
-    except ValueError:
-        return False
+def _zero_mod(coeffs: Sequence[int], m: int, n: int) -> bool:
+    """Whether c/m == 0 mod n for every c in coeffs: False when m is not a unit mod n."""
+    return math.gcd(m, n) == 1 and all(c % n == 0 for c in coeffs)
 
 
 def twist_polynomial(model: WeierstrassModel, d: int) -> TwistFamily:
     """The twist family and its induced point for the given degree."""
     if d < 3:
         raise ValueError("degree must be at least 3")
-    f = model.f
-    f_biv = BivarPoly([Poly([c]) for c in f.coeffs])
-    t = Poly([0, 1])
+    f, t = model.f.coeffs, Poly([0, 1])
     if d == 3:
         parity = PARITY_CUBIC
-        # f(x) - (x + t)^2
-        P = f_biv - BivarPoly([t * t, t.scale(2), Poly([1])])
-        point_num = BivarPoly([t, Poly([1])])  # x + t
-        point_den = BivarPoly([Poly([1])])
+        P = BivarPoly([Poly([f[0], 0, -1]), Poly([f[1], -2]), f[2] - 1, 1])  # f(x) - (x + t)^2
+        point_num = BivarPoly([t, 1])  # x + t
+        point_den = BivarPoly([1])
         sign = -1
     elif d % 2 == 0:
         parity = PARITY_EVEN
-        xc = [-c for c in f.coeffs] + [Poly()] * (d - 4) + [t * t]
-        P = BivarPoly(xc)
-        point_num = BivarPoly([Poly()] * (d // 2) + [t])  # t x^(d/2)
-        point_den = BivarPoly([Poly([1])])
+        P = BivarPoly([-c for c in f] + [0] * (d - 4) + [Poly([0, 0, 1])])  # t^2 x^d - f(x)
+        point_num = BivarPoly([0] * (d // 2) + [t])  # t x^(d/2)
+        point_den = BivarPoly([1])
         sign = 1
     else:
         parity = PARITY_ODD
-        P = BivarPoly([Poly([c]) for c in f.shift(d - 3).coeffs]) - BivarPoly([t * t])
+        P = BivarPoly([Poly([0, 0, -1])] + [0] * (d - 4) + list(f))  # x^(d-3) f(x) - t^2
         point_num = BivarPoly([t])
-        point_den = BivarPoly([Poly()] * ((d - 3) // 2) + [Poly([1])])  # x^((d-3)/2)
+        point_den = BivarPoly([0] * ((d - 3) // 2) + [1])  # x^((d-3)/2)
         sign = -1
     family = TwistFamily(d, parity, model, P, point_num, point_den, sign)
     if not family.identity_holds:
@@ -387,9 +372,10 @@ def twist_polynomial(model: WeierstrassModel, d: int) -> TwistFamily:
 def disc_form(family: TwistFamily) -> DiscriminantForm:
     """Discriminant of the family in x as unit * t^t_power * h(t), h monic.
 
-    Reads disc = D / m off ``TwistFamily.disc_t``: checks the exact t-power
-    and the degree of h (6, or 4 when d = 3), locates a multiplicity-one
-    factor of h other than t, and exhibits both signs on the grid
+    Reads disc = D / m off ``TwistFamily.disc_t`` and works on the integer
+    part h_raw of D above t^t_power: checks the exact t-power and the
+    degree of h (6, or 4 when d = 3), finds a multiplicity-one factor of h
+    other than t (``_simple_factor``), and exhibits both signs on the grid
     {k/64 : |k| <= 64} by the sign of D(k, 64) = 64^deg D * m * disc(k/64).
     """
     d = family.d
@@ -404,44 +390,45 @@ def disc_form(family: TwistFamily) -> DiscriminantForm:
         raise ValueError(
             f"t-power {t_val} differs from {expected_power}; model construction bug"
         )
-    h_raw = Poly(disc.coeffs[expected_power:])
-    if h_raw.degree != expected_deg_h:
+    h_raw = disc.coeffs[expected_power:]
+    if len(h_raw) - 1 != expected_deg_h:
         raise ValueError(
-            f"deg h = {h_raw.degree}, expected {expected_deg_h}; model construction bug"
+            f"deg h = {len(h_raw) - 1}, expected {expected_deg_h}; model construction bug"
         )
-    unit = Fraction(h_raw.lead, m)
-    h = h_raw.monic()
-
-    simple = None
-    for factor, mult in squarefree_decompose(h):
-        if mult != 1:
-            continue
-        reduced = factor
-        if reduced.coeff(0) == 0:
-            reduced = reduced // Poly([0, 1])
-        if reduced.degree >= 1:
-            simple = reduced
-            break
+    h = Poly(h_raw).monic()
 
     pos = neg = False
-    for k in range(-SIGN_GRID_DENOMINATOR, SIGN_GRID_DENOMINATOR + 1):
+    for k in _SIGN_GRID:
         value = binary_form_value(disc.coeffs, disc.degree, k, SIGN_GRID_DENOMINATOR)
-        if value > 0:
-            pos = True
-        elif value < 0:
-            neg = True
+        pos, neg = pos or value > 0, neg or value < 0
         if pos and neg:
             break
+    unit, simple = Fraction(h_raw[-1], m), _simple_factor(h_raw)
+    return DiscriminantForm(expected_power, h, unit, h.degree, simple, pos, neg)
 
-    return DiscriminantForm(
-        t_power=expected_power,
-        h=h,
-        unit=unit,
-        degree_h=h.degree,
-        simple_factor=simple,
-        grid_positive=pos,
-        grid_negative=neg,
-    )
+
+def _simple_factor(h: Sequence[int]) -> Optional[Poly]:
+    """The first multiplicity-one factor of ``squarefree_decompose(h)`` for
+    the integer polynomial h of degree >= 2 (constant first), t divided out
+    once, if it keeps degree >= 1.  h is squarefree over Q if, for one prime
+    p, h mod p keeps its degree and is coprime to h' mod p (``_pgcd``): a
+    square factor g^2 of h over Q may be taken primitive integral (Gauss's
+    lemma), so lc(g) | lc(h), and g mod p keeps degree >= 1 and divides h
+    and h' mod p.  A squarefree h decomposes as its primitive part with
+    positive lead; the Yun split over Q runs only when none of the first
+    ``SQUAREFREE_PRIMES`` primes gives that proof."""
+    for p in islice(primes(), SQUAREFREE_PRIMES):
+        hbar = [c % p for c in h]
+        if hbar[-1] and _pdeg(_pgcd(hbar, [i * c for i, c in enumerate(hbar)][1:], p)) == 0:
+            prim = _primitive_int(h)[0]
+            return Poly(prim[1:] if prim[0] == 0 else prim)
+    for factor, mult in squarefree_decompose(Poly(h)):
+        if mult == 1:
+            if factor.coeff(0) == 0:
+                factor = factor // Poly([0, 1])
+            if factor.degree >= 1:
+                return factor
+    return None
 
 
 def build_family(

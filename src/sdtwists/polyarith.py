@@ -187,14 +187,6 @@ class Poly:
             acc = acc * x0 + c
         return acc
 
-    def compose_linear(self, a: Coefficient, b: Coefficient) -> "Poly":
-        """Return self(a*x + b)."""
-        lin = Poly([b, a])
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Poly([c])
-        return acc
-
     def reverse(self) -> "Poly":
         """Reciprocal polynomial x**deg * self(1/x)."""
         return Poly(tuple(reversed(self.coeffs)))

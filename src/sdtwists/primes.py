@@ -124,7 +124,7 @@ def valuation_int(n: int, p: int) -> int:
     return v
 
 
-def factor_trial(n: int, bound: int) -> tuple[dict[int, int], int]:
+def factor_trial(n: int, bound: int, until_square: bool = False) -> tuple[dict[int, int], int]:
     """Factor |n| by the primes <= bound; return (exponents, cofactor).
 
     The exponents hold v_p(n) for every prime p <= bound dividing n, in
@@ -138,18 +138,20 @@ def factor_trial(n: int, bound: int) -> tuple[dict[int, int], int]:
     g = gcd(m, prod(primes in (SMALL_PRIME_BOUND, bound]) mod m) for the
     remainder m (D. J. Bernstein, "How to find smooth parts of integers",
     2004) and finds the primes of g by a walk that stops at p^2 > g; the
-    product is built once per process and prime range.
+    product is built once per process and prime range.  With
+    ``until_square`` the first stage returns what it has as soon as one
+    prime's exponent reaches 2, which settles that n is not squarefree.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
     # No prime lies at or below 1: nothing is factored yet.
-    return extend_factorization({}, abs(n), min(bound, 1), bound)
+    return extend_factorization({}, abs(n), min(bound, 1), bound, until_square)
 
 
 def extend_factorization(
-    exponents: dict[int, int], cofactor: int, done: int, bound: int
+    exponents: dict[int, int], cofactor: int, done: int, bound: int, until_square: bool = False
 ) -> tuple[dict[int, int], int]:
-    """``factor_trial(n, bound)`` from (exponents, cofactor) =
+    """``factor_trial(n, bound, until_square)`` from (exponents, cofactor) =
     ``factor_trial(n, done)``, done <= bound: only the cofactor is divided,
     and only by the primes in (done, bound]."""
     if bound < done:
@@ -162,6 +164,8 @@ def extend_factorization(
             break
         if m % p == 0:
             m = _divide_out(m, p, out)
+            if until_square and out[p] > 1:
+                return out, m
             root = math.isqrt(m)
     # m > above^2 only if the walk did not stop; then m has no prime factor
     # <= above, and m <= above^2 would make it 1 or a prime.

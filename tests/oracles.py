@@ -7,7 +7,9 @@ plus Lagrange interpolation, mod-p factorizations are found by exhaustive
 trial division over all monic polynomials, and specializations, point
 checks, the discriminant form of a family and whole sweep candidates are
 computed in ``Fraction`` arithmetic from P itself, with the public galois
-entry points, instead of from the integer forms a sweep uses.  Trial
+entry points, instead of from the integer forms a sweep uses, and the
+normalized model is searched for and checked in ``Fraction`` arithmetic,
+instead of on the integer numerators ``build_model`` keeps.  Trial
 factorizations and transposition witnesses walk the prime sieve one
 remainder per prime, instead of the staged product gcd of
 ``primes.factor_trial``.
@@ -20,9 +22,18 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import sdtwists.family
 from sdtwists import galois
 from sdtwists.counting import KERNEL_COMPLETE, KERNEL_PARTIAL, KERNEL_ZERO, FieldCandidate
-from sdtwists.family import SIGN_GRID_DENOMINATOR, DiscriminantForm
+from sdtwists.family import (
+    SIGN_GRID_DENOMINATOR,
+    DiscriminantForm,
+    ModelCheck,
+    WeierstrassModel,
+    _admissible_primes,
+    _exclusion_base,
+)
+from sdtwists.padic import reduce_poly_mod, valuation
 from sdtwists.polyarith import (
     BivarPoly,
     Poly,
@@ -32,7 +43,7 @@ from sdtwists.polyarith import (
     reduce_mod,
     squarefree_decompose,
 )
-from sdtwists.primes import is_square, iter_primes_up_to, valuation_int
+from sdtwists.primes import is_square, iter_primes_up_to, multiplicative_order, valuation_int
 
 
 def factor_trial_walk(n: int, bound: int) -> tuple[dict[int, int], int]:
@@ -155,6 +166,19 @@ def verify_new_point_fraction(p_spec: Poly, family, u: int, v: int) -> bool:
     return not reduce_mod(expr, p_spec)
 
 
+def simple_factor_fraction(h: Poly) -> Optional[Poly]:
+    """The first multiplicity-one factor of the Yun split of h over Q, with
+    t divided out once, if it keeps degree >= 1."""
+    for factor, mult in squarefree_decompose(h):
+        if mult != 1:
+            continue
+        if factor.coeff(0) == 0:
+            factor = factor // Poly([0, 1])
+        if factor.degree >= 1:
+            return factor
+    return None
+
+
 def disc_form_fraction(family) -> DiscriminantForm:
     """``disc_form`` in Fraction arithmetic: Disc_t = discriminant_in_t(P)
     taken apart as a rational polynomial and evaluated by rational Horner
@@ -164,15 +188,7 @@ def disc_form_fraction(family) -> DiscriminantForm:
     power = 0 if d == 3 else 2 * d - 8
     h_raw = Poly(disc.coeffs[power:])
     h = h_raw.monic()
-    simple = None
-    for factor, mult in squarefree_decompose(h):
-        if mult != 1:
-            continue
-        if factor.coeff(0) == 0:
-            factor = factor // Poly([0, 1])
-        if factor.degree >= 1:
-            simple = factor
-            break
+    simple = simple_factor_fraction(h)
     pos = neg = False
     for k in range(-SIGN_GRID_DENOMINATOR, SIGN_GRID_DENOMINATOR + 1):
         value = disc(Fraction(k, SIGN_GRID_DENOMINATOR))
@@ -180,6 +196,179 @@ def disc_form_fraction(family) -> DiscriminantForm:
         if pos and neg:
             break
     return DiscriminantForm(power, h, h_raw.lead, h.degree, simple, pos, neg)
+
+
+def compose_linear(f: Poly, a, b) -> Poly:
+    """f(a*x + b), by Horner's rule over Q."""
+    lin = Poly([b, a])
+    acc = Poly()
+    for c in reversed(f.coeffs):
+        acc = acc * lin + Poly([c])
+    return acc
+
+
+def build_model_fraction(
+    curve: tuple[int, int],
+    shift_target: int,
+    alpha: Fraction | int,
+    epsilon: Fraction | int,
+    d: int,
+    force_cubic_mod: Optional[int] = None,
+) -> WeierstrassModel:
+    """``family.build_model`` in Fraction arithmetic: Poly evaluation in the
+    p2 root search, and Fraction substitutions x -> a*x + b
+    (``compose_linear``) for the shift, the p3 and the p1-power rescales,
+    each k checked by ``verify_model_fraction`` on a Fraction model.
+
+    p2 is searched among the admissible primes up to ``MAX_PRIME`` (1000)
+    and the rescale exponent k up to ``MAX_K`` (400), both read off
+    ``sdtwists.family`` at the call; ValueError when either search comes up
+    empty.
+
+    ``force_cubic_mod`` additionally demands f == x^3 modulo that integer
+    (used to pin the discriminant class against a conductor); it requires
+    shift_target = 0 and alpha = 0.
+    """
+    a, b = curve
+    alpha = Fraction(alpha)
+    epsilon = Fraction(epsilon)
+    if d < 3:
+        raise ValueError("degree must be at least 3")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if force_cubic_mod is not None:
+        if force_cubic_mod < 2:
+            raise ValueError("forced modulus must be >= 2")
+        if shift_target != 0 or alpha != 0:
+            raise ValueError("forced cubic congruence needs shift_target = 0 and alpha = 0")
+    excluded = _exclusion_base(a, b, d, force_cubic_mod)
+    g = Poly([b, a, 0, 1])
+    gp = g.derivative()
+
+    # p2 and a simple root of g mod p2, lifted so v_p2(g(r)) = 1.
+    p2 = r = None
+    for p in _admissible_primes(excluded):
+        if p > sdtwists.family.MAX_PRIME:
+            raise ValueError(
+                f"no admissible p2 with a simple root below {sdtwists.family.MAX_PRIME} "
+                f"(curve {curve}, d={d})"
+            )
+        for r0 in range(p):
+            if g(r0) % p == 0 and gp(r0) % p != 0:
+                p2, r = p, r0
+                break
+        if p2:
+            break
+    assert p2 is not None and r is not None
+    for j in range(4):
+        cand = r + j * p2
+        val = g(cand)
+        if val != 0 and valuation_int(int(val), p2) == 1:
+            r = cand
+            break
+    else:
+        raise ValueError(f"could not lift the root {r} mod {p2} to exact divisibility")
+
+    f_cur = compose_linear(g, 1, r)  # (x + r)^3 + a(x + r) + b
+
+    if force_cubic_mod:
+        n = force_cubic_mod
+        f_cur = compose_linear(f_cur, Fraction(1, n**2), 0).scale(n**6)
+
+    # p3 congruence step: x -> (x + s)/p3^2, rescaled by p3^6.
+    gen = _admissible_primes(excluded * p2)
+    p3 = next(gen)
+    if shift_target:
+        p2bar = pow(p2, -1, p3**2)
+        s = shift_target * p2**2 * p2bar**2
+    else:
+        s = 0
+    f_cur = compose_linear(f_cur, Fraction(1, p3**2), Fraction(s, p3**2)).scale(p3**6)
+    if not f_cur.is_integral():
+        raise AssertionError("p3 rescale left non-integral coefficients")
+
+    gen = _admissible_primes(excluded * p2 * p3)
+    p1 = next(gen)
+
+    # u in Z[1/p1], divisible by p2^2 p3, with u^i within epsilon/4 of alpha^i.
+    quarter = epsilon / 4
+    if alpha == 0:
+        u = Fraction(0)
+    else:
+        base = p2**2 * p3
+        u = None
+        for j in range(1, 500):
+            scale = Fraction(p1) ** j
+            m = math.floor(alpha * scale / base + Fraction(1, 2))
+            cand = Fraction(m * base, p1**j)
+            if all(abs(cand**i - alpha**i) < quarter for i in (1, 2, 3)):
+                u = cand
+                break
+        if u is None:
+            raise ValueError("could not approximate alpha inside Z[1/p1]")
+
+    k_step = multiplicative_order(p1 * p1 % p3, p3) if shift_target else 1
+    for k in range(k_step, sdtwists.family.MAX_K + 1, k_step):
+        q = Fraction(1, p1 ** (2 * k))
+        f_try = compose_linear(f_cur, p1 ** (2 * k), p1 ** (2 * k) * u).scale(q**3)
+        model = WeierstrassModel(
+            B=f_try.coeff(2),
+            C=f_try.coeff(1),
+            D=f_try.coeff(0),
+            p1=p1,
+            p2=p2,
+            p3=p3,
+            shift_target=shift_target,
+            alpha=alpha,
+            epsilon=epsilon,
+            forced_modulus=force_cubic_mod,
+        )
+        if verify_model_fraction(model).all_ok():
+            return model
+    raise ValueError(
+        f"no admissible rescale exponent k <= {sdtwists.family.MAX_K} met the epsilon box "
+        f"(curve {curve}, d={d}, epsilon={epsilon})"
+    )
+
+
+def verify_model_fraction(model: WeierstrassModel) -> ModelCheck:
+    """``family.verify_model`` on the model's Fraction coefficients."""
+    p1, p2, p3 = model.p1, model.p2, model.p3
+    denoms_ok = True
+    for c in (model.B, model.C, model.D):
+        den = c.denominator
+        while den % p1 == 0:
+            den //= p1
+        if den != 1:
+            denoms_ok = False
+
+    div_ok = valuation(model.D, p2) == 1 and valuation(model.C, p2) == 0
+
+    a0 = model.shift_target
+    target = Poly([a0, 1]) ** 3
+    diff = model.f - target
+    cubic_ok = _zero_mod_fraction(diff, p3)
+
+    al, eps = model.alpha, model.epsilon
+    box_ok = (
+        abs(model.B - 3 * al) < eps
+        and abs(model.C - 3 * al**2) < eps
+        and abs(model.D - al**3) < eps
+    )
+
+    forced_ok = None
+    if model.forced_modulus:
+        forced_ok = _zero_mod_fraction(Poly([model.D, model.C, model.B]), model.forced_modulus)
+
+    return ModelCheck(denoms_ok, div_ok, cubic_ok, box_ok, forced_ok)
+
+
+def _zero_mod_fraction(f: Poly, n: int) -> bool:
+    """Whether every coefficient of f is 0 mod n (False if one is not n-integral)."""
+    try:
+        return not reduce_poly_mod(f, n)
+    except ValueError:
+        return False
 
 
 def reference_candidate(family, u, v, budgets, modulus=None) -> FieldCandidate:

@@ -562,6 +562,28 @@ def test_ev_instance_rebuilds_generated_instances():
     assert isinstance(counting._ev_limits(model, d, y)[1], tuple)
 
 
+def test_ev_limits_are_kept_on_the_model(monkeypatch):
+    # The limits are kept per (d, Y) on the model itself, so neither
+    # ev_instance nor ev_generate hashes the model's Fraction coefficients,
+    # and both still build the same instances.
+    model, _, _ = build_family((1, 1), 6)
+    d, y = 6, F(3)
+    a_bounds, b_bounds = ev_boxes(d, y)
+
+    def refuse(self):
+        raise AssertionError("model hashed")
+
+    monkeypatch.setattr(family.WeierstrassModel, "__hash__", refuse)
+    cfg = EvConfig(seed=4, max_instances=8, exhaustive_limit=10, certify=False)
+    rng = random.Random(cfg.seed)
+    for inst in ev_generate(model, d, y, cfg):
+        a = [rng.randint(-bound, bound) for bound in a_bounds]
+        b = [rng.randint(-bound, bound) for bound in b_bounds]
+        assert ev_instance(model, d, y, a, b) == inst
+    c, m = ev_bound_constant(model, d), model.f_cleared[1]
+    assert model.ev_limits == {(d, y): (c, tuple(math.floor(m * c * y**k) for k in range(d + 1)))}
+
+
 def test_ev_certificates_match_public_path():
     # ev_generate certifies the primitive part of m*H on integers, with
     # disc over Z; every certificate equals certify_sd of the public

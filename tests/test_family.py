@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from sdtwists import family, polyarith
 from sdtwists.family import (
     PARITY_CUBIC,
     PARITY_EVEN,
@@ -19,6 +21,14 @@ from sdtwists.family import (
 )
 from sdtwists.padic import cycle_certificate, n_cycle_type, newton_polygon, valuation
 from sdtwists.polyarith import BivarPoly, Poly, discriminant, discriminant_in_t
+from sdtwists.primes import primes_up_to
+
+from oracles import (
+    build_model_fraction,
+    compose_linear,
+    simple_factor_fraction,
+    verify_model_fraction,
+)
 
 CURVES = ((0, -2), (-16, 16), (1, 1))
 
@@ -31,18 +41,164 @@ def test_build_model_follows_root_lift_steps():
     assert g(3) % 5 == 0 and g.derivative()(3) % 5 != 0
     assert valuation(g(3), 5) == 2
     assert valuation(g(8), 5) == 1
-    shifted = g.compose_linear(1, 8)
-    assert shifted == Poly([510, 192, 24, 1])
+    assert compose_linear(g, 1, 8) == Poly([510, 192, 24, 1])
+    assert family._compose(g.coeffs, 1, 8, 1) == [510, 192, 24, 1]
 
     model = build_model((0, -2), 0, 0, 1, 3)
+    assert model == build_model_fraction((0, -2), 0, 0, 1, 3)
     assert model.p2 == 5
     check = verify_model(model)
     assert check.all_ok()
 
 
+def test_compose_is_the_scaled_rational_substitution():
+    # den^n f((a x + b)/den) on integers equals f(a/den x + b/den) * den^n
+    # over Q, including the p1-power rescale's shape (a, b) = (q w, q U).
+    rng = random.Random(17)
+    for _ in range(50):
+        coeffs = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 6))] + [1]
+        a, b, den = rng.randint(-50, 50) or 1, rng.randint(-10**4, 10**4), rng.randint(1, 7**5)
+        n = len(coeffs) - 1
+        want = compose_linear(Poly(coeffs), F(a, den), F(b, den)).scale(den**n)
+        assert Poly(family._compose(coeffs, a, b, den)) == want
+
+
+def _targets(d):
+    """(shift_target, alpha) of ``build_family`` at degree d."""
+    return (0, 0) if d == 3 else (1, 1) if d % 2 else (-1, -1)
+
+
+def _outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("curve", [(1, 1), (0, -2), (-16, 16), (2, 3)])
+def test_build_model_matches_fraction_reference(curve):
+    # The integer search returns the Fraction search's model, or raises its
+    # ValueError text, at every degree, both epsilons and a forced congruence.
+    for d in range(3, 10):
+        shift, alpha = _targets(d)
+        for eps in (F(1, 2), F(1, 8)):
+            args = (curve, shift, alpha, eps, d)
+            assert _outcome(build_model, *args) == _outcome(build_model_fraction, *args)
+        args = (curve, 0, 0, F(1, 2), d)
+        want = _outcome(build_model_fraction, *args, force_cubic_mod=37)
+        assert isinstance(want, family.WeierstrassModel)
+        assert _outcome(build_model, *args, force_cubic_mod=37) == want
+
+
+def test_build_model_failures_match_fraction_reference(monkeypatch):
+    invalid = [
+        ((0, 0), 0, 0, 1, 3, None),  # singular curve
+        ((1, 1), 0, 0, 1, 2, None),  # degree below 3
+        ((1, 1), 0, 0, 0, 3, None),  # epsilon not positive
+        ((1, 1), 0, 0, 1, 3, 1),  # forced modulus below 2
+        ((1, 1), 1, 1, 1, 5, 37),  # forced congruence with a shift
+        ((1, 1), 1, F(1, 3), F(1, 10**2000), 5, None),  # alpha not approximated
+    ]
+    for *args, forced in invalid:
+        want = _outcome(build_model_fraction, *args, force_cubic_mod=forced)
+        assert want.startswith("ValueError")
+        assert _outcome(build_model, *args, force_cubic_mod=forced) == want
+    # The MAX_PRIME path: no admissible p2 is small enough.
+    monkeypatch.setattr(family, "MAX_PRIME", 4)
+    for curve in [(1, 1), (0, -2), (-16, 16), (2, 3)]:
+        want = _outcome(build_model_fraction, curve, 0, 0, F(1, 2), 3)
+        assert "no admissible p2" in want
+        assert _outcome(build_model, curve, 0, 0, F(1, 2), 3) == want
+    monkeypatch.undo()
+    # The MAX_K path: two rescale exponents meet the box at some degrees only.
+    monkeypatch.setattr(family, "MAX_K", 2)
+    failures = 0
+    for curve in [(1, 1), (0, -2), (-16, 16), (2, 3)]:
+        for d in range(3, 10):
+            args = (curve, *_targets(d), F(1, 8), d)
+            want = _outcome(build_model_fraction, *args)
+            failures += isinstance(want, str)
+            assert _outcome(build_model, *args) == want
+    assert failures > 0
+
+
 def test_build_model_rejects_singular_curve():
     with pytest.raises(ValueError):
         build_model((0, 0), 0, 0, 1, 3)
+
+
+def _broken_models(model):
+    """model, then copies that each break one property of it."""
+    p1, p2, p3 = model.p1, model.p2, model.p3
+    q = next(p for p in (2, 3, 5, 7, 11, 13) if p not in (p1, p2, p3))
+    a, e = model.alpha, model.epsilon
+    yield model
+    for p in (q, p2, p3):  # a denominator prime other than p1
+        yield dataclasses.replace(model, B=model.B + F(1, p))
+    yield dataclasses.replace(model, D=model.D * p2)  # v_p2(D) = 2
+    yield dataclasses.replace(model, C=model.C * p2)  # p2 | C
+    yield dataclasses.replace(model, B=model.B + 1)  # the p3 congruence
+    yield dataclasses.replace(model, B=3 * a + e)  # each box coefficient exactly epsilon away
+    yield dataclasses.replace(model, C=3 * a**2 - e)
+    yield dataclasses.replace(model, D=a**3 + e)
+    if model.forced_modulus:  # the forced congruence
+        yield dataclasses.replace(model, D=model.D + p3**6)
+        yield dataclasses.replace(model, forced_modulus=model.forced_modulus * p1)
+
+
+def test_verify_model_flags_match_fraction_reference():
+    # Each ModelCheck flag, and its type, equals the Fraction check's, on
+    # built models and on copies that each break one property.
+    bases = [
+        build_model((0, -2), 0, 0, 1, 3),
+        build_family((1, 1), 5)[0],
+        build_family((1, 1), 6)[0],
+        build_model((-16, 16), 0, 0, F(1, 2), 3, force_cubic_mod=37),
+    ]
+    for base in bases:
+        assert verify_model(base).all_ok()
+        for i, model in enumerate(_broken_models(base)):
+            got, want = verify_model(model), verify_model_fraction(model)
+            assert dataclasses.astuple(got) == dataclasses.astuple(want), (base, i)
+            assert [type(x) for x in dataclasses.astuple(got)] == [
+                type(x) for x in dataclasses.astuple(want)
+            ]
+            assert got.all_ok() == (i == 0), (base, i)
+
+
+def test_simple_factor_matches_yun_split():
+    # The squarefree proof mod a small prime, and the Yun split over Q it
+    # falls back to, give the reference's factor: on squarefree h, on h with
+    # a repeated factor or a factor t, and on h whose lead is divisible by
+    # every prime tried, so that no reduction keeps its degree.
+    rng = random.Random(23)
+    lead_of_all = math.prod(primes_up_to(53))
+    cases = [[lead_of_all, 0, 0, 0, 1], [0, 5, 0, 0, lead_of_all], [0, 0, 3, 1]]
+    for _ in range(60):
+        g = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 5)])
+        k = Poly([rng.randint(-99, 99) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 9)])
+        h = k * g * g if rng.random() < 0.5 else k * g
+        if rng.random() < 0.3:
+            h = h.shift(1)
+        if h.degree >= 2:
+            cases.append([int(c) for c in h.coeffs])
+    for h in cases:
+        assert family._simple_factor(h) == simple_factor_fraction(Poly(h).monic()), h
+
+
+def test_build_family_needs_no_fraction_evaluation(monkeypatch):
+    # Set-up evaluates no Fraction polynomial and splits no h over Q: the
+    # root search is integer Horner and a squarefree h is proved mod p.
+    want = {d: build_family((1, 1), d) for d in range(3, 9)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction path taken during set-up")
+
+    monkeypatch.setattr(Poly, "__call__", refuse)
+    monkeypatch.setattr(family, "squarefree_decompose", refuse)
+    monkeypatch.setattr(polyarith, "squarefree_decompose", refuse)
+    for d, built in want.items():
+        assert build_family((1, 1), d) == built
 
 
 def test_verify_model_catches_violations():

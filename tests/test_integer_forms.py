@@ -200,7 +200,9 @@ def test_disc_t_eliminates_in_integers(monkeypatch, views, name):
 
 def test_integer_view_built_once_per_family(monkeypatch):
     # P is cleared once and Disc_t eliminated once per family, however many
-    # sweeps and single specializations read its forms and Disc_t.
+    # sweeps and single specializations read its forms and Disc_t.  The
+    # point identity, checked once over Z[t] when the family is built, clears
+    # the point's numerator and denominator once each, after P.
     monkeypatch.setenv(WORKERS_ENV, "1")
     of, clear, core = family_module._Forms.of, polyarith.clear_bivar, polyarith._resultant_core
     forms_calls, clear_calls, core_calls = [], [], []
@@ -227,7 +229,8 @@ def test_integer_view_built_once_per_family(monkeypatch):
     for u in range(10):
         specialize(fam, u, 1)
     assert len(forms_calls) == 1 and forms_calls[0] is fam.P
-    assert len(clear_calls) == 1 and clear_calls[0] is fam.P
+    assert len(clear_calls) == 3 and clear_calls[0] is fam.P
+    assert clear_calls[1] is fam.point_num and clear_calls[2] is fam.point_den
     assert len(core_calls) == 1
     assert IntegerFamily(fam)._P is fam.forms
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import factor_trial_walk, squarefree_status_walk, witness_walk
-from sdtwists import galois
+from sdtwists import galois, primes
 from sdtwists.counting import _squarefree_status
 from sdtwists.galois import transposition_witness
 from sdtwists.polyarith import Poly, _normalize_factor, discriminant
@@ -67,6 +67,20 @@ def test_squarefree_status_matches_walk(case):
     # it, or undecided.
     n, bound = case
     assert _squarefree_status(n, bound) == squarefree_status_walk(n, bound)
+
+
+def test_squarefree_status_stops_at_a_small_square(monkeypatch):
+    # A square factor found among the small primes settles the value: the
+    # product gcd of the second stage never runs, and the cofactor is left
+    # unfactored.
+    def refuse(*args):
+        raise AssertionError("second stage ran")
+
+    monkeypatch.setattr(primes, "_prime_product", refuse)
+    n = 4 * 3 * 10_007 * 10_009 * 1_000_000_007
+    assert factor_trial(n, 100_000, until_square=True) == ({2: 2}, n // 4)
+    assert _squarefree_status(n, 100_000) is False
+    assert _squarefree_status(-9 * n, 100_000) is False
 
 
 def test_squarefree_status_rules():
