@@ -14,10 +14,12 @@ reported count a true lower bound.
 
 The coefficient-box construction generates pairs (F, G) with H = F^2 - f G^2
 so that each root x0 of H carries the point (x0, F(x0)/G(x0)) of the curve.
-Each instance is built over Z as m*H, m the denominator of f, and certified
-on the primitive part of m*H in integer arithmetic, as a sweep certifies its
-specializations.  Its box volume exponent, the counting exponents c_d and
-the field-count bound alpha(d) live here too, all as exact rationals.
+Each instance is built and kept over Z, as the ``IntPoly``s F, G and m*H, m
+the denominator of f: it is bounded, certified on the primitive part of m*H
+(as a sweep certifies its specializations) and checked against its identity
+in integer arithmetic, and the rational H is derived only when read.  Its
+box volume exponent, the counting exponents c_d and the field-count bound
+alpha(d) live here too, all as exact rationals.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import galois
@@ -37,6 +40,7 @@ from .polyarith import (
     IntPoly,
     Poly,
     binary_form_value,
+    clear_denominators,
     squarefree_decompose,
 )
 from .primes import factor_trial, is_square, primes_up_to
@@ -107,7 +111,7 @@ class SweepBudgets:
 class FieldCandidate:
     u: int
     v: int
-    poly: Poly
+    poly: IntPoly
     disc: int
     disc_sign: int
     kernel: int
@@ -130,7 +134,7 @@ def _candidate(
     budgets: SweepBudgets,
     modulus: Optional[int],
 ) -> FieldCandidate:
-    # The specialization is primitive integral with positive lead, the
+    # The specialization is an IntPoly, primitive with positive lead: the
     # normalized form the galois helpers expect with its discriminant.
     p_spec, lam = family.specialize(u, v)
     d = family.d
@@ -583,17 +587,30 @@ class EvConfig:
 
 @dataclass(frozen=True)
 class EVInstance:
+    """One box instance H = F^2 - f G^2, kept as the integer F, G and m*H it
+    is built from, m the denominator of the model's f."""
+
     d: int
     Y: Fraction
-    F: Poly
-    G: Poly
-    H: Poly
+    F: IntPoly
+    G: IntPoly
+    mH: IntPoly
+    m: int
     bound_constant: Fraction
     bounds_ok: bool
     certificate: Optional[SdCertificate] = None
 
+    @cached_property
+    def H(self) -> Poly:
+        """H = m*H / m over Q, derived once, when first read."""
+        return Poly([Fraction(c, self.m) for c in self.mH.coeffs])
+
     def identity_holds(self, f: Poly) -> bool:
-        return self.H == self.F * self.F - f * self.G * self.G
+        """Whether H == F^2 - f*G^2, decided over Z for f = fi/k
+        (``clear_denominators``) as k*(m*H) == m*(k*F^2 - fi*G^2)."""
+        fi, k = clear_denominators(f)
+        F, G = self.F, self.G
+        return self.mH.scale(k) == ((F * F).scale(k) - fi * G * G).scale(self.m)
 
 
 def _floor_power(y: Fraction, num: int, half: bool) -> int:
@@ -629,7 +646,7 @@ def ev_instance(
     model: WeierstrassModel, d: int, y: Fraction, a: Sequence[int], b: Sequence[int]
 ) -> EVInstance:
     """Assemble H = F^2 - f G^2 from box coordinates and check the bounds."""
-    return _ev_instance(model, d, y, a, b, _ev_limits(model, d, y))[0]
+    return _ev_instance(model, d, y, a, b, _ev_limits(model, d, y))
 
 
 def _ev_limits(model: WeierstrassModel, d: int, y: Fraction) -> tuple[Fraction, tuple[int, ...]]:
@@ -651,12 +668,11 @@ def _ev_instance(
     a: Sequence[int],
     b: Sequence[int],
     limits: tuple[Fraction, tuple[int, ...]],
-) -> tuple[EVInstance, IntPoly]:
-    """(``ev_instance``, m*H) with the bounds of ``_ev_limits``.
+) -> EVInstance:
+    """``ev_instance`` with the bounds of ``_ev_limits``.
 
     H is built as m*H = m*F^2 - (m*f)*G^2 over Z, with m the denominator of
-    f cleared once per model, bounded in integers and divided by m once for
-    the instance; m*H itself is returned beside it.
+    f cleared once per model, and bounded in integers.
     """
     f_int, m = model.f_cleared
     if d % 2 == 0:
@@ -669,11 +685,7 @@ def _ev_instance(
     mH = (F * F).scale(m) - f_int * G * G
     c_bound, bounds = limits
     ok = mH.degree == d and all(abs(mH.coeff(d - k)) <= bounds[k] for k in range(d + 1))
-    instance = EVInstance(
-        d=d, Y=y, F=Poly(F.coeffs), G=Poly(G.coeffs),
-        H=Poly([Fraction(c, m) for c in mH.coeffs]), bound_constant=c_bound, bounds_ok=ok,
-    )
-    return instance, mH
+    return EVInstance(d=d, Y=y, F=F, G=G, mH=mH, m=m, bound_constant=c_bound, bounds_ok=ok)
 
 
 def ev_generate(
@@ -694,11 +706,10 @@ def ev_generate(
     for bound in a_bounds + b_bounds:
         volume *= 2 * bound + 1
 
-    def finish(built: tuple[EVInstance, IntPoly]) -> EVInstance:
-        instance, mH = built
-        if config.certify and mH.degree == d:
+    def finish(instance: EVInstance) -> EVInstance:
+        if config.certify and instance.mH.degree == d:
             ev = galois._evidence(
-                *galois._normalized(mH), config.prime_budget,
+                *galois._normalized(instance.mH), config.prime_budget,
                 polygon_primes=(), trial_bound=config.trial_bound,
             )
             return replace(instance, certificate=galois.certify_sd(ev))

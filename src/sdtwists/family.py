@@ -30,15 +30,17 @@ with the induced y-coordinate t*x^(d/2), t*x^((3-d)/2), x + t respectively:
 for each specialization t = u/v the pair (x, y) is a point on the curve over
 Q[x]/(P(x, u/v)).
 
-A family keeps its integer view, cleared once: P as integer binary forms in
-(u, v) (``TwistFamily.forms``) and its discriminant in x as an integer
-polynomial in t, eliminated over Z[t] from those forms
+A family keeps its integer view, cleared once: P and the point's numerator
+and denominator as integer binary forms in (u, v) (``TwistFamily.forms`` and
+``TwistFamily.point_forms``) and P's discriminant in x as an integer
+polynomial in t, eliminated over Z[t] from P's forms
 (``TwistFamily.disc_t``).  ``disc_form``, ``specialize`` and a sweep
 (through ``IntegerFamily``, which adds a table of cycle types) read only
-those, in integer arithmetic; the point needs no check per pair, since the
-family identity is checked once, over Z[t].
+those, in integer arithmetic, and every specialization is an ``IntPoly``,
+primitive with positive lead; the point needs no check per pair, since the
+family identity is checked once, over Z[t], on the same forms.
 ``verify_new_point`` accepts any polynomial as the modulus, so it evaluates
-the forms of the point at (u, v) and tests F^2 - f*G^2 by the integer
+the point's forms at (u, v) and tests F^2 - f*G^2 by the integer
 pseudo-remainder of ``polyarith``.
 """
 
@@ -63,7 +65,6 @@ from .polyarith import (
     binary_form_value,
     clear_bivar,
     clear_denominators,
-    discriminant,
     squarefree_decompose,
 )
 from .primes import multiplicative_order, primes, valuation_int
@@ -145,10 +146,11 @@ class TwistFamily:
         """Whether point_num^2 - f*point_den^2 == identity_sign * P in Q[t][x],
         computed once per family: where it holds, the point lies on the
         curve over Q[x]/(P(x, u/v)) at every specialization.  Decided over
-        Z[t] for point_num = N/a, point_den = G/b, f = F/m and P = Q/L, as
-        L*(m*b^2*N^2 - a^2*F*G^2) == identity_sign*a^2*b^2*m*Q."""
+        Z[t] for point_num = N/a, point_den = G/b (``point_forms``), f = F/m
+        and P = Q/L, as L*(m*b^2*N^2 - a^2*F*G^2) == identity_sign*a^2*b^2*m*Q."""
         q, f, m = self.forms, *self.model.f_cleared
-        (n, a), (g, b) = clear_bivar(self.point_num), clear_bivar(self.point_den)
+        num, den = self.point_forms
+        n, a, g, b = num.poly, num.den, den.poly, den.den
         lhs = (n * n).scale(m * b * b) - IntBivarPoly(f.coeffs) * (g * g).scale(a * a)
         return lhs.scale(q.den) == q.poly.scale(self.identity_sign * a * a * b * b * m)
 
@@ -166,6 +168,11 @@ class TwistFamily:
     def forms(self) -> "_Forms":
         """``_Forms.of(P)``: P's integer binary forms, built once per family."""
         return _Forms.of(self.P)
+
+    @cached_property
+    def point_forms(self) -> tuple["_Forms", "_Forms"]:
+        """The integer forms of point_num and point_den, built once per family."""
+        return _Forms.of(self.point_num), _Forms.of(self.point_den)
 
 
 @dataclass(frozen=True)
@@ -490,8 +497,8 @@ class _Forms:
         return [binary_form_value(c.coeffs, self.e, u, v) for c in self.poly.coeffs]
 
 
-def _specialize(forms: _Forms, u: int, v: int) -> tuple[Poly, Fraction]:
-    """(spec, lam): spec primitive integral with positive lead and
+def _specialize(forms: _Forms, u: int, v: int) -> tuple[IntPoly, Fraction]:
+    """(spec, lam): spec a primitive ``IntPoly`` with positive lead and
     B(x, u/v) = lam * spec, for the forms of B."""
     if v == 0:
         raise ValueError("v must be nonzero")
@@ -503,7 +510,7 @@ def _specialize(forms: _Forms, u: int, v: int) -> tuple[Poly, Fraction]:
     if not values:
         raise ValueError("specialization vanished identically")
     spec, content = _primitive_int(values)
-    return Poly(spec), Fraction(content, forms.den * v**forms.e)
+    return IntPoly(spec), Fraction(content, forms.den * v**forms.e)
 
 
 class IntegerFamily:
@@ -530,12 +537,12 @@ class IntegerFamily:
         self._P = family.forms
         self._cycle_types: dict[tuple[int, int], CycleType] = {}
 
-    def specialize(self, u: int, v: int) -> tuple[Poly, Fraction]:
+    def specialize(self, u: int, v: int) -> tuple[IntPoly, Fraction]:
         """(spec, lam) with spec = ``specialize(family, u, v)`` and
         P(x, u/v) = lam * spec."""
         return _specialize(self._P, u, v)
 
-    def discriminant(self, spec: Poly, lam: Fraction, u: int, v: int) -> int:
+    def discriminant(self, spec: IntPoly, lam: Fraction, u: int, v: int) -> int:
         """disc(spec) for (spec, lam) = ``self.specialize(u, v)``.
 
         disc(lam * spec) = lam^(2d-2) disc(spec) when spec has degree d, and
@@ -546,7 +553,7 @@ class IntegerFamily:
         """
         d = self.d
         if spec.degree != d:
-            return int(discriminant(spec))
+            return _discriminant(spec)
         disc_t, m = self.family.disc_t
         k = self._P.e * (2 * d - 2)
         num = binary_form_value(disc_t.coeffs, k, u, v) * lam.denominator ** (2 * d - 2)
@@ -557,7 +564,7 @@ class IntegerFamily:
         return q
 
     def cycle_type(
-        self, spec: list[int], p: int, u: int, v: int, parity: Optional[int] = None
+        self, spec: Sequence[int], p: int, u: int, v: int, parity: Optional[int] = None
     ) -> CycleType:
         """Cycle type of Frobenius at p for spec = ``self.specialize(u, v)``
         (integer coefficients, constant first); the caller has decided that p
@@ -584,8 +591,8 @@ class IntegerFamily:
         return ct
 
 
-def specialize(family: TwistFamily, u: int, v: int) -> Poly:
-    """P(x, u/v) cleared to a primitive integral polynomial, positive lead.
+def specialize(family: TwistFamily, u: int, v: int) -> IntPoly:
+    """P(x, u/v) cleared to a primitive ``IntPoly`` with positive lead.
 
     Evaluated from ``TwistFamily.forms``, as in a sweep; ValueError when
     v = 0, gcd(u, v) != 1 or the specialization vanishes.
@@ -596,14 +603,15 @@ def specialize(family: TwistFamily, u: int, v: int) -> Poly:
 def verify_new_point(p_spec: Poly, family: TwistFamily, u: int, v: int) -> bool:
     """Whether y = F(x,t0)/G(x,t0) satisfies y^2 = f(x) modulo p_spec, at
     t0 = u/v, decided in integers: with F = Fi/a, G = Gi/b and f = fi/m
-    for integral Fi, Gi and fi, F^2 - f*G^2 is m*b^2*Fi^2 - fi*a^2*Gi^2 up
+    for integral Fi, Gi and fi, read off the family's ``point_forms`` and
+    ``model.f_cleared``, F^2 - f*G^2 is m*b^2*Fi^2 - fi*a^2*Gi^2 up
     to a unit, and p_spec divides it over Q exactly when the
     pseudo-remainder by the cleared p_spec vanishes."""
     if p_spec.degree < 1:
         raise ValueError("specialized polynomial must have degree >= 1")
     if v == 0:
         raise ValueError("v must be nonzero")
-    num, den = _Forms.of(family.point_num), _Forms.of(family.point_den)
+    num, den = family.point_forms
     a, b = num.den * v**num.e, den.den * v**den.e
     Fi, Gi = IntPoly(num.values(u, v)), IntPoly(den.values(u, v))
     fi, m = family.model.f_cleared

@@ -58,15 +58,17 @@ scan, the square test and one shared small-prime pass: a single
 ``primes.factor_trial`` of it gives a sweep candidate both its squarefree
 kernel and the exponents the witness search reads, and the search extends
 that factorization, on its cofactor only, to the trial bound when no
-witness lies below the kernel's bound.  The private helpers take that
-discriminant as an int.  The public entry points and
-``counting.ev_generate`` normalize in integers through one ``_normalized``:
-it clears the denominators of the polynomial once, takes the primitive part
-with positive lead and computes its discriminant by the integer
-subresultant.  A sweep, which has already computed the discriminant and its
-factorization for the report, hands both to the private helpers, so the
-value a certificate rests on is always the discriminant of exactly the
-polynomial the scan reads.
+witness lies below the kernel's bound.  The private helpers take the
+polynomial only as an ``IntPoly``, primitive with positive lead, and that
+discriminant as an int.  The public entry points accept any ``Poly`` and
+normalize in integers through one ``_normalized``: it clears the
+denominators of the polynomial once, takes the primitive part with positive
+lead and computes its discriminant by the integer subresultant;
+``counting.ev_generate`` passes its m*H through it too.  A sweep's
+specializations are in that form already, and a sweep, which has computed
+the discriminant and its factorization for the report, hands all three to
+the private helpers, so the value a certificate rests on is always the
+discriminant of exactly the polynomial the scan reads.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from .primes import SMALL_PRIME_BOUND, extend_factorization, factor_trial, is_sq
 # cycle_type(coeffs, p, parity) of Frobenius at a good prime p for the
 # integer polynomial coeffs, whose Frobenius there has the given parity, as
 # ``padic.good_prime_cycle_type`` computes it.
-CycleLookup = Callable[[list[int], int, int], CycleType]
+CycleLookup = Callable[[Sequence[int], int, int], CycleType]
 
 # (exponents, cofactor, bound): ``primes.factor_trial(disc, bound)`` and the
 # bound it ran to.
@@ -144,7 +146,7 @@ def contains_n_cycle(types: Sequence[CycleType], n: int) -> bool:
 
 
 def _good_prime_scan(
-    g: Poly, disc: int, budget: int, lookup: Optional[CycleLookup] = None
+    g: IntPoly, disc: int, budget: int, lookup: Optional[CycleLookup] = None
 ) -> list[tuple[int, CycleType]]:
     """Cycle types of primitive integral g at its first `budget` good primes.
 
@@ -159,15 +161,14 @@ def _good_prime_scan(
     if disc == 0:
         return []
     cycle_type = lookup or padic.good_prime_cycle_type
-    coeffs = [c.numerator for c in g.coeffs]
-    bad = coeffs[-1] * disc  # p | bad  <=>  p | lc(g) or p | disc(g)
+    bad = g.lead * disc  # p | bad  <=>  p | lc(g) or p | disc(g)
     found: list[tuple[int, CycleType]] = []
     cap = max(_SCAN_CAP_MIN, _SCAN_CAP_FACTOR * budget)
     for examined, p in enumerate(primes()):
         if len(found) >= budget or examined >= cap:
             break
         if bad % p:
-            found.append((p, cycle_type(coeffs, p, padic.frobenius_parity(disc, p))))
+            found.append((p, cycle_type(g.coeffs, p, padic.frobenius_parity(disc, p))))
     return found
 
 
@@ -183,7 +184,7 @@ def _degree_lattice(patterns: Sequence[CycleType], d: int) -> set[int]:
 
 
 def _irreducibility(
-    g: Poly, disc: int, prime_budget: int, lookup: Optional[CycleLookup] = None
+    g: IntPoly, disc: int, prime_budget: int, lookup: Optional[CycleLookup] = None
 ):
     """Good-prime scan of normalized g, disc = disc(g), and the
     irreducibility it proves.
@@ -220,7 +221,7 @@ def _normalized(f: Poly) -> tuple[IntPoly, int]:
     return g, _discriminant(g)
 
 
-def _polygon_totally_ramified(g: Poly, p: int) -> bool:
+def _polygon_totally_ramified(g: IntPoly, p: int) -> bool:
     if not g.coeff(0):
         return False
     polygon = padic.newton_polygon(g, p)
@@ -237,7 +238,7 @@ def transposition_witness(f: Poly, trial_bound: int) -> Optional[int]:
 
 
 def _witness(
-    g: Poly, disc: int, trial_bound: int, factored: Optional[Factored] = None
+    g: IntPoly, disc: int, trial_bound: int, factored: Optional[Factored] = None
 ) -> Optional[int]:
     """``transposition_witness`` for normalized g with disc = discriminant(g).
 
@@ -249,7 +250,7 @@ def _witness(
     """
     if disc == 0:
         raise ValueError("discriminant vanishes; no transposition witness exists")
-    lead = g.lead.numerator
+    lead = g.lead
     if factored is None:
         bound = min(trial_bound, SMALL_PRIME_BOUND)
         factored = (*factor_trial(abs(disc), bound), bound)
@@ -289,7 +290,7 @@ def collect_evidence(
 
 
 def _evidence(
-    g: Poly,
+    g: IntPoly,
     disc: int,
     prime_budget: int,
     polygon_primes: Sequence[int],

@@ -272,6 +272,16 @@ class IntPoly(Poly):
     _coerce = staticmethod(operator.index)  # TypeError on a Fraction
     _zero = 0
 
+    def monic(self) -> Poly:
+        """The monic ``Poly`` over Q: dividing by the lead leaves Z, as
+        ``divmod`` and ``reverse`` do."""
+        return Poly(self.coeffs).monic()
+
+    def primitive(self) -> "IntPoly":
+        """Coprime integer coefficients; sign preserved."""
+        c = self.content().numerator
+        return IntPoly([a // c for a in self.coeffs])
+
 
 class BivarPoly(Poly):
     """Polynomial in x whose coefficients are ``Poly`` values in t."""

@@ -130,15 +130,11 @@ def sign_pairing(
         pos = sorted((c for c in members if c.disc > 0), key=lambda c: (abs(c.disc), c.u, c.v))
         neg = sorted((c for c in members if c.disc < 0), key=lambda c: (abs(c.disc), c.u, c.v))
         for cp, cn in zip(pos, neg):
-            rp = relative_root_number(data, family_degree(cp), cp.disc)
-            rn = relative_root_number(data, family_degree(cn), cn.disc)
+            rp = relative_root_number(data, cp.poly.degree, cp.disc)
+            rn = relative_root_number(data, cn.poly.degree, cn.disc)
             if rp.w_rel is not None and rn.w_rel is not None and rp.w_rel == -rn.w_rel:
                 pairs.append(SignPair(cp, cn, rp, rn))
     return pairs
-
-
-def family_degree(candidate: FieldCandidate) -> int:
-    return candidate.poly.degree
 
 
 def cubic_twist_residues(conductor: int, symbol: int = -1) -> list[int]:

@@ -27,7 +27,7 @@ from sdtwists.counting import (
 )
 from sdtwists.family import build_family
 from sdtwists.galois import certify_sd, collect_evidence
-from sdtwists.polyarith import Poly
+from sdtwists.polyarith import IntPoly, Poly
 from sdtwists.primes import primes_up_to
 
 from oracles import reference_candidate, rho_p2_walk, verify_new_point_fraction
@@ -219,12 +219,15 @@ def test_sweep_parity_spares_powerings(monkeypatch):
     assert len(powerings) <= 130
 
 
-FIELDS = [f.name for f in dataclasses.fields(counting.FieldCandidate)]
+FIELDS = [f.name for f in dataclasses.fields(counting.FieldCandidate) if f.name != "poly"]
 
 
 def assert_same_records(got, want):
+    # The program's polynomial is an IntPoly and the reference's a Fraction
+    # Poly: they must carry equal coefficients, and every other field is equal.
     assert len(got) == len(want)
     for a, b in zip(got, want):
+        assert type(a.poly) is IntPoly and a.poly.coeffs == b.poly.coeffs
         assert {f: getattr(a, f) for f in FIELDS} == {f: getattr(b, f) for f in FIELDS}
 
 
@@ -522,6 +525,32 @@ def test_ev_instance_identity_and_special_point():
     assert inst.bounds_ok
 
 
+def test_ev_instance_is_kept_over_the_integers():
+    # An instance keeps the integer F, G and m*H it is built from and m; the
+    # rational H is derived from m*H when first read, once, and equals
+    # F^2 - f*G^2 over Q.  identity_holds, decided over Z, agrees with the
+    # rational identity, also for an f off by a rational or integer constant.
+    model, _, _ = build_family((1, 1), 6)
+    d, y = 6, F(8)
+    m = model.f_cleared[1]
+    limits = counting._ev_limits(model, d, y)
+    cfg = EvConfig(seed=3, max_instances=30, certify=False)
+    rng = random.Random(cfg.seed)
+    a_bounds, b_bounds = ev_boxes(d, y)
+    for inst in ev_generate(model, d, y, cfg):
+        assert all(type(p) is IntPoly for p in (inst.F, inst.G, inst.mH)) and inst.m == m
+        a = [rng.randint(-bound, bound) for bound in a_bounds]
+        b = [rng.randint(-bound, bound) for bound in b_bounds]
+        assert counting._ev_instance(model, d, y, a, b, limits) == inst
+        assert "H" not in vars(inst)
+        Fq, Gq = Poly(inst.F.coeffs), Poly(inst.G.coeffs)
+        assert inst.H == Fq * Fq - model.f * Gq * Gq
+        assert inst.H is inst.H and inst.H.coeffs == tuple(F(c, m) for c in inst.mH.coeffs)
+        for f in (model.f, model.f + Poly([F(1, 3)]), model.f + Poly([1])):
+            assert inst.identity_holds(f) == (inst.H == Fq * Fq - f * Gq * Gq)
+        assert not inst.G or not inst.identity_holds(model.f + Poly([1]))
+
+
 def test_ev_generate_exhaustive_all_pass_identity():
     model, _, _ = build_family((1, 1), 6)
     seen = list(ev_generate(model, 6, 1, EvConfig(max_instances=300, certify=False)))
@@ -613,6 +642,36 @@ def test_ev_certificates_match_public_path():
                     content_above_one += math.gcd(*mH) > 1
                     negative_lead += mH[-1] < 0
     assert content_above_one > 0 and negative_lead > 0
+
+
+def test_candidates_build_no_rational_polynomial(monkeypatch, built_families):
+    # Once the families and the model are set up, every candidate polynomial
+    # stays in Z[x]: with the coercion into a Fraction Poly refused, sweeps
+    # of the compact cubic family and of the built families of degrees 3 to
+    # 8, and a certified ev_generate on the d = 6 model at Y = 8, give the
+    # records of unpatched runs.
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    families = [small_cubic_family(), *built_families.values()]
+    model = built_families[6].model
+    budgets = SweepBudgets(prime_budget=12, trial_bound=10_000)
+    config = EvConfig(seed=1, max_instances=40, certify=True)
+
+    def run():
+        sweeps = [sweep(fam, 2, budgets=budgets) for fam in families]
+        return sweeps, list(ev_generate(model, 6, F(8), config))
+
+    want = run()
+
+    def refuse(c):
+        raise AssertionError(f"rational coefficient {c!r} coerced")
+
+    monkeypatch.setattr(Poly, "_coerce", staticmethod(refuse))
+    with pytest.raises(AssertionError):
+        Poly([1])
+    got = run()
+    assert got == want
+    assert all(type(c.poly) is IntPoly for cands in got[0] for c in cands)
+    assert sum(inst.certificate.certified for inst in got[1]) > 0
 
 
 def test_ev_generate_rejects_cubic():

@@ -20,7 +20,7 @@ from sdtwists.family import (
     verify_new_point,
 )
 from sdtwists.padic import cycle_certificate, n_cycle_type, newton_polygon, valuation
-from sdtwists.polyarith import BivarPoly, Poly, discriminant, discriminant_in_t
+from sdtwists.polyarith import BivarPoly, IntPoly, Poly, discriminant, discriminant_in_t
 from sdtwists.primes import primes_up_to
 
 from oracles import (
@@ -354,8 +354,9 @@ def test_point_identity_random_models_and_points():
 def test_point_identity_negative_control():
     _, fam, _ = build_family((1, 1), 6)
     spec = specialize(fam, 3, 2)
+    assert type(spec) is IntPoly
     assert verify_new_point(spec, fam, 3, 2)
-    assert not verify_new_point(spec + Poly([1]), fam, 3, 2)
+    assert not verify_new_point(spec + IntPoly([1]), fam, 3, 2)
 
 
 def test_polygon_cycle_scenarios_at_p2():

@@ -230,7 +230,8 @@ def test_discriminant_gate_matches_reduction(degree, p, lead_divisible, data):
     # make the derivative lose its leading term mod p.
     coeffs = data.draw(st.lists(st.integers(-12, 12), min_size=degree, max_size=degree))
     lead = data.draw(st.integers(1, 12)) * (p if lead_divisible else 1)
-    g = _normalize_factor(Poly(coeffs + [lead]))
+    g = IntPoly(coeffs + [lead]).primitive()  # lead > 0: already normalized
+    assert g.coeffs == _normalize_factor(Poly(coeffs + [lead])).coeffs
     disc = discriminant(g).numerator  # g is integral, so disc(g) is an int
     good = g.lead.numerator % p != 0 and disc % p != 0
     assert (frobenius_cycle_type(g, p) is not None) == good

@@ -117,10 +117,10 @@ def test_specialize_matches_fraction_reference(views, name, pair):
     fam = view.family
     spec, lam = view.specialize(u, v)
     ref, ref_lam = specialize_fraction(fam, u, v)
-    assert spec == ref and lam == ref_lam
+    assert type(spec) is IntPoly and spec.coeffs == ref.coeffs and lam == ref_lam
     assert spec.is_integral() and spec.content() == 1 and spec.lead > 0
-    assert fam.P.eval_t(F(u, v)) == spec.scale(lam)
-    assert specialize(fam, u, v) == ref
+    assert fam.P.eval_t(F(u, v)) == Poly(spec.coeffs).scale(lam)
+    assert specialize(fam, u, v) == spec
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -202,7 +202,8 @@ def test_integer_view_built_once_per_family(monkeypatch):
     # P is cleared once and Disc_t eliminated once per family, however many
     # sweeps and single specializations read its forms and Disc_t.  The
     # point identity, checked once over Z[t] when the family is built, clears
-    # the point's numerator and denominator once each, after P.
+    # the point's numerator and denominator into their forms once each,
+    # after P.
     monkeypatch.setenv(WORKERS_ENV, "1")
     of, clear, core = family_module._Forms.of, polyarith.clear_bivar, polyarith._resultant_core
     forms_calls, clear_calls, core_calls = [], [], []
@@ -228,11 +229,30 @@ def test_integer_view_built_once_per_family(monkeypatch):
         sweep(fam, 1)
     for u in range(10):
         specialize(fam, u, 1)
-    assert len(forms_calls) == 1 and forms_calls[0] is fam.P
+    assert len(forms_calls) == 3 and forms_calls[0] is fam.P
+    assert forms_calls[1] is fam.point_num and forms_calls[2] is fam.point_den
     assert len(clear_calls) == 3 and clear_calls[0] is fam.P
     assert clear_calls[1] is fam.point_num and clear_calls[2] is fam.point_den
     assert len(core_calls) == 1
     assert IntegerFamily(fam)._P is fam.forms
+
+
+def test_point_forms_built_once_per_family(monkeypatch):
+    # The point's integer forms are built once, with the family identity;
+    # repeated verify_new_point calls read them and clear nothing more.
+    fam = build_family((1, 1), 5)[1]
+    assert fam.point_forms is fam.point_forms
+
+    def refuse(*args):
+        raise AssertionError("the point was cleared again")
+
+    monkeypatch.setattr(family_module._Forms, "of", staticmethod(refuse))
+    monkeypatch.setattr(family_module, "clear_bivar", refuse)
+    monkeypatch.setattr(polyarith, "clear_bivar", refuse)
+    for u, v in [(3, 2), (3, 2), (-7, 5), (1, 1)]:
+        spec = specialize(fam, u, v)
+        assert verify_new_point(spec, fam, u, v)
+        assert verify_new_point(spec, fam, u, v) == verify_new_point_fraction(spec, fam, u, v)
 
 
 @pytest.mark.parametrize("name", FAMILIES)

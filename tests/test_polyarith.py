@@ -345,6 +345,30 @@ def test_int_poly_is_the_integer_ring():
         IntPoly([F(1, 2)])
 
 
+def test_int_poly_monic_is_exact_over_q():
+    # Dividing by an int lead leaves Z; the result is the exact rational
+    # monic polynomial, never a float.
+    g = IntPoly([2, 4, -6])
+    assert g.monic() == Poly([F(-1, 3), F(-2, 3), 1]) == Poly(g.coeffs).monic()
+    assert IntPoly([5, 1]).monic() == Poly([5, 1])
+    with pytest.raises(ValueError):
+        IntPoly().monic()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=7).filter(any), st.integers(-9, 9))
+def test_int_poly_primitive_stays_in_z(coeffs, scale):
+    # The primitive part of an IntPoly is an IntPoly with coprime
+    # coefficients and the sign of the input, as over Q.
+    assume(scale)
+    f = IntPoly(coeffs).scale(scale)
+    g = f.primitive()
+    assert type(g) is IntPoly and g.coeffs == Poly(f.coeffs).primitive().coeffs
+    assert g.content() == 1 and (g.lead > 0) == (f.lead > 0)
+    with pytest.raises(ValueError):
+        IntPoly().primitive()
+
+
 def test_inexact_integer_division_raises():
     assert _exact_div(-12, 4) == -3
     with pytest.raises(ArithmeticError):

@@ -9,7 +9,7 @@ from oracles import factor_trial_walk, squarefree_status_walk, witness_walk
 from sdtwists import galois, primes
 from sdtwists.counting import _squarefree_status
 from sdtwists.galois import transposition_witness
-from sdtwists.polyarith import Poly, _normalize_factor, discriminant
+from sdtwists.polyarith import IntPoly, Poly, _normalize_factor, discriminant
 from sdtwists.primes import (
     SMALL_PRIME_BOUND as S,
     extend_factorization,
@@ -167,6 +167,7 @@ def test_witness_matches_walk(coeffs, trial_bound, kernel_bound):
     # the trial bound only when it holds no witness.
     exponents, cofactor = factor_trial(disc.numerator, kernel_bound)
     factored = (exponents, cofactor, kernel_bound)
+    g = IntPoly(int(c) for c in g.coeffs)  # the private helpers read an IntPoly
     assert galois._witness(g, disc.numerator, trial_bound, factored) == expected
 
 
