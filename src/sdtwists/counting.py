@@ -126,6 +126,16 @@ class FieldCandidate:
         """Counts toward distinct fields: certified S_d with a verified point."""
         return self.certificate.certified and self.point_verified
 
+    def at(self, u: int, v: int, residue_class: Optional[tuple[int, int]]) -> "FieldCandidate":
+        """This record for another pair with the same specialization: its
+        fields with u, v and residue_class replaced, passed to the
+        constructor positionally, without the field walk and keyword
+        merge of ``dataclasses.replace``."""
+        return FieldCandidate(
+            u, v, self.poly, self.disc, self.disc_sign, self.kernel, self.kernel_flag,
+            self.kernel_cofactor, self.certificate, self.point_verified, residue_class,
+        )
+
 
 def _candidate(
     family: IntegerFamily,
@@ -171,7 +181,7 @@ def _candidate(
             budgets.prime_budget,
             polygon_primes=budgets.polygon_primes,
             trial_bound=budgets.trial_bound,
-            lookup=lambda coeffs, p, parity: family.cycle_type(coeffs, p, u, v, parity),
+            lookup=family.cycle_lookup(u, v),
             factored=factored,
         )
         cert = galois.certify_sd(evidence)
@@ -315,7 +325,7 @@ def sweep(
     for (u, v), slot in zip(pair_list, slot_of):
         cand = evaluated[slot]
         if (cand.u, cand.v) != (u, v):
-            cand = replace(cand, u=u, v=v, residue_class=_residue(u, v, modulus))
+            cand = cand.at(u, v, _residue(u, v, modulus))
         out.append(cand)
 
     if region is not None:

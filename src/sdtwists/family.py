@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .padic import CycleType, _pdeg, _pgcd, good_prime_cycle_type
 from .polyarith import (
@@ -497,9 +497,10 @@ class _Forms:
         return [binary_form_value(c.coeffs, self.e, u, v) for c in self.poly.coeffs]
 
 
-def _specialize(forms: _Forms, u: int, v: int) -> tuple[IntPoly, Fraction]:
-    """(spec, lam): spec a primitive ``IntPoly`` with positive lead and
-    B(x, u/v) = lam * spec, for the forms of B."""
+def _specialize(forms: _Forms, u: int, v: int) -> tuple[IntPoly, tuple[int, int]]:
+    """(spec, (c, w)): spec a primitive ``IntPoly`` with positive lead and
+    B(x, u/v) = (c / w) * spec, for the forms of B; the pair is not reduced
+    to lowest terms."""
     if v == 0:
         raise ValueError("v must be nonzero")
     if math.gcd(u, v) != 1:
@@ -510,7 +511,7 @@ def _specialize(forms: _Forms, u: int, v: int) -> tuple[IntPoly, Fraction]:
     if not values:
         raise ValueError("specialization vanished identically")
     spec, content = _primitive_int(values)
-    return IntPoly(spec), Fraction(content, forms.den * v**forms.e)
+    return IntPoly(spec), (content, forms.den * v**forms.e)
 
 
 class IntegerFamily:
@@ -523,12 +524,13 @@ class IntegerFamily:
     ``specialize`` evaluates the forms at (u, v) and divides by the content;
     ``discriminant`` reads disc(spec) off D as Disc_t(u/v) / lam^(2d-2) when
     spec keeps degree d (the subresultant otherwise); and ``cycle_type``
-    reads the Frobenius cycle type at a good prime p with p not dividing v*L
-    off a table keyed by (p, u/v mod p), filled by the first pair with that
-    key.  The point needs no check here: the family identity
-    (``TwistFamily.identity_holds``) makes it hold at every specialization
-    of degree >= 1.  The object holds only that table, built once per sweep,
-    so nothing else carries over from one sweep to the next.
+    (``cycle_lookup`` in a sweep) reads the Frobenius cycle type at a good
+    prime p with p not dividing v*L off a table keyed by (p, u/v mod p),
+    filled by the first pair with that key.  The point needs no check here:
+    the family identity (``TwistFamily.identity_holds``) makes it hold at
+    every specialization of degree >= 1.  The object holds only that table
+    and the lead form A_d reduced mod each prime it has met, built once per
+    sweep, so nothing else carries over from one sweep to the next.
     """
 
     def __init__(self, family: TwistFamily):
@@ -536,13 +538,14 @@ class IntegerFamily:
         self.d = family.d
         self._P = family.forms
         self._cycle_types: dict[tuple[int, int], CycleType] = {}
+        self._lead_mod: dict[int, list[int]] = {}  # p -> A_d's coefficients mod p
 
-    def specialize(self, u: int, v: int) -> tuple[IntPoly, Fraction]:
+    def specialize(self, u: int, v: int) -> tuple[IntPoly, tuple[int, int]]:
         """(spec, lam) with spec = ``specialize(family, u, v)`` and
-        P(x, u/v) = lam * spec."""
+        P(x, u/v) = lam * spec, lam an integer pair (numerator, denominator)."""
         return _specialize(self._P, u, v)
 
-    def discriminant(self, spec: IntPoly, lam: Fraction, u: int, v: int) -> int:
+    def discriminant(self, spec: IntPoly, lam: tuple[int, int], u: int, v: int) -> int:
         """disc(spec) for (spec, lam) = ``self.specialize(u, v)``.
 
         disc(lam * spec) = lam^(2d-2) disc(spec) when spec has degree d, and
@@ -556,8 +559,9 @@ class IntegerFamily:
             return _discriminant(spec)
         disc_t, m = self.family.disc_t
         k = self._P.e * (2 * d - 2)
-        num = binary_form_value(disc_t.coeffs, k, u, v) * lam.denominator ** (2 * d - 2)
-        den = m * v**k * lam.numerator ** (2 * d - 2)
+        lam_num, lam_den = lam
+        num = binary_form_value(disc_t.coeffs, k, u, v) * lam_den ** (2 * d - 2)
+        den = m * v**k * lam_num ** (2 * d - 2)
         q, r = divmod(num, den)
         if r:
             raise ArithmeticError("family discriminant is not divisible at this specialization")
@@ -570,25 +574,43 @@ class IntegerFamily:
         (integer coefficients, constant first); the caller has decided that p
         is good for spec, i.e. divides neither lc(spec) nor disc(spec), and
         that Frobenius there has the given parity, if one is given
-        (``padic.frobenius_parity``).
+        (``padic.frobenius_parity``).  ``cycle_lookup(u, v)`` answers it.
+        """
+        return self.cycle_lookup(u, v)(spec, p, parity)
+
+    def cycle_lookup(self, u: int, v: int) -> Callable[..., CycleType]:
+        """``cycle_type`` for the pair (u, v) as a function of (spec, p,
+        parity), the ``galois.CycleLookup`` a sweep hands the good-prime scan.
 
         For p not dividing v*L, spec mod p is a nonzero multiple of P(x, t)
         mod p at t = u/v mod p whenever the latter keeps degree d, so the two
         share their factor degrees, and P(x, t) mod p is then squarefree
         because spec is.  Such patterns are kept in a table keyed by (p, t)
         and read from there by every later pair with the same t mod p.  Every
-        other case factors spec mod p directly.
+        other case factors spec mod p directly.  Whether P(x, t) mod p keeps
+        degree d is read off the lead form A_d(t, 1) mod p, whose
+        coefficients are reduced mod p once per prime.
         """
-        if v % p == 0 or self._P.den % p == 0:
-            return good_prime_cycle_type(spec, p, parity)
-        t = u * pow(v, -1, p) % p
-        key = (p, t)
-        ct = self._cycle_types.get(key)
-        if ct is None:
-            ct = good_prime_cycle_type(spec, p, parity)
-            if binary_form_value(self._P.poly.lead.coeffs, self._P.e, t, 1) % p:
-                self._cycle_types[key] = ct  # P(x, t) mod p has degree d
-        return ct
+        table, leads, lead, den = self._cycle_types, self._lead_mod, self._P.poly.lead, self._P.den
+
+        def cycle_type(spec: Sequence[int], p: int, parity: Optional[int] = None) -> CycleType:
+            if v % p == 0 or den % p == 0:
+                return good_prime_cycle_type(spec, p, parity)
+            t = u * pow(v, -1, p) % p
+            ct = table.get((p, t))
+            if ct is None:
+                ct = good_prime_cycle_type(spec, p, parity)
+                reduced = leads.get(p)
+                if reduced is None:
+                    reduced = leads[p] = [c % p for c in lead.coeffs]
+                value = 0
+                for c in reversed(reduced):
+                    value = (value * t + c) % p
+                if value:  # P(x, t) mod p has degree d
+                    table[p, t] = ct
+            return ct
+
+        return cycle_type
 
 
 def specialize(family: TwistFamily, u: int, v: int) -> IntPoly:

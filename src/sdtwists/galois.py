@@ -24,30 +24,33 @@ irreducibility (S. D. Cohen, Proc. LMS 1981; J.-P. Serre, *Topics in Galois
 Theory*, ch. 3).  For the primitive integral polynomials it works on, p is
 good exactly when p divides neither the leading coefficient nor the exact
 discriminant, since disc(g mod p) = disc(g) mod p; a bad prime therefore
-costs one integer remainder, and only good primes are reduced and factored
-by distinct-degree factorization.  The same discriminant gives the parity of
-Frobenius at each good prime (Stickelberger's theorem: odd exactly when disc
-is a non-square mod p, or disc == 5 mod 8 at p = 2), one modular power per
-prime, and the factorization stops as soon as that parity and the factor
-degrees found so far leave one pattern.  Below ``padic.ROOT_PRIME_BOUND``
-(256, past which a 25-prime scan runs only when many small primes are bad)
-the linear factors are counted as roots, from one evaluation at all of F_p
-packed into the 64-bit slots of one integer, one Barrett step that reduces
-every slot mod p and a popcount of the nonzero slots (``padic`` states when
-that step is exact).  Its table of columns a^i mod p is keyed by the prime
-alone, since the columns serve every polynomial and degree.  So a
+costs one integer remainder, disc mod p, and only good primes are reduced
+and factored by distinct-degree factorization.  The scan walks a cached
+plan, a tuple of the first primes (``_scan_primes``), and the same
+remainder gives the parity of Frobenius at each good prime
+(Stickelberger's theorem: odd exactly when disc is a non-square mod p, or
+disc == 5 mod 8 at p = 2), one modular power per prime computed inline,
+and the factorization stops as soon as that parity and the factor degrees
+found so far leave one pattern.  Below ``padic.ROOT_PRIME_BOUND`` (256,
+past which a 25-prime scan runs only when many small primes are bad) the
+linear factors are counted as roots, from one evaluation at all of F_p
+packed into the slots of one integer, each the fewest whole bytes that keep
+the Barrett step that reduces every slot mod p exact, and a popcount of the
+nonzero slots (``padic._root_plan``, one cached plan per prime and number
+of coefficients).  Its table of columns a^i mod p is keyed by the prime and
+the slot width alone, since the columns serve every polynomial.  So a
 polynomial of degree at most 5, or a sextic with a root mod p, is settled
 from a table keyed by (degree, roots, parity), without a monic reduction or
 computing x^p mod (f, p).  Any other polynomial powers x^p once modulo f,
 roots and all, and forms the Frobenius matrix of f mod p.  When p > deg f
 the factor counts are read off traces of that matrix's powers, so a sextic
 without a root is settled by one trace and no gcd; when p <= deg f the
-matrix gives x^(p^k) to the gcd split.  A sweep hands the scan a
-lookup instead (``IntegerFamily.cycle_type``): at a good prime p not
-dividing v (nor the cleared denominator of P) the cycle type of a
-specialization P(x, u/v) depends on t = u/v mod p alone, so it is read off
-a table keyed by t mod p and factored only for the first pair with that
-key.
+matrix gives x^(p^k) to the gcd split.  A sweep hands the scan a lookup
+instead (``IntegerFamily.cycle_lookup``), which the scan calls directly at
+each good prime: at a good prime p not dividing v (nor the cleared
+denominator of P) the cycle type of a specialization P(x, u/v) depends on
+t = u/v mod p alone, so it is read off a table keyed by t mod p and
+factored only for the first pair with that key.
 
 Transpositions come from a prime p, not dividing the leading coefficient,
 with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of
@@ -75,6 +78,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 from . import padic
@@ -145,6 +150,12 @@ def contains_n_cycle(types: Sequence[CycleType], n: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _scan_primes(cap: int) -> tuple[int, ...]:
+    """The scan plan: the first ``cap`` primes, built once per cap."""
+    return tuple(islice(primes(), cap))
+
+
 def _good_prime_scan(
     g: IntPoly, disc: int, budget: int, lookup: Optional[CycleLookup] = None
 ) -> list[tuple[int, CycleType]]:
@@ -154,21 +165,24 @@ def _good_prime_scan(
     nor disc(g): the reduction then keeps its degree and has discriminant
     disc(g) mod p != 0, so it is squarefree.  Bad primes are skipped without
     consuming budget, up to a hard cap; when disc(g) = 0 every prime is bad.
-    Each good prime gets the parity of Frobenius from disc(g) and its cycle
-    type from ``lookup`` when one is given, and from distinct-degree
+    The primes come from the cached plan ``_scan_primes``.  Each good prime
+    gets the parity of Frobenius from disc(g) mod p (``padic.frobenius_parity``,
+    here inline: disc mod 8 at p = 2, Euler's criterion at odd p) and its
+    cycle type from ``lookup`` when one is given, and from distinct-degree
     factorization of g mod p otherwise.
     """
-    if disc == 0:
+    if disc == 0 or budget < 1:
         return []
     cycle_type = lookup or padic.good_prime_cycle_type
-    bad = g.lead * disc  # p | bad  <=>  p | lc(g) or p | disc(g)
+    coeffs, lead = g.coeffs, g.lead
     found: list[tuple[int, CycleType]] = []
-    cap = max(_SCAN_CAP_MIN, _SCAN_CAP_FACTOR * budget)
-    for examined, p in enumerate(primes()):
-        if len(found) >= budget or examined >= cap:
-            break
-        if bad % p:
-            found.append((p, cycle_type(g.coeffs, p, padic.frobenius_parity(disc, p))))
+    for p in _scan_primes(max(_SCAN_CAP_MIN, _SCAN_CAP_FACTOR * budget)):
+        r = disc % p
+        if r and lead % p:
+            parity = disc % 8 == 5 if p == 2 else pow(r, p >> 1, p) != 1
+            found.append((p, cycle_type(coeffs, p, int(parity))))
+            if len(found) == budget:
+                break
     return found
 
 

@@ -18,21 +18,24 @@ possible pattern, so an odd cubic or a quadratic needs no F_p arithmetic.
 
 Below ``ROOT_PRIME_BOUND`` (256) the first step of the loop, counting the
 linear factors, is a root count on packed integers alone: f is evaluated at
-every a in F_p at once, as one sum of n + 1 packed integers whose 64-bit
+every a in F_p at once, as one sum of n + 1 packed integers whose w-bit
 slots hold a^i mod p; one Barrett step (P. Barrett, CRYPTO '86) reduces
-every slot mod p; adding 2^63 - 1 to every slot then sets a slot's top bit
-exactly when its value is nonzero, and the popcount of the top bits is p
-minus the number of roots.  The step is exact while every
-slot value times magic fits in 64 bits (``_barrett_constants``), which
-p < 256 keeps for every degree up to 67,376 (``_barrett``).  A cached
-table keyed by (degree, roots, parity) then names the one cycle type the
-count leaves, if any, as a ``CycleType`` shared by every caller: with the
-parity, a polynomial of degree at most 5, or a sextic with a root mod p, is
-settled there without a monic reduction or the ring below.  The columns
-a^i mod p do not depend on the polynomial, so their table is keyed by the
-prime alone and grown to the largest degree asked; column i >= p is column
-i - (p - 1) again, and shares its object, so one entry per prime serves
-every degree, and for degrees up to 8 the whole table stays near 0.5 MB.
+every slot mod p; adding 2^(w - 1) - 1 to every slot then sets a slot's top
+bit exactly when its value is nonzero, and the popcount of the top bits is
+p minus the number of roots.  The step is exact while every slot value
+times magic fits in w bits (``_barrett_constants``), so w is the fewest
+whole bytes that hold it, 8 to 40 bits for degrees up to 8 below 256: the
+narrower the slots, the shorter every sum, product and mask.  Slots are
+capped at 64 bits, which p < 256 keeps for every degree up to 67,376.  Everything the count needs for one prime and one number of
+coefficients (the width, the Barrett constants, the masks and the columns)
+is one cached plan (``_root_plan``), built on the first polynomial that
+asks for it.  A cached table keyed by (degree, roots, parity) then names the
+one cycle type the count leaves, if any, as a ``CycleType`` shared by every
+caller: with the parity, a polynomial of degree at most 5, or a sextic with
+a root mod p, is settled there without a monic reduction or the ring below.
+The columns a^i mod p do not depend on the polynomial, so their table is
+keyed by the prime and the slot width alone and grown to the largest degree
+asked; column i >= p is column i - (p - 1) again, and shares its object.
 Larger primes count the roots from the Frobenius matrix below.
 
 The later steps work in F_p[x]/(f), f made monic with its roots still in
@@ -42,7 +45,10 @@ slots above n - 1 back from the top, and one Barrett step that reduces
 every slot mod p at once.  The slot width and the Barrett constants follow
 from a bound on every slot value that reaches that step (``_Ring``), so the
 ring is exact at every prime and degree; they depend on p and n alone and
-are computed once per pair.  x^p is one square-and-shift powering, and the
+are computed once per pair.  Only the packed row of x^n mod f and its n
+shifts are built per polynomial, from f and 1/lc(f) directly.  x^p is one
+square-and-shift powering from x^s, s the leading bits of p below n, which
+is a shift alone (``_power_chain``, cached per (p, n)), and the
 Frobenius matrix Q, whose column j is x^(jp) mod f for j < n, takes n - 2
 more products (E. R. Berlekamp, "Factoring polynomials over large finite
 fields", Math. Comp. 24, 1970).  When p > n, trace(Q^k) mod p is the
@@ -75,9 +81,9 @@ from .primes import is_prime, valuation_int
 INFINITY = math.inf
 
 # Primes below this bound count roots by the packed evaluation of
-# ``_values_mod``: one sum of 64-bit slots, one Barrett step and a popcount;
-# see the module docstring.  Every degree up to 67,376 passes the exact
-# Barrett condition below this bound.
+# ``_root_plan``: one sum of right-sized slots, one Barrett step and a
+# popcount; see the module docstring.  Every degree up to 67,376 passes the
+# exact Barrett condition in slots of at most 64 bits below this bound.
 ROOT_PRIME_BOUND = 256
 
 
@@ -112,10 +118,11 @@ class NewtonPolygon:
 @dataclass(frozen=True)
 class CycleType:
     """Multiset of cycle lengths, stored descending; parts sum to the degree.
-    ``label`` is its ``str``, formatted once."""
+    ``label`` is its ``str`` and ``_hash`` its hash, each computed once."""
 
     parts: tuple[int, ...]
     label: str = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = tuple(sorted(self.parts, reverse=True))
@@ -123,6 +130,10 @@ class CycleType:
             raise ValueError("cycle type parts must be positive")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "label", "[" + ",".join(map(str, parts)) + "]")
+        object.__setattr__(self, "_hash", hash((parts,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -301,7 +312,8 @@ def _ring_layout(
 
 
 class _Ring:
-    """F_p[x]/(g) for a monic g of degree n >= 2 over F_p (constant first).
+    """F_p[x]/(g) for g the monic multiple of f, of degree n >= 2 over F_p
+    (f reduced mod p, constant first).
 
     An element is a packed integer whose slot j, ``width`` bits wide, holds
     the coefficient of x^j.  A product is one integer multiplication; the
@@ -323,13 +335,14 @@ class _Ring:
 
     __slots__ = ("p", "n", "width", "bound", "_shift", "_magic", "_quotient_mask", "_folds")
 
-    def __init__(self, g: list[int], p: int):
-        n = _pdeg(g)
+    def __init__(self, f: list[int], p: int):
+        n = _pdeg(f)
         self.p, self.n = p, n
         self.bound, self._shift, self._magic, self.width, self._quotient_mask, folds = _ring_layout(
             p, n
         )
-        red = self.pack([-c % p for c in g[:-1]])
+        minus_inv = p - pow(f[-1], -1, p)  # x^n == -(f - lc(f) x^n) / lc(f)
+        red = self.pack([c * minus_inv % p for c in f[:-1]])
         # (position of slot t, the slots below it, x^t == red * x^(t - n)) from t = 2n - 1 down to n
         self._folds = [(position, below, red << offset) for position, below, offset in folds]
 
@@ -369,78 +382,94 @@ class _Ring:
         return self.reduce(sum(map(mul, v, columns)))
 
 
+@lru_cache(maxsize=None)
+def _power_chain(e: int, n: int) -> tuple[int, tuple[bool, ...]]:
+    """(s, steps) for x^e mod a modulus of degree n, e >= 1: s is the
+    longest leading part of e's bits below n, so x^s is a shift alone, and
+    each later bit of e is one squaring, times x as well when it is 1."""
+    length = e.bit_length()
+    k = 1  # the leading bits taken
+    while k < length and e >> (length - k - 1) < n:
+        k += 1
+    return e >> (length - k), tuple(bool(e >> i & 1) for i in range(length - k - 1, -1, -1))
+
+
 def _x_power(e: int, ring: _Ring) -> int:
-    """x^e in ``ring`` for e >= 1, by squaring and shifting."""
-    r = 1 << ring.width
-    for bit in bin(e)[3:]:
-        r = ring.mul(r, r, bit == "1")
+    """x^e in ``ring`` for e >= 1, by squaring and shifting (``_power_chain``)."""
+    start, steps = _power_chain(e, ring.n)
+    r = 1 << start * ring.width
+    for by_x in steps:
+        r = ring.mul(r, r, by_x)
     return r
 
 
-# Slot a (bits 64a to 64a + 63) of the packed column i holds a^i mod p, so
+# Slot a (bits wa to wa + w - 1) of the packed column i holds a^i mod p, so
 # for coefficients c_i in [0, p) the sum of c_i * column_i holds f(a) in
 # slot a, at most bound = (n + 1)(p - 1)^2.  One Barrett step
 # (``_barrett_constants``) reduces every slot mod p exactly when
-# bound * magic < 2^64, since then no slot of the product with magic
-# carries into the next.  Each reduced slot is below p, so adding 2^63 - 1
-# to it carries into its top bit exactly when it is nonzero, and the
-# popcount of the top bits is p minus the number of roots.
-_SLOT_BITS = 64
-_COLUMNS: dict[int, list[int]] = {}  # p -> packed columns for i = 0, 1, ...
+# bound * magic < 2^w, since then no slot of the product with magic
+# carries into the next; w is the fewest whole bytes that hold it, at most
+# _ROOT_SLOT_BITS.  Each reduced slot is below p < 2^(w - 1), so adding
+# 2^(w - 1) - 1 to it carries into its top bit exactly when it is nonzero,
+# and the popcount of the top bits is p minus the number of roots.
+_ROOT_SLOT_BITS = 64
+_COLUMNS: dict[tuple[int, int], list[int]] = {}  # (p, w) -> packed columns for i = 0, 1, ...
 
 
-def _power_columns(p: int, count: int) -> list[int]:
-    """The first ``count`` packed columns of p, kept for the process; column
-    i >= p is column i - (p - 1), since a^(p - 1) = 1 for a != 0."""
-    cols = _COLUMNS.setdefault(p, [])
+def _power_columns(p: int, width: int, count: int) -> list[int]:
+    """The first ``count`` packed columns of p with ``width``-bit slots, kept
+    for the process; column i >= p is column i - (p - 1), since
+    a^(p - 1) = 1 for a != 0, and shares its object."""
+    cols = _COLUMNS.setdefault((p, width), [])
+    size = width // 8
     for i in range(len(cols), count):
         cols.append(
             cols[i - (p - 1)]
             if i >= p
             else int.from_bytes(
-                b"".join(pow(a, i, p).to_bytes(_SLOT_BITS // 8, "little") for a in range(p)),
-                "little",
+                b"".join(pow(a, i, p).to_bytes(size, "little") for a in range(p)), "little"
             )
         )
     return cols
 
 
+class _RootPlan:
+    """The root count of every polynomial over F_p with ``count``
+    coefficients: the packed columns, the Barrett constants and the top-bit
+    masks at the slot width ``width`` above."""
+
+    __slots__ = ("p", "width", "columns", "_shift", "_magic", "_quotient_mask", "_offset", "_tops")
+
+    def __init__(self, p: int, width: int, shift: int, magic: int, count: int):
+        self.p, self.width, self._shift, self._magic = p, width, shift, magic
+        self.columns = _power_columns(p, width, count)
+        self._quotient_mask = _repeat((1 << (width - shift)) - 1, width, p)
+        top = 1 << width - 1
+        self._offset, self._tops = _repeat(top - 1, width, p), _repeat(top, width, p)
+
+    def values(self, f: list[int]) -> int:
+        """f(a) mod p in slot a for every a in F_p, packed, for f reduced mod
+        p (constant first) with ``count`` coefficients."""
+        packed = sum(map(mul, f, self.columns))
+        return packed - (packed * self._magic >> self._shift & self._quotient_mask) * self.p
+
+    def roots(self, f: list[int]) -> int:
+        """The number of roots of f in F_p: adding 2^(w - 1) - 1 sets the top
+        bit of exactly the nonzero slots of ``values(f)``."""
+        return self.p - (self.values(f) + self._offset & self._tops).bit_count()
+
+
 @lru_cache(maxsize=None)
-def _barrett(p: int, count: int) -> Optional[tuple[int, int, int]]:
-    """(shift, magic, quotient mask) of the Barrett step for the values of a
-    polynomial with ``count`` coefficients in [0, p), or None when the exact
-    condition above fails; the mask keeps the 64 - shift quotient bits at
-    the bottom of every slot."""
+def _root_plan(p: int, count: int) -> Optional[_RootPlan]:
+    """The ``_RootPlan`` of p for polynomials with ``count`` coefficients,
+    one per pair, or None when no slot of at most _ROOT_SLOT_BITS bits
+    makes the Barrett step exact."""
     bound = count * (p - 1) ** 2
     shift, magic = _barrett_constants(bound, p)
-    if (bound * magic).bit_length() > _SLOT_BITS:
+    width = -(-(bound * magic).bit_length() // 8) * 8
+    if width > _ROOT_SLOT_BITS:
         return None
-    return shift, magic, _repeat((1 << (_SLOT_BITS - shift)) - 1, _SLOT_BITS, p)
-
-
-@lru_cache(maxsize=None)
-def _top_bits(p: int) -> tuple[int, int]:
-    """(2^63 - 1, 2^63) repeated over the p slots."""
-    top = 1 << _SLOT_BITS - 1
-    return _repeat(top - 1, _SLOT_BITS, p), _repeat(top, _SLOT_BITS, p)
-
-
-def _values_mod(f: list[int], p: int) -> Optional[int]:
-    """f(a) mod p in slot a for every a in F_p, packed, for f reduced mod p
-    (constant first); None when the Barrett step would not be exact."""
-    barrett = _barrett(p, len(f))
-    if barrett is None:
-        return None
-    shift, magic, quotient_mask = barrett
-    packed = sum(map(mul, f, _power_columns(p, len(f))))
-    return packed - (packed * magic >> shift & quotient_mask) * p
-
-
-def _root_count(values: int, p: int) -> int:
-    """The number of zero slots of ``values`` = ``_values_mod(f, p)``: adding
-    2^63 - 1 sets the top bit of exactly the nonzero slots below p."""
-    offset, tops = _top_bits(p)
-    return p - (values + offset & tops).bit_count()
+    return _RootPlan(p, width, shift, magic, count)
 
 
 def _partitions(m: int, least: int) -> Iterator[tuple[int, ...]]:
@@ -546,14 +575,13 @@ def _factor_counts(f: list[int], p: int, roots: Optional[int]) -> Iterator[int]:
     """The counts of ``_trace_counts`` for f reduced mod p, from the ring on
     monic f, which this builds on the first count asked: by traces when
     p > deg f, by gcds otherwise."""
-    inv = pow(f[-1], -1, p)
-    g = [c * inv % p for c in f]
-    ring = _Ring(g, p)
+    ring = _Ring(f, p)
     columns = _frobenius_columns(ring)
     if p > ring.n:
         yield from _trace_counts(ring, columns, roots)
     else:
-        yield from _gcd_counts(g, ring, columns, roots)
+        inv = pow(f[-1], -1, p)
+        yield from _gcd_counts([c * inv % p for c in f], ring, columns, roots)
 
 
 def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) -> list[int]:
@@ -619,8 +647,8 @@ def good_prime_cycle_type(
     if settled is not None:
         return settled
     f = [c % p for c in coeffs]
-    values = _values_mod(f, p) if p < ROOT_PRIME_BOUND else None
-    roots = None if values is None else _root_count(values, p)
+    plan = _root_plan(p, n + 1) if p < ROOT_PRIME_BOUND else None
+    roots = None if plan is None else plan.roots(f)
     out: list[int] = []  # the factor degrees counted
     k = 1
     if roots is not None:

@@ -58,8 +58,10 @@ class Poly:
     The ring operations below, the derivative among them, are written for
     any coefficient ring: a subclass names its ring by ``_coerce`` (which
     turns an int or a coefficient into a ring element), ``_zero`` and
-    ``_exact_div``.  Everything after them (division, evaluation, normal
-    forms) needs the field Q.
+    ``_exact_div``.  A result whose coefficients are ring elements already,
+    as when both operands are of one class, is built by ``_of`` without
+    coercing them again.  Everything after them (division, evaluation,
+    normal forms) needs the field Q.
     """
 
     __slots__ = ("coeffs",)
@@ -74,6 +76,17 @@ class Poly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _of(cls, cs: list) -> "Poly":
+        """The polynomial of this class with the coefficients cs, already in
+        its ring (a ring operation's result), trimmed in place: no
+        coefficient passes through ``_coerce`` again."""
+        while cs and not cs[-1]:
+            cs.pop()
+        out = object.__new__(cls)
+        out.coeffs = tuple(cs)
+        return out
 
     # -- basic structure ---------------------------------------------------
 
@@ -109,30 +122,30 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return type(self)(out)
+        return self._of(out) if type(other) is type(self) else type(self)(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return type(self)([-c for c in self.coeffs])
+        return self._of([-c for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return type(self)()
+            return self._of([])
         out = [self._zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     if cb:
                         out[i + j] += ca * cb
-        return type(self)(out)
+        return self._of(out) if type(other) is type(self) else type(self)(out)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = type(self)([1])
+        result = self._of([self._coerce(1)])
         base = self
         while n:
             if n & 1:
@@ -144,16 +157,16 @@ class Poly:
     def scale(self, c) -> "Poly":
         """Multiply every coefficient by the ring element c."""
         c = self._coerce(c)
-        return type(self)([c * a for a in self.coeffs])
+        return self._of([c * a for a in self.coeffs])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x**k."""
         if not self.coeffs:
             return self
-        return type(self)((self._zero,) * k + self.coeffs)
+        return self._of([self._zero] * k + list(self.coeffs))
 
     def derivative(self) -> "Poly":
-        return type(self)([self._coerce(i) * c for i, c in enumerate(self.coeffs)][1:])
+        return self._of([self._coerce(i) * c for i, c in enumerate(self.coeffs)][1:])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not other:
@@ -330,7 +343,7 @@ class IntBivarPoly(Poly):
                 rem[k + j] -= quo[k] * c
         if any(rem):
             raise ArithmeticError("inexact coefficient division in elimination")
-        return IntPoly(quo)
+        return IntPoly._of(quo)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +379,7 @@ def _pseudo_rem(a, b):
     if e > 0:
         f = lb**e
         r = [f * x for x in r]
-    return type(a)(r)
+    return a._of(r) if type(b) is type(a) else type(a)(r)
 
 
 def _resultant_core(a, b):
@@ -393,7 +406,7 @@ def _resultant_core(a, b):
         rem = _pseudo_rem(a, b)
         a = b
         divisor = g * h**delta
-        b = type(rem)([div(c, divisor) for c in rem.coeffs])
+        b = rem._of([div(c, divisor) for c in rem.coeffs])
         g = a.lead
         if delta == 1:
             h = g

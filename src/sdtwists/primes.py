@@ -15,8 +15,10 @@ from typing import Iterator
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PROOF_BOUND = 3_317_044_064_679_887_385_961_981
 
-# ``factor_trial`` tries the primes up to this bound one by one; the primes
-# above it, up to the trial bound, are found by one gcd with their product.
+# ``factor_trial`` finds the primes up to this bound that divide n by one
+# gcd with their product (or, for n below its square, by a walk that stops
+# at p^2 > n), and the primes above it, up to the trial bound, by one gcd
+# with theirs.
 SMALL_PRIME_BOUND = 500
 
 _sieve_limit = 0
@@ -132,13 +134,18 @@ def factor_trial(n: int, bound: int, until_square: bool = False) -> tuple[dict[i
     number whose prime factors all exceed the bound.  A prime cofactor above
     the bound is returned as it is, unfactored.
 
-    Two stages.  The first divides by the primes up to ``SMALL_PRIME_BOUND``
-    one by one and stops once p^2 exceeds what is left, which is then 1 or a
-    prime.  Only if it did not stop, the second takes
+    Two stages, each a gcd with a product of primes (D. J. Bernstein, "How
+    to find smooth parts of integers", 2004); each product is built once
+    per process and prime range.  The first takes g = gcd(|n|,
+    prod(primes <= SMALL_PRIME_BOUND)), finds the primes of g by a walk
+    that stops at p^2 > g, and divides each out by p, p^2, p^4, ...
+    (``_divide_out``), so that v_p(n) costs O(log v_p(n)) divisions.  Below
+    SMALL_PRIME_BOUND^2, where that walk is dearer than the gcd it saves,
+    it divides |n| by the primes one by one instead and stops once p^2
+    exceeds what is left, which is then 1 or a prime.  If what is left
+    exceeds SMALL_PRIME_BOUND^2, the second stage takes
     g = gcd(m, prod(primes in (SMALL_PRIME_BOUND, bound]) mod m) for the
-    remainder m (D. J. Bernstein, "How to find smooth parts of integers",
-    2004) and finds the primes of g by a walk that stops at p^2 > g; the
-    product is built once per process and prime range.  With
+    remainder m and finds the primes of g by the same walk.  With
     ``until_square`` the first stage returns what it has as soon as one
     prime's exponent reaches 2, which settles that n is not squarefree.
     """
@@ -158,40 +165,70 @@ def extend_factorization(
         raise ValueError(f"cannot extend a factorization to {done} down to {bound}")
     out = dict(exponents)
     m = cofactor
-    root = math.isqrt(m)
-    for p in iter_primes_up_to(min(bound, SMALL_PRIME_BOUND), done):
-        if p > root:  # p^2 > m
-            break
-        if m % p == 0:
+    small = min(bound, SMALL_PRIME_BOUND)
+    if m < SMALL_PRIME_BOUND * SMALL_PRIME_BOUND:  # the walk stops below SMALL_PRIME_BOUND
+        root = math.isqrt(m)
+        for p in iter_primes_up_to(small, done):
+            if p > root:  # p^2 > m
+                break
+            if m % p == 0:
+                m = _divide_out(m, p, out)
+                if until_square and out[p] > 1:
+                    return out, m
+                root = math.isqrt(m)
+    elif small > done:
+        for p in _prime_divisors(math.gcd(m, _prime_product(done, small)), done, small):
             m = _divide_out(m, p, out)
             if until_square and out[p] > 1:
                 return out, m
-            root = math.isqrt(m)
-    # m > above^2 only if the walk did not stop; then m has no prime factor
-    # <= above, and m <= above^2 would make it 1 or a prime.
+    # What is left is 1 or a prime unless it exceeds above^2: the walk stops
+    # only at p^2 > m, and otherwise m has no prime factor <= above.
     above = max(done, SMALL_PRIME_BOUND)
     if bound > above and m > above * above:
         g = math.gcd(m, _prime_product(above, bound) % m)
-        for p in iter_primes_up_to(bound, above):
-            if p * p > g:
-                break
-            if g % p == 0:
-                g //= p
-                m = _divide_out(m, p, out)
-        if g > 1:  # the last prime of g
-            m = _divide_out(m, g, out)
+        for p in _prime_divisors(g, above, bound):
+            m = _divide_out(m, p, out)
     if 1 < m <= bound:
         out[m] = 1
         m = 1
     return out, m
 
 
+def _prime_divisors(g: int, above: int, bound: int) -> list[int]:
+    """The primes of a squarefree g >= 1 whose prime factors all lie in
+    (above, bound], ascending, by a walk from ``above`` that stops at
+    p^2 > g; what is left then is 1 or the last prime."""
+    found = []
+    for p in iter_primes_up_to(bound, above):
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            found.append(p)
+    if g > 1:
+        found.append(g)
+    return found
+
+
 def _divide_out(m: int, p: int, out: dict[int, int]) -> int:
-    """m / p^v for v = v_p(m) >= 1, recording out[p] = v."""
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
+    """m / p^v for v = v_p(m) >= 1, recording out[p] = v.
+
+    After the first division, divides by p, p^2, p^4, ... while each
+    divides what is left; what is left then has a valuation below the first
+    power that failed, so one pass down the powers that divided, largest
+    first, removes the rest: O(log v) divisions instead of v, and two
+    operations when v = 1."""
+    m //= p
+    v, q, powers = 1, p, []
+    while m % q == 0:
+        m //= q
+        v += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    for i in reversed(range(len(powers))):
+        if m % powers[i] == 0:
+            m //= powers[i]
+            v += 1 << i
     out[p] = v
     return m
 

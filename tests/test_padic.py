@@ -403,7 +403,8 @@ def powering_pattern(coeffs, p, monkeypatch):
 def test_root_count_at_the_cutoff(monkeypatch):
     # At the largest prime below the cutoff and the smallest above it, with
     # every coefficient p - 1 (the largest slot sums, (n + 1)(p - 1)^2) the
-    # packed values are f at every point of F_p; with those coefficients and
+    # packed values, at the plan's slot width, are f at every point of F_p;
+    # with those coefficients and
     # seeded random ones, the pattern equals the one read off the Frobenius
     # matrix alone and sympy's for degrees 2 to 8, with and without the
     # parity.
@@ -418,9 +419,9 @@ def test_root_count_at_the_cutoff(monkeypatch):
         for degree in range(2, 9):
             full = [p - 1] * (degree + 1)
             direct = [sum(c * a**i for i, c in enumerate(full)) % p for a in range(p)]
-            values = padic._values_mod(full, p)
-            assert values == packed_slots(direct)
-            assert padic._root_count(values, p) == direct.count(0)
+            plan = padic._root_plan(p, degree + 1)
+            assert plan.values(full) == packed_slots(direct, plan.width)
+            assert plan.roots(full) == direct.count(0)
             for coeffs in [[p - 1] * degree + [1]] + [
                 [rng.randrange(p) for _ in range(degree)] + [1] for _ in range(6)
             ]:
@@ -437,63 +438,96 @@ def test_root_count_at_the_cutoff(monkeypatch):
     assert len(checked) == 14
 
 
-def test_column_table_holds_only_primes_below_the_cutoff(monkeypatch):
+@pytest.fixture
+def fresh_root_plans(monkeypatch):
+    """An empty column table and plan cache for the test, and a cleared
+    cache after it, so that no plan outlives the table it was built in."""
+    monkeypatch.setattr(padic, "_COLUMNS", {})
+    padic._root_plan.cache_clear()
+    yield
+    padic._root_plan.cache_clear()
+
+
+def test_column_table_holds_only_primes_below_the_cutoff(fresh_root_plans):
     # x^3 + c with c the product of the primes below 200 is bad at each of
     # them, so its 25 good primes run from 211 to well past the cutoff.  The
     # even ones (p = 1 mod 3) count roots below the cutoff and power x^p
-    # above it; only the former leave packed columns behind.
+    # above it; only the former leave packed columns behind, one table per
+    # prime at the one slot width its cubics need.
     from sdtwists.galois import collect_evidence
 
-    monkeypatch.setattr(padic, "_COLUMNS", {})
     c = math.prod(primes_up_to(199))
     evidence = collect_evidence(Poly([c, 0, 0, 1]), 3, 25)
     scanned = [p for kind, p, _ in evidence.provenance if kind == "frobenius_cycle_type"]
     assert len(scanned) == 25 and min(scanned) == 211 and max(scanned) > padic.ROOT_PRIME_BOUND
-    assert set(padic._COLUMNS) == {
-        p for p in scanned if p < padic.ROOT_PRIME_BOUND and p % 3 == 1
-    }
+    counted = {p for p in scanned if p < padic.ROOT_PRIME_BOUND and p % 3 == 1}
+    assert set(padic._COLUMNS) == {(p, padic._root_plan(p, 4).width) for p in counted}
 
 
-def packed_slots(values):
-    """The packed integer with these 64-bit slot values, slot 0 first."""
-    return sum(v << 64 * a for a, v in enumerate(values))
+def packed_slots(values, width):
+    """The packed integer with these slot values, ``width`` bits each, slot
+    0 first."""
+    return sum(v << width * a for a, v in enumerate(values))
 
 
 # The degree of f past which the Barrett step of the root count stops being
-# exact at p = 251: the largest n with bound * magic < 2^64 for
-# bound = (n + 1) * 250^2.  Every prime below ROOT_PRIME_BOUND admits it.
+# exact at p = 251 in slots of at most 64 bits: the largest n with
+# bound * magic < 2^64 for bound = (n + 1) * 250^2.  Every prime below
+# ROOT_PRIME_BOUND admits it.
 LARGEST_COUNTED_DEGREE = 67_376
 
 
-def test_root_count_matches_direct_evaluation(monkeypatch):
+def test_root_count_matches_direct_evaluation(fresh_root_plans):
     # With every coefficient p - 1 the slot sums are largest.  The packed
-    # values after the Barrett step and the popcount root count agree with f
-    # evaluated at every point of F_p, for degrees 2 to 12 at p = 2, 3 and
-    # 251.  At p = 251 the same holds at the largest degree the exact
-    # condition admits, and one degree more is refused.
-    monkeypatch.setattr(padic, "_COLUMNS", {})
+    # values after the Barrett step, at the plan's slot width, and the
+    # popcount root count agree with f evaluated at every point of F_p, for
+    # degrees 2 to 12 at p = 2, 3 and 251.  At p = 251 the same holds at the
+    # largest degree the exact condition admits in 64-bit slots, and one
+    # degree more is refused.
     for p in (2, 3, 251):
         for n in range(2, 13):
             f = [p - 1] * (n + 1)
             direct = [sum(c * a**i for i, c in enumerate(f)) % p for a in range(p)]
-            values = padic._values_mod(f, p)
-            assert values == packed_slots(direct), (p, n)
-            assert padic._root_count(values, p) == direct.count(0), (p, n)
+            plan = padic._root_plan(p, n + 1)
+            assert plan.values(f) == packed_slots(direct, plan.width), (p, n)
+            assert plan.roots(f) == direct.count(0), (p, n)
     p, n = 251, LARGEST_COUNTED_DEGREE
-    assert padic._barrett(p, n + 1) is not None and padic._barrett(p, n + 2) is None
-    assert all(padic._barrett(q, n + 1) for q in primes_up_to(padic.ROOT_PRIME_BOUND - 1))
+    plan = padic._root_plan(p, n + 1)
+    assert plan is not None and plan.width == 64 and padic._root_plan(p, n + 2) is None
+    assert all(padic._root_plan(q, n + 1) for q in primes_up_to(padic.ROOT_PRIME_BOUND - 1))
     # f = (p - 1)(1 + a + ... + a^n), summed as a geometric series
     geometric = [1, (n + 1) % p] + [
         (pow(a, n + 1, p) - 1) * pow(a - 1, -1, p) % p for a in range(2, p)
     ]
     direct = [(p - 1) * s % p for s in geometric]
-    values = padic._values_mod([p - 1] * (n + 1), p)
-    assert values == packed_slots(direct)
-    assert padic._root_count(values, p) == direct.count(0)
-    assert padic._values_mod([p - 1] * (n + 2), p) is None
+    assert plan.values([p - 1] * (n + 1)) == packed_slots(direct, 64)
+    assert plan.roots([p - 1] * (n + 1)) == direct.count(0)
     # columns past p - 1 repeat, and share their objects
-    columns = padic._COLUMNS[p]
+    columns = padic._COLUMNS[p, 64]
     assert len(columns) == n + 1 and len({id(c) for c in columns}) == p
+
+
+def test_root_count_is_exact_at_every_prime_below_the_cutoff():
+    # For every prime below ROOT_PRIME_BOUND and every degree from 2 to 8,
+    # with every coefficient p - 1 (the largest slot sums) and with seeded
+    # random ones, the packed values are f at every point of F_p and the
+    # root count is their number of zeros.  The slot width is the fewest
+    # whole bytes holding bound * magic, which is 8 to 40 bits here.
+    rng = random.Random(79)
+    widths = set()
+    for p in primes_up_to(padic.ROOT_PRIME_BOUND - 1):
+        for n in range(2, 9):
+            plan = padic._root_plan(p, n + 1)
+            shift, magic = padic._barrett_constants((n + 1) * (p - 1) ** 2, p)
+            assert (plan._shift, plan._magic) == (shift, magic)
+            assert plan.width % 8 == 0
+            assert plan.width - 8 < ((n + 1) * (p - 1) ** 2 * magic).bit_length() <= plan.width
+            widths.add(plan.width)
+            for f in ([p - 1] * (n + 1), [rng.randrange(p) for _ in range(n)] + [1]):
+                direct = [sum(c * a**i for i, c in enumerate(f)) % p for a in range(p)]
+                assert plan.values(f) == packed_slots(direct, plan.width), (p, n, f)
+                assert plan.roots(f) == direct.count(0), (p, n, f)
+    assert widths == {8, 16, 24, 32, 40}
 
 
 def test_settled_table_matches_the_parity_free_loop():
@@ -631,6 +665,30 @@ def test_ring_matches_list_oracle():
                     assert want == oracles.modp_powmod(h, p, g, p)  # h(x)^p = h(x^p)
 
 
+def test_ring_of_a_non_monic_polynomial_is_the_ring_of_its_monic_multiple():
+    # The ring reads x^n mod f off f directly, as -(f - lc(f) x^n) / lc(f),
+    # with no monic copy of f; its products, x^e and Frobenius columns are
+    # those of the ring on the monic multiple.  x^e starts from the shift
+    # x^s, s the leading bits of e below n, and squares once per later bit.
+    rng = random.Random(83)
+    for p in (3, 5, 251, 4409):
+        for n in (2, 3, 6, 9):
+            lead = rng.randrange(2, p)
+            f = [rng.randrange(p) for _ in range(n)] + [lead]
+            inv = pow(lead, -1, p)
+            monic = padic._Ring([c * inv % p for c in f], p)
+            ring = padic._Ring(f, p)
+            a, b = (ring.pack([rng.randrange(p) for _ in range(n)]) for _ in range(2))
+            assert ring.mul(a, b) == monic.mul(a, b)
+            assert ring.mul(a, b, True) == monic.mul(a, b, True)
+            assert padic._frobenius_columns(ring) == padic._frobenius_columns(monic)
+            for e in (1, n - 1, n, 2 * n + 1, p, p * p + 3):
+                start, steps = padic._power_chain(e, n)
+                assert start < max(n, 2) and len(steps) == e.bit_length() - start.bit_length()
+                want = oracles.modp_powmod([0, 1], e, [c * inv % p for c in f], p)
+                assert padic._x_power(e, ring) == ring.pack(want), (f, p, e)
+
+
 def test_barrett_step_is_exact_at_the_slot_bound():
     # The largest primes whose rings keep 64-bit slots at degrees 2, 6 and
     # 12: there bound * magic fills all 64 bits and the shift is the least
@@ -719,7 +777,7 @@ def test_rootless_sextics_read_one_trace(monkeypatch):
         for _ in range(8):
             coeffs = [rng.randrange(p) for _ in range(6)] + [1]
             deriv = [i * c for i, c in enumerate(coeffs)][1:]
-            if padic._root_count(padic._values_mod(coeffs, p), p):
+            if padic._root_plan(p, 7).roots(coeffs):
                 continue
             if len(padic._pgcd(coeffs, deriv, p)) != 1:
                 continue

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sdtwists.family import build_family
 from sdtwists.polyarith import (
+    _discriminant,
     _exact_div,
     _pseudo_rem,
     BivarPoly,
@@ -506,3 +507,25 @@ def test_division_by_integer_polynomial_matches_rational_division():
 def test_reduce_mod_constant_modulus_rejected():
     with pytest.raises(ValueError):
         reduce_mod(Poly([1, 1]), Poly([2]))
+
+
+def test_integer_elimination_coerces_no_ring_result(monkeypatch):
+    # Over Z and Z[t] a ring operation's result is built from coefficients
+    # already in the ring, without passing them through ``_coerce`` again:
+    # the only constructions left in the subresultant are of plain integers
+    # lifted into Z[t] (the derivative's multipliers and the unit), one
+    # coefficient each.  The results are unchanged.
+    forms = build_family((1, 1), 5)[1].forms
+    f = IntPoly([3, -7, 0, 11, 2, -5, 9])
+    want = (_discriminant(forms.poly), _discriminant(f))
+    sizes = []
+    init = Poly.__init__
+
+    def recorded(self, coeffs=()):
+        coeffs = list(coeffs)
+        sizes.append(len(coeffs))
+        init(self, coeffs)
+
+    monkeypatch.setattr(Poly, "__init__", recorded)
+    assert (_discriminant(forms.poly), _discriminant(f)) == want
+    assert sizes and max(sizes) <= 1, sizes

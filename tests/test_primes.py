@@ -71,16 +71,23 @@ def test_squarefree_status_matches_walk(case):
 
 def test_squarefree_status_stops_at_a_small_square(monkeypatch):
     # A square factor found among the small primes settles the value: the
-    # product gcd of the second stage never runs, and the cofactor is left
-    # unfactored.
-    def refuse(*args):
-        raise AssertionError("second stage ran")
+    # product gcd of the second stage (primes above S) never runs, and the
+    # cofactor is left unfactored.  The first stage's product of the primes
+    # up to S is the only one asked for.
+    first_stage = primes._prime_product
 
-    monkeypatch.setattr(primes, "_prime_product", refuse)
+    def refuse_above_s(above, bound):
+        if bound > S:
+            raise AssertionError("second stage ran")
+        return first_stage(above, bound)
+
+    monkeypatch.setattr(primes, "_prime_product", refuse_above_s)
     n = 4 * 3 * 10_007 * 10_009 * 1_000_000_007
+    assert n >= S * S  # past the walk: the first stage takes its gcd
     assert factor_trial(n, 100_000, until_square=True) == ({2: 2}, n // 4)
     assert _squarefree_status(n, 100_000) is False
     assert _squarefree_status(-9 * n, 100_000) is False
+    assert _squarefree_status(4 * 10_007, 100_000) is False  # below S^2: the walk
 
 
 def test_squarefree_status_rules():
@@ -175,3 +182,62 @@ def test_witness_with_extras_matches_walk():
     f = Poly([-1, -2, -1, 1])  # disc -31
     for trial_bound in (2, 20, 31, S, 1000):
         assert transposition_witness(f, trial_bound) == witness_walk(f, trial_bound)
+
+
+@st.composite
+def high_powers(draw):
+    """(n, bound): n carries powers up to 130 of primes below and around S,
+    beside a random part and primes above the bound."""
+    bound = draw(st.sampled_from(BOUNDS))
+    pool = [2, 3, 5, 7, 11, 499] + _primes_near(S)
+    n = draw(st.integers(1, 10**12))
+    for p in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)):
+        n *= p ** draw(st.integers(1, 130))
+    for q in draw(st.lists(st.sampled_from([10_007, 100_003, 1_000_000_007]), max_size=2)):
+        n *= q
+    return draw(st.sampled_from([1, -1])) * n, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(high_powers())
+def test_factor_trial_matches_walk_at_high_powers(case):
+    # Each valuation is found by dividing by p, p^2, p^4, ...: it matches
+    # the walk's one division at a time, also for the square-stop rule.
+    n, bound = case
+    assert factor_trial(n, bound) == factor_trial_walk(n, bound)
+    assert _squarefree_status(n, bound) == squarefree_status_walk(n, bound)
+
+
+def test_factor_trial_at_planted_powers_of_seven():
+    # The discriminants of the coefficient-box instances carry 7 to about
+    # the 100th power (``test_ev_witness_matches_walk``).  Every
+    # valuation from 1 to 140 of 7, alone and beside other powers, comes
+    # out exactly, on both sides of the walk's size cut S^2.
+    for v in range(1, 141):
+        for rest in (1, 2, 3 * 11**5, 10_007, 2**64 * 1_000_000_007):
+            n = 7**v * rest
+            for bound in (S, 10_000):
+                assert factor_trial(n, bound) == factor_trial_walk(n, bound), (v, rest, bound)
+
+
+def test_ev_witness_matches_walk():
+    # On coefficient-box sextics of the built d = 6 model, whose lead is
+    # 7^24 and whose discriminants carry 7 to about the 100th power among
+    # other small prime powers, the witness and the factorization it rests
+    # on equal the walk oracles'.
+    from sdtwists.counting import EvConfig, ev_generate
+    from sdtwists.family import build_family
+
+    model = build_family((1, 1), 6)[0]
+    config = EvConfig(seed=3, max_instances=12, certify=False)
+    checked = 0
+    for inst in ev_generate(model, 6, 8, config):
+        if inst.mH.degree != 6:
+            continue
+        g, disc = galois._normalized(inst.mH)
+        assert factor_trial_walk(disc, 7)[0][7] >= 90
+        for bound in (S, 10_000):
+            assert factor_trial(disc, bound) == factor_trial_walk(disc, bound)
+            assert galois._witness(g, disc, bound) == witness_walk(Poly(g.coeffs), bound)
+        checked += 1
+    assert checked >= 10
