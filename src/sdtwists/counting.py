@@ -28,7 +28,7 @@ import itertools
 import math
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -678,8 +678,10 @@ def _ev_instance(
     a: Sequence[int],
     b: Sequence[int],
     limits: tuple[Fraction, tuple[int, ...]],
+    config: Optional[EvConfig] = None,
 ) -> EVInstance:
-    """``ev_instance`` with the bounds of ``_ev_limits``.
+    """``ev_instance`` with the bounds of ``_ev_limits``, certified as
+    ``ev_generate`` does when ``config`` asks for it.
 
     H is built as m*H = m*F^2 - (m*f)*G^2 over Z, with m the denominator of
     f cleared once per model, and bounded in integers.
@@ -695,7 +697,14 @@ def _ev_instance(
     mH = (F * F).scale(m) - f_int * G * G
     c_bound, bounds = limits
     ok = mH.degree == d and all(abs(mH.coeff(d - k)) <= bounds[k] for k in range(d + 1))
-    return EVInstance(d=d, Y=y, F=F, G=G, mH=mH, m=m, bound_constant=c_bound, bounds_ok=ok)
+    certificate = None
+    if config is not None and config.certify and mH.degree == d:
+        ev = galois._evidence(
+            *galois._normalized(mH), config.prime_budget,
+            polygon_primes=(), trial_bound=config.trial_bound,
+        )
+        certificate = galois.certify_sd(ev)
+    return EVInstance(d, y, F, G, mH, m, c_bound, ok, certificate)
 
 
 def ev_generate(
@@ -716,15 +725,6 @@ def ev_generate(
     for bound in a_bounds + b_bounds:
         volume *= 2 * bound + 1
 
-    def finish(instance: EVInstance) -> EVInstance:
-        if config.certify and instance.mH.degree == d:
-            ev = galois._evidence(
-                *galois._normalized(instance.mH), config.prime_budget,
-                polygon_primes=(), trial_bound=config.trial_bound,
-            )
-            return replace(instance, certificate=galois.certify_sd(ev))
-        return instance
-
     if volume <= config.exhaustive_limit:
         ranges = [range(-bound, bound + 1) for bound in a_bounds + b_bounds]
         count = 0
@@ -734,13 +734,13 @@ def ev_generate(
             count += 1
             a = coords[: len(a_bounds)]
             b = coords[len(a_bounds) :]
-            yield finish(_ev_instance(model, d, y, a, b, limits))
+            yield _ev_instance(model, d, y, a, b, limits, config)
     else:
         rng = random.Random(config.seed)
         for _ in range(config.max_instances):
             a = [rng.randint(-bound, bound) for bound in a_bounds]
             b = [rng.randint(-bound, bound) for bound in b_bounds]
-            yield finish(_ev_instance(model, d, y, a, b, limits))
+            yield _ev_instance(model, d, y, a, b, limits, config)
 
 
 # ---------------------------------------------------------------------------

@@ -31,26 +31,26 @@ remainder gives the parity of Frobenius at each good prime
 (Stickelberger's theorem: odd exactly when disc is a non-square mod p, or
 disc == 5 mod 8 at p = 2), one modular power per prime computed inline,
 and the factorization stops as soon as that parity and the factor degrees
-found so far leave one pattern.  Below ``padic.ROOT_PRIME_BOUND`` (256,
-past which a 25-prime scan runs only when many small primes are bad) the
-linear factors are counted as roots, from one evaluation at all of F_p
-packed into the slots of one integer, each the fewest whole bytes that keep
-the Barrett step that reduces every slot mod p exact, and a popcount of the
-nonzero slots (``padic._root_plan``, one cached plan per prime and number
-of coefficients).  Its table of columns a^i mod p is keyed by the prime and
-the slot width alone, since the columns serve every polynomial.  So a
-polynomial of degree at most 5, or a sextic with a root mod p, is settled
-from a table keyed by (degree, roots, parity), without a monic reduction or
-computing x^p mod (f, p).  Any other polynomial powers x^p once modulo f,
-roots and all, and forms the Frobenius matrix of f mod p.  When p > deg f
-the factor counts are read off traces of that matrix's powers, so a sextic
-without a root is settled by one trace and no gcd; when p <= deg f the
-matrix gives x^(p^k) to the gcd split.  A sweep hands the scan a lookup
-instead (``IntegerFamily.cycle_lookup``), which the scan calls directly at
-each good prime: at a good prime p not dividing v (nor the cleared
-denominator of P) the cycle type of a specialization P(x, u/v) depends on
-t = u/v mod p alone, so it is read off a table keyed by t mod p and
-factored only for the first pair with that key.
+found so far leave one pattern.  Each prime, degree and parity has one
+cached plan (``padic._settle_plan``): the pattern the parity alone leaves,
+if any; else, below ``padic.ROOT_PRIME_BOUND`` (256, past which a 25-prime
+scan runs only when many small primes are bad), the packed root count of
+the prime, which evaluates f at all of F_p in the slots of one integer,
+each the fewest whole bytes that keep the Barrett step that reduces every
+slot mod p exact, and takes a popcount of the nonzero slots; and a stop
+rule, a table from the factor counts so far to the one cycle type they
+leave with that parity.  So a polynomial of degree at most 5, or a sextic with a root mod p, is settled
+by the root count, without a monic reduction or computing x^p mod (f, p).
+Any other polynomial powers x^p once modulo f, roots and all, and forms the
+Frobenius matrix Q of f mod p.  When p > deg f the factor counts are read
+off traces of powers of Q in one straight loop, so a sextic without a root
+is settled by the quadratic factors, (trace(Q^2) - roots) / 2, with no gcd;
+when p <= deg f the matrix gives x^(p^k) to the gcd split.  A sweep hands
+the scan a lookup instead (``IntegerFamily.cycle_lookup``), which the scan
+calls directly at each good prime: at a good prime p not dividing v (nor
+the cleared denominator of P) the cycle type of a specialization P(x, u/v)
+depends on t = u/v mod p alone, so it is read off a table keyed by t mod p
+and factored only for the first pair with that key.
 
 Transpositions come from a prime p, not dividing the leading coefficient,
 with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of

@@ -26,17 +26,19 @@ p minus the number of roots.  The step is exact while every slot value
 times magic fits in w bits (``_barrett_constants``), so w is the fewest
 whole bytes that hold it, 8 to 40 bits for degrees up to 8 below 256: the
 narrower the slots, the shorter every sum, product and mask.  Slots are
-capped at 64 bits, which p < 256 keeps for every degree up to 67,376.  Everything the count needs for one prime and one number of
-coefficients (the width, the Barrett constants, the masks and the columns)
-is one cached plan (``_root_plan``), built on the first polynomial that
-asks for it.  A cached table keyed by (degree, roots, parity) then names the
-one cycle type the count leaves, if any, as a ``CycleType`` shared by every
-caller: with the parity, a polynomial of degree at most 5, or a sextic with
-a root mod p, is settled there without a monic reduction or the ring below.
+capped at 64 bits, which p < 256 keeps for every degree up to 67,376.
 The columns a^i mod p do not depend on the polynomial, so their table is
-keyed by the prime and the slot width alone and grown to the largest degree
-asked; column i >= p is column i - (p - 1) again, and shares its object.
-Larger primes count the roots from the Frobenius matrix below.
+keyed by the prime and the slot width alone and grown to the largest
+degree asked; column i >= p is column i - (p - 1) again, and shares its
+object.  Larger primes count the roots from the Frobenius matrix below.
+
+Each prime, degree and parity has one cached plan (``_settle_plan``): the
+cycle type the parity alone leaves, if any, else the prime's ``_RootPlan``
+below the cutoff; and a ``_StopRule``, a table from the factor counts so
+far, (c_1, ..., c_k), to the one ``CycleType`` they leave with the parity,
+if any.  With the parity, a polynomial of degree at most 5, or a sextic
+with a root mod p, is settled at k = 1 without the ring below, and a
+sextic without a root at k = 2.
 
 The later steps work in F_p[x]/(f), f made monic with its roots still in
 it, with elements packed into integers too, one coefficient per slot of a
@@ -47,21 +49,22 @@ from a bound on every slot value that reaches that step (``_Ring``), so the
 ring is exact at every prime and degree; they depend on p and n alone and
 are computed once per pair.  Only the packed row of x^n mod f and its n
 shifts are built per polynomial, from f and 1/lc(f) directly.  x^p is one
-square-and-shift powering from x^s, s the leading bits of p below n, which
-is a shift alone (``_power_chain``, cached per (p, n)), and the
-Frobenius matrix Q, whose column j is x^(jp) mod f for j < n, takes n - 2
-more products (E. R. Berlekamp, "Factoring polynomials over large finite
-fields", Math. Comp. 24, 1970).  When p > n, trace(Q^k) mod p is the
-number of roots of f in F_(p^k): F_p[x]/(f) is the product of the fields
-F_(p^d) over f's irreducible factors of degree d, Frobenius^k permutes a
-normal basis of each, fixing all d of its elements when d divides k and
-none otherwise, and the sum of those d is at most n < p.  So step k counts
-its factors from one trace and the counts of the steps before, with no gcd:
-trace(Q^2) is the sum of Q_ij Q_ji, and Q^(k - 1) is formed, one packed
-matrix-vector product per column, only when a step k >= 3 is reached.
-When p <= n that sum is known only mod p, so step k splits
-gcd(g, x^(p^k) - x) off the rest g of f instead, with x^(p^k) read off Q
-as Q times x^(p^(k - 1)).
+square-and-shift powering from x^s, s the leading bits of p below 2n,
+which is the fold of one slot (``_power_chain``, cached per (p, n)), and
+the Frobenius matrix Q, whose column j is x^(jp) mod f for j < n, takes
+n - 2 more products (E. R. Berlekamp, "Factoring polynomials over large
+finite fields", Math. Comp. 24, 1970).  When p > n, trace(Q^k) mod p is
+the number of roots of f in F_(p^k): F_p[x]/(f) is the product of the
+fields F_(p^d) over f's irreducible factors of degree d, Frobenius^k
+permutes a normal basis of each, fixing all d of its elements when d
+divides k and none otherwise, and the sum of those d is at most n < p.  So
+step k counts its factors from one trace and the counts before, with no
+gcd: the roots above the cutoff from trace(Q), the quadratic factors as
+(trace(Q^2) - roots) / 2, trace(Q^2) being the sum of Q_ij Q_ji, and only a
+pattern still open then forms Q^(k - 1), one packed matrix-vector product
+per column, for k >= 3.  When p <= n that sum is known only mod p, so step
+k splits gcd(g, x^(p^k) - x) off the rest g of f instead, with x^(p^k) read
+off Q as Q times x^(p^(k - 1)).
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import islice
 from operator import itemgetter, mul
 from typing import Iterator, Optional, Union
 
@@ -222,10 +225,10 @@ def cycle_certificate(polygon: NewtonPolygon) -> list[CycleType]:
 # powering (``_x_power``, the only place that computes x^e), and each later
 # column is the one before times x^p.  Q times a vector is one packed sum
 # of its columns and one Barrett step (``_Ring.apply``).  For p > deg f the
-# factor counts are read off traces of powers of Q (``_trace_counts``); for
-# p <= deg f the list kernels below split gcd(g, x^(p^k) - x) off g
-# (``_gcd_counts``).  Below ROOT_PRIME_BOUND the linear factors are counted
-# first, from one packed evaluation at every point of F_p.
+# factor counts are read off traces of powers of Q (``good_prime_cycle_type``);
+# for p <= deg f the list kernels below split gcd(g, x^(p^k) - x) off g
+# (``_gcd_cycle_type``).  Below ROOT_PRIME_BOUND the linear factors are
+# counted first, from one packed evaluation at every point of F_p.
 # ---------------------------------------------------------------------------
 
 
@@ -385,11 +388,12 @@ class _Ring:
 @lru_cache(maxsize=None)
 def _power_chain(e: int, n: int) -> tuple[int, tuple[bool, ...]]:
     """(s, steps) for x^e mod a modulus of degree n, e >= 1: s is the
-    longest leading part of e's bits below n, so x^s is a shift alone, and
-    each later bit of e is one squaring, times x as well when it is 1."""
+    longest leading part of e's bits below 2n, so x^s is 1 << s*w with at
+    most n slots folded back, and each later bit of e is one squaring, times
+    x as well when it is 1."""
     length = e.bit_length()
     k = 1  # the leading bits taken
-    while k < length and e >> (length - k - 1) < n:
+    while k < length and e >> (length - k - 1) < 2 * n:
         k += 1
     return e >> (length - k), tuple(bool(e >> i & 1) for i in range(length - k - 1, -1, -1))
 
@@ -397,7 +401,7 @@ def _power_chain(e: int, n: int) -> tuple[int, tuple[bool, ...]]:
 def _x_power(e: int, ring: _Ring) -> int:
     """x^e in ``ring`` for e >= 1, by squaring and shifting (``_power_chain``)."""
     start, steps = _power_chain(e, ring.n)
-    r = 1 << start * ring.width
+    r = ring.mul(1 << start * ring.width, 1)
     for by_x in steps:
         r = ring.mul(r, r, by_x)
     return r
@@ -459,11 +463,10 @@ class _RootPlan:
         return self.p - (self.values(f) + self._offset & self._tops).bit_count()
 
 
-@lru_cache(maxsize=None)
 def _root_plan(p: int, count: int) -> Optional[_RootPlan]:
-    """The ``_RootPlan`` of p for polynomials with ``count`` coefficients,
-    one per pair, or None when no slot of at most _ROOT_SLOT_BITS bits
-    makes the Barrett step exact."""
+    """The ``_RootPlan`` of p for polynomials with ``count`` coefficients, or
+    None when no slot of at most _ROOT_SLOT_BITS bits makes the Barrett
+    step exact."""
     bound = count * (p - 1) ** 2
     shift, magic = _barrett_constants(bound, p)
     width = -(-(bound * magic).bit_length() // 8) * 8
@@ -494,20 +497,37 @@ def _sole_partition(m: int, least: int, parity: Optional[int]) -> Optional[tuple
     return found[0] if len(found) == 1 else None
 
 
+class _StopRule(dict):
+    """(c_1, ..., c_k) -> the cycle type of a squarefree polynomial of degree
+    n over F_p with c_d factors of degree d <= k and a Frobenius of this
+    parity (either when None), if one pattern fits, else None; filled on
+    first use.  Counts that none fits raise ArithmeticError."""
+
+    __slots__ = ("n", "parity")
+
+    def __init__(self, n: int, parity: Optional[int]):
+        super().__init__()
+        self.n, self.parity = n, parity
+
+    def __missing__(self, counts: tuple[int, ...]) -> Optional[CycleType]:
+        found = [d for d, c in enumerate(counts, 1) for _ in range(c)]
+        rest = self.n - sum(found)
+        owed = None if self.parity is None else (self.parity - sum(found) + len(found)) % 2
+        sole = _sole_partition(rest, len(counts) + 1, owed)
+        if sole is None and rest < 2 * len(counts) + 2:  # the rest is [rest] or (), of the wrong parity
+            raise ArithmeticError(f"parity {self.parity} contradicts the factor counts {counts}")
+        self[counts] = settled = None if sole is None else _cycle_type(tuple(found) + sole)
+        return settled
+
+
 @lru_cache(maxsize=None)
-def _settled(n: int, roots: Optional[int], parity: Optional[int]) -> Optional[CycleType]:
-    """The cycle type of a squarefree polynomial of degree n over F_p with
-    ``roots`` roots there (None when they are not counted yet) whose
-    Frobenius has the given parity (either when None), if one pattern fits:
-    the stop rule of ``good_prime_cycle_type`` at step 1, or at step 2 after
-    the root count.  None when several fit, and also when none does, so that
-    the loop is left to report the contradiction."""
-    if roots is None:
-        sole = _sole_partition(n, 1, parity)
-    else:
-        rest = _sole_partition(n - roots, 2, parity)
-        sole = None if rest is None else (1,) * roots + rest
-    return None if sole is None else _cycle_type(sole)
+def _settle_plan(p: int, n: int, parity: Optional[int], counted: bool) -> tuple:
+    """(the cycle type the parity alone leaves, if any; else p's
+    ``_RootPlan`` if ``counted``; the ``_StopRule``).  The caller passes
+    p < ROOT_PRIME_BOUND as ``counted``, so no plan freezes the cutoff."""
+    stop = _StopRule(n, parity)
+    settled = stop[()]
+    return settled, (_root_plan(p, n + 1) if counted and settled is None else None), stop
 
 
 def _frobenius_columns(ring: _Ring) -> list[int]:
@@ -526,62 +546,55 @@ def _transpose(n: int) -> itemgetter:
     return itemgetter(*[i * n + j for j in range(n) for i in range(n)])
 
 
-def _trace_counts(ring: _Ring, columns: list[int], roots: Optional[int]) -> Iterator[int]:
-    """For k = 1, 2, ..., the number of irreducible factors of degree k of
-    the modulus of ``ring``, for p > n, read off the Frobenius matrix Q with
-    these packed columns: trace(Q^k) mod p is the sum of d times the count
-    of degree d over the d dividing k (module docstring).  Starts at k = 2
-    when ``roots`` already counts the factors of degree 1."""
-    p, n = ring.p, ring.n
-    matrix = ring.coeffs(*columns)  # Q, column by column: matrix[j * n + i] = Q_ij
-    transpose = _transpose(n)
-    if roots is None:
-        roots = sum(matrix[:: n + 1]) % p
-        yield roots
-    counts = [0, roots]  # counts[d]: the factors of degree d
-    power = matrix  # Q^(k - 1), column by column
-    for k in count(2):
-        if k > 2:
-            power = ring.coeffs(
-                *[ring.apply(columns, power[j : j + n]) for j in range(0, n * n, n)]
-            )
-        trace = sum(map(mul, matrix, transpose(power))) % p  # sum of Q_ij (Q^(k - 1))_ji
-        found = sum(d * counts[d] for d in range(1, k // 2 + 1) if k % d == 0)
-        counts.append((trace - found) // k)
-        yield counts[k]
-
-
-def _gcd_counts(
-    g: list[int], ring: _Ring, columns: list[int], roots: Optional[int]
-) -> Iterator[int]:
-    """The counts of ``_trace_counts`` for any p, by splitting
-    gcd(g, x^(p^k) - x) off g, the monic modulus of ``ring``, at each step;
-    x^(p^k) is Q times x^(p^(k - 1)).  Counted ``roots`` stay in g until
-    step 2 splits them off with the factors of degree 2."""
+def _gcd_cycle_type(
+    f: list[int], ring: _Ring, columns: list[int], roots: Optional[int], stop: _StopRule
+) -> CycleType:
+    """``good_prime_cycle_type`` for p <= n: step k splits its gcd with
+    x^(p^k) - x off the rest g of monic f (module docstring).  Counted
+    ``roots`` stay in g until step 2."""
     p = ring.p
+    inv = pow(f[-1], -1, p)
+    g = [c * inv % p for c in f]
     h = ring.coeffs(columns[1])  # x^p
-    k, kept = 1, 0
+    counts, kept = [], 0  # counts[d - 1]: the factors of degree d
     if roots is not None:
-        h, k, kept = ring.coeffs(ring.apply(columns, h)), 2, roots
+        h, counts, kept = ring.coeffs(ring.apply(columns, h)), [roots], roots
     while True:
+        k = len(counts) + 1
         gk = _pgcd(g, [h[0], h[1] - 1] + h[2:], p)  # gcd(g, x^(p^k) - x)
         if _pdeg(gk) > 0:
             g = _pdiv_exact(g, gk, p)
-        yield (_pdeg(gk) - kept) // k
-        h, k, kept = ring.coeffs(ring.apply(columns, h)), k + 1, 0
+        counts.append((_pdeg(gk) - kept) // k)
+        settled = stop[tuple(counts)]
+        if settled is not None:
+            return settled
+        h, kept = ring.coeffs(ring.apply(columns, h)), 0
 
 
-def _factor_counts(f: list[int], p: int, roots: Optional[int]) -> Iterator[int]:
-    """The counts of ``_trace_counts`` for f reduced mod p, from the ring on
-    monic f, which this builds on the first count asked: by traces when
-    p > deg f, by gcds otherwise."""
-    ring = _Ring(f, p)
-    columns = _frobenius_columns(ring)
-    if p > ring.n:
-        yield from _trace_counts(ring, columns, roots)
-    else:
-        inv = pow(f[-1], -1, p)
-        yield from _gcd_counts([c * inv % p for c in f], ring, columns, roots)
+def _trace_cycle_type(
+    ring: _Ring, columns: list[int], roots: Optional[int], stop: _StopRule
+) -> CycleType:
+    """``good_prime_cycle_type`` for p > n from traces of powers of the
+    Frobenius matrix Q with these columns (module docstring)."""
+    p, n = ring.p, ring.n
+    matrix = ring.coeffs(*columns)  # Q, column by column: matrix[j * n + i] = Q_ij
+    if roots is None:
+        roots = sum(matrix[:: n + 1]) % p
+        settled = stop[roots,]
+        if settled is not None:
+            return settled
+    transpose = _transpose(n)
+    counts = [roots, (sum(map(mul, matrix, transpose(matrix))) % p - roots) // 2]
+    settled = stop[roots, counts[1]]
+    power = matrix  # Q^(k - 1), column by column
+    while settled is None:
+        k = len(counts) + 1
+        power = ring.coeffs(*[ring.apply(columns, power[j : j + n]) for j in range(0, n * n, n)])
+        trace = sum(map(mul, matrix, transpose(power))) % p  # sum of Q_ij (Q^(k - 1))_ji
+        found = sum(d * counts[d - 1] for d in range(1, k // 2 + 1) if k % d == 0)
+        counts.append((trace - found) // k)
+        settled = stop[tuple(counts)]
+    return settled
 
 
 def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) -> list[int]:
@@ -628,44 +641,31 @@ def good_prime_cycle_type(
     when given, is the parity of Frobenius (see ``frobenius_parity``); none
     of that is rechecked here.
 
-    Step k counts the factors of degree k.  The loop stops once the rest of
-    f has a single possible pattern: without ``parity`` when it is
-    irreducible (2k > its degree); with ``parity`` = (deg f - number of
-    factors) mod 2 when one partition of the rest's degree into parts > k
-    has the parity still owed.  At step 1, and at step 2 after the root
-    count, that rule is read off ``_settled``, before the monic reduction.
-    Below ROOT_PRIME_BOUND step 1 counts the roots from the packed values of
-    f.  The first step that needs more builds the ring on monic f, roots
-    and all, and its Frobenius matrix Q once.  When p > deg f each step
-    reads its count off trace(Q^k); a sextic without a root and with the
-    parity is settled by trace(Q^2).  When p <= deg f each step splits
-    gcd(g, x^(p^k) - x) off the rest g instead (``_factor_counts``).
+    Step k counts the factors of degree k, and the loop stops at the first
+    step whose counts, with ``parity`` = (deg f - number of factors) mod 2
+    when it is given, leave one pattern, as the cached plan of p, deg f and
+    the parity says (``_settle_plan``); step 0 reads the parity alone.
+    Below ROOT_PRIME_BOUND step 1 is the root count.  The first step that
+    needs more builds the ring on f, roots and all, and its Frobenius matrix
+    Q once, and reads each count off trace(Q^k) when p > deg f, or splits
+    gcd(g, x^(p^k) - x) off the rest g of f otherwise (``_gcd_cycle_type``).
     Equal patterns return one shared ``CycleType``.
     """
     n = len(coeffs) - 1
-    settled = _settled(n, None, parity)
+    settled, counter, stop = _settle_plan(p, n, parity, p < ROOT_PRIME_BOUND)
     if settled is not None:
         return settled
     f = [c % p for c in coeffs]
-    plan = _root_plan(p, n + 1) if p < ROOT_PRIME_BOUND else None
-    roots = None if plan is None else plan.roots(f)
-    out: list[int] = []  # the factor degrees counted
-    k = 1
+    roots = None if counter is None else counter.roots(f)
     if roots is not None:
-        settled = _settled(n, roots, parity)
+        settled = stop[roots,]
         if settled is not None:
             return settled
-        out, k = [1] * roots, 2
-    counts = _factor_counts(f, p, roots)  # runs nothing until the first count
-    while True:
-        if 2 * k > n - sum(out):
-            raise ArithmeticError(f"parity {parity} contradicts the factorization mod {p}")
-        out.extend([k] * next(counts))
-        k += 1
-        owed = None if parity is None else (parity - sum(out) + len(out)) % 2
-        sole = _sole_partition(n - sum(out), k, owed)
-        if sole is not None:
-            return _cycle_type(tuple(sorted(out + list(sole))))
+    ring = _Ring(f, p)
+    columns = _frobenius_columns(ring)
+    if p <= n:
+        return _gcd_cycle_type(f, ring, columns, roots, stop)
+    return _trace_cycle_type(ring, columns, roots, stop)
 
 
 def frobenius_cycle_type(f: Poly, p: int) -> Optional[CycleType]:

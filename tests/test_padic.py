@@ -394,10 +394,20 @@ def test_parity_contradiction_is_an_error():
 
 def powering_pattern(coeffs, p, monkeypatch):
     """The parity-free loop with every prime counting its roots from the
-    Frobenius matrix."""
+    Frobenius matrix, also where a plan with a root count is cached."""
+    return sorted(matrix_cycle_type(coeffs, p, monkeypatch).parts)
+
+
+def matrix_cycle_type(coeffs, p, monkeypatch):
+    """``powering_pattern`` as the ``CycleType`` the loop returns."""
+
+    def refuse(*args):
+        raise AssertionError("the root count ran above the lowered cutoff")
+
     with monkeypatch.context() as patch:
         patch.setattr(padic, "ROOT_PRIME_BOUND", 2)
-        return padic.distinct_degree_pattern(coeffs, p)
+        patch.setattr(padic._RootPlan, "roots", refuse)
+        return good_prime_cycle_type(coeffs, p)
 
 
 def test_root_count_at_the_cutoff(monkeypatch):
@@ -443,9 +453,9 @@ def fresh_root_plans(monkeypatch):
     """An empty column table and plan cache for the test, and a cleared
     cache after it, so that no plan outlives the table it was built in."""
     monkeypatch.setattr(padic, "_COLUMNS", {})
-    padic._root_plan.cache_clear()
+    padic._settle_plan.cache_clear()
     yield
-    padic._root_plan.cache_clear()
+    padic._settle_plan.cache_clear()
 
 
 def test_column_table_holds_only_primes_below_the_cutoff(fresh_root_plans):
@@ -530,24 +540,41 @@ def test_root_count_is_exact_at_every_prime_below_the_cutoff():
     assert widths == {8, 16, 24, 32, 40}
 
 
+def plan_settles(n, parity, roots, twos):
+    """What the plan of degree n and the parity settles after the parity
+    alone (roots None), the root count (twos None) or the quadratic factors
+    as well."""
+    settled, _, stop = padic._settle_plan(2, n, parity, False)
+    if roots is None:
+        return settled
+    return stop[(roots,) if twos is None else (roots, twos)]
+
+
 def test_settled_table_matches_the_parity_free_loop():
-    # For every degree n <= 12, root count r (or none yet) and parity (or
-    # none), the table holds the cycle type exactly when one partition of n
-    # with r parts equal to 1 has that parity, and None otherwise.  On random
-    # polynomials at small primes, whatever it holds is the pattern of the
-    # parity-free loop.
+    # For every degree n <= 12, root count r (or none yet), number of
+    # quadratic factors c (or none yet) and parity (or none), the stop rule
+    # holds the cycle type exactly when one partition of n with r parts
+    # equal to 1 and c equal to 2 has that parity, and None when several
+    # do; a key that no partition fits raises.  On random polynomials at
+    # small primes, whatever it holds is the pattern of the parity-free loop.
     for n in range(1, 13):
         patterns = brute_partitions(n, 1)
         for roots in [None, *range(n + 1)]:
-            for parity in (None, 0, 1):
-                fits = [
-                    q
-                    for q in patterns
-                    if (roots is None or q.count(1) == roots)
-                    and (parity is None or (n - len(q)) % 2 == parity)
-                ]
-                want = CycleType(fits[0]) if len(fits) == 1 else None
-                assert padic._settled(n, roots, parity) == want, (n, roots, parity)
+            for twos in [None, *range(n // 2 + 1)] if roots is not None else [None]:
+                for parity in (None, 0, 1):
+                    fits = [
+                        q
+                        for q in patterns
+                        if (roots is None or q.count(1) == roots)
+                        and (twos is None or q.count(2) == twos)
+                        and (parity is None or (n - len(q)) % 2 == parity)
+                    ]
+                    if not fits:
+                        with pytest.raises(ArithmeticError):
+                            plan_settles(n, parity, roots, twos)
+                        continue
+                    want = CycleType(fits[0]) if len(fits) == 1 else None
+                    assert plan_settles(n, parity, roots, twos) == want, (n, parity, roots, twos)
     rng = random.Random(67)
     settled = 0
     for p in primes_up_to(60):
@@ -559,17 +586,18 @@ def test_settled_table_matches_the_parity_free_loop():
                     continue
                 loop = tuple(padic.distinct_degree_pattern(f, p))
                 parity = (n - len(loop)) % 2
-                for roots in (None, loop.count(1)):
+                for roots, twos in ((None, None), (loop.count(1), None), (loop.count(1), loop.count(2))):
                     for par in (None, parity):
-                        got = padic._settled(n, roots, par)
-                        assert got is None or got.parts == loop[::-1], (f, p, roots, par)
+                        got = plan_settles(n, par, roots, twos)
+                        assert got is None or got.parts == loop[::-1], (f, p, roots, twos, par)
                         settled += got is not None
     assert settled > 800
 
 
 def test_settled_quintics_and_sextics_list_no_roots(monkeypatch):
     # With the parity, a quintic, or a sextic with a root mod p, is settled
-    # by the root count: neither the ring nor any later count runs.
+    # by the root count: neither the ring nor its Frobenius columns are
+    # built.
     rng = random.Random(71)
 
     def refuse(*args):
@@ -587,7 +615,7 @@ def test_settled_quintics_and_sextics_list_no_roots(monkeypatch):
                 if degree == 6 and 1 not in full.parts:
                     continue
                 with monkeypatch.context() as patch:
-                    patch.setattr(padic, "_factor_counts", refuse)
+                    patch.setattr(padic, "_frobenius_columns", refuse)
                     patch.setattr(padic, "_Ring", refuse)
                     assert good_prime_cycle_type(coeffs, p, frobenius_parity(disc, p)) == full
                 checked[degree] += 1
@@ -668,8 +696,8 @@ def test_ring_matches_list_oracle():
 def test_ring_of_a_non_monic_polynomial_is_the_ring_of_its_monic_multiple():
     # The ring reads x^n mod f off f directly, as -(f - lc(f) x^n) / lc(f),
     # with no monic copy of f; its products, x^e and Frobenius columns are
-    # those of the ring on the monic multiple.  x^e starts from the shift
-    # x^s, s the leading bits of e below n, and squares once per later bit.
+    # those of the ring on the monic multiple.  x^e starts from x^s, s the
+    # leading bits of e below 2n, and squares once per later bit.
     rng = random.Random(83)
     for p in (3, 5, 251, 4409):
         for n in (2, 3, 6, 9):
@@ -684,7 +712,7 @@ def test_ring_of_a_non_monic_polynomial_is_the_ring_of_its_monic_multiple():
             assert padic._frobenius_columns(ring) == padic._frobenius_columns(monic)
             for e in (1, n - 1, n, 2 * n + 1, p, p * p + 3):
                 start, steps = padic._power_chain(e, n)
-                assert start < max(n, 2) and len(steps) == e.bit_length() - start.bit_length()
+                assert start < 2 * n and len(steps) == e.bit_length() - start.bit_length()
                 want = oracles.modp_powmod([0, 1], e, [c * inv % p for c in f], p)
                 assert padic._x_power(e, ring) == ring.pack(want), (f, p, e)
 
@@ -759,9 +787,10 @@ def test_rootless_sextics_read_one_trace(monkeypatch):
     # With the parity, a sextic without a root mod p is [2, 4] or [3, 3]
     # (even) or [6] or [2, 2, 2] (odd), told apart by the number of
     # quadratic factors.  For p > 6 that is trace(Q^2) of the Frobenius
-    # matrix Q, so x^e is computed exactly once and no gcd is taken, and the
-    # pattern equals the parity-free loop's.  For p <= 6 the trace is known
-    # only mod p, and gcd(f, x^(p^2) - x) splits off the quadratic factors.
+    # matrix Q, so one ring is built, x^e is computed exactly once and no gcd
+    # is taken, and the pattern equals the parity-free loop's.  For p <= 6
+    # the trace is known only mod p, and gcd(f, x^(p^2) - x) splits off the
+    # quadratic factors.
     rng = random.Random(61)
     calls = []
 
@@ -783,13 +812,90 @@ def test_rootless_sextics_read_one_trace(monkeypatch):
                 continue
             full = padic.distinct_degree_pattern(coeffs, p)
             with monkeypatch.context() as patch:
+                patch.setattr(padic, "_Ring", counted("_Ring", padic._Ring))
                 patch.setattr(padic, "_x_power", counted("_x_power", padic._x_power))
                 patch.setattr(padic, "_pgcd", counted("_pgcd", padic._pgcd))
                 calls.clear()
                 assert padic.distinct_degree_pattern(coeffs, p, (6 - len(full)) % 2) == full
             if p > 6:
-                assert calls == ["_x_power"], (coeffs, p, full)
+                assert calls == ["_Ring", "_x_power"], (coeffs, p, full)
                 seen.add(tuple(full))
             else:
-                assert calls == ["_x_power", "_pgcd"], (coeffs, p, full)
+                assert calls == ["_Ring", "_x_power", "_pgcd"], (coeffs, p, full)
     assert seen == {(2, 4), (3, 3), (6,), (2, 2, 2)}
+
+
+def test_settle_plan_matches_the_matrix_loop_at_every_prime_below_the_cutoff(monkeypatch):
+    # At every prime below ROOT_PRIME_BOUND, for degrees 2 to 8, with every
+    # coefficient p - 1 (the lead 1 where p = 2) and with seeded random ones,
+    # the cached plan (root count, stop rule, trace(Q^2)) returns the very
+    # CycleType object of the parity-free loop on the Frobenius matrix alone,
+    # with and without the parity; on every fifth prime the pattern is also
+    # sympy's.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(89)
+    checked = set()
+    for index, p in enumerate(primes_up_to(padic.ROOT_PRIME_BOUND - 1)):
+        for n in range(2, 9):
+            extreme = [p - 1] * n + [max(p - 1, 1)]
+            for coeffs in [extreme] + [[rng.randrange(p) for _ in range(n)] + [1] for _ in range(3)]:
+                deriv = [i * c for i, c in enumerate(coeffs)][1:]
+                if len(padic._pgcd(coeffs, deriv, p)) != 1:
+                    continue
+                want = matrix_cycle_type(coeffs, p, monkeypatch)
+                parity = (n - len(want.parts)) % 2
+                assert good_prime_cycle_type(coeffs, p, parity) is want, (coeffs, p)
+                assert good_prime_cycle_type(coeffs, p) is want, (coeffs, p)
+                if index % 5 == 0:
+                    _, factors = sympy.Poly(list(reversed(coeffs)), x, modulus=p).factor_list()
+                    assert sorted(q.degree() for q, _ in factors) == sorted(want.parts), (coeffs, p)
+                checked.add((p, n))
+    assert len(checked) > 0.9 * 7 * len(primes_up_to(padic.ROOT_PRIME_BOUND - 1))
+
+
+def test_cached_plan_does_not_freeze_the_cutoff(monkeypatch):
+    # A plan is cached per prime and degree with its root count, yet below a
+    # lowered cutoff the same prime takes the matrix path; back at the real
+    # cutoff the root count settles the quintic again with no powering.
+    p, coeffs = 13, [3, 1, 4, 1, 5, 1]
+    full = frobenius_cycle_type(Poly(coeffs), p)
+    assert full is not None
+    parity = (5 - len(full.parts)) % 2
+    assert good_prime_cycle_type(coeffs, p, parity) is full
+    assert padic._settle_plan(p, 5, parity, True)[1] is not None
+    powered = []
+    real = padic._x_power
+
+    def counted(*args):
+        powered.append(args[0])
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(padic, "_x_power", counted)
+        assert matrix_cycle_type(coeffs, p, patch) is full
+        assert powered == [p]
+
+    def refuse(*args):
+        raise AssertionError("x^p mod f was computed")
+
+    monkeypatch.setattr(padic, "_x_power", refuse)
+    assert good_prime_cycle_type(coeffs, p, parity) is full
+
+
+def test_x_power_matches_list_oracle_from_a_folded_start():
+    # x^e for every e up to 300 and degrees 2 to 8 equals the list oracle.
+    # The chain starts at x^s, the longest leading part of e below 2n, so
+    # for e >= n it starts at or past x^n, as the fold of 1 << s*w, and then
+    # takes one product per later bit of e.
+    rng = random.Random(97)
+    for p in (2, 3, 13, 251, 4409):
+        for n in range(2, 9):
+            g = [rng.randrange(p) for _ in range(n)] + [1]
+            ring = padic._Ring(g, p)
+            for e in range(1, 301):
+                start, steps = padic._power_chain(e, n)
+                assert start < 2 * n and (start >= n or start == e), (e, n)
+                assert len(steps) == e.bit_length() - start.bit_length()
+                want = oracles.modp_powmod([0, 1], e, g, p)
+                assert padic._x_power(e, ring) == ring.pack(want), (g, p, e)
