@@ -9,7 +9,10 @@ runs with the same configuration produce byte-identical output.
 A config file is flat key=value with sections ([run], [curve], [sweep],
 [ev], [certify], [density], [pair], [output]); command-line flags override
 file values.  Each option is declared once, on its RunConfig field.  Exit
-codes: 0 success, 2 usage error, 1 internal error.  The only environment
+codes: 0 success, 2 usage error, 1 internal error.  A usage error is a
+missing or out-of-range value, such as a conductor below 2, a nonpositive
+epsilon, a singular curve or a sweep congruence class with no coprime pair,
+and is reported as ``usage error: <field>: ...``.  The only environment
 variable consulted is SDTWISTS_WORKERS (sweep worker count).
 """
 
@@ -20,6 +23,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -113,7 +117,8 @@ class RunConfig:
     ev_count: int = _option(100, "ev.count", minimum=1, help="instances to generate")
     ev_certify: bool = _option(
         True, "ev.certify", _boolean, flag="--no-certify", const="false", help="do not certify ev instances")
-    conductor: Optional[int] = _option(None, "pair.conductor", help="conductor N of the curve")
+    conductor: Optional[int] = _option(
+        None, "pair.conductor", minimum=2, help="conductor N of the curve")
     root_number: Optional[int] = _option(
         None, "pair.root_number", choices=(-1, 1), help="global root number of the curve")
     pair_power: int = _option(1, "pair.power", minimum=1, help="pairing modulus exponent")
@@ -154,10 +159,19 @@ class RunConfig:
                 raise UsageError("conductor/root-number: required for mode pair-signs")
             if self.box is None:
                 raise UsageError("box: sweep box required")
-        if self.curve is not None and len(self.curve) != 2:
-            raise UsageError("curve: expected a,b")
-        if self.congruence is not None and (len(self.congruence) != 3 or self.congruence[2] < 1):
-            raise UsageError("congruence: expected u0,v0,M with M >= 1")
+        if self.curve is not None:
+            if len(self.curve) != 2:
+                raise UsageError("curve: expected a,b")
+            a, b = self.curve
+            if 4 * a**3 + 27 * b**2 == 0:
+                raise UsageError("curve: singular (4a^3 + 27b^2 = 0)")
+        if self.epsilon <= 0:
+            raise UsageError("epsilon: must be positive")
+        if self.congruence is not None:
+            if len(self.congruence) != 3 or self.congruence[2] < 1:
+                raise UsageError("congruence: expected u0,v0,M with M >= 1")
+            if self.mode == "sweep" and math.gcd(*self.congruence) != 1:
+                raise UsageError("congruence: gcd(u0, v0, M) > 1 admits no coprime pairs")
         for p in self.polygon_primes:
             if not is_prime(p):
                 raise UsageError(f"polygon_primes: {p} is not prime")

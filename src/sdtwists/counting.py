@@ -2,11 +2,13 @@
 
 A sweep walks coprime pairs (u, v) in a box, specializes the twist family at
 t = u/v, certifies the Galois group, verifies the induced point and reduces
-the polynomial discriminant to its signed squarefree kernel.  Each sweep
-builds one ``IntegerFamily`` on the family's integer view, and every
-candidate reads its specialization, discriminant and Frobenius cycle types
-off it; the point holds at every specialization of degree >= 1 by the family
-identity, which ``sweep`` checks once per family.  Distinct fields are
+the polynomial discriminant to its signed squarefree kernel.  A sweep runs
+on the family itself: every candidate reads its specialization and
+discriminant off the family's integer forms (``TwistFamily.specialization``
+and ``TwistFamily.discriminant_at``) and its Frobenius cycle types through
+a table of the sweep's own, keyed by (p, u/v mod p)
+(``TwistFamily.cycle_lookup``); the point holds at every specialization of
+degree >= 1 by the family identity, which ``sweep`` checks once per family.  Distinct fields are
 distinguished by the kernel (the square class of the discriminant), so
 deduplication groups by it; kernels whose factorization is incomplete at the
 trial bound are quarantined and never counted as distinct, which keeps every
@@ -34,7 +36,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import galois
-from .family import IntegerFamily, TwistFamily, WeierstrassModel
+from .family import TwistFamily, WeierstrassModel
 from .galois import SdCertificate
 from .polyarith import (
     IntPoly,
@@ -138,17 +140,18 @@ class FieldCandidate:
 
 
 def _candidate(
-    family: IntegerFamily,
+    family: TwistFamily,
     u: int,
     v: int,
     budgets: SweepBudgets,
     modulus: Optional[int],
+    table: dict,
 ) -> FieldCandidate:
     # The specialization is an IntPoly, primitive with positive lead: the
     # normalized form the galois helpers expect with its discriminant.
-    p_spec, lam = family.specialize(u, v)
+    p_spec, lam = family.specialization(u, v)
     d = family.d
-    disc = family.discriminant(p_spec, lam, u, v) if p_spec.degree >= 1 else 0
+    disc = family.discriminant_at(p_spec, lam, u, v) if p_spec.degree >= 1 else 0
     # The family identity F^2 - f*G^2 = +-P, which ``sweep`` has checked,
     # puts the point on the curve modulo every specialization of degree >= 1.
     point_ok = p_spec.degree >= 1
@@ -181,7 +184,7 @@ def _candidate(
             budgets.prime_budget,
             polygon_primes=budgets.polygon_primes,
             trial_bound=budgets.trial_bound,
-            lookup=family.cycle_lookup(u, v),
+            lookup=family.cycle_lookup(table, u, v, lam[0]),
             factored=factored,
         )
         cert = galois.certify_sd(evidence)
@@ -249,8 +252,8 @@ def _worker_count() -> int:
 
 def _chunk_worker(args):
     family, budgets, modulus, pairs = args
-    view = IntegerFamily(family)
-    return [_candidate(view, u, v, budgets, modulus) for u, v in pairs]
+    table: dict = {}  # the chunk's cycle types by (p, t mod p)
+    return [_candidate(family, u, v, budgets, modulus, table) for u, v in pairs]
 
 
 def sweep(
@@ -274,10 +277,11 @@ def sweep(
     evaluated once: pairs are grouped by t = u/v, or by |t| when P is even
     in t, the first pair of each group is evaluated (in the worker pool when
     there is one), and the other pairs get a copy of its record with their
-    own u, v and residue class.  The evaluations share one ``IntegerFamily``
-    per call (one per worker chunk with a pool): they read the integer forms
-    of P and Disc_t off the family, which builds them once and keeps them,
-    and the Frobenius tables fill as the sweep goes.
+    own u, v and residue class.  The evaluations read P's integer forms and
+    Disc_t off the family, which builds them once and keeps them, and share
+    one table of Frobenius cycle types per call (one per worker chunk with a
+    pool), keyed by (p, u/v mod p) and dropped when the sweep returns
+    (``TwistFamily.cycle_lookup``).
 
     Every record's ``point_verified`` rests on the family identity
     F^2 - f*G^2 = +-P (``TwistFamily.identity_holds``, computed once per

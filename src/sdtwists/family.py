@@ -34,11 +34,15 @@ A family keeps its integer view, cleared once: P and the point's numerator
 and denominator as integer binary forms in (u, v) (``TwistFamily.forms`` and
 ``TwistFamily.point_forms``) and P's discriminant in x as an integer
 polynomial in t, eliminated over Z[t] from P's forms
-(``TwistFamily.disc_t``).  ``disc_form``, ``specialize`` and a sweep
-(through ``IntegerFamily``, which adds a table of cycle types) read only
-those, in integer arithmetic, and every specialization is an ``IntPoly``,
-primitive with positive lead; the point needs no check per pair, since the
-family identity is checked once, over Z[t], on the same forms.
+(``TwistFamily.disc_t``).  ``disc_form``, ``specialize`` and a sweep read
+only those, in integer arithmetic, and every specialization is an
+``IntPoly``, primitive with positive lead.  A sweep runs on the family
+itself: ``TwistFamily.specialization`` gives the specialization with its
+scale, ``TwistFamily.discriminant_at`` its discriminant off Disc_t, and
+``TwistFamily.cycle_lookup`` its Frobenius cycle types through a table that
+the sweep owns, keyed by (p, u/v mod p), so the family keeps nothing of a
+sweep.  The point needs no check per pair, since the family identity is
+checked once, over Z[t], on the same forms.
 ``verify_new_point`` accepts any polynomial as the modulus, so it evaluates
 the point's forms at (u, v) and tests F^2 - f*G^2 by the integer
 pseudo-remainder of ``polyarith``.
@@ -173,6 +177,79 @@ class TwistFamily:
     def point_forms(self) -> tuple["_Forms", "_Forms"]:
         """The integer forms of point_num and point_den, built once per family."""
         return _Forms.of(self.point_num), _Forms.of(self.point_den)
+
+    def specialization(self, u: int, v: int) -> tuple[IntPoly, tuple[int, int]]:
+        """(spec, lam): spec a primitive ``IntPoly`` with positive lead and
+        P(x, u/v) = (c / w) * spec for lam = (c, w), the content c of the
+        values of ``forms`` at (u, v) and w = L * v^e; the pair is not
+        reduced to lowest terms.  ValueError when v = 0, gcd(u, v) != 1 or
+        the specialization vanishes."""
+        if v == 0:
+            raise ValueError("v must be nonzero")
+        if math.gcd(u, v) != 1:
+            raise ValueError(f"({u}, {v}) is not a coprime pair")
+        forms = self.forms
+        values = forms.values(u, v)  # L * v^e * P(x, u/v)
+        while values and not values[-1]:
+            values.pop()
+        if not values:
+            raise ValueError("specialization vanished identically")
+        spec, content = _primitive_int(values)
+        return IntPoly(spec), (content, forms.den * v**forms.e)
+
+    def discriminant_at(self, spec: IntPoly, lam: tuple[int, int], u: int, v: int) -> int:
+        """disc(spec) for (spec, lam) = ``self.specialization(u, v)``.
+
+        disc(lam * spec) = lam^(2d-2) disc(spec) when spec has degree d, and
+        disc(P(x, u/v)) = Disc_t(u/v).  With Disc_t(u/v) = D(u, v) / (m v^K)
+        for D of ``disc_t`` read as a binary form of degree K = e(2d-2),
+        disc(spec) is an exact quotient of integers; a remainder raises
+        ``ArithmeticError``.  A spec of lower degree takes the subresultant.
+        """
+        d = self.d
+        if spec.degree != d:
+            return _discriminant(spec)
+        disc_t, m = self.disc_t
+        k = self.forms.e * (2 * d - 2)
+        lam_num, lam_den = lam
+        num = binary_form_value(disc_t.coeffs, k, u, v) * lam_den ** (2 * d - 2)
+        den = m * v**k * lam_num ** (2 * d - 2)
+        q, r = divmod(num, den)
+        if r:
+            raise ArithmeticError("family discriminant is not divisible at this specialization")
+        return q
+
+    def cycle_lookup(
+        self, table: dict[tuple[int, int], CycleType], u: int, v: int, content: int
+    ) -> Callable[..., CycleType]:
+        """The cycle type of Frobenius at a good prime p as a function of
+        (spec, p, parity), for spec of degree d with (spec, (content, _)) =
+        ``self.specialization(u, v)``: the ``galois.CycleLookup`` a sweep
+        hands the good-prime scan.  The caller has decided that p divides
+        neither lc(spec) nor disc(spec), and that Frobenius has the given
+        parity, if one is given (``padic.frobenius_parity``).
+
+        With L*P(x, t) = sum_i A_i(t) x^i (``forms``), A_i(u, v) =
+        content * spec_i == v^e A_i(t) mod p at t = u/v mod p.  So for p not
+        dividing v*L*content, L*P(x, t) mod p is a unit times spec mod p and
+        shares its factor degrees: such patterns go in ``table``, keyed by
+        (p, t), and every later pair with the same t mod p reads them from
+        there.  Where p divides the content, A_d(t) == 0 mod p and t says
+        nothing; that case and p | v*L factor spec mod p directly.  The
+        table is the caller's, one per sweep, so nothing outlives it.
+        """
+        unit = v * self.forms.den * content
+
+        def cycle_type(spec: Sequence[int], p: int, parity: Optional[int] = None) -> CycleType:
+            if unit % p == 0:
+                return good_prime_cycle_type(spec, p, parity)
+            key = (p, u * pow(v, -1, p) % p)
+            ct = table.get(key)
+            if ct is None:
+                ct = table[key] = good_prime_cycle_type(spec, p, parity)
+            return ct
+
+        return cycle_type
 
 
 @dataclass(frozen=True)
@@ -473,8 +550,7 @@ def build_family(
 
 
 # ---------------------------------------------------------------------------
-# Integer forms: specialization, discriminant, point check and Frobenius
-# cycle types read off P in integer arithmetic.
+# Integer forms, and the specialization and point check read off them.
 # ---------------------------------------------------------------------------
 
 
@@ -497,129 +573,13 @@ class _Forms:
         return [binary_form_value(c.coeffs, self.e, u, v) for c in self.poly.coeffs]
 
 
-def _specialize(forms: _Forms, u: int, v: int) -> tuple[IntPoly, tuple[int, int]]:
-    """(spec, (c, w)): spec a primitive ``IntPoly`` with positive lead and
-    B(x, u/v) = (c / w) * spec, for the forms of B; the pair is not reduced
-    to lowest terms."""
-    if v == 0:
-        raise ValueError("v must be nonzero")
-    if math.gcd(u, v) != 1:
-        raise ValueError(f"({u}, {v}) is not a coprime pair")
-    values = forms.values(u, v)  # den * v^e * B(x, u/v)
-    while values and not values[-1]:
-        values.pop()
-    if not values:
-        raise ValueError("specialization vanished identically")
-    spec, content = _primitive_int(values)
-    return IntPoly(spec), (content, forms.den * v**forms.e)
-
-
-class IntegerFamily:
-    """A sweep's view of a twist family in integer arithmetic.
-
-    The family owns its integer forms: L*P(x, t) = sum_i A_i(t) x^i with A_i
-    in Z[t], read as binary forms A_i(u, v) of degree e = max deg A_i
-    (``TwistFamily.forms``), and Disc_t = D / m, eliminated over Z[t] from
-    those forms (``TwistFamily.disc_t``).
-    ``specialize`` evaluates the forms at (u, v) and divides by the content;
-    ``discriminant`` reads disc(spec) off D as Disc_t(u/v) / lam^(2d-2) when
-    spec keeps degree d (the subresultant otherwise); and ``cycle_type``
-    (``cycle_lookup`` in a sweep) reads the Frobenius cycle type at a good
-    prime p with p not dividing v*L off a table keyed by (p, u/v mod p),
-    filled by the first pair with that key.  The point needs no check here:
-    the family identity (``TwistFamily.identity_holds``) makes it hold at
-    every specialization of degree >= 1.  The object holds only that table
-    and the lead form A_d reduced mod each prime it has met, built once per
-    sweep, so nothing else carries over from one sweep to the next.
-    """
-
-    def __init__(self, family: TwistFamily):
-        self.family = family
-        self.d = family.d
-        self._P = family.forms
-        self._cycle_types: dict[tuple[int, int], CycleType] = {}
-        self._lead_mod: dict[int, list[int]] = {}  # p -> A_d's coefficients mod p
-
-    def specialize(self, u: int, v: int) -> tuple[IntPoly, tuple[int, int]]:
-        """(spec, lam) with spec = ``specialize(family, u, v)`` and
-        P(x, u/v) = lam * spec, lam an integer pair (numerator, denominator)."""
-        return _specialize(self._P, u, v)
-
-    def discriminant(self, spec: IntPoly, lam: tuple[int, int], u: int, v: int) -> int:
-        """disc(spec) for (spec, lam) = ``self.specialize(u, v)``.
-
-        disc(lam * spec) = lam^(2d-2) disc(spec) when spec has degree d, and
-        disc(P(x, u/v)) = Disc_t(u/v).  With Disc_t(u/v) = D(u, v) / (m v^K)
-        for D of ``TwistFamily.disc_t`` read as a binary form of degree
-        K = e(2d-2), disc(spec) is an exact quotient of integers; a remainder
-        raises ``ArithmeticError``.
-        """
-        d = self.d
-        if spec.degree != d:
-            return _discriminant(spec)
-        disc_t, m = self.family.disc_t
-        k = self._P.e * (2 * d - 2)
-        lam_num, lam_den = lam
-        num = binary_form_value(disc_t.coeffs, k, u, v) * lam_den ** (2 * d - 2)
-        den = m * v**k * lam_num ** (2 * d - 2)
-        q, r = divmod(num, den)
-        if r:
-            raise ArithmeticError("family discriminant is not divisible at this specialization")
-        return q
-
-    def cycle_type(
-        self, spec: Sequence[int], p: int, u: int, v: int, parity: Optional[int] = None
-    ) -> CycleType:
-        """Cycle type of Frobenius at p for spec = ``self.specialize(u, v)``
-        (integer coefficients, constant first); the caller has decided that p
-        is good for spec, i.e. divides neither lc(spec) nor disc(spec), and
-        that Frobenius there has the given parity, if one is given
-        (``padic.frobenius_parity``).  ``cycle_lookup(u, v)`` answers it.
-        """
-        return self.cycle_lookup(u, v)(spec, p, parity)
-
-    def cycle_lookup(self, u: int, v: int) -> Callable[..., CycleType]:
-        """``cycle_type`` for the pair (u, v) as a function of (spec, p,
-        parity), the ``galois.CycleLookup`` a sweep hands the good-prime scan.
-
-        For p not dividing v*L, spec mod p is a nonzero multiple of P(x, t)
-        mod p at t = u/v mod p whenever the latter keeps degree d, so the two
-        share their factor degrees, and P(x, t) mod p is then squarefree
-        because spec is.  Such patterns are kept in a table keyed by (p, t)
-        and read from there by every later pair with the same t mod p.  Every
-        other case factors spec mod p directly.  Whether P(x, t) mod p keeps
-        degree d is read off the lead form A_d(t, 1) mod p, whose
-        coefficients are reduced mod p once per prime.
-        """
-        table, leads, lead, den = self._cycle_types, self._lead_mod, self._P.poly.lead, self._P.den
-
-        def cycle_type(spec: Sequence[int], p: int, parity: Optional[int] = None) -> CycleType:
-            if v % p == 0 or den % p == 0:
-                return good_prime_cycle_type(spec, p, parity)
-            t = u * pow(v, -1, p) % p
-            ct = table.get((p, t))
-            if ct is None:
-                ct = good_prime_cycle_type(spec, p, parity)
-                reduced = leads.get(p)
-                if reduced is None:
-                    reduced = leads[p] = [c % p for c in lead.coeffs]
-                value = 0
-                for c in reversed(reduced):
-                    value = (value * t + c) % p
-                if value:  # P(x, t) mod p has degree d
-                    table[p, t] = ct
-            return ct
-
-        return cycle_type
-
-
 def specialize(family: TwistFamily, u: int, v: int) -> IntPoly:
     """P(x, u/v) cleared to a primitive ``IntPoly`` with positive lead.
 
-    Evaluated from ``TwistFamily.forms``, as in a sweep; ValueError when
-    v = 0, gcd(u, v) != 1 or the specialization vanishes.
+    ``TwistFamily.specialization`` without its lam, as in a sweep;
+    ValueError when v = 0, gcd(u, v) != 1 or the specialization vanishes.
     """
-    return _specialize(family.forms, u, v)[0]
+    return family.specialization(u, v)[0]
 
 
 def verify_new_point(p_spec: Poly, family: TwistFamily, u: int, v: int) -> bool:

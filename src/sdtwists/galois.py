@@ -46,11 +46,12 @@ Frobenius matrix Q of f mod p.  When p > deg f the factor counts are read
 off traces of powers of Q in one straight loop, so a sextic without a root
 is settled by the quadratic factors, (trace(Q^2) - roots) / 2, with no gcd;
 when p <= deg f the matrix gives x^(p^k) to the gcd split.  A sweep hands
-the scan a lookup instead (``IntegerFamily.cycle_lookup``), which the scan
-calls directly at each good prime: at a good prime p not dividing v (nor
-the cleared denominator of P) the cycle type of a specialization P(x, u/v)
-depends on t = u/v mod p alone, so it is read off a table keyed by t mod p
-and factored only for the first pair with that key.
+the scan a lookup instead (``TwistFamily.cycle_lookup``), which the scan
+calls directly at each good prime: at a good prime p dividing neither v,
+the cleared denominator of P nor the content of the specialization, the
+cycle type of P(x, u/v) depends on t = u/v mod p alone, so it is read off
+the sweep's table keyed by (p, t mod p) and factored only for the first
+pair with that key.
 
 Transpositions come from a prime p, not dividing the leading coefficient,
 with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of

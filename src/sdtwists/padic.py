@@ -521,13 +521,14 @@ class _StopRule(dict):
 
 
 @lru_cache(maxsize=None)
-def _settle_plan(p: int, n: int, parity: Optional[int], counted: bool) -> tuple:
+def _settle_plan(p: int, n: int, parity: Optional[int]) -> tuple:
     """(the cycle type the parity alone leaves, if any; else p's
-    ``_RootPlan`` if ``counted``; the ``_StopRule``).  The caller passes
-    p < ROOT_PRIME_BOUND as ``counted``, so no plan freezes the cutoff."""
+    ``_RootPlan`` if p < ROOT_PRIME_BOUND; the ``_StopRule``).  The plan
+    keeps the cutoff it was built under until ``cache_clear``."""
     stop = _StopRule(n, parity)
     settled = stop[()]
-    return settled, (_root_plan(p, n + 1) if counted and settled is None else None), stop
+    counter = _root_plan(p, n + 1) if settled is None and p < ROOT_PRIME_BOUND else None
+    return settled, counter, stop
 
 
 def _frobenius_columns(ring: _Ring) -> list[int]:
@@ -652,7 +653,7 @@ def good_prime_cycle_type(
     Equal patterns return one shared ``CycleType``.
     """
     n = len(coeffs) - 1
-    settled, counter, stop = _settle_plan(p, n, parity, p < ROOT_PRIME_BOUND)
+    settled, counter, stop = _settle_plan(p, n, parity)
     if settled is not None:
         return settled
     f = [c % p for c in coeffs]

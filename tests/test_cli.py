@@ -90,6 +90,11 @@ def test_validation_errors(tmp_path, capsys):
         (["density", "--form", "1,0", "--box", "10", "--congruence", "1,1,0"], "congruence"),
         (["sweep", *curve, "--degree", "3", "--box", "2", "--kernel-bound", "1"],
          "kernel_bound"),
+        # out-of-range values the library would also refuse
+        (["pair-signs", "--conductor", "1", "--root-number", "-1", "--box", "4"], "conductor"),
+        (["family", *curve, "--degree", "3", "--epsilon", "-1/2"], "epsilon"),
+        (["model", "--curve", "0,0", "--degree", "3"], "curve"),
+        (["sweep", *curve, "--degree", "3", "--box", "2", "--congruence", "0,0,2"], "congruence"),
     ):
         assert main(argv) == 2, argv
         assert f"usage error: {name}" in capsys.readouterr().err

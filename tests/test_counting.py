@@ -191,13 +191,21 @@ def test_sweep_reads_cycle_types_off_the_table(monkeypatch):
 
     monkeypatch.setattr(padic, "good_prime_cycle_type", counted)
     monkeypatch.setattr(family, "good_prime_cycle_type", counted)
-    cands = sweep(small_cubic_family(), 12, budgets=SweepBudgets(prime_budget=10))
+    fam, budgets = small_cubic_family(), SweepBudgets(prime_budget=10)
+    cands = sweep(fam, 12, budgets=budgets)
     distinct = {c.poly: c.certificate.evidence for c in cands}
     scanned = sum(
         kind == "frobenius_cycle_type" for ev in distinct.values() for kind, _, _ in ev.provenance
     )
     assert scanned > 1500
     assert 4 * len(factored) < scanned
+    # The table lives as long as one sweep: a second sweep of the same
+    # family factors exactly as many primes again, and leaves nothing new
+    # on the family.
+    first, keys = len(factored), set(fam.__dict__)
+    assert sweep(fam, 12, budgets=budgets) == cands
+    assert len(factored) == 2 * first
+    assert set(fam.__dict__) == keys
 
 
 def test_sweep_parity_spares_powerings(monkeypatch):

@@ -1,9 +1,9 @@
 """The integer view of a twist family against the Fraction references.
 
-``IntegerFamily`` is what a sweep runs on: specialization and discriminant
+A sweep runs on the ``TwistFamily`` itself: specialization and discriminant
 read off the family's integer forms of P and its cleared Disc_t, and
-Frobenius cycle types looked up by t = u/v mod p; ``disc_form`` reads the
-same Disc_t, and ``verify_new_point`` reads the point off the integer forms
+Frobenius cycle types looked up by (p, u/v mod p) in a table the sweep
+owns, a plain dict; ``disc_form`` reads the same Disc_t, and ``verify_new_point`` reads the point off the integer forms
 of its numerator and denominator.  Each fast path is checked here against an
 independent reference in ``oracles.py`` (Fraction arithmetic from P itself,
 the subresultant discriminant of the specialization, the Fraction point
@@ -24,7 +24,6 @@ from sdtwists import family as family_module, polyarith
 from sdtwists.counting import WORKERS_ENV, sweep
 from sdtwists.family import (
     SIGN_GRID_DENOMINATOR,
-    IntegerFamily,
     TwistFamily,
     WeierstrassModel,
     build_family,
@@ -66,11 +65,17 @@ def compact_family():
 
 
 @pytest.fixture(scope="module")
-def views():
-    """One integer view per family, shared by every example, as in a sweep."""
+def families():
+    """One family per name, shared by every example."""
     fams = {"compact": compact_family()}
     fams.update({d: build_family((1, 1), d)[1] for d in range(3, 9)})
-    return {name: IntegerFamily(fam) for name, fam in fams.items()}
+    return fams
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """One cycle-type table per family, shared by every example, as in a sweep."""
+    return {name: {} for name in FAMILIES}
 
 
 @st.composite
@@ -112,10 +117,9 @@ def with_examples(**extra):
 @CASES
 @with_examples()
 @given(pair=coprime_pairs())
-def test_specialize_matches_fraction_reference(views, name, pair):
-    view, (u, v) = views[name], pair
-    fam = view.family
-    spec, lam = view.specialize(u, v)
+def test_specialize_matches_fraction_reference(families, name, pair):
+    fam, (u, v) = families[name], pair
+    spec, lam = fam.specialization(u, v)
     ref, ref_lam = specialize_fraction(fam, u, v)
     assert all(type(c) is int for c in lam)  # an integer pair, not a Fraction
     assert type(spec) is IntPoly and spec.coeffs == ref.coeffs and F(*lam) == ref_lam
@@ -128,34 +132,34 @@ def test_specialize_matches_fraction_reference(views, name, pair):
 @CASES
 @with_examples()
 @given(pair=coprime_pairs())
-def test_family_discriminant_matches_subresultant(views, name, pair):
-    view, (u, v) = views[name], pair
-    spec, lam = specialize_fraction(view.family, u, v)
-    got = view.discriminant(spec, (lam.numerator, lam.denominator), u, v)
+def test_family_discriminant_matches_subresultant(families, name, pair):
+    fam, (u, v) = families[name], pair
+    spec, lam = specialize_fraction(fam, u, v)
+    got = fam.discriminant_at(spec, (lam.numerator, lam.denominator), u, v)
     assert type(got) is int
     assert got == discriminant(spec)
 
 
-def test_family_discriminant_degree_drop_and_inexact_division(views):
-    view = views[4]
-    spec, lam = view.specialize(0, 1)  # t = 0 drops the t^2 x^4 term
+def test_family_discriminant_degree_drop_and_inexact_division(families):
+    fam = families[4]
+    spec, lam = fam.specialization(0, 1)  # t = 0 drops the t^2 x^4 term
     assert spec.degree == 3
-    assert view.discriminant(spec, lam, 0, 1) == discriminant(spec)
-    spec, lam = view.specialize(3, 5)
-    assert view.discriminant(spec, lam, 3, 5) == discriminant(spec)
-    D, m = view.family.disc_t
-    fam = dataclasses.replace(view.family)
-    fam.__dict__["disc_t"] = (D, m * 1_000_003)  # a denominator the value does not carry
+    assert fam.discriminant_at(spec, lam, 0, 1) == discriminant(spec)
+    spec, lam = fam.specialization(3, 5)
+    assert fam.discriminant_at(spec, lam, 3, 5) == discriminant(spec)
+    D, m = fam.disc_t
+    copy = dataclasses.replace(fam)
+    copy.__dict__["disc_t"] = (D, m * 1_000_003)  # a denominator the value does not carry
     with pytest.raises(ArithmeticError):
-        IntegerFamily(fam).discriminant(spec, lam, 3, 5)
+        copy.discriminant_at(spec, lam, 3, 5)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-def test_disc_form_matches_fraction_reference(views, name):
+def test_disc_form_matches_fraction_reference(families, name):
     # Every field equals the Fraction reference, and the sign of the integer
     # form D(k, 64) equals that of Disc_t(k/64) at every grid point, not only
     # up to the early stop that settles the two flags.
-    fam = views[name].family
+    fam = families[name]
     assert disc_form(fam) == disc_form_fraction(fam)
     D, m = fam.disc_t
     assert m > 0
@@ -167,18 +171,18 @@ def test_disc_form_matches_fraction_reference(views, name):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-def test_disc_t_matches_interpolation_oracle(views, name):
+def test_disc_t_matches_interpolation_oracle(families, name):
     # The Z[t] elimination on P's integer forms, cleared, equals Disc_t
     # interpolated from Fraction discriminants of specializations.
-    fam = views[name].family
+    fam = families[name]
     assert fam.disc_t == clear_denominators(interpolated_disc_in_t(fam.P))
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-def test_disc_t_eliminates_in_integers(monkeypatch, views, name):
+def test_disc_t_eliminates_in_integers(monkeypatch, families, name):
     # On a fresh copy of the family, Disc_t is one subresultant over Z[t]
     # (IntPoly x-coefficients) and no polynomial division over Q runs.
-    fam = dataclasses.replace(views[name].family)
+    fam = dataclasses.replace(families[name])
     core, divmod_q = polyarith._resultant_core, Poly.__divmod__
     core_calls, divmod_calls = [], []
 
@@ -235,7 +239,6 @@ def test_integer_view_built_once_per_family(monkeypatch):
     assert len(clear_calls) == 3 and clear_calls[0] is fam.P
     assert clear_calls[1] is fam.point_num and clear_calls[2] is fam.point_den
     assert len(core_calls) == 1
-    assert IntegerFamily(fam)._P is fam.forms
 
 
 def test_point_forms_built_once_per_family(monkeypatch):
@@ -260,9 +263,8 @@ def test_point_forms_built_once_per_family(monkeypatch):
 @CASES
 @with_examples(shift=1)
 @given(pair=coprime_pairs(), shift=st.integers(-3, 3))
-def test_point_check_matches_fraction_reference(views, name, pair, shift):
-    view, (u, v) = views[name], pair
-    fam = view.family
+def test_point_check_matches_fraction_reference(families, name, pair, shift):
+    fam, (u, v) = families[name], pair
     spec, _ = specialize_fraction(fam, u, v)
     assert verify_new_point(spec, fam, u, v) is True
     assert verify_new_point_fraction(spec, fam, u, v) is True
@@ -277,24 +279,32 @@ def test_point_check_matches_fraction_reference(views, name, pair, shift):
     assert verify_new_point(spec.shift(2), fam, u, v) is False
 
 
-def test_point_check_rejects_degree_zero_and_v_zero(views):
-    fam = views["compact"].family
+def test_point_check_rejects_degree_zero_and_v_zero(families):
+    fam = families["compact"]
     with pytest.raises(ValueError):
         verify_new_point(Poly([3]), fam, 1, 1)
     with pytest.raises(ValueError):
         verify_new_point(Poly([1, 1]), fam, 1, 0)
 
 
-def table_primes(view):
-    model = view.family.model
+def table_primes(fam):
+    model = fam.model
     return sorted(set(primes_up_to(41)) | {model.p1, model.p2, model.p3})
 
 
-def content_of(view, lam, v):
+def content_of(fam, lam, v):
     """Content of the cleared values L v^e P(x, u/v), from lam."""
-    c = abs(lam) * view._P.den * abs(v) ** view._P.e
+    c = abs(lam) * fam.forms.den * abs(v) ** fam.forms.e
     assert c.denominator == 1
     return c.numerator
+
+
+def lead_vanishes(fam, t, p):
+    """Whether the lead form A_d(t, 1) of L*P is 0 mod p, by Horner's rule."""
+    value = 0
+    for c in reversed(fam.forms.poly.lead.coeffs):
+        value = (value * t + c) % p
+    return value == 0
 
 
 def good_primes(spec, primes):
@@ -307,40 +317,45 @@ def good_primes(spec, primes):
 @CASES
 @with_examples()
 @given(pair=coprime_pairs())
-def test_cycle_type_table_matches_direct_factorization(views, name, pair):
-    view, (u, v) = views[name], pair
-    spec, lam = specialize_fraction(view.family, u, v)
-    assume(spec.degree == view.d)
-    ints, good = good_primes(spec, table_primes(view))
+def test_cycle_type_table_matches_direct_factorization(families, tables, name, pair):
+    fam, table, (u, v) = families[name], tables[name], pair
+    spec, lam = specialize_fraction(fam, u, v)
+    assume(spec.degree == fam.d)
+    ints, good = good_primes(spec, table_primes(fam))
     disc = int(discriminant(spec))
-    content = content_of(view, lam, v)
+    content = content_of(fam, lam, v)
+    lookup = fam.cycle_lookup(table, u, v, content)
     for p in good:
         # served from the table or factored directly, and with the parity
         # of Frobenius as a sweep passes it, the answer is the direct
         # factorization of spec mod p
-        got = view.cycle_type(ints, p, u, v, frobenius_parity(disc, p))
+        got = lookup(ints, p, frobenius_parity(disc, p))
         assert got == good_prime_cycle_type(ints, p) == frobenius_cycle_type(spec, p)
         key = (p, u * pow(v, -1, p) % p) if v % p else None
-        keyed = (v * view._P.den * content) % p != 0
-        assert (key in view._cycle_types) == keyed, (u, v, p)
+        keyed = (v * fam.forms.den * content) % p != 0
+        # at a good p not dividing v*L, p divides the content exactly when
+        # P(x, t) mod p loses its degree
+        full = key is not None and fam.forms.den % p != 0 and not lead_vanishes(fam, key[1], p)
+        assert (key in table) == keyed == full, (u, v, p)
     # every entry is the cycle type of P(x, t) mod p, which has degree d and
     # is squarefree there, whichever pair filled it
-    for (p, t), ct in view._cycle_types.items():
-        assert frobenius_cycle_type(view.family.P.eval_t(F(t)), p) == ct
+    for (p, t), ct in table.items():
+        assert frobenius_cycle_type(fam.P.eval_t(F(t)), p) == ct
 
 
 @pytest.mark.parametrize("name", FAMILIES)
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pair=coprime_pairs())
-def test_cycle_type_table_matches_sympy(views, name, pair):
+def test_cycle_type_table_matches_sympy(families, tables, name, pair):
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
-    view, (u, v) = views[name], pair
-    spec, _ = specialize_fraction(view.family, u, v)
-    assume(spec.degree == view.d)
-    ints, good = good_primes(spec, table_primes(view))
+    fam, (u, v) = families[name], pair
+    spec, lam = specialize_fraction(fam, u, v)
+    assume(spec.degree == fam.d)
+    ints, good = good_primes(spec, table_primes(fam))
+    lookup = fam.cycle_lookup(tables[name], u, v, content_of(fam, lam, v))
     for p in good:
-        got = view.cycle_type(ints, p, u, v)
+        got = lookup(ints, p)
         _, factors = sympy.Poly(list(reversed(ints)), x, modulus=p).factor_list()
         want = [q.degree() for q, mult in factors for _ in range(mult)]
         assert list(got.parts) == sorted(want, reverse=True), (u, v, p)
@@ -354,20 +369,21 @@ def test_cycle_type_table_skips_vanishing_reductions():
     t_minus_1 = Poly([-1, 1])
     P = BivarPoly([Poly([5]), t_minus_1, Poly([10]), t_minus_1])
     one = BivarPoly([Poly([1])])
-    view = IntegerFamily(TwistFamily(3, "d=3", compact_family().model, P, one, one, 1))
+    fam = TwistFamily(3, "d=3", compact_family().model, P, one, one, 1)
+    table = {}
     seen = set()
     for u in range(-40, 41):
         for v in range(1, 12):
             if math.gcd(u, v) != 1 or v % 5 == 0:
                 continue
-            spec, _ = view.specialize(u, v)
+            spec, lam = fam.specialization(u, v)
             if spec.degree != 3:
                 continue
             ints, good = good_primes(spec, [5])
             if good:
-                got = view.cycle_type(ints, 5, u, v)
+                got = fam.cycle_lookup(table, u, v, lam[0])(ints, 5)
                 assert got == good_prime_cycle_type(ints, 5), (u, v)
                 if (u - v) % 5 == 0:
                     seen.add(got.parts)
     assert seen == {(3,), (2, 1)}
-    assert (5, 1) not in view._cycle_types
+    assert (5, 1) not in table

@@ -399,7 +399,9 @@ def powering_pattern(coeffs, p, monkeypatch):
 
 
 def matrix_cycle_type(coeffs, p, monkeypatch):
-    """``powering_pattern`` as the ``CycleType`` the loop returns."""
+    """``powering_pattern`` as the ``CycleType`` the loop returns.  A cached
+    plan keeps the cutoff it was built under, so the plan cache is cleared
+    on entering and on leaving the lowered cutoff."""
 
     def refuse(*args):
         raise AssertionError("the root count ran above the lowered cutoff")
@@ -407,7 +409,11 @@ def matrix_cycle_type(coeffs, p, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(padic, "ROOT_PRIME_BOUND", 2)
         patch.setattr(padic._RootPlan, "roots", refuse)
-        return good_prime_cycle_type(coeffs, p)
+        padic._settle_plan.cache_clear()
+        try:
+            return good_prime_cycle_type(coeffs, p)
+        finally:
+            padic._settle_plan.cache_clear()
 
 
 def test_root_count_at_the_cutoff(monkeypatch):
@@ -544,7 +550,7 @@ def plan_settles(n, parity, roots, twos):
     """What the plan of degree n and the parity settles after the parity
     alone (roots None), the root count (twos None) or the quadratic factors
     as well."""
-    settled, _, stop = padic._settle_plan(2, n, parity, False)
+    settled, _, stop = padic._settle_plan(2, n, parity)
     if roots is None:
         return settled
     return stop[(roots,) if twos is None else (roots, twos)]
@@ -856,14 +862,15 @@ def test_settle_plan_matches_the_matrix_loop_at_every_prime_below_the_cutoff(mon
 
 def test_cached_plan_does_not_freeze_the_cutoff(monkeypatch):
     # A plan is cached per prime and degree with its root count, yet below a
-    # lowered cutoff the same prime takes the matrix path; back at the real
+    # lowered cutoff (``matrix_cycle_type`` clears the cache on entering and
+    # leaving it) the same prime takes the matrix path; back at the real
     # cutoff the root count settles the quintic again with no powering.
     p, coeffs = 13, [3, 1, 4, 1, 5, 1]
     full = frobenius_cycle_type(Poly(coeffs), p)
     assert full is not None
     parity = (5 - len(full.parts)) % 2
     assert good_prime_cycle_type(coeffs, p, parity) is full
-    assert padic._settle_plan(p, 5, parity, True)[1] is not None
+    assert padic._settle_plan(p, 5, parity)[1] is not None
     powered = []
     real = padic._x_power
 
