@@ -99,7 +99,8 @@ class RunConfig:
         None, "sweep.congruence", _int_tuple, help="u0,v0,M residue filter")
     region: Optional[int] = _option(None, "sweep.region", choices=(-1, 1), help="discriminant sign filter")
     prime_budget: int = _option(
-        25, "sweep.prime_budget", minimum=1, help="good primes scanned per polynomial")
+        25, "sweep.prime_budget", minimum=1,
+        help="at most this many good primes; the scan stops once the certificate's facts hold")
     trial_bound: int = _option(
         100_000, "sweep.trial_bound", minimum=1,
         help=f"search bound of the transposition prime; ev mode caps it at {_EV_TRIAL_BOUND_CAP:,}")

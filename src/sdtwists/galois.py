@@ -25,11 +25,21 @@ Theory*, ch. 3).  For the primitive integral polynomials it works on, p is
 good exactly when p divides neither the leading coefficient nor the exact
 discriminant, since disc(g mod p) = disc(g) mod p; a bad prime therefore
 costs one integer remainder, disc mod p, and only good primes are reduced
-and factored by distinct-degree factorization.  The scan walks a cached
-plan, a tuple of the first primes (``_scan_primes``), and the same
-remainder gives the parity of Frobenius at each good prime
-(Stickelberger's theorem: odd exactly when disc is a non-square mod p, or
-disc == 5 mod 8 at p = 2), one modular power per prime computed inline,
+and factored by distinct-degree factorization.  The budget of good primes
+is a cap: the scan stops at the first good prime after which the cycle
+types found, with the transposition witness, meet the criterion above
+(``_sd_route``, its one statement, which ``certify_sd`` applies too).  The
+witness is searched for at most once per polynomial and only once
+irreducibility is proved: at the first irreducible reduction, or after the
+scan when only the degree lattice or a Newton polygon proves it.  Every
+fact only grows as primes are added, so a scan that stops certifies by the
+route the full scan would, and one that does not scans the whole budget;
+``irreducibility_certificate`` stops at its first proof through the same
+stop hook.  The scan walks a cached plan, a tuple of the first primes
+(``_scan_primes``), and the same remainder gives the parity of Frobenius
+at each good prime (Stickelberger's theorem: odd exactly when disc is a
+non-square mod p, or disc == 5 mod 8 at p = 2), one modular power per
+prime computed inline,
 and the factorization stops as soon as that parity and the factor degrees
 found so far leave one pattern.  Each prime, degree and parity has one
 cached plan (``padic._settle_plan``): the pattern the parity alone leaves,
@@ -81,7 +91,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from . import padic
 from .padic import CycleType
@@ -135,19 +145,16 @@ class SdCertificate:
         return self.status == CERTIFIED_SD
 
 
-def contains_n_cycle(types: Sequence[CycleType], n: int) -> bool:
+def contains_n_cycle(types: Collection[CycleType], n: int) -> bool:
     """Whether some power of an element of one of these cycle types is a
     single n-cycle: a part equal to n whose complementary parts have lcm
     coprime to n (raise to that lcm)."""
     for ct in types:
-        parts = list(ct.parts)
-        if n not in parts:
-            continue
-        rest = list(parts)
-        rest.remove(n)
-        l = math.lcm(*rest) if rest else 1
-        if math.gcd(l, n) == 1:
-            return True
+        if n in ct.parts:
+            rest = list(ct.parts)
+            rest.remove(n)
+            if math.gcd(math.lcm(*rest), n) == 1:
+                return True
     return False
 
 
@@ -158,9 +165,14 @@ def _scan_primes(cap: int) -> tuple[int, ...]:
 
 
 def _good_prime_scan(
-    g: IntPoly, disc: int, budget: int, lookup: Optional[CycleLookup] = None
+    g: IntPoly,
+    disc: int,
+    budget: int,
+    lookup: Optional[CycleLookup] = None,
+    stop: Optional[Callable[[CycleType], bool]] = None,
 ) -> list[tuple[int, CycleType]]:
-    """Cycle types of primitive integral g at its first `budget` good primes.
+    """Cycle types of primitive integral g at its first good primes, at most
+    `budget` of them.
 
     disc = disc(g).  A prime is good exactly when it divides neither lc(g)
     nor disc(g): the reduction then keeps its degree and has discriminant
@@ -170,7 +182,10 @@ def _good_prime_scan(
     gets the parity of Frobenius from disc(g) mod p (``padic.frobenius_parity``,
     here inline: disc mod 8 at p = 2, Euler's criterion at odd p) and its
     cycle type from ``lookup`` when one is given, and from distinct-degree
-    factorization of g mod p otherwise.
+    factorization of g mod p otherwise.  ``stop``, when given, is called
+    with the cycle type of every good prime scanned, in order, and the scan
+    ends at the first prime for which it returns True: the caller's facts
+    hold, and every later prime could only add to them.
     """
     if disc == 0 or budget < 1:
         return []
@@ -181,35 +196,47 @@ def _good_prime_scan(
         r = disc % p
         if r and lead % p:
             parity = disc % 8 == 5 if p == 2 else pow(r, p >> 1, p) != 1
-            found.append((p, cycle_type(coeffs, p, int(parity))))
-            if len(found) == budget:
+            ct = cycle_type(coeffs, p, int(parity))
+            found.append((p, ct))
+            if (stop is not None and stop(ct)) or len(found) == budget:
                 break
     return found
+
+
+def _subset_sums(ct: CycleType) -> set[int]:
+    """The degrees of the factors over Q that one Frobenius pattern allows:
+    the sums of subsets of its parts."""
+    sums = {0}
+    for part in ct.parts:
+        sums |= {s + part for s in sums}
+    return sums
 
 
 def _degree_lattice(patterns: Sequence[CycleType], d: int) -> set[int]:
     """Intersection over patterns of the attainable factor-degree subset sums."""
     possible = set(range(d + 1))
     for ct in patterns:
-        sums = {0}
-        for part in ct.parts:
-            sums |= {s + part for s in sums}
-        possible &= sums
+        possible &= _subset_sums(ct)
     return possible
 
 
 def _irreducibility(
-    g: IntPoly, disc: int, prime_budget: int, lookup: Optional[CycleLookup] = None
+    g: IntPoly,
+    disc: int,
+    prime_budget: int,
+    lookup: Optional[CycleLookup] = None,
+    stop: Optional[Callable[[CycleType], bool]] = None,
 ):
     """Good-prime scan of normalized g, disc = disc(g), and the
     irreducibility it proves.
 
     Returns (scan, status, route): an irreducible reduction proves it
     ("mod-p"), and so do factor-degree patterns whose subset sums meet only
-    in {0, d} ("degree-lattice").
+    in {0, d} ("degree-lattice").  ``stop`` ends the scan early, as in
+    ``_good_prime_scan``.
     """
     d = g.degree
-    scan = _good_prime_scan(g, disc, prime_budget, lookup)
+    scan = _good_prime_scan(g, disc, prime_budget, lookup, stop)
     patterns = [ct for _, ct in scan]
     if any(ct.parts == (d,) for ct in patterns):
         return scan, CERTIFIED, "mod-p"
@@ -219,11 +246,23 @@ def _irreducibility(
 
 
 def irreducibility_certificate(f: Poly, prime_budget: int) -> str:
-    """CERTIFIED when irreducibility over Q is proved within the budget."""
+    """CERTIFIED when irreducibility over Q is proved within the budget.
+
+    The scan stops at its first proof: an irreducible reduction, whose
+    subset sums are {0, d} alone, or a degree lattice that has shrunk to
+    {0, d}.
+    """
     if f.degree < 2:
         raise ValueError("degree >= 2 required")
     g, disc = _normalized(f)
-    _scan, status, _route = _irreducibility(g, disc, prime_budget)
+    d = g.degree
+    possible = set(range(d + 1))
+
+    def proved(ct: CycleType) -> bool:
+        possible.intersection_update(_subset_sums(ct))
+        return possible == {0, d}
+
+    _scan, status, _route = _irreducibility(g, disc, prime_budget, stop=proved)
     return status
 
 
@@ -293,10 +332,14 @@ def collect_evidence(
 ) -> GaloisEvidence:
     """Gather cycle types, irreducibility status and a transposition witness.
 
-    Deterministic for fixed inputs.  The discriminant trial factorization is
-    skipped when the d = 3 shortcut (irreducible, nonsquare discriminant)
-    already decides the certificate and ``skip_witness_for_cubic`` is set;
-    sweeps over many cubics rely on that fast path.
+    Deterministic for fixed inputs.  ``prime_budget`` caps the good primes
+    scanned: the scan stops at the first good prime after which the cycle
+    types found, with the witness, meet the criterion ``certify_sd``
+    applies, so a polynomial that certifies carries a prefix of the full
+    scan, and one that does not carries all of it.  The discriminant trial factorization is skipped when the d = 3
+    shortcut (irreducible, nonsquare discriminant) already decides the
+    certificate and ``skip_witness_for_cubic`` is set; sweeps over many
+    cubics rely on that fast path.
     """
     if f.degree != d:
         raise ValueError(f"degree mismatch: got {f.degree}, expected {d}")
@@ -316,14 +359,32 @@ def _evidence(
 ) -> GaloisEvidence:
     """``collect_evidence`` for normalized g with disc = discriminant(g), an
     optional cycle-type lookup for the good-prime scan and an optional
-    factorization of disc for the witness search (see ``_witness``)."""
+    factorization of disc for the witness search (see ``_witness``).
+
+    The stop rule ``facts_hold`` is ``_sd_route`` on the facts found so far,
+    irreducibility read from an irreducible reduction.  The witness search
+    runs at the first irreducible reduction, or after the scan and the
+    Newton polygons when only they prove irreducibility: once per
+    polynomial whose evidence certifies irreducibility, as with a full scan.
+    """
     d = g.degree
-    provenance: list[tuple[str, int, str]] = []
-    scan, irred, route = _irreducibility(g, disc, prime_budget, lookup)
+    d_cycle = padic.n_cycle_type(d, d)
+    disc_square = is_square(disc)
+    wants_witness = disc != 0 and not (skip_witness_for_cubic and d == 3 and not disc_square)
     types: set[CycleType] = set()
-    for p, ct in scan:
+    searched, witness = False, None
+
+    def facts_hold(ct: CycleType) -> bool:
+        nonlocal searched, witness
+        if ct in types:
+            return False
         types.add(ct)
-        provenance.append(("frobenius_cycle_type", p, ct.label))
+        if ct == d_cycle and wants_witness:
+            searched, witness = True, _witness(g, disc, trial_bound, factored)
+        return _sd_route(d, d_cycle in types, types, disc_square, witness is not None) is not None
+
+    scan, irred, route = _irreducibility(g, disc, prime_budget, lookup, facts_hold)
+    provenance = [("frobenius_cycle_type", p, ct.label) for p, ct in scan]
 
     for p in polygon_primes:
         if not g.coeff(0):
@@ -336,14 +397,10 @@ def _evidence(
             irred, route = CERTIFIED, "newton-polygon"
             provenance.append(("irreducibility", p, "totally ramified"))
 
-    disc_square = is_square(disc)
-
-    witness = None
-    cubic_shortcut = d == 3 and irred == CERTIFIED and not disc_square
-    if disc != 0 and irred == CERTIFIED and not (cubic_shortcut and skip_witness_for_cubic):
+    if irred == CERTIFIED and wants_witness and not searched:
         witness = _witness(g, disc, trial_bound, factored)
-        if witness is not None:
-            provenance.append(("transposition_witness", witness, "v_p(disc)=1"))
+    if witness is not None:
+        provenance.append(("transposition_witness", witness, "v_p(disc)=1"))
 
     return GaloisEvidence(
         degree=d,
@@ -356,28 +413,49 @@ def _evidence(
     )
 
 
-def certify_sd(evidence: GaloisEvidence) -> SdCertificate:
-    """Decide certified_Sd from verified facts alone."""
-    d = evidence.degree
-    if d < 2:
-        raise ValueError("certification requires degree >= 2")
-    types = list(evidence.observed_cycle_types)
-    if evidence.irreducibility != CERTIFIED:
-        return SdCertificate(INCONCLUSIVE, evidence)
+def _sd_route(
+    d: int,
+    irreducible: bool,
+    types: Collection[CycleType],
+    disc_square: Optional[bool],
+    witnessed: bool,
+) -> Optional[str]:
+    """The route by which these facts prove the Galois group of a degree-d
+    polynomial to be S_d, or None when they do not.
 
+    The one statement of the criterion: ``certify_sd`` applies it to the
+    evidence, and the good-prime scan of ``_evidence`` stops once the facts
+    found so far meet it.  ``witnessed`` says that a prime with v_p(disc) = 1
+    was found.
+    """
+    if not irreducible:
+        return None
     if d == 2:
-        return SdCertificate(CERTIFIED_SD, evidence, route="quadratic")
-
-    if d == 3 and evidence.disc_is_square is False:
-        return SdCertificate(CERTIFIED_SD, evidence, route="cubic-disc")
-
-    has_transposition = evidence.transposition_prime is not None or contains_n_cycle(
-        types, 2
-    )
+        return "quadratic"
+    if d == 3 and disc_square is False:
+        return "cubic-disc"
+    has_transposition = witnessed or contains_n_cycle(types, 2)
     has_d_cycle = contains_n_cycle(types, d)
     has_long = contains_n_cycle(types, d - 1) or (
         d >= 5 and d % 2 == 1 and contains_n_cycle(types, d - 2)
     )
     if has_transposition and has_d_cycle and has_long:
-        return SdCertificate(CERTIFIED_SD, evidence, route="standard")
-    return SdCertificate(INCONCLUSIVE, evidence)
+        return "standard"
+    return None
+
+
+def certify_sd(evidence: GaloisEvidence) -> SdCertificate:
+    """Decide certified_Sd from verified facts alone."""
+    d = evidence.degree
+    if d < 2:
+        raise ValueError("certification requires degree >= 2")
+    route = _sd_route(
+        d,
+        evidence.irreducibility == CERTIFIED,
+        evidence.observed_cycle_types,
+        evidence.disc_is_square,
+        evidence.transposition_prime is not None,
+    )
+    if route is None:
+        return SdCertificate(INCONCLUSIVE, evidence)
+    return SdCertificate(CERTIFIED_SD, evidence, route=route)

@@ -12,14 +12,18 @@ normalized model is searched for and checked in ``Fraction`` arithmetic,
 instead of on the integer numerators ``build_model`` keeps.  Trial
 factorizations and transposition witnesses walk the prime sieve one
 remainder per prime, instead of the staged product gcd of
-``primes.factor_trial``.
+``primes.factor_trial``.  Galois evidence walks every good prime of the
+budget with the public ``frobenius_cycle_type``, which finds bad primes by
+reduction rather than from the discriminant, and is then cut where its own
+statement of the S_d criterion, on powers of each cycle type taken one
+exponent at a time, first holds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 import sdtwists.family
@@ -33,7 +37,7 @@ from sdtwists.family import (
     _admissible_primes,
     _exclusion_base,
 )
-from sdtwists.padic import reduce_poly_mod, valuation
+from sdtwists.padic import CycleType, frobenius_cycle_type, reduce_poly_mod, valuation
 from sdtwists.polyarith import (
     BivarPoly,
     Poly,
@@ -43,7 +47,7 @@ from sdtwists.polyarith import (
     reduce_mod,
     squarefree_decompose,
 )
-from sdtwists.primes import is_square, iter_primes_up_to, multiplicative_order, valuation_int
+from sdtwists.primes import is_square, iter_primes_up_to, multiplicative_order, primes, valuation_int
 
 
 def factor_trial_walk(n: int, bound: int) -> tuple[dict[int, int], int]:
@@ -371,10 +375,105 @@ def _zero_mod_fraction(f: Poly, n: int) -> bool:
         return False
 
 
+def good_prime_walk(g: Poly, budget: int) -> list[tuple[int, CycleType]]:
+    """(p, cycle type of Frobenius) at the first ``budget`` good primes of g,
+    each found by reducing g mod p, among as many primes as the scan's cap
+    allows."""
+    cap = max(galois._SCAN_CAP_MIN, galois._SCAN_CAP_FACTOR * budget)
+    walk = []
+    for p in islice(primes(), cap):
+        ct = frobenius_cycle_type(g, p)
+        if ct is not None:
+            walk.append((p, ct))
+            if len(walk) == budget:
+                break
+    return walk
+
+
+def single_cycle_power(ct: CycleType, n: int) -> bool:
+    """Whether some power of a permutation of cycle type ``ct`` is a single
+    n-cycle, n >= 2: a k-th power splits a cycle of length m into gcd(m, k)
+    cycles of length m / gcd(m, k), tried for every k up to the order."""
+    for k in range(1, math.lcm(*ct.parts) + 1):
+        moved = [m // math.gcd(m, k) for m in ct.parts for _ in range(math.gcd(m, k))]
+        if [m for m in moved if m > 1] == [n]:
+            return True
+    return False
+
+
+def meets_sd_criterion(
+    d: int, types: set[CycleType], disc_square: bool, witness: Optional[int]
+) -> bool:
+    """The S_d criterion on facts read off a good-prime walk, d >= 2: an
+    irreducible reduction, and then d = 2, or d = 3 with a nonsquare
+    discriminant, or a d-cycle, a (d-1)-cycle (or a (d-2)-cycle at odd
+    d >= 5) and a transposition, from a cycle type or the witness."""
+    if not any(ct.parts == (d,) for ct in types):
+        return False
+    if d == 2 or (d == 3 and not disc_square):
+        return True
+
+    def has(n: int) -> bool:
+        return any(single_cycle_power(ct, n) for ct in types)
+
+    long_cycle = has(d - 1) or (d >= 5 and d % 2 == 1 and has(d - 2))
+    return has(d) and long_cycle and (witness is not None or has(2))
+
+
+def walk_evidence(
+    f: Poly, budget: int, trial_bound: int, stop: bool = True
+) -> galois.GaloisEvidence:
+    """``collect_evidence(f, deg f, budget, trial_bound=trial_bound)``
+    without polygon primes, from a full good-prime walk and the witness
+    walk; with ``stop``, the walk is cut at its shortest prefix that meets
+    ``meets_sd_criterion``."""
+    g = _normalize_factor(f)
+    d = g.degree
+    disc = discriminant(g).numerator
+    disc_square = disc >= 0 and math.isqrt(disc) ** 2 == disc
+    walk = good_prime_walk(g, budget)
+    subset_sums = set(range(d + 1))
+    for _, ct in walk:
+        sums = {0}
+        for part in ct.parts:
+            sums |= {s + part for s in sums}
+        subset_sums &= sums
+    if any(ct.parts == (d,) for _, ct in walk):
+        irreducibility, route = galois.CERTIFIED, "mod-p"
+    elif walk and subset_sums == {0, d}:
+        irreducibility, route = galois.CERTIFIED, "degree-lattice"
+    else:
+        irreducibility, route = galois.INCONCLUSIVE, None
+    cubic_shortcut = d == 3 and not disc_square
+    witness = None
+    if irreducibility == galois.CERTIFIED and not cubic_shortcut:
+        witness = witness_walk(g, trial_bound)
+    if stop:
+        walk = next(
+            (walk[:k] for k in range(1, len(walk) + 1)
+             if meets_sd_criterion(d, {ct for _, ct in walk[:k]}, disc_square, witness)),
+            walk,
+        )
+    provenance = [("frobenius_cycle_type", p, str(ct)) for p, ct in walk]
+    if witness is not None:
+        provenance.append(("transposition_witness", witness, "v_p(disc)=1"))
+    return galois.GaloisEvidence(
+        degree=d,
+        observed_cycle_types=frozenset(ct for _, ct in walk),
+        transposition_prime=witness,
+        irreducibility=irreducibility,
+        irreducibility_route=route,
+        disc_is_square=disc_square if disc else True,
+        provenance=tuple(provenance),
+    )
+
+
 def reference_candidate(family, u, v, budgets, modulus=None) -> FieldCandidate:
     """One sweep record from the Fraction references, the subresultant
-    discriminant, the public ``collect_evidence`` (no cycle-type table) and
-    the prime walks above for the witness and the kernel."""
+    discriminant, ``walk_evidence`` and the prime walks above for the
+    kernel."""
+    if budgets.polygon_primes:
+        raise ValueError("the reference walk takes no polygon primes")
     poly, _ = specialize_fraction(family, u, v)
     disc = int(discriminant(poly)) if poly.degree >= 1 else 0
     point_ok = poly.degree >= 1 and verify_new_point_fraction(poly, family, u, v)
@@ -387,26 +486,9 @@ def reference_candidate(family, u, v, budgets, modulus=None) -> FieldCandidate:
             irreducibility_route=None,
             disc_is_square=True,
         )
-        cert = galois.SdCertificate(galois.INCONCLUSIVE, evidence)
     else:
-        # No prime lies at or below 1: the witness comes from the walk.
-        evidence = galois.collect_evidence(
-            poly, family.d, budgets.prime_budget,
-            polygon_primes=budgets.polygon_primes, trial_bound=1,
-        )
-        certified = evidence.irreducibility == galois.CERTIFIED
-        cubic_shortcut = family.d == 3 and certified and evidence.disc_is_square is False
-        witness = None
-        if certified and not cubic_shortcut:
-            witness = witness_walk(poly, budgets.trial_bound)
-        if witness is not None:
-            evidence = replace(
-                evidence,
-                transposition_prime=witness,
-                provenance=evidence.provenance
-                + (("transposition_witness", witness, "v_p(disc)=1"),),
-            )
-        cert = galois.certify_sd(evidence)
+        evidence = walk_evidence(poly, budgets.prime_budget, budgets.trial_bound)
+    cert = galois.certify_sd(evidence)
     if disc == 0:
         kernel, flag, cofactor = 0, KERNEL_ZERO, 0
     else:

@@ -30,7 +30,7 @@ from sdtwists.galois import certify_sd, collect_evidence
 from sdtwists.polyarith import IntPoly, Poly
 from sdtwists.primes import primes_up_to
 
-from oracles import reference_candidate, rho_p2_walk, verify_new_point_fraction
+from oracles import reference_candidate, rho_p2_walk, verify_new_point_fraction, walk_evidence
 
 BUDGETS = SweepBudgets(prime_budget=12, kernel_bound=10_000)
 
@@ -180,7 +180,9 @@ def test_sweep_one_subresultant_per_candidate(monkeypatch):
 def test_sweep_reads_cycle_types_off_the_table(monkeypatch):
     # For p not dividing v, the cycle type at p depends on u/v mod p only, so
     # a sweep factors each (p, t mod p) once instead of every candidate at
-    # every good prime.
+    # every good prime.  The scan of a certified candidate stops once its
+    # facts hold (about three primes of ten here), so the box is 20, where
+    # the distinct candidates still scan more than 1,500 good primes.
     monkeypatch.setenv(WORKERS_ENV, "1")
     real = padic.good_prime_cycle_type
     factored = []
@@ -192,7 +194,7 @@ def test_sweep_reads_cycle_types_off_the_table(monkeypatch):
     monkeypatch.setattr(padic, "good_prime_cycle_type", counted)
     monkeypatch.setattr(family, "good_prime_cycle_type", counted)
     fam, budgets = small_cubic_family(), SweepBudgets(prime_budget=10)
-    cands = sweep(fam, 12, budgets=budgets)
+    cands = sweep(fam, 20, budgets=budgets)
     distinct = {c.poly: c.certificate.evidence for c in cands}
     scanned = sum(
         kind == "frobenius_cycle_type" for ev in distinct.values() for kind, _, _ in ev.provenance
@@ -203,7 +205,7 @@ def test_sweep_reads_cycle_types_off_the_table(monkeypatch):
     # family factors exactly as many primes again, and leaves nothing new
     # on the family.
     first, keys = len(factored), set(fam.__dict__)
-    assert sweep(fam, 12, budgets=budgets) == cands
+    assert sweep(fam, 20, budgets=budgets) == cands
     assert len(factored) == 2 * first
     assert set(fam.__dict__) == keys
 
@@ -353,6 +355,69 @@ def test_sweep_factors_each_discriminant_once(monkeypatch, built_families):
         assert cofactor in cofactors
         assert (done, bound) == (budgets.kernel_bound, budgets.trial_bound)
     assert_same_records(cands, direct_sweep(fam, list(counting._box_pairs(3, None)), budgets))
+
+
+def frobenius_entries(evidence):
+    return [entry for entry in evidence.provenance if entry[0] == "frobenius_cycle_type"]
+
+
+def assert_stopped_scan_agrees(stopped, full):
+    # ``stopped`` is the program's evidence, ``full`` the walk of every good
+    # prime of the budget; returns whether the program's scan stopped early.
+    want, got = certify_sd(full), certify_sd(stopped)
+    assert (got.certified, got.route) == (want.certified, want.route)
+    for name in ("irreducibility", "irreducibility_route", "transposition_prime", "disc_is_square"):
+        assert getattr(stopped, name) == getattr(full, name), name
+    scanned = frobenius_entries(stopped)
+    assert scanned == frobenius_entries(full)[: len(scanned)]
+    rest = [entry for entry in stopped.provenance if entry not in scanned]
+    assert rest == [entry for entry in full.provenance if entry[0] != "frobenius_cycle_type"]
+    if not got.certified:
+        assert stopped == full
+    return len(scanned) < len(frobenius_entries(full))
+
+
+def test_stopped_scan_certifies_as_the_full_walk(monkeypatch, built_families):
+    # Every good-prime scan stops once its facts meet the S_d criterion.
+    # Against a walk of all 25 good primes with the public
+    # frobenius_cycle_type, on the built families of degrees 3 to 8 at box 4
+    # and 200 coefficient-box instances of the d = 6 model at Y = 8: the
+    # certificate, its route, the irreducibility route and the witness
+    # agree, the scanned primes are a prefix of the walk, and an
+    # inconclusive record is the full walk's record exactly.
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    budget, trial_bound = 25, 10_000
+    budgets = SweepBudgets(prime_budget=budget, trial_bound=trial_bound)
+    checked = stopped_early = inconclusive = 0
+    for d, fam in built_families.items():
+        distinct = {c.poly: c for c in sweep(fam, 4, budgets=budgets)}
+        for poly, c in distinct.items():
+            if c.disc == 0 or poly.degree != d:
+                continue
+            full = walk_evidence(Poly(poly.coeffs), budget, trial_bound, stop=False)
+            stopped_early += assert_stopped_scan_agrees(c.certificate.evidence, full)
+            inconclusive += not c.certificate.certified
+            checked += 1
+    config = EvConfig(seed=5, max_instances=200, certify=True, trial_bound=trial_bound)
+    instances = list(ev_generate(built_families[6].model, 6, F(8), config))
+    assert len(instances) == 200
+    for inst in instances:
+        full = walk_evidence(inst.H, budget, trial_bound, stop=False)
+        stopped_early += assert_stopped_scan_agrees(inst.certificate.evidence, full)
+        inconclusive += not inst.certificate.certified
+    checked += len(instances)
+    assert stopped_early > 0.9 * checked and inconclusive > 0
+
+
+def test_reducible_polynomial_scans_its_whole_budget():
+    # Negative control: x * (x^2 + c) and a linear factor times an S_3 cubic
+    # never meet the criterion, so each scans every good prime of its budget
+    # and carries the full walk's evidence.
+    for poly in (Poly([0, 5, 0, 1]), Poly([0, -1, -1, 0, 1])):
+        evidence = collect_evidence(poly, poly.degree, 25, trial_bound=10_000)
+        assert len(frobenius_entries(evidence)) == 25
+        assert evidence == walk_evidence(poly, 25, 10_000, stop=False)
+        assert not certify_sd(evidence).certified
 
 
 def test_sweep_shared_evaluation_options(monkeypatch):

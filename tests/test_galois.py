@@ -55,6 +55,46 @@ def test_irreducibility_degree_lattice_route():
     assert _degree_lattice([CycleType((3, 1)), CycleType((2, 2))], 4) == {0, 4}
 
 
+
+def test_irreducibility_certificate_stops_at_its_first_proof(monkeypatch):
+    # The scan of irreducibility_certificate ends at the first good prime
+    # whose pattern completes a proof, an irreducible reduction or a degree
+    # lattice of {0, d}, and otherwise scans the whole budget; either way the
+    # status is that of a walk over every good prime of the budget.
+    from oracles import good_prime_walk, walk_evidence
+
+    real, scanned = galois.padic.good_prime_cycle_type, []
+
+    def counted(coeffs, p, parity=None):
+        scanned.append(p)
+        return real(coeffs, p, parity)
+
+    monkeypatch.setattr(galois.padic, "good_prime_cycle_type", counted)
+    rng, budget = random.Random(22), 12
+    stopped = lattice_first = 0
+    for _ in range(150):
+        d = rng.randint(2, 6)
+        f = Poly([rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 4)])
+        if rng.random() < 0.3:
+            f = f * Poly([rng.randint(-3, 3), 1])
+        g = _normalize_factor(f)
+        if discriminant(g) == 0:
+            continue
+        scanned.clear()
+        status, program = irreducibility_certificate(f, budget), list(scanned)
+        walk = good_prime_walk(g, budget)
+        assert status == walk_evidence(g, budget, 1, stop=False).irreducibility
+        proofs = (
+            k for k in range(1, len(walk) + 1)
+            if galois._degree_lattice([ct for _, ct in walk[:k]], g.degree) == {0, g.degree}
+        )
+        first = next(proofs, len(walk))
+        assert program == [p for p, _ in walk[:first]]
+        stopped += first < len(walk)
+        lattice_first += all(ct.parts != (g.degree,) for _, ct in walk[:first]) and first < len(walk)
+    assert stopped > 50 and lattice_first > 0
+
+
 def test_transposition_witness_31():
     assert transposition_witness(cubic(), 1000) == 31
 

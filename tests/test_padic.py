@@ -465,19 +465,20 @@ def fresh_root_plans(monkeypatch):
 
 
 def test_column_table_holds_only_primes_below_the_cutoff(fresh_root_plans):
-    # x^3 + c with c the product of the primes below 200 is bad at each of
-    # them, so its 25 good primes run from 211 to well past the cutoff.  The
-    # even ones (p = 1 mod 3) count roots below the cutoff and power x^p
+    # x * (x^2 + c) with c the product of the primes below 200 is bad at each
+    # of them, and, reducible, never meets the S_d criterion, so the scan
+    # takes all 25 good primes, from 211 to well past the cutoff.  The even
+    # ones (-c a square mod p) count roots below the cutoff and power x^p
     # above it; only the former leave packed columns behind, one table per
     # prime at the one slot width its cubics need.
     from sdtwists.galois import collect_evidence
 
     c = math.prod(primes_up_to(199))
-    evidence = collect_evidence(Poly([c, 0, 0, 1]), 3, 25)
+    evidence = collect_evidence(Poly([0, c, 0, 1]), 3, 25)
     scanned = [p for kind, p, _ in evidence.provenance if kind == "frobenius_cycle_type"]
     assert len(scanned) == 25 and min(scanned) == 211 and max(scanned) > padic.ROOT_PRIME_BOUND
-    counted = {p for p in scanned if p < padic.ROOT_PRIME_BOUND and p % 3 == 1}
-    assert set(padic._COLUMNS) == {(p, padic._root_plan(p, 4).width) for p in counted}
+    counted = {p for p in scanned if p < padic.ROOT_PRIME_BOUND and pow(-c, p >> 1, p) == 1}
+    assert counted and set(padic._COLUMNS) == {(p, padic._root_plan(p, 4).width) for p in counted}
 
 
 def packed_slots(values, width):
