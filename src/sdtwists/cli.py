@@ -11,9 +11,10 @@ A config file is flat key=value with sections ([run], [curve], [sweep],
 file values.  Each option is declared once, on its RunConfig field.  Exit
 codes: 0 success, 2 usage error, 1 internal error.  A usage error is a
 missing or out-of-range value, such as a conductor below 2, a nonpositive
-epsilon, a singular curve or a sweep congruence class with no coprime pair,
-and is reported as ``usage error: <field>: ...``.  The only environment
-variable consulted is SDTWISTS_WORKERS (sweep worker count).
+epsilon, a singular curve, a density form that is constant or of degree
+above 6 or a sweep congruence class with no coprime pair, and is reported
+as ``usage error: <field>: ...``.  The only environment variable consulted
+is SDTWISTS_WORKERS (sweep worker count).
 """
 
 from __future__ import annotations
@@ -153,8 +154,13 @@ class RunConfig:
             raise UsageError("scale: coefficient scale >= 1 required")
         if self.mode == "certify" and not self.poly:
             raise UsageError("poly: coefficients required for mode certify")
-        if self.mode == "density" and not self.form:
-            raise UsageError("form: binary form coefficients required")
+        if self.mode == "density":
+            if not self.form:
+                raise UsageError("form: binary form coefficients required")
+            if len(self.form) > 7:
+                raise UsageError("form: binary form degree must be at most 6")
+            if len(self.form) < 2 or not any(self.form):
+                raise UsageError("form: must be nonconstant")
         if self.mode == "pair-signs":
             if self.conductor is None or self.root_number is None:
                 raise UsageError("conductor/root-number: required for mode pair-signs")

@@ -5,10 +5,10 @@ t = u/v, certifies the Galois group, verifies the induced point and reduces
 the polynomial discriminant to its signed squarefree kernel.  A sweep runs
 on the family itself: every candidate reads its specialization and
 discriminant off the family's integer forms (``TwistFamily.specialization``
-and ``TwistFamily.discriminant_at``) and its Frobenius cycle types through
-a table of the sweep's own, keyed by (p, u/v mod p)
-(``TwistFamily.cycle_lookup``); the point holds at every specialization of
-degree >= 1 by the family identity, which ``sweep`` checks once per family.  Distinct fields are
+and ``TwistFamily.discriminant_at``) and certifies the specialization by the
+same good-prime scan as any other polynomial, so candidates share no state.
+The point holds at every specialization of degree >= 1 by the family
+identity, which ``sweep`` checks once per family.  Distinct fields are
 distinguished by the kernel (the square class of the discriminant), so
 deduplication groups by it; kernels whose factorization is incomplete at the
 trial bound are quarantined and never counted as distinct, which keeps every
@@ -26,6 +26,7 @@ alpha(d) live here too, all as exact rationals.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -145,7 +146,6 @@ def _candidate(
     v: int,
     budgets: SweepBudgets,
     modulus: Optional[int],
-    table: dict,
 ) -> FieldCandidate:
     # The specialization is an IntPoly, primitive with positive lead: the
     # normalized form the galois helpers expect with its discriminant.
@@ -184,7 +184,6 @@ def _candidate(
             budgets.prime_budget,
             polygon_primes=budgets.polygon_primes,
             trial_bound=budgets.trial_bound,
-            lookup=family.cycle_lookup(table, u, v, lam[0]),
             factored=factored,
         )
         cert = galois.certify_sd(evidence)
@@ -252,8 +251,7 @@ def _worker_count() -> int:
 
 def _chunk_worker(args):
     family, budgets, modulus, pairs = args
-    table: dict = {}  # the chunk's cycle types by (p, t mod p)
-    return [_candidate(family, u, v, budgets, modulus, table) for u, v in pairs]
+    return [_candidate(family, u, v, budgets, modulus) for u, v in pairs]
 
 
 def sweep(
@@ -279,9 +277,8 @@ def sweep(
     there is one), and the other pairs get a copy of its record with their
     own u, v and residue class.  The evaluations read P's integer forms and
     Disc_t off the family, which builds them once and keeps them, and share
-    one table of Frobenius cycle types per call (one per worker chunk with a
-    pool), keyed by (p, u/v mod p) and dropped when the sweep returns
-    (``TwistFamily.cycle_lookup``).
+    nothing else: each scans its own good primes, so a sweep leaves nothing
+    behind on the family or between the workers of its pool.
 
     Every record's ``point_verified`` rests on the family identity
     F^2 - f*G^2 = +-P (``TwistFamily.identity_holds``, computed once per
@@ -398,11 +395,7 @@ def build_count_report(dedup: Dedup, d: int) -> CountReport:
             grid.append(x)
             x *= 2
         grid.append(x)
-        counts = []
-        import bisect
-
-        for g in grid:
-            counts.append(bisect.bisect_right(mins, g))
+        counts = [bisect.bisect_right(mins, g) for g in grid]
     else:
         grid, counts = [], []
 

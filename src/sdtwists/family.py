@@ -38,11 +38,10 @@ polynomial in t, eliminated over Z[t] from P's forms
 only those, in integer arithmetic, and every specialization is an
 ``IntPoly``, primitive with positive lead.  A sweep runs on the family
 itself: ``TwistFamily.specialization`` gives the specialization with its
-scale, ``TwistFamily.discriminant_at`` its discriminant off Disc_t, and
-``TwistFamily.cycle_lookup`` its Frobenius cycle types through a table that
-the sweep owns, keyed by (p, u/v mod p), so the family keeps nothing of a
-sweep.  The point needs no check per pair, since the family identity is
-checked once, over Z[t], on the same forms.
+scale and ``TwistFamily.discriminant_at`` its discriminant off Disc_t.  The
+Galois evidence reads the specialization alone, so the family keeps
+nothing of a sweep.  The point needs no check per pair, since the family
+identity is checked once, over Z[t], on the same forms.
 ``verify_new_point`` accepts any polynomial as the modulus, so it evaluates
 the point's forms at (u, v) and tests F^2 - f*G^2 by the integer
 pseudo-remainder of ``polyarith``.
@@ -55,9 +54,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .padic import CycleType, _pdeg, _pgcd, good_prime_cycle_type
+from .padic import _pdeg, _pgcd
 from .polyarith import (
     BivarPoly,
     IntBivarPoly,
@@ -218,38 +217,6 @@ class TwistFamily:
         if r:
             raise ArithmeticError("family discriminant is not divisible at this specialization")
         return q
-
-    def cycle_lookup(
-        self, table: dict[tuple[int, int], CycleType], u: int, v: int, content: int
-    ) -> Callable[..., CycleType]:
-        """The cycle type of Frobenius at a good prime p as a function of
-        (spec, p, parity), for spec of degree d with (spec, (content, _)) =
-        ``self.specialization(u, v)``: the ``galois.CycleLookup`` a sweep
-        hands the good-prime scan.  The caller has decided that p divides
-        neither lc(spec) nor disc(spec), and that Frobenius has the given
-        parity, if one is given (``padic.frobenius_parity``).
-
-        With L*P(x, t) = sum_i A_i(t) x^i (``forms``), A_i(u, v) =
-        content * spec_i == v^e A_i(t) mod p at t = u/v mod p.  So for p not
-        dividing v*L*content, L*P(x, t) mod p is a unit times spec mod p and
-        shares its factor degrees: such patterns go in ``table``, keyed by
-        (p, t), and every later pair with the same t mod p reads them from
-        there.  Where p divides the content, A_d(t) == 0 mod p and t says
-        nothing; that case and p | v*L factor spec mod p directly.  The
-        table is the caller's, one per sweep, so nothing outlives it.
-        """
-        unit = v * self.forms.den * content
-
-        def cycle_type(spec: Sequence[int], p: int, parity: Optional[int] = None) -> CycleType:
-            if unit % p == 0:
-                return good_prime_cycle_type(spec, p, parity)
-            key = (p, u * pow(v, -1, p) % p)
-            ct = table.get(key)
-            if ct is None:
-                ct = table[key] = good_prime_cycle_type(spec, p, parity)
-            return ct
-
-        return cycle_type
 
 
 @dataclass(frozen=True)

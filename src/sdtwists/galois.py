@@ -35,33 +35,19 @@ scan when only the degree lattice or a Newton polygon proves it.  Every
 fact only grows as primes are added, so a scan that stops certifies by the
 route the full scan would, and one that does not scans the whole budget;
 ``irreducibility_certificate`` stops at its first proof through the same
-stop hook.  The scan walks a cached plan, a tuple of the first primes
-(``_scan_primes``), and the same remainder gives the parity of Frobenius
-at each good prime (Stickelberger's theorem: odd exactly when disc is a
-non-square mod p, or disc == 5 mod 8 at p = 2), one modular power per
-prime computed inline,
-and the factorization stops as soon as that parity and the factor degrees
-found so far leave one pattern.  Each prime, degree and parity has one
-cached plan (``padic._settle_plan``): the pattern the parity alone leaves,
-if any; else, below ``padic.ROOT_PRIME_BOUND`` (256, past which a 25-prime
-scan runs only when many small primes are bad), the packed root count of
-the prime, which evaluates f at all of F_p in the slots of one integer,
-each the fewest whole bytes that keep the Barrett step that reduces every
-slot mod p exact, and takes a popcount of the nonzero slots; and a stop
-rule, a table from the factor counts so far to the one cycle type they
-leave with that parity.  So a polynomial of degree at most 5, or a sextic with a root mod p, is settled
-by the root count, without a monic reduction or computing x^p mod (f, p).
-Any other polynomial powers x^p once modulo f, roots and all, and forms the
-Frobenius matrix Q of f mod p.  When p > deg f the factor counts are read
-off traces of powers of Q in one straight loop, so a sextic without a root
-is settled by the quadratic factors, (trace(Q^2) - roots) / 2, with no gcd;
-when p <= deg f the matrix gives x^(p^k) to the gcd split.  A sweep hands
-the scan a lookup instead (``TwistFamily.cycle_lookup``), which the scan
-calls directly at each good prime: at a good prime p dividing neither v,
-the cleared denominator of P nor the content of the specialization, the
-cycle type of P(x, u/v) depends on t = u/v mod p alone, so it is read off
-the sweep's table keyed by (p, t mod p) and factored only for the first
-pair with that key.
+stop hook.
+
+The scan walks a cached plan, a tuple of the first primes
+(``_scan_primes``).  The same remainder gives the parity of Frobenius at
+each good prime (Stickelberger's theorem: odd exactly when disc is a
+non-square mod p, or disc == 5 mod 8 at p = 2), one modular power per prime
+computed inline.  Every caller, sweeps, ``ev``, ``certify`` and
+``collect_evidence`` alike, then gets the cycle type of each good prime
+from one function, ``padic.good_prime_cycle_type``, so the scan has one
+path and keeps nothing between polynomials.  That factorization stops as
+soon as the parity and the factor degrees found so far leave one pattern;
+``padic`` sets out how the parity, a packed root count or the Frobenius
+matrix settles each prime.
 
 Transpositions come from a prime p, not dividing the leading coefficient,
 with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of
@@ -97,11 +83,6 @@ from . import padic
 from .padic import CycleType
 from .polyarith import IntPoly, Poly, _discriminant, _primitive_int, clear_denominators
 from .primes import SMALL_PRIME_BOUND, extend_factorization, factor_trial, is_square, primes
-
-# cycle_type(coeffs, p, parity) of Frobenius at a good prime p for the
-# integer polynomial coeffs, whose Frobenius there has the given parity, as
-# ``padic.good_prime_cycle_type`` computes it.
-CycleLookup = Callable[[Sequence[int], int, int], CycleType]
 
 # (exponents, cofactor, bound): ``primes.factor_trial(disc, bound)`` and the
 # bound it ran to.
@@ -168,7 +149,6 @@ def _good_prime_scan(
     g: IntPoly,
     disc: int,
     budget: int,
-    lookup: Optional[CycleLookup] = None,
     stop: Optional[Callable[[CycleType], bool]] = None,
 ) -> list[tuple[int, CycleType]]:
     """Cycle types of primitive integral g at its first good primes, at most
@@ -181,22 +161,21 @@ def _good_prime_scan(
     The primes come from the cached plan ``_scan_primes``.  Each good prime
     gets the parity of Frobenius from disc(g) mod p (``padic.frobenius_parity``,
     here inline: disc mod 8 at p = 2, Euler's criterion at odd p) and its
-    cycle type from ``lookup`` when one is given, and from distinct-degree
-    factorization of g mod p otherwise.  ``stop``, when given, is called
-    with the cycle type of every good prime scanned, in order, and the scan
-    ends at the first prime for which it returns True: the caller's facts
-    hold, and every later prime could only add to them.
+    cycle type from ``padic.good_prime_cycle_type``, the distinct-degree
+    factorization of g mod p.  ``stop``, when given, is called with the
+    cycle type of every good prime scanned, in order, and the scan ends at
+    the first prime for which it returns True: the caller's facts hold, and
+    every later prime could only add to them.
     """
     if disc == 0 or budget < 1:
         return []
-    cycle_type = lookup or padic.good_prime_cycle_type
     coeffs, lead = g.coeffs, g.lead
     found: list[tuple[int, CycleType]] = []
     for p in _scan_primes(max(_SCAN_CAP_MIN, _SCAN_CAP_FACTOR * budget)):
         r = disc % p
         if r and lead % p:
             parity = disc % 8 == 5 if p == 2 else pow(r, p >> 1, p) != 1
-            ct = cycle_type(coeffs, p, int(parity))
+            ct = padic.good_prime_cycle_type(coeffs, p, int(parity))
             found.append((p, ct))
             if (stop is not None and stop(ct)) or len(found) == budget:
                 break
@@ -224,7 +203,6 @@ def _irreducibility(
     g: IntPoly,
     disc: int,
     prime_budget: int,
-    lookup: Optional[CycleLookup] = None,
     stop: Optional[Callable[[CycleType], bool]] = None,
 ):
     """Good-prime scan of normalized g, disc = disc(g), and the
@@ -236,7 +214,7 @@ def _irreducibility(
     ``_good_prime_scan``.
     """
     d = g.degree
-    scan = _good_prime_scan(g, disc, prime_budget, lookup, stop)
+    scan = _good_prime_scan(g, disc, prime_budget, stop)
     patterns = [ct for _, ct in scan]
     if any(ct.parts == (d,) for ct in patterns):
         return scan, CERTIFIED, "mod-p"
@@ -336,10 +314,11 @@ def collect_evidence(
     scanned: the scan stops at the first good prime after which the cycle
     types found, with the witness, meet the criterion ``certify_sd``
     applies, so a polynomial that certifies carries a prefix of the full
-    scan, and one that does not carries all of it.  The discriminant trial factorization is skipped when the d = 3
-    shortcut (irreducible, nonsquare discriminant) already decides the
-    certificate and ``skip_witness_for_cubic`` is set; sweeps over many
-    cubics rely on that fast path.
+    scan, and one that does not carries all of it.  The discriminant trial
+    factorization is skipped when the d = 3 shortcut (irreducible, nonsquare
+    discriminant) already decides the certificate and
+    ``skip_witness_for_cubic`` is set; sweeps over many cubics rely on that
+    fast path.
     """
     if f.degree != d:
         raise ValueError(f"degree mismatch: got {f.degree}, expected {d}")
@@ -354,12 +333,11 @@ def _evidence(
     polygon_primes: Sequence[int],
     trial_bound: int,
     skip_witness_for_cubic: bool = True,
-    lookup: Optional[CycleLookup] = None,
     factored: Optional[Factored] = None,
 ) -> GaloisEvidence:
-    """``collect_evidence`` for normalized g with disc = discriminant(g), an
-    optional cycle-type lookup for the good-prime scan and an optional
-    factorization of disc for the witness search (see ``_witness``).
+    """``collect_evidence`` for normalized g with disc = discriminant(g) and
+    an optional factorization of disc for the witness search (see
+    ``_witness``).
 
     The stop rule ``facts_hold`` is ``_sd_route`` on the facts found so far,
     irreducibility read from an irreducible reduction.  The witness search
@@ -383,7 +361,7 @@ def _evidence(
             searched, witness = True, _witness(g, disc, trial_bound, factored)
         return _sd_route(d, d_cycle in types, types, disc_square, witness is not None) is not None
 
-    scan, irred, route = _irreducibility(g, disc, prime_budget, lookup, facts_hold)
+    scan, irred, route = _irreducibility(g, disc, prime_budget, facts_hold)
     provenance = [("frobenius_cycle_type", p, ct.label) for p, ct in scan]
 
     for p in polygon_primes:

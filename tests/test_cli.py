@@ -95,6 +95,8 @@ def test_validation_errors(tmp_path, capsys):
         (["family", *curve, "--degree", "3", "--epsilon", "-1/2"], "epsilon"),
         (["model", "--curve", "0,0", "--degree", "3"], "curve"),
         (["sweep", *curve, "--degree", "3", "--box", "2", "--congruence", "0,0,2"], "congruence"),
+        (["density", "--form", "1,0,0,0,0,0,0,1", "--box", "10"], "form"),
+        (["density", "--form", "0,0,0", "--box", "10"], "form"),
     ):
         assert main(argv) == 2, argv
         assert f"usage error: {name}" in capsys.readouterr().err

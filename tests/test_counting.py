@@ -177,12 +177,13 @@ def test_sweep_one_subresultant_per_candidate(monkeypatch):
     assert dropped_total == 1  # u = 0 on the quartic
 
 
-def test_sweep_reads_cycle_types_off_the_table(monkeypatch):
-    # For p not dividing v, the cycle type at p depends on u/v mod p only, so
-    # a sweep factors each (p, t mod p) once instead of every candidate at
-    # every good prime.  The scan of a certified candidate stops once its
-    # facts hold (about three primes of ten here), so the box is 20, where
-    # the distinct candidates still scan more than 1,500 good primes.
+def test_sweep_factors_each_scanned_prime_once(monkeypatch):
+    # Every good prime a sweep scans is factored by one call of
+    # padic.good_prime_cycle_type, and by nothing else: the calls match the
+    # frobenius_cycle_type provenance entries of the evaluated candidates
+    # one for one.  The scan of a certified candidate stops once its facts
+    # hold (about three primes of ten here), so the box is 20, where the
+    # distinct candidates still scan more than 1,500 good primes.
     monkeypatch.setenv(WORKERS_ENV, "1")
     real = padic.good_prime_cycle_type
     factored = []
@@ -192,16 +193,18 @@ def test_sweep_reads_cycle_types_off_the_table(monkeypatch):
         return real(coeffs, p, parity)
 
     monkeypatch.setattr(padic, "good_prime_cycle_type", counted)
-    monkeypatch.setattr(family, "good_prime_cycle_type", counted)
     fam, budgets = small_cubic_family(), SweepBudgets(prime_budget=10)
-    cands = sweep(fam, 20, budgets=budgets)
-    distinct = {c.poly: c.certificate.evidence for c in cands}
-    scanned = sum(
-        kind == "frobenius_cycle_type" for ev in distinct.values() for kind, _, _ in ev.provenance
-    )
-    assert scanned > 1500
-    assert 4 * len(factored) < scanned
-    # The table lives as long as one sweep: a second sweep of the same
+    cands, evaluated = counted_sweep(monkeypatch, fam, 20, budgets=budgets)
+    by_pair = {(c.u, c.v): c for c in cands}
+    scanned = [
+        p
+        for u, v in evaluated
+        for kind, p, _ in by_pair[u, v].certificate.evidence.provenance
+        if kind == "frobenius_cycle_type"
+    ]
+    assert len(scanned) > 1500
+    assert factored == scanned
+    # A sweep keeps nothing between candidates: a second sweep of the same
     # family factors exactly as many primes again, and leaves nothing new
     # on the family.
     first, keys = len(factored), set(fam.__dict__)
@@ -212,9 +215,10 @@ def test_sweep_reads_cycle_types_off_the_table(monkeypatch):
 
 def test_sweep_parity_spares_powerings(monkeypatch):
     # The parity of Frobenius, read off each candidate's discriminant, ends
-    # the factorization of an odd cubic before any F_p arithmetic, so a
-    # compact cubic sweep computes x^p mod (spec, p) only for the even
-    # table misses: 242 times without the parity, at most 130 with it.
+    # the factorization of an odd cubic before any F_p arithmetic, and below
+    # padic.ROOT_PRIME_BOUND the root count settles an even one, so a compact
+    # cubic sweep computes x^p mod (spec, p) 0 times, with the parity and
+    # without it.
     monkeypatch.setenv(WORKERS_ENV, "1")
     real = padic._x_power
     powerings = []

@@ -1,16 +1,17 @@
 """The integer view of a twist family against the Fraction references.
 
 A sweep runs on the ``TwistFamily`` itself: specialization and discriminant
-read off the family's integer forms of P and its cleared Disc_t, and
-Frobenius cycle types looked up by (p, u/v mod p) in a table the sweep
-owns, a plain dict; ``disc_form`` reads the same Disc_t, and ``verify_new_point`` reads the point off the integer forms
-of its numerator and denominator.  Each fast path is checked here against an
-independent reference in ``oracles.py`` (Fraction arithmetic from P itself,
-the subresultant discriminant of the specialization, the Fraction point
-check, the Fraction discriminant form) and against direct factorization mod p, including sympy's.  The pairs cover
-|u|, |v| <= 10^6, u = 0, v = +-1, v divisible by small primes and by the
-model prime p1, which divides the cleared denominator L and then the content
-of the specialization too.
+read off the family's integer forms of P and its cleared Disc_t, and every
+good prime is factored directly by ``padic.good_prime_cycle_type``;
+``disc_form`` reads the same Disc_t, and ``verify_new_point`` reads the
+point off the integer forms of its numerator and denominator.  Each fast
+path is checked here against an independent reference in ``oracles.py``
+(Fraction arithmetic from P itself, the subresultant discriminant of the
+specialization, the Fraction point check, the Fraction discriminant form)
+and the cycle types against direct factorization mod p, including sympy's.
+The pairs cover |u|, |v| <= 10^6, u = 0, v = +-1, v divisible by small
+primes and by the model prime p1, which divides the cleared denominator L
+and then the content of the specialization too.
 """
 
 import dataclasses
@@ -24,7 +25,6 @@ from sdtwists import family as family_module, polyarith
 from sdtwists.counting import WORKERS_ENV, sweep
 from sdtwists.family import (
     SIGN_GRID_DENOMINATOR,
-    TwistFamily,
     WeierstrassModel,
     build_family,
     disc_form,
@@ -34,7 +34,6 @@ from sdtwists.family import (
 )
 from sdtwists.padic import frobenius_cycle_type, frobenius_parity, good_prime_cycle_type
 from sdtwists.polyarith import (
-    BivarPoly,
     IntBivarPoly,
     IntPoly,
     Poly,
@@ -70,12 +69,6 @@ def families():
     fams = {"compact": compact_family()}
     fams.update({d: build_family((1, 1), d)[1] for d in range(3, 9)})
     return fams
-
-
-@pytest.fixture(scope="module")
-def tables():
-    """One cycle-type table per family, shared by every example, as in a sweep."""
-    return {name: {} for name in FAMILIES}
 
 
 @st.composite
@@ -287,24 +280,11 @@ def test_point_check_rejects_degree_zero_and_v_zero(families):
         verify_new_point(Poly([1, 1]), fam, 1, 0)
 
 
-def table_primes(fam):
+def checked_primes(fam):
+    """The primes up to 41 and the model primes, at which L or a
+    specialization's content may vanish."""
     model = fam.model
     return sorted(set(primes_up_to(41)) | {model.p1, model.p2, model.p3})
-
-
-def content_of(fam, lam, v):
-    """Content of the cleared values L v^e P(x, u/v), from lam."""
-    c = abs(lam) * fam.forms.den * abs(v) ** fam.forms.e
-    assert c.denominator == 1
-    return c.numerator
-
-
-def lead_vanishes(fam, t, p):
-    """Whether the lead form A_d(t, 1) of L*P is 0 mod p, by Horner's rule."""
-    value = 0
-    for c in reversed(fam.forms.poly.lead.coeffs):
-        value = (value * t + c) % p
-    return value == 0
 
 
 def good_primes(spec, primes):
@@ -317,73 +297,33 @@ def good_primes(spec, primes):
 @CASES
 @with_examples()
 @given(pair=coprime_pairs())
-def test_cycle_type_table_matches_direct_factorization(families, tables, name, pair):
-    fam, table, (u, v) = families[name], tables[name], pair
-    spec, lam = specialize_fraction(fam, u, v)
+def test_cycle_type_table_matches_direct_factorization(families, name, pair):
+    fam, (u, v) = families[name], pair
+    spec, _lam = specialize_fraction(fam, u, v)
     assume(spec.degree == fam.d)
-    ints, good = good_primes(spec, table_primes(fam))
+    ints, good = good_primes(spec, checked_primes(fam))
     disc = int(discriminant(spec))
-    content = content_of(fam, lam, v)
-    lookup = fam.cycle_lookup(table, u, v, content)
     for p in good:
-        # served from the table or factored directly, and with the parity
-        # of Frobenius as a sweep passes it, the answer is the direct
-        # factorization of spec mod p
-        got = lookup(ints, p, frobenius_parity(disc, p))
-        assert got == good_prime_cycle_type(ints, p) == frobenius_cycle_type(spec, p)
-        key = (p, u * pow(v, -1, p) % p) if v % p else None
-        keyed = (v * fam.forms.den * content) % p != 0
-        # at a good p not dividing v*L, p divides the content exactly when
-        # P(x, t) mod p loses its degree
-        full = key is not None and fam.forms.den % p != 0 and not lead_vanishes(fam, key[1], p)
-        assert (key in table) == keyed == full, (u, v, p)
-    # every entry is the cycle type of P(x, t) mod p, which has degree d and
-    # is squarefree there, whichever pair filled it
-    for (p, t), ct in table.items():
-        assert frobenius_cycle_type(fam.P.eval_t(F(t)), p) == ct
+        # with the parity of Frobenius, as the good-prime scan passes it,
+        # and without it, the answer is the direct factorization of spec
+        # mod p
+        got = good_prime_cycle_type(ints, p, frobenius_parity(disc, p))
+        assert got == good_prime_cycle_type(ints, p) == frobenius_cycle_type(spec, p), (u, v, p)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pair=coprime_pairs())
-def test_cycle_type_table_matches_sympy(families, tables, name, pair):
+def test_cycle_type_table_matches_sympy(families, name, pair):
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     fam, (u, v) = families[name], pair
-    spec, lam = specialize_fraction(fam, u, v)
+    spec, _lam = specialize_fraction(fam, u, v)
     assume(spec.degree == fam.d)
-    ints, good = good_primes(spec, table_primes(fam))
-    lookup = fam.cycle_lookup(tables[name], u, v, content_of(fam, lam, v))
+    ints, good = good_primes(spec, checked_primes(fam))
+    disc = int(discriminant(spec))
     for p in good:
-        got = lookup(ints, p)
         _, factors = sympy.Poly(list(reversed(ints)), x, modulus=p).factor_list()
-        want = [q.degree() for q, mult in factors for _ in range(mult)]
-        assert list(got.parts) == sorted(want, reverse=True), (u, v, p)
-
-
-def test_cycle_type_table_skips_vanishing_reductions():
-    # P = (t - 1) x^3 + 10 x^2 + (t - 1) x + 5 vanishes mod 5 at t = 1, so
-    # every pair with u == v mod 5 has content divisible by 5, and its
-    # specialization mod 5 is not determined by t mod 5: (-39, 1) gives
-    # cycle type [3] and (-37, 3) gives [2, 1].  No entry may be kept there.
-    t_minus_1 = Poly([-1, 1])
-    P = BivarPoly([Poly([5]), t_minus_1, Poly([10]), t_minus_1])
-    one = BivarPoly([Poly([1])])
-    fam = TwistFamily(3, "d=3", compact_family().model, P, one, one, 1)
-    table = {}
-    seen = set()
-    for u in range(-40, 41):
-        for v in range(1, 12):
-            if math.gcd(u, v) != 1 or v % 5 == 0:
-                continue
-            spec, lam = fam.specialization(u, v)
-            if spec.degree != 3:
-                continue
-            ints, good = good_primes(spec, [5])
-            if good:
-                got = fam.cycle_lookup(table, u, v, lam[0])(ints, 5)
-                assert got == good_prime_cycle_type(ints, 5), (u, v)
-                if (u - v) % 5 == 0:
-                    seen.add(got.parts)
-    assert seen == {(3,), (2, 1)}
-    assert (5, 1) not in table
+        want = sorted((q.degree() for q, mult in factors for _ in range(mult)), reverse=True)
+        for parity in (None, frobenius_parity(disc, p)):
+            assert list(good_prime_cycle_type(ints, p, parity).parts) == want, (u, v, p)
