@@ -659,13 +659,9 @@ def ev_instance(
 def _ev_limits(model: WeierstrassModel, d: int, y: Fraction) -> tuple[Fraction, tuple[int, ...]]:
     """(C, limits): C = ``ev_bound_constant`` and limits[k] = floor(m*C*Y^k),
     the bound on the integer coefficient of x^(d-k) in m*H, for m the
-    denominator of f.  Kept per (d, Y) on the model (``ev_limits``), so that
-    ``ev_instance`` neither redoes this exact arithmetic nor hashes the model."""
-    kept = model.ev_limits
-    if (d, y) not in kept:
-        c_bound, m = ev_bound_constant(model, d), model.f_cleared[1]
-        kept[d, y] = c_bound, tuple(math.floor(m * c_bound * y**k) for k in range(d + 1))
-    return kept[d, y]
+    denominator of f; ``ev_generate`` computes them once per call."""
+    c_bound, m = ev_bound_constant(model, d), model.f_cleared[1]
+    return c_bound, tuple(math.floor(m * c_bound * y**k) for k in range(d + 1))
 
 
 def _ev_instance(

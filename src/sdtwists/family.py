@@ -114,12 +114,6 @@ class WeierstrassModel:
         """(F, m) = clear_denominators(f), computed once per model."""
         return clear_denominators(self.f)
 
-    @cached_property
-    def ev_limits(self) -> dict:
-        """The coefficient-box limits of ``counting._ev_limits`` by (d, Y),
-        kept on the model so that a lookup hashes no ``Fraction`` of it."""
-        return {}
-
 
 @dataclass(frozen=True)
 class ModelCheck:

@@ -80,7 +80,7 @@ from itertools import islice
 from typing import Callable, Collection, Optional, Sequence
 
 from . import padic
-from .padic import CycleType
+from .padic import CycleType, NewtonPolygon
 from .polyarith import IntPoly, Poly, _discriminant, _primitive_int, clear_denominators
 from .primes import SMALL_PRIME_BOUND, extend_factorization, factor_trial, is_square, primes
 
@@ -253,14 +253,11 @@ def _normalized(f: Poly) -> tuple[IntPoly, int]:
     return g, _discriminant(g)
 
 
-def _polygon_totally_ramified(g: IntPoly, p: int) -> bool:
-    if not g.coeff(0):
-        return False
-    polygon = padic.newton_polygon(g, p)
-    if len(polygon.segments) != 1:
+def _polygon_totally_ramified(polygon: NewtonPolygon) -> bool:
+    if not polygon.spans_constant_term or len(polygon.segments) != 1:
         return False
     slope, length = polygon.segments[0]
-    return length == g.degree and slope.denominator == g.degree
+    return length == polygon.degree and slope.denominator == polygon.degree
 
 
 def transposition_witness(f: Poly, trial_bound: int) -> Optional[int]:
@@ -371,7 +368,7 @@ def _evidence(
         for ct in padic.cycle_certificate(polygon):
             types.add(ct)
             provenance.append(("cycle_certificate", p, ct.label))
-        if irred == INCONCLUSIVE and _polygon_totally_ramified(g, p):
+        if irred == INCONCLUSIVE and _polygon_totally_ramified(polygon):
             irred, route = CERTIFIED, "newton-polygon"
             provenance.append(("irreducibility", p, "totally ramified"))
 

@@ -7,64 +7,50 @@ to the segment's horizontal length.  A segment of slope m/n in lowest terms
 and horizontal length exactly n, with every other slope's denominator
 coprime to n, certifies an n-cycle in the Galois group of the polynomial.
 
-Cycle types of Frobenius elements come from distinct-degree factorization
-of the reduction mod p; primes where the reduction degenerates (leading
-coefficient or squarefreeness lost) are reported as bad rather than raised.
-A caller that holds the exact discriminant may pass the parity of Frobenius
-(``frobenius_parity``, by Stickelberger's theorem); the factorization then
-stops as soon as the factor degrees found so far and that parity leave one
-possible pattern, so an odd cubic or a quadratic needs no F_p arithmetic.
-``frobenius_cycle_type`` has no discriminant and runs the full loop.
+The cycle type of Frobenius at a good prime p lists the degrees of the
+irreducible factors of f mod p, n = deg f; primes where the reduction
+degenerates (leading coefficient or squarefreeness lost) are reported as
+bad rather than raised.  One rule counts the factors: N_k, the number of
+roots of f in F_(p^k), is the sum of d * c_d over the d dividing k, c_d
+being the number of factors of degree d, so step k = 1, 2, ... reads
+c_k = (N_k - sum of d * c_d over the d < k dividing k) / k.  The loop stops
+at the first step whose counts leave one pattern.  A caller that holds the
+exact discriminant may pass the parity of Frobenius (``frobenius_parity``,
+by Stickelberger's theorem), and the counts then need only leave one
+pattern of that parity, so an odd cubic or a quadratic needs no F_p
+arithmetic; ``frobenius_cycle_type`` has no discriminant and runs the full
+loop.  Each prime, degree and parity has one cached plan (``_settle_plan``)
+with that stop rule (``_StopRule``).  N_k has three sources:
 
-Below ``ROOT_PRIME_BOUND`` (256) the first step of the loop, counting the
-linear factors, is a root count on packed integers alone: f is evaluated at
-every a in F_p at once, as one sum of n + 1 packed integers whose w-bit
-slots hold a^i mod p; one Barrett step (P. Barrett, CRYPTO '86) reduces
-every slot mod p; adding 2^(w - 1) - 1 to every slot then sets a slot's top
-bit exactly when its value is nonzero, and the popcount of the top bits is
-p minus the number of roots.  The step is exact while every slot value
-times magic fits in w bits (``_barrett_constants``), so w is the fewest
-whole bytes that hold it, 8 to 40 bits for degrees up to 8 below 256: the
-narrower the slots, the shorter every sum, product and mask.  Slots are
-capped at 64 bits, which p < 256 keeps for every degree up to 67,376.
-The columns a^i mod p do not depend on the polynomial, so their table is
-keyed by the prime and the slot width alone and grown to the largest
-degree asked; column i >= p is column i - (p - 1) again, and shares its
-object.  Larger primes count the roots from the Frobenius matrix below.
+- Below ``ROOT_PRIME_BOUND`` (256), N_1 is a root count on packed integers
+  alone (``_RootPlan``): f is evaluated at every a in F_p at once, as one
+  sum of n + 1 packed integers whose w-bit slots hold a^i mod p; one
+  Barrett step (P. Barrett, CRYPTO '86) reduces every slot mod p; adding
+  2^(w - 1) - 1 to every slot then sets a slot's top bit exactly when its
+  value is nonzero, and the popcount of the top bits is p - N_1.  The step
+  is exact while every slot value times magic fits in w bits
+  (``_barrett_constants``), so w is the fewest whole bytes that hold it, 8
+  to 40 bits for degrees up to 8 below 256, and at most 64 bits for every
+  degree up to 67,376.  The columns a^i mod p do not depend on f, so they
+  are kept per prime and slot width (``_power_columns``).
+- Every later N_k comes from the Frobenius matrix Q, whose column j is
+  x^(jp) mod f (E. R. Berlekamp, "Factoring polynomials over large finite
+  fields", Math. Comp. 24, 1970), computed once per prime in F_p[x]/(f) on
+  packed integers (``_Ring``): x^p by one square-and-shift powering
+  (``_x_power``), each later column as the one before times x^p.  When
+  p > n, N_k = trace(Q^k) mod p: F_p[x]/(f) is the product of the fields
+  F_(p^d) over f's factors of degree d, Frobenius^k fixes all d elements
+  of a normal basis of each when d divides k and none otherwise, and their
+  sum is at most n < p.  trace(Q^2) is the sum of Q_ij Q_ji, and only a
+  pattern still open then forms Q^(k - 1), one packed matrix-vector
+  product per column, for k >= 3.
+- When p <= n that trace is known only mod p, so
+  N_k = deg gcd(f, x^(p^k) - x), with x^(p^k) read off Q as Q times
+  x^(p^(k - 1)).
 
-Each prime, degree and parity has one cached plan (``_settle_plan``): the
-cycle type the parity alone leaves, if any, else the prime's ``_RootPlan``
-below the cutoff; and a ``_StopRule``, a table from the factor counts so
-far, (c_1, ..., c_k), to the one ``CycleType`` they leave with the parity,
-if any.  With the parity, a polynomial of degree at most 5, or a sextic
-with a root mod p, is settled at k = 1 without the ring below, and a
-sextic without a root at k = 2.
-
-The later steps work in F_p[x]/(f), f made monic with its roots still in
-it, with elements packed into integers too, one coefficient per slot of a
-multiple of 64 bits: a product is one integer multiplication, a fold of the
-slots above n - 1 back from the top, and one Barrett step that reduces
-every slot mod p at once.  The slot width and the Barrett constants follow
-from a bound on every slot value that reaches that step (``_Ring``), so the
-ring is exact at every prime and degree; they depend on p and n alone and
-are computed once per pair.  Only the packed row of x^n mod f and its n
-shifts are built per polynomial, from f and 1/lc(f) directly.  x^p is one
-square-and-shift powering from x^s, s the leading bits of p below 2n,
-which is the fold of one slot (``_power_chain``, cached per (p, n)), and
-the Frobenius matrix Q, whose column j is x^(jp) mod f for j < n, takes
-n - 2 more products (E. R. Berlekamp, "Factoring polynomials over large
-finite fields", Math. Comp. 24, 1970).  When p > n, trace(Q^k) mod p is
-the number of roots of f in F_(p^k): F_p[x]/(f) is the product of the
-fields F_(p^d) over f's irreducible factors of degree d, Frobenius^k
-permutes a normal basis of each, fixing all d of its elements when d
-divides k and none otherwise, and the sum of those d is at most n < p.  So
-step k counts its factors from one trace and the counts before, with no
-gcd: the roots above the cutoff from trace(Q), the quadratic factors as
-(trace(Q^2) - roots) / 2, trace(Q^2) being the sum of Q_ij Q_ji, and only a
-pattern still open then forms Q^(k - 1), one packed matrix-vector product
-per column, for k >= 3.  When p <= n that sum is known only mod p, so step
-k splits gcd(g, x^(p^k) - x) off the rest g of f instead, with x^(p^k) read
-off Q as Q times x^(p^(k - 1)).
+With the parity, a polynomial of degree at most 5, or a sextic with a root
+mod p, is settled at k = 1 without the ring, and a sextic without a root
+at k = 2.
 """
 
 from __future__ import annotations
@@ -83,10 +69,8 @@ from .primes import is_prime, valuation_int
 
 INFINITY = math.inf
 
-# Primes below this bound count roots by the packed evaluation of
-# ``_root_plan``: one sum of right-sized slots, one Barrett step and a
-# popcount; see the module docstring.  Every degree up to 67,376 passes the
-# exact Barrett condition in slots of at most 64 bits below this bound.
+# Primes below this bound read N_1 off the packed root count of
+# ``_root_plan`` (module docstring).
 ROOT_PRIME_BOUND = 256
 
 
@@ -166,8 +150,8 @@ def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
         raise ValueError(f"{p} is not prime")
     if not f:
         raise ValueError("Newton polygon of the zero polynomial")
-    pts = [
-        (i, Fraction(valuation(c, p)))
+    pts = [  # p is proved prime once, above, not once per coefficient
+        (i, Fraction(valuation_int(c.numerator, p) - valuation_int(c.denominator, p)))
         for i, c in enumerate(f.coeffs)
         if c
     ]
@@ -212,23 +196,8 @@ def cycle_certificate(polygon: NewtonPolygon) -> list[CycleType]:
 
 
 # ---------------------------------------------------------------------------
-# Dense F_p[x] kernels (coefficients are ints, constant first).
-#
-# Distinct-degree factorization reads the Frobenius matrix Q of f mod p,
-# whose column j is x^(jp) mod f.  Its columns are computed in ``_Ring``,
-# F_p[x]/(f) on packed integers: slot j holds the coefficient of x^j, a
-# product is one integer multiplication whose top slots are folded back one
-# at a time through the packed row of x^n mod f, and one Barrett step then
-# reduces all slots mod p.  No slot value reaching that step exceeds
-# 2n(p - 1)^2 (the derivation is on ``_Ring``), and the slot width and
-# shift are chosen from that bound.  x^p comes from one square-and-shift
-# powering (``_x_power``, the only place that computes x^e), and each later
-# column is the one before times x^p.  Q times a vector is one packed sum
-# of its columns and one Barrett step (``_Ring.apply``).  For p > deg f the
-# factor counts are read off traces of powers of Q (``good_prime_cycle_type``);
-# for p <= deg f the list kernels below split gcd(g, x^(p^k) - x) off g
-# (``_gcd_cycle_type``).  Below ROOT_PRIME_BOUND the linear factors are
-# counted first, from one packed evaluation at every point of F_p.
+# Dense F_p[x] kernels (coefficients are ints, constant first), the packed
+# ring F_p[x]/(f) and the root count that give N_k (module docstring).
 # ---------------------------------------------------------------------------
 
 
@@ -259,23 +228,6 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
-
-
-def _pdiv_exact(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    db = _pdeg(b)
-    inv = pow(b[-1], -1, p)
-    out = [0] * (_pdeg(a) - db + 1)
-    while a and _pdeg(a) >= db:
-        c = a[-1] * inv % p
-        k = _pdeg(a) - db
-        out[k] = c
-        for j, cb in enumerate(b):
-            a[j + k] = (a[j + k] - c * cb) % p
-        _ptrim(a)
-    if a:
-        raise ArithmeticError("inexact division mod p")
-    return _ptrim(out)
 
 
 def _barrett_constants(bound: int, p: int) -> tuple[int, int]:
@@ -407,15 +359,8 @@ def _x_power(e: int, ring: _Ring) -> int:
     return r
 
 
-# Slot a (bits wa to wa + w - 1) of the packed column i holds a^i mod p, so
-# for coefficients c_i in [0, p) the sum of c_i * column_i holds f(a) in
-# slot a, at most bound = (n + 1)(p - 1)^2.  One Barrett step
-# (``_barrett_constants``) reduces every slot mod p exactly when
-# bound * magic < 2^w, since then no slot of the product with magic
-# carries into the next; w is the fewest whole bytes that hold it, at most
-# _ROOT_SLOT_BITS.  Each reduced slot is below p < 2^(w - 1), so adding
-# 2^(w - 1) - 1 to it carries into its top bit exactly when it is nonzero,
-# and the popcount of the top bits is p minus the number of roots.
+# The widest root-count slot (module docstring); slot a of the packed
+# column i holds a^i mod p.
 _ROOT_SLOT_BITS = 64
 _COLUMNS: dict[tuple[int, int], list[int]] = {}  # (p, w) -> packed columns for i = 0, 1, ...
 
@@ -547,55 +492,27 @@ def _transpose(n: int) -> itemgetter:
     return itemgetter(*[i * n + j for j in range(n) for i in range(n)])
 
 
-def _gcd_cycle_type(
-    f: list[int], ring: _Ring, columns: list[int], roots: Optional[int], stop: _StopRule
-) -> CycleType:
-    """``good_prime_cycle_type`` for p <= n: step k splits its gcd with
-    x^(p^k) - x off the rest g of monic f (module docstring).  Counted
-    ``roots`` stay in g until step 2."""
-    p = ring.p
-    inv = pow(f[-1], -1, p)
-    g = [c * inv % p for c in f]
-    h = ring.coeffs(columns[1])  # x^p
-    counts, kept = [], 0  # counts[d - 1]: the factors of degree d
-    if roots is not None:
-        h, counts, kept = ring.coeffs(ring.apply(columns, h)), [roots], roots
-    while True:
-        k = len(counts) + 1
-        gk = _pgcd(g, [h[0], h[1] - 1] + h[2:], p)  # gcd(g, x^(p^k) - x)
-        if _pdeg(gk) > 0:
-            g = _pdiv_exact(g, gk, p)
-        counts.append((_pdeg(gk) - kept) // k)
-        settled = stop[tuple(counts)]
-        if settled is not None:
-            return settled
-        h, kept = ring.coeffs(ring.apply(columns, h)), 0
-
-
-def _trace_cycle_type(
-    ring: _Ring, columns: list[int], roots: Optional[int], stop: _StopRule
-) -> CycleType:
-    """``good_prime_cycle_type`` for p > n from traces of powers of the
-    Frobenius matrix Q with these columns (module docstring)."""
+def _root_counts(f: list[int], ring: _Ring, columns: list[int], first: int) -> Iterator[int]:
+    """N_k, the number of roots of f in F_(p^k), for k = first, first + 1,
+    ... (first is 1 or 2), from the Frobenius matrix Q with these columns:
+    deg gcd(f, x^(p^k) - x) when p <= n, else trace(Q^k) mod p (module
+    docstring)."""
     p, n = ring.p, ring.n
+    if p <= n:
+        h = ring.coeffs(columns[1])  # x^(p^k), k = 1
+        for _ in range(first - 1):
+            h = ring.coeffs(ring.apply(columns, h))
+        while True:
+            yield _pdeg(_pgcd(f, [h[0], h[1] - 1] + h[2:], p))
+            h = ring.coeffs(ring.apply(columns, h))
     matrix = ring.coeffs(*columns)  # Q, column by column: matrix[j * n + i] = Q_ij
-    if roots is None:
-        roots = sum(matrix[:: n + 1]) % p
-        settled = stop[roots,]
-        if settled is not None:
-            return settled
+    if first == 1:
+        yield sum(matrix[:: n + 1]) % p
     transpose = _transpose(n)
-    counts = [roots, (sum(map(mul, matrix, transpose(matrix))) % p - roots) // 2]
-    settled = stop[roots, counts[1]]
     power = matrix  # Q^(k - 1), column by column
-    while settled is None:
-        k = len(counts) + 1
+    while True:
+        yield sum(map(mul, matrix, transpose(power))) % p  # sum of Q_ij (Q^(k - 1))_ji
         power = ring.coeffs(*[ring.apply(columns, power[j : j + n]) for j in range(0, n * n, n)])
-        trace = sum(map(mul, matrix, transpose(power))) % p  # sum of Q_ij (Q^(k - 1))_ji
-        found = sum(d * counts[d - 1] for d in range(1, k // 2 + 1) if k % d == 0)
-        counts.append((trace - found) // k)
-        settled = stop[tuple(counts)]
-    return settled
 
 
 def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) -> list[int]:
@@ -642,14 +559,15 @@ def good_prime_cycle_type(
     when given, is the parity of Frobenius (see ``frobenius_parity``); none
     of that is rechecked here.
 
-    Step k counts the factors of degree k, and the loop stops at the first
-    step whose counts, with ``parity`` = (deg f - number of factors) mod 2
-    when it is given, leave one pattern, as the cached plan of p, deg f and
-    the parity says (``_settle_plan``); step 0 reads the parity alone.
-    Below ROOT_PRIME_BOUND step 1 is the root count.  The first step that
-    needs more builds the ring on f, roots and all, and its Frobenius matrix
-    Q once, and reads each count off trace(Q^k) when p > deg f, or splits
-    gcd(g, x^(p^k) - x) off the rest g of f otherwise (``_gcd_cycle_type``).
+    Step k reads c_k, the number of factors of degree k, as
+    (N_k - sum of d * c_d over the d < k dividing k) / k, N_k being the
+    number of roots of f in F_(p^k), and the loop stops at the first step
+    whose counts, with ``parity`` = (deg f - number of factors) mod 2 when it
+    is given, leave one pattern, as the cached plan of p, deg f and the
+    parity says (``_settle_plan``); step 0 reads the parity alone.  Below
+    ROOT_PRIME_BOUND, N_1 is the packed root count.  The first step that
+    needs more builds the ring on f and its Frobenius matrix Q once, and
+    reads each later N_k off Q (``_root_counts``).
     Equal patterns return one shared ``CycleType``.
     """
     n = len(coeffs) - 1
@@ -657,16 +575,21 @@ def good_prime_cycle_type(
     if settled is not None:
         return settled
     f = [c % p for c in coeffs]
-    roots = None if counter is None else counter.roots(f)
-    if roots is not None:
+    counts = []  # counts[d - 1] = c_d
+    if counter is not None:
+        roots = counter.roots(f)
         settled = stop[roots,]
         if settled is not None:
             return settled
+        counts = [roots]
     ring = _Ring(f, p)
-    columns = _frobenius_columns(ring)
-    if p <= n:
-        return _gcd_cycle_type(f, ring, columns, roots, stop)
-    return _trace_cycle_type(ring, columns, roots, stop)
+    for total in _root_counts(f, ring, _frobenius_columns(ring), len(counts) + 1):
+        k = len(counts) + 1
+        found = sum(d * counts[d - 1] for d in range(1, k // 2 + 1) if k % d == 0)
+        counts.append((total - found) // k)
+        settled = stop[tuple(counts)]
+        if settled is not None:
+            return settled
 
 
 def frobenius_cycle_type(f: Poly, p: int) -> Optional[CycleType]:

@@ -218,7 +218,10 @@ def test_sweep_parity_spares_powerings(monkeypatch):
     # the factorization of an odd cubic before any F_p arithmetic, and below
     # padic.ROOT_PRIME_BOUND the root count settles an even one, so a compact
     # cubic sweep computes x^p mod (spec, p) 0 times, with the parity and
-    # without it.
+    # without it.  The built quintic and sextic families are where the
+    # parity acts: at box 4 the quintic sweep computes x^p 0 times with it
+    # and 34 times without it, and the sextic sweep 32 times against 72, with
+    # the same candidates and certificates either way.
     monkeypatch.setenv(WORKERS_ENV, "1")
     real = padic._x_power
     powerings = []
@@ -231,6 +234,21 @@ def test_sweep_parity_spares_powerings(monkeypatch):
     cands = sweep(small_cubic_family(), 12, budgets=SweepBudgets(prime_budget=10))
     assert sum(c.certificate.certified for c in cands) > 300
     assert len(powerings) <= 130
+    factor = padic.good_prime_cycle_type
+    for d, bound in ((5, 0), (6, 40)):
+        fam = build_family((1, 1), d)[1]
+        powerings.clear()
+        cands = sweep(fam, 4, budgets=SweepBudgets())
+        with_parity = len(powerings)
+        assert sum(c.certificate.certified for c in cands) > 40
+        assert with_parity <= bound, d
+        powerings.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                padic, "good_prime_cycle_type", lambda coeffs, p, parity=None: factor(coeffs, p)
+            )
+            assert sweep(fam, 4, budgets=SweepBudgets()) == cands
+        assert len(powerings) >= with_parity + 30, d
 
 
 FIELDS = [f.name for f in dataclasses.fields(counting.FieldCandidate) if f.name != "poly"]
@@ -650,7 +668,7 @@ def test_ev_generate_sampled_is_seeded():
 def test_ev_instance_rebuilds_generated_instances():
     # The public ev_instance at the coordinates ev_generate drew, in its
     # exhaustive and its sampling mode, gives the same instance; its limits
-    # are kept per (model, d, Y) and handed out as a tuple nobody can grow.
+    # are handed out as a tuple nobody can grow.
     model, _, _ = build_family((1, 1), 6)
     d, y = 6, F(3)
     a_bounds, b_bounds = ev_boxes(d, y)
@@ -664,14 +682,12 @@ def test_ev_instance_rebuilds_generated_instances():
     coords = itertools.product(*[range(-1, 2)] * 5)  # every bound is 1 at Y = 1
     for inst, c in zip(ev_generate(model, d, 1, small), coords):
         assert ev_instance(model, d, F(1), c[:3], c[3:]) == inst
-    assert counting._ev_limits(model, d, y) is counting._ev_limits(model, d, y)
     assert isinstance(counting._ev_limits(model, d, y)[1], tuple)
 
 
-def test_ev_limits_are_kept_on_the_model(monkeypatch):
-    # The limits are kept per (d, Y) on the model itself, so neither
-    # ev_instance nor ev_generate hashes the model's Fraction coefficients,
-    # and both still build the same instances.
+def test_ev_instances_hash_no_model(monkeypatch):
+    # Neither ev_instance nor ev_generate hashes the model's Fraction
+    # coefficients, and both build the same instances.
     model, _, _ = build_family((1, 1), 6)
     d, y = 6, F(3)
     a_bounds, b_bounds = ev_boxes(d, y)
@@ -686,8 +702,6 @@ def test_ev_limits_are_kept_on_the_model(monkeypatch):
         a = [rng.randint(-bound, bound) for bound in a_bounds]
         b = [rng.randint(-bound, bound) for bound in b_bounds]
         assert ev_instance(model, d, y, a, b) == inst
-    c, m = ev_bound_constant(model, d), model.f_cleared[1]
-    assert model.ev_limits == {(d, y): (c, tuple(math.floor(m * c * y**k) for k in range(d + 1)))}
 
 
 def test_ev_certificates_match_public_path():

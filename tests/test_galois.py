@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdtwists import galois
+from sdtwists import galois, padic
 from sdtwists.galois import (
     CERTIFIED,
     CERTIFIED_SD,
@@ -231,6 +231,35 @@ def test_collect_evidence_deterministic():
     e2 = collect_evidence(cubic(), 3, 20, skip_witness_for_cubic=False)
     assert e1 == e2
 
+
+
+def test_each_polygon_prime_builds_one_newton_polygon(monkeypatch):
+    # (x + 1)^4 + 1 splits mod every prime, so the scan leaves its
+    # irreducibility inconclusive, and it is Eisenstein at 2, so the polygon
+    # at 2 proves it.  Each polygon prime builds one Newton polygon, which
+    # serves both its cycle facts and that proof, and each polygon proves
+    # its prime prime once, not once per coefficient as well.  The evidence
+    # is the same as the public path's on x^4 + 1 shifted.
+    eisenstein = Poly([2, 4, 6, 4, 1])
+    want = collect_evidence(eisenstein, 4, 5, polygon_primes=(2, 3, 5))
+    assert want.irreducibility == CERTIFIED and want.irreducibility_route == "newton-polygon"
+    assert ("irreducibility", 2, "totally ramified") in want.provenance
+    built, proved = [], []
+    real_polygon, real_is_prime = padic.newton_polygon, padic.is_prime
+
+    def counted_polygon(f, p):
+        built.append(p)
+        return real_polygon(f, p)
+
+    def counted_is_prime(p):
+        proved.append(p)
+        return real_is_prime(p)
+
+    monkeypatch.setattr(padic, "newton_polygon", counted_polygon)
+    monkeypatch.setattr(padic, "is_prime", counted_is_prime)
+    assert collect_evidence(eisenstein, 4, 5, polygon_primes=(2, 3, 5)) == want
+    assert built == [2, 3, 5]
+    assert proved == [2, 3, 5]
 
 def test_hilbert_success_rate_small_sample():
     # warm variant of the pipeline rate check: d = 4, 40 specializations

@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+from itertools import islice
 from fractions import Fraction as F
 
 import pytest
@@ -197,8 +199,8 @@ def test_distinct_degree_matches_exhaustive_oracle_to_200():
 def test_distinct_degree_matches_sympy_to_200(monkeypatch):
     # Random polynomials, and products of two random monic factors mod p for
     # split patterns, of degrees 1 to 8 at every prime below 200, with and
-    # without the parity.  The inputs reach the gcd split (p <= deg) and the
-    # traces (p > deg) at degrees 6 and over, and a trace step k >= 3, the
+    # without the parity.  The inputs reach the gcd counts (p <= deg) and
+    # the traces (p > deg) at degrees 6 and over, and a trace step k >= 3, the
     # first that forms a power of the Frobenius matrix ([3, 3] without the
     # parity, or [4, 4] against [5, 3] with it).
     sympy = pytest.importorskip("sympy")
@@ -383,7 +385,7 @@ def test_parity_stops_after_the_linear_factors(monkeypatch):
 
 def test_parity_contradiction_is_an_error():
     # x^3 - x + 1 is [2, 1] mod 5, an odd permutation.  Claimed even, the
-    # loop splits off both factors and finds the parity owed unmet; that
+    # loop counts its one root and finds no rest of the parity owed; that
     # raises instead of looping on.
     with pytest.raises(ArithmeticError):
         good_prime_cycle_type([1, -1, 0, 1], 5, 0)
@@ -796,8 +798,8 @@ def test_rootless_sextics_read_one_trace(monkeypatch):
     # quadratic factors.  For p > 6 that is trace(Q^2) of the Frobenius
     # matrix Q, so one ring is built, x^e is computed exactly once and no gcd
     # is taken, and the pattern equals the parity-free loop's.  For p <= 6
-    # the trace is known only mod p, and gcd(f, x^(p^2) - x) splits off the
-    # quadratic factors.
+    # the trace is known only mod p, and N_2, the roots of f in F_(p^2),
+    # is the degree of gcd(f, x^(p^2) - x).
     rng = random.Random(61)
     calls = []
 
@@ -830,6 +832,40 @@ def test_rootless_sextics_read_one_trace(monkeypatch):
             else:
                 assert calls == ["_Ring", "_x_power", "_pgcd"], (coeffs, p, full)
     assert seen == {(2, 4), (3, 3), (6,), (2, 2, 2)}
+
+
+def test_root_counts_match_the_gcd_source_and_the_oracle(monkeypatch):
+    # N_k, the number of roots of a squarefree f in F_(p^k), is
+    # deg gcd(f, x^(p^k) - x) and the sum of d * c_d over the d dividing k,
+    # c_d the number of factors of degree d (from the exhaustive oracle).
+    # For p > n the loop reads N_k off trace(Q^k) mod p, and for p <= n off
+    # that gcd, with x^(p^k) as Q times x^(p^(k - 1)); here the gcd is taken
+    # against x^(p^k) from one powering instead.  Every k <= n is checked,
+    # from k = 1 and, as after a root count, from k = 2; f is not monic.
+    irreducibles = functools.lru_cache(maxsize=None)(oracles.modp_irreducibles)
+    monkeypatch.setattr(oracles, "modp_irreducibles", irreducibles)
+    rng = random.Random(101)
+    checked = set()
+    for n in range(2, 9):
+        for p in primes_up_to(11):  # 11 is the first prime above every n
+            for _ in range(4):
+                f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+                deriv = [i * c for i, c in enumerate(f)][1:]
+                if len(padic._pgcd(f, deriv, p)) != 1:
+                    continue
+                degrees = oracles.modp_factor_degrees(f, p)
+                want = [sum(d for d in degrees if k % d == 0) for k in range(1, n + 1)]
+                ring = padic._Ring(f, p)
+                gcds = []
+                for k in range(1, n + 1):
+                    h = ring.coeffs(padic._x_power(p**k, ring))
+                    gcds.append(padic._pdeg(padic._pgcd(f, [h[0], h[1] - 1] + h[2:], p)))
+                assert gcds == want, (f, p)
+                columns = padic._frobenius_columns(ring)
+                assert list(islice(padic._root_counts(f, ring, columns, 1), n)) == want, (f, p)
+                assert list(islice(padic._root_counts(f, ring, columns, 2), n - 1)) == want[1:]
+                checked.add((n, p > n))
+    assert checked == {(n, above) for n in range(2, 9) for above in (False, True)}
 
 
 def test_settle_plan_matches_the_matrix_loop_at_every_prime_below_the_cutoff(monkeypatch):
