@@ -180,7 +180,11 @@ class RunConfig:
             if self.mode == "sweep" and math.gcd(*self.congruence) != 1:
                 raise UsageError("congruence: gcd(u0, v0, M) > 1 admits no coprime pairs")
         for p in self.polygon_primes:
-            if not is_prime(p):
+            try:
+                prime = is_prime(p)
+            except ValueError as exc:
+                raise UsageError(f"polygon_primes: {exc}") from exc
+            if not prime:
                 raise UsageError(f"polygon_primes: {p} is not prime")
 
     def echo(self) -> dict:

@@ -3,16 +3,21 @@
 A certificate is sound by construction: ``certified_Sd`` is emitted only
 when the group-theoretic criterion is met by verified facts, namely
 
-  * the polynomial is certifiably irreducible over Q (transitivity),
-  * the group contains a d-cycle,
-  * the group contains a transposition, and
-  * it contains a (d-1)-cycle, or d >= 5 is odd and it contains a
-    (d-2)-cycle;
+  * the polynomial is certifiably irreducible over Q, so the group G is
+    transitive,
+  * G contains a transposition, and
+  * G is primitive: for every divisor b of d with 1 < b < d, some observed
+    cycle type is not the type of any element of the wreath product
+    S_b wr S_(d/b), and for prime d transitivity is enough;
 
-and then the group is all of S_d.  For d = 3, irreducible with nonsquare
-discriminant is an accepted alternate route, and an irreducible quadratic
-is S_2 outright.  Everything else is reported ``inconclusive``; there is no
-"probably" state.
+and then G is all of S_d by Jordan's theorem (J. D. Dixon and
+B. Mortimer, *Permutation Groups*, GTM 163, Thm 3.3A: a primitive group
+that contains a transposition is symmetric).  A system of blocks of size b
+puts G inside S_b wr S_(d/b), so one observed type outside that group rules
+out every such system (``_in_wreath``).  For d = 3, irreducible with
+nonsquare discriminant is an accepted alternate route, and an irreducible
+quadratic is S_2 outright.  Everything else is reported ``inconclusive``;
+there is no "probably" state.
 
 Irreducibility never factors over Q.  It is certified from reductions mod
 good primes (an irreducible reduction, or factor-degree subset sums whose
@@ -29,11 +34,16 @@ and factored by distinct-degree factorization.  The budget of good primes
 is a cap: the scan stops at the first good prime after which the cycle
 types found, with the transposition witness, meet the criterion above
 (``_sd_route``, its one statement, which ``certify_sd`` applies too).  The
-witness is searched for at most once per polynomial and only once
-irreducibility is proved: at the first irreducible reduction, or after the
-scan when only the degree lattice or a Newton polygon proves it.  Every
-fact only grows as primes are added, so a scan that stops certifies by the
-route the full scan would, and one that does not scans the whole budget;
+scan proves irreducibility as it goes, from an irreducible reduction or,
+for d >= 4, from the degree lattice reaching {0, d}; a cubic's lattice
+reaches it only at an irreducible reduction.  The witness is searched for
+at most once per polynomial and only once irreducibility is proved: at the
+good prime that first proves it, or after the scan when only a Newton
+polygon proves it.  Every fact only grows as primes are added, so a scan
+that stops certifies by the route the full scan would, and one that does
+not scans the whole budget; its irreducibility route is read off the
+primes it scanned, so it may be the degree lattice where a longer scan
+would also have met an irreducible reduction.
 ``irreducibility_certificate`` stops at its first proof through the same
 stop hook.
 
@@ -182,65 +192,62 @@ def _good_prime_scan(
     return found
 
 
-def _subset_sums(ct: CycleType) -> set[int]:
+@lru_cache(maxsize=None)
+def _subset_sums(ct: CycleType) -> frozenset[int]:
     """The degrees of the factors over Q that one Frobenius pattern allows:
-    the sums of subsets of its parts."""
+    the sums of subsets of its parts, computed once per cycle type."""
     sums = {0}
     for part in ct.parts:
         sums |= {s + part for s in sums}
-    return sums
-
-
-def _degree_lattice(patterns: Sequence[CycleType], d: int) -> set[int]:
-    """Intersection over patterns of the attainable factor-degree subset sums."""
-    possible = set(range(d + 1))
-    for ct in patterns:
-        possible &= _subset_sums(ct)
-    return possible
+    return frozenset(sums)
 
 
 def _irreducibility(
     g: IntPoly,
     disc: int,
     prime_budget: int,
-    stop: Optional[Callable[[CycleType], bool]] = None,
+    stop: Callable[[CycleType, bool], bool],
 ):
     """Good-prime scan of normalized g, disc = disc(g), and the
     irreducibility it proves.
 
     Returns (scan, status, route): an irreducible reduction proves it
     ("mod-p"), and so do factor-degree patterns whose subset sums meet only
-    in {0, d} ("degree-lattice").  ``stop`` ends the scan early, as in
-    ``_good_prime_scan``.
+    in {0, d} ("degree-lattice").  The lattice is kept as the scan goes, and
+    only for d >= 4: below that it reaches {0, d} only at an irreducible
+    reduction.  ``stop`` is called with the cycle type of every good prime
+    scanned and whether the primes so far prove irreducibility, and ends the
+    scan as in ``_good_prime_scan``.
     """
     d = g.degree
-    scan = _good_prime_scan(g, disc, prime_budget, stop)
-    patterns = [ct for _, ct in scan]
-    if any(ct.parts == (d,) for ct in patterns):
-        return scan, CERTIFIED, "mod-p"
-    if scan and _degree_lattice(patterns, d) == {0, d}:
-        return scan, CERTIFIED, "degree-lattice"
-    return scan, INCONCLUSIVE, None
+    lattice = set(range(d + 1))
+    route = None
+
+    def scanned(ct: CycleType) -> bool:
+        nonlocal route
+        if len(ct.parts) == 1:
+            route = "mod-p"
+        elif route is None and d >= 4:
+            lattice.intersection_update(_subset_sums(ct))
+            if lattice == {0, d}:
+                route = "degree-lattice"
+        return stop(ct, route is not None)
+
+    scan = _good_prime_scan(g, disc, prime_budget, scanned)
+    return scan, INCONCLUSIVE if route is None else CERTIFIED, route
 
 
 def irreducibility_certificate(f: Poly, prime_budget: int) -> str:
     """CERTIFIED when irreducibility over Q is proved within the budget.
 
-    The scan stops at its first proof: an irreducible reduction, whose
-    subset sums are {0, d} alone, or a degree lattice that has shrunk to
-    {0, d}.
+    The scan stops at its first proof: an irreducible reduction or a degree
+    lattice that has shrunk to {0, d}.
     """
     if f.degree < 2:
         raise ValueError("degree >= 2 required")
-    g, disc = _normalized(f)
-    d = g.degree
-    possible = set(range(d + 1))
-
-    def proved(ct: CycleType) -> bool:
-        possible.intersection_update(_subset_sums(ct))
-        return possible == {0, d}
-
-    _scan, status, _route = _irreducibility(g, disc, prime_budget, stop=proved)
+    _scan, status, _route = _irreducibility(
+        *_normalized(f), prime_budget, lambda _ct, irreducible: irreducible
+    )
     return status
 
 
@@ -310,8 +317,13 @@ def collect_evidence(
     Deterministic for fixed inputs.  ``prime_budget`` caps the good primes
     scanned: the scan stops at the first good prime after which the cycle
     types found, with the witness, meet the criterion ``certify_sd``
-    applies, so a polynomial that certifies carries a prefix of the full
-    scan, and one that does not carries all of it.  The discriminant trial
+    applies (irreducible, a transposition, primitive), so a polynomial that
+    certifies carries a prefix of the full scan, and one that does not
+    carries all of it.  The irreducibility route is that of the primes
+    scanned: "degree-lattice" when the prefix proves irreducibility without
+    an irreducible reduction, though a later prime might show one.  The
+    witness is searched for at the prime that first proves irreducibility,
+    so it is the one a full scan finds.  The discriminant trial
     factorization is skipped when the d = 3 shortcut (irreducible, nonsquare
     discriminant) already decides the certificate and
     ``skip_witness_for_cubic`` is set; sweeps over many cubics rely on that
@@ -337,26 +349,26 @@ def _evidence(
     ``_witness``).
 
     The stop rule ``facts_hold`` is ``_sd_route`` on the facts found so far,
-    irreducibility read from an irreducible reduction.  The witness search
-    runs at the first irreducible reduction, or after the scan and the
-    Newton polygons when only they prove irreducibility: once per
-    polynomial whose evidence certifies irreducibility, as with a full scan.
+    irreducibility as ``_irreducibility`` proves it while it scans.  The
+    witness search runs at the good prime that first proves it, or
+    after the scan and the Newton polygons when only a polygon proves it:
+    once per polynomial whose evidence certifies irreducibility, as with a
+    full scan.
     """
     d = g.degree
-    d_cycle = padic.n_cycle_type(d, d)
     disc_square = is_square(disc)
     wants_witness = disc != 0 and not (skip_witness_for_cubic and d == 3 and not disc_square)
     types: set[CycleType] = set()
     searched, witness = False, None
 
-    def facts_hold(ct: CycleType) -> bool:
+    def facts_hold(ct: CycleType, irreducible: bool) -> bool:
         nonlocal searched, witness
         if ct in types:
             return False
         types.add(ct)
-        if ct == d_cycle and wants_witness:
+        if irreducible and wants_witness and not searched:
             searched, witness = True, _witness(g, disc, trial_bound, factored)
-        return _sd_route(d, d_cycle in types, types, disc_square, witness is not None) is not None
+        return _sd_route(d, irreducible, types, disc_square, witness is not None) is not None
 
     scan, irred, route = _irreducibility(g, disc, prime_budget, facts_hold)
     provenance = [("frobenius_cycle_type", p, ct.label) for p, ct in scan]
@@ -388,6 +400,44 @@ def _evidence(
     )
 
 
+@lru_cache(maxsize=None)
+def _in_wreath(ct: CycleType, b: int) -> bool:
+    """Whether some element of S_b wr S_(d/b), the group that keeps a system
+    of d/b blocks of size b, has cycle type ct (d = ct.degree).
+
+    An element moves the blocks by a permutation whose cycles have lengths
+    l summing to d/b; the l*b points of the blocks in one such cycle form
+    cycles of lengths l times the parts of a partition of b, every partition
+    arising.  So ct is a type of the group exactly when its parts split into
+    groups, each with every part divisible by its l and summing to l*b.  The
+    search places the largest part first, in each group it could lead.
+    """
+
+    def splits(parts: tuple[int, ...]) -> bool:
+        if not parts:
+            return True
+        m, rest = parts[0], parts[1:]
+        return any(
+            splits(left)
+            for ell in range(-(-m // b), m + 1)
+            if m % ell == 0
+            for left in removals(rest, ell, ell * b - m)
+        )
+
+    def removals(parts: tuple[int, ...], ell: int, need: int):
+        # What is left of descending ``parts`` after taking out a
+        # sub-multiset of multiples of ell summing to ``need``.
+        if need == 0:
+            yield parts
+            return
+        for i, part in enumerate(parts):
+            if part <= need and part % ell == 0 and part not in parts[:i]:
+                for left in removals(parts[i + 1 :], ell, need - part):
+                    yield parts[:i] + left
+
+    return splits(ct.parts)
+
+
 def _sd_route(
     d: int,
     irreducible: bool,
@@ -401,7 +451,13 @@ def _sd_route(
     The one statement of the criterion: ``certify_sd`` applies it to the
     evidence, and the good-prime scan of ``_evidence`` stops once the facts
     found so far meet it.  ``witnessed`` says that a prime with v_p(disc) = 1
-    was found.
+    was found.  The standard route is Jordan's theorem (module docstring).
+    Irreducibility makes G transitive.  A system of blocks of size b would
+    put G inside S_b wr S_(d/b), so a type of ``types``, each that of an
+    element of G, outside that group for every divisor 1 < b < d of d makes
+    G primitive; at prime d there is no such b.  A primitive group with a
+    transposition, from the witness or from a type an odd power of which is
+    one, is S_d.
     """
     if not irreducible:
         return None
@@ -409,12 +465,9 @@ def _sd_route(
         return "quadratic"
     if d == 3 and disc_square is False:
         return "cubic-disc"
-    has_transposition = witnessed or contains_n_cycle(types, 2)
-    has_d_cycle = contains_n_cycle(types, d)
-    has_long = contains_n_cycle(types, d - 1) or (
-        d >= 5 and d % 2 == 1 and contains_n_cycle(types, d - 2)
-    )
-    if has_transposition and has_d_cycle and has_long:
+    if (witnessed or contains_n_cycle(types, 2)) and all(
+        any(not _in_wreath(ct, b) for ct in types) for b in range(2, d) if d % b == 0
+    ):
         return "standard"
     return None
 

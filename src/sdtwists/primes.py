@@ -81,7 +81,14 @@ def primes() -> Iterator[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the witness set above: a proof for n < PROOF_BOUND."""
+    """Miller-Rabin on the witness set above: a proof for n < PROOF_BOUND.
+
+    Raises ValueError for n >= PROOF_BOUND, where the witness set proves
+    nothing: PROOF_BOUND itself is 1287836182261 * 2575672364521 and passes
+    every round.
+    """
+    if n >= PROOF_BOUND:
+        raise ValueError(f"{n} is too large to prove prime (limit {PROOF_BOUND})")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -15,15 +15,19 @@ remainder per prime, instead of the staged product gcd of
 ``primes.factor_trial``.  Galois evidence walks every good prime of the
 budget with the public ``frobenius_cycle_type``, which finds bad primes by
 reduction rather than from the discriminant, and is then cut where its own
-statement of the S_d criterion, on powers of each cycle type taken one
-exponent at a time, first holds.
+statement of the S_d criterion first holds: irreducibility from the subset
+sums of the prefix, a transposition from powers of each cycle type taken
+one exponent at a time, and primitivity against the cycle types of every
+element of each wreath product S_b wr S_(d/b), enumerated as explicit
+permutations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations, product
 from typing import Optional, Sequence
 
 import sdtwists.family
@@ -401,23 +405,68 @@ def single_cycle_power(ct: CycleType, n: int) -> bool:
     return False
 
 
+def permutation_type(perm: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of a permutation of range(len(perm)), descending."""
+    seen, parts = set(), []
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = perm[i], length + 1
+        if length:
+            parts.append(length)
+    return tuple(sorted(parts, reverse=True))
+
+
+@functools.lru_cache(maxsize=None)
+def wreath_types(b: int, k: int) -> frozenset[tuple[int, ...]]:
+    """Cycle types of every element of S_b wr S_k, enumerated as explicit
+    permutations of k blocks of b points: point j of block i goes to point
+    sigma_i(j) of block pi(i)."""
+    return frozenset(
+        permutation_type([pi[i] * b + sigma[i][j] for i in range(k) for j in range(b)])
+        for pi in permutations(range(k))
+        for sigma in product(permutations(range(b)), repeat=k)
+    )
+
+
+def lattice(types, d: int) -> set[int]:
+    """The factor degrees over Q that every one of these patterns allows."""
+    possible = set(range(d + 1))
+    for ct in types:
+        sums = {0}
+        for part in ct.parts:
+            sums |= {s + part for s in sums}
+        possible &= sums
+    return possible
+
+
 def meets_sd_criterion(
     d: int, types: set[CycleType], disc_square: bool, witness: Optional[int]
 ) -> bool:
-    """The S_d criterion on facts read off a good-prime walk, d >= 2: an
-    irreducible reduction, and then d = 2, or d = 3 with a nonsquare
-    discriminant, or a d-cycle, a (d-1)-cycle (or a (d-2)-cycle at odd
-    d >= 5) and a transposition, from a cycle type or the witness."""
-    if not any(ct.parts == (d,) for ct in types):
+    """The S_d criterion on facts read off a good-prime walk, d >= 2:
+    irreducibility from the walk's own subset sums, and then d = 2, or d = 3
+    with a nonsquare discriminant, or a transposition, from a cycle type or
+    the witness, and primitivity: for every divisor 1 < b < d of d some type
+    that no element of the enumerated S_b wr S_(d/b) has."""
+    if lattice(types, d) != {0, d}:
         return False
     if d == 2 or (d == 3 and not disc_square):
         return True
+    primitive = all(
+        any(ct.parts not in wreath_types(b, d // b) for ct in types)
+        for b in range(2, d) if d % b == 0
+    )
+    return primitive and (witness is not None or any(single_cycle_power(ct, 2) for ct in types))
 
-    def has(n: int) -> bool:
-        return any(single_cycle_power(ct, n) for ct in types)
 
-    long_cycle = has(d - 1) or (d >= 5 and d % 2 == 1 and has(d - 2))
-    return has(d) and long_cycle and (witness is not None or has(2))
+def irreducibility_route(walk: list[tuple[int, CycleType]], d: int):
+    """(status, route) of the irreducibility a good-prime walk proves."""
+    if any(ct.parts == (d,) for _, ct in walk):
+        return galois.CERTIFIED, "mod-p"
+    if walk and lattice([ct for _, ct in walk], d) == {0, d}:
+        return galois.CERTIFIED, "degree-lattice"
+    return galois.INCONCLUSIVE, None
 
 
 def walk_evidence(
@@ -426,24 +475,13 @@ def walk_evidence(
     """``collect_evidence(f, deg f, budget, trial_bound=trial_bound)``
     without polygon primes, from a full good-prime walk and the witness
     walk; with ``stop``, the walk is cut at its shortest prefix that meets
-    ``meets_sd_criterion``."""
+    ``meets_sd_criterion``, and the irreducibility route is that prefix's."""
     g = _normalize_factor(f)
     d = g.degree
     disc = discriminant(g).numerator
     disc_square = disc >= 0 and math.isqrt(disc) ** 2 == disc
     walk = good_prime_walk(g, budget)
-    subset_sums = set(range(d + 1))
-    for _, ct in walk:
-        sums = {0}
-        for part in ct.parts:
-            sums |= {s + part for s in sums}
-        subset_sums &= sums
-    if any(ct.parts == (d,) for _, ct in walk):
-        irreducibility, route = galois.CERTIFIED, "mod-p"
-    elif walk and subset_sums == {0, d}:
-        irreducibility, route = galois.CERTIFIED, "degree-lattice"
-    else:
-        irreducibility, route = galois.INCONCLUSIVE, None
+    irreducibility, _ = irreducibility_route(walk, d)
     cubic_shortcut = d == 3 and not disc_square
     witness = None
     if irreducibility == galois.CERTIFIED and not cubic_shortcut:
@@ -454,6 +492,7 @@ def walk_evidence(
              if meets_sd_criterion(d, {ct for _, ct in walk[:k]}, disc_square, witness)),
             walk,
         )
+    irreducibility, route = irreducibility_route(walk, d)
     provenance = [("frobenius_cycle_type", p, str(ct)) for p, ct in walk]
     if witness is not None:
         provenance.append(("transposition_witness", witness, "v_p(disc)=1"))
@@ -604,8 +643,10 @@ def modp_divides(a, b, p) -> bool:
     return modp_is_zero_poly(b) or not b
 
 
-def modp_irreducibles(max_degree: int, p: int) -> list[list[int]]:
-    """Monic irreducibles of degree <= max_degree, by sieving trial division."""
+@functools.lru_cache(maxsize=None)
+def modp_irreducibles(max_degree: int, p: int) -> tuple[list[int], ...]:
+    """Monic irreducibles of degree <= max_degree, by sieving trial division,
+    built once per (max_degree, p)."""
     irr: list[list[int]] = []
     for deg in range(1, max_degree + 1):
         for cand in modp_all_monic(deg, p):
@@ -613,7 +654,7 @@ def modp_irreducibles(max_degree: int, p: int) -> list[list[int]]:
                 modp_divides(q, cand, p) for q in irr if len(q) - 1 <= deg // 2
             ):
                 irr.append(cand)
-    return irr
+    return tuple(irr)
 
 
 def modp_factor_degrees(fbar: list[int], p: int) -> list[int]:

@@ -8,6 +8,7 @@ import pytest
 
 import sdtwists.cli as cli
 from sdtwists.cli import RunConfig, UsageError, emit, main, parse, run
+from sdtwists.primes import PROOF_BOUND
 
 
 def test_exponents_table():
@@ -86,6 +87,9 @@ def test_validation_errors(tmp_path, capsys):
         (["family", *curve, "--degree", "2"], "degree"),
         (["ev", *curve, "--degree", "3", "--scale", "2"], "degree"),
         (["sweep", *curve, "--degree", "3", "--box", "2", "--polygon-primes", "4"],
+         "polygon_primes"),
+        # a composite that passes every Miller-Rabin round of primes.is_prime
+        (["certify", "--poly=-1,-1,0,1", "--polygon-primes", str(PROOF_BOUND)],
          "polygon_primes"),
         (["density", "--form", "1,0", "--box", "10", "--congruence", "1,1,0"], "congruence"),
         (["sweep", *curve, "--degree", "3", "--box", "2", "--kernel-bound", "1"],

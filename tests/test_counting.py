@@ -27,10 +27,17 @@ from sdtwists.counting import (
 )
 from sdtwists.family import build_family
 from sdtwists.galois import certify_sd, collect_evidence
+from sdtwists.padic import CycleType
 from sdtwists.polyarith import IntPoly, Poly
 from sdtwists.primes import primes_up_to
 
-from oracles import reference_candidate, rho_p2_walk, verify_new_point_fraction, walk_evidence
+from oracles import (
+    reference_candidate,
+    rho_p2_walk,
+    single_cycle_power,
+    verify_new_point_fraction,
+    walk_evidence,
+)
 
 BUDGETS = SweepBudgets(prime_budget=12, kernel_bound=10_000)
 
@@ -220,7 +227,7 @@ def test_sweep_parity_spares_powerings(monkeypatch):
     # cubic sweep computes x^p mod (spec, p) 0 times, with the parity and
     # without it.  The built quintic and sextic families are where the
     # parity acts: at box 4 the quintic sweep computes x^p 0 times with it
-    # and 34 times without it, and the sextic sweep 32 times against 72, with
+    # and 30 times without it, and the sextic sweep 17 times against 43, with
     # the same candidates and certificates either way.
     monkeypatch.setenv(WORKERS_ENV, "1")
     real = padic._x_power
@@ -235,7 +242,7 @@ def test_sweep_parity_spares_powerings(monkeypatch):
     assert sum(c.certificate.certified for c in cands) > 300
     assert len(powerings) <= 130
     factor = padic.good_prime_cycle_type
-    for d, bound in ((5, 0), (6, 40)):
+    for d, bound in ((5, 0), (6, 20)):
         fam = build_family((1, 1), d)[1]
         powerings.clear()
         cands = sweep(fam, 4, budgets=SweepBudgets())
@@ -248,7 +255,7 @@ def test_sweep_parity_spares_powerings(monkeypatch):
                 padic, "good_prime_cycle_type", lambda coeffs, p, parity=None: factor(coeffs, p)
             )
             assert sweep(fam, 4, budgets=SweepBudgets()) == cands
-        assert len(powerings) >= with_parity + 30, d
+        assert len(powerings) >= with_parity + 20, d
 
 
 FIELDS = [f.name for f in dataclasses.fields(counting.FieldCandidate) if f.name != "poly"]
@@ -386,12 +393,19 @@ def frobenius_entries(evidence):
 def assert_stopped_scan_agrees(stopped, full):
     # ``stopped`` is the program's evidence, ``full`` the walk of every good
     # prime of the budget; returns whether the program's scan stopped early.
+    # The irreducibility route is that of the scanned prefix: it may be the
+    # degree lattice where the full walk meets an irreducible reduction only
+    # after the scan stopped.
     want, got = certify_sd(full), certify_sd(stopped)
     assert (got.certified, got.route) == (want.certified, want.route)
-    for name in ("irreducibility", "irreducibility_route", "transposition_prime", "disc_is_square"):
+    for name in ("irreducibility", "transposition_prime", "disc_is_square"):
         assert getattr(stopped, name) == getattr(full, name), name
     scanned = frobenius_entries(stopped)
     assert scanned == frobenius_entries(full)[: len(scanned)]
+    route = stopped.irreducibility_route
+    if route != full.irreducibility_route:
+        assert (route, full.irreducibility_route) == ("degree-lattice", "mod-p")
+        assert f"[{stopped.degree}]" not in {label for _, _, label in scanned}
     rest = [entry for entry in stopped.provenance if entry not in scanned]
     assert rest == [entry for entry in full.provenance if entry[0] != "frobenius_cycle_type"]
     if not got.certified:
@@ -404,8 +418,9 @@ def test_stopped_scan_certifies_as_the_full_walk(monkeypatch, built_families):
     # Against a walk of all 25 good primes with the public
     # frobenius_cycle_type, on the built families of degrees 3 to 8 at box 4
     # and 200 coefficient-box instances of the d = 6 model at Y = 8: the
-    # certificate, its route, the irreducibility route and the witness
-    # agree, the scanned primes are a prefix of the walk, and an
+    # certificate, its route, the irreducibility status and the witness
+    # agree, the scanned primes are a prefix of the walk, the irreducibility
+    # route is the full walk's or the prefix's degree lattice, and an
     # inconclusive record is the full walk's record exactly.
     monkeypatch.setenv(WORKERS_ENV, "1")
     budget, trial_bound = 25, 10_000
@@ -429,6 +444,71 @@ def test_stopped_scan_certifies_as_the_full_walk(monkeypatch, built_families):
         inconclusive += not inst.certificate.certified
     checked += len(instances)
     assert stopped_early > 0.9 * checked and inconclusive > 0
+
+
+def criterion_before_jordan(evidence):
+    """The S_d rule that Jordan's theorem replaced: irreducible, with a
+    d-cycle, a transposition, and a (d-1)-cycle, or a (d-2)-cycle at odd
+    d >= 5."""
+    d, types = evidence.degree, evidence.observed_cycle_types
+
+    def has(n):
+        return any(single_cycle_power(ct, n) for ct in types)
+
+    long_cycle = has(d - 1) or (d >= 5 and d % 2 == 1 and has(d - 2))
+    transposition = evidence.transposition_prime is not None or has(2)
+    return evidence.irreducibility == galois.CERTIFIED and has(d) and long_cycle and transposition
+
+
+def test_only_jordans_rule_certifies_what_sympy_calls_symmetric(monkeypatch, built_families):
+    # Every polynomial the program certifies whose full walk of 25 good
+    # primes would not have met the earlier rule has Galois group of order
+    # d! by sympy's galois_group: 300 coefficient-box instances of the d = 6
+    # model at Y = 8, and the built families of degrees 4 to 6 at box 4.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.galoisgroups import galois_group
+
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    budget, trial_bound = 25, 10_000
+    certified = {}
+    config = EvConfig(seed=1, max_instances=300, certify=True, trial_bound=trial_bound)
+    for inst in ev_generate(built_families[6].model, 6, F(8), config):
+        if inst.certificate.certified:
+            certified[galois._normalized(inst.H)[0]] = inst.certificate
+    budgets = SweepBudgets(prime_budget=budget, trial_bound=trial_bound)
+    for d in (4, 5, 6):
+        for c in sweep(built_families[d], 4, budgets=budgets):
+            if c.certificate.certified:
+                certified[c.poly] = c.certificate
+    x = sympy.Symbol("x")
+    only_jordan = 0
+    for poly, cert in certified.items():
+        full = walk_evidence(Poly(poly.coeffs), budget, trial_bound, stop=False)
+        assert certify_sd(full).route == cert.route
+        if criterion_before_jordan(full):
+            continue
+        group, _ = galois_group(sympy.Poly(list(reversed(poly.coeffs)), x))
+        assert group.order() == math.factorial(poly.degree), poly
+        only_jordan += 1
+    assert len(certified) > 300 and only_jordan >= 3
+
+
+def test_prime_degrees_certify_without_a_long_cycle(monkeypatch, built_families):
+    # At prime d an irreducible reduction and a transposition witness
+    # certify S_d: the built quintic and septic sweeps certify records that
+    # hold no (d-1)-cycle and no (d-2)-cycle, which the earlier rule needed,
+    # among them records whose only cycle type is the d-cycle.
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    for d in (5, 7):
+        cands = sweep(built_families[d], 3, budgets=SweepBudgets(trial_bound=10_000))
+        bare = [
+            c.certificate.evidence for c in cands
+            if c.certificate.certified
+            and not galois.contains_n_cycle(c.certificate.evidence.observed_cycle_types, d - 1)
+            and not galois.contains_n_cycle(c.certificate.evidence.observed_cycle_types, d - 2)
+        ]
+        assert any(e.observed_cycle_types == {CycleType((d,))} for e in bare), d
+        assert all(e.transposition_prime is not None for e in bare if len(e.observed_cycle_types) == 1)
 
 
 def test_reducible_polynomial_scans_its_whole_budget():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from sdtwists.galois import (
 from sdtwists.padic import CycleType, frobenius_cycle_type
 from sdtwists.polyarith import IntPoly, Poly, _normalize_factor, discriminant
 from sdtwists.primes import (
+    PROOF_BOUND,
     is_prime,
     iter_primes_up_to,
     multiplicative_order,
@@ -50,9 +52,8 @@ def test_irreducibility_degree_lattice_route():
     # x^4 + 1 never certifies, but an S_4 quartic does without an
     # irreducible reduction being required: patterns [3,1] and [2,2]
     # already cut the lattice to {0, 4} when they both occur.
-    from sdtwists.galois import _degree_lattice
-
-    assert _degree_lattice([CycleType((3, 1)), CycleType((2, 2))], 4) == {0, 4}
+    sums = galois._subset_sums
+    assert sums(CycleType((3, 1))) & sums(CycleType((2, 2))) == {0, 4}
 
 
 
@@ -61,7 +62,7 @@ def test_irreducibility_certificate_stops_at_its_first_proof(monkeypatch):
     # whose pattern completes a proof, an irreducible reduction or a degree
     # lattice of {0, d}, and otherwise scans the whole budget; either way the
     # status is that of a walk over every good prime of the budget.
-    from oracles import good_prime_walk, walk_evidence
+    from oracles import good_prime_walk, lattice, walk_evidence
 
     real, scanned = galois.padic.good_prime_cycle_type, []
 
@@ -86,7 +87,7 @@ def test_irreducibility_certificate_stops_at_its_first_proof(monkeypatch):
         assert status == walk_evidence(g, budget, 1, stop=False).irreducibility
         proofs = (
             k for k in range(1, len(walk) + 1)
-            if galois._degree_lattice([ct for _, ct in walk[:k]], g.degree) == {0, g.degree}
+            if lattice([ct for _, ct in walk[:k]], g.degree) == {0, g.degree}
         )
         first = next(proofs, len(walk))
         assert program == [p for p, _ in walk[:first]]
@@ -120,6 +121,15 @@ def test_miller_rabin_proof_bound():
     assert not is_prime(PSEUDOPRIME_2_TO_37)
     small = set(primes_up_to(5000))
     assert all(is_prime(n) == (n in small) for n in range(5000))
+    # PROOF_BOUND is composite, and a strong pseudoprime to the whole
+    # witness set, so is_prime refuses it and everything above it.
+    assert PROOF_BOUND == 1_287_836_182_261 * 2_575_672_364_521
+    assert not is_prime(PROOF_BOUND - 2)
+    for n in (PROOF_BOUND, PROOF_BOUND + 2, 2 * PROOF_BOUND):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    with pytest.raises(ValueError, match="too large"):
+        padic.newton_polygon(cubic(), PROOF_BOUND)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 1000, 1024, 1031, 30_000])
@@ -182,14 +192,97 @@ def test_certify_examples_from_synthetic_evidence():
         4, frozenset({CycleType((4,))}), None, CERTIFIED, "mod-p", False
     )
     assert certify_sd(e4).status == INCONCLUSIVE
+    # At prime d a transitive group is primitive, so irreducibility and a
+    # transposition suffice, with no (d-1)- or (d-2)-cycle: the d-cycle and
+    # the witness alone, or for d = 5 the degree lattice of [3,2] and [4,1]
+    # with [3,2] cubed a transposition.
+    for d in (5, 7):
+        lone = GaloisEvidence(d, frozenset({CycleType((d,))}), **base)
+        assert certify_sd(lone).route == "standard"
+        assert certify_sd(dataclasses.replace(lone, transposition_prime=None)).status == INCONCLUSIVE
+    lattice = GaloisEvidence(
+        5, frozenset({CycleType((3, 2)), CycleType((4, 1))}), None, CERTIFIED, "degree-lattice",
+        False,
+    )
+    assert certify_sd(lattice).route == "standard"
 
 
 def test_even_degree_has_no_d_minus_2_route():
-    # a (d-2)-cycle only substitutes for the (d-1)-cycle at odd d >= 5
+    # [6] and [4,1,1] are both types of S_2 wr S_3, which keeps the blocks
+    # {1,2}, {3,4}, {5,6}, so they leave G possibly imprimitive.
     base = dict(transposition_prime=7, irreducibility=CERTIFIED,
                 irreducibility_route="mod-p", disc_is_square=False)
     e6 = GaloisEvidence(6, frozenset({CycleType((6,)), CycleType((4, 1, 1))}), **base)
     assert certify_sd(e6).status == INCONCLUSIVE
+
+
+def partitions(n, largest=None):
+    """Every partition of n, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def test_wreath_membership_matches_enumerated_groups():
+    # For every divisor 1 < b < d of every d <= 9 (b = 2, 3, 4), a type lies in
+    # S_b wr S_(d/b) exactly when some element of the group, enumerated as
+    # an explicit permutation, has it; the two lists for d = 6 are written
+    # out.
+    from oracles import wreath_types
+
+    checked = 0
+    for d in range(2, 10):
+        for b in range(2, d):
+            if d % b:
+                continue
+            group = wreath_types(b, d // b)
+            for parts in partitions(d):
+                assert galois._in_wreath(CycleType(parts), b) == (parts in group), (d, b, parts)
+                checked += 1
+    assert checked == 5 + 2 * 11 + 2 * 22 + 30  # p(4), p(6), p(8) and p(9) types
+    assert wreath_types(2, 3) == {
+        (1,) * 6, (2, 1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2), (4, 1, 1), (4, 2), (6,), (3, 3)
+    }
+    assert wreath_types(3, 2) == {
+        (1,) * 6, (2, 1, 1, 1, 1), (3, 1, 1, 1), (2, 2, 1, 1), (3, 2, 1), (3, 3), (2, 2, 2),
+        (4, 2), (6,),
+    }
+
+
+@pytest.mark.parametrize(
+    "coeffs, b, order",
+    [
+        # g(x^2), g = x^3 - x - 2: S_2 wr S_3, with the type [2,1,1,1,1].
+        ((-2, 0, -1, 0, 0, 0, 1), 2, 48),
+        # h(x^3 + x + 1), h = x^2 + 1: S_3 wr S_2, with the witness 733.
+        ((2, 2, 1, 2, 2, 0, 1), 3, 72),
+        # h(x^3), h = x^2 + x + 2: a group of order 36 whose elements that
+        # move the cube roots of unity act as a transposition on both blocks
+        # at once, so it has no transposition either.
+        ((2, 0, 0, 1, 0, 0, 1), 3, 36),
+    ],
+)
+def test_imprimitive_sextics_never_certify(coeffs, b, order):
+    # Negative controls: irreducible sextics whose roots fall into blocks of
+    # size b.  Every Frobenius type then lies in S_b wr S_(6/b), so no budget
+    # proves the group primitive, whatever the transposition facts.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.galoisgroups import galois_group
+
+    f = Poly(list(coeffs))
+    x = sympy.Symbol("x")
+    assert galois_group(sympy.Poly(list(reversed(coeffs)), x))[0].order() == order
+    for budget in (1, 2, 3, 5, 8, 13, 25, 60):
+        assert not certify_sd(collect_evidence(f, 6, budget)).certified, budget
+    evidence = collect_evidence(f, 6, 60)
+    types = evidence.observed_cycle_types
+    assert evidence.irreducibility == CERTIFIED
+    assert all(galois._in_wreath(ct, b) for ct in types)
+    transposition = evidence.transposition_prime is not None or contains_n_cycle(types, 2)
+    assert transposition == (order != 36)
 
 
 def test_cycle_power_closure():

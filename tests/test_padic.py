@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 from itertools import islice
@@ -834,7 +833,7 @@ def test_rootless_sextics_read_one_trace(monkeypatch):
     assert seen == {(2, 4), (3, 3), (6,), (2, 2, 2)}
 
 
-def test_root_counts_match_the_gcd_source_and_the_oracle(monkeypatch):
+def test_root_counts_match_the_gcd_source_and_the_oracle():
     # N_k, the number of roots of a squarefree f in F_(p^k), is
     # deg gcd(f, x^(p^k) - x) and the sum of d * c_d over the d dividing k,
     # c_d the number of factors of degree d (from the exhaustive oracle).
@@ -842,8 +841,6 @@ def test_root_counts_match_the_gcd_source_and_the_oracle(monkeypatch):
     # that gcd, with x^(p^k) as Q times x^(p^(k - 1)); here the gcd is taken
     # against x^(p^k) from one powering instead.  Every k <= n is checked,
     # from k = 1 and, as after a root count, from k = 2; f is not monic.
-    irreducibles = functools.lru_cache(maxsize=None)(oracles.modp_irreducibles)
-    monkeypatch.setattr(oracles, "modp_irreducibles", irreducibles)
     rng = random.Random(101)
     checked = set()
     for n in range(2, 9):
