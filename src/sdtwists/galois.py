@@ -59,16 +59,30 @@ soon as the parity and the factor degrees found so far leave one pattern;
 ``padic`` sets out how the parity, a packed root count or the Frobenius
 matrix settles each prime.
 
+What the stop rule reads off a cycle type is computed once per type
+(``_type_facts``): whether an odd power of it is a transposition, the
+bitmask of the block sizes b whose wreath product it lies outside, and the
+bitmask of its subset sums.  The scan keeps the lattice as the AND of the
+last, and the stop rule a running OR of the first two, folded in only past
+the quadratic and cubic-disc routes, so a cubic folds nothing.
+
 Transpositions come from a prime p, not dividing the leading coefficient,
 with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of
-which is a single transposition (one even part, equal to 2).
+which is a single transposition (one even part, equal to 2).  The witness,
+the least such prime up to the trial bound, takes one gcd per prime range
+and factors nothing (``primes.least_simple_prime``): for s = gcd(disc,
+product of the primes of the range), the primes with v_p(disc) = 1 are
+those of s / gcd(disc / s, s).
 
 Each polynomial's discriminant is computed once and serves the good-prime
 scan, the square test and one shared small-prime pass: a single
 ``primes.factor_trial`` of it gives a sweep candidate both its squarefree
-kernel and the exponents the witness search reads, and the search extends
-that factorization, on its cofactor only, to the trial bound when no
-witness lies below the kernel's bound.  The private helpers take the
+kernel and the exponents the witness search reads, and when no witness lies
+below the kernel's bound the search takes that one gcd on the cofactor
+only, over the primes from the kernel's bound to the trial bound.  Without
+a factorization (``ev``, ``transposition_witness``) it takes one gcd over
+the primes up to ``primes.SMALL_PRIME_BOUND`` and, if that finds none, one
+over the rest of the range.  The private helpers take the
 polynomial only as an ``IntPoly``, primitive with positive lead, and that
 discriminant as an int.  The public entry points accept any ``Poly`` and
 normalize in integers through one ``_normalized``: it clears the
@@ -87,12 +101,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Collection, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from . import padic
 from .padic import CycleType, NewtonPolygon
 from .polyarith import IntPoly, Poly, _discriminant, _primitive_int, clear_denominators
-from .primes import SMALL_PRIME_BOUND, extend_factorization, factor_trial, is_square, primes
+from .primes import SMALL_PRIME_BOUND, is_square, least_simple_prime, primes
 
 # (exponents, cofactor, bound): ``primes.factor_trial(disc, bound)`` and the
 # bound it ran to.
@@ -192,16 +206,6 @@ def _good_prime_scan(
     return found
 
 
-@lru_cache(maxsize=None)
-def _subset_sums(ct: CycleType) -> frozenset[int]:
-    """The degrees of the factors over Q that one Frobenius pattern allows:
-    the sums of subsets of its parts, computed once per cycle type."""
-    sums = {0}
-    for part in ct.parts:
-        sums |= {s + part for s in sums}
-    return frozenset(sums)
-
-
 def _irreducibility(
     g: IntPoly,
     disc: int,
@@ -213,23 +217,24 @@ def _irreducibility(
 
     Returns (scan, status, route): an irreducible reduction proves it
     ("mod-p"), and so do factor-degree patterns whose subset sums meet only
-    in {0, d} ("degree-lattice").  The lattice is kept as the scan goes, and
-    only for d >= 4: below that it reaches {0, d} only at an irreducible
-    reduction.  ``stop`` is called with the cycle type of every good prime
-    scanned and whether the primes so far prove irreducibility, and ends the
-    scan as in ``_good_prime_scan``.
+    in {0, d} ("degree-lattice").  The lattice is kept as the scan goes, as
+    a bitmask of the degrees still possible (``_type_facts``), and only for
+    d >= 4: below that it reaches {0, d} only at an irreducible reduction.
+    ``stop`` is called with the cycle type of every good prime scanned and
+    whether the primes so far prove irreducibility, and ends the scan as in
+    ``_good_prime_scan``.
     """
     d = g.degree
-    lattice = set(range(d + 1))
+    lattice, proved = (1 << d + 1) - 1, 1 | 1 << d
     route = None
 
     def scanned(ct: CycleType) -> bool:
-        nonlocal route
+        nonlocal lattice, route
         if len(ct.parts) == 1:
             route = "mod-p"
         elif route is None and d >= 4:
-            lattice.intersection_update(_subset_sums(ct))
-            if lattice == {0, d}:
+            lattice &= _type_facts(ct)[2]
+            if lattice == proved:
                 route = "degree-lattice"
         return stop(ct, route is not None)
 
@@ -279,28 +284,29 @@ def _witness(
     """``transposition_witness`` for normalized g with disc = discriminant(g).
 
     ``factored`` = (exponents, cofactor, bound) is ``factor_trial(disc,
-    bound)`` with its bound, when the caller has it; the primes up to
-    ``primes.SMALL_PRIME_BOUND`` are factored here otherwise.  The search
-    extends that factorization to ``trial_bound``, on the cofactor only,
-    when no witness lies below its bound.
+    bound)`` with its bound, when the caller has it: the least prime of
+    exponent 1 among its exponents, else ``primes.least_simple_prime`` of
+    the cofactor over (bound, trial_bound].  Without it, nothing is
+    factored: ``least_simple_prime`` of disc over (1, min(trial_bound,
+    SMALL_PRIME_BOUND)], and then over the rest of the range up to
+    trial_bound.
     """
     if disc == 0:
         raise ValueError("discriminant vanishes; no transposition witness exists")
     lead = g.lead
     if factored is None:
-        bound = min(trial_bound, SMALL_PRIME_BOUND)
-        factored = (*factor_trial(abs(disc), bound), bound)
+        small = min(trial_bound, SMALL_PRIME_BOUND)
+        found = least_simple_prime(disc, 1, small, lead)
+        if found is None and trial_bound > small:
+            found = least_simple_prime(disc, small, trial_bound, lead)
+        return found
     exponents, cofactor, bound = factored
-
-    def least(exponents: dict[int, int]) -> Optional[int]:
-        return min(
-            (p for p, e in exponents.items() if e == 1 and p <= trial_bound and lead % p),
-            default=None,
-        )
-
-    found = least(exponents)
-    if found is None and trial_bound > bound:
-        found = least(extend_factorization(exponents, cofactor, bound, trial_bound)[0])
+    found = min(
+        (p for p, e in exponents.items() if e == 1 and p <= trial_bound and lead % p),
+        default=None,
+    )
+    if found is None and trial_bound > bound and cofactor > 1:
+        found = least_simple_prime(cofactor, bound, trial_bound, lead)
     return found
 
 
@@ -349,7 +355,9 @@ def _evidence(
     ``_witness``).
 
     The stop rule ``facts_hold`` is ``_sd_route`` on the facts found so far,
-    irreducibility as ``_irreducibility`` proves it while it scans.  The
+    irreducibility as ``_irreducibility`` proves it while it scans.  It
+    keeps a running ``_fold`` of the types scanned, and folds each new type
+    into it once, when ``_sd_route`` first asks for the facts.  The
     witness search runs at the good prime that first proves it, or
     after the scan and the Newton polygons when only a polygon proves it:
     once per polynomial whose evidence certifies irreducibility, as with a
@@ -359,16 +367,25 @@ def _evidence(
     disc_square = is_square(disc)
     wants_witness = disc != 0 and not (skip_witness_for_cubic and d == 3 and not disc_square)
     types: set[CycleType] = set()
+    unfolded: list[CycleType] = []  # scanned, not yet in the running facts
+    facts = (False, 0)
     searched, witness = False, None
+
+    def folded() -> tuple[bool, int]:
+        nonlocal facts
+        facts = _fold(unfolded, facts)
+        unfolded.clear()
+        return facts
 
     def facts_hold(ct: CycleType, irreducible: bool) -> bool:
         nonlocal searched, witness
         if ct in types:
             return False
         types.add(ct)
+        unfolded.append(ct)
         if irreducible and wants_witness and not searched:
             searched, witness = True, _witness(g, disc, trial_bound, factored)
-        return _sd_route(d, irreducible, types, disc_square, witness is not None) is not None
+        return _sd_route(d, irreducible, folded, disc_square, witness is not None) is not None
 
     scan, irred, route = _irreducibility(g, disc, prime_budget, facts_hold)
     provenance = [("frobenius_cycle_type", p, ct.label) for p, ct in scan]
@@ -400,7 +417,6 @@ def _evidence(
     )
 
 
-@lru_cache(maxsize=None)
 def _in_wreath(ct: CycleType, b: int) -> bool:
     """Whether some element of S_b wr S_(d/b), the group that keeps a system
     of d/b blocks of size b, has cycle type ct (d = ct.degree).
@@ -438,10 +454,43 @@ def _in_wreath(ct: CycleType, b: int) -> bool:
     return splits(ct.parts)
 
 
+@lru_cache(maxsize=None)
+def _block_sizes(d: int) -> int:
+    """The bitmask of the divisors b of d with 1 < b < d."""
+    return sum(1 << b for b in range(2, d) if d % b == 0)
+
+
+@lru_cache(maxsize=None)
+def _type_facts(ct: CycleType) -> tuple[bool, int, int]:
+    """The facts one cycle type gives, computed once per type: whether an
+    odd power of it is a single transposition (``contains_n_cycle``); the
+    bitmask of the block sizes b (``_block_sizes``) with ct not the type of
+    any element of S_b wr S_(d/b) (``_in_wreath``); and the bitmask of the
+    degrees of the factors over Q it allows, the sums of subsets of its
+    parts."""
+    d = ct.degree
+    blocks = sum(1 << b for b in range(2, d) if d % b == 0 and not _in_wreath(ct, b))
+    sums = 1
+    for part in ct.parts:
+        sums |= sums << part
+    return contains_n_cycle((ct,), 2), blocks, sums
+
+
+def _fold(types: Iterable[CycleType], facts: tuple[bool, int] = (False, 0)) -> tuple[bool, int]:
+    """(whether an odd power of some type is a transposition, the OR of the
+    block-size masks of the types), from ``_type_facts``, folded into the
+    ``facts`` of other types."""
+    transposition, blocks = facts
+    for ct in types:
+        odd_power, outside, _ = _type_facts(ct)
+        transposition, blocks = transposition or odd_power, blocks | outside
+    return transposition, blocks
+
+
 def _sd_route(
     d: int,
     irreducible: bool,
-    types: Collection[CycleType],
+    facts: Callable[[], tuple[bool, int]],
     disc_square: Optional[bool],
     witnessed: bool,
 ) -> Optional[str]:
@@ -450,14 +499,16 @@ def _sd_route(
 
     The one statement of the criterion: ``certify_sd`` applies it to the
     evidence, and the good-prime scan of ``_evidence`` stops once the facts
-    found so far meet it.  ``witnessed`` says that a prime with v_p(disc) = 1
-    was found.  The standard route is Jordan's theorem (module docstring).
-    Irreducibility makes G transitive.  A system of blocks of size b would
-    put G inside S_b wr S_(d/b), so a type of ``types``, each that of an
-    element of G, outside that group for every divisor 1 < b < d of d makes
-    G primitive; at prime d there is no such b.  A primitive group with a
-    transposition, from the witness or from a type an odd power of which is
-    one, is S_d.
+    found so far meet it.  ``facts`` returns ``_fold`` of the observed
+    cycle types; it is called only past the quadratic and cubic-disc
+    routes, so that those fold nothing.  ``witnessed`` says that a prime
+    with v_p(disc) = 1 was found.  The standard route is Jordan's theorem
+    (module docstring).  Irreducibility makes G transitive.  A system of
+    blocks of size b would put G inside S_b wr S_(d/b), so a type, each that
+    of an element of G, outside that group for every divisor 1 < b < d of d
+    makes G primitive; at prime d there is no such b.  A primitive group
+    with a transposition, from the witness or from a type an odd power of
+    which is one, is S_d.
     """
     if not irreducible:
         return None
@@ -465,9 +516,8 @@ def _sd_route(
         return "quadratic"
     if d == 3 and disc_square is False:
         return "cubic-disc"
-    if (witnessed or contains_n_cycle(types, 2)) and all(
-        any(not _in_wreath(ct, b) for ct in types) for b in range(2, d) if d % b == 0
-    ):
+    transposition, blocks = facts()
+    if (witnessed or transposition) and blocks == _block_sizes(d):
         return "standard"
     return None
 
@@ -480,7 +530,7 @@ def certify_sd(evidence: GaloisEvidence) -> SdCertificate:
     route = _sd_route(
         d,
         evidence.irreducibility == CERTIFIED,
-        evidence.observed_cycle_types,
+        lambda: _fold(evidence.observed_cycle_types),
         evidence.disc_is_square,
         evidence.transposition_prime is not None,
     )

@@ -20,7 +20,7 @@ by Stickelberger's theorem), and the counts then need only leave one
 pattern of that parity, so an odd cubic or a quadratic needs no F_p
 arithmetic; ``frobenius_cycle_type`` has no discriminant and runs the full
 loop.  Each prime, degree and parity has one cached plan (``_settle_plan``)
-with that stop rule (``_StopRule``).  N_k has three sources:
+with that stop rule (``_StopRule``).  The counts have four sources:
 
 - Below ``ROOT_PRIME_BOUND`` (256), N_1 is a root count on packed integers
   alone (``_RootPlan``): f is evaluated at every a in F_p at once, as one
@@ -33,6 +33,15 @@ with that stop rule (``_StopRule``).  N_k has three sources:
   to 40 bits for degrees up to 8 below 256, and at most 64 bits for every
   degree up to 67,376.  The columns a^i mod p do not depend on f, so they
   are kept per prime and slot width (``_power_columns``).
+- Below ``PAIR_PRIME_BOUND`` (31), where that root count leaves the pattern
+  open, c_2 is a root count too, over F_(p^2): each irreducible quadratic
+  factor has its two roots a +- b*w outside F_p, w^2 = nu for a non-residue
+  nu (w^2 = w + 1 at p = 2), so exactly one root among the points a + b*w
+  with b = 1, ..., (p - 1)/2 (the single point w at p = 2).  The same
+  ``_RootPlan`` evaluates f at all of them as two packed sums, one per
+  coordinate, each reduced by one Barrett step with the bound and
+  constants of the F_p count, and a point is a root when both coordinates
+  vanish; F_p is the case b = 0.
 - Every later N_k comes from the Frobenius matrix Q, whose column j is
   x^(jp) mod f (E. R. Berlekamp, "Factoring polynomials over large finite
   fields", Math. Comp. 24, 1970), computed once per prime in F_p[x]/(f) on
@@ -50,7 +59,9 @@ with that stop rule (``_StopRule``).  N_k has three sources:
 
 With the parity, a polynomial of degree at most 5, or a sextic with a root
 mod p, is settled at k = 1 without the ring, and a sextic without a root
-at k = 2.
+at k = 2: below PAIR_PRIME_BOUND by the pair count, with no ring at all,
+and from there on by trace(Q^2).  Below PAIR_PRIME_BOUND only degree 7 and
+up, or a count without the parity, goes on to the ring, from k = 3.
 """
 
 from __future__ import annotations
@@ -72,6 +83,13 @@ INFINITY = math.inf
 # Primes below this bound read N_1 off the packed root count of
 # ``_root_plan`` (module docstring).
 ROOT_PRIME_BOUND = 256
+# Primes below this bound read c_2 off the packed count at the pair points
+# of F_(p^2) (module docstring) where the root count leaves the pattern
+# open.  Per rootless sextic (CPython 3.11, one core), that count against
+# the ring and trace(Q^2) took 1.1 against 19 us at p = 2, 7.5 against 22
+# at p = 19, 19.5 against 22 at p = 29, 21.5 against 22 at p = 31 and 28
+# against 22 at p = 37: the bound is the crossover.
+PAIR_PRIME_BOUND = 31
 
 
 def valuation(r: Union[Fraction, int], p: int) -> Union[int, float]:
@@ -96,10 +114,6 @@ class NewtonPolygon:
     @property
     def spans_constant_term(self) -> bool:
         return bool(self.points) and self.points[0][0] == 0
-
-    def root_valuations(self) -> tuple[tuple[Fraction, int], ...]:
-        """(valuation, multiplicity) pairs; valuation = -slope."""
-        return tuple((-s, l) for s, l in self.segments)
 
 
 @dataclass(frozen=True)
@@ -382,42 +396,84 @@ def _power_columns(p: int, width: int, count: int) -> list[int]:
     return cols
 
 
+@lru_cache(maxsize=None)
+def _pair_columns(p: int, width: int, count: int) -> tuple[list[int], list[int]]:
+    """The first ``count`` packed columns of both coordinates of z^i, for z
+    = a + b*w running over one point of each conjugate pair of F_(p^2)
+    outside F_p, with ``width``-bit slots: w^2 = nu, a non-residue mod p,
+    and b = 1, ..., (p - 1)/2 at odd p (the conjugate of a + b*w is
+    a - b*w), the single point w with w^2 = w + 1 at p = 2."""
+    if p == 2:
+        t, nu, points = 1, 1, [(0, 1)]
+    else:
+        t, nu = 0, next(a for a in range(2, p) if pow(a, p >> 1, p) == p - 1)
+        points = [(a, b) for b in range(1, p // 2 + 1) for a in range(p)]
+    size = width // 8
+    powers = [(1, 0)] * len(points)  # z^i, as (x, y) for x + y*w
+    xs, ys = [], []
+    for _ in range(count):
+        xs.append(int.from_bytes(b"".join(x.to_bytes(size, "little") for x, _ in powers), "little"))
+        ys.append(int.from_bytes(b"".join(y.to_bytes(size, "little") for _, y in powers), "little"))
+        powers = [  # (x + y*w)(a + b*w), w^2 = nu + t*w
+            ((x * a + y * b * nu) % p, (x * b + y * a + y * b * t) % p)
+            for (x, y), (a, b) in zip(powers, points)
+        ]
+    return xs, ys
+
+
 class _RootPlan:
-    """The root count of every polynomial over F_p with ``count``
-    coefficients: the packed columns, the Barrett constants and the top-bit
-    masks at the slot width ``width`` above."""
+    """The roots of every polynomial over F_p with ``count`` coefficients
+    among a set of points of F_(p^2): the packed columns, the Barrett
+    constants and the top-bit masks at the slot width ``width`` above.  The
+    points are F_p itself, or, with ``pairs``, one point of each conjugate
+    pair outside F_p (``_pair_columns``), where f is evaluated as two packed
+    sums, one per coordinate; F_p is the case of second coordinates 0."""
 
-    __slots__ = ("p", "width", "columns", "_shift", "_magic", "_quotient_mask", "_offset", "_tops")
+    __slots__ = (
+        "p", "width", "size", "columns", "_second_columns", "_shift", "_magic", "_quotient_mask",
+        "_offset", "_tops",
+    )
 
-    def __init__(self, p: int, width: int, shift: int, magic: int, count: int):
+    def __init__(self, p: int, width: int, shift: int, magic: int, count: int, pairs: bool = False):
         self.p, self.width, self._shift, self._magic = p, width, shift, magic
-        self.columns = _power_columns(p, width, count)
-        self._quotient_mask = _repeat((1 << (width - shift)) - 1, width, p)
+        if pairs:
+            self.size = max(p * (p - 1) // 2, 1)
+            self.columns, self._second_columns = _pair_columns(p, width, count)
+        else:
+            self.size, self.columns, self._second_columns = p, _power_columns(p, width, count), None
+        self._quotient_mask = _repeat((1 << (width - shift)) - 1, width, self.size)
         top = 1 << width - 1
-        self._offset, self._tops = _repeat(top - 1, width, p), _repeat(top, width, p)
+        self._offset, self._tops = _repeat(top - 1, width, self.size), _repeat(top, width, self.size)
 
-    def values(self, f: list[int]) -> int:
-        """f(a) mod p in slot a for every a in F_p, packed, for f reduced mod
-        p (constant first) with ``count`` coefficients."""
-        packed = sum(map(mul, f, self.columns))
+    def values(self, f: list[int], columns: Optional[list[int]] = None) -> int:
+        """f(z) mod p in the slot of every point z, packed, for f reduced mod
+        p (constant first) with ``count`` coefficients: on F_p the value
+        itself, in slot a for z = a; at the pair points its first
+        coordinate, or the coordinate whose ``columns`` are given."""
+        packed = sum(map(mul, f, self.columns if columns is None else columns))
         return packed - (packed * self._magic >> self._shift & self._quotient_mask) * self.p
 
     def roots(self, f: list[int]) -> int:
-        """The number of roots of f in F_p: adding 2^(w - 1) - 1 sets the top
-        bit of exactly the nonzero slots of ``values(f)``."""
-        return self.p - (self.values(f) + self._offset & self._tops).bit_count()
+        """The number of roots of f among the points: adding 2^(w - 1) - 1
+        sets the top bit of exactly the nonzero slots of a coordinate, and a
+        point is a root when neither coordinate has it set."""
+        nonzero = self.values(f) + self._offset
+        if self._second_columns is not None:
+            nonzero |= self.values(f, self._second_columns) + self._offset
+        return self.size - (nonzero & self._tops).bit_count()
 
 
-def _root_plan(p: int, count: int) -> Optional[_RootPlan]:
-    """The ``_RootPlan`` of p for polynomials with ``count`` coefficients, or
-    None when no slot of at most _ROOT_SLOT_BITS bits makes the Barrett
-    step exact."""
+def _root_plan(p: int, count: int, pairs: bool = False) -> Optional[_RootPlan]:
+    """The ``_RootPlan`` of p for polynomials with ``count`` coefficients,
+    at the points of F_p or, with ``pairs``, at the pair points, or None
+    when no slot of at most _ROOT_SLOT_BITS bits makes the Barrett step
+    exact.  Either coordinate of a point sums at most count * (p - 1)^2."""
     bound = count * (p - 1) ** 2
     shift, magic = _barrett_constants(bound, p)
     width = -(-(bound * magic).bit_length() // 8) * 8
     if width > _ROOT_SLOT_BITS:
         return None
-    return _RootPlan(p, width, shift, magic, count)
+    return _RootPlan(p, width, shift, magic, count, pairs)
 
 
 def _partitions(m: int, least: int) -> Iterator[tuple[int, ...]]:
@@ -467,13 +523,23 @@ class _StopRule(dict):
 
 @lru_cache(maxsize=None)
 def _settle_plan(p: int, n: int, parity: Optional[int]) -> tuple:
-    """(the cycle type the parity alone leaves, if any; else p's
-    ``_RootPlan`` if p < ROOT_PRIME_BOUND; the ``_StopRule``).  The plan
-    keeps the cutoff it was built under until ``cache_clear``."""
+    """(the cycle type the parity alone leaves, if any; else the packed
+    counts of p, the ``_RootPlan`` of c_1 if p < ROOT_PRIME_BOUND and then
+    that of c_2 if p < PAIR_PRIME_BOUND and a root count can leave the
+    pattern open; the ``_StopRule``).  After r roots the other parts are at
+    least 2 and sum to n - r, and one pattern fits when n - r < 4, or with
+    the parity when n - r < 6 ([4] and [2, 2], [5] and [2, 3] differ in
+    parity).  The plan keeps the cutoffs it was built under until
+    ``cache_clear``."""
     stop = _StopRule(n, parity)
     settled = stop[()]
-    counter = _root_plan(p, n + 1) if settled is None and p < ROOT_PRIME_BOUND else None
-    return settled, counter, stop
+    counters: tuple[_RootPlan, ...] = ()
+    if settled is None and p < ROOT_PRIME_BOUND:
+        roots = _root_plan(p, n + 1)
+        if roots is not None:
+            pairs = p < PAIR_PRIME_BOUND and n >= (4 if parity is None else 6)
+            counters = (roots, _root_plan(p, n + 1, True)) if pairs else (roots,)
+    return settled, counters, stop
 
 
 def _frobenius_columns(ring: _Ring) -> list[int]:
@@ -494,9 +560,9 @@ def _transpose(n: int) -> itemgetter:
 
 def _root_counts(f: list[int], ring: _Ring, columns: list[int], first: int) -> Iterator[int]:
     """N_k, the number of roots of f in F_(p^k), for k = first, first + 1,
-    ... (first is 1 or 2), from the Frobenius matrix Q with these columns:
-    deg gcd(f, x^(p^k) - x) when p <= n, else trace(Q^k) mod p (module
-    docstring)."""
+    ... (first is 1, 2 or 3), from the Frobenius matrix Q with these
+    columns: deg gcd(f, x^(p^k) - x) when p <= n, else trace(Q^k) mod p
+    (module docstring)."""
     p, n = ring.p, ring.n
     if p <= n:
         h = ring.coeffs(columns[1])  # x^(p^k), k = 1
@@ -509,17 +575,12 @@ def _root_counts(f: list[int], ring: _Ring, columns: list[int], first: int) -> I
     if first == 1:
         yield sum(matrix[:: n + 1]) % p
     transpose = _transpose(n)
-    power = matrix  # Q^(k - 1), column by column
+    power, k = matrix, 2  # Q^(k - 1), column by column
     while True:
-        yield sum(map(mul, matrix, transpose(power))) % p  # sum of Q_ij (Q^(k - 1))_ji
+        if k >= first:
+            yield sum(map(mul, matrix, transpose(power))) % p  # sum of Q_ij (Q^(k - 1))_ji
         power = ring.coeffs(*[ring.apply(columns, power[j : j + n]) for j in range(0, n * n, n)])
-
-
-def distinct_degree_pattern(f: list[int], p: int, parity: Optional[int] = None) -> list[int]:
-    """Degrees (with multiplicity, ascending) of the irreducible factors of a
-    squarefree f of full degree over F_p (f reduced mod p, constant first),
-    by the distinct-degree factorization of ``good_prime_cycle_type``."""
-    return sorted(good_prime_cycle_type(f, p, parity).parts)
+        k += 1
 
 
 def reduce_poly_mod(f: Poly, p: int) -> list[int]:
@@ -565,23 +626,23 @@ def good_prime_cycle_type(
     whose counts, with ``parity`` = (deg f - number of factors) mod 2 when it
     is given, leave one pattern, as the cached plan of p, deg f and the
     parity says (``_settle_plan``); step 0 reads the parity alone.  Below
-    ROOT_PRIME_BOUND, N_1 is the packed root count.  The first step that
-    needs more builds the ring on f and its Frobenius matrix Q once, and
-    reads each later N_k off Q (``_root_counts``).
+    ROOT_PRIME_BOUND, c_1 is the packed root count, and below
+    PAIR_PRIME_BOUND c_2 the packed count at the pair points of F_(p^2).
+    The first step that needs more builds the ring on f and its Frobenius
+    matrix Q once, and reads each later N_k off Q (``_root_counts``).
     Equal patterns return one shared ``CycleType``.
     """
     n = len(coeffs) - 1
-    settled, counter, stop = _settle_plan(p, n, parity)
+    settled, counters, stop = _settle_plan(p, n, parity)
     if settled is not None:
         return settled
     f = [c % p for c in coeffs]
     counts = []  # counts[d - 1] = c_d
-    if counter is not None:
-        roots = counter.roots(f)
-        settled = stop[roots,]
+    for counter in counters:
+        counts.append(counter.roots(f))
+        settled = stop[tuple(counts)]
         if settled is not None:
             return settled
-        counts = [roots]
     ring = _Ring(f, p)
     for total in _root_counts(f, ring, _frobenius_columns(ring), len(counts) + 1):
         k = len(counts) + 1

@@ -6,7 +6,7 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Optional
 
 # Deterministic Miller-Rabin witness set: the first 13 primes prove
 # primality for every n below PROOF_BOUND (Sorenson and Webster, "Strong
@@ -201,20 +201,36 @@ def extend_factorization(
     return out, m
 
 
-def _prime_divisors(g: int, above: int, bound: int) -> list[int]:
+def least_simple_prime(n: int, above: int, bound: int, avoid: int = 1) -> Optional[int]:
+    """The least prime p with above < p <= bound, v_p(n) = 1 and p not
+    dividing ``avoid``, or None; n != 0.
+
+    One gcd finds them all: s = gcd(|n|, prod(primes in (above, bound]))
+    holds each prime of the range that divides n once, and a prime with
+    v_p(n) >= 2 still divides |n| / s, so s / gcd(|n| / s, s) is the
+    product of the primes with v_p(n) = 1.  Dividing out its gcd with
+    ``avoid`` leaves those that do not divide it, and the least of them is
+    the first that ``_prime_divisors`` finds.
+    """
+    n = abs(n)
+    s = math.gcd(n, _prime_product(above, bound) % n)
+    s //= math.gcd(n // s, s)
+    s //= math.gcd(s, avoid)
+    return next(_prime_divisors(s, above, bound)) if s > 1 else None
+
+
+def _prime_divisors(g: int, above: int, bound: int) -> Iterator[int]:
     """The primes of a squarefree g >= 1 whose prime factors all lie in
     (above, bound], ascending, by a walk from ``above`` that stops at
     p^2 > g; what is left then is 1 or the last prime."""
-    found = []
     for p in iter_primes_up_to(bound, above):
         if p * p > g:
             break
         if g % p == 0:
             g //= p
-            found.append(p)
+            yield p
     if g > 1:
-        found.append(g)
-    return found
+        yield g
 
 
 def _divide_out(m: int, p: int, out: dict[int, int]) -> int:

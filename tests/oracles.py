@@ -678,6 +678,23 @@ def modp_factor_degrees(fbar: list[int], p: int) -> list[int]:
     return sorted(out)
 
 
+def modp2_pair_count(f: list[int], p: int) -> int:
+    """The number of conjugate pairs of roots of f in F_(p^2) outside F_p,
+    by evaluating f at every element a + b*t, b != 0, of F_p[t]/(q), q the
+    first quadratic of ``modp_irreducibles``: for a squarefree f, the
+    number of its irreducible quadratic factors."""
+    q0, q1, _ = next(g for g in modp_irreducibles(2, p) if len(g) == 3)  # t^2 = -q1 t - q0
+    zeros = 0
+    for a in range(p):
+        for b in range(1, p):
+            u = v = 0  # f(a + b t) = u + v t, by Horner
+            for c in reversed(f):
+                top = v * b
+                u, v = (u * a - top * q0 + c) % p, (u * b + v * a - top * q1) % p
+            zeros += u == v == 0
+    return zeros // 2
+
+
 def _modp_quotient(b, a, p):
     b = list(b)
     da = len(a) - 1

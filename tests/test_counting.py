@@ -224,38 +224,46 @@ def test_sweep_parity_spares_powerings(monkeypatch):
     # The parity of Frobenius, read off each candidate's discriminant, ends
     # the factorization of an odd cubic before any F_p arithmetic, and below
     # padic.ROOT_PRIME_BOUND the root count settles an even one, so a compact
-    # cubic sweep computes x^p mod (spec, p) 0 times, with the parity and
-    # without it.  The built quintic and sextic families are where the
-    # parity acts: at box 4 the quintic sweep computes x^p 0 times with it
-    # and 30 times without it, and the sextic sweep 17 times against 43, with
-    # the same candidates and certificates either way.
+    # cubic sweep computes x^p mod (spec, p) 0 times and counts no pairs,
+    # with the parity and without it.  The built quintic and sextic families
+    # are where the parity acts.  Each step past the root count is one
+    # x^p mod (spec, p) or, below padic.PAIR_PRIME_BOUND, one count at the
+    # pair points of F_(p^2).  At box 4 the quintic sweep takes 0 such steps
+    # with the parity and 30 without it, and the sextic sweep 17 against 53,
+    # with the same candidates and certificates either way.
     monkeypatch.setenv(WORKERS_ENV, "1")
-    real = padic._x_power
-    powerings = []
+    real_power, real_roots = padic._x_power, padic._RootPlan.roots
+    steps = []
 
-    def counted(*args):
-        powerings.append(args)
-        return real(*args)
+    def counted_power(*args):
+        steps.append("x^p")
+        return real_power(*args)
 
-    monkeypatch.setattr(padic, "_x_power", counted)
+    def counted_roots(plan, f):
+        if plan._second_columns is not None:
+            steps.append("pairs")
+        return real_roots(plan, f)
+
+    monkeypatch.setattr(padic, "_x_power", counted_power)
+    monkeypatch.setattr(padic._RootPlan, "roots", counted_roots)
     cands = sweep(small_cubic_family(), 12, budgets=SweepBudgets(prime_budget=10))
     assert sum(c.certificate.certified for c in cands) > 300
-    assert len(powerings) <= 130
+    assert len(steps) <= 130
     factor = padic.good_prime_cycle_type
     for d, bound in ((5, 0), (6, 20)):
         fam = build_family((1, 1), d)[1]
-        powerings.clear()
+        steps.clear()
         cands = sweep(fam, 4, budgets=SweepBudgets())
-        with_parity = len(powerings)
+        with_parity = len(steps)
         assert sum(c.certificate.certified for c in cands) > 40
         assert with_parity <= bound, d
-        powerings.clear()
+        steps.clear()
         with monkeypatch.context() as patch:
             patch.setattr(
                 padic, "good_prime_cycle_type", lambda coeffs, p, parity=None: factor(coeffs, p)
             )
             assert sweep(fam, 4, budgets=SweepBudgets()) == cands
-        assert len(powerings) >= with_parity + 20, d
+        assert len(steps) >= with_parity + 20, d
 
 
 FIELDS = [f.name for f in dataclasses.fields(counting.FieldCandidate) if f.name != "poly"]
@@ -337,14 +345,14 @@ def test_sweep_factors_each_discriminant_once(monkeypatch, built_families):
     # One small-prime pass per discriminant: each distinct specialization's
     # discriminant is factored once, to the kernel bound, and serves both the
     # kernel and the witness search; a search that finds no witness below the
-    # kernel bound extends that factorization to the trial bound, on its
-    # cofactor only, at most once.  The records equal the reference path,
-    # whose kernel and witness walk the prime sieve.
+    # kernel bound looks past it, on the cofactor only and over (kernel
+    # bound, trial bound] only, by one gcd, at most once.  The records equal
+    # the reference path, whose kernel and witness walk the prime sieve.
     monkeypatch.setenv(WORKERS_ENV, "1")
     fam = built_families[5]
     budgets = SweepBudgets()  # kernel bound 10^4 below the trial bound 10^5
-    real_factor, real_extend, real_witness = (
-        counting.factor_trial, galois.extend_factorization, galois._witness,
+    real_factor, real_least, real_witness = (
+        counting.factor_trial, galois.least_simple_prime, galois._witness,
     )
     factored, extended, per_search = {}, [], []
 
@@ -353,9 +361,9 @@ def test_sweep_factors_each_discriminant_once(monkeypatch, built_families):
         factored.setdefault(abs(n), []).append((bound, out))
         return out
 
-    def counted_extend(exponents, cofactor, done, bound):
-        extended.append((cofactor, done, bound))
-        return real_extend(exponents, cofactor, done, bound)
+    def counted_least(n, above, bound, avoid):
+        extended.append((n, above, bound))
+        return real_least(n, above, bound, avoid)
 
     def counted_witness(*args):
         before = len(extended)
@@ -363,13 +371,9 @@ def test_sweep_factors_each_discriminant_once(monkeypatch, built_families):
         per_search.append(len(extended) - before)
         return found
 
-    def no_second_factorization(n, bound):
-        raise AssertionError("the witness search factored the discriminant again")
-
     with monkeypatch.context() as patch:
         patch.setattr(counting, "factor_trial", counted_factor)
-        patch.setattr(galois, "factor_trial", no_second_factorization)
-        patch.setattr(galois, "extend_factorization", counted_extend)
+        patch.setattr(galois, "least_simple_prime", counted_least)
         patch.setattr(galois, "_witness", counted_witness)
         cands = sweep(fam, 3, budgets=budgets)
 
@@ -380,9 +384,9 @@ def test_sweep_factors_each_discriminant_once(monkeypatch, built_families):
     assert per_search and max(per_search) <= 1 and len(extended) == sum(per_search)
     assert extended  # some search looks past the kernel bound
     cofactors = {out[1] for calls in factored.values() for _, out in calls}
-    for cofactor, done, bound in extended:
+    for cofactor, above, bound in extended:
         assert cofactor in cofactors
-        assert (done, bound) == (budgets.kernel_bound, budgets.trial_bound)
+        assert (above, bound) == (budgets.kernel_bound, budgets.trial_bound)
     assert_same_records(cands, direct_sweep(fam, list(counting._box_pairs(3, None)), budgets))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -51,9 +52,11 @@ def test_irreducibility_x4_plus_1_inconclusive():
 def test_irreducibility_degree_lattice_route():
     # x^4 + 1 never certifies, but an S_4 quartic does without an
     # irreducible reduction being required: patterns [3,1] and [2,2]
-    # already cut the lattice to {0, 4} when they both occur.
-    sums = galois._subset_sums
-    assert sums(CycleType((3, 1))) & sums(CycleType((2, 2))) == {0, 4}
+    # already cut the lattice to {0, 4} when they both occur.  Each type's
+    # subset sums are a bitmask with bit s for the sum s.
+    sums = [galois._type_facts(CycleType(parts))[2] for parts in ((3, 1), (2, 2))]
+    assert sums == [0b11011, 0b10101]
+    assert sums[0] & sums[1] == 1 | 1 << 4
 
 
 
@@ -250,6 +253,40 @@ def test_wreath_membership_matches_enumerated_groups():
         (1,) * 6, (2, 1, 1, 1, 1), (3, 1, 1, 1), (2, 2, 1, 1), (3, 2, 1), (3, 3), (2, 2, 2),
         (4, 2), (6,),
     }
+
+
+def test_sd_route_matches_the_criterion_oracle_on_every_small_type_set():
+    # For d = 4 to 8, on every set of one to three cycle types, with and
+    # without a witness and either discriminant square class, the route of
+    # the facts cached per type is "standard" exactly when the oracle's
+    # statement of the criterion holds, irreducibility taken from the
+    # types' subset sums.  The quadratic and cubic-disc routes never fold.
+    from oracles import lattice, meets_sd_criterion
+
+    checked = 0
+    for d in range(4, 9):
+        types = [CycleType(parts) for parts in partitions(d)]
+        for size in (1, 2, 3):
+            for chosen in itertools.combinations(types, size):
+                irreducible = lattice(chosen, d) == {0, d}
+                for witness, disc_square in itertools.product((None, 31), (False, True)):
+                    route = galois._sd_route(
+                        d, irreducible, lambda: galois._fold(chosen), disc_square, witness is not None
+                    )
+                    assert route in (None, "standard")
+                    want = meets_sd_criterion(d, set(chosen), disc_square, witness)
+                    assert (route is not None) == want, (d, chosen, witness, disc_square)
+                    checked += 1
+    assert checked == 4 * sum(
+        sum(math.comb(n, k) for k in (1, 2, 3)) for n in (5, 7, 11, 15, 22)
+    )
+
+    def refuse():
+        raise AssertionError("the facts were folded")
+
+    assert galois._sd_route(2, True, refuse, None, False) == "quadratic"
+    assert galois._sd_route(3, True, refuse, False, False) == "cubic-disc"
+    assert galois._sd_route(5, False, refuse, False, True) is None
 
 
 @pytest.mark.parametrize(

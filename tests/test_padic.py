@@ -39,7 +39,8 @@ def test_eisenstein_polygon():
     # points (0,1) and (3,0): slope -1/3, roots of valuation +1/3
     np1 = newton_polygon(Poly([5, 0, 0, 1]), 5)
     assert np1.segments == ((F(-1, 3), 3),)
-    assert np1.root_valuations() == ((F(1, 3), 3),)
+    (slope, length), = np1.segments  # three roots of valuation -slope
+    assert (-slope, length) == (F(1, 3), 3)
     assert cycle_certificate(np1) == [CycleType((3,))]
 
 
@@ -337,7 +338,7 @@ def test_odd_cubic_and_quadratics_need_no_powering(monkeypatch):
 
     monkeypatch.setattr(padic, "_x_power", refuse)
     assert frobenius_parity(-23, 5) == 1
-    assert padic.distinct_degree_pattern([c % 5 for c in cubic], 5, 1) == [1, 2]
+    assert sorted(good_prime_cycle_type([c % 5 for c in cubic], 5, 1).parts) == [1, 2]
     assert good_prime_cycle_type(cubic, 5, 1) == CycleType((2, 1))
     # x^2 + 1, disc -4: a square mod 5 (splits), a non-square mod 3
     assert good_prime_cycle_type([1, 0, 1], 5, frobenius_parity(-4, 5)) == CycleType((1, 1))
@@ -448,9 +449,9 @@ def test_root_count_at_the_cutoff(monkeypatch):
                 _, factors = sympy.Poly(list(reversed(coeffs)), x, modulus=p).factor_list()
                 want = sorted(q.degree() for q, mult in factors for _ in range(mult))
                 assert powering_pattern(coeffs, p, monkeypatch) == want, (coeffs, p)
-                assert padic.distinct_degree_pattern(coeffs, p) == want, (coeffs, p)
+                assert sorted(good_prime_cycle_type(coeffs, p).parts) == want, (coeffs, p)
                 parity = frobenius_parity(disc, p)
-                assert padic.distinct_degree_pattern(coeffs, p, parity) == want, (coeffs, p)
+                assert sorted(good_prime_cycle_type(coeffs, p, parity).parts) == want, (coeffs, p)
                 checked.add((p, degree))
     assert len(checked) == 14
 
@@ -592,7 +593,7 @@ def test_settled_table_matches_the_parity_free_loop():
                 deriv = [i * c for i, c in enumerate(f)][1:]
                 if len(padic._pgcd(f, deriv, p)) != 1:
                     continue
-                loop = tuple(padic.distinct_degree_pattern(f, p))
+                loop = tuple(sorted(good_prime_cycle_type(f, p).parts))
                 parity = (n - len(loop)) % 2
                 for roots, twos in ((None, None), (loop.count(1), None), (loop.count(1), loop.count(2))):
                     for par in (None, parity):
@@ -784,9 +785,9 @@ def test_distinct_degree_matches_sympy_above_the_root_bound():
                 if any(mult > 1 for _, mult in factors):
                     continue
                 want = sorted(q.degree() for q, _ in factors)
-                assert padic.distinct_degree_pattern(coeffs, p) == want, (coeffs, p)
+                assert sorted(good_prime_cycle_type(coeffs, p).parts) == want, (coeffs, p)
                 parity = (degree - len(want)) % 2
-                assert padic.distinct_degree_pattern(coeffs, p, parity) == want, (coeffs, p)
+                assert sorted(good_prime_cycle_type(coeffs, p, parity).parts) == want, (coeffs, p)
                 checked.add((p, degree))
     assert len(checked) >= 40
 
@@ -794,11 +795,12 @@ def test_distinct_degree_matches_sympy_above_the_root_bound():
 def test_rootless_sextics_read_one_trace(monkeypatch):
     # With the parity, a sextic without a root mod p is [2, 4] or [3, 3]
     # (even) or [6] or [2, 2, 2] (odd), told apart by the number of
-    # quadratic factors.  For p > 6 that is trace(Q^2) of the Frobenius
-    # matrix Q, so one ring is built, x^e is computed exactly once and no gcd
-    # is taken, and the pattern equals the parity-free loop's.  For p <= 6
-    # the trace is known only mod p, and N_2, the roots of f in F_(p^2),
-    # is the degree of gcd(f, x^(p^2) - x).
+    # quadratic factors.  Below PAIR_PRIME_BOUND that number is the packed
+    # count at the pair points of F_(p^2), so no ring is built, no x^e is
+    # computed and no gcd is taken.  At and above it, it is trace(Q^2) of
+    # the Frobenius matrix Q, so one ring is built, x^e is computed exactly
+    # once and no gcd is taken.  Either way the pattern equals the
+    # parity-free loop's.
     rng = random.Random(61)
     calls = []
 
@@ -809,28 +811,106 @@ def test_rootless_sextics_read_one_trace(monkeypatch):
 
         return call
 
-    seen = set()
+    seen = {False: set(), True: set()}  # whether p is below the cutoff
     for p in primes_up_to(padic.ROOT_PRIME_BOUND - 1):
-        for _ in range(8):
+        for _ in range(8 if p >= padic.PAIR_PRIME_BOUND else 40):
             coeffs = [rng.randrange(p) for _ in range(6)] + [1]
             deriv = [i * c for i, c in enumerate(coeffs)][1:]
             if padic._root_plan(p, 7).roots(coeffs):
                 continue
             if len(padic._pgcd(coeffs, deriv, p)) != 1:
                 continue
-            full = padic.distinct_degree_pattern(coeffs, p)
+            full = good_prime_cycle_type(coeffs, p)
             with monkeypatch.context() as patch:
                 patch.setattr(padic, "_Ring", counted("_Ring", padic._Ring))
                 patch.setattr(padic, "_x_power", counted("_x_power", padic._x_power))
                 patch.setattr(padic, "_pgcd", counted("_pgcd", padic._pgcd))
                 calls.clear()
-                assert padic.distinct_degree_pattern(coeffs, p, (6 - len(full)) % 2) == full
-            if p > 6:
-                assert calls == ["_Ring", "_x_power"], (coeffs, p, full)
-                seen.add(tuple(full))
-            else:
-                assert calls == ["_Ring", "_x_power", "_pgcd"], (coeffs, p, full)
-    assert seen == {(2, 4), (3, 3), (6,), (2, 2, 2)}
+                assert good_prime_cycle_type(coeffs, p, (6 - len(full.parts)) % 2) is full
+            below = p < padic.PAIR_PRIME_BOUND
+            assert calls == ([] if below else ["_Ring", "_x_power"]), (coeffs, p, full)
+            seen[below].add(full.parts)
+    assert seen[True] == seen[False] == {(4, 2), (3, 3), (6,), (2, 2, 2)}
+
+
+def test_pair_count_matches_the_exhaustive_oracle_below_the_cutoff():
+    # At every prime below PAIR_PRIME_BOUND, p <= n and p = 2 among them,
+    # for degrees 2 to 8, with every coefficient p - 1 (the largest slot
+    # sums; the lead 1 at p = 2) and with seeded random non-monic ones, the
+    # packed count at the pair points is the number of conjugate pairs of
+    # roots of f in F_(p^2) outside F_p, found by evaluating f at every
+    # point of F_(p^2); for a squarefree f that is its number of quadratic
+    # factors.  The pair count keeps the bound, Barrett constants and slot
+    # width of the root count of F_p.
+    rng = random.Random(103)
+    factored = 0
+    for p in primes_up_to(padic.PAIR_PRIME_BOUND - 1):
+        for n in range(2, 9):
+            pairs, roots = padic._root_plan(p, n + 1, True), padic._root_plan(p, n + 1)
+            assert (pairs.width, pairs._shift, pairs._magic) == (roots.width, roots._shift, roots._magic)
+            assert pairs.size == max(p * (p - 1) // 2, 1)
+            extreme = [p - 1] * n + [max(p - 1, 1)]
+            random_ones = [[rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)] for _ in range(3)]
+            for f in [extreme] + random_ones:
+                want = oracles.modp2_pair_count(f, p)
+                assert pairs.roots(f) == want, (f, p)
+                deriv = [i * c for i, c in enumerate(f)][1:]
+                if len(padic._pgcd(f, deriv, p)) == 1 and p ** (n // 2) <= 1000:
+                    assert oracles.modp_factor_degrees(f, p).count(2) == want, (f, p)
+                    factored += 1
+    assert factored > 60
+
+
+def test_cycle_types_match_the_oracle_around_the_pair_cutoff():
+    # At the largest prime below PAIR_PRIME_BOUND, which counts quadratic
+    # factors at the pair points, and at the smallest at or above it, which
+    # reads them off trace(Q^2), the cycle type of degrees 2 to 8 equals
+    # sympy's factorization with and without the parity, and its number of
+    # parts 2 equals the exhaustive pair count of F_(p^2).
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    below = max(primes_up_to(padic.PAIR_PRIME_BOUND - 1))
+    above = min(p for p in primes_up_to(2 * padic.PAIR_PRIME_BOUND) if p >= padic.PAIR_PRIME_BOUND)
+    assert (below, above) == (29, 31)
+    rng = random.Random(107)
+    checked = set()
+    for p in (below, above):
+        for n in range(2, 9):
+            assert len(padic._settle_plan(p, n, None)[1]) == (2 if p == below and n >= 4 else 1)
+            for _ in range(8):
+                f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+                deriv = [i * c for i, c in enumerate(f)][1:]
+                if len(padic._pgcd(f, deriv, p)) != 1:
+                    continue
+                _, factors = sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()
+                want = sorted((q.degree() for q, _ in factors), reverse=True)
+                parity = (n - len(want)) % 2
+                for got in (good_prime_cycle_type(f, p), good_prime_cycle_type(f, p, parity)):
+                    assert list(got.parts) == want, (f, p)
+                assert want.count(2) == oracles.modp2_pair_count(f, p), (f, p)
+                checked.add((p, n, 2 in want))
+    assert len(checked) > 20
+
+
+def test_pair_count_is_planned_exactly_where_a_root_count_leaves_patterns_open():
+    # The plan holds a pair count (below PAIR_PRIME_BOUND) exactly when some
+    # root count leaves more than one pattern of the parity: from degree 4
+    # without the parity and from degree 6 with it.  A plan that the parity
+    # alone settles holds no count.
+    for n in range(2, 13):
+        for parity in (None, 0, 1):
+            if plan_settles(n, parity, None, None) is not None:
+                assert padic._settle_plan(2, n, parity)[1] == ()
+                continue
+            open_ = False
+            for roots in range(n + 1):
+                try:
+                    open_ |= plan_settles(n, parity, roots, None) is None
+                except ArithmeticError:  # no pattern has this root count
+                    pass
+            counters = padic._settle_plan(2, n, parity)[1]
+            assert len(counters) == (2 if open_ else 1), (n, parity)
+            assert open_ == (n >= (4 if parity is None else 6))
 
 
 def test_root_counts_match_the_gcd_source_and_the_oracle():
@@ -840,7 +920,8 @@ def test_root_counts_match_the_gcd_source_and_the_oracle():
     # For p > n the loop reads N_k off trace(Q^k) mod p, and for p <= n off
     # that gcd, with x^(p^k) as Q times x^(p^(k - 1)); here the gcd is taken
     # against x^(p^k) from one powering instead.  Every k <= n is checked,
-    # from k = 1 and, as after a root count, from k = 2; f is not monic.
+    # from k = 1 and, as after a root count and after a pair count, from
+    # k = 2 and k = 3; f is not monic.
     rng = random.Random(101)
     checked = set()
     for n in range(2, 9):
@@ -861,6 +942,7 @@ def test_root_counts_match_the_gcd_source_and_the_oracle():
                 columns = padic._frobenius_columns(ring)
                 assert list(islice(padic._root_counts(f, ring, columns, 1), n)) == want, (f, p)
                 assert list(islice(padic._root_counts(f, ring, columns, 2), n - 1)) == want[1:]
+                assert list(islice(padic._root_counts(f, ring, columns, 3), n - 2)) == want[2:]
                 checked.add((n, p > n))
     assert checked == {(n, above) for n in range(2, 9) for above in (False, True)}
 

@@ -241,3 +241,90 @@ def test_ev_witness_matches_walk():
             assert galois._witness(g, disc, bound) == witness_walk(Poly(g.coeffs), bound)
         checked += 1
     assert checked >= 10
+
+
+def factored_witness(disc: int, lead: int, trial_bound: int):
+    """The least prime p <= trial_bound of exponent 1 in disc, not dividing
+    lead, read off the whole trial factorization to the trial bound."""
+    exponents, _ = factor_trial(disc, max(trial_bound, 0))
+    return min((p for p, e in exponents.items() if e == 1 and lead % p), default=None)
+
+
+def sympy_witness(disc: int, lead: int, trial_bound: int):
+    sympy = pytest.importorskip("sympy")
+    return min(
+        (p for p, e in sympy.factorint(abs(disc)).items() if e == 1 and p <= trial_bound and lead % p),
+        default=None,
+    )
+
+
+# (disc, lead, trial_bound, witness)
+WITNESS_CASES = [
+    (4 * 9 * 503 * 7919, 1, 100_000, 503),  # a witness only above S
+    (4 * 9 * 503 * 7919, 1, S, None),
+    (4 * 9 * 503 * 7919, 1, 503, 503),
+    (4 * 9 * 503 * 7919, 503, 100_000, 7919),  # one dividing the lead is skipped
+    (3 * 5 * 49, 3, 1000, 5),
+    (4 * 503 * 509, 503, 1000, 509),
+    (9 * 7 * 11**3, 1, 1000, 7),  # one whose square divides disc is skipped
+    (4 * 503**2 * 1009, 1, 10_000, 1009),
+    (4 * 503**2 * 1009 * 3**5, 1, 1000, None),
+    (3 * 5 * 7, 1, 2, None),  # trial bounds at and below S, and below 2
+    (3 * 5 * 7, 1, 4, 3),
+    (2 * 3, 1, 2, 2),
+    (2 * 3, 1, 1, None),
+    (2 * 3, 1, 0, None),
+    (311 * 313 * 4, 1, 300, None),
+    (311 * 313 * 4, 1, S, 311),
+    (-(4 * 7 * 9), 1, 1000, 7),  # negative discriminants
+    (-(4 * 9 * 503 * 7919), 1, 100_000, 503),
+    (-1, 1, 1000, None),
+]
+
+
+@pytest.mark.parametrize("disc, lead, trial_bound, want", WITNESS_CASES)
+def test_witness_by_one_gcd_per_range_matches_the_factorization(disc, lead, trial_bound, want):
+    # The least prime p <= trial_bound with v_p(disc) = 1 and p not dividing
+    # the lead, from one gcd per prime range, equals that of the whole
+    # trial factorization and of sympy's, with no factorization given (the
+    # ranges (1, min(trial_bound, S)] and then the rest) and with the
+    # sweep's factorization to each kernel bound (its exponents, and then
+    # the cofactor over the rest of the range).
+    g = IntPoly([1, 0, lead])
+    assert factored_witness(disc, lead, trial_bound) == sympy_witness(disc, lead, trial_bound) == want
+    assert galois._witness(g, disc, trial_bound) == want
+    for kernel_bound in (0, 1, 7, S, 1000, 10_000):
+        factored = (*factor_trial(disc, kernel_bound), kernel_bound)
+        assert galois._witness(g, disc, trial_bound, factored) == want, kernel_bound
+
+
+def test_witness_of_a_zero_discriminant_raises():
+    with pytest.raises(ValueError):
+        galois._witness(IntPoly([1, 0, 1]), 0, 1000)
+
+
+def test_least_simple_prime_matches_sympy():
+    # Over every range (above, bound] of the bounds above, on numbers that
+    # carry prime powers below, at and past S beside a random part, with and
+    # without primes to avoid.
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    rng = random.Random(113)
+    pool = [2, 3, 5, 7, 499, 503, 509, 1009, 10_007, 30_011]
+    checked = 0
+    for _ in range(60):
+        n = rng.choice([1, -1]) * rng.randrange(1, 10**9)
+        for p in rng.sample(pool, 3):
+            n *= p ** rng.choice([1, 1, 2, 3])
+        exponents = sympy.factorint(abs(n))
+        avoid = rng.choice([1, 1, 3 * 503, 1009 * 7])
+        for above in (0, 1, 7, S, 1009):
+            for bound in (2, 97, S, 1009, 30_011):
+                want = min(
+                    (p for p, e in exponents.items() if e == 1 and above < p <= bound and avoid % p),
+                    default=None,
+                )
+                assert primes.least_simple_prime(n, above, bound, avoid) == want, (n, above, bound)
+                checked += 1
+    assert checked == 60 * 25
