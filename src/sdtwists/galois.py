@@ -31,40 +31,42 @@ good exactly when p divides neither the leading coefficient nor the exact
 discriminant, since disc(g mod p) = disc(g) mod p; a bad prime therefore
 costs one integer remainder, disc mod p, and only good primes are reduced
 and factored by distinct-degree factorization.  The budget of good primes
-is a cap: the scan stops at the first good prime after which the cycle
-types found, with the transposition witness, meet the criterion above
-(``_sd_route``, its one statement, which ``certify_sd`` applies too).  The
-scan proves irreducibility as it goes, from an irreducible reduction or,
-for d >= 4, from the degree lattice reaching {0, d}; a cubic's lattice
-reaches it only at an irreducible reduction.  The witness is searched for
-at most once per polynomial and only once irreducibility is proved: at the
-good prime that first proves it, or after the scan when only a Newton
-polygon proves it.  Every fact only grows as primes are added, so a scan
-that stops certifies by the route the full scan would, and one that does
-not scans the whole budget; its irreducibility route is read off the
-primes it scanned, so it may be the degree lattice where a longer scan
-would also have met an irreducible reduction.
-``irreducibility_certificate`` stops at its first proof through the same
-stop hook.
+is a cap.  The scan (``_good_prime_scan``) yields (p, cycle type) and
+computes a cycle type only when its caller asks for the next one, so a
+caller stops it by leaving its loop once its facts hold: ``_evidence`` at
+the first good prime after which the cycle types found, with the
+transposition witness, meet the criterion above (``_sd_route``, its one
+statement, which ``certify_sd`` applies too), ``irreducibility_certificate``
+at its first proof.  Each loop proves irreducibility as it goes
+(``_irreducible_route``), from an irreducible reduction or, for d >= 4, from
+the degree lattice reaching {0, d}; a cubic's lattice reaches it only at an
+irreducible reduction.  The witness is searched for at most once per
+polynomial and only once irreducibility is proved: at the good prime that
+first proves it, or after the scan when only a Newton polygon proves it.
+Every fact only grows as primes are added, so a scan that stops certifies
+by the route the full scan would, and one that does not scans the whole
+budget; its irreducibility route is read off the primes it scanned, so it
+may be the degree lattice where a longer scan would also have met an
+irreducible reduction.
 
 The scan walks a cached plan, a tuple of the first primes
-(``_scan_primes``).  The same remainder gives the parity of Frobenius at
-each good prime (Stickelberger's theorem: odd exactly when disc is a
-non-square mod p, or disc == 5 mod 8 at p = 2), one modular power per prime
-computed inline.  Every caller, sweeps, ``ev``, ``certify`` and
-``collect_evidence`` alike, then gets the cycle type of each good prime
-from one function, ``padic.good_prime_cycle_type``, so the scan has one
-path and keeps nothing between polynomials.  That factorization stops as
-soon as the parity and the factor degrees found so far leave one pattern;
-``padic`` sets out how the parity, a packed root count or the Frobenius
-matrix settles each prime.
+(``_scan_primes``).  At each good prime ``padic.frobenius_parity`` reads
+the parity of Frobenius off disc (Stickelberger's theorem: odd exactly when
+disc is a non-square mod p, or disc == 5 mod 8 at p = 2).  Every caller,
+sweeps, ``ev``, ``certify`` and ``collect_evidence`` alike, then gets the
+cycle type of each good prime from one function,
+``padic.good_prime_cycle_type``, so the scan has one path and keeps nothing
+between polynomials.  That factorization stops as soon as the parity and
+the factor degrees found so far leave one pattern; ``padic`` sets out how
+the parity, a packed root count or the Frobenius matrix settles each prime.
 
 What the stop rule reads off a cycle type is computed once per type
 (``_type_facts``): whether an odd power of it is a transposition, the
 bitmask of the block sizes b whose wreath product it lies outside, and the
-bitmask of its subset sums.  The scan keeps the lattice as the AND of the
-last, and the stop rule a running OR of the first two, folded in only past
-the quadratic and cubic-disc routes, so a cubic folds nothing.
+bitmask of its subset sums.  The loop keeps the lattice as the AND of the
+last; ``_sd_route`` ORs the first two over the distinct types seen
+(``_fold``), and only past the quadratic and cubic-disc routes, so a cubic
+folds nothing.
 
 Transpositions come from a prime p, not dividing the leading coefficient,
 with v_p(disc) = 1 exactly, or from an observed cycle type an odd power of
@@ -101,7 +103,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from . import padic
 from .padic import CycleType, NewtonPolygon
@@ -169,77 +171,53 @@ def _scan_primes(cap: int) -> tuple[int, ...]:
     return tuple(islice(primes(), cap))
 
 
-def _good_prime_scan(
-    g: IntPoly,
-    disc: int,
-    budget: int,
-    stop: Optional[Callable[[CycleType], bool]] = None,
-) -> list[tuple[int, CycleType]]:
-    """Cycle types of primitive integral g at its first good primes, at most
-    `budget` of them.
+def _good_prime_scan(g: IntPoly, disc: int, budget: int) -> Iterator[tuple[int, CycleType]]:
+    """(p, cycle type) for primitive integral g at its first good primes, at
+    most `budget` of them, each cycle type computed only when asked for.
 
     disc = disc(g).  A prime is good exactly when it divides neither lc(g)
     nor disc(g): the reduction then keeps its degree and has discriminant
     disc(g) mod p != 0, so it is squarefree.  Bad primes are skipped without
     consuming budget, up to a hard cap; when disc(g) = 0 every prime is bad.
     The primes come from the cached plan ``_scan_primes``.  Each good prime
-    gets the parity of Frobenius from disc(g) mod p (``padic.frobenius_parity``,
-    here inline: disc mod 8 at p = 2, Euler's criterion at odd p) and its
+    gets the parity of Frobenius from ``padic.frobenius_parity`` and its
     cycle type from ``padic.good_prime_cycle_type``, the distinct-degree
-    factorization of g mod p.  ``stop``, when given, is called with the
-    cycle type of every good prime scanned, in order, and the scan ends at
-    the first prime for which it returns True: the caller's facts hold, and
-    every later prime could only add to them.
+    factorization of g mod p.  A caller whose facts hold leaves its loop;
+    every later prime could only add to them, and none is factored.
     """
     if disc == 0 or budget < 1:
-        return []
+        return
     coeffs, lead = g.coeffs, g.lead
-    found: list[tuple[int, CycleType]] = []
     for p in _scan_primes(max(_SCAN_CAP_MIN, _SCAN_CAP_FACTOR * budget)):
-        r = disc % p
-        if r and lead % p:
-            parity = disc % 8 == 5 if p == 2 else pow(r, p >> 1, p) != 1
-            ct = padic.good_prime_cycle_type(coeffs, p, int(parity))
-            found.append((p, ct))
-            if (stop is not None and stop(ct)) or len(found) == budget:
-                break
-    return found
+        if disc % p and lead % p:
+            yield p, padic.good_prime_cycle_type(coeffs, p, padic.frobenius_parity(disc, p))
+            budget -= 1
+            if not budget:
+                return
 
 
-def _irreducibility(
-    g: IntPoly,
-    disc: int,
-    prime_budget: int,
-    stop: Callable[[CycleType, bool], bool],
-):
-    """Good-prime scan of normalized g, disc = disc(g), and the
-    irreducibility it proves.
+def _irreducible_route(
+    route: Optional[str], lattice: int, ct: CycleType
+) -> tuple[Optional[str], int]:
+    """(route, lattice) after one more good prime of cycle type ct.
 
-    Returns (scan, status, route): an irreducible reduction proves it
-    ("mod-p"), and so do factor-degree patterns whose subset sums meet only
-    in {0, d} ("degree-lattice").  The lattice is kept as the scan goes, as
-    a bitmask of the degrees still possible (``_type_facts``), and only for
-    d >= 4: below that it reaches {0, d} only at an irreducible reduction.
-    ``stop`` is called with the cycle type of every good prime scanned and
-    whether the primes so far prove irreducibility, and ends the scan as in
-    ``_good_prime_scan``.
+    ``route`` is the irreducibility route proved so far, None before any,
+    and ``lattice`` the bitmask of the factor degrees over Q still possible,
+    -1 before any prime: the AND of the subset sums of the types
+    (``_type_facts``).  An irreducible reduction proves irreducibility
+    ("mod-p"), also after the lattice has.  The lattice narrows only while
+    nothing is proved and only for d >= 4, since below that it reaches
+    {0, d} only at an irreducible reduction; when it does, that proves
+    irreducibility ("degree-lattice").
     """
-    d = g.degree
-    lattice, proved = (1 << d + 1) - 1, 1 | 1 << d
-    route = None
-
-    def scanned(ct: CycleType) -> bool:
-        nonlocal lattice, route
-        if len(ct.parts) == 1:
-            route = "mod-p"
-        elif route is None and d >= 4:
-            lattice &= _type_facts(ct)[2]
-            if lattice == proved:
-                route = "degree-lattice"
-        return stop(ct, route is not None)
-
-    scan = _good_prime_scan(g, disc, prime_budget, scanned)
-    return scan, INCONCLUSIVE if route is None else CERTIFIED, route
+    d = ct.degree
+    if len(ct.parts) == 1:
+        return "mod-p", lattice
+    if route is None and d >= 4:
+        lattice &= _type_facts(ct)[2]
+        if lattice == 1 | 1 << d:
+            return "degree-lattice", lattice
+    return route, lattice
 
 
 def irreducibility_certificate(f: Poly, prime_budget: int) -> str:
@@ -250,10 +228,12 @@ def irreducibility_certificate(f: Poly, prime_budget: int) -> str:
     """
     if f.degree < 2:
         raise ValueError("degree >= 2 required")
-    _scan, status, _route = _irreducibility(
-        *_normalized(f), prime_budget, lambda _ct, irreducible: irreducible
-    )
-    return status
+    route, lattice = None, -1
+    for _p, ct in _good_prime_scan(*_normalized(f), prime_budget):
+        route, lattice = _irreducible_route(route, lattice, ct)
+        if route is not None:
+            return CERTIFIED
+    return INCONCLUSIVE
 
 
 def _normalized(f: Poly) -> tuple[IntPoly, int]:
@@ -328,10 +308,10 @@ def collect_evidence(
     carries all of it.  The irreducibility route is that of the primes
     scanned: "degree-lattice" when the prefix proves irreducibility without
     an irreducible reduction, though a later prime might show one.  The
-    witness is searched for at the prime that first proves irreducibility,
-    so it is the one a full scan finds.  The discriminant trial
-    factorization is skipped when the d = 3 shortcut (irreducible, nonsquare
-    discriminant) already decides the certificate and
+    witness is searched for once, at the prime that first proves
+    irreducibility, so it is the one a full scan finds.  The discriminant
+    trial factorization is skipped when the d = 3 shortcut (irreducible,
+    nonsquare discriminant) already decides the certificate and
     ``skip_witness_for_cubic`` is set; sweeps over many cubics rely on that
     fast path.
     """
@@ -354,41 +334,32 @@ def _evidence(
     an optional factorization of disc for the witness search (see
     ``_witness``).
 
-    The stop rule ``facts_hold`` is ``_sd_route`` on the facts found so far,
-    irreducibility as ``_irreducibility`` proves it while it scans.  It
-    keeps a running ``_fold`` of the types scanned, and folds each new type
-    into it once, when ``_sd_route`` first asks for the facts.  The
-    witness search runs at the good prime that first proves it, or
-    after the scan and the Newton polygons when only a polygon proves it:
+    One loop over the good-prime scan: each prime's cycle type goes to the
+    provenance, and each new type to ``_irreducible_route`` and then to
+    ``_sd_route``; the loop ends at the first type that meets it.  The
+    witness search runs at the good prime that first proves irreducibility,
+    or after the scan and the Newton polygons when only a polygon proves it:
     once per polynomial whose evidence certifies irreducibility, as with a
     full scan.
     """
     d = g.degree
     disc_square = is_square(disc)
+    # Cleared once the witness has been searched for.
     wants_witness = disc != 0 and not (skip_witness_for_cubic and d == 3 and not disc_square)
+    witness = None
     types: set[CycleType] = set()
-    unfolded: list[CycleType] = []  # scanned, not yet in the running facts
-    facts = (False, 0)
-    searched, witness = False, None
-
-    def folded() -> tuple[bool, int]:
-        nonlocal facts
-        facts = _fold(unfolded, facts)
-        unfolded.clear()
-        return facts
-
-    def facts_hold(ct: CycleType, irreducible: bool) -> bool:
-        nonlocal searched, witness
-        if ct in types:
-            return False
+    provenance = []
+    route, lattice = None, -1
+    for p, ct in _good_prime_scan(g, disc, prime_budget):
+        provenance.append(("frobenius_cycle_type", p, ct.label))
+        if ct in types:  # a repeated type changes no fact, the route included
+            continue
         types.add(ct)
-        unfolded.append(ct)
-        if irreducible and wants_witness and not searched:
-            searched, witness = True, _witness(g, disc, trial_bound, factored)
-        return _sd_route(d, irreducible, folded, disc_square, witness is not None) is not None
-
-    scan, irred, route = _irreducibility(g, disc, prime_budget, facts_hold)
-    provenance = [("frobenius_cycle_type", p, ct.label) for p, ct in scan]
+        route, lattice = _irreducible_route(route, lattice, ct)
+        if route is not None and wants_witness:
+            wants_witness, witness = False, _witness(g, disc, trial_bound, factored)
+        if _sd_route(d, route is not None, types, disc_square, witness is not None):
+            break
 
     for p in polygon_primes:
         if not g.coeff(0):
@@ -397,11 +368,11 @@ def _evidence(
         for ct in padic.cycle_certificate(polygon):
             types.add(ct)
             provenance.append(("cycle_certificate", p, ct.label))
-        if irred == INCONCLUSIVE and _polygon_totally_ramified(polygon):
-            irred, route = CERTIFIED, "newton-polygon"
+        if route is None and _polygon_totally_ramified(polygon):
+            route = "newton-polygon"
             provenance.append(("irreducibility", p, "totally ramified"))
 
-    if irred == CERTIFIED and wants_witness and not searched:
+    if route is not None and wants_witness:
         witness = _witness(g, disc, trial_bound, factored)
     if witness is not None:
         provenance.append(("transposition_witness", witness, "v_p(disc)=1"))
@@ -410,7 +381,7 @@ def _evidence(
         degree=d,
         observed_cycle_types=frozenset(types),
         transposition_prime=witness,
-        irreducibility=irred,
+        irreducibility=INCONCLUSIVE if route is None else CERTIFIED,
         irreducibility_route=route,
         disc_is_square=disc_square if disc != 0 else True,
         provenance=tuple(provenance),
@@ -476,11 +447,10 @@ def _type_facts(ct: CycleType) -> tuple[bool, int, int]:
     return contains_n_cycle((ct,), 2), blocks, sums
 
 
-def _fold(types: Iterable[CycleType], facts: tuple[bool, int] = (False, 0)) -> tuple[bool, int]:
+def _fold(types: Iterable[CycleType]) -> tuple[bool, int]:
     """(whether an odd power of some type is a transposition, the OR of the
-    block-size masks of the types), from ``_type_facts``, folded into the
-    ``facts`` of other types."""
-    transposition, blocks = facts
+    block-size masks of the types), from ``_type_facts``."""
+    transposition, blocks = False, 0
     for ct in types:
         odd_power, outside, _ = _type_facts(ct)
         transposition, blocks = transposition or odd_power, blocks | outside
@@ -490,7 +460,7 @@ def _fold(types: Iterable[CycleType], facts: tuple[bool, int] = (False, 0)) -> t
 def _sd_route(
     d: int,
     irreducible: bool,
-    facts: Callable[[], tuple[bool, int]],
+    types: Iterable[CycleType],
     disc_square: Optional[bool],
     witnessed: bool,
 ) -> Optional[str]:
@@ -498,10 +468,10 @@ def _sd_route(
     polynomial to be S_d, or None when they do not.
 
     The one statement of the criterion: ``certify_sd`` applies it to the
-    evidence, and the good-prime scan of ``_evidence`` stops once the facts
-    found so far meet it.  ``facts`` returns ``_fold`` of the observed
-    cycle types; it is called only past the quadratic and cubic-disc
-    routes, so that those fold nothing.  ``witnessed`` says that a prime
+    evidence, and the good-prime loop of ``_evidence`` stops once the facts
+    found so far meet it.  ``types`` are the observed cycle types; they are
+    folded (``_fold``) only past the quadratic and cubic-disc routes, so
+    that those read none of them.  ``witnessed`` says that a prime
     with v_p(disc) = 1 was found.  The standard route is Jordan's theorem
     (module docstring).  Irreducibility makes G transitive.  A system of
     blocks of size b would put G inside S_b wr S_(d/b), so a type, each that
@@ -516,7 +486,7 @@ def _sd_route(
         return "quadratic"
     if d == 3 and disc_square is False:
         return "cubic-disc"
-    transposition, blocks = facts()
+    transposition, blocks = _fold(types)
     if (witnessed or transposition) and blocks == _block_sizes(d):
         return "standard"
     return None
@@ -530,7 +500,7 @@ def certify_sd(evidence: GaloisEvidence) -> SdCertificate:
     route = _sd_route(
         d,
         evidence.irreducibility == CERTIFIED,
-        lambda: _fold(evidence.observed_cycle_types),
+        evidence.observed_cycle_types,
         evidence.disc_is_square,
         evidence.transposition_prime is not None,
     )

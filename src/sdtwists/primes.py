@@ -141,41 +141,28 @@ def factor_trial(n: int, bound: int, until_square: bool = False) -> tuple[dict[i
     number whose prime factors all exceed the bound.  A prime cofactor above
     the bound is returned as it is, unfactored.
 
-    Two stages, each a gcd with a product of primes (D. J. Bernstein, "How
-    to find smooth parts of integers", 2004); each product is built once
-    per process and prime range.  The first takes g = gcd(|n|,
-    prod(primes <= SMALL_PRIME_BOUND)), finds the primes of g by a walk
-    that stops at p^2 > g, and divides each out by p, p^2, p^4, ...
-    (``_divide_out``), so that v_p(n) costs O(log v_p(n)) divisions.  Below
-    SMALL_PRIME_BOUND^2, where that walk is dearer than the gcd it saves,
-    it divides |n| by the primes one by one instead and stops once p^2
-    exceeds what is left, which is then 1 or a prime.  If what is left
-    exceeds SMALL_PRIME_BOUND^2, the second stage takes
-    g = gcd(m, prod(primes in (SMALL_PRIME_BOUND, bound]) mod m) for the
-    remainder m and finds the primes of g by the same walk.  With
-    ``until_square`` the first stage returns what it has as soon as one
-    prime's exponent reaches 2, which settles that n is not squarefree.
+    Two stages, each one gcd with a product of primes built once per process
+    and prime range (D. J. Bernstein, "How to find smooth parts of
+    integers", 2004).  The first takes g = gcd(|n|, prod(primes <=
+    SMALL_PRIME_BOUND)), finds the primes of g by a walk that stops at
+    p^2 > g, and divides each out by p, p^2, p^4, ... (``_divide_out``), so
+    that v_p(n) costs O(log v_p(n)) divisions.  Below SMALL_PRIME_BOUND^2,
+    where that gcd costs more than it saves, it divides |n| by the primes
+    one by one instead and stops once p^2 exceeds what is left, which is
+    then 1 or a prime.  If what is left, m, exceeds SMALL_PRIME_BOUND^2, the
+    second takes gcd(m, prod(primes in (SMALL_PRIME_BOUND, bound]) mod m)
+    and finds its primes by the same walk.  With ``until_square`` the first
+    stage returns what it has as soon as one prime's exponent reaches 2,
+    which settles that n is not squarefree.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
-    # No prime lies at or below 1: nothing is factored yet.
-    return extend_factorization({}, abs(n), min(bound, 1), bound, until_square)
-
-
-def extend_factorization(
-    exponents: dict[int, int], cofactor: int, done: int, bound: int, until_square: bool = False
-) -> tuple[dict[int, int], int]:
-    """``factor_trial(n, bound, until_square)`` from (exponents, cofactor) =
-    ``factor_trial(n, done)``, done <= bound: only the cofactor is divided,
-    and only by the primes in (done, bound]."""
-    if bound < done:
-        raise ValueError(f"cannot extend a factorization to {done} down to {bound}")
-    out = dict(exponents)
-    m = cofactor
+    out: dict[int, int] = {}
+    m = abs(n)
     small = min(bound, SMALL_PRIME_BOUND)
     if m < SMALL_PRIME_BOUND * SMALL_PRIME_BOUND:  # the walk stops below SMALL_PRIME_BOUND
         root = math.isqrt(m)
-        for p in iter_primes_up_to(small, done):
+        for p in iter_primes_up_to(small):
             if p > root:  # p^2 > m
                 break
             if m % p == 0:
@@ -183,17 +170,17 @@ def extend_factorization(
                 if until_square and out[p] > 1:
                     return out, m
                 root = math.isqrt(m)
-    elif small > done:
-        for p in _prime_divisors(math.gcd(m, _prime_product(done, small)), done, small):
+    elif small > 1:
+        for p in _prime_divisors(math.gcd(m, _prime_product(1, small)), 1, small):
             m = _divide_out(m, p, out)
             if until_square and out[p] > 1:
                 return out, m
-    # What is left is 1 or a prime unless it exceeds above^2: the walk stops
-    # only at p^2 > m, and otherwise m has no prime factor <= above.
-    above = max(done, SMALL_PRIME_BOUND)
-    if bound > above and m > above * above:
-        g = math.gcd(m, _prime_product(above, bound) % m)
-        for p in _prime_divisors(g, above, bound):
+    # What is left is 1 or a prime unless it exceeds SMALL_PRIME_BOUND^2: the
+    # walk stops only at p^2 > m, and otherwise m has no prime factor <=
+    # SMALL_PRIME_BOUND.
+    if bound > SMALL_PRIME_BOUND and m > SMALL_PRIME_BOUND * SMALL_PRIME_BOUND:
+        g = math.gcd(m, _prime_product(SMALL_PRIME_BOUND, bound) % m)
+        for p in _prime_divisors(g, SMALL_PRIME_BOUND, bound):
             m = _divide_out(m, p, out)
     if 1 < m <= bound:
         out[m] = 1

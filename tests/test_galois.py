@@ -99,6 +99,52 @@ def test_irreducibility_certificate_stops_at_its_first_proof(monkeypatch):
     assert stopped > 50 and lattice_first > 0
 
 
+def test_witness_is_searched_once_at_the_first_proof(monkeypatch):
+    # collect_evidence searches for the transposition witness once per
+    # polynomial, when the good prime that first proves irreducibility has
+    # been scanned, and not again at the primes scanned after it, nor ever
+    # when no prime of the budget proves it.
+    from oracles import good_prime_walk, lattice
+
+    real_type, real_witness = galois.padic.good_prime_cycle_type, galois._witness
+    scanned, searched_after = [], []
+
+    def counted(coeffs, p, parity=None):
+        scanned.append(p)
+        return real_type(coeffs, p, parity)
+
+    def witness(*args):
+        searched_after.append(len(scanned))
+        return real_witness(*args)
+
+    monkeypatch.setattr(galois.padic, "good_prime_cycle_type", counted)
+    monkeypatch.setattr(galois, "_witness", witness)
+    rng, budget = random.Random(27), 12
+    searched = scanned_on = 0
+    for _ in range(150):
+        d = rng.randint(2, 6)
+        f = Poly([rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 4)])
+        if rng.random() < 0.3:
+            f = f * Poly([rng.randint(-3, 3), 1])
+        g = _normalize_factor(f)
+        if discriminant(g) == 0:
+            continue
+        scanned.clear()
+        searched_after.clear()
+        collect_evidence(f, f.degree, budget, skip_witness_for_cubic=False)
+        program = len(scanned)
+        walk = good_prime_walk(g, budget)
+        proofs = (
+            k for k in range(1, len(walk) + 1)
+            if lattice([ct for _, ct in walk[:k]], g.degree) == {0, g.degree}
+        )
+        first = next(proofs, None)
+        assert searched_after == ([] if first is None else [first])
+        searched += first is not None
+        scanned_on += first is not None and program > first
+    assert searched > 50 and scanned_on > 10
+
+
 def test_transposition_witness_31():
     assert transposition_witness(cubic(), 1000) == 31
 
@@ -270,9 +316,7 @@ def test_sd_route_matches_the_criterion_oracle_on_every_small_type_set():
             for chosen in itertools.combinations(types, size):
                 irreducible = lattice(chosen, d) == {0, d}
                 for witness, disc_square in itertools.product((None, 31), (False, True)):
-                    route = galois._sd_route(
-                        d, irreducible, lambda: galois._fold(chosen), disc_square, witness is not None
-                    )
+                    route = galois._sd_route(d, irreducible, chosen, disc_square, witness is not None)
                     assert route in (None, "standard")
                     want = meets_sd_criterion(d, set(chosen), disc_square, witness)
                     assert (route is not None) == want, (d, chosen, witness, disc_square)
@@ -281,9 +325,11 @@ def test_sd_route_matches_the_criterion_oracle_on_every_small_type_set():
         sum(math.comb(n, k) for k in (1, 2, 3)) for n in (5, 7, 11, 15, 22)
     )
 
-    def refuse():
-        raise AssertionError("the facts were folded")
+    class Refuse:
+        def __iter__(self):
+            raise AssertionError("the types were folded")
 
+    refuse = Refuse()
     assert galois._sd_route(2, True, refuse, None, False) == "quadratic"
     assert galois._sd_route(3, True, refuse, False, False) == "cubic-disc"
     assert galois._sd_route(5, False, refuse, False, True) is None
@@ -439,7 +485,7 @@ def test_discriminant_gate_matches_reduction(degree, p, lead_divisible, data):
     cap = max(galois._SCAN_CAP_MIN, galois._SCAN_CAP_FACTOR * budget)
     reduced = ((q, frobenius_cycle_type(g, q)) for q in itertools.islice(primes(), cap))
     reference = list(itertools.islice(((q, ct) for q, ct in reduced if ct is not None), budget))
-    assert galois._good_prime_scan(g, disc, budget) == reference
+    assert list(galois._good_prime_scan(g, disc, budget)) == reference
 
 
 small_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)

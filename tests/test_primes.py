@@ -12,7 +12,6 @@ from sdtwists.galois import transposition_witness
 from sdtwists.polyarith import IntPoly, Poly, _normalize_factor, discriminant
 from sdtwists.primes import (
     SMALL_PRIME_BOUND as S,
-    extend_factorization,
     factor_trial,
     is_prime,
     iter_primes_up_to,
@@ -127,18 +126,6 @@ def test_factor_trial_matches_sympy(case):
     exponents = {int(p): int(e) for p, e in sorted(full.items()) if p <= bound}
     cofactor = abs(n) // math.prod(p**e for p, e in exponents.items())
     assert factor_trial(n, bound) == (exponents, cofactor)
-
-
-@settings(max_examples=150, deadline=None)
-@given(planted(), st.sampled_from(BOUNDS))
-def test_extension_equals_a_direct_factorization(case, other):
-    n, bound = case
-    lo, hi = sorted((bound, other))
-    exponents, cofactor = factor_trial(n, lo)
-    assert extend_factorization(exponents, cofactor, lo, hi) == factor_trial(n, hi)
-    if lo < hi:
-        with pytest.raises(ValueError):
-            extend_factorization(exponents, cofactor, hi, lo)
 
 
 def test_larger_then_smaller_bound_reuses_no_stale_product():
