@@ -4,7 +4,12 @@ Subcommands: exponents, model, family, certify, sweep, ev, density,
 pair-signs.  Every run is a pure function of its configuration and seed;
 reports are emitted with fixed key order, integers beyond 53-bit safety as
 decimal strings, and a null timing field (wall time goes to stderr), so two
-runs with the same configuration produce byte-identical output.
+runs with the same configuration produce byte-identical output.  A record
+that is a library dataclass (the config echo, the model with its check, the
+count report, the density report) is its fields in declaration order
+(``_record``), so a field added there reaches the report unwritten here;
+the other records name their own keys.  The exponents table reads each
+exponent's least degree from ``counting``.
 
 A config file is flat key=value with sections ([run], [curve], [sweep],
 [ev], [certify], [density], [pair], [output]); command-line flags override
@@ -143,7 +148,7 @@ class RunConfig:
                 raise UsageError(f"curve: required for mode {self.mode}")
             if self.degree is None:
                 raise UsageError(f"degree: required for mode {self.mode}")
-            min_degree = 4 if self.mode == "ev" else 3  # the coefficient box needs d >= 4
+            min_degree = counting.BOX_MIN_DEGREE if self.mode == "ev" else 3
             if self.degree < min_degree:
                 raise UsageError(f"degree: must be at least {min_degree} for mode {self.mode}")
         if self.mode == "exponents" and not 3 <= self.d_min <= self.d_max:
@@ -187,22 +192,23 @@ class RunConfig:
             if not prime:
                 raise UsageError(f"polygon_primes: {p} is not prime")
 
-    def echo(self) -> dict:
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = _jsonable(value)
-        return out
-
 
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, tuple):
         return list(_jsonable(v) for v in value)
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
     if isinstance(value, int) and abs(value) > 2**53:
         return str(value)
     return value
+
+
+def _record(*objects) -> dict:
+    """The fields of these dataclass instances, in declaration order, each
+    through ``_jsonable``."""
+    return {f.name: _jsonable(getattr(obj, f.name)) for obj in objects for f in fields(obj)}
 
 
 def _poly_str(p: Poly) -> str:
@@ -244,41 +250,6 @@ def _candidate_record(cand: counting.FieldCandidate, model, budgets) -> dict:
     }
 
 
-def _model_record(model: family.WeierstrassModel) -> dict:
-    check = family.verify_model(model)
-    return {
-        "B": str(model.B),
-        "C": str(model.C),
-        "D": str(model.D),
-        "p1": model.p1,
-        "p2": model.p2,
-        "p3": model.p3,
-        "shift_target": model.shift_target,
-        "alpha": str(model.alpha),
-        "epsilon": str(model.epsilon),
-        "forced_modulus": model.forced_modulus,
-        "denominators_at_p1": check.denominators_at_p1,
-        "unit_divisibility": check.unit_divisibility,
-        "cubic_congruence": check.cubic_congruence,
-        "epsilon_box": check.epsilon_box,
-        "forced_congruence": check.forced_congruence,
-    }
-
-
-def _count_report_dict(rep: counting.CountReport) -> dict:
-    return {
-        "degree": rep.degree,
-        "x_grid": _jsonable(rep.x_grid),
-        "counts": list(rep.counts),
-        "class_count": rep.class_count,
-        "quarantined": rep.quarantined,
-        "fit_slope": rep.fit_slope,
-        "target_exponent": str(rep.target_exponent),
-        "sign_histogram": {str(k): v for k, v in sorted(rep.sign_histogram.items())},
-        "multiplicity_histogram": {str(k): v for k, v in sorted(rep.multiplicity_histogram.items())},
-    }
-
-
 # ---------------------------------------------------------------------------
 # Mode pipelines.
 # ---------------------------------------------------------------------------
@@ -288,14 +259,13 @@ def _run_exponents(cfg: RunConfig) -> dict:
     records = []
     for d in range(cfg.d_min, cfg.d_max + 1):
         row: dict[str, Any] = {"degree": d}
-        row["c_general"] = str(counting.c_exponent(d, "theorem_general")) if d >= 2 else None
-        row["c_small_degree"] = str(counting.c_exponent(d, "small_degree")) if d >= 3 else None
-        row["c_large_degree"] = str(counting.c_exponent(d, "large_degree")) if d >= 5 else None
-        row["c_field_improvement"] = (
-            str(counting.c_exponent(d, "field_improvement")) if d >= 7 else None
+        for mode, least in counting.C_MIN_DEGREE.items():  # c_general for theorem_general
+            row["c_" + mode.removeprefix("theorem_")] = (
+                str(counting.c_exponent(d, mode)) if d >= least else None
+            )
+        row["ev_box_exponent"] = (
+            str(counting.ev_exponent(d)) if d >= counting.BOX_MIN_DEGREE else None
         )
-        row["c_conditional"] = str(counting.c_exponent(d, "conditional")) if d >= 2 else None
-        row["ev_box_exponent"] = str(counting.ev_exponent(d)) if d >= 4 else None
         bound = counting.schmidt_ev_alpha(d)
         row["alpha_bound"] = str(bound.alpha)
         row["alpha_witness"] = list(bound.witness) if bound.witness else None
@@ -309,12 +279,12 @@ def _build(cfg: RunConfig):
 
 def _run_model(cfg: RunConfig) -> dict:
     model, _fam, _form = _build(cfg)
-    return {"records": [_model_record(model)]}
+    return {"records": [_record(model, family.verify_model(model))]}
 
 
 def _run_family(cfg: RunConfig) -> dict:
     model, fam, form = _build(cfg)
-    rec = _model_record(model)
+    rec = _record(model, family.verify_model(model))
     rec.update(
         {
             "parity_case": fam.parity_case,
@@ -375,7 +345,7 @@ def _run_sweep(cfg: RunConfig) -> dict:
     report = counting.build_count_report(dedup, cfg.degree)
     return {
         "records": [_candidate_record(c, model, budgets) for c in cands],
-        "count_report": _count_report_dict(report),
+        "count_report": _record(report),
     }
 
 
@@ -419,17 +389,7 @@ def _run_density(cfg: RunConfig) -> dict:
         seed=cfg.seed,
         trial_bound=cfg.kernel_bound,
     )
-    record = {
-        "form": ",".join(str(c) for c in cfg.form),
-        "box": box,
-        "empirical": rep.empirical,
-        "local_product": rep.local_product,
-        "sampled": rep.sampled,
-        "squarefree": rep.squarefree,
-        "undecided": rep.undecided,
-        "square_form": rep.square_form,
-        "exhaustive": rep.exhaustive,
-    }
+    record = {"form": ",".join(str(c) for c in cfg.form), "box": box, **_record(rep)}
     return {"records": [record]}
 
 
@@ -500,7 +460,7 @@ def run(cfg: RunConfig) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "mode": cfg.mode,
-        "config": cfg.echo(),
+        "config": _record(cfg),
         "records": payload.get("records", []),
         "count_report": payload.get("count_report"),
         "root_reports": payload.get("root_reports", []),

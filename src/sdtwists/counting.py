@@ -21,7 +21,13 @@ the denominator of f: it is bounded, certified on the primitive part of m*H
 (as a sweep certifies its specializations) and checked against its identity
 in integer arithmetic, and the rational H is derived only when read.  Its
 box volume exponent, the counting exponents c_d and the field-count bound
-alpha(d) live here too, all as exact rationals.
+alpha(d) live here too, all as exact rationals.  The least degree of each
+is declared once (``C_MIN_DEGREE``, ``BOX_MIN_DEGREE``), for the functions
+and for the reports that tabulate them.
+
+The coefficient box and the density box of ``greaves_density`` are walked
+by one ``_box_walk``: every point of a box of at most ``EXHAUSTIVE_LIMIT``
+points, otherwise seeded uniform draws.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import ClassVar, Iterable, Iterator, Optional, Sequence
 
 from . import galois
 from .family import TwistFamily, WeierstrassModel
@@ -55,9 +61,20 @@ KERNEL_ZERO = "zero-disc"
 WORKERS_ENV = "SDTWISTS_WORKERS"
 
 # A box of at most this many points is walked exhaustively, a larger one
-# sampled: the density box of ``greaves_density`` and, by default, the
+# sampled (``_box_walk``): the density box of ``greaves_density`` and the
 # coefficient box of ``ev_generate``.
 EXHAUSTIVE_LIMIT = 1_000_000
+
+# The least degree of each counting exponent c_d (``c_exponent``), by mode,
+# and of the coefficient box (``ev_boxes``, ``ev_exponent``).
+C_MIN_DEGREE = {
+    "theorem_general": 2,
+    "small_degree": 3,
+    "large_degree": 5,
+    "field_improvement": 7,
+    "conditional": 2,
+}
+BOX_MIN_DEGREE = 4
 
 ALPHA_R_MAX = 6
 
@@ -495,6 +512,21 @@ def _rho_p2(form: Sequence[int], p: int) -> int:
     return inner + p * (p - 1) * points
 
 
+def _box_walk(
+    ranges: Sequence[range], exhaustive: bool, samples: int, seed: int
+) -> Iterator[tuple[int, ...]]:
+    """The points of the box ranges[0] x ranges[1] x ...: every one, in
+    lexicographic order, when ``exhaustive``, else ``samples`` uniform draws
+    seeded by ``seed``, one ``randrange(len(r))`` per coordinate, the draw
+    ``randint`` makes for the same range."""
+    if exhaustive:
+        yield from itertools.product(*ranges)
+        return
+    rng = random.Random(seed)
+    for _ in range(samples):
+        yield tuple(r[rng.randrange(len(r))] for r in ranges)
+
+
 def greaves_density(
     form: Sequence[int],
     box: int,
@@ -507,8 +539,9 @@ def greaves_density(
     """Empirical squarefree density of F(u,v) on the box, plus the local product.
 
     ``form`` lists the coefficients of F(u,v) = sum(form[i] u^(m-i) v^i).
-    The box is walked exhaustively when it has at most ``EXHAUSTIVE_LIMIT``
-    (10^6) points, otherwise sampled uniformly with the given seed.  The reference
+    The box is walked exhaustively when (2 box + 1)^2 // M^2, M the modulus
+    of the congruence, is at most ``EXHAUSTIVE_LIMIT`` (10^6), otherwise
+    sampled uniformly with the given seed (``_box_walk``).  The reference
     value is prod_{p <= local_bound} (1 - rho(p^2)/p^4), with rho(p^2) the
     number of roots of F among the pairs mod p^2, counted on the points of
     P^1(Z/p^2) (``_rho_p2``).  Undecided values (trial bound exhausted) stay
@@ -529,36 +562,18 @@ def greaves_density(
     else:
         u0, v0, mod = 0, 0, 1
 
-    total = sq = und = 0
     n_side = 2 * box + 1
     exhaustive = (n_side * n_side) // (mod * mod) <= EXHAUSTIVE_LIMIT
-
-    def account(value: int):
-        nonlocal total, sq, und
+    # the members of each residue class in [-box, box], the first one first
+    ranges = [range(-box + (c0 + box) % mod, box + 1, mod) for c0 in (u0, v0)]
+    total = sq = und = 0
+    for u, v in _box_walk(ranges, exhaustive, samples, seed):
         total += 1
-        status = _squarefree_status(value, trial_bound)
+        status = _squarefree_status(binary_form_value(as_t, m, u, v), trial_bound)
         if status is True:
             sq += 1
         elif status is None:
             und += 1
-
-    if exhaustive:
-        # first residue-class members >= -box
-        ustart = -box + ((u0 + box) % mod)
-        vstart = -box + ((v0 + box) % mod)
-        for u in range(ustart, box + 1, mod):
-            for v in range(vstart, box + 1, mod):
-                account(binary_form_value(as_t, m, u, v))
-    else:
-        rng = random.Random(seed)
-        lo_u = math.ceil((-box - u0) / mod)
-        hi_u = math.floor((box - u0) / mod)
-        lo_v = math.ceil((-box - v0) / mod)
-        hi_v = math.floor((box - v0) / mod)
-        for _ in range(samples):
-            u = u0 + mod * rng.randint(lo_u, hi_u)
-            v = v0 + mod * rng.randint(lo_v, hi_v)
-            account(binary_form_value(as_t, m, u, v))
 
     empirical = sq / total if total else 0.0
 
@@ -584,9 +599,9 @@ def greaves_density(
 
 @dataclass(frozen=True)
 class EvConfig:
+    exhaustive_limit: ClassVar[int] = EXHAUSTIVE_LIMIT  # the box walk's limit, not a setting
     seed: int = 0
     max_instances: int = 200
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT
     certify: bool = False
     prime_budget: int = 25
     trial_bound: int = 10_000
@@ -630,8 +645,8 @@ def _floor_power(y: Fraction, num: int, half: bool) -> int:
 
 def ev_boxes(d: int, y: Fraction) -> tuple[list[int], list[int]]:
     """Integer coefficient bounds for (F, G) at scale Y, by parity."""
-    if d < 4:
-        raise ValueError("coefficient-box construction needs degree >= 4")
+    if d < BOX_MIN_DEGREE:
+        raise ValueError(f"coefficient-box construction needs degree >= {BOX_MIN_DEGREE}")
     if y < 1:
         raise ValueError("scale must be at least 1")
     if d % 2 == 0:
@@ -703,7 +718,9 @@ def _ev_instance(
 def ev_generate(
     model: WeierstrassModel, d: int, y: Fraction | int, config: EvConfig = EvConfig()
 ) -> Iterator[EVInstance]:
-    """Stream box instances: exhaustive for small boxes, else seeded sampling.
+    """Stream box instances from ``_box_walk``: the first
+    ``config.max_instances`` points of a box of at most ``EXHAUSTIVE_LIMIT``
+    points, else that many draws seeded by ``config.seed``.
 
     With ``config.certify``, an instance of full degree d is certified on
     m*H, as the instance was built over Z, through ``galois._normalized``:
@@ -714,26 +731,12 @@ def ev_generate(
     y = Fraction(y)
     a_bounds, b_bounds = ev_boxes(d, y)
     limits = _ev_limits(model, d, y)
-    volume = 1
-    for bound in a_bounds + b_bounds:
-        volume *= 2 * bound + 1
-
-    if volume <= config.exhaustive_limit:
-        ranges = [range(-bound, bound + 1) for bound in a_bounds + b_bounds]
-        count = 0
-        for coords in itertools.product(*ranges):
-            if count >= config.max_instances:
-                return
-            count += 1
-            a = coords[: len(a_bounds)]
-            b = coords[len(a_bounds) :]
-            yield _ev_instance(model, d, y, a, b, limits, config)
-    else:
-        rng = random.Random(config.seed)
-        for _ in range(config.max_instances):
-            a = [rng.randint(-bound, bound) for bound in a_bounds]
-            b = [rng.randint(-bound, bound) for bound in b_bounds]
-            yield _ev_instance(model, d, y, a, b, limits, config)
+    ranges = [range(-bound, bound + 1) for bound in a_bounds + b_bounds]
+    exhaustive = math.prod(map(len, ranges)) <= EXHAUSTIVE_LIMIT
+    walk = _box_walk(ranges, exhaustive, config.max_instances, config.seed)
+    for coords in itertools.islice(walk, config.max_instances):
+        a, b = coords[: len(a_bounds)], coords[len(a_bounds) :]
+        yield _ev_instance(model, d, y, a, b, limits, config)
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +746,8 @@ def ev_generate(
 
 def ev_exponent(d: int) -> Fraction:
     """Box-volume exponent c = d^2/4 - d/4 + 1/2, cross-checked by summation."""
-    if d < 4:
-        raise ValueError("degree >= 4 required")
+    if d < BOX_MIN_DEGREE:
+        raise ValueError(f"degree >= {BOX_MIN_DEGREE} required")
     formula = Fraction(d * d, 4) - Fraction(d, 4) + Fraction(1, 2)
     if d % 2 == 0:
         direct = sum(Fraction(i) for i in range(1, d // 2 + 1)) + sum(
@@ -759,36 +762,28 @@ def ev_exponent(d: int) -> Fraction:
     return formula
 
 
-_MODES = ("theorem_general", "small_degree", "large_degree", "field_improvement", "conditional")
-
-
 def c_exponent(d: int, mode: str) -> Fraction:
-    """Counting exponents: distinct fields with the new point are >> X^(c_d - eps)."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    """Counting exponents: distinct fields with the new point are >> X^(c_d - eps).
+
+    ``mode`` is a key of ``C_MIN_DEGREE``, and d at least its value there.
+    """
+    if mode not in C_MIN_DEGREE:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {tuple(C_MIN_DEGREE)}")
+    if d < C_MIN_DEGREE[mode]:
+        raise ValueError(f"{mode} mode requires d >= {C_MIN_DEGREE[mode]}")
     if mode == "small_degree":
-        if d < 3:
-            raise ValueError("small_degree mode requires d >= 3")
         if d == 3:
             return Fraction(1, 3)
         if d == 4:
             return Fraction(1, 4)
         return Fraction(1, math.ceil(Fraction(d, 2)) + 2)
     if mode == "large_degree":
-        if d < 5:
-            raise ValueError("large_degree mode requires d >= 5")
         return Fraction(1, 4) - Fraction(d * d + 4 * d - 2, 2 * d * d * (d - 1))
     if mode == "field_improvement":
-        if d < 7:
-            raise ValueError("field_improvement mode requires d >= 7")
         return Fraction(1, 4) - Fraction(1, 2 * d)
     if mode == "conditional":
-        if d < 2:
-            raise ValueError("conditional mode requires d >= 2")
         return Fraction(1, 4) + Fraction(1, 2 * (d * d - d))
     # theorem_general
-    if d < 2:
-        raise ValueError("theorem_general mode requires d >= 2")
     if d == 2:
         return Fraction(1, 2)
     if d <= 4:

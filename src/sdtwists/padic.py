@@ -32,7 +32,7 @@ with that stop rule (``_StopRule``).  The counts have four sources:
   (``_barrett_constants``), so w is the fewest whole bytes that hold it, 8
   to 40 bits for degrees up to 8 below 256, and at most 64 bits for every
   degree up to 67,376.  The columns a^i mod p do not depend on f, so they
-  are kept per prime and slot width (``_power_columns``).
+  are kept per prime, slot width and length (``_point_columns``).
 - Below ``PAIR_PRIME_BOUND`` (31), where that root count leaves the pattern
   open, c_2 is a root count too, over F_(p^2): each irreducible quadratic
   factor has its two roots a +- b*w outside F_p, w^2 = nu for a non-residue
@@ -373,52 +373,47 @@ def _x_power(e: int, ring: _Ring) -> int:
     return r
 
 
-# The widest root-count slot (module docstring); slot a of the packed
-# column i holds a^i mod p.
+# The widest root-count slot (module docstring).
 _ROOT_SLOT_BITS = 64
-_COLUMNS: dict[tuple[int, int], list[int]] = {}  # (p, w) -> packed columns for i = 0, 1, ...
-
-
-def _power_columns(p: int, width: int, count: int) -> list[int]:
-    """The first ``count`` packed columns of p with ``width``-bit slots, kept
-    for the process; column i >= p is column i - (p - 1), since
-    a^(p - 1) = 1 for a != 0, and shares its object."""
-    cols = _COLUMNS.setdefault((p, width), [])
-    size = width // 8
-    for i in range(len(cols), count):
-        cols.append(
-            cols[i - (p - 1)]
-            if i >= p
-            else int.from_bytes(
-                b"".join(pow(a, i, p).to_bytes(size, "little") for a in range(p)), "little"
-            )
-        )
-    return cols
 
 
 @lru_cache(maxsize=None)
-def _pair_columns(p: int, width: int, count: int) -> tuple[list[int], list[int]]:
-    """The first ``count`` packed columns of both coordinates of z^i, for z
-    = a + b*w running over one point of each conjugate pair of F_(p^2)
-    outside F_p, with ``width``-bit slots: w^2 = nu, a non-residue mod p,
-    and b = 1, ..., (p - 1)/2 at odd p (the conjugate of a + b*w is
-    a - b*w), the single point w with w^2 = w + 1 at p = 2."""
-    if p == 2:
-        t, nu, points = 1, 1, [(0, 1)]
+def _point_columns(
+    p: int, width: int, count: int, pairs: bool
+) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
+    """The first ``count`` packed columns of both coordinates of z^i, with
+    ``width``-bit slots, for z over the points of a ``_RootPlan``: F_p, or,
+    with ``pairs``, one point of each conjugate pair of F_(p^2) outside
+    F_p, z = a + b*w with w^2 = nu, a non-residue mod p, and b = 1, ...,
+    (p - 1)/2 at odd p (the conjugate of a + b*w is a - b*w), the single
+    point w with w^2 = w + 1 at p = 2.  On F_p slot a of column i holds
+    a^i mod p, and the second coordinates, all 0, are None.  Past the order
+    of the unit group (p - 1, or p^2 - 1 for pairs), column i is column
+    i - order, since z^order = 1 for z != 0 and 0^i = 0 for i >= 1, and
+    shares its object."""
+    t = nu = 0
+    if not pairs:
+        order, points = p - 1, [(a, 0) for a in range(p)]
+    elif p == 2:
+        order, t, nu, points = 3, 1, 1, [(0, 1)]
     else:
-        t, nu = 0, next(a for a in range(2, p) if pow(a, p >> 1, p) == p - 1)
+        order, nu = p * p - 1, next(a for a in range(2, p) if pow(a, p >> 1, p) == p - 1)
         points = [(a, b) for b in range(1, p // 2 + 1) for a in range(p)]
     size = width // 8
     powers = [(1, 0)] * len(points)  # z^i, as (x, y) for x + y*w
     xs, ys = [], []
-    for _ in range(count):
+    for i in range(count):
+        if i > order:
+            xs.append(xs[i - order])
+            ys.append(ys[i - order])
+            continue
         xs.append(int.from_bytes(b"".join(x.to_bytes(size, "little") for x, _ in powers), "little"))
         ys.append(int.from_bytes(b"".join(y.to_bytes(size, "little") for _, y in powers), "little"))
         powers = [  # (x + y*w)(a + b*w), w^2 = nu + t*w
             ((x * a + y * b * nu) % p, (x * b + y * a + y * b * t) % p)
             for (x, y), (a, b) in zip(powers, points)
         ]
-    return xs, ys
+    return tuple(xs), tuple(ys) if pairs else None
 
 
 class _RootPlan:
@@ -426,7 +421,7 @@ class _RootPlan:
     among a set of points of F_(p^2): the packed columns, the Barrett
     constants and the top-bit masks at the slot width ``width`` above.  The
     points are F_p itself, or, with ``pairs``, one point of each conjugate
-    pair outside F_p (``_pair_columns``), where f is evaluated as two packed
+    pair outside F_p (``_point_columns``), where f is evaluated as two packed
     sums, one per coordinate; F_p is the case of second coordinates 0."""
 
     __slots__ = (
@@ -436,16 +431,13 @@ class _RootPlan:
 
     def __init__(self, p: int, width: int, shift: int, magic: int, count: int, pairs: bool = False):
         self.p, self.width, self._shift, self._magic = p, width, shift, magic
-        if pairs:
-            self.size = max(p * (p - 1) // 2, 1)
-            self.columns, self._second_columns = _pair_columns(p, width, count)
-        else:
-            self.size, self.columns, self._second_columns = p, _power_columns(p, width, count), None
+        self.size = max(p * (p - 1) // 2, 1) if pairs else p
+        self.columns, self._second_columns = _point_columns(p, width, count, pairs)
         self._quotient_mask = _repeat((1 << (width - shift)) - 1, width, self.size)
         top = 1 << width - 1
         self._offset, self._tops = _repeat(top - 1, width, self.size), _repeat(top, width, self.size)
 
-    def values(self, f: list[int], columns: Optional[list[int]] = None) -> int:
+    def values(self, f: list[int], columns: Optional[tuple[int, ...]] = None) -> int:
         """f(z) mod p in the slot of every point z, packed, for f reduced mod
         p (constant first) with ``count`` coefficients: on F_p the value
         itself, in slot a for z = a; at the pair points its first

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from fractions import Fraction
 from itertools import islice, permutations, product
 from typing import Optional, Sequence
@@ -764,3 +765,24 @@ def long_division_remainder(f: Poly, g: Poly) -> Poly:
             rem[i + shift] -= factor * c
         rem.pop()
     return Poly(rem)
+
+
+def sampled_density_counts(
+    form: Sequence[int], box: int, congruence: tuple[int, int, int], samples: int, seed: int,
+    bound: int,
+) -> tuple[int, int, int]:
+    """(sampled, squarefree, undecided) of ``counting.greaves_density`` in
+    its sampled mode: each coordinate drawn as c0 + M * randint(lo, hi), for
+    lo and hi the least and largest j with c0 + M * j in [-box, box], and
+    each value F(u, v) = sum(form[i] u^(m-i) v^i) settled by
+    ``squarefree_status_walk``."""
+    u0, v0, mod = congruence
+    m = len(form) - 1
+    rng = random.Random(seed)
+    squarefree = undecided = 0
+    for _ in range(samples):
+        u, v = (c0 + mod * rng.randint(-((box + c0) // mod), (box - c0) // mod) for c0 in (u0, v0))
+        status = squarefree_status_walk(sum(c * u ** (m - i) * v**i for i, c in enumerate(form)), bound)
+        squarefree += status is True
+        undecided += status is None
+    return samples, squarefree, undecided

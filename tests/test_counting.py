@@ -34,6 +34,7 @@ from sdtwists.primes import primes_up_to
 from oracles import (
     reference_candidate,
     rho_p2_walk,
+    sampled_density_counts,
     single_cycle_power,
     verify_new_point_fraction,
     walk_evidence,
@@ -674,6 +675,21 @@ def test_density_sampled_mode_is_seeded():
     assert a == b
 
 
+def test_density_sampled_stream_under_a_congruence():
+    # The sampled walk draws the same (u, v) as c0 + M * randint(lo, hi)
+    # per coordinate, here for residues outside [0, M) and one below 0: the
+    # three counts are exact, and at trial bound 30 every kind of value
+    # occurs.
+    form, box, samples, seed, bound = [1, 0, 1], 10_000, 3000, 11, 30
+    for congruence in [(2, -1, 5), (7, 3, 4)]:
+        rep = greaves_density(form, box, congruence=congruence, samples=samples, seed=seed,
+                              trial_bound=bound)
+        want = sampled_density_counts(form, box, congruence, samples, seed, bound)
+        assert not rep.exhaustive
+        assert (rep.sampled, rep.squarefree, rep.undecided) == want
+        assert 0 < rep.undecided and 0 < rep.squarefree < rep.sampled - rep.undecided
+
+
 # -- coefficient boxes -----------------------------------------------------------
 
 
@@ -741,9 +757,14 @@ def test_ev_generate_exhaustive_all_pass_identity():
         assert inst.bound_constant == c
 
 
+def box_volume(d, y):
+    return math.prod(2 * bound + 1 for bound in sum(ev_boxes(d, y), []))
+
+
 def test_ev_generate_sampled_is_seeded():
     model, _, _ = build_family((1, 1), 8)
-    cfg = EvConfig(seed=5, max_instances=20, exhaustive_limit=10, certify=False)
+    assert box_volume(8, F(3)) > counting.EXHAUSTIVE_LIMIT  # sampled, not walked
+    cfg = EvConfig(seed=5, max_instances=20, certify=False)
     a = [i.H for i in ev_generate(model, 8, F(3), cfg)]
     b = [i.H for i in ev_generate(model, 8, F(3), cfg)]
     assert a == b
@@ -754,9 +775,10 @@ def test_ev_instance_rebuilds_generated_instances():
     # exhaustive and its sampling mode, gives the same instance; its limits
     # are handed out as a tuple nobody can grow.
     model, _, _ = build_family((1, 1), 6)
-    d, y = 6, F(3)
+    d, y = 6, F(8)
+    assert box_volume(d, y) > counting.EXHAUSTIVE_LIMIT
     a_bounds, b_bounds = ev_boxes(d, y)
-    cfg = EvConfig(seed=9, max_instances=12, exhaustive_limit=10, certify=False)
+    cfg = EvConfig(seed=9, max_instances=12, certify=False)
     rng = random.Random(cfg.seed)
     for inst in ev_generate(model, d, y, cfg):
         a = [rng.randint(-bound, bound) for bound in a_bounds]
@@ -773,14 +795,15 @@ def test_ev_instances_hash_no_model(monkeypatch):
     # Neither ev_instance nor ev_generate hashes the model's Fraction
     # coefficients, and both build the same instances.
     model, _, _ = build_family((1, 1), 6)
-    d, y = 6, F(3)
+    d, y = 6, F(8)
+    assert box_volume(d, y) > counting.EXHAUSTIVE_LIMIT
     a_bounds, b_bounds = ev_boxes(d, y)
 
     def refuse(self):
         raise AssertionError("model hashed")
 
     monkeypatch.setattr(family.WeierstrassModel, "__hash__", refuse)
-    cfg = EvConfig(seed=4, max_instances=8, exhaustive_limit=10, certify=False)
+    cfg = EvConfig(seed=4, max_instances=8, certify=False)
     rng = random.Random(cfg.seed)
     for inst in ev_generate(model, d, y, cfg):
         a = [rng.randint(-bound, bound) for bound in a_bounds]
@@ -887,6 +910,20 @@ def test_c_exponent_mode_bounds():
         c_exponent(2, "small_degree")
     with pytest.raises(ValueError):
         c_exponent(5, "bogus")
+
+
+def test_min_degree_tables_are_where_each_exponent_starts():
+    # Each mode of c_exponent answers from its entry in C_MIN_DEGREE on and
+    # refuses the degree below; the same holds for the coefficient box.
+    for mode, least in counting.C_MIN_DEGREE.items():
+        with pytest.raises(ValueError, match=f"{mode} mode requires d >= {least}"):
+            c_exponent(least - 1, mode)
+        assert 0 < c_exponent(least, mode) < 1
+    least = counting.BOX_MIN_DEGREE
+    for call in (ev_exponent, lambda d: ev_boxes(d, F(2))):
+        with pytest.raises(ValueError):
+            call(least - 1)
+    assert ev_exponent(least) == F(7, 2) and ev_boxes(least, F(2)) == ([2, 4], [1])
 
 
 def test_c_exponent_monotonicity_and_limits():

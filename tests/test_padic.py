@@ -458,11 +458,19 @@ def test_root_count_at_the_cutoff(monkeypatch):
 
 @pytest.fixture
 def fresh_root_plans(monkeypatch):
-    """An empty column table and plan cache for the test, and a cleared
-    cache after it, so that no plan outlives the table it was built in."""
-    monkeypatch.setattr(padic, "_COLUMNS", {})
+    """Empty column and plan caches for the test, and the set of the
+    (p, width, count, pairs) keys of the packed columns it builds."""
+    built = set()
+    columns = padic._point_columns
+
+    def recorded(*key):
+        built.add(key)
+        return columns(*key)
+
+    columns.cache_clear()
     padic._settle_plan.cache_clear()
-    yield
+    monkeypatch.setattr(padic, "_point_columns", recorded)
+    yield built
     padic._settle_plan.cache_clear()
 
 
@@ -471,8 +479,8 @@ def test_column_table_holds_only_primes_below_the_cutoff(fresh_root_plans):
     # of them, and, reducible, never meets the S_d criterion, so the scan
     # takes all 25 good primes, from 211 to well past the cutoff.  The even
     # ones (-c a square mod p) count roots below the cutoff and power x^p
-    # above it; only the former leave packed columns behind, one table per
-    # prime at the one slot width its cubics need.
+    # above it; only the former build packed columns, one table per prime
+    # at the one slot width its cubics need.
     from sdtwists.galois import collect_evidence
 
     c = math.prod(primes_up_to(199))
@@ -480,7 +488,9 @@ def test_column_table_holds_only_primes_below_the_cutoff(fresh_root_plans):
     scanned = [p for kind, p, _ in evidence.provenance if kind == "frobenius_cycle_type"]
     assert len(scanned) == 25 and min(scanned) == 211 and max(scanned) > padic.ROOT_PRIME_BOUND
     counted = {p for p in scanned if p < padic.ROOT_PRIME_BOUND and pow(-c, p >> 1, p) == 1}
-    assert counted and set(padic._COLUMNS) == {(p, padic._root_plan(p, 4).width) for p in counted}
+    assert counted and fresh_root_plans == {
+        (p, padic._root_plan(p, 4).width, 4, False) for p in counted
+    }
 
 
 def packed_slots(values, width):
@@ -522,8 +532,7 @@ def test_root_count_matches_direct_evaluation(fresh_root_plans):
     assert plan.values([p - 1] * (n + 1)) == packed_slots(direct, 64)
     assert plan.roots([p - 1] * (n + 1)) == direct.count(0)
     # columns past p - 1 repeat, and share their objects
-    columns = padic._COLUMNS[p, 64]
-    assert len(columns) == n + 1 and len({id(c) for c in columns}) == p
+    assert len(plan.columns) == n + 1 and len({id(c) for c in plan.columns}) == p
 
 
 def test_root_count_is_exact_at_every_prime_below_the_cutoff():
@@ -859,6 +868,23 @@ def test_pair_count_matches_the_exhaustive_oracle_below_the_cutoff():
                     assert oracles.modp_factor_degrees(f, p).count(2) == want, (f, p)
                     factored += 1
     assert factored > 60
+
+
+def test_pair_columns_repeat_past_the_unit_group_order():
+    # Every pair point z has z^(p^2 - 1) = 1, so the columns of both
+    # coordinates past p^2 - 1 are the earlier ones, shared, and the pair
+    # count stays exact on polynomials long enough to read them.
+    rng = random.Random(107)
+    for p in (2, 3, 5):
+        order = p * p - 1
+        count = 2 * order + 3
+        plan = padic._root_plan(p, count, True)
+        for columns in (plan.columns, plan._second_columns):
+            assert len(columns) == count
+            assert all(columns[i] is columns[i - order] for i in range(order + 1, count))
+        for _ in range(4):
+            f = [rng.randrange(p) for _ in range(count - 1)] + [rng.randrange(1, p)]
+            assert plan.roots(f) == oracles.modp2_pair_count(f, p), (f, p)
 
 
 def test_cycle_types_match_the_oracle_around_the_pair_cutoff():
