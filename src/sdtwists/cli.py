@@ -259,7 +259,8 @@ def _run_exponents(cfg: RunConfig) -> dict:
     records = []
     for d in range(cfg.d_min, cfg.d_max + 1):
         row: dict[str, Any] = {"degree": d}
-        for mode, least in counting.C_MIN_DEGREE.items():  # c_general for theorem_general
+        # columns in the order of C_MIN_DEGREE, c_general for theorem_general
+        for mode, least in counting.C_MIN_DEGREE.items():
             row["c_" + mode.removeprefix("theorem_")] = (
                 str(counting.c_exponent(d, mode)) if d >= least else None
             )

@@ -66,7 +66,10 @@ WORKERS_ENV = "SDTWISTS_WORKERS"
 EXHAUSTIVE_LIMIT = 1_000_000
 
 # The least degree of each counting exponent c_d (``c_exponent``), by mode,
-# and of the coefficient box (``ev_boxes``, ``ev_exponent``).
+# and of the coefficient box (``ev_boxes``, ``ev_exponent``).  The order of
+# the modes is the column order of the exponents report, which names the
+# column of mode m c_m, with the prefix "theorem_" dropped: c_general,
+# c_small_degree, c_large_degree, c_field_improvement, c_conditional.
 C_MIN_DEGREE = {
     "theorem_general": 2,
     "small_degree": 3,

@@ -380,17 +380,19 @@ _ROOT_SLOT_BITS = 64
 @lru_cache(maxsize=None)
 def _point_columns(
     p: int, width: int, count: int, pairs: bool
-) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
-    """The first ``count`` packed columns of both coordinates of z^i, with
-    ``width``-bit slots, for z over the points of a ``_RootPlan``: F_p, or,
-    with ``pairs``, one point of each conjugate pair of F_(p^2) outside
-    F_p, z = a + b*w with w^2 = nu, a non-residue mod p, and b = 1, ...,
-    (p - 1)/2 at odd p (the conjugate of a + b*w is a - b*w), the single
-    point w with w^2 = w + 1 at p = 2.  On F_p slot a of column i holds
-    a^i mod p, and the second coordinates, all 0, are None.  Past the order
-    of the unit group (p - 1, or p^2 - 1 for pairs), column i is column
-    i - order, since z^order = 1 for z != 0 and 0^i = 0 for i >= 1, and
-    shares its object."""
+) -> tuple[int, tuple[int, ...], Optional[tuple[int, ...]]]:
+    """The number of points of a ``_RootPlan`` and the first ``count``
+    packed columns of both coordinates of z^i, with ``width``-bit slots, for
+    z over them: F_p, or, with ``pairs``, one point of each conjugate pair
+    of F_(p^2) outside F_p, z = a + b*w with w^2 = nu, a non-residue mod p,
+    and b = 1, ..., (p - 1)/2 at odd p (the conjugate of a + b*w is
+    a - b*w), the single point w with w^2 = w + 1 at p = 2.  On F_p slot a
+    of column i holds a^i mod p, and the second coordinates, all 0, are
+    None and not built.  Past the order of the unit group (p - 1, or
+    p^2 - 1 for pairs), column i is column i - order, since z^order = 1 for
+    z != 0 and 0^i = 0 for i >= 1, and shares its object.  The table is
+    cached per ``count``, so each count rebuilds the columns below it; past
+    the order that is only a copy of references."""
     t = nu = 0
     if not pairs:
         order, points = p - 1, [(a, 0) for a in range(p)]
@@ -400,20 +402,26 @@ def _point_columns(
         order, nu = p * p - 1, next(a for a in range(2, p) if pow(a, p >> 1, p) == p - 1)
         points = [(a, b) for b in range(1, p // 2 + 1) for a in range(p)]
     size = width // 8
+
+    def packed(coordinates) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in coordinates), "little")
+
     powers = [(1, 0)] * len(points)  # z^i, as (x, y) for x + y*w
     xs, ys = [], []
     for i in range(count):
         if i > order:
             xs.append(xs[i - order])
-            ys.append(ys[i - order])
+            if pairs:
+                ys.append(ys[i - order])
             continue
-        xs.append(int.from_bytes(b"".join(x.to_bytes(size, "little") for x, _ in powers), "little"))
-        ys.append(int.from_bytes(b"".join(y.to_bytes(size, "little") for _, y in powers), "little"))
+        xs.append(packed(x for x, _ in powers))
+        if pairs:
+            ys.append(packed(y for _, y in powers))
         powers = [  # (x + y*w)(a + b*w), w^2 = nu + t*w
             ((x * a + y * b * nu) % p, (x * b + y * a + y * b * t) % p)
             for (x, y), (a, b) in zip(powers, points)
         ]
-    return tuple(xs), tuple(ys) if pairs else None
+    return len(points), tuple(xs), tuple(ys) if pairs else None
 
 
 class _RootPlan:
@@ -431,8 +439,7 @@ class _RootPlan:
 
     def __init__(self, p: int, width: int, shift: int, magic: int, count: int, pairs: bool = False):
         self.p, self.width, self._shift, self._magic = p, width, shift, magic
-        self.size = max(p * (p - 1) // 2, 1) if pairs else p
-        self.columns, self._second_columns = _point_columns(p, width, count, pairs)
+        self.size, self.columns, self._second_columns = _point_columns(p, width, count, pairs)
         self._quotient_mask = _repeat((1 << (width - shift)) - 1, width, self.size)
         top = 1 << width - 1
         self._offset, self._tops = _repeat(top - 1, width, self.size), _repeat(top, width, self.size)

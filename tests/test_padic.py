@@ -488,9 +488,10 @@ def test_column_table_holds_only_primes_below_the_cutoff(fresh_root_plans):
     scanned = [p for kind, p, _ in evidence.provenance if kind == "frobenius_cycle_type"]
     assert len(scanned) == 25 and min(scanned) == 211 and max(scanned) > padic.ROOT_PRIME_BOUND
     counted = {p for p in scanned if p < padic.ROOT_PRIME_BOUND and pow(-c, p >> 1, p) == 1}
-    assert counted and fresh_root_plans == {
-        (p, padic._root_plan(p, 4).width, 4, False) for p in counted
-    }
+    # copied before the expected keys are built: _root_plan records as well
+    built = set(fresh_root_plans)
+    expected = {(p, padic._root_plan(p, 4).width, 4, False) for p in counted}
+    assert counted and built == expected
 
 
 def packed_slots(values, width):
