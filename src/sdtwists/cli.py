@@ -97,7 +97,8 @@ class RunConfig:
         None, None, _int_tuple, flag="--curve",
         help="curve coefficients a,b of y^2 = x^3 + a x + b (file keys [curve] a, b)")
     degree: Optional[int] = _option(None, "run.degree", help="field degree d")
-    d_min: int = _option(3, "run.d_min", minimum=1, help="first degree of the exponents table")
+    d_min: int = _option(
+        counting.ALPHA_MIN_DEGREE, "run.d_min", minimum=1, help="first degree of the exponents table")
     d_max: int = _option(12, "run.d_max", minimum=1, help="last degree of the exponents table")
     box: Optional[int] = _option(None, "sweep.box", minimum=1, help="box bound U of the sweep or density")
     scale: Optional[Fraction] = _option(None, "ev.scale", Fraction, help="coefficient scale Y (rational)")
@@ -151,8 +152,8 @@ class RunConfig:
             min_degree = counting.BOX_MIN_DEGREE if self.mode == "ev" else 3
             if self.degree < min_degree:
                 raise UsageError(f"degree: must be at least {min_degree} for mode {self.mode}")
-        if self.mode == "exponents" and not 3 <= self.d_min <= self.d_max:
-            raise UsageError("d_min/d_max: need 3 <= d_min <= d_max")
+        if self.mode == "exponents" and not counting.ALPHA_MIN_DEGREE <= self.d_min <= self.d_max:
+            raise UsageError(f"d_min/d_max: need {counting.ALPHA_MIN_DEGREE} <= d_min <= d_max")
         if self.mode == "sweep" and self.box is None:
             raise UsageError("box: sweep box required")
         if self.mode == "ev" and (self.scale is None or self.scale < 1):
@@ -220,6 +221,11 @@ def _poly_str(p: Poly) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _model_primes(model) -> dict:
+    """The model's primes p1..p3 under the report keys model_p1..model_p3."""
+    return {"model_p1": model.p1, "model_p2": model.p2, "model_p3": model.p3}
+
+
 def _candidate_record(cand: counting.FieldCandidate, model, budgets) -> dict:
     ev = cand.certificate.evidence
     return {
@@ -241,9 +247,7 @@ def _candidate_record(cand: counting.FieldCandidate, model, budgets) -> dict:
         "point_verified": cand.point_verified,
         "residue_u": cand.residue_class[0] if cand.residue_class else None,
         "residue_v": cand.residue_class[1] if cand.residue_class else None,
-        "model_p1": model.p1,
-        "model_p2": model.p2,
-        "model_p3": model.p3,
+        **_model_primes(model),
         "prime_budget": budgets.prime_budget,
         "trial_bound": budgets.trial_bound,
         "kernel_bound": budgets.kernel_bound,
@@ -371,9 +375,7 @@ def _run_ev(cfg: RunConfig) -> dict:
                 "identity_ok": inst.identity_holds(model.f),
                 "certified": inst.certificate.certified if inst.certificate else None,
                 "cert_route": inst.certificate.route if inst.certificate else None,
-                "model_p1": model.p1,
-                "model_p2": model.p2,
-                "model_p3": model.p3,
+                **_model_primes(model),
             }
         )
     return {"records": records}

@@ -22,8 +22,8 @@ the denominator of f: it is bounded, certified on the primitive part of m*H
 in integer arithmetic, and the rational H is derived only when read.  Its
 box volume exponent, the counting exponents c_d and the field-count bound
 alpha(d) live here too, all as exact rationals.  The least degree of each
-is declared once (``C_MIN_DEGREE``, ``BOX_MIN_DEGREE``), for the functions
-and for the reports that tabulate them.
+is declared once (``C_MIN_DEGREE``, ``BOX_MIN_DEGREE``, ``ALPHA_MIN_DEGREE``),
+for the functions and for the reports that tabulate them.
 
 The coefficient box and the density box of ``greaves_density`` are walked
 by one ``_box_walk``: every point of a box of at most ``EXHAUSTIVE_LIMIT``
@@ -48,6 +48,8 @@ from .galois import SdCertificate
 from .polyarith import (
     IntPoly,
     Poly,
+    _discriminant,
+    _primitive_int,
     binary_form_value,
     clear_denominators,
     squarefree_decompose,
@@ -66,7 +68,9 @@ WORKERS_ENV = "SDTWISTS_WORKERS"
 EXHAUSTIVE_LIMIT = 1_000_000
 
 # The least degree of each counting exponent c_d (``c_exponent``), by mode,
-# and of the coefficient box (``ev_boxes``, ``ev_exponent``).  The order of
+# of the coefficient box (``ev_boxes``, ``ev_exponent``) and of the
+# field-count bound (``schmidt_ev_alpha``), which every row of the exponents
+# report carries.  The order of
 # the modes is the column order of the exponents report, which names the
 # column of mode m c_m, with the prefix "theorem_" dropped: c_general,
 # c_small_degree, c_large_degree, c_field_improvement, c_conditional.
@@ -78,6 +82,7 @@ C_MIN_DEGREE = {
     "conditional": 2,
 }
 BOX_MIN_DEGREE = 4
+ALPHA_MIN_DEGREE = 3
 
 ALPHA_R_MAX = 6
 
@@ -682,6 +687,18 @@ def _ev_limits(model: WeierstrassModel, d: int, y: Fraction) -> tuple[Fraction, 
     return c_bound, tuple(math.floor(m * c_bound * y**k) for k in range(d + 1))
 
 
+def _add_square(out: list, cs: Sequence[int], k: int) -> list:
+    """out plus k * (the polynomial cs)^2, coefficient lists constant first,
+    accumulated in out, which must be long enough."""
+    for i, x in enumerate(cs):
+        if x:
+            out[2 * i] += k * x * x
+            x2 = 2 * k * x
+            for j in range(i + 1, len(cs)):
+                out[i + j] += x2 * cs[j]
+    return out
+
+
 def _ev_instance(
     model: WeierstrassModel,
     d: int,
@@ -694,27 +711,37 @@ def _ev_instance(
     """``ev_instance`` with the bounds of ``_ev_limits``, certified as
     ``ev_generate`` does when ``config`` asks for it.
 
-    H is built as m*H = m*F^2 - (m*f)*G^2 over Z, with m the denominator of
-    f cleared once per model, and bounded in integers.
+    m*H = m*F^2 - (m*f)*G^2, m the denominator of f cleared once per model,
+    is accumulated in one integer list from the coefficient lists of F, G
+    and m*f, with no intermediate polynomial, and bounded on that list.  An instance of full degree d is certified on
+    the primitive part of m*H, with positive lead, and its discriminant.
     """
     f_int, m = model.f_cleared
     if d % 2 == 0:
         # F monic of degree d/2; a[k-1] multiplies x^(d/2 - k)
-        F = IntPoly([*reversed(a), 1])
-        G = IntPoly(list(reversed(b)))  # degrees d/2-2 .. 0
+        F = [*reversed(a), 1]
+        G = list(reversed(b))  # degrees d/2-2 .. 0
     else:
-        F = IntPoly(list(reversed(a)))  # a0 x^((d-1)/2) + ...
-        G = IntPoly([*reversed(b), 1])
-    mH = (F * F).scale(m) - f_int * G * G
+        F = list(reversed(a))  # a0 x^((d-1)/2) + ...
+        G = [*reversed(b), 1]
+    # m*F^2 and f*G^2 both have degree <= d, whichever of them leads
+    mh = _add_square([0] * (d + 1), F, m)
+    for i, x in enumerate(_add_square([0] * max(2 * len(G) - 1, 0), G, 1)):
+        if x:
+            for j, c in enumerate(f_int.coeffs):
+                mh[i + j] -= c * x
     c_bound, bounds = limits
-    ok = mH.degree == d and all(abs(mH.coeff(d - k)) <= bounds[k] for k in range(d + 1))
+    full = mh[d] != 0
+    ok = full and all(abs(mh[d - k]) <= bounds[k] for k in range(d + 1))
     certificate = None
-    if config is not None and config.certify and mH.degree == d:
+    if config is not None and config.certify and full:
+        g = IntPoly._of(_primitive_int(mh)[0])
         ev = galois._evidence(
-            *galois._normalized(mH), config.prime_budget,
+            g, _discriminant(g), config.prime_budget,
             polygon_primes=(), trial_bound=config.trial_bound,
         )
         certificate = galois.certify_sd(ev)
+    F, G, mH = IntPoly._of(F), IntPoly._of(G), IntPoly._of(mh)
     return EVInstance(d, y, F, G, mH, m, c_bound, ok, certificate)
 
 
@@ -726,10 +753,9 @@ def ev_generate(
     points, else that many draws seeded by ``config.seed``.
 
     With ``config.certify``, an instance of full degree d is certified on
-    m*H, as the instance was built over Z, through ``galois._normalized``:
-    the primitive part with positive lead and its integer discriminant are
-    the ones ``galois.collect_evidence(H, d, ...)`` derives from H, without
-    the rational arithmetic.
+    the primitive part of m*H with positive lead and its integer
+    discriminant, the ones ``galois.collect_evidence(H, d, ...)`` derives
+    from H, without the rational arithmetic.
     """
     y = Fraction(y)
     a_bounds, b_bounds = ev_boxes(d, y)
@@ -834,8 +860,8 @@ def schmidt_ev_alpha(d: int) -> AlphaBound:
     k per r matters.  The r = 2 entry is reported separately together with
     whether it reaches d/4 - 3/4 + 1/(2d).
     """
-    if d < 3:
-        raise ValueError("d >= 3 required")
+    if d < ALPHA_MIN_DEGREE:
+        raise ValueError(f"d >= {ALPHA_MIN_DEGREE} required")
     schmidt = Fraction(d + 2, 4)
     best = None
     best_witness = None

@@ -559,4 +559,4 @@ def verify_new_point(p_spec: Poly, family: TwistFamily, u: int, v: int) -> bool:
     Fi, Gi = IntPoly(num.values(u, v)), IntPoly(den.values(u, v))
     fi, m = family.model.f_cleared
     diff = (Fi * Fi).scale(m * b * b) - fi * (Gi * Gi).scale(a * a)
-    return not _pseudo_rem(diff, clear_denominators(p_spec)[0])
+    return not _pseudo_rem(diff.coeffs, clear_denominators(p_spec)[0].coeffs)

@@ -50,11 +50,12 @@ may be the degree lattice where a longer scan would also have met an
 irreducible reduction.
 
 The scan walks a cached plan, a tuple of the first primes
-(``_scan_primes``).  At each good prime ``padic.frobenius_parity`` reads
-the parity of Frobenius off disc (Stickelberger's theorem: odd exactly when
-disc is a non-square mod p, or disc == 5 mod 8 at p = 2).  Every caller,
-sweeps, ``ev``, ``certify`` and ``collect_evidence`` alike, then gets the
-cycle type of each good prime from one function,
+(``_scan_primes``).  Each prime takes one remainder of disc, disc mod p or
+disc mod 8 at p = 2, and at a good prime ``padic.frobenius_parity`` reads
+the parity of Frobenius off that residue (Stickelberger's theorem: odd
+exactly when disc is a non-square mod p, or disc == 5 mod 8 at p = 2).
+Every caller, sweeps, ``ev``, ``certify`` and ``collect_evidence`` alike,
+then gets the cycle type of each good prime from one function,
 ``padic.good_prime_cycle_type``, so the scan has one path and keeps nothing
 between polynomials.  That factorization stops as soon as the parity and
 the factor degrees found so far leave one pattern; ``padic`` sets out how
@@ -89,12 +90,13 @@ polynomial only as an ``IntPoly``, primitive with positive lead, and that
 discriminant as an int.  The public entry points accept any ``Poly`` and
 normalize in integers through one ``_normalized``: it clears the
 denominators of the polynomial once, takes the primitive part with positive
-lead and computes its discriminant by the integer subresultant;
-``counting.ev_generate`` passes its m*H through it too.  A sweep's
-specializations are in that form already, and a sweep, which has computed
-the discriminant and its factorization for the report, hands all three to
-the private helpers, so the value a certificate rests on is always the
-discriminant of exactly the polynomial the scan reads.
+lead and computes its discriminant by the integer subresultant.  A
+sweep's specializations are in that form already, and a sweep, which has
+computed the discriminant and its factorization for the report, hands all
+three to the private helpers; ``counting.ev_generate`` takes the primitive
+part of its integer m*H and hands it over with its discriminant.  So the
+value a certificate rests on is always the discriminant of exactly the
+polynomial the scan reads.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ def _good_prime_scan(g: IntPoly, disc: int, budget: int) -> Iterator[tuple[int, 
     nor disc(g): the reduction then keeps its degree and has discriminant
     disc(g) mod p != 0, so it is squarefree.  Bad primes are skipped without
     consuming budget, up to a hard cap; when disc(g) = 0 every prime is bad.
-    The primes come from the cached plan ``_scan_primes``.  Each good prime
-    gets the parity of Frobenius from ``padic.frobenius_parity`` and its
+    The primes come from the cached plan ``_scan_primes``.  The residue of
+    disc the test takes (mod 8 at p = 2) gives each good prime the parity
+    of Frobenius through ``padic.frobenius_parity``, and the prime gets its
     cycle type from ``padic.good_prime_cycle_type``, the distinct-degree
     factorization of g mod p.  A caller whose facts hold leaves its loop;
     every later prime could only add to them, and none is factored.
@@ -189,8 +192,9 @@ def _good_prime_scan(g: IntPoly, disc: int, budget: int) -> Iterator[tuple[int, 
         return
     coeffs, lead = g.coeffs, g.lead
     for p in _scan_primes(max(_SCAN_CAP_MIN, _SCAN_CAP_FACTOR * budget)):
-        if disc % p and lead % p:
-            yield p, padic.good_prime_cycle_type(coeffs, p, padic.frobenius_parity(disc, p))
+        residue = disc % (8 if p == 2 else p)  # serves the test and the parity
+        if residue % p and lead % p:
+            yield p, padic.good_prime_cycle_type(coeffs, p, padic.frobenius_parity(residue, p))
             budget -= 1
             if not budget:
                 return

@@ -600,7 +600,8 @@ def frobenius_parity(disc: int, p: int) -> int:
     finite fields", Pacific J. Math. 12, 1962): for an integral polynomial
     with p dividing neither its leading coefficient nor disc, the parity is
     odd exactly when disc is not a square mod p for odd p, and exactly when
-    disc == 5 mod 8 for p = 2.
+    disc == 5 mod 8 for p = 2.  So disc may be given by its residue mod p,
+    or mod 8 at p = 2.
     """
     if p == 2:
         return int(disc % 8 == 5)

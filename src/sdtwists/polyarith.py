@@ -11,10 +11,10 @@ are called on.
 Resultants run by fraction-free subresultant elimination (W. S. Brown, ACM
 TOMS 4, 1978), written once with ordinary ring operators plus the exact
 coefficient division the ring names (``_exact_div``), so it runs unchanged
-over Z and over Z[t].  Its pseudo-remainder makes one pass over a plain
-coefficient list per reduction step, in either ring, and builds one
-polynomial per call.  ``resultant`` and ``discriminant`` of rational
-polynomials clear the denominators once and eliminate over Z;
+over Z and over Z[t].  The whole chain, its pseudo-remainder included, runs
+on plain coefficient lists in either ring and builds no polynomial between
+steps.  ``resultant`` and ``discriminant`` of rational polynomials clear
+the denominators once and eliminate over Z;
 ``discriminant_in_t`` clears once (``clear_bivar``) and eliminates over Z[t],
 which is how discriminants of the twist families are obtained as exact
 polynomials in t.  Naive Sylvester determinants exist only in the test suite
@@ -351,73 +351,72 @@ class IntBivarPoly(Poly):
 # ---------------------------------------------------------------------------
 
 
-def _pseudo_rem(a, b):
-    """Pseudo-remainder: lead(b)**max(deg a - deg b + 1, 0) * a reduced mod b.
+def _pseudo_rem(a: Sequence, b: Sequence) -> list:
+    """Pseudo-remainder of coefficient lists (constant first, trimmed, b
+    nonempty): lead(b)**max(deg a - deg b + 1, 0) * a reduced mod b, as a
+    trimmed list in the coefficients' ring.
 
-    The running remainder is a plain list of coefficients, constant first.
-    Each step pops its leading coefficient c, multiplies the rest by lead(b)
-    and subtracts c * b shifted into place, then trims; the polynomial is
-    built once, at the end.  A dividend of lower degree than b comes back
-    unchanged.
+    Each step drops the leading coefficient c of the running remainder and
+    takes lead(b) times the rest minus c * b shifted into place, in one pass
+    over the list, then trims.  A dividend of lower degree than b comes
+    back as a copy.
     """
-    db = b.degree
-    if a.degree < db:
-        return a
-    lb = b.lead
-    low = [(j, c) for j, c in enumerate(b.coeffs[:-1]) if c]  # b below its lead
-    r = list(a.coeffs)
-    e = a.degree - db + 1
+    db = len(b) - 1
+    r = list(a)
+    e = len(r) - db  # deg a - deg b + 1
+    lb = b[-1]
     while len(r) > db:
         e -= 1
         c = r.pop()
-        r = [lb * x for x in r]
         k = len(r) - db  # c * b is shifted by x^k
-        for j, bj in low:
-            r[k + j] -= c * bj
+        r = [lb * x for x in r[:k]] + [lb * x - c * y for x, y in zip(r[k:], b)]
         while r and not r[-1]:
             r.pop()
     if e > 0:
         f = lb**e
         r = [f * x for x in r]
-    return a._of(r) if type(b) is type(a) else type(a)(r)
+    return r
 
 
 def _resultant_core(a, b):
     """Resultant of two nonzero polynomials via the subresultant sequence.
 
     Works over either coefficient ring, Z (``IntPoly``) or Z[t]
-    (``IntBivarPoly``); intermediate divisions (the ring's ``_exact_div``)
-    are exact by the subresultant theory.
+    (``IntBivarPoly``); the whole chain runs on the coefficient lists, and
+    its intermediate divisions (the ring's ``_exact_div``) are exact by the
+    subresultant theory.
     """
     div = a._exact_div
+    one, zero = a._coerce(1), a._zero
+    a, b = a.coeffs, b.coeffs
     sign = 1
-    if a.degree < b.degree:
-        if (a.degree & 1) and (b.degree & 1):
+    if len(a) < len(b):
+        if not len(a) & 1 and not len(b) & 1:  # both degrees odd
             sign = -sign
         a, b = b, a
-    if b.degree == 0:
-        res = b.lead**a.degree
+    if len(b) == 1:
+        res = b[0] ** (len(a) - 1)
         return -res if sign < 0 else res
-    g = h = a._coerce(1)
+    g = h = one
     while True:
-        delta = a.degree - b.degree
-        if (a.degree & 1) and (b.degree & 1):
+        delta = len(a) - len(b)
+        if not len(a) & 1 and not len(b) & 1:
             sign = -sign
         rem = _pseudo_rem(a, b)
         a = b
         divisor = g * h**delta
-        b = rem._of([div(c, divisor) for c in rem.coeffs])
-        g = a.lead
+        b = rem if divisor == one else [div(c, divisor) for c in rem]
+        g = a[-1]
         if delta == 1:
             h = g
         elif delta > 1:
             h = div(g**delta, h ** (delta - 1))
         if not b:
-            return a._zero  # shared factor: resultant vanishes
-        if b.degree == 0:
+            return zero  # shared factor: resultant vanishes
+        if len(b) == 1:
             break
-    da = a.degree
-    res = div(b.lead**da, h ** (da - 1))
+    da = len(a) - 1
+    res = div(b[0] ** da, h ** (da - 1))
     return -res if sign < 0 else res
 
 

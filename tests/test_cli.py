@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import sdtwists.cli as cli
+from sdtwists import counting
 from sdtwists.cli import RunConfig, UsageError, emit, main, parse, run
 from sdtwists.primes import PROOF_BOUND
 
@@ -19,6 +20,19 @@ def test_exponents_table():
     assert rows[8]["c_general"] == "1/6"
     assert rows[9]["c_general"] == "209/1296"
     assert rows[6]["ev_box_exponent"] == "8"
+
+
+def test_exponents_least_degree_is_the_alpha_bounds():
+    # The table starts, by default and at the least, at the least degree of
+    # counting.schmidt_ev_alpha, which every row carries.
+    least = counting.ALPHA_MIN_DEGREE
+    counting.schmidt_ev_alpha(least)
+    with pytest.raises(ValueError):
+        counting.schmidt_ev_alpha(least - 1)
+    assert RunConfig(mode="exponents").d_min == least
+    RunConfig(mode="exponents", d_min=least, d_max=least).validate()
+    with pytest.raises(UsageError, match=f"need {least} <= d_min"):
+        RunConfig(mode="exponents", d_min=least - 1, d_max=least).validate()
 
 
 def test_certify_mode_matches_module_example():

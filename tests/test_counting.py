@@ -746,6 +746,42 @@ def test_ev_instance_is_kept_over_the_integers():
         assert not inst.G or not inst.identity_holds(model.f + Poly([1]))
 
 
+@pytest.mark.parametrize("d", range(4, 10))
+def test_ev_instance_mh_matches_the_ring_operations(d):
+    # m*H, accumulated on integer lists, is (F*F).scale(m) - f_int*(G*G) in
+    # the IntPoly ring, and its bounds are read as on that polynomial, at
+    # random box points and where the other square leads or vanishes: for
+    # odd d, a0 = 0, so f*G^2 outranks F^2 by two degrees, and F = 0; for
+    # even d, G = 0.
+    model = build_family((1, 1), d)[0]
+    f_int, m = model.f_cleared
+    y = F(5)
+    c_bound, bounds = limits = counting._ev_limits(model, d, y)
+    a_bounds, b_bounds = ev_boxes(d, y)
+    rng = random.Random(d)
+
+    def draw(box):
+        return [rng.randint(-bound, bound) for bound in box]
+
+    points = [(draw(a_bounds), draw(b_bounds)) for _ in range(40)]
+    if d % 2:
+        points += [([0, *draw(a_bounds[1:])], draw(b_bounds)), ([0] * len(a_bounds), draw(b_bounds))]
+    else:
+        points += [(draw(a_bounds), [0] * len(b_bounds))]
+    for a, b in points:
+        inst = counting._ev_instance(model, d, y, a, b, limits)
+        if d % 2 == 0:
+            Fi, Gi = IntPoly([*reversed(a), 1]), IntPoly(list(reversed(b)))
+        else:
+            Fi, Gi = IntPoly(list(reversed(a))), IntPoly([*reversed(b), 1])
+        mH = (Fi * Fi).scale(m) - f_int * (Gi * Gi)
+        assert (inst.F, inst.G, inst.mH, inst.m, inst.bound_constant) == (Fi, Gi, mH, m, c_bound)
+        assert all(type(p) is IntPoly for p in (inst.F, inst.G, inst.mH))
+        assert inst.bounds_ok == (
+            mH.degree == d and all(abs(mH.coeff(d - k)) <= bounds[k] for k in range(d + 1))
+        )
+
+
 def test_ev_generate_exhaustive_all_pass_identity():
     model, _, _ = build_family((1, 1), 6)
     seen = list(ev_generate(model, 6, 1, EvConfig(max_instances=300, certify=False)))

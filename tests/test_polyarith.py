@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sdtwists.family import build_family
 from sdtwists.polyarith import (
     _discriminant,
     _exact_div,
     _pseudo_rem,
+    _resultant_core,
     BivarPoly,
     IntBivarPoly,
     IntPoly,
@@ -287,14 +288,60 @@ def oracle_discriminant(f):
     return -disc if (n * (n - 1) // 2) % 2 else disc
 
 
+def _ints_times(*factors):
+    out = Poly([1])
+    for c in factors:
+        out = out * Poly(c)
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_polys(1), rational_polys(0))
+# Abnormal remainder sequences: degree gaps of 2 (6, 4, 2, ...), sextics
+# with a zero x^5 coefficient as in the EV box, and shared factors, where
+# the resultant (or the discriminant) vanishes.
+@example(Poly([1, 1, 0, 0, 0, 0, 1]), Poly([1, 0, 0, 0, 1]))
+@example(Poly([3, -7, 0, 11, 2, 0, 9]), Poly([5, 0, 0, 1]))
+@example(Poly([1, 0, 0, 1, 0, 0, 1]), Poly([F(1, 3), 0, 0, 0, 0, 2]))
+@example(_ints_times([1, 0, 1], [5, 2, 0, 1]), _ints_times([1, 0, 1], [-3, 1]))
+@example(_ints_times([-1, 1], [-1, 1], [2, 0, 0, 1]), Poly([7, 0, 0, 0, -4]))
 def test_z_eliminations_match_sylvester_oracle(f, g):
     # resultant and discriminant clear denominators once and eliminate over
     # Z; the Fraction-exact Sylvester determinant is the reference.
     assert resultant(f, g) == oracles.sylvester_resultant(f, g)
     assert resultant(g, f) == oracles.sylvester_resultant(g, f)
     assert discriminant(f) == oracle_discriminant(f)
+
+
+def _zt(*xcoeffs):
+    # Z[t] polynomial in x from its x-coefficients, each an int or a list of
+    # t-coefficients (constant first).
+    return IntBivarPoly(IntPoly(c if isinstance(c, list) else [c]) for c in xcoeffs)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # degree gaps of 2: 6, 4, 2, ...
+        (_zt([1, 0, 1], [0, 1], 0, 0, 0, 0, 1), _zt([0, 1], 0, 0, 0, 1)),
+        # a zero x^5 coefficient, as in the EV sextics
+        (_zt([3, 1], -7, [0, 0, 1], 11, [2, -1], 0, 9), _zt(5, [0, 2], 0, 1)),
+        # a shared factor x^2 + t: the resultant vanishes
+        (_zt([0, 1], 0, 1) * _zt([0, 1], 1, 0, 1), _zt([0, 1], 0, 1) * _zt([0, -1], 1)),
+        # a square factor (x - t)^2: the discriminant vanishes
+        (_zt([0, -1], 1) * _zt([0, -1], 1) * _zt([1, 1], 0, 0, 1), _zt([0, 1], 0, 0, 2)),
+    ],
+    ids=["gap-2", "zero-x5", "shared-factor", "square-factor"],
+)
+def test_zt_eliminations_match_sylvester_oracle(a, b):
+    # The subresultant core over Z[t] on abnormal remainder sequences: both x
+    # leads are constants, so resultant and discriminant commute with t = t0.
+    res_t, disc_t = _resultant_core(a, b), _discriminant(a)
+    assert type(res_t) is IntPoly and type(disc_t) is IntPoly
+    for t0 in range(-3, 4):
+        fa, fb = (Poly([c(t0) for c in p.coeffs]) for p in (a, b))
+        assert res_t(t0) == oracles.sylvester_resultant(fa, fb)
+        assert disc_t(t0) == oracle_discriminant(fa)
 
 
 def test_pseudo_rem_over_z_matches_scaled_division():
@@ -315,12 +362,12 @@ def test_pseudo_rem_over_z_matches_scaled_division():
             a = b * int_poly(gap, -3, 3) if gap >= 0 else int_poly(b.degree + gap)
         else:
             a = int_poly(b.degree + gap)
-        r = _pseudo_rem(a, b)
+        r = _pseudo_rem(a.coeffs, b.coeffs)
         e = max(a.degree - b.degree + 1, 0)
-        assert type(r) is IntPoly
-        assert Poly(r.coeffs) == Poly(a.coeffs).scale(b.lead**e) % Poly(b.coeffs)
+        assert all(type(c) is int for c in r) and (not r or r[-1])
+        assert Poly(r) == Poly(a.coeffs).scale(b.lead**e) % Poly(b.coeffs)
         if gap < 0:
-            assert r == a
+            assert r == list(a.coeffs)
         elif case % 25 == 24:
             assert not r
 
