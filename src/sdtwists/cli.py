@@ -149,7 +149,7 @@ class RunConfig:
                 raise UsageError(f"curve: required for mode {self.mode}")
             if self.degree is None:
                 raise UsageError(f"degree: required for mode {self.mode}")
-            min_degree = counting.BOX_MIN_DEGREE if self.mode == "ev" else 3
+            min_degree = counting.BOX_MIN_DEGREE if self.mode == "ev" else family.MIN_DEGREE
             if self.degree < min_degree:
                 raise UsageError(f"degree: must be at least {min_degree} for mode {self.mode}")
         if self.mode == "exponents" and not counting.ALPHA_MIN_DEGREE <= self.d_min <= self.d_max:

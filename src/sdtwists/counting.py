@@ -6,8 +6,11 @@ the polynomial discriminant to its signed squarefree kernel.  A sweep runs
 on the family itself: every candidate reads its specialization and
 discriminant off the family's integer forms (``TwistFamily.specialization``
 and ``TwistFamily.discriminant_at``) and certifies the specialization by the
-same good-prime scan as any other polynomial, so candidates share no state.
-The point holds at every specialization of degree >= 1 by the family
+same good-prime scan as any other polynomial.  Candidates are evaluated in
+blocks, one layer at a time: the specializations and discriminants of a
+block, then one batched small-prime pass over its discriminants
+(``primes.factor_batch``), then the kernel and certificate of each.  The
+point holds at every specialization of degree >= 1 by the family
 identity, which ``sweep`` checks once per family.  Distinct fields are
 distinguished by the kernel (the square class of the discriminant), so
 deduplication groups by it; kernels whose factorization is incomplete at the
@@ -19,7 +22,8 @@ so that each root x0 of H carries the point (x0, F(x0)/G(x0)) of the curve.
 Each instance is built and kept over Z, as the ``IntPoly``s F, G and m*H, m
 the denominator of f: it is bounded, certified on the primitive part of m*H
 (as a sweep certifies its specializations) and checked against its identity
-in integer arithmetic, and the rational H is derived only when read.  Its
+in integer arithmetic, and the rational H is derived only when read.
+``ev_generate`` builds and certifies its draws in blocks too.  Its
 box volume exponent, the counting exponents c_d and the field-count bound
 alpha(d) live here too, all as exact rationals.  The least degree of each
 is declared once (``C_MIN_DEGREE``, ``BOX_MIN_DEGREE``, ``ALPHA_MIN_DEGREE``),
@@ -54,7 +58,7 @@ from .polyarith import (
     clear_denominators,
     squarefree_decompose,
 )
-from .primes import factor_trial, is_square, primes_up_to
+from .primes import factor_batch, factor_trial, is_square, primes_up_to
 
 KERNEL_COMPLETE = "complete"
 KERNEL_PARTIAL = "partial"
@@ -171,26 +175,23 @@ def _candidate(
     v: int,
     budgets: SweepBudgets,
     modulus: Optional[int],
+    p_spec: IntPoly,
+    disc: int,
+    factored: Optional[tuple[dict[int, int], int]],
 ) -> FieldCandidate:
-    # The specialization is an IntPoly, primitive with positive lead: the
-    # normalized form the galois helpers expect with its discriminant.
-    p_spec, lam = family.specialization(u, v)
+    """The record of (u, v) from its staged facts: the specialization
+    ``p_spec``, an ``IntPoly`` primitive with positive lead (the normalized
+    form the galois helpers expect), its discriminant and, when that is
+    nonzero, ``factor_trial(disc, budgets.kernel_bound)``, which the kernel
+    and the witness search share."""
     d = family.d
-    disc = family.discriminant_at(p_spec, lam, u, v) if p_spec.degree >= 1 else 0
     # The family identity F^2 - f*G^2 = +-P, which ``sweep`` has checked,
     # puts the point on the curve modulo every specialization of degree >= 1.
     point_ok = p_spec.degree >= 1
-
-    # One small-prime pass per discriminant: the kernel and the witness
-    # search share this factorization.
-    if disc == 0:
+    if factored is None:
         kernel, flag, cofactor = 0, KERNEL_ZERO, 0
-        factored = None
     else:
-        bound = _checked_bound(budgets.kernel_bound)
-        exponents, rest = factor_trial(disc, bound)
-        factored = (exponents, rest, bound)
-        kernel, flag, cofactor = _kernel_of(disc, exponents, rest)
+        kernel, flag, cofactor = _kernel_of(disc, *factored)
 
     if disc == 0 or p_spec.degree != d:
         evidence = galois.GaloisEvidence(
@@ -209,7 +210,7 @@ def _candidate(
             budgets.prime_budget,
             polygon_primes=budgets.polygon_primes,
             trial_bound=budgets.trial_bound,
-            factored=factored,
+            factored=(*factored, budgets.kernel_bound),
         )
         cert = galois.certify_sd(evidence)
 
@@ -274,9 +275,44 @@ def _worker_count() -> int:
     return workers
 
 
+# A sweep evaluates its distinct pairs in blocks of this many, one layer at
+# a time over the block (``_block``).  On the 183 distinct pairs of a
+# compact cubic sweep at box 12 (CPython 3.11, 2 cores), a block of 64 took
+# 9% less time than a block of 16, 35% less than one pair at a time, and as
+# long as a block of 256 to within 1%.
+_BLOCK = 64
+
+
 def _chunk_worker(args):
     family, budgets, modulus, pairs = args
-    return [_candidate(family, u, v, budgets, modulus) for u, v in pairs]
+    out: list[FieldCandidate] = []
+    for start in range(0, len(pairs), _BLOCK):
+        out += _block(family, budgets, modulus, pairs[start : start + _BLOCK])
+    return out
+
+
+def _block(
+    family: TwistFamily,
+    budgets: SweepBudgets,
+    modulus: Optional[int],
+    pairs: Sequence[tuple[int, int]],
+) -> list[FieldCandidate]:
+    """The records of ``pairs``, one layer at a time: every specialization
+    and its discriminant, then one ``factor_batch`` of the nonzero
+    discriminants to the kernel bound, then ``_candidate`` per pair."""
+    specs = [family.specialization(u, v) for u, v in pairs]
+    discs = [
+        family.discriminant_at(spec, lam, u, v) if spec.degree >= 1 else 0
+        for (spec, lam), (u, v) in zip(specs, pairs)
+    ]
+    nonzero = [disc for disc in discs if disc]
+    factored = iter(
+        factor_batch(nonzero, _checked_bound(budgets.kernel_bound)) if nonzero else ()
+    )
+    return [
+        _candidate(family, u, v, budgets, modulus, spec, disc, next(factored) if disc else None)
+        for (u, v), (spec, _), disc in zip(pairs, specs, discs)
+    ]
 
 
 def sweep(
@@ -300,7 +336,9 @@ def sweep(
     evaluated once: pairs are grouped by t = u/v, or by |t| when P is even
     in t, the first pair of each group is evaluated (in the worker pool when
     there is one), and the other pairs get a copy of its record with their
-    own u, v and residue class.  The evaluations read P's integer forms and
+    own u, v and residue class.  The evaluations run in blocks of
+    ``_BLOCK`` (``_block``), whose discriminants share one batched
+    factorization to the kernel bound.  They read P's integer forms and
     Disc_t off the family, which builds them once and keeps them, and share
     nothing else: each scans its own good primes, so a sweep leaves nothing
     behind on the family or between the workers of its pool.
@@ -706,17 +744,20 @@ def _ev_instance(
     a: Sequence[int],
     b: Sequence[int],
     limits: tuple[Fraction, tuple[int, ...]],
-    config: Optional[EvConfig] = None,
 ) -> EVInstance:
-    """``ev_instance`` with the bounds of ``_ev_limits``, certified as
-    ``ev_generate`` does when ``config`` asks for it.
-
-    m*H = m*F^2 - (m*f)*G^2, m the denominator of f cleared once per model,
-    is accumulated in one integer list from the coefficient lists of F, G
-    and m*f, with no intermediate polynomial, and bounded on that list.  An instance of full degree d is certified on
-    the primitive part of m*H, with positive lead, and its discriminant.
-    """
+    """``ev_instance`` with the bounds of ``_ev_limits``, uncertified."""
     f_int, m = model.f_cleared
+    return _ev_record(d, y, *_ev_coeffs(f_int, m, d, a, b), m, limits, None)
+
+
+def _ev_coeffs(
+    f_int: IntPoly, m: int, d: int, a: Sequence[int], b: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """The coefficient lists of F, G and m*H, constant first, for f = f_int/m.
+
+    m*H = m*F^2 - f_int*G^2 is accumulated in one integer list from the
+    coefficient lists of F, G and f_int, with no intermediate polynomial.
+    """
     if d % 2 == 0:
         # F monic of degree d/2; a[k-1] multiplies x^(d/2 - k)
         F = [*reversed(a), 1]
@@ -730,19 +771,41 @@ def _ev_instance(
         if x:
             for j, c in enumerate(f_int.coeffs):
                 mh[i + j] -= c * x
+    return F, G, mh
+
+
+def _ev_record(
+    d: int,
+    y: Fraction,
+    F: list[int],
+    G: list[int],
+    mh: list[int],
+    m: int,
+    limits: tuple[Fraction, tuple[int, ...]],
+    certificate: Optional[SdCertificate],
+) -> EVInstance:
+    """The instance of ``_ev_coeffs`` lists, bounded on the list of m*H."""
     c_bound, bounds = limits
-    full = mh[d] != 0
-    ok = full and all(abs(mh[d - k]) <= bounds[k] for k in range(d + 1))
-    certificate = None
-    if config is not None and config.certify and full:
-        g = IntPoly._of(_primitive_int(mh)[0])
-        ev = galois._evidence(
-            g, _discriminant(g), config.prime_budget,
-            polygon_primes=(), trial_bound=config.trial_bound,
-        )
-        certificate = galois.certify_sd(ev)
-    F, G, mH = IntPoly._of(F), IntPoly._of(G), IntPoly._of(mh)
-    return EVInstance(d, y, F, G, mH, m, c_bound, ok, certificate)
+    ok = mh[d] != 0 and all(abs(mh[d - k]) <= bounds[k] for k in range(d + 1))
+    return EVInstance(
+        d, y, IntPoly._of(F), IntPoly._of(G), IntPoly._of(mh), m, c_bound, ok, certificate
+    )
+
+
+def _ev_certificates(
+    mhs: Sequence[list[int]], d: int, config: EvConfig
+) -> list[Optional[SdCertificate]]:
+    """The certificate of each m*H list of full degree d, else None, one
+    layer at a time: every primitive part with positive lead, then every
+    discriminant, then the evidence."""
+    prims = [IntPoly._of(_primitive_int(mh)[0]) if mh[d] else None for mh in mhs]
+    discs = [_discriminant(g) if g is not None else 0 for g in prims]
+    return [
+        None if g is None else galois.certify_sd(galois._evidence(
+            g, disc, config.prime_budget, polygon_primes=(), trial_bound=config.trial_bound,
+        ))
+        for g, disc in zip(prims, discs)
+    ]
 
 
 def ev_generate(
@@ -752,7 +815,11 @@ def ev_generate(
     ``config.max_instances`` points of a box of at most ``EXHAUSTIVE_LIMIT``
     points, else that many draws seeded by ``config.seed``.
 
-    With ``config.certify``, an instance of full degree d is certified on
+    The points are taken ``_BLOCK`` at a time, as a sweep takes its pairs,
+    and each block one layer at a time: m*H for every point, then, with
+    ``config.certify``, the certificates (``_ev_certificates``); each
+    instance is then built once, with its certificate, and the block is
+    yielded in draw order.  An instance of full degree d is certified on
     the primitive part of m*H with positive lead and its integer
     discriminant, the ones ``galois.collect_evidence(H, d, ...)`` derives
     from H, without the rational arithmetic.
@@ -760,12 +827,22 @@ def ev_generate(
     y = Fraction(y)
     a_bounds, b_bounds = ev_boxes(d, y)
     limits = _ev_limits(model, d, y)
+    f_int, m = model.f_cleared
+    split = len(a_bounds)
     ranges = [range(-bound, bound + 1) for bound in a_bounds + b_bounds]
     exhaustive = math.prod(map(len, ranges)) <= EXHAUSTIVE_LIMIT
-    walk = _box_walk(ranges, exhaustive, config.max_instances, config.seed)
-    for coords in itertools.islice(walk, config.max_instances):
-        a, b = coords[: len(a_bounds)], coords[len(a_bounds) :]
-        yield _ev_instance(model, d, y, a, b, limits, config)
+    walk = itertools.islice(
+        _box_walk(ranges, exhaustive, config.max_instances, config.seed), config.max_instances
+    )
+    while block := list(itertools.islice(walk, _BLOCK)):
+        built = [_ev_coeffs(f_int, m, d, c[:split], c[split:]) for c in block]
+        certificates = (
+            _ev_certificates([mh for _, _, mh in built], d, config)
+            if config.certify
+            else itertools.repeat(None)
+        )
+        for (F, G, mh), certificate in zip(built, certificates):
+            yield _ev_record(d, y, F, G, mh, m, limits, certificate)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,9 @@ from .polyarith import (
 )
 from .primes import multiplicative_order, primes, valuation_int
 
+# The least degree of a model, of a twist family and so of a sweep.
+MIN_DEGREE = 3
+
 PARITY_CUBIC = "d=3"
 PARITY_EVEN = "even"
 PARITY_ODD = "odd>=5"
@@ -285,8 +288,8 @@ def build_model(
     a, b = curve
     alpha = Fraction(alpha)
     epsilon = Fraction(epsilon)
-    if d < 3:
-        raise ValueError("degree must be at least 3")
+    if d < MIN_DEGREE:
+        raise ValueError(f"degree must be at least {MIN_DEGREE}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if force_cubic_mod is not None:
@@ -387,8 +390,8 @@ def _zero_mod(coeffs: Sequence[int], m: int, n: int) -> bool:
 
 def twist_polynomial(model: WeierstrassModel, d: int) -> TwistFamily:
     """The twist family and its induced point for the given degree."""
-    if d < 3:
-        raise ValueError("degree must be at least 3")
+    if d < MIN_DEGREE:
+        raise ValueError(f"degree must be at least {MIN_DEGREE}")
     f, t = model.f.coeffs, Poly([0, 1])
     if d == 3:
         parity = PARITY_CUBIC

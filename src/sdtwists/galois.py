@@ -78,11 +78,12 @@ product of the primes of the range), the primes with v_p(disc) = 1 are
 those of s / gcd(disc / s, s).
 
 Each polynomial's discriminant is computed once and serves the good-prime
-scan, the square test and one shared small-prime pass: a single
-``primes.factor_trial`` of it gives a sweep candidate both its squarefree
-kernel and the exponents the witness search reads, and when no witness lies
-below the kernel's bound the search takes that one gcd on the cofactor
-only, over the primes from the kernel's bound to the trial bound.  Without
+scan, the square test and one shared small-prime pass: its entry in the
+``primes.factor_batch`` of a sweep block's discriminants gives a sweep
+candidate both its squarefree kernel and the exponents the witness search
+reads, and when no witness lies below the kernel's bound the search takes
+that one gcd on the cofactor only, over the primes from the kernel's bound
+to the trial bound.  Without
 a factorization (``ev``, ``transposition_witness``) it takes one gcd over
 the primes up to ``primes.SMALL_PRIME_BOUND`` and, if that finds none, one
 over the rest of the range.  The private helpers take the

@@ -1,4 +1,11 @@
-"""Small integer number theory: primality, prime iteration, factoring."""
+"""Small integer number theory: primality, prime iteration, factoring.
+
+Trial factorization runs on a batch of numbers (``factor_batch``), which a
+sweep hands one block of discriminants at a time: the primes up to
+SMALL_PRIME_BOUND are found per number, and the primes above it, up to the
+bound, share one reduction of their product per group of cofactors.
+``factor_trial`` is the batch of one.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,7 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 # Deterministic Miller-Rabin witness set: the first 13 primes prove
 # primality for every n below PROOF_BOUND (Sorenson and Webster, "Strong
@@ -15,7 +22,7 @@ from typing import Iterator, Optional
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PROOF_BOUND = 3_317_044_064_679_887_385_961_981
 
-# ``factor_trial`` finds the primes up to this bound that divide n by one
+# ``factor_batch`` finds the primes up to this bound that divide n by one
 # gcd with their product (or, for n below its square, by a walk that stops
 # at p^2 > n), and the primes above it, up to the trial bound, by one gcd
 # with theirs.
@@ -139,27 +146,62 @@ def factor_trial(n: int, bound: int, until_square: bool = False) -> tuple[dict[i
     The exponents hold v_p(n) for every prime p <= bound dividing n, in
     ascending order of p, and the cofactor is what is left of |n|: 1, or a
     number whose prime factors all exceed the bound.  A prime cofactor above
-    the bound is returned as it is, unfactored.
+    the bound is returned as it is, unfactored.  With ``until_square`` the
+    division stops as soon as one prime below SMALL_PRIME_BOUND reaches
+    exponent 2, which settles that n is not squarefree, and returns what it
+    has.  The one-number case of ``factor_batch``, which sets out the method.
+    """
+    return factor_batch((n,), bound, until_square)[0]
 
-    Two stages, each one gcd with a product of primes built once per process
+
+def factor_batch(
+    numbers: Iterable[int], bound: int, until_square: bool = False
+) -> list[tuple[dict[int, int], int]]:
+    """``factor_trial(n, bound, until_square)`` for each n, in input order.
+
+    Two stages, each a gcd with a product of primes built once per process
     and prime range (D. J. Bernstein, "How to find smooth parts of
-    integers", 2004).  The first takes g = gcd(|n|, prod(primes <=
-    SMALL_PRIME_BOUND)), finds the primes of g by a walk that stops at
-    p^2 > g, and divides each out by p, p^2, p^4, ... (``_divide_out``), so
-    that v_p(n) costs O(log v_p(n)) divisions.  Below SMALL_PRIME_BOUND^2,
-    where that gcd costs more than it saves, it divides |n| by the primes
-    one by one instead and stops once p^2 exceeds what is left, which is
-    then 1 or a prime.  If what is left, m, exceeds SMALL_PRIME_BOUND^2, the
-    second takes gcd(m, prod(primes in (SMALL_PRIME_BOUND, bound]) mod m)
-    and finds its primes by the same walk.  With ``until_square`` the first
-    stage returns what it has as soon as one prime's exponent reaches 2,
-    which settles that n is not squarefree.
+    integers", 2004).  The first runs per number (``_small_stage``).  If
+    what it leaves, m, exceeds SMALL_PRIME_BOUND^2, the second takes
+    gcd(m, prod(primes in (SMALL_PRIME_BOUND, bound]) mod m) and finds its
+    primes by a walk that stops at p^2 > g.  That product is the large
+    operand: it is reduced once per group of consecutive cofactors, modulo
+    their product, and each cofactor of the group is then reduced from that
+    residue (``_large_stage``).  Raises ValueError on a zero.
+    """
+    small = min(bound, SMALL_PRIME_BOUND)
+    staged = [_small_stage(n, small, until_square) for n in numbers]
+    square = SMALL_PRIME_BOUND * SMALL_PRIME_BOUND
+    # What is left is 1 or a prime unless it exceeds SMALL_PRIME_BOUND^2: the
+    # walk stops only at p^2 > m, and otherwise m has no prime factor <=
+    # SMALL_PRIME_BOUND.
+    large = [entry for entry in staged if entry[1] > square and not entry[2]]
+    if large and bound > SMALL_PRIME_BOUND:
+        _large_stage(large, bound)
+    out = []
+    for exponents, m, stopped in staged:
+        if not stopped and 1 < m <= bound:
+            exponents[m] = 1
+            m = 1
+        out.append((exponents, m))
+    return out
+
+
+def _small_stage(n: int, small: int, until_square: bool) -> list:
+    """[exponents, m, stopped]: |n| = m * prod(p^e) over the primes p <=
+    ``small`` of the exponents, stopped when ``until_square`` met a square.
+
+    Takes g = gcd(|n|, prod(primes <= small)), finds the primes of g by a
+    walk that stops at p^2 > g, and divides each out by p, p^2, p^4, ...
+    (``_divide_out``), so that v_p(n) costs O(log v_p(n)) divisions.  Below
+    SMALL_PRIME_BOUND^2, where that gcd costs more than it saves, it divides
+    |n| by the primes one by one instead and stops once p^2 exceeds what is
+    left, which is then 1 or a prime.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
     out: dict[int, int] = {}
     m = abs(n)
-    small = min(bound, SMALL_PRIME_BOUND)
     if m < SMALL_PRIME_BOUND * SMALL_PRIME_BOUND:  # the walk stops below SMALL_PRIME_BOUND
         root = math.isqrt(m)
         for p in iter_primes_up_to(small):
@@ -168,24 +210,48 @@ def factor_trial(n: int, bound: int, until_square: bool = False) -> tuple[dict[i
             if m % p == 0:
                 m = _divide_out(m, p, out)
                 if until_square and out[p] > 1:
-                    return out, m
+                    return [out, m, True]
                 root = math.isqrt(m)
     elif small > 1:
         for p in _prime_divisors(math.gcd(m, _prime_product(1, small)), 1, small):
             m = _divide_out(m, p, out)
             if until_square and out[p] > 1:
-                return out, m
-    # What is left is 1 or a prime unless it exceeds SMALL_PRIME_BOUND^2: the
-    # walk stops only at p^2 > m, and otherwise m has no prime factor <=
-    # SMALL_PRIME_BOUND.
-    if bound > SMALL_PRIME_BOUND and m > SMALL_PRIME_BOUND * SMALL_PRIME_BOUND:
-        g = math.gcd(m, _prime_product(SMALL_PRIME_BOUND, bound) % m)
-        for p in _prime_divisors(g, SMALL_PRIME_BOUND, bound):
-            m = _divide_out(m, p, out)
-    if 1 < m <= bound:
-        out[m] = 1
-        m = 1
-    return out, m
+                return [out, m, True]
+    return [out, m, False]
+
+
+# ``_large_stage`` multiplies consecutive cofactors while their product has
+# at most 1/_GROUP_SHARE of the bits of the prime product it reduces.  A
+# flat product, not a remainder tree: CPython divides big integers by
+# schoolbook division, whose cost grows with the product of the operand
+# sizes.  Factoring the distinct discriminants of two sweeps in blocks of
+# 64 (CPython 3.11), per discriminant: a compact cubic at box 50 (median
+# cofactor 27 bits against the 42,237 bits of the primes in (500, 30,000])
+# took 9.6 us at 1/8 against 18.4 us with one division per cofactor, and
+# built d = 5, 6 at box 12 (median 350 bits against 13,593 bits for
+# (500, 10,000]) 30.8 us against 34.8 us, and 35.4 us uncapped, where a
+# block's product outgrows the prime product.
+_GROUP_SHARE = 8
+
+
+def _large_stage(entries: Sequence[list], bound: int) -> None:
+    """Divides the primes in (SMALL_PRIME_BOUND, bound] out of the m of each
+    ``_small_stage`` entry [exponents, m, stopped], in place."""
+    product = _prime_product(SMALL_PRIME_BOUND, bound)
+    cap = product.bit_length() // _GROUP_SHARE
+    start = 0
+    while start < len(entries):
+        stop, group = start + 1, entries[start][1]
+        while stop < len(entries) and group.bit_length() + entries[stop][1].bit_length() <= cap:
+            group *= entries[stop][1]
+            stop += 1
+        residue = product % group
+        for entry in entries[start:stop]:
+            exponents, m, _ = entry
+            for p in _prime_divisors(math.gcd(m, residue % m), SMALL_PRIME_BOUND, bound):
+                m = _divide_out(m, p, exponents)
+            entry[1] = m
+        start = stop
 
 
 def least_simple_prime(n: int, above: int, bound: int, avoid: int = 1) -> Optional[int]:

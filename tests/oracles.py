@@ -158,7 +158,12 @@ def specialize_fraction(family, u: int, v: int) -> tuple[Poly, Fraction]:
     value = family.P.eval_t(Fraction(u, v))
     if not value:
         raise ValueError("specialization vanished identically")
-    spec = value.primitive()
+    # the content: the gcd of the numerators over the lcm of the denominators
+    content = Fraction(
+        math.gcd(*(c.numerator for c in value.coeffs)),
+        math.lcm(*(c.denominator for c in value.coeffs)),
+    )
+    spec = Poly([c / content for c in value.coeffs])
     if spec.lead < 0:
         spec = -spec
     return spec, value.lead / spec.lead

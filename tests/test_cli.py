@@ -1,15 +1,19 @@
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import sdtwists.cli as cli
-from sdtwists import counting
+from sdtwists import counting, family
 from sdtwists.cli import RunConfig, UsageError, emit, main, parse, run
 from sdtwists.primes import PROOF_BOUND
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_exponents_table():
@@ -33,6 +37,22 @@ def test_exponents_least_degree_is_the_alpha_bounds():
     RunConfig(mode="exponents", d_min=least, d_max=least).validate()
     with pytest.raises(UsageError, match=f"need {least} <= d_min"):
         RunConfig(mode="exponents", d_min=least - 1, d_max=least).validate()
+
+
+@pytest.mark.parametrize("mode", ["model", "family", "sweep"])
+def test_least_degree_is_the_family_bound(mode):
+    # The CLI takes, for the modes that build a model and a family, the
+    # least degree that family.build_model and family.twist_polynomial take.
+    least = family.MIN_DEGREE
+    curve = (1, 1)
+    model = family.build_family(curve, least)[0]
+    with pytest.raises(ValueError, match=f"at least {least}"):
+        family.build_model(curve, 0, 0, 1, least - 1)
+    with pytest.raises(ValueError, match=f"at least {least}"):
+        family.twist_polynomial(model, least - 1)
+    RunConfig(mode=mode, curve=curve, degree=least, box=1).validate()
+    with pytest.raises(UsageError, match=f"at least {least} for mode {mode}"):
+        RunConfig(mode=mode, curve=curve, degree=least - 1, box=1).validate()
 
 
 def test_certify_mode_matches_module_example():
@@ -177,10 +197,13 @@ def test_run_byte_identical():
 
 
 def _cli(*args):
+    # The child runs this checkout's package, whatever else is importable.
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     return subprocess.run(
         [sys.executable, "-m", "sdtwists", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
 
 

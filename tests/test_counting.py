@@ -317,6 +317,21 @@ def test_sweep_evaluates_each_specialization_once(monkeypatch, built_families, d
     assert len(evaluated) < len(pairs)
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_blocks_match_the_reference(monkeypatch, workers):
+    # The sweep evaluates its distinct pairs counting._BLOCK at a time, one
+    # layer at a time, and factors each block's discriminants in one batch;
+    # the compact cubic at box 12 has more than two blocks of distinct
+    # pairs, so each chunk of a two-process pool crosses a block boundary
+    # too, and the records equal the per-pair reference path.
+    monkeypatch.setenv(WORKERS_ENV, workers)
+    fam = small_cubic_family()
+    budgets = SweepBudgets(prime_budget=10, kernel_bound=30_000)
+    pairs = list(counting._box_pairs(12, None))
+    assert len({t_key(3, u, v) for u, v in pairs}) > 2 * counting._BLOCK
+    assert_same_records(sweep(fam, 12, budgets=budgets), direct_sweep(fam, pairs, budgets))
+
+
 def test_sweep_point_check_matches_the_fraction_oracle(monkeypatch, built_families):
     # The sweep takes the point from the family identity, checked once per
     # family; on every candidate of the built families of degrees
@@ -344,23 +359,25 @@ def test_sweep_rejects_a_family_whose_identity_fails(built_families):
 
 def test_sweep_factors_each_discriminant_once(monkeypatch, built_families):
     # One small-prime pass per discriminant: each distinct specialization's
-    # discriminant is factored once, to the kernel bound, and serves both the
-    # kernel and the witness search; a search that finds no witness below the
-    # kernel bound looks past it, on the cofactor only and over (kernel
-    # bound, trial bound] only, by one gcd, at most once.  The records equal
-    # the reference path, whose kernel and witness walk the prime sieve.
+    # discriminant is factored once, to the kernel bound, in its block's one
+    # batched call, and serves both the kernel and the witness search; a
+    # search that finds no witness below the kernel bound looks past it, on
+    # the cofactor only and over (kernel bound, trial bound] only, by one
+    # gcd, at most once.  The records equal the reference path, whose kernel
+    # and witness walk the prime sieve.
     monkeypatch.setenv(WORKERS_ENV, "1")
     fam = built_families[5]
     budgets = SweepBudgets()  # kernel bound 10^4 below the trial bound 10^5
     real_factor, real_least, real_witness = (
-        counting.factor_trial, galois.least_simple_prime, galois._witness,
+        counting.factor_batch, galois.least_simple_prime, galois._witness,
     )
     factored, extended, per_search = {}, [], []
 
-    def counted_factor(n, bound):
-        out = real_factor(n, bound)
-        factored.setdefault(abs(n), []).append((bound, out))
-        return out
+    def counted_factor(numbers, bound):
+        outs = real_factor(numbers, bound)
+        for n, out in zip(numbers, outs, strict=True):
+            factored.setdefault(abs(n), []).append((bound, out))
+        return outs
 
     def counted_least(n, above, bound, avoid):
         extended.append((n, above, bound))
@@ -373,7 +390,7 @@ def test_sweep_factors_each_discriminant_once(monkeypatch, built_families):
         return found
 
     with monkeypatch.context() as patch:
-        patch.setattr(counting, "factor_trial", counted_factor)
+        patch.setattr(counting, "factor_batch", counted_factor)
         patch.setattr(galois, "least_simple_prime", counted_least)
         patch.setattr(galois, "_witness", counted_witness)
         cands = sweep(fam, 3, budgets=budgets)
@@ -825,6 +842,33 @@ def test_ev_instance_rebuilds_generated_instances():
     for inst, c in zip(ev_generate(model, d, 1, small), coords):
         assert ev_instance(model, d, F(1), c[:3], c[3:]) == inst
     assert isinstance(counting._ev_limits(model, d, y)[1], tuple)
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_ev_generate_blocks_match_one_instance_at_a_time(certify):
+    # ev_generate takes its draws counting._BLOCK at a time; at one draw,
+    # around one block and past two, it yields, in draw order, the instances
+    # ev_instance builds at the drawn coordinates, each with the certificate
+    # of the public collect_evidence(H), or none when not certifying.
+    model, _, _ = build_family((1, 1), 6)
+    d, y = 6, F(8)
+    a_bounds, b_bounds = ev_boxes(d, y)
+    block = counting._BLOCK
+    for count in (1, block - 1, block, block + 1, 2 * block + 3):
+        cfg = EvConfig(seed=count, max_instances=count, certify=certify, trial_bound=10_000)
+        rng = random.Random(cfg.seed)
+        got = list(ev_generate(model, d, y, cfg))
+        assert len(got) == count
+        for inst in got:
+            a = [rng.randint(-bound, bound) for bound in a_bounds]
+            b = [rng.randint(-bound, bound) for bound in b_bounds]
+            want = ev_instance(model, d, y, a, b)
+            if certify:
+                evidence = collect_evidence(
+                    want.H, d, cfg.prime_budget, trial_bound=cfg.trial_bound
+                )
+                want = dataclasses.replace(want, certificate=certify_sd(evidence))
+            assert inst == want
 
 
 def test_ev_instances_hash_no_model(monkeypatch):

@@ -1,6 +1,7 @@
 """The staged trial factorization against the plain prime walk and sympy."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from sdtwists.galois import transposition_witness
 from sdtwists.polyarith import IntPoly, Poly, _normalize_factor, discriminant
 from sdtwists.primes import (
     SMALL_PRIME_BOUND as S,
+    factor_batch,
     factor_trial,
     is_prime,
     iter_primes_up_to,
@@ -56,6 +58,62 @@ def planted(draw, bound=None):
 def test_factor_trial_matches_walk(case):
     n, bound = case
     assert factor_trial(n, bound) == factor_trial_walk(n, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BOUNDS) | st.integers(0, 20_000), st.data())
+def test_factor_batch_matches_walk(bound, data):
+    # The batch, in input order, is the walk on each number: signs, numbers
+    # below S^2 and past it, bounds at or below S and past it, batches of one
+    # and more.  With until_square each number is factored as on its own.
+    numbers = data.draw(st.lists(planted(bound).map(lambda case: case[0]), min_size=1, max_size=12))
+    assert factor_batch(numbers, bound) == [factor_trial_walk(n, bound) for n in numbers]
+    assert factor_batch(numbers, bound, until_square=True) == [
+        factor_trial(n, bound, until_square=True) for n in numbers
+    ]
+
+
+def test_factor_batch_edge_cases():
+    # A zero anywhere raises; a prime cofactor at or below the bound is
+    # absorbed; powers of primes in (S, bound] come out whole, next to
+    # numbers below S^2 and to a prime above the bound.
+    for numbers in ([0], [6, 0], [0, 10**12 + 39]):
+        with pytest.raises(ValueError):
+            factor_batch(numbers, 10_000)
+    assert factor_batch([], 10_000) == []
+    numbers = [2 * 7919, -(503**7), 509**2 * 9973**3, -97 * 10_007, 3**5 * 9973, 10**12 + 39]
+    for bound in (2, S, 7919, 9973, 10_000):
+        assert factor_batch(numbers, bound) == [factor_trial_walk(n, bound) for n in numbers]
+    assert factor_batch(numbers, 9973)[:3] == [({2: 1, 7919: 1}, 1), ({503: 7}, 1), ({509: 2, 9973: 3}, 1)]
+    # A square stops the division: what is left stays a cofactor, even at or
+    # below the bound, where it need not be prime.
+    assert factor_batch([4 * 15, 9 * 7, 5], 100, until_square=True) == [
+        ({2: 2}, 15), ({3: 2}, 7), ({5: 1}, 1)
+    ]
+
+
+@pytest.mark.parametrize("bound", [10_000, 30_000])
+def test_factor_batch_groups_cross_the_cap(bound):
+    # The second stage groups consecutive cofactors up to a cap on their
+    # bits: here some cofactors exceed the cap alone and the rest fill
+    # several groups, and every number still factors as the walk does, in
+    # the batch and on its own.
+    cap = primes._prime_product(S, bound).bit_length() // primes._GROUP_SHARE
+    mids = [p for p in primes_up_to(bound) if p > S]
+    rng = random.Random(bound)
+    numbers = []
+    for k in range(40):
+        n = rng.choice([2, -2, 3, -1])
+        target = rng.choice([40, cap // 3, cap + 50])
+        while n.bit_length() < target:
+            n *= rng.choice(mids) ** rng.randint(1, 4)
+        numbers.append(n * (1_000_000_007 if k % 3 == 0 else 1))
+    rests = [primes._small_stage(n, S, False)[1] for n in numbers]
+    assert any(m.bit_length() > cap for m in rests)
+    assert sum(m.bit_length() for m in rests if m > S * S) > 3 * cap
+    want = [factor_trial_walk(n, bound) for n in numbers]
+    assert factor_batch(numbers, bound) == want
+    assert [factor_trial(n, bound) for n in numbers] == want
 
 
 @settings(max_examples=300, deadline=None)
