@@ -3,19 +3,21 @@
 A sweep walks coprime pairs (u, v) in a box, specializes the twist family at
 t = u/v, certifies the Galois group, verifies the induced point and reduces
 the polynomial discriminant to its signed squarefree kernel.  A sweep runs
-on the family itself: every candidate reads its specialization and
-discriminant off the family's integer forms (``TwistFamily.specialization``
-and ``TwistFamily.discriminant_at``) and certifies the specialization by the
-same good-prime scan as any other polynomial.  Candidates are evaluated in
+on the family itself: every specialization is read off the family's integer
+forms (``TwistFamily.specialization``), with its discriminant
+(``TwistFamily.discriminant_at``), and certified by the same good-prime scan
+as any other polynomial.  Each distinct specialization is evaluated once, in
 blocks, one layer at a time: the specializations and discriminants of a
 block, then one batched small-prime pass over its discriminants
-(``primes.factor_batch``), then the kernel and certificate of each.  The
-point holds at every specialization of degree >= 1 by the family
-identity, which ``sweep`` checks once per family.  Distinct fields are
-distinguished by the kernel (the square class of the discriminant), so
-deduplication groups by it; kernels whose factorization is incomplete at the
-trial bound are quarantined and never counted as distinct, which keeps every
-reported count a true lower bound.
+(``primes.factor_batch``), then the kernel and certificate of each.  An
+evaluation yields the facts of the specialization alone, and ``sweep``
+builds each pair's record from them once.  The point holds at every
+specialization of degree >= 1 by the family identity, which ``sweep``
+checks once per family.  Distinct fields are distinguished by the kernel
+(the square class of the discriminant), so deduplication groups by it;
+kernels whose factorization is incomplete at the kernel bound are
+quarantined and never counted as distinct, which keeps every reported count
+a true lower bound.
 
 The coefficient-box construction generates pairs (F, G) with H = F^2 - f G^2
 so that each root x0 of H carries the point (x0, F(x0)/G(x0)) of the curve.
@@ -158,44 +160,37 @@ class FieldCandidate:
         """Counts toward distinct fields: certified S_d with a verified point."""
         return self.certificate.certified and self.point_verified
 
-    def at(self, u: int, v: int, residue_class: Optional[tuple[int, int]]) -> "FieldCandidate":
-        """This record for another pair with the same specialization: its
-        fields with u, v and residue_class replaced, passed to the
-        constructor positionally, without the field walk and keyword
-        merge of ``dataclasses.replace``."""
-        return FieldCandidate(
-            u, v, self.poly, self.disc, self.disc_sign, self.kernel, self.kernel_flag,
-            self.kernel_cofactor, self.certificate, self.point_verified, residue_class,
-        )
-
 
 def _candidate(
-    family: TwistFamily,
-    u: int,
-    v: int,
+    d: int,
     budgets: SweepBudgets,
-    modulus: Optional[int],
-    p_spec: IntPoly,
+    spec: IntPoly,
     disc: int,
     factored: Optional[tuple[dict[int, int], int]],
-) -> FieldCandidate:
-    """The record of (u, v) from its staged facts: the specialization
-    ``p_spec``, an ``IntPoly`` primitive with positive lead (the normalized
-    form the galois helpers expect), its discriminant and, when that is
-    nonzero, ``factor_trial(disc, budgets.kernel_bound)``, which the kernel
-    and the witness search share."""
-    d = family.d
+) -> tuple:
+    """The facts of one specialization of a degree-d family, from the
+    staged facts of ``_block``: the specialization ``spec``, an ``IntPoly``
+    primitive with positive lead (the normalized form the galois helpers
+    expect), its discriminant and, when that is nonzero,
+    ``factor_trial(disc, budgets.kernel_bound)``, which the kernel and the
+    witness search share.
+
+    Returns the fields of a ``FieldCandidate`` between ``v`` and
+    ``residue_class``, in declaration order: (poly, disc, disc_sign, kernel,
+    kernel_flag, kernel_cofactor, certificate, point_verified).  Nothing in
+    it depends on the pair (u, v) that names the specialization.
+    """
     # The family identity F^2 - f*G^2 = +-P, which ``sweep`` has checked,
     # puts the point on the curve modulo every specialization of degree >= 1.
-    point_ok = p_spec.degree >= 1
+    point_ok = spec.degree >= 1
     if factored is None:
         kernel, flag, cofactor = 0, KERNEL_ZERO, 0
     else:
         kernel, flag, cofactor = _kernel_of(disc, *factored)
 
-    if disc == 0 or p_spec.degree != d:
+    if disc == 0 or spec.degree != d:
         evidence = galois.GaloisEvidence(
-            degree=max(p_spec.degree, 2),
+            degree=max(spec.degree, 2),
             observed_cycle_types=frozenset(),
             transposition_prime=None,
             irreducibility=galois.INCONCLUSIVE,
@@ -205,7 +200,7 @@ def _candidate(
         cert = SdCertificate(galois.INCONCLUSIVE, evidence)
     else:
         evidence = galois._evidence(
-            p_spec,
+            spec,
             disc,
             budgets.prime_budget,
             polygon_primes=budgets.polygon_primes,
@@ -214,23 +209,7 @@ def _candidate(
         )
         cert = galois.certify_sd(evidence)
 
-    return FieldCandidate(
-        u=u,
-        v=v,
-        poly=p_spec,
-        disc=disc,
-        disc_sign=(disc > 0) - (disc < 0),
-        kernel=kernel,
-        kernel_flag=flag,
-        kernel_cofactor=cofactor,
-        certificate=cert,
-        point_verified=point_ok,
-        residue_class=_residue(u, v, modulus),
-    )
-
-
-def _residue(u: int, v: int, modulus: Optional[int]) -> Optional[tuple[int, int]]:
-    return (u % modulus, v % modulus) if modulus else None
+    return spec, disc, (disc > 0) - (disc < 0), kernel, flag, cofactor, cert, point_ok
 
 
 def _even_in_t(family: TwistFamily) -> bool:
@@ -283,23 +262,22 @@ def _worker_count() -> int:
 _BLOCK = 64
 
 
-def _chunk_worker(args):
-    family, budgets, modulus, pairs = args
-    out: list[FieldCandidate] = []
+def _chunk_worker(
+    family: TwistFamily, budgets: SweepBudgets, pairs: Sequence[tuple[int, int]]
+) -> list[tuple]:
+    out: list[tuple] = []
     for start in range(0, len(pairs), _BLOCK):
-        out += _block(family, budgets, modulus, pairs[start : start + _BLOCK])
+        out += _block(family, budgets, pairs[start : start + _BLOCK])
     return out
 
 
 def _block(
-    family: TwistFamily,
-    budgets: SweepBudgets,
-    modulus: Optional[int],
-    pairs: Sequence[tuple[int, int]],
-) -> list[FieldCandidate]:
-    """The records of ``pairs``, one layer at a time: every specialization
-    and its discriminant, then one ``factor_batch`` of the nonzero
-    discriminants to the kernel bound, then ``_candidate`` per pair."""
+    family: TwistFamily, budgets: SweepBudgets, pairs: Sequence[tuple[int, int]]
+) -> list[tuple]:
+    """The facts (``_candidate``) of the specialization of each pair, one
+    layer at a time: every specialization and its discriminant, then one
+    ``factor_batch`` of the nonzero discriminants to the kernel bound, then
+    ``_candidate`` per specialization."""
     specs = [family.specialization(u, v) for u, v in pairs]
     discs = [
         family.discriminant_at(spec, lam, u, v) if spec.degree >= 1 else 0
@@ -310,8 +288,8 @@ def _block(
         factor_batch(nonzero, _checked_bound(budgets.kernel_bound)) if nonzero else ()
     )
     return [
-        _candidate(family, u, v, budgets, modulus, spec, disc, next(factored) if disc else None)
-        for (u, v), (spec, _), disc in zip(pairs, specs, discs)
+        _candidate(family.d, budgets, spec, disc, next(factored) if disc else None)
+        for (spec, _), disc in zip(specs, discs)
     ]
 
 
@@ -332,16 +310,18 @@ def sweep(
     variable, which must be a positive integer (ValueError otherwise); the
     output order is independent of it.
 
-    Every pair gets its own record, but each distinct specialization is
-    evaluated once: pairs are grouped by t = u/v, or by |t| when P is even
-    in t, the first pair of each group is evaluated (in the worker pool when
-    there is one), and the other pairs get a copy of its record with their
-    own u, v and residue class.  The evaluations run in blocks of
+    Each distinct specialization is evaluated once: pairs are keyed by
+    t = u/v, or by |t| when P is even in t (``_t_key``), the first pair of
+    each key names its specialization, and those are evaluated in order (in
+    the worker pool when there is one).  The evaluations run in blocks of
     ``_BLOCK`` (``_block``), whose discriminants share one batched
-    factorization to the kernel bound.  They read P's integer forms and
-    Disc_t off the family, which builds them once and keeps them, and share
-    nothing else: each scans its own good primes, so a sweep leaves nothing
-    behind on the family or between the workers of its pool.
+    factorization to the kernel bound, and return the facts of the
+    specialization alone; each pair's record is then built once, from the
+    facts of its key and its own u, v and residue class.  The evaluations
+    read P's integer forms and Disc_t off the family, which builds them once
+    and keeps them, and share nothing else: each scans its own good primes,
+    so a sweep leaves nothing behind on the family or between the workers of
+    its pool.
 
     Every record's ``point_verified`` rests on the family identity
     F^2 - f*G^2 = +-P (``TwistFamily.identity_holds``, computed once per
@@ -361,37 +341,31 @@ def sweep(
     pair_list = list(pairs) if pairs is not None else list(_box_pairs(box, congruence))
 
     even = _even_in_t(family)
-    slots: dict[tuple[int, int], int] = {}
-    reps: list[tuple[int, int]] = []
-    slot_of: list[int] = []
-    for u, v in pair_list:
-        key = _t_key(u, v, even)
-        if key not in slots:
-            slots[key] = len(reps)
-            reps.append((u, v))
-        slot_of.append(slots[key])
+    keys = [_t_key(u, v, even) for u, v in pair_list]
+    reps: dict[tuple[int, int], tuple[int, int]] = {}
+    for key, pair in zip(keys, pair_list):
+        reps.setdefault(key, pair)
+    distinct = list(reps.values())
 
     workers = _worker_count()
-    if workers > 1 and len(reps) > 4 * workers:
+    if workers > 1 and len(distinct) > 4 * workers:
         from concurrent.futures import ProcessPoolExecutor
 
-        size = (len(reps) + workers - 1) // workers
-        chunks = [reps[i : i + size] for i in range(0, len(reps), size)]
+        size = (len(distinct) + workers - 1) // workers
+        chunks = [distinct[i : i + size] for i in range(0, len(distinct), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_chunk_worker, [(family, budgets, modulus, c) for c in chunks])
+            parts = pool.map(
+                _chunk_worker, itertools.repeat(family), itertools.repeat(budgets), chunks
             )
-        evaluated = [cand for part in parts for cand in part]
+            evaluated = [facts for part in parts for facts in part]
     else:
-        evaluated = _chunk_worker((family, budgets, modulus, reps))
+        evaluated = _chunk_worker(family, budgets, distinct)
+    facts = dict(zip(reps, evaluated))
 
-    out = []
-    for (u, v), slot in zip(pair_list, slot_of):
-        cand = evaluated[slot]
-        if (cand.u, cand.v) != (u, v):
-            cand = cand.at(u, v, _residue(u, v, modulus))
-        out.append(cand)
-
+    out = [
+        FieldCandidate(u, v, *facts[key], (u % modulus, v % modulus) if modulus else None)
+        for (u, v), key in zip(pair_list, keys)
+    ]
     if region is not None:
         out = [c for c in out if c.disc_sign == region]
     return out
@@ -714,7 +688,8 @@ def ev_instance(
     model: WeierstrassModel, d: int, y: Fraction, a: Sequence[int], b: Sequence[int]
 ) -> EVInstance:
     """Assemble H = F^2 - f G^2 from box coordinates and check the bounds."""
-    return _ev_instance(model, d, y, a, b, _ev_limits(model, d, y))
+    f_int, m = model.f_cleared
+    return _ev_record(d, y, *_ev_coeffs(f_int, m, d, a, b), m, _ev_limits(model, d, y), None)
 
 
 def _ev_limits(model: WeierstrassModel, d: int, y: Fraction) -> tuple[Fraction, tuple[int, ...]]:
@@ -735,19 +710,6 @@ def _add_square(out: list, cs: Sequence[int], k: int) -> list:
             for j in range(i + 1, len(cs)):
                 out[i + j] += x2 * cs[j]
     return out
-
-
-def _ev_instance(
-    model: WeierstrassModel,
-    d: int,
-    y: Fraction,
-    a: Sequence[int],
-    b: Sequence[int],
-    limits: tuple[Fraction, tuple[int, ...]],
-) -> EVInstance:
-    """``ev_instance`` with the bounds of ``_ev_limits``, uncertified."""
-    f_int, m = model.f_cleared
-    return _ev_record(d, y, *_ev_coeffs(f_int, m, d, a, b), m, limits, None)
 
 
 def _ev_coeffs(
@@ -945,7 +907,7 @@ def schmidt_ev_alpha(d: int) -> AlphaBound:
     r2_k = None
     r2_alpha = None
     for r in range(1, ALPHA_R_MAX + 1):
-        k = 1 if _alpha_constraint(d, r, 1) else _min_feasible_k(d, r)
+        k = _min_feasible_k(d, r)
         value = _alpha_formula(d, r, k)
         if best is None or value < best:
             best, best_witness = value, (r, k)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -282,14 +283,14 @@ def assert_same_records(got, want):
 def counted_sweep(monkeypatch, fam, box, **kwargs):
     """sweep(fam, box, **kwargs) and the (u, v) of every evaluation it made."""
     evaluated = []
-    real = counting._candidate
+    real = counting._block
 
-    def counted(family, u, v, *rest):
-        evaluated.append((u, v))
-        return real(family, u, v, *rest)
+    def counted(family, budgets, pairs):
+        evaluated.extend(pairs)
+        return real(family, budgets, pairs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(counting, "_candidate", counted)
+        patch.setattr(counting, "_block", counted)
         return sweep(fam, box, **kwargs), evaluated
 
 
@@ -330,6 +331,42 @@ def test_sweep_blocks_match_the_reference(monkeypatch, workers):
     pairs = list(counting._box_pairs(12, None))
     assert len({t_key(3, u, v) for u, v in pairs}) > 2 * counting._BLOCK
     assert_same_records(sweep(fam, 12, budgets=budgets), direct_sweep(fam, pairs, budgets))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_records_do_not_depend_on_the_evaluated_pair(monkeypatch, built_families, workers):
+    # Each specialization is evaluated at the first pair of its key, and the
+    # record of every pair is built from the facts of that evaluation, so
+    # reversing the pair list, which evaluates another pair of each key,
+    # reverses the records and changes nothing else.  At box 4 both families
+    # have more than 8 distinct specializations, so a two-process pool runs.
+    monkeypatch.setenv(WORKERS_ENV, workers)
+    budgets = SweepBudgets(prime_budget=12, trial_bound=10_000)
+    pairs = list(counting._box_pairs(4, None))
+    for d in (3, 6):
+        fam = built_families[d]
+        assert len({t_key(d, u, v) for u, v in pairs}) > 8
+        cands = sweep(fam, 1, pairs=pairs, budgets=budgets)
+        assert [(c.u, c.v) for c in cands] == pairs
+        assert sweep(fam, 1, pairs=pairs[::-1], budgets=budgets)[::-1] == cands
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [((2, 4), "(2, 4) is not a coprime pair"), ((1, 0), "v must be nonzero")],
+    ids=["not-coprime", "zero-v"],
+)
+def test_sweep_rejected_pairs_still_raise(monkeypatch, built_families, workers, bad, message):
+    # A pair that specialize rejects keeps a key of its own (_t_key), so it
+    # is evaluated, not folded into the key of an accepted pair, and raises
+    # from the sweep, in the worker pool too.
+    monkeypatch.setenv(WORKERS_ENV, workers)
+    pairs = list(counting._box_pairs(4, None))
+    for fam in (small_cubic_family(), built_families[4]):
+        assert len({t_key(fam.d, u, v) for u, v in pairs}) > 8
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep(fam, 1, pairs=[*pairs, bad], budgets=BUDGETS)
 
 
 def test_sweep_point_check_matches_the_fraction_oracle(monkeypatch, built_families):
@@ -745,7 +782,6 @@ def test_ev_instance_is_kept_over_the_integers():
     model, _, _ = build_family((1, 1), 6)
     d, y = 6, F(8)
     m = model.f_cleared[1]
-    limits = counting._ev_limits(model, d, y)
     cfg = EvConfig(seed=3, max_instances=30, certify=False)
     rng = random.Random(cfg.seed)
     a_bounds, b_bounds = ev_boxes(d, y)
@@ -753,7 +789,7 @@ def test_ev_instance_is_kept_over_the_integers():
         assert all(type(p) is IntPoly for p in (inst.F, inst.G, inst.mH)) and inst.m == m
         a = [rng.randint(-bound, bound) for bound in a_bounds]
         b = [rng.randint(-bound, bound) for bound in b_bounds]
-        assert counting._ev_instance(model, d, y, a, b, limits) == inst
+        assert ev_instance(model, d, y, a, b) == inst
         assert "H" not in vars(inst)
         Fq, Gq = Poly(inst.F.coeffs), Poly(inst.G.coeffs)
         assert inst.H == Fq * Fq - model.f * Gq * Gq
@@ -773,7 +809,7 @@ def test_ev_instance_mh_matches_the_ring_operations(d):
     model = build_family((1, 1), d)[0]
     f_int, m = model.f_cleared
     y = F(5)
-    c_bound, bounds = limits = counting._ev_limits(model, d, y)
+    c_bound, bounds = counting._ev_limits(model, d, y)
     a_bounds, b_bounds = ev_boxes(d, y)
     rng = random.Random(d)
 
@@ -786,7 +822,7 @@ def test_ev_instance_mh_matches_the_ring_operations(d):
     else:
         points += [(draw(a_bounds), [0] * len(b_bounds))]
     for a, b in points:
-        inst = counting._ev_instance(model, d, y, a, b, limits)
+        inst = ev_instance(model, d, y, a, b)
         if d % 2 == 0:
             Fi, Gi = IntPoly([*reversed(a), 1]), IntPoly(list(reversed(b)))
         else:
