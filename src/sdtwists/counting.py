@@ -25,8 +25,9 @@ Each instance is built and kept over Z, as the ``IntPoly``s F, G and m*H, m
 the denominator of f: it is bounded, certified on the primitive part of m*H
 (as a sweep certifies its specializations) and checked against its identity
 in integer arithmetic, and the rational H is derived only when read.
-``ev_generate`` builds and certifies its draws in blocks too.  Its
-box volume exponent, the counting exponents c_d and the field-count bound
+``ev_generate`` builds and certifies its draws in blocks too, by the one
+generator (``_ev_instances``) that ``ev_instance`` runs on a single point.
+The box volume exponent, the counting exponents c_d and the field-count bound
 alpha(d) live here too, all as exact rationals.  The least degree of each
 is declared once (``C_MIN_DEGREE``, ``BOX_MIN_DEGREE``, ``ALPHA_MIN_DEGREE``),
 for the functions and for the reports that tabulate them.
@@ -565,7 +566,9 @@ def greaves_density(
     value is prod_{p <= local_bound} (1 - rho(p^2)/p^4), with rho(p^2) the
     number of roots of F among the pairs mod p^2, counted on the points of
     P^1(Z/p^2) (``_rho_p2``).  Undecided values (trial bound exhausted) stay
-    in the denominator and out of the numerator.
+    in the denominator and out of the numerator.  Raises ValueError, as
+    ``sweep`` does, for a box below 1 or a congruence modulus below 1; the
+    classes need not hold coprime pairs.
     """
     form = [int(c) for c in form]
     m = len(form) - 1
@@ -573,14 +576,14 @@ def greaves_density(
         raise ValueError("binary form degree must be at most 6")
     if m < 1 or all(c == 0 for c in form):
         raise ValueError("form must be nonconstant")
+    u0, v0, mod = congruence or (0, 0, 1)
+    if box < 1:
+        raise ValueError("box must be at least 1")
+    if mod < 1:
+        raise ValueError("congruence modulus must be positive")
 
     square_form = _is_square_form(form)
     as_t = tuple(reversed(form))  # F(t, 1), constant first
-
-    if congruence:
-        u0, v0, mod = congruence
-    else:
-        u0, v0, mod = 0, 0, 1
 
     n_side = 2 * box + 1
     exhaustive = (n_side * n_side) // (mod * mod) <= EXHAUSTIVE_LIMIT
@@ -687,17 +690,9 @@ def ev_bound_constant(model: WeierstrassModel, d: int) -> Fraction:
 def ev_instance(
     model: WeierstrassModel, d: int, y: Fraction, a: Sequence[int], b: Sequence[int]
 ) -> EVInstance:
-    """Assemble H = F^2 - f G^2 from box coordinates and check the bounds."""
-    f_int, m = model.f_cleared
-    return _ev_record(d, y, *_ev_coeffs(f_int, m, d, a, b), m, _ev_limits(model, d, y), None)
-
-
-def _ev_limits(model: WeierstrassModel, d: int, y: Fraction) -> tuple[Fraction, tuple[int, ...]]:
-    """(C, limits): C = ``ev_bound_constant`` and limits[k] = floor(m*C*Y^k),
-    the bound on the integer coefficient of x^(d-k) in m*H, for m the
-    denominator of f; ``ev_generate`` computes them once per call."""
-    c_bound, m = ev_bound_constant(model, d), model.f_cleared[1]
-    return c_bound, tuple(math.floor(m * c_bound * y**k) for k in range(d + 1))
+    """Assemble H = F^2 - f G^2 from box coordinates and check the bounds:
+    the one-point case of ``ev_generate``, not certified."""
+    return next(_ev_instances(model, d, y, iter([(*a, *b)]), len(a), EvConfig()))
 
 
 def _add_square(out: list, cs: Sequence[int], k: int) -> list:
@@ -736,38 +731,44 @@ def _ev_coeffs(
     return F, G, mh
 
 
-def _ev_record(
+def _ev_instances(
+    model: WeierstrassModel,
     d: int,
     y: Fraction,
-    F: list[int],
-    G: list[int],
-    mh: list[int],
-    m: int,
-    limits: tuple[Fraction, tuple[int, ...]],
-    certificate: Optional[SdCertificate],
-) -> EVInstance:
-    """The instance of ``_ev_coeffs`` lists, bounded on the list of m*H."""
-    c_bound, bounds = limits
-    ok = mh[d] != 0 and all(abs(mh[d - k]) <= bounds[k] for k in range(d + 1))
-    return EVInstance(
-        d, y, IntPoly._of(F), IntPoly._of(G), IntPoly._of(mh), m, c_bound, ok, certificate
-    )
+    points: Iterator[Sequence[int]],
+    split: int,
+    config: EvConfig,
+) -> Iterator[EVInstance]:
+    """The instance at each box point (a, b), a = point[:split], in order.
 
-
-def _ev_certificates(
-    mhs: Sequence[list[int]], d: int, config: EvConfig
-) -> list[Optional[SdCertificate]]:
-    """The certificate of each m*H list of full degree d, else None, one
-    layer at a time: every primitive part with positive lead, then every
-    discriminant, then the evidence."""
-    prims = [IntPoly._of(_primitive_int(mh)[0]) if mh[d] else None for mh in mhs]
-    discs = [_discriminant(g) if g is not None else 0 for g in prims]
-    return [
-        None if g is None else galois.certify_sd(galois._evidence(
-            g, disc, config.prime_budget, polygon_primes=(), trial_bound=config.trial_bound,
-        ))
-        for g, disc in zip(prims, discs)
-    ]
+    The points are taken ``_BLOCK`` at a time, as a sweep takes its pairs,
+    and each block one layer at a time: m*H for every point (``_ev_coeffs``),
+    then, with ``config.certify``, every primitive part of m*H with positive
+    lead, every discriminant and every certificate, for the instances of
+    full degree d.  Each instance is then bounded on the list of m*H, whose
+    coefficient of x^(d-k) is at most floor(m*C*Y^k) in absolute value for
+    C = ``ev_bound_constant``, and built once.
+    """
+    f_int, m = model.f_cleared
+    c_bound = ev_bound_constant(model, d)
+    limits = [math.floor(m * c_bound * y**k) for k in range(d + 1)]
+    while block := list(itertools.islice(points, _BLOCK)):
+        built = [_ev_coeffs(f_int, m, d, c[:split], c[split:]) for c in block]
+        certificates: Iterable[Optional[SdCertificate]] = itertools.repeat(None)
+        if config.certify:
+            prims = [IntPoly._of(_primitive_int(mh)[0]) if mh[d] else None for _, _, mh in built]
+            discs = [_discriminant(g) if g is not None else 0 for g in prims]
+            certificates = [
+                None if g is None else galois.certify_sd(galois._evidence(
+                    g, disc, config.prime_budget, polygon_primes=(), trial_bound=config.trial_bound,
+                ))
+                for g, disc in zip(prims, discs)
+            ]
+        for (F, G, mh), certificate in zip(built, certificates):
+            ok = mh[d] != 0 and all(abs(mh[d - k]) <= limits[k] for k in range(d + 1))
+            yield EVInstance(
+                d, y, IntPoly._of(F), IntPoly._of(G), IntPoly._of(mh), m, c_bound, ok, certificate
+            )
 
 
 def ev_generate(
@@ -777,34 +778,20 @@ def ev_generate(
     ``config.max_instances`` points of a box of at most ``EXHAUSTIVE_LIMIT``
     points, else that many draws seeded by ``config.seed``.
 
-    The points are taken ``_BLOCK`` at a time, as a sweep takes its pairs,
-    and each block one layer at a time: m*H for every point, then, with
-    ``config.certify``, the certificates (``_ev_certificates``); each
-    instance is then built once, with its certificate, and the block is
-    yielded in draw order.  An instance of full degree d is certified on
-    the primitive part of m*H with positive lead and its integer
-    discriminant, the ones ``galois.collect_evidence(H, d, ...)`` derives
-    from H, without the rational arithmetic.
+    The instances are built, and with ``config.certify`` certified, in
+    blocks by ``_ev_instances``, which ``ev_instance`` runs on one point.
+    An instance of full degree d is certified on the primitive part of m*H
+    with positive lead and its integer discriminant, the ones
+    ``galois.collect_evidence(H, d, ...)`` derives from H, without the
+    rational arithmetic.
     """
     y = Fraction(y)
     a_bounds, b_bounds = ev_boxes(d, y)
-    limits = _ev_limits(model, d, y)
-    f_int, m = model.f_cleared
-    split = len(a_bounds)
     ranges = [range(-bound, bound + 1) for bound in a_bounds + b_bounds]
     exhaustive = math.prod(map(len, ranges)) <= EXHAUSTIVE_LIMIT
-    walk = itertools.islice(
-        _box_walk(ranges, exhaustive, config.max_instances, config.seed), config.max_instances
-    )
-    while block := list(itertools.islice(walk, _BLOCK)):
-        built = [_ev_coeffs(f_int, m, d, c[:split], c[split:]) for c in block]
-        certificates = (
-            _ev_certificates([mh for _, _, mh in built], d, config)
-            if config.certify
-            else itertools.repeat(None)
-        )
-        for (F, G, mh), certificate in zip(built, certificates):
-            yield _ev_record(d, y, F, G, mh, m, limits, certificate)
+    walk = _box_walk(ranges, exhaustive, config.max_instances, config.seed)
+    points = itertools.islice(walk, config.max_instances)
+    yield from _ev_instances(model, d, y, points, len(a_bounds), config)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Trial factorization runs on a batch of numbers (``factor_batch``), which a
 sweep hands one block of discriminants at a time: the primes up to
-SMALL_PRIME_BOUND are found per number, and the primes above it, up to the
-bound, share one reduction of their product per group of cofactors.
-``factor_trial`` is the batch of one.
+SMALL_PRIME_BOUND are found per number, by one gcd with their product, and
+the primes above it, up to the bound, share one reduction of their product
+per group of cofactors.  ``factor_trial`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PROOF_BOUND = 3_317_044_064_679_887_385_961_981
 
 # ``factor_batch`` finds the primes up to this bound that divide n by one
-# gcd with their product (or, for n below its square, by a walk that stops
-# at p^2 > n), and the primes above it, up to the trial bound, by one gcd
-# with theirs.
+# gcd with their product, and the primes above it, up to the trial bound,
+# by one gcd with theirs.
 SMALL_PRIME_BOUND = 500
 
 _sieve_limit = 0
@@ -172,9 +171,8 @@ def factor_batch(
     small = min(bound, SMALL_PRIME_BOUND)
     staged = [_small_stage(n, small, until_square) for n in numbers]
     square = SMALL_PRIME_BOUND * SMALL_PRIME_BOUND
-    # What is left is 1 or a prime unless it exceeds SMALL_PRIME_BOUND^2: the
-    # walk stops only at p^2 > m, and otherwise m has no prime factor <=
-    # SMALL_PRIME_BOUND.
+    # What is left has no prime factor <= SMALL_PRIME_BOUND, so it is 1 or a
+    # prime unless it exceeds SMALL_PRIME_BOUND^2.
     large = [entry for entry in staged if entry[1] > square and not entry[2]]
     if large and bound > SMALL_PRIME_BOUND:
         _large_stage(large, bound)
@@ -193,30 +191,16 @@ def _small_stage(n: int, small: int, until_square: bool) -> list:
 
     Takes g = gcd(|n|, prod(primes <= small)), finds the primes of g by a
     walk that stops at p^2 > g, and divides each out by p, p^2, p^4, ...
-    (``_divide_out``), so that v_p(n) costs O(log v_p(n)) divisions.  Below
-    SMALL_PRIME_BOUND^2, where that gcd costs more than it saves, it divides
-    |n| by the primes one by one instead and stops once p^2 exceeds what is
-    left, which is then 1 or a prime.
+    (``_divide_out``), so that v_p(n) costs O(log v_p(n)) divisions.
     """
     if n == 0:
         raise ValueError("cannot factor zero")
     out: dict[int, int] = {}
     m = abs(n)
-    if m < SMALL_PRIME_BOUND * SMALL_PRIME_BOUND:  # the walk stops below SMALL_PRIME_BOUND
-        root = math.isqrt(m)
-        for p in iter_primes_up_to(small):
-            if p > root:  # p^2 > m
-                break
-            if m % p == 0:
-                m = _divide_out(m, p, out)
-                if until_square and out[p] > 1:
-                    return [out, m, True]
-                root = math.isqrt(m)
-    elif small > 1:
-        for p in _prime_divisors(math.gcd(m, _prime_product(1, small)), 1, small):
-            m = _divide_out(m, p, out)
-            if until_square and out[p] > 1:
-                return [out, m, True]
+    for p in _prime_divisors(math.gcd(m, _prime_product(1, small)), 1, small):
+        m = _divide_out(m, p, out)
+        if until_square and out[p] > 1:
+            return [out, m, True]
     return [out, m, False]
 
 

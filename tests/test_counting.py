@@ -715,6 +715,28 @@ def test_density_degree_cap():
         greaves_density([1, 0, 0, 0, 0, 0, 0, 1], 10)
 
 
+@pytest.mark.parametrize(
+    "box, congruence, message",
+    [
+        (10, (0, 0, 0), "congruence modulus must be positive"),
+        (10, (1, 1, -3), "congruence modulus must be positive"),
+        (0, None, "box must be at least 1"),
+        (-3, None, "box must be at least 1"),
+    ],
+)
+def test_density_rejects_a_bad_box_or_modulus(box, congruence, message):
+    # The box and modulus rules of sweep, with its messages.
+    with pytest.raises(ValueError, match=message):
+        greaves_density([1, 0, 1], box, congruence=congruence)
+
+
+def test_density_takes_a_class_without_coprime_pairs():
+    # Unlike sweep, the density walk needs no coprime pairs: (2, 2) mod 4
+    # holds only even pairs, and F(u, v) = u v is then divisible by 4.
+    rep = greaves_density([0, 1, 0], 20, congruence=(2, 2, 4))
+    assert rep.sampled == 100 and rep.squarefree == 0
+
+
 def test_density_congruence_restriction():
     # F(u, v) = u restricted to u == 1 mod 4: odd values, squarefree density
     # rises to prod_{p odd} (1 - 1/p^2) = (6/pi^2)/(1 - 1/4) = 8/pi^2
@@ -809,7 +831,8 @@ def test_ev_instance_mh_matches_the_ring_operations(d):
     model = build_family((1, 1), d)[0]
     f_int, m = model.f_cleared
     y = F(5)
-    c_bound, bounds = counting._ev_limits(model, d, y)
+    c_bound = ev_bound_constant(model, d)
+    bounds = [math.floor(m * c_bound * y**k) for k in range(d + 1)]
     a_bounds, b_bounds = ev_boxes(d, y)
     rng = random.Random(d)
 
@@ -861,8 +884,7 @@ def test_ev_generate_sampled_is_seeded():
 
 def test_ev_instance_rebuilds_generated_instances():
     # The public ev_instance at the coordinates ev_generate drew, in its
-    # exhaustive and its sampling mode, gives the same instance; its limits
-    # are handed out as a tuple nobody can grow.
+    # exhaustive and its sampling mode, gives the same instance.
     model, _, _ = build_family((1, 1), 6)
     d, y = 6, F(8)
     assert box_volume(d, y) > counting.EXHAUSTIVE_LIMIT
@@ -877,7 +899,6 @@ def test_ev_instance_rebuilds_generated_instances():
     coords = itertools.product(*[range(-1, 2)] * 5)  # every bound is 1 at Y = 1
     for inst, c in zip(ev_generate(model, d, 1, small), coords):
         assert ev_instance(model, d, F(1), c[:3], c[3:]) == inst
-    assert isinstance(counting._ev_limits(model, d, y)[1], tuple)
 
 
 @pytest.mark.parametrize("certify", [False, True])

@@ -60,6 +60,24 @@ def test_factor_trial_matches_walk(case):
     assert factor_trial(n, bound) == factor_trial_walk(n, bound)
 
 
+@pytest.mark.parametrize("bound", [2, 7, 300, S, 10_000])
+def test_small_numbers_match_walk(bound):
+    # Every n up to 5,000 and every n within 50 of S^2, with the products of
+    # two primes just below and just above S, take the first stage's gcd
+    # like any other number: the factorization and the squarefree decision
+    # come out as the walk's, in one batch and one number at a time.
+    near = _primes_near(S)
+    numbers = [
+        *range(1, 5_001),
+        *range(S * S - 50, S * S + 51),
+        *sorted({p * q for p in near for q in near}),
+    ]
+    want = [factor_trial_walk(n, bound) for n in numbers]
+    assert factor_batch(numbers, bound) == want
+    for n in numbers:
+        assert _squarefree_status(n, bound) == squarefree_status_walk(n, bound), n
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(BOUNDS) | st.integers(0, 20_000), st.data())
 def test_factor_batch_matches_walk(bound, data):
@@ -140,11 +158,11 @@ def test_squarefree_status_stops_at_a_small_square(monkeypatch):
 
     monkeypatch.setattr(primes, "_prime_product", refuse_above_s)
     n = 4 * 3 * 10_007 * 10_009 * 1_000_000_007
-    assert n >= S * S  # past the walk: the first stage takes its gcd
+    assert n >= S * S  # unstopped, its cofactor would reach the second stage
     assert factor_trial(n, 100_000, until_square=True) == ({2: 2}, n // 4)
     assert _squarefree_status(n, 100_000) is False
     assert _squarefree_status(-9 * n, 100_000) is False
-    assert _squarefree_status(4 * 10_007, 100_000) is False  # below S^2: the walk
+    assert _squarefree_status(4 * 10_007, 100_000) is False  # below S^2 too
 
 
 def test_squarefree_status_rules():
@@ -257,7 +275,8 @@ def test_factor_trial_at_planted_powers_of_seven():
     # The discriminants of the coefficient-box instances carry 7 to about
     # the 100th power (``test_ev_witness_matches_walk``).  Every
     # valuation from 1 to 140 of 7, alone and beside other powers, comes
-    # out exactly, on both sides of the walk's size cut S^2.
+    # out exactly, on both sides of S^2, below which the first stage
+    # leaves 1 or a prime.
     for v in range(1, 141):
         for rest in (1, 2, 3 * 11**5, 10_007, 2**64 * 1_000_000_007):
             n = 7**v * rest
