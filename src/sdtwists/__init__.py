@@ -27,7 +27,6 @@ from .galois import (
     SdCertificate,
     certify_sd,
     collect_evidence,
-    irreducibility_certificate,
     transposition_witness,
 )
 from .family import (

@@ -9,7 +9,9 @@ that is a library dataclass (the config echo, the model with its check, the
 count report, the density report) is its fields in declaration order
 (``_record``), so a field added there reaches the report unwritten here;
 the other records name their own keys.  The exponents table reads each
-exponent's least degree from ``counting``.
+exponent's least degree from ``counting``.  A CSV report is the records
+alone: its columns are the records' keys in the order they first appear,
+one row per record, so it holds every value of the JSON records.
 
 A config file is flat key=value with sections ([run], [curve], [sweep],
 [ev], [certify], [density], [pair], [output]); command-line flags override
@@ -45,18 +47,6 @@ SCHEMA_VERSION = 1
 _MODES = ("exponents", "model", "family", "certify", "sweep", "ev", "density", "pair-signs")
 
 _EV_TRIAL_BOUND_CAP = 10_000
-
-_CSV_COLUMNS = (
-    "u", "v", "degree", "poly", "disc", "disc_sign",
-    "kernel", "kernel_flag", "kernel_cofactor",
-    "certified", "cert_route", "irreducibility", "irreducibility_route",
-    "transposition_prime", "cycle_types", "point_verified",
-    "residue_u", "residue_v",
-    "model_p1", "model_p2", "model_p3",
-    "prime_budget", "trial_bound", "kernel_bound",
-    "F", "G", "H", "bounds_ok",
-    "mode_field", "value",
-)
 
 
 class UsageError(Exception):
@@ -483,9 +473,11 @@ def emit(report: dict, fmt: str = "json") -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for rec in report.get("records", []):
-            writer.writerow([_csv_cell(rec.get(col)) for col in _CSV_COLUMNS])
+        records = report.get("records", [])
+        columns = list(dict.fromkeys(key for rec in records for key in rec))
+        writer.writerow(columns)
+        for rec in records:
+            writer.writerow([_csv_cell(rec.get(col)) for col in columns])
         return buf.getvalue()
     raise UsageError(f"format: unknown output format {fmt!r}")
 

@@ -32,9 +32,12 @@ alpha(d) live here too, all as exact rationals.  The least degree of each
 is declared once (``C_MIN_DEGREE``, ``BOX_MIN_DEGREE``, ``ALPHA_MIN_DEGREE``),
 for the functions and for the reports that tabulate them.
 
-The coefficient box and the density box of ``greaves_density`` are walked
-by one ``_box_walk``: every point of a box of at most ``EXHAUSTIVE_LIMIT``
-points, otherwise seeded uniform draws.
+The members of a residue class (u0, v0) mod M in [-box, box] are computed
+once (``_class_ranges``): a sweep walks their coprime pairs and the density
+walks all their points.  The coefficient box and the density class are
+walked by one ``_box_walk``: every point when the exact number of points,
+the product of the range lengths, is at most ``EXHAUSTIVE_LIMIT``,
+otherwise seeded uniform draws.
 """
 
 from __future__ import annotations
@@ -69,9 +72,10 @@ KERNEL_ZERO = "zero-disc"
 
 WORKERS_ENV = "SDTWISTS_WORKERS"
 
-# A box of at most this many points is walked exhaustively, a larger one
-# sampled (``_box_walk``): the density box of ``greaves_density`` and the
-# coefficient box of ``ev_generate``.
+# A box of at most this many points, counted exactly, is walked
+# exhaustively, a larger one sampled (``_box_walk``): the coefficient box of
+# ``ev_generate`` and the points of a residue class in the box of
+# ``greaves_density``.
 EXHAUSTIVE_LIMIT = 1_000_000
 
 # The least degree of each counting exponent c_d (``c_exponent``), by mode,
@@ -230,17 +234,20 @@ def _t_key(u: int, v: int, even: bool) -> tuple[int, int]:
     return (u, v) if v > 0 else (-u, -v)
 
 
+def _class_ranges(box: int, congruence: Optional[tuple[int, int, int]]) -> list[range]:
+    """The members of the class (u0, v0) mod M in [-box, box], one range
+    per coordinate, least first; every integer there without a congruence."""
+    u0, v0, mod = congruence or (0, 0, 1)
+    return [range(-box + (c0 + box) % mod, box + 1, mod) for c0 in (u0, v0)]
+
+
 def _box_pairs(
     box: int, congruence: Optional[tuple[int, int, int]]
 ) -> Iterator[tuple[int, int]]:
-    for u in range(-box, box + 1):
-        for v in range(-box, box + 1):
-            if v == 0 or math.gcd(u, v) != 1:
-                continue
-            if congruence:
-                u0, v0, m = congruence
-                if (u - u0) % m or (v - v0) % m:
-                    continue
+    """The coprime pairs (u, v), v != 0, of the class in [-box, box]^2, in
+    lexicographic order."""
+    for u, v in itertools.product(*_class_ranges(box, congruence)):
+        if v and math.gcd(u, v) == 1:
             yield u, v
 
 
@@ -534,18 +541,18 @@ def _rho_p2(form: Sequence[int], p: int) -> int:
 
 
 def _box_walk(
-    ranges: Sequence[range], exhaustive: bool, samples: int, seed: int
-) -> Iterator[tuple[int, ...]]:
-    """The points of the box ranges[0] x ranges[1] x ...: every one, in
-    lexicographic order, when ``exhaustive``, else ``samples`` uniform draws
-    seeded by ``seed``, one ``randrange(len(r))`` per coordinate, the draw
+    ranges: Sequence[range], samples: int, seed: int
+) -> tuple[bool, Iterator[tuple[int, ...]]]:
+    """(exhaustive, points) for the box ranges[0] x ranges[1] x ...: a box
+    of at most ``EXHAUSTIVE_LIMIT`` points, counted exactly as the product
+    of the range lengths, is exhaustive and its points are every one, in
+    lexicographic order; a larger box gives ``samples`` uniform draws seeded
+    by ``seed``, one ``randrange(len(r))`` per coordinate, the draw
     ``randint`` makes for the same range."""
-    if exhaustive:
-        yield from itertools.product(*ranges)
-        return
+    if math.prod(map(len, ranges)) <= EXHAUSTIVE_LIMIT:
+        return True, itertools.product(*ranges)
     rng = random.Random(seed)
-    for _ in range(samples):
-        yield tuple(r[rng.randrange(len(r))] for r in ranges)
+    return False, (tuple(r[rng.randrange(len(r))] for r in ranges) for _ in range(samples))
 
 
 def greaves_density(
@@ -560,8 +567,9 @@ def greaves_density(
     """Empirical squarefree density of F(u,v) on the box, plus the local product.
 
     ``form`` lists the coefficients of F(u,v) = sum(form[i] u^(m-i) v^i).
-    The box is walked exhaustively when (2 box + 1)^2 // M^2, M the modulus
-    of the congruence, is at most ``EXHAUSTIVE_LIMIT`` (10^6), otherwise
+    The points are those of the class (u0, v0) mod M in the box
+    (``_class_ranges``), walked exhaustively when the class has at most
+    ``EXHAUSTIVE_LIMIT`` (10^6) of them, counted exactly, and otherwise
     sampled uniformly with the given seed (``_box_walk``).  The reference
     value is prod_{p <= local_bound} (1 - rho(p^2)/p^4), with rho(p^2) the
     number of roots of F among the pairs mod p^2, counted on the points of
@@ -576,21 +584,17 @@ def greaves_density(
         raise ValueError("binary form degree must be at most 6")
     if m < 1 or all(c == 0 for c in form):
         raise ValueError("form must be nonconstant")
-    u0, v0, mod = congruence or (0, 0, 1)
     if box < 1:
         raise ValueError("box must be at least 1")
-    if mod < 1:
+    if congruence and congruence[2] < 1:
         raise ValueError("congruence modulus must be positive")
 
     square_form = _is_square_form(form)
     as_t = tuple(reversed(form))  # F(t, 1), constant first
 
-    n_side = 2 * box + 1
-    exhaustive = (n_side * n_side) // (mod * mod) <= EXHAUSTIVE_LIMIT
-    # the members of each residue class in [-box, box], the first one first
-    ranges = [range(-box + (c0 + box) % mod, box + 1, mod) for c0 in (u0, v0)]
+    exhaustive, points = _box_walk(_class_ranges(box, congruence), samples, seed)
     total = sq = und = 0
-    for u, v in _box_walk(ranges, exhaustive, samples, seed):
+    for u, v in points:
         total += 1
         status = _squarefree_status(binary_form_value(as_t, m, u, v), trial_bound)
         if status is True:
@@ -788,8 +792,7 @@ def ev_generate(
     y = Fraction(y)
     a_bounds, b_bounds = ev_boxes(d, y)
     ranges = [range(-bound, bound + 1) for bound in a_bounds + b_bounds]
-    exhaustive = math.prod(map(len, ranges)) <= EXHAUSTIVE_LIMIT
-    walk = _box_walk(ranges, exhaustive, config.max_instances, config.seed)
+    _, walk = _box_walk(ranges, config.max_instances, config.seed)
     points = itertools.islice(walk, config.max_instances)
     yield from _ev_instances(model, d, y, points, len(a_bounds), config)
 

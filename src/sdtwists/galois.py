@@ -33,11 +33,11 @@ costs one integer remainder, disc mod p, and only good primes are reduced
 and factored by distinct-degree factorization.  The budget of good primes
 is a cap.  The scan (``_good_prime_scan``) yields (p, cycle type) and
 computes a cycle type only when its caller asks for the next one, so a
-caller stops it by leaving its loop once its facts hold: ``_evidence`` at
-the first good prime after which the cycle types found, with the
-transposition witness, meet the criterion above (``_sd_route``, its one
-statement, which ``certify_sd`` applies too), ``irreducibility_certificate``
-at its first proof.  Each loop proves irreducibility as it goes
+caller stops it by leaving its loop once its facts hold: ``_evidence``, the
+one loop over it, stops at the first good prime after which the cycle types
+found, with the transposition witness, meet the criterion above
+(``_sd_route``, its one statement, which ``certify_sd`` applies too), never
+before irreducibility is proved.  The loop proves irreducibility as it goes
 (``_irreducible_route``), from an irreducible reduction or, for d >= 4, from
 the degree lattice reaching {0, d}; a cubic's lattice reaches it only at an
 irreducible reduction.  The witness is searched for at most once per
@@ -223,22 +223,6 @@ def _irreducible_route(
         if lattice == 1 | 1 << d:
             return "degree-lattice", lattice
     return route, lattice
-
-
-def irreducibility_certificate(f: Poly, prime_budget: int) -> str:
-    """CERTIFIED when irreducibility over Q is proved within the budget.
-
-    The scan stops at its first proof: an irreducible reduction or a degree
-    lattice that has shrunk to {0, d}.
-    """
-    if f.degree < 2:
-        raise ValueError("degree >= 2 required")
-    route, lattice = None, -1
-    for _p, ct in _good_prime_scan(*_normalized(f), prime_budget):
-        route, lattice = _irreducible_route(route, lattice, ct)
-        if route is not None:
-            return CERTIFIED
-    return INCONCLUSIVE
 
 
 def _normalized(f: Poly) -> tuple[IntPoly, int]:

@@ -351,25 +351,12 @@ class _Ring:
         return self.reduce(sum(map(mul, v, columns)))
 
 
-@lru_cache(maxsize=None)
-def _power_chain(e: int, n: int) -> tuple[int, tuple[bool, ...]]:
-    """(s, steps) for x^e mod a modulus of degree n, e >= 1: s is the
-    longest leading part of e's bits below 2n, so x^s is 1 << s*w with at
-    most n slots folded back, and each later bit of e is one squaring, times
-    x as well when it is 1."""
-    length = e.bit_length()
-    k = 1  # the leading bits taken
-    while k < length and e >> (length - k - 1) < 2 * n:
-        k += 1
-    return e >> (length - k), tuple(bool(e >> i & 1) for i in range(length - k - 1, -1, -1))
-
-
 def _x_power(e: int, ring: _Ring) -> int:
-    """x^e in ``ring`` for e >= 1, by squaring and shifting (``_power_chain``)."""
-    start, steps = _power_chain(e, ring.n)
-    r = ring.mul(1 << start * ring.width, 1)
-    for by_x in steps:
-        r = ring.mul(r, r, by_x)
+    """x^e in ``ring`` for e >= 1, by squaring and shifting: from x, one
+    squaring per lower bit of e, times x as well when the bit is 1."""
+    r = ring.mul(1 << ring.width, 1)
+    for i in range(e.bit_length() - 2, -1, -1):
+        r = ring.mul(r, r, bool(e >> i & 1))
     return r
 
 

@@ -737,6 +737,34 @@ def test_density_takes_a_class_without_coprime_pairs():
     assert rep.sampled == 100 and rep.squarefree == 0
 
 
+@pytest.mark.parametrize(
+    "box, congruence",
+    [(5, None), (6, (1, 1, 2)), (7, (2, -1, 5)), (4, (7, 3, 4)), (3, (1, 2, 1)), (2, (5, 5, 9))],
+)
+def test_box_pairs_are_the_coprime_class_points_of_the_box(box, congruence):
+    # The class walk gives the pairs of a test of every point of the box,
+    # in the same order, for residues outside [0, M) and below 0 and for a
+    # class with no member in the box.
+    u0, v0, m = congruence or (0, 0, 1)
+    want = [
+        (u, v)
+        for u in range(-box, box + 1)
+        for v in range(-box, box + 1)
+        if v and math.gcd(u, v) == 1 and (u - u0) % m == 0 and (v - v0) % m == 0
+    ]
+    assert list(counting._box_pairs(box, congruence)) == want
+
+
+def test_box_walk_counts_the_class_exactly():
+    # In [-1500, 1500] the class 1 mod 3 has 1,000 members and the class
+    # 0 mod 3 has 1,001: (1, 1) mod 3 is a box of exactly 10^6 points, walked
+    # exhaustively, and (0, 0) mod 3 one of 1001^2, sampled.
+    for c0, size, exhaustive in ((1, 1000, True), (0, 1001, False)):
+        ranges = counting._class_ranges(1500, (c0, c0, 3))
+        assert [len(r) for r in ranges] == [size, size]
+        assert counting._box_walk(ranges, 10, 0)[0] is exhaustive
+
+
 def test_density_congruence_restriction():
     # F(u, v) = u restricted to u == 1 mod 4: odd values, squarefree density
     # rises to prod_{p odd} (1 - 1/p^2) = (6/pi^2)/(1 - 1/4) = 8/pi^2

@@ -19,7 +19,7 @@ from sdtwists.family import (
     verify_model,
     verify_new_point,
 )
-from sdtwists.padic import cycle_certificate, n_cycle_type, newton_polygon, valuation
+from sdtwists.padic import valuation
 from sdtwists.polyarith import BivarPoly, IntPoly, Poly, discriminant, discriminant_in_t
 from sdtwists.primes import primes_up_to
 
@@ -357,27 +357,6 @@ def test_point_identity_negative_control():
     assert type(spec) is IntPoly
     assert verify_new_point(spec, fam, 3, 2)
     assert not verify_new_point(spec + IntPoly([1]), fam, 3, 2)
-
-
-def test_polygon_cycle_scenarios_at_p2():
-    for d in (4, 6, 8):
-        model, fam, _ = build_family((1, 1), d)
-        p = model.p2
-        deep = specialize(fam, 1, p ** (d // 2))
-        assert cycle_certificate(newton_polygon(deep, p)) == [n_cycle_type(d, d)]
-        shallow = specialize(fam, 1, p)
-        assert cycle_certificate(newton_polygon(shallow, p)) == [
-            n_cycle_type(d - 1, d)
-        ]
-    for d in (5, 7, 9):
-        model, fam, _ = build_family((1, 1), d)
-        p = model.p2
-        inv = specialize(fam, 1, p)
-        assert cycle_certificate(newton_polygon(inv, p)) == [n_cycle_type(d, d)]
-        direct = specialize(fam, p, 1)
-        assert cycle_certificate(newton_polygon(direct, p)) == [
-            n_cycle_type(d - 2, d)
-        ]
 
 
 def test_forced_cubic_congruence_model():

@@ -15,7 +15,6 @@ from sdtwists.galois import (
     certify_sd,
     collect_evidence,
     contains_n_cycle,
-    irreducibility_certificate,
     transposition_witness,
 )
 from sdtwists.padic import CycleType, frobenius_cycle_type
@@ -35,18 +34,22 @@ def cubic():
     return Poly([-1, -2, -1, 1])  # x^3 - x^2 - 2x - 1, disc -31
 
 
+def irreducibility(f: Poly, budget: int) -> str:
+    return collect_evidence(f, f.degree, budget).irreducibility
+
+
 def test_irreducibility_cubic_mod2():
-    assert irreducibility_certificate(cubic(), 5) == CERTIFIED
+    assert irreducibility(cubic(), 5) == CERTIFIED
 
 
 def test_irreducibility_never_fires_on_reducible():
     product = Poly([1, 0, 1]) * Poly([2, 0, 1])
-    assert irreducibility_certificate(product, 20) == INCONCLUSIVE
+    assert irreducibility(product, 20) == INCONCLUSIVE
 
 
 def test_irreducibility_x4_plus_1_inconclusive():
     # factors mod every prime; documents why the lattice and polygon routes exist
-    assert irreducibility_certificate(Poly([1, 0, 0, 0, 1]), 3) == INCONCLUSIVE
+    assert irreducibility(Poly([1, 0, 0, 0, 1]), 3) == INCONCLUSIVE
 
 
 def test_irreducibility_degree_lattice_route():
@@ -60,20 +63,13 @@ def test_irreducibility_degree_lattice_route():
 
 
 
-def test_irreducibility_certificate_stops_at_its_first_proof(monkeypatch):
-    # The scan of irreducibility_certificate ends at the first good prime
-    # whose pattern completes a proof, an irreducible reduction or a degree
-    # lattice of {0, d}, and otherwise scans the whole budget; either way the
-    # status is that of a walk over every good prime of the budget.
+def test_irreducibility_of_evidence_matches_a_full_walk():
+    # collect_evidence stops its scan only once irreducibility is proved, so
+    # its irreducibility is that of a walk over every good prime of the
+    # budget.  The sample holds polynomials proved before the budget ends,
+    # some by the degree lattice before any irreducible reduction.
     from oracles import good_prime_walk, lattice, walk_evidence
 
-    real, scanned = galois.padic.good_prime_cycle_type, []
-
-    def counted(coeffs, p, parity=None):
-        scanned.append(p)
-        return real(coeffs, p, parity)
-
-    monkeypatch.setattr(galois.padic, "good_prime_cycle_type", counted)
     rng, budget = random.Random(22), 12
     stopped = lattice_first = 0
     for _ in range(150):
@@ -84,16 +80,13 @@ def test_irreducibility_certificate_stops_at_its_first_proof(monkeypatch):
         g = _normalize_factor(f)
         if discriminant(g) == 0:
             continue
-        scanned.clear()
-        status, program = irreducibility_certificate(f, budget), list(scanned)
         walk = good_prime_walk(g, budget)
-        assert status == walk_evidence(g, budget, 1, stop=False).irreducibility
+        assert irreducibility(f, budget) == walk_evidence(g, budget, 1, stop=False).irreducibility
         proofs = (
             k for k in range(1, len(walk) + 1)
             if lattice([ct for _, ct in walk[:k]], g.degree) == {0, g.degree}
         )
         first = next(proofs, len(walk))
-        assert program == [p for p, _ in walk[:first]]
         stopped += first < len(walk)
         lattice_first += all(ct.parts != (g.degree,) for _, ct in walk[:first]) and first < len(walk)
     assert stopped > 50 and lattice_first > 0

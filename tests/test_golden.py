@@ -7,18 +7,22 @@ sweeps (the standard route, the transposition-witness search and the
 bivariate discriminant).  ``sweep_d6`` factors its discriminants to a small
 kernel bound and finds transposition witnesses above it, up to its trial
 bound.
-Each report is stored as JSON and as CSV under ``tests/golden``.
+Each report is stored as JSON and as CSV under ``tests/golden``; the CSV
+holds the records of the JSON, their keys as its columns.
 
 Regenerate the files, after a change that is meant to alter reports, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
+import functools
+import io
 from pathlib import Path
 
 import pytest
 
-from sdtwists.cli import RunConfig, emit, run
+from sdtwists.cli import RunConfig, _csv_cell, emit, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FORMATS = ("json", "csv")
@@ -41,9 +45,13 @@ SCENARIOS = {
 }
 
 
+@functools.cache
+def _report(name: str) -> dict:
+    return run(RunConfig(**SCENARIOS[name]))
+
+
 def _reports(name: str) -> dict[str, str]:
-    report = run(RunConfig(**SCENARIOS[name]))
-    return {fmt: emit(report, fmt) for fmt in FORMATS}
+    return {fmt: emit(_report(name), fmt) for fmt in FORMATS}
 
 
 def _path(name: str, fmt: str) -> Path:
@@ -55,6 +63,17 @@ def test_report_matches_golden(name):
     for fmt, text in _reports(name).items():
         expected = _path(name, fmt).read_text(encoding="utf-8")
         assert text == expected, f"{name}.{fmt} differs from the stored golden report"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_csv_rows_are_the_records(name):
+    # The header is the records' keys, every record has exactly those keys
+    # in that order, and each row holds the cells of one record's values.
+    records = _report(name)["records"]
+    header, *rows = csv.reader(io.StringIO(emit(_report(name), "csv")))
+    assert records and header == list(records[0])
+    assert [list(rec) for rec in records] == [header] * len(records)
+    assert rows == [[_csv_cell(value) for value in rec.values()] for rec in records]
 
 
 if __name__ == "__main__":

@@ -715,8 +715,7 @@ def test_ring_matches_list_oracle():
 def test_ring_of_a_non_monic_polynomial_is_the_ring_of_its_monic_multiple():
     # The ring reads x^n mod f off f directly, as -(f - lc(f) x^n) / lc(f),
     # with no monic copy of f; its products, x^e and Frobenius columns are
-    # those of the ring on the monic multiple.  x^e starts from x^s, s the
-    # leading bits of e below 2n, and squares once per later bit.
+    # those of the ring on the monic multiple.
     rng = random.Random(83)
     for p in (3, 5, 251, 4409):
         for n in (2, 3, 6, 9):
@@ -730,8 +729,6 @@ def test_ring_of_a_non_monic_polynomial_is_the_ring_of_its_monic_multiple():
             assert ring.mul(a, b, True) == monic.mul(a, b, True)
             assert padic._frobenius_columns(ring) == padic._frobenius_columns(monic)
             for e in (1, n - 1, n, 2 * n + 1, p, p * p + 3):
-                start, steps = padic._power_chain(e, n)
-                assert start < 2 * n and len(steps) == e.bit_length() - start.bit_length()
                 want = oracles.modp_powmod([0, 1], e, [c * inv % p for c in f], p)
                 assert padic._x_power(e, ring) == ring.pack(want), (f, p, e)
 
@@ -1033,19 +1030,15 @@ def test_cached_plan_does_not_freeze_the_cutoff(monkeypatch):
     assert good_prime_cycle_type(coeffs, p, parity) is full
 
 
-def test_x_power_matches_list_oracle_from_a_folded_start():
-    # x^e for every e up to 300 and degrees 2 to 8 equals the list oracle.
-    # The chain starts at x^s, the longest leading part of e below 2n, so
-    # for e >= n it starts at or past x^n, as the fold of 1 << s*w, and then
-    # takes one product per later bit of e.
+def test_x_power_matches_list_oracle():
+    # x^e for every e up to 300 and degrees 2 to 8 equals the list oracle:
+    # the powering starts from x and squares once per lower bit of e, so
+    # it crosses x^n, where the ring first folds, at every e >= n.
     rng = random.Random(97)
     for p in (2, 3, 13, 251, 4409):
         for n in range(2, 9):
             g = [rng.randrange(p) for _ in range(n)] + [1]
             ring = padic._Ring(g, p)
             for e in range(1, 301):
-                start, steps = padic._power_chain(e, n)
-                assert start < 2 * n and (start >= n or start == e), (e, n)
-                assert len(steps) == e.bit_length() - start.bit_length()
                 want = oracles.modp_powmod([0, 1], e, g, p)
                 assert padic._x_power(e, ring) == ring.pack(want), (g, p, e)
